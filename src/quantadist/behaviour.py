@@ -7,6 +7,13 @@ behavioural distance; Kleene iteration from the top graph descends
 towards it, so truncated runs are sound quantale-order upper bounds
 (numeric lower bounds).
 
+Distance queries run ``pair_gfp``, which iterates only on the pairs
+reachable from the query pair in the synchronized product (the lifted
+distance reads successor pairs at matching positions only), over
+integer-interned states.  ``kleene_gfp`` iterates over every pair of a
+successor-closed carrier; it is the reference the local solver is
+tested against.
+
 Upper bounds in the numeric order come from certificates: sparse
 candidate distances whose support pairs are post-fixpoints up to the
 algebraic structure of the monad.  The checker bounds the up-to
@@ -198,6 +205,96 @@ def reachable_states(det: DetCoalgebra, seeds: Sequence[object],
         out.append(s)
         queue.extend(det.successor_states(s))
     return out
+
+
+@dataclass
+class PairResult:
+    """The behaviour-function iterate at one query pair."""
+
+    value: object
+    converged: bool
+    iterations: int
+    states: int  # determinized states touched
+    pairs: int   # pairs explored
+
+
+def pair_gfp(det: DetCoalgebra, p, q, max_iters: int = 1000) -> PairResult:
+    """Iterate the behaviour function from all-top on the pairs reachable
+    from ``(p, q)`` only.
+
+    ``polynomial_distance`` reads the distance only at identity leaves
+    sitting at the same position of both one-step terms (mismatched
+    coproduct sides read none), so those successor pairs span a
+    sub-system closed under the behaviour function.  Each state is
+    hashed once, when it is first met, and given an integer id; each
+    pair stores its successor pair ids in the order the lifted distance
+    visits its identity leaves, so the leaf callback reads values by
+    position.  Round 1 evaluates every explored pair; a later round
+    re-evaluates only the predecessors of pairs that changed in the
+    round before.  The iterate after k rounds equals ``kleene_gfp``'s
+    k-th iterate at the query pair, so a truncated run is the same
+    numeric lower bound and a stabilized one the exact fixpoint.
+    """
+    qt = det.law.quantale
+    functor = det.law.functor
+    state_ids: Dict[object, int] = {}
+    terms: List[object] = []
+    pair_ids: Dict[Tuple[int, int], int] = {}
+    pairs: List[Tuple[int, int]] = []
+    succs: List[List[int]] = []
+    preds: List[List[int]] = []
+
+    def state_id(state) -> int:
+        i = state_ids.get(state)
+        if i is None:
+            i = state_ids[state] = len(terms)
+            terms.append(det.successor(state))
+        return i
+
+    def pair_id(a: int, b: int) -> int:
+        k = pair_ids.get((a, b))
+        if k is None:
+            k = pair_ids[(a, b)] = len(pairs)
+            pairs.append((a, b))
+            succs.append([])
+            preds.append([])
+        return k
+
+    # Breadth-first exploration: the loop also visits pairs appended
+    # while it runs.  Recording leaves answer top, so the values it
+    # computes are round 1.
+    root = pair_id(state_id(p), state_id(q))
+    values: List[object] = []
+    for k, (a, b) in enumerate(pairs):
+        def record(x, y):
+            j = pair_id(state_id(x), state_id(y))
+            succs[k].append(j)
+            if not preds[j] or preds[j][-1] != k:
+                preds[j].append(k)
+            return qt.top
+
+        values.append(polynomial_distance(qt, functor, record, terms[a], terms[b]))
+    if max_iters < 1:
+        return PairResult(qt.top, False, 0, len(terms), len(pairs))
+
+    def evaluate(k: int):
+        position = iter(succs[k])
+        a, b = pairs[k]
+        return polynomial_distance(qt, functor,
+                                   lambda _x, _y: values[next(position)],
+                                   terms[a], terms[b])
+
+    changed = [k for k, v in enumerate(values) if v != qt.top]
+    iterations = 1
+    while changed and iterations < max_iters:
+        updates = [(j, evaluate(j)) for j in {j for k in changed for j in preds[k]}]
+        changed = []
+        for j, v in updates:
+            if v != values[j]:
+                values[j] = v
+                changed.append(j)
+        iterations += 1
+    return PairResult(values[root], not changed, iterations, len(terms), len(pairs))
 
 
 # -- trace oracles ----------------------------------------------------------------

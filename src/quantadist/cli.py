@@ -17,10 +17,11 @@ import time
 from fractions import Fraction
 from typing import List, Optional
 
-from .behaviour import (CoalgebraModel, ModelError, certify, kleene_gfp,
-                        reachable_states, trace_lower_bound)
+from .behaviour import (CoalgebraModel, ModelError, certify, pair_gfp,
+                        trace_lower_bound)
 from .canon import canon_key
-from .distlaw import ALWAYS_LEFT, DistLaw, StateBudgetError, case_study_laws, law_suite
+from .distlaw import (ALWAYS_LEFT, DistLaw, StateBudgetError, case_study_laws,
+                      determinize, law_suite)
 from .galois import BudgetError
 from .models import (DistanceInstance, ModelFormatError, certificate_from_json,
                      load_json_file, model_from_json)
@@ -108,28 +109,25 @@ def _cmd_distance(args) -> int:
     elif args.method == "kleene":
         if not isinstance(instance, CoalgebraModel):
             raise _CliError("method 'kleene' needs a coalgebra model")
-        det = instance.det()
         if args.depth is not None:
-            from .distlaw import determinize
             det = determinize(instance.law(), instance.transitions, list(pair),
                               depth=args.depth, max_states=args.max_states)
             if det.frontier:
                 raise _CliError(
                     f"the carrier is not successor-closed within depth "
                     f"{args.depth} ({len(det.frontier)} frontier states)")
-            states = list(det.memo)
         else:
-            states = reachable_states(det, list(pair), max_states=args.max_states)
-        result = kleene_gfp(det, states, max_iters=args.max_iters)
-        value = result.at(pair[0], pair[1])
+            det = instance.det(max_states=args.max_states)
+        result = pair_gfp(det, pair[0], pair[1], max_iters=args.max_iters)
         q = instance.quantale
-        report.update(value=q.value_to_json(value),
+        report.update(value=q.value_to_json(result.value),
                       soundness="exact" if result.converged
                       else "lower bound (numeric)",
                       iterations=result.iterations,
-                      carrier_size=len(result.states))
-        lines.append(f"carrier: {len(result.states)} reachable states, "
-                     f"{result.iterations} iterations"
+                      carrier_size=result.states,
+                      pairs=result.pairs)
+        lines.append(f"carrier: {result.states} determinized states, "
+                     f"{result.pairs} pairs, {result.iterations} iterations"
                      + ("" if result.converged else " (not stabilized)"))
     elif args.method == "trace":
         if not isinstance(instance, CoalgebraModel):

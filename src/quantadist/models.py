@@ -57,6 +57,9 @@ def functor_from_json(doc, q: Quantale):
     if key == "const":
         if body == "value":
             return const_values()
+        if not isinstance(body, dict) or not isinstance(body.get("atoms"), list):
+            raise ModelFormatError(
+                f"a constant functor is \"value\" or has an atom list, got {body!r}")
         atoms = body["atoms"]
         evals = [{a: q.value_from_json(v) for a, v in e.items()}
                  for e in body.get("evals", [])]

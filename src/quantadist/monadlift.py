@@ -303,9 +303,9 @@ def tvalue_to_json(monad: str, t, value_to_json=None):
 def tvalue_from_json(monad: str, doc: dict):
     _check_monad(monad)
     if monad == POWERSET:
-        if "set" not in doc:
-            raise ValueError(f"expected a set literal, got {doc!r}")
+        if not isinstance(doc, dict) or not isinstance(doc.get("set"), list):
+            raise ValueError(f"expected a set literal with a member list, got {doc!r}")
         return finsubset(doc["set"])
-    if "dist" not in doc:
-        raise ValueError(f"expected a dist literal, got {doc!r}")
+    if not isinstance(doc, dict) or not isinstance(doc.get("dist"), dict):
+        raise ValueError(f"expected a dist literal with a weight object, got {doc!r}")
     return subdist({x: Fraction(w) for x, w in doc["dist"].items()})

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List
 
-from .behaviour import certify, kleene_gfp, reachable_states, trace_lower_bound
+from .behaviour import certify, pair_gfp, trace_lower_bound
 from .counterex import CASES
 from .models import fixture_certificate, fixture_model, load_fixture
 from .monadlift import dirac, finsubset, kantorovich_lp, pricing_lp, subdist
@@ -112,11 +112,9 @@ def repro_exceptions() -> ReproResult:
     model = fixture_model("exceptions.json")
     det = model.det()
     seeds = [finsubset(["x0", "y0"]), finsubset(["z0"])]
-    states = reachable_states(det, seeds)
-    result = kleene_gfp(det, states)
+    result = pair_gfp(det, seeds[0], seeds[1])
     out.add("fixpoint iteration converged", result.converged, True)
-    out.add("distance at ({x0,y0}, {z0})",
-            result.at(seeds[0], seeds[1]), Fraction(1, 4))
+    out.add("distance at ({x0,y0}, {z0})", result.value, Fraction(1, 4))
     cert = fixture_certificate("exceptions_cert.json", model)
     out.add("certificate accepted", certify(cert, model).accepted, True)
     out.add("trace lower bound (5 word lengths)",

@@ -24,9 +24,11 @@ def build_probchain() -> CoalgebraModel:
                           carrier(["x", "x'", "y"]), carrier(["a"]), trans)
 
 
-def build_exceptions(n: int = 3) -> CoalgebraModel:
+def build_exceptions(n: int = 3, values=(F(1, 4), F(1, 3), F(1, 2))) -> CoalgebraModel:
+    """The exception case study with chains of length n; ``values`` are the
+    throw values of the x, y and z chains."""
     trans = {}
-    for fam, val in (("x", F(1, 4)), ("y", F(1, 3)), ("z", F(1, 2))):
+    for fam, val in zip("xyz", values):
         for i in range(n):
             if i == 0:
                 if fam == "x":

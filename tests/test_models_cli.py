@@ -205,3 +205,58 @@ def test_cli_distance_json_deterministic():
     assert runs[0][1] == runs[1][1]
     doc = json.loads(runs[0][1])
     assert doc["value"] == "1/4" and doc["soundness"] == "exact"
+
+
+def test_cli_budget_exit_code_with_depth():
+    code, _out, err = run_cli("distance", "--model", fixture_path("exceptions.json"),
+                              "--pair", "{x0,y0}|{z0}", "--method", "kleene",
+                              "--max-states", "3", "--depth", "10")
+    assert code == 3
+    assert "refused" in err
+
+
+def test_cli_kleene_report_counts_explored_pairs():
+    code, out, _err = run_cli("distance", "--model", fixture_path("exceptions.json"),
+                              "--pair", "{x0,y0}|{z0}", "--method", "kleene", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["carrier_size"], doc["pairs"]) == (19, 15)
+    code, out, _err = run_cli("distance", "--model", fixture_path("exceptions.json"),
+                              "--pair", "{x0,y0}|{z0}", "--method", "kleene",
+                              "--max-iters", "2")
+    assert code == 0
+    assert out.splitlines() == [
+        "0  [lower bound (numeric)]",
+        "carrier: 19 determinized states, 15 pairs, 2 iterations (not stabilized)"]
+
+
+def _write_model(tmp_path, doc):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_cli_non_list_constant_functor_exit_code(tmp_path):
+    doc = load_fixture("exceptions.json")
+    doc["functor"] = {"const": 5}
+    code, _out, err = run_cli("distance", "--model", _write_model(tmp_path, doc),
+                              "--pair", "{x0}|{z0}", "--method", "kleene")
+    assert code == 2
+    assert "constant functor" in err
+
+
+def test_cli_set_literal_must_be_a_list(tmp_path):
+    # With one-letter state names the string "ab" would read as {a, b}.
+    doc = {"quantale": "unit-oplus", "monad": "powerset",
+           "functor": {"coprod": [{"const": "value"},
+                                  {"pow": {"labels": ["go"], "body": "id"}}]},
+           "states": ["a", "b"], "labels": ["go"],
+           "transitions": {"a": {"inr": {"pow": {"go": {"id": {"set": ["a", "b"]}}}}},
+                           "b": {"inl": {"const": "1/2"}}}}
+    argv = ["distance", "--pair", "{a}|{b}", "--method", "kleene"]
+    code, out, _err = run_cli(*argv, "--model", _write_model(tmp_path, doc))
+    assert code == 0 and out.startswith("1  [exact]")
+    doc["transitions"]["a"]["inr"]["pow"]["go"]["id"]["set"] = "ab"
+    code, _out, err = run_cli(*argv, "--model", _write_model(tmp_path, doc))
+    assert code == 2
+    assert "member list" in err
