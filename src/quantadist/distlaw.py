@@ -24,8 +24,9 @@ from .functor import (ConstF, ConstLeaf, CoprodF, IdF, IdLeaf, Inl, Inr, MonadEv
                       ProdF, StarEval, Tup, build_lambda, eval_map,
                       iter_payloads, map_payloads, term_key)
 from .galois import Grid, gamma_enum, grid_values
-from .monadlift import (SubDist, ev_monad, finsubset,
-                        kantorovich_lp, monad_map, monad_mult, monad_unit, subdist)
+from .monadlift import (POWERSET, FinSubset, SubDist, check_monad, ev_monad,
+                        ev_weighted, finsubset, flatten, kantorovich_lp, monad_map,
+                        monad_mult, monad_unit, pack, subdist, weighted)
 from .quantale import EXT_PLUS, UNIT_OPLUS, Quantale
 from .suites import CheckResult, all_bool_graphs
 from .vgraph import Carrier, VGraph
@@ -54,6 +55,7 @@ class DistLaw:
     g_variant: str = PRIORITY_LEFT
 
     def __post_init__(self):
+        check_monad(self.monad)
         _check_value_consts(self.functor)
         if self.g_variant not in (PRIORITY_LEFT, ALWAYS_LEFT):
             raise ValueError(f"unknown g variant {self.g_variant!r}")
@@ -75,6 +77,16 @@ def _check_value_consts(functor):
         raise TypeError(f"not a functor expression: {functor!r}")
 
 
+def _prioritize(items: Sequence, in_left: Callable[[object], bool], variant: str):
+    """The priority decision of g on a sequence of members: keep those in
+    the left summand when there is one (always, for the mutant
+    variant), else keep everything."""
+    left = [x for x in items if in_left(x)]
+    if variant == ALWAYS_LEFT or left:
+        return "left", left
+    return "right", items
+
+
 def apply_g(monad: str, t, in_left: Callable[[object], bool],
             variant: str = PRIORITY_LEFT):
     """The prioritizing transformation: tag and restrict a monad value
@@ -83,15 +95,12 @@ def apply_g(monad: str, t, in_left: Callable[[object], bool],
     Returns (side, restricted) where side is 'left' when the left part
     is inhabited (always, for the mutant variant), 'right' otherwise.
     """
-    if monad == "powerset":
-        left_members = [m for m in t.members if in_left(m)]
-        if variant == ALWAYS_LEFT or left_members:
-            return "left", finsubset(left_members)
-        return "right", t
-    left_pairs = [(x, w) for x, w in t.items() if in_left(x)]
-    if variant == ALWAYS_LEFT or left_pairs:
-        return "left", SubDist(tuple(left_pairs))
-    return "right", t
+    # A subsequence of a canonical value is canonical.
+    if monad == POWERSET:
+        side, kept = _prioritize(t.members, in_left, variant)
+        return side, FinSubset(tuple(kept))
+    side, kept = _prioritize(t.weights, lambda pair: in_left(pair[0]), variant)
+    return side, SubDist(tuple(kept))
 
 
 def apply_g_carriers(monad: str, part1: Sequence[str], part2: Sequence[str], t,
@@ -107,33 +116,33 @@ def apply_g_carriers(monad: str, part1: Sequence[str], part2: Sequence[str], t,
 def apply_zeta(law: DistLaw, t):
     """One component of the exchange law: a monad value of F-terms
     becomes an F-term over monad values."""
-    return _zeta(law, law.functor, t)
+    return _zeta(law, law.functor, weighted(law.monad, t),
+                 lambda pairs: pack(law.monad, pairs))
 
 
-def _members(monad: str, t):
-    return t.members if monad == "powerset" else t.support()
+def _in_left(pair) -> bool:
+    return isinstance(pair[0], Inl)
 
 
-def _zeta(law: DistLaw, functor, t):
-    monad = law.monad
+def _zeta(law: DistLaw, functor, pairs, leaf):
+    """Walk the functor over a weighted list of F-terms (see
+    ``monadlift.weighted``) without building a monad value of F-terms;
+    ``leaf`` turns the weighted payload list at each identity node into
+    its monad value."""
     if isinstance(functor, ConstF):
-        values = monad_map(monad, lambda m: m.atom, t)
-        return ConstLeaf(ev_monad(monad, values, law.quantale))
+        return ConstLeaf(ev_weighted(law.monad, [(m.atom, w) for m, w in pairs],
+                                     law.quantale))
     if isinstance(functor, IdF):
-        return IdLeaf(monad_map(monad, lambda m: m.payload, t))
+        return IdLeaf(leaf([(m.payload, w) for m, w in pairs]))
     if isinstance(functor, ProdF):
-        parts = []
-        for i, part in enumerate(functor.parts):
-            parts.append(_zeta(law, part, monad_map(monad, lambda m: m.items[i], t)))
-        return Tup(tuple(parts))
+        return Tup(tuple(_zeta(law, part, [(m.items[i], w) for m, w in pairs], leaf)
+                         for i, part in enumerate(functor.parts)))
     if isinstance(functor, CoprodF):
-        side, restricted = apply_g(monad, t, lambda m: isinstance(m, Inl),
-                                   law.g_variant)
+        side, kept = _prioritize(pairs, _in_left, law.g_variant)
+        stripped = [(m.item, w) for m, w in kept]
         if side == "left":
-            stripped = monad_map(monad, lambda m: m.item, restricted)
-            return Inl(_zeta(law, functor.left, stripped))
-        stripped = monad_map(monad, lambda m: m.item, restricted)
-        return Inr(_zeta(law, functor.right, stripped))
+            return Inl(_zeta(law, functor.left, stripped, leaf))
+        return Inr(_zeta(law, functor.right, stripped, leaf))
     raise TypeError(f"not a functor expression: {functor!r}")
 
 
@@ -155,9 +164,12 @@ class DetCoalgebra:
         if len(self.memo) >= self.max_states:
             raise StateBudgetError(
                 f"determinization exceeded the budget of {self.max_states} states")
-        lifted = monad_map(self.law.monad, lambda x: self.transitions[x], state)
-        step = apply_zeta(self.law, lifted)
-        out = map_payloads(step, lambda tt: monad_mult(self.law.monad, tt))
+        # The exchange law followed by the multiplication at each
+        # identity leaf, fused: each successor is canonicalized once.
+        monad = self.law.monad
+        lifted = [(self.transitions[x], w) for x, w in weighted(monad, state)]
+        out = _zeta(self.law, self.law.functor, lifted,
+                    lambda pairs: flatten(monad, pairs))
         self.memo[state] = out
         self.frontier.discard(state)
         return out
@@ -282,12 +294,6 @@ def _g_compat_unit(law: DistLaw) -> CheckResult:
     return CheckResult(name, True)
 
 
-def _g_as_tagged(law: DistLaw, t, in_left):
-    """Run g and re-tag elements so both sides live in one set again."""
-    side, restricted = apply_g(law.monad, t, in_left, law.g_variant)
-    return side, restricted
-
-
 def _g_compat_mult(law: DistLaw, rng: random.Random) -> CheckResult:
     name = f"{law.monad} ({law.g_variant}): prioritizer compatible with the multiplication"
     elements = ["l_a", "l_b", "r_a", "r_b"]
@@ -296,10 +302,11 @@ def _g_compat_mult(law: DistLaw, rng: random.Random) -> CheckResult:
     doubles = _tvalues(law, rng, inners, 40) if law.monad == "subdist" else \
         _small_subsets(inners, 2)
     for tt in doubles:
-        lhs = _g_as_tagged(law, monad_mult(law.monad, tt), in_left)
+        lhs = apply_g(law.monad, monad_mult(law.monad, tt), in_left, law.g_variant)
         # Right side: apply g inside, tag, apply g at the outer level on
         # the tags, then flatten the surviving side.
-        tagged = monad_map(law.monad, lambda t: _g_as_tagged(law, t, in_left), tt)
+        tagged = monad_map(law.monad,
+                           lambda t: apply_g(law.monad, t, in_left, law.g_variant), tt)
         outer_side, outer = apply_g(law.monad, tagged,
                                     lambda pair: pair[0] == "left", law.g_variant)
         flattened = monad_mult(law.monad,

@@ -61,14 +61,24 @@ def functor_from_json(doc, q: Quantale):
             raise ModelFormatError(
                 f"a constant functor is \"value\" or has an atom list, got {body!r}")
         atoms = body["atoms"]
-        evals = [{a: q.value_from_json(v) for a, v in e.items()}
-                 for e in body.get("evals", [])]
+        evals = body.get("evals", [])
+        if not isinstance(evals, list) or not all(isinstance(e, dict) for e in evals):
+            raise ModelFormatError(
+                f"constant evals must be a list of objects, got {evals!r}")
+        evals = [{a: q.value_from_json(v) for a, v in e.items()} for e in evals]
         return const_atoms(atoms, evals)
     if key == "prod":
+        if not isinstance(body, list):
+            raise ModelFormatError(f"a product has a list of parts, got {body!r}")
         return ProdF(tuple(functor_from_json(p, q) for p in body))
     if key == "pow":
+        if not isinstance(body, dict) or not isinstance(body.get("labels"), list):
+            raise ModelFormatError(
+                f"a power has a label list and a body, got {body!r}")
         return pow_functor(body["labels"], functor_from_json(body["body"], q))
     if key == "coprod":
+        if not isinstance(body, list) or len(body) != 2:
+            raise ModelFormatError(f"a coproduct has two summands, got {body!r}")
         left, right = body
         return CoprodF(functor_from_json(left, q), functor_from_json(right, q))
     raise ModelFormatError(f"unknown functor node {key!r}")
@@ -112,13 +122,16 @@ def term_from_json(functor, doc, monad: str, q: Quantale):
             raise ModelFormatError(f"identity leaf where {functor!r} was expected")
         return IdLeaf(tvalue_from_json(monad, body))
     if key == "tuple":
-        if not isinstance(functor, ProdF) or len(body) != len(functor.parts):
+        if not isinstance(functor, ProdF) or not isinstance(body, list) \
+                or len(body) != len(functor.parts):
             raise ModelFormatError(f"tuple arity mismatch at {doc!r}")
         return Tup(tuple(term_from_json(part, item, monad, q)
                          for part, item in zip(functor.parts, body)))
     if key == "pow":
         if not isinstance(functor, ProdF) or functor.labels is None:
             raise ModelFormatError(f"labelled tuple where {functor!r} was expected")
+        if not isinstance(body, dict):
+            raise ModelFormatError(f"a labelled tuple is an object, got {body!r}")
         missing = [lab for lab in functor.labels if lab not in body]
         if missing:
             raise ModelFormatError(f"missing labels {missing} in {doc!r}")
@@ -145,6 +158,12 @@ class DistanceInstance:
     distributions: Dict[str, SubDist]
 
 
+def _names(value, what: str):
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise ModelFormatError(f"{what} must be a list of names, got {value!r}")
+    return carrier(value)
+
+
 def model_from_json(doc: dict):
     if not isinstance(doc, dict):
         raise ModelFormatError("model document must be a JSON object")
@@ -160,8 +179,11 @@ def model_from_json(doc: dict):
         q = get_quantale(doc["quantale"])
         monad = doc["monad"]
         functor = functor_from_json(doc["functor"], q)
-        states = carrier(doc["states"])
-        labels = carrier(doc.get("labels", []))
+        states = _names(doc["states"], "states")
+        labels = _names(doc.get("labels", []), "labels")
+        if not isinstance(doc["transitions"], dict):
+            raise ModelFormatError(
+                f"transitions must be an object keyed by state, got {doc['transitions']!r}")
         transitions = {
             state: term_from_json(functor, term_doc, monad, q)
             for state, term_doc in doc["transitions"].items()

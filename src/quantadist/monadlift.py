@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .canon import canon_key
 from .galois import Pred, PredSet, nonexpansive_into_value
@@ -25,7 +25,7 @@ SUBDIST = "subdist"
 MONADS = (POWERSET, SUBDIST)
 
 
-def _check_monad(monad: str):
+def check_monad(monad: str):
     if monad not in MONADS:
         raise ValueError(f"unknown monad {monad!r}; expected one of {MONADS}")
 
@@ -124,31 +124,22 @@ def is_distribution(p: SubDist) -> bool:
 # -- monad structure ---------------------------------------------------------
 
 def monad_unit(monad: str, x):
-    _check_monad(monad)
+    check_monad(monad)
     if monad == POWERSET:
         return finsubset([x])
     return dirac(x)
 
 
 def monad_map(monad: str, fn, t):
-    _check_monad(monad)
+    check_monad(monad)
     if monad == POWERSET:
         return finsubset(fn(m) for m in t.members)
     return subdist((fn(x), w) for x, w in t.items())
 
 
 def monad_mult(monad: str, tt):
-    _check_monad(monad)
-    if monad == POWERSET:
-        out = []
-        for inner in tt.members:
-            out.extend(inner.members)
-        return finsubset(out)
-    acc: List[Tuple[object, Fraction]] = []
-    for inner, w in tt.items():
-        for x, v in inner.items():
-            acc.append((x, w * v))
-    return subdist(acc)
+    check_monad(monad)
+    return flatten(monad, weighted(monad, tt))
 
 
 def monad_ops(monad: str, which: str, *args):
@@ -169,13 +160,50 @@ def ev_monad(monad: str, t, q: Quantale):
     top).  Subdistribution: the expected value, with w * inf = inf for
     w > 0 (weights are strictly positive by construction).
     """
-    _check_monad(monad)
+    check_monad(monad)
+    return ev_weighted(monad, weighted(monad, t), q)
+
+
+# -- weighted member lists ------------------------------------------------------
+#
+# A monad value spread out as a list of (member, weight) pairs, with
+# weight None for powerset.  Members may repeat: the lists are merged
+# only when ``pack`` or ``flatten`` builds a canonical value, which is
+# exact because union and the meet are idempotent and the expectation
+# and the merge of a subdistribution are linear in unmerged weights.
+# The monad name is not checked here; callers validate it first.
+
+Weighted = Sequence[Tuple[object, Optional[Fraction]]]
+
+
+def weighted(monad: str, t) -> Weighted:
     if monad == POWERSET:
-        return q.meet(q.validate(m) for m in t.members)
+        return [(m, None) for m in t.members]
+    return t.weights
+
+
+def pack(monad: str, pairs: Weighted):
+    """The canonical monad value of a weighted member list."""
+    if monad == POWERSET:
+        return finsubset(m for m, _w in pairs)
+    return subdist(pairs)
+
+
+def flatten(monad: str, pairs: Weighted):
+    """The monad multiplication of a weighted list of monad values."""
+    if monad == POWERSET:
+        return finsubset(x for inner, _w in pairs for x in inner.members)
+    return subdist((x, w * v) for inner, w in pairs for x, v in inner.weights)
+
+
+def ev_weighted(monad: str, pairs: Weighted, q: Quantale):
+    """The evaluation map (see ``ev_monad``) on a weighted member list."""
+    if monad == POWERSET:
+        return q.meet(q.validate(m) for m, _w in pairs)
     if q.ident == "boolean":
         raise QuantaleError("expectation is not defined over the boolean quantale")
     total = Fraction(0)
-    for x, w in t.items():
+    for x, w in pairs:
         v = q.validate(x)
         if is_inf(v):
             return INF
@@ -293,7 +321,7 @@ def kantorovich_monad_generic(monad: str, d: VGraph, preds: PredSet,
 # -- JSON ---------------------------------------------------------------------
 
 def tvalue_to_json(monad: str, t, value_to_json=None):
-    _check_monad(monad)
+    check_monad(monad)
     if monad == POWERSET:
         return {"set": [m if isinstance(m, str) else canon_key(m) for m in t.members]}
     return {"dist": {x if isinstance(x, str) else canon_key(x): str(w)
@@ -301,9 +329,10 @@ def tvalue_to_json(monad: str, t, value_to_json=None):
 
 
 def tvalue_from_json(monad: str, doc: dict):
-    _check_monad(monad)
+    check_monad(monad)
     if monad == POWERSET:
-        if not isinstance(doc, dict) or not isinstance(doc.get("set"), list):
+        if not isinstance(doc, dict) or not isinstance(doc.get("set"), list) \
+                or not all(isinstance(m, str) for m in doc["set"]):
             raise ValueError(f"expected a set literal with a member list, got {doc!r}")
         return finsubset(doc["set"])
     if not isinstance(doc, dict) or not isinstance(doc.get("dist"), dict):

@@ -9,7 +9,7 @@ graph by shortest-path style saturation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Tuple
 
 from .quantale import Quantale
@@ -24,10 +24,13 @@ class Carrier:
     """Ordered tuple of distinct element names; the order is canonical."""
 
     elements: Tuple[str, ...]
+    _positions: Dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(set(self.elements)) != len(self.elements):
+        positions = {x: i for i, x in enumerate(self.elements)}
+        if len(positions) != len(self.elements):
             raise ValueError(f"duplicate carrier elements: {self.elements}")
+        object.__setattr__(self, "_positions", positions)
 
     def __len__(self):
         return len(self.elements)
@@ -36,12 +39,12 @@ class Carrier:
         return iter(self.elements)
 
     def __contains__(self, x):
-        return x in self.elements
+        return x in self._positions
 
     def index(self, x: str) -> int:
         try:
-            return self.elements.index(x)
-        except ValueError:
+            return self._positions[x]
+        except KeyError:
             raise CarrierMismatchError(f"{x!r} is not a carrier element") from None
 
 

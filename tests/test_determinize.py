@@ -1,0 +1,195 @@
+"""Determinization and the exchange law against the level-by-level oracle.
+
+``DetCoalgebra.successor`` and ``apply_zeta`` walk the functor over
+weighted member lists and build one canonical monad value per identity
+leaf.  The oracle below is the pipeline they replaced: map the
+transitions into the monad, apply the exchange law on canonical monad
+values at every level of the functor, then flatten each identity leaf
+with the multiplication.  Its multiplication, evaluation map and
+prioritizer are written out here, so it shares no code with the
+weighted path beyond the canonical constructors.
+"""
+
+import random
+from fractions import Fraction as F
+
+import pytest
+
+from quantadist.distlaw import (ALWAYS_LEFT, PRIORITY_LEFT, DistLaw, apply_zeta,
+                                case_study_laws, determinize, law_suite)
+from quantadist.functor import (ID, ConstF, ConstLeaf, CoprodF, IdF, IdLeaf, Inl,
+                                Inr, ProdF, Tup, const_values, map_payloads,
+                                pow_functor)
+from quantadist.monadlift import SubDist, finsubset, monad_map, subdist
+from quantadist.quantale import EXT_PLUS, INF, UNIT_OPLUS, is_inf
+
+# The suite seeds the benchmark's `laws` workload draws from.
+BENCH_SUITE_SEEDS = [7919 * k for k in range(4)]
+
+
+# -- the oracle -----------------------------------------------------------------
+
+def oracle_mult(monad, tt):
+    if monad == "powerset":
+        return finsubset(x for inner in tt.members for x in inner.members)
+    return subdist((x, w * v) for inner, w in tt.items() for x, v in inner.items())
+
+
+def oracle_ev(monad, t, q):
+    if monad == "powerset":
+        return q.meet(q.validate(m) for m in t.members)
+    total = F(0)
+    for x, w in t.items():
+        v = q.validate(x)
+        if is_inf(v):
+            return INF
+        total += w * v
+    return q.validate(total)
+
+
+def oracle_g(monad, t, variant):
+    if monad == "powerset":
+        left = [m for m in t.members if isinstance(m, Inl)]
+        if variant == ALWAYS_LEFT or left:
+            return "left", finsubset(left)
+        return "right", t
+    left = [(x, w) for x, w in t.items() if isinstance(x, Inl)]
+    if variant == ALWAYS_LEFT or left:
+        return "left", SubDist(tuple(left))
+    return "right", t
+
+
+def oracle_zeta(law, functor, t):
+    monad = law.monad
+    if isinstance(functor, ConstF):
+        return ConstLeaf(oracle_ev(monad, monad_map(monad, lambda m: m.atom, t),
+                                   law.quantale))
+    if isinstance(functor, IdF):
+        return IdLeaf(monad_map(monad, lambda m: m.payload, t))
+    if isinstance(functor, ProdF):
+        return Tup(tuple(oracle_zeta(law, part, monad_map(monad, lambda m: m.items[i], t))
+                         for i, part in enumerate(functor.parts)))
+    side, restricted = oracle_g(monad, t, law.g_variant)
+    stripped = monad_map(monad, lambda m: m.item, restricted)
+    if side == "left":
+        return Inl(oracle_zeta(law, functor.left, stripped))
+    return Inr(oracle_zeta(law, functor.right, stripped))
+
+
+def oracle_successor(law, transitions, state):
+    lifted = monad_map(law.monad, lambda x: transitions[x], state)
+    step = oracle_zeta(law, law.functor, lifted)
+    return map_payloads(step, lambda tt: oracle_mult(law.monad, tt))
+
+
+# -- generated inputs -------------------------------------------------------------
+
+NESTED = CoprodF(ProdF((const_values(), ID)),
+                 CoprodF(const_values(), pow_functor(["a", "b"], ID)))
+
+
+def all_laws():
+    shapes = dict(case_study_laws())
+    shapes["nested-powerset"] = DistLaw(NESTED, "powerset", UNIT_OPLUS)
+    shapes["nested-subdist"] = DistLaw(NESTED, "subdist", EXT_PLUS)
+    return [(f"{name}/{variant}", DistLaw(law.functor, law.monad, law.quantale, variant))
+            for name, law in sorted(shapes.items())
+            for variant in (PRIORITY_LEFT, ALWAYS_LEFT)]
+
+
+LAWS = all_laws()
+
+
+def const_pool(law):
+    pool = [F(0), F(1, 4), F(1, 2), F(1)]
+    return pool + [F(3), INF] if law.quantale is EXT_PLUS else pool
+
+
+def random_tvalue(rng, monad, items, max_size=3):
+    chosen = rng.sample(items, rng.randint(0, min(max_size, len(items))))
+    if monad == "powerset":
+        return finsubset(chosen)
+    denom = rng.choice([2, 3, 4, 6])
+    remaining = denom
+    weights = []
+    for x in chosen:
+        w = rng.randint(1, remaining) if remaining else 0
+        remaining -= w
+        weights.append((x, F(w, denom)))
+    return subdist(weights)
+
+
+def random_term(rng, functor, payload, consts):
+    if isinstance(functor, ConstF):
+        return ConstLeaf(rng.choice(consts))
+    if isinstance(functor, IdF):
+        return IdLeaf(payload())
+    if isinstance(functor, ProdF):
+        return Tup(tuple(random_term(rng, p, payload, consts) for p in functor.parts))
+    if rng.random() < 0.4:
+        return Inl(random_term(rng, functor.left, payload, consts))
+    return Inr(random_term(rng, functor.right, payload, consts))
+
+
+def random_model(rng, law, n_states=6, n_terms=3):
+    """Transitions drawn from a pool of ``n_terms`` terms, so several
+    states share a transition term and their weights merge."""
+    states = [f"s{i}" for i in range(n_states)]
+    consts = const_pool(law)
+    pool = [random_term(rng, law.functor,
+                        lambda: random_tvalue(rng, law.monad, states), consts)
+            for _ in range(n_terms)]
+    return states, {s: rng.choice(pool) for s in states}
+
+
+# -- tests --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name,law", LAWS, ids=[name for name, _law in LAWS])
+def test_successor_matches_oracle(name, law):
+    rng = random.Random(f"successor:{name}")
+    for _ in range(25):
+        states, transitions = random_model(rng, law)
+        seeds = [random_tvalue(rng, law.monad, states, max_size=6) for _ in range(4)]
+        det = determinize(law, transitions, seeds, depth=3)
+        assert det.memo
+        for state, step in det.memo.items():
+            assert step == oracle_successor(law, transitions, state), state
+
+
+@pytest.mark.parametrize("name,law", LAWS, ids=[name for name, _law in LAWS])
+def test_apply_zeta_matches_oracle(name, law):
+    rng = random.Random(f"zeta:{name}")
+    consts = const_pool(law)
+    payloads = ["p0", "p1", "p2"]
+    for _ in range(60):
+        # Few distinct payloads and constants, so distinct terms share
+        # components and merge below the top level.
+        terms = [random_term(rng, law.functor, lambda: rng.choice(payloads), consts)
+                 for _ in range(4)]
+        t = random_tvalue(rng, law.monad, terms, max_size=4)
+        assert apply_zeta(law, t) == oracle_zeta(law, law.functor, t), t
+
+
+def test_subdist_successor_merges_shared_terms():
+    """Two states with one transition term: the lifted value puts their
+    summed weight on that term."""
+    law = dict(LAWS)["machine-subdist/priority-left"]
+    term = Tup((ConstLeaf(F(1, 2)), Tup((IdLeaf(subdist({"x": F(1, 2), "y": F(1, 2)})),))))
+    transitions = {"x": term, "y": term}
+    state = subdist({"x": F(1, 3), "y": F(1, 3)})
+    det = determinize(law, transitions, [state], depth=0)
+    step = det.successor(state)
+    assert step == oracle_successor(law, transitions, state)
+    assert step.items[0].atom == F(1, 3)
+    assert step.items[1].items[0].payload == subdist({"x": F(1, 3), "y": F(1, 3)})
+
+
+@pytest.mark.parametrize("seed", BENCH_SUITE_SEEDS)
+def test_law_suite_and_mutant_on_benchmark_seeds(seed):
+    for name, law in sorted(case_study_laws().items()):
+        failed = [r.line() for r in law_suite(law, seed=seed) if not r.passed]
+        assert not failed, (name, failed)
+        mutant = DistLaw(law.functor, law.monad, law.quantale, g_variant=ALWAYS_LEFT)
+        rows = {r.name: r.passed for r in law_suite(mutant, seed=seed)}
+        unit = f"{law.monad} ({ALWAYS_LEFT}): prioritizer compatible with the unit"
+        assert rows[unit] is False, name

@@ -96,6 +96,11 @@ def test_law_requires_value_constants():
         DistLaw(named, "powerset", UNIT_OPLUS)
 
 
+def test_law_rejects_unknown_monad():
+    with pytest.raises(ValueError, match="unknown monad"):
+        DistLaw(exception_functor(["a"]), "list", UNIT_OPLUS)
+
+
 # -- determinization ----------------------------------------------------------------
 
 def exception_transitions(n=3):

@@ -260,3 +260,40 @@ def test_cli_set_literal_must_be_a_list(tmp_path):
     code, _out, err = run_cli(*argv, "--model", _write_model(tmp_path, doc))
     assert code == 2
     assert "member list" in err
+
+
+def _set_path(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+@pytest.mark.parametrize("path,value,message", [
+    (["functor"], {"coprod": [{"const": {"atoms": ["a"], "evals": [5]}},
+                              {"pow": {"labels": ["a", "b"], "body": "id"}}]},
+     "constant evals"),
+    (["functor"], {"prod": 5}, "list of parts"),
+    (["states"], 5, "states must be a list"),
+    (["transitions"], [], "transitions must be an object"),
+    (["transitions", "x0", "inr", "pow"], 5, "labelled tuple is an object"),
+    (["transitions", "x0", "inr", "pow", "a", "id", "set"], [["x1"]], "member list"),
+])
+def test_cli_malformed_model_exit_code(tmp_path, path, value, message):
+    doc = load_fixture("exceptions.json")
+    _set_path(doc, path, value)
+    code, _out, err = run_cli("distance", "--model", _write_model(tmp_path, doc),
+                              "--pair", "{x0}|{z0}", "--method", "kleene")
+    assert code == 2
+    assert message in err
+
+
+def test_cli_unknown_monad_exit_code(tmp_path):
+    # Constant transitions only, so no T-value literal is parsed on load
+    # and the exchange law is where the monad is first read.
+    doc = load_fixture("exceptions.json")
+    doc["monad"] = "list"
+    doc["transitions"] = {s: {"inl": {"const": "1/2"}} for s in doc["states"]}
+    code, _out, err = run_cli("distance", "--model", _write_model(tmp_path, doc),
+                              "--pair", "{x0}|{z0}", "--method", "kleene")
+    assert code == 2
+    assert "unknown monad" in err

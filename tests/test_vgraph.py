@@ -5,12 +5,24 @@ from itertools import product
 import pytest
 
 from quantadist.quantale import BOOLEAN, EXT_PLUS, UNIT_OPLUS
-from quantadist.vgraph import (CarrierMismatchError, FiniteMap, VGraph, all_top,
+from quantadist.vgraph import (Carrier, CarrierMismatchError, FiniteMap, VGraph, all_top,
                                carrier, compose_maps, direct_image,
                                graph_equal, graph_leq, graph_from_entries,
                                identity_map, is_vcat, metric_closure, reindex,
                                vgraph_from_json, vgraph_to_json)
 from quantadist.suites import all_bool_graphs
+
+
+def test_carrier_positions():
+    c = carrier(["b", "a", "c"])
+    assert [c.index(x) for x in ("b", "a", "c")] == [0, 1, 2]
+    assert "a" in c and "d" not in c
+    assert c == Carrier(("b", "a", "c")) and hash(c) == hash(Carrier(("b", "a", "c")))
+    assert c != carrier(["a", "b", "c"])
+    with pytest.raises(CarrierMismatchError):
+        c.index("d")
+    with pytest.raises(ValueError, match="duplicate"):
+        carrier(["a", "a"])
 
 
 def geo_graph():
