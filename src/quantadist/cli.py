@@ -1,7 +1,7 @@
 """Command line front end.
 
 A thin shell over the library: model and certificate loading, distance
-computation (fixpoint iteration, trace bounds, the transportation LP,
+computation (fixpoint iteration, trace bounds, optimal transport,
 directed Hausdorff), certificate checking, the law suites, and the
 bundled reproductions.  Exit codes: 0 success/accepted, 1
 rejected/mismatch/law failure, 2 usage or parse error, 3 budget

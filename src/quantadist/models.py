@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from importlib import resources
 from typing import Dict
 
 from .behaviour import Certificate, CoalgebraModel, SparseDist
 from .functor import (ConstF, ConstLeaf, CoprodF, IdF, IdLeaf, Inl, Inr, ProdF,
                       Tup, const_atoms, const_values, pow_functor)
-from .monadlift import SubDist, subdist, tvalue_from_json, tvalue_to_json
+from .monadlift import (SUBDIST, SubDist, tvalue_from_json, tvalue_to_json,
+                        weight_from_json)
 from .quantale import Quantale, get_quantale
 from .vgraph import VGraph, carrier, vgraph_from_json
 
@@ -169,10 +169,21 @@ def model_from_json(doc: dict):
         raise ModelFormatError("model document must be a JSON object")
     kind = doc.get("kind", "coalgebra")
     if kind == "vgraph":
-        graph = vgraph_from_json(doc)
-        dists = {name: subdist({x: Fraction(w) for x, w in weights.items()})
-                 for name, weights in doc.get("distributions", {}).items()}
-        return DistanceInstance(graph, dists)
+        try:
+            get_quantale(doc["quantale"])
+            _names(doc["elements"], "elements")
+            rows = doc["dist"]
+        except KeyError as exc:
+            raise ModelFormatError(f"missing model field {exc}") from None
+        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+            raise ModelFormatError(f"dist must be a list of rows, got {rows!r}")
+        named = doc.get("distributions", {})
+        if not isinstance(named, dict):
+            raise ModelFormatError(
+                f"distributions must be an object keyed by name, got {named!r}")
+        dists = {name: tvalue_from_json(SUBDIST, {"dist": weights})
+                 for name, weights in named.items()}
+        return DistanceInstance(vgraph_from_json(doc), dists)
     if kind != "coalgebra":
         raise ModelFormatError(f"unknown model kind {kind!r}")
     try:
@@ -210,27 +221,35 @@ def model_to_json(model: CoalgebraModel) -> dict:
 
 # -- certificates -----------------------------------------------------------------------
 
+def _rows(value, what: str):
+    if not isinstance(value, list) or not all(isinstance(r, dict) for r in value):
+        raise ModelFormatError(f"{what} must be a list of objects, got {value!r}")
+    return value
+
+
 def certificate_from_json(doc: dict, model: CoalgebraModel) -> Certificate:
+    if not isinstance(doc, dict):
+        raise ModelFormatError("certificate document must be a JSON object")
     q = model.quantale
     monad = model.monad
     try:
         entries = {}
-        for row in doc["entries"]:
+        for row in _rows(doc["entries"], "certificate entries"):
             pair = (tvalue_from_json(monad, row["lhs"]),
                     tvalue_from_json(monad, row["rhs"]))
             entries[pair] = q.value_from_json(row["value"])
         witnesses = {}
-        for row in doc.get("witnesses", []):
+        for row in _rows(doc.get("witnesses", []), "certificate witnesses"):
             pair = (tvalue_from_json(monad, row["lhs"]),
                     tvalue_from_json(monad, row["rhs"]))
             parts = []
-            for part in row["parts"]:
+            for part in _rows(row["parts"], "witness parts"):
                 left = tvalue_from_json(monad, part["lhs"])
                 right = tvalue_from_json(monad, part["rhs"])
                 if monad == "powerset":
                     parts.append((left, right))
                 else:
-                    parts.append((Fraction(part["weight"]), (left, right)))
+                    parts.append((weight_from_json(part["weight"]), (left, right)))
             witnesses.setdefault(pair, []).append(tuple(parts))
     except KeyError as exc:
         raise ModelFormatError(f"missing certificate field {exc}") from None

@@ -1,5 +1,6 @@
 """Powerset and subdistribution monads with their evaluation maps,
-plus closed-form and LP-based liftings of distances to them.
+plus the liftings of distances to them: the closed-form directed
+Hausdorff distance and exact optimal transport.
 
 The powerset evaluation map is the lattice meet of the members (the
 numeric supremum on the real-valued quantales, with the empty set
@@ -12,12 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from math import lcm
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .canon import canon_key
-from .galois import Pred, PredSet, nonexpansive_into_value
+from .galois import PredSet, nonexpansive_into_value
 from .quantale import INF, Quantale, QuantaleError, is_inf
-from .simplex import LinearConstraint, LPProblem, simplex_solve
+from .simplex import LinearConstraint, LPProblem
 from .vgraph import Carrier, VGraph, metric_closure
 
 POWERSET = "powerset"
@@ -115,10 +117,6 @@ def subdist(weights) -> SubDist:
 
 def dirac(x) -> SubDist:
     return SubDist(((x, Fraction(1)),))
-
-
-def is_distribution(p: SubDist) -> bool:
-    return p.mass() == 1
 
 
 # -- monad structure ---------------------------------------------------------
@@ -229,6 +227,25 @@ def hausdorff_directed(d: VGraph, left: FinSubset, right: FinSubset):
     )
 
 
+def _check_transport(d: VGraph, p: SubDist, q_dist: SubDist):
+    if d.quantale.ident not in ("unit-oplus", "ext-plus"):
+        raise QuantaleError("transportation needs a real-valued quantale")
+    if p.mass() != q_dist.mass():
+        raise ValueError(
+            f"mass mismatch: {p.mass()} vs {q_dist.mass()}; "
+            "the pricing objective is only translation-invariant at equal mass"
+        )
+
+
+def _price_cap(d: VGraph, dc: VGraph) -> Fraction:
+    """The range of a price: 1 on the unit interval, the largest finite
+    closure entry otherwise."""
+    if d.quantale.ident == "unit-oplus":
+        return Fraction(1)
+    finite = [v for row in dc.dist for v in row if not is_inf(v)]
+    return max(finite) if finite else Fraction(0)
+
+
 def pricing_lp(d: VGraph, p: SubDist, q_dist: SubDist) -> LPProblem:
     """The dual transportation LP for a pair of (sub)distributions.
 
@@ -236,22 +253,13 @@ def pricing_lp(d: VGraph, p: SubDist, q_dist: SubDist) -> LPProblem:
     against the metric closure of ``d`` and boxed by the range cap (1
     on the unit interval, the largest finite closure entry otherwise);
     the objective maximizes the price difference of the two masses.
+    ``kantorovich_lp`` solves the primal of this LP; the tests use this
+    one with ``simplex_solve`` as its oracle.
     """
-    q = d.quantale
-    if q.ident not in ("unit-oplus", "ext-plus"):
-        raise QuantaleError("the pricing LP needs a real-valued quantale")
-    if p.mass() != q_dist.mass():
-        raise ValueError(
-            f"mass mismatch: {p.mass()} vs {q_dist.mass()}; "
-            "the pricing objective is only translation-invariant at equal mass"
-        )
+    _check_transport(d, p, q_dist)
     dc = metric_closure(d)
     els = list(d.carrier.elements)
-    if q.ident == "unit-oplus":
-        cap = Fraction(1)
-    else:
-        finite = [v for _x, _y, v in dc.pairs() if not is_inf(v)]
-        cap = max(finite) if finite else Fraction(0)
+    cap = _price_cap(d, dc)
     objective: Dict[str, Fraction] = {}
     for x in els:
         coeff = q_dist.weight(x) - p.weight(x)
@@ -273,17 +281,103 @@ def pricing_lp(d: VGraph, p: SubDist, q_dist: SubDist) -> LPProblem:
 
 
 def kantorovich_lp(d: VGraph, p: SubDist, q_dist: SubDist):
-    """Exact optimal value of the dual transportation problem."""
-    for x in tuple(p.support()) + tuple(q_dist.support()):
-        d.carrier.index(x)
-    lp = pricing_lp(d, p, q_dist)
-    sol = simplex_solve(lp)
-    opt = sol.optimum if sol.optimum > 0 else Fraction(0)
-    return d.quantale.validate(opt)
+    """Exact optimal transport cost of moving ``p`` onto ``q_dist``.
+
+    Solves the primal transportation problem on support(p) x
+    support(q_dist), where moving a unit of mass from x to y costs
+    min(dc(x, y), cap): dc is the metric closure of ``d`` and cap the
+    price range of ``pricing_lp`` (1 on unit-oplus, the largest finite
+    closure entry on ext-plus), so a pair at distance inf costs cap.
+    The capped cost still obeys the triangle inequality and vanishes on
+    the diagonal, and at equal mass the box of the dual never binds, so
+    by LP duality this is exactly the optimum of ``pricing_lp``.
+    """
+    index = d.carrier.index
+    sources = [index(x) for x in p.support()]
+    sinks = [index(y) for y in q_dist.support()]
+    _check_transport(d, p, q_dist)
+    dc = metric_closure(d)
+    cap = _price_cap(d, dc)
+    cost = [[cap if is_inf(dc.dist[i][j]) else min(dc.dist[i][j], cap) for j in sinks]
+            for i in sources]
+    supply = [w for _x, w in p.items()]
+    demand = [w for _y, w in q_dist.items()]
+    # Scale to integers so the flow computation runs on plain ints.
+    mass_scale = lcm(*(w.denominator for w in supply + demand))
+    cost_scale = lcm(*(c.denominator for row in cost for c in row))
+    total = _min_cost_transport(
+        [int(w * mass_scale) for w in supply],
+        [int(w * mass_scale) for w in demand],
+        [[int(c * cost_scale) for c in row] for row in cost])
+    return d.quantale.validate(Fraction(total, mass_scale * cost_scale))
 
 
-def expectation_of_pred(p: SubDist, f: Pred, q: Quantale):
-    return ev_monad(SUBDIST, monad_map(SUBDIST, lambda x: f[x], p), q)
+def _min_cost_transport(supply: List[int], demand: List[int],
+                       cost: List[List[int]]) -> int:
+    """Least total cost of shipping ``supply`` onto ``demand`` (equal
+    totals) when a unit from source i to sink j costs ``cost[i][j]``.
+
+    Successive shortest paths: each round runs Bellman-Ford from every
+    source with supply left over the residual graph (a forward arc i->j
+    of cost c, and a reverse arc j->i of cost -c wherever flow is
+    positive) and augments along a shortest path to a sink with demand
+    left.  The residual graph never has a negative cycle, so the final
+    flow is optimal; every augmentation moves at least one unit, so the
+    loop ends.
+    """
+    supply = list(supply)
+    demand = list(demand)
+    m, k = len(supply), len(demand)
+    flow = [[0] * k for _ in range(m)]
+    while any(demand):
+        dist_src: List[Optional[int]] = [0 if s else None for s in supply]
+        dist_sink: List[Optional[int]] = [None] * k
+        into_sink = [0] * k            # the source a shortest path enters j from
+        into_src: List[Optional[int]] = [None] * m  # the sink a path reaches i from
+        changed = True
+        while changed:
+            changed = False
+            for i in range(m):
+                di = dist_src[i]
+                if di is None:
+                    continue
+                row = cost[i]
+                for j in range(k):
+                    nd = di + row[j]
+                    dj = dist_sink[j]
+                    if dj is None or nd < dj:
+                        dist_sink[j] = nd
+                        into_sink[j] = i
+                        changed = True
+            for i in range(m):
+                row, fl = cost[i], flow[i]
+                for j in range(k):
+                    if fl[j]:
+                        nd = dist_sink[j] - row[j]
+                        di = dist_src[i]
+                        if di is None or nd < di:
+                            dist_src[i] = nd
+                            into_src[i] = j
+                            changed = True
+        sink = min((j for j in range(k) if demand[j]), key=lambda j: dist_sink[j])
+        path = []                      # (source, sink, +1 forward / -1 reverse)
+        amount = demand[sink]
+        j = sink
+        while True:
+            i = into_sink[j]
+            path.append((i, j, 1))
+            back = into_src[i]
+            if back is None:
+                amount = min(amount, supply[i])
+                break
+            amount = min(amount, flow[i][back])
+            path.append((i, back, -1))
+            j = back
+        supply[i] -= amount
+        demand[sink] -= amount
+        for i, j, sign in path:
+            flow[i][j] += sign * amount
+    return sum(c * f for row, fl in zip(cost, flow) for c, f in zip(row, fl))
 
 
 def kantorovich_monad_generic(monad: str, d: VGraph, preds: PredSet,
@@ -337,4 +431,10 @@ def tvalue_from_json(monad: str, doc: dict):
         return finsubset(doc["set"])
     if not isinstance(doc, dict) or not isinstance(doc.get("dist"), dict):
         raise ValueError(f"expected a dist literal with a weight object, got {doc!r}")
-    return subdist({x: Fraction(w) for x, w in doc["dist"].items()})
+    return subdist({x: weight_from_json(w) for x, w in doc["dist"].items()})
+
+
+def weight_from_json(w) -> Fraction:
+    if isinstance(w, bool) or not isinstance(w, (str, int)):
+        raise ValueError(f"a weight must be a rational string, got {w!r}")
+    return Fraction(w)

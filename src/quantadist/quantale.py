@@ -304,12 +304,10 @@ _BY_IDENT = {q.ident: q for q in (BOOLEAN, UNIT_OPLUS, EXT_PLUS)}
 
 
 def get_quantale(ident: str) -> Quantale:
-    try:
-        return _BY_IDENT[ident]
-    except KeyError:
+    if not isinstance(ident, str) or ident not in _BY_IDENT:
         raise QuantaleError(
-            f"unknown quantale {ident!r}; expected one of {sorted(_BY_IDENT)}"
-        ) from None
+            f"unknown quantale {ident!r}; expected one of {sorted(_BY_IDENT)}")
+    return _BY_IDENT[ident]
 
 
 # Operation-style entry points mirroring the module contract.

@@ -2,9 +2,11 @@
 
 Everything is computed over ``fractions.Fraction``; Bland's rule is
 used for both the entering and the leaving choice, so the solver never
-cycles.  Problem sizes in this package are tiny (a handful of pricing
-variables), so no effort is spent on sparsity or revised-simplex
-machinery.
+cycles.  It serves ``repro transport`` (the paper's stated dual against
+``monadlift.pricing_lp``) and the LPs of ``counterex``; the transport
+distance itself is solved in the primal by ``monadlift.kantorovich_lp``.
+Problem sizes are tiny (a handful of pricing variables), so no effort
+is spent on sparsity or revised-simplex machinery.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Tuple
 
-from .quantale import Quantale
+from .quantale import INF, Quantale
 
 
 class CarrierMismatchError(ValueError):
@@ -202,9 +202,16 @@ def is_vcat(d: VGraph) -> bool:
 def metric_closure(d: VGraph) -> VGraph:
     """Least V-category above ``d``.
 
-    Saturates the diagonal with the unit and the off-diagonal entries
-    with tensor-composites until a fixpoint is reached (a generalized
-    all-pairs shortest-path closure).
+    Saturates the diagonal with the unit, then runs one Floyd-Warshall
+    pass (k outermost) joining each entry with its tensor-composites
+    through k.  One pass reaches the fixpoint because all three
+    quantales are integral: the unit is top, so going round a cycle
+    never improves a path and the best path through {0..k} is a simple
+    one.  The entries were validated when ``d`` was built, so they are
+    combined here as plain values: and/or on the booleans, numeric
+    addition and minimum on the real-valued quantales.  A composite
+    replaces an entry only when it is numerically below it, hence
+    below 1 on unit-oplus, so the truncation of the sum never applies.
     """
     q = d.quantale
     n = len(d.carrier)
@@ -212,17 +219,29 @@ def metric_closure(d: VGraph) -> VGraph:
     m = out.dist
     for i in range(n):
         m[i][i] = q.join2(m[i][i], q.unit)
-    changed = True
-    while changed:
-        changed = False
+    if q.ident == "boolean":
         for k in range(n):
-            for i in range(n):
-                for j in range(n):
-                    cand = q.tensor(m[i][k], m[k][j])
-                    new = q.join2(m[i][j], cand)
-                    if new != m[i][j]:
-                        m[i][j] = new
-                        changed = True
+            row_k = m[k]
+            for row in m:
+                if row[k]:
+                    for j in range(n):
+                        if row_k[j]:
+                            row[j] = True
+        return out
+    for k in range(n):
+        row_k = m[k]
+        for row in m:
+            a = row[k]
+            if a is INF:
+                continue
+            for j in range(n):
+                b = row_k[j]
+                if b is INF:
+                    continue
+                cand = a + b
+                old = row[j]
+                if old is INF or cand < old:
+                    row[j] = cand
     return out
 
 

@@ -297,3 +297,56 @@ def test_cli_unknown_monad_exit_code(tmp_path):
                               "--pair", "{x0}|{z0}", "--method", "kleene")
     assert code == 2
     assert "unknown monad" in err
+
+
+@pytest.mark.parametrize("path,value,message", [
+    (["entries"], 5, "certificate entries must be a list of objects"),
+    (["entries"], [5], "certificate entries must be a list of objects"),
+    (["witnesses"], 5, "certificate witnesses must be a list of objects"),
+    (["witnesses"], [5], "certificate witnesses must be a list of objects"),
+    (["witnesses", 0, "parts"], 5, "witness parts must be a list of objects"),
+    (["witnesses", 0, "parts"], [5], "witness parts must be a list of objects"),
+])
+def test_cli_malformed_certificate_exit_code(tmp_path, path, value, message):
+    doc = load_fixture("exceptions_cert.json")
+    _set_path(doc, path, value)
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(doc))
+    code, _out, err = run_cli("certify", "--model", fixture_path("exceptions.json"),
+                              "--cert", str(cert))
+    assert code == 2
+    assert message in err
+
+
+def test_cli_certificate_weight_must_be_rational(tmp_path):
+    doc = load_fixture("probchain_cert.json")
+    part = next(part for row in doc["witnesses"] for part in row["parts"])
+    part["weight"] = [1]
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(doc))
+    code, _out, err = run_cli("certify", "--model", fixture_path("probchain.json"),
+                              "--cert", str(cert))
+    assert code == 2
+    assert "weight must be a rational string" in err
+
+
+@pytest.mark.parametrize("path,value,message", [
+    (["quantale"], None, "missing model field 'quantale'"),
+    (["quantale"], ["ext-plus"], "unknown quantale"),
+    (["dist"], 5, "dist must be a list of rows"),
+    (["dist"], [5, 5, 5], "dist must be a list of rows"),
+    (["distributions"], 5, "distributions must be an object"),
+    (["distributions", "P"], 5, "weight object"),
+    (["distributions", "P", "A"], [1], "weight must be a rational string"),
+    (["elements"], "ABC", "elements must be a list of names"),
+])
+def test_cli_malformed_vgraph_model_exit_code(tmp_path, path, value, message):
+    doc = load_fixture("transport.json")
+    if value is None:
+        del doc[path[0]]
+    else:
+        _set_path(doc, path, value)
+    code, _out, err = run_cli("distance", "--model", _write_model(tmp_path, doc),
+                              "--pair", "P|Q", "--method", "lp")
+    assert code == 2
+    assert message in err

@@ -1,0 +1,212 @@
+"""Differential tests of the transport lifting and the metric closure.
+
+``kantorovich_lp`` solves the primal transportation problem; its
+oracles are the dual pricing LP solved by ``simplex_solve`` and, on
+integer-scaled instances, ``networkx.network_simplex``.  The one-pass
+``metric_closure`` is compared with the re-checking Floyd-Warshall loop
+it replaced, kept here.
+"""
+
+import random
+from fractions import Fraction as F
+from math import lcm
+
+import pytest
+
+from quantadist.monadlift import dirac, kantorovich_lp, pricing_lp, subdist
+from quantadist.quantale import BOOLEAN, EXT_PLUS, INF, UNIT_OPLUS, QuantaleError, is_inf
+from quantadist.simplex import simplex_solve
+from quantadist.vgraph import (CarrierMismatchError, VGraph, carrier, graph_equal,
+                               is_vcat, metric_closure)
+
+
+# -- oracles ----------------------------------------------------------------------
+
+def lp_oracle(d, p, q):
+    """The optimum of the dual pricing LP, as ``kantorovich_lp`` used to
+    compute it."""
+    opt = simplex_solve(pricing_lp(d, p, q)).optimum
+    return d.quantale.validate(opt if opt > 0 else F(0))
+
+
+def two_pass_closure(d):
+    """Floyd-Warshall through the quantale operations, repeated until
+    nothing changes (the closure loop before the single pass)."""
+    q = d.quantale
+    n = len(d.carrier)
+    out = d.copy()
+    m = out.dist
+    for i in range(n):
+        m[i][i] = q.join2(m[i][i], q.unit)
+    changed = True
+    while changed:
+        changed = False
+        for k in range(n):
+            for i in range(n):
+                for j in range(n):
+                    new = q.join2(m[i][j], q.tensor(m[i][k], m[k][j]))
+                    if new != m[i][j]:
+                        m[i][j] = new
+                        changed = True
+    return out
+
+
+# -- generators -------------------------------------------------------------------
+
+def names(n):
+    return carrier([f"v{i}" for i in range(n)])
+
+
+def ext_graph(rng, n, connected):
+    """Random ext-plus graph; ``connected`` adds a ring so every pair is
+    reachable, otherwise a sparse chord set leaves some pairs at inf."""
+    dist = [[INF] * n for _ in range(n)]
+    density = 0.3 if connected else 0.15
+    for i in range(n):
+        if connected:
+            dist[i][(i + 1) % n] = F(rng.randint(1, 12), rng.choice([1, 2, 3]))
+        for j in range(n):
+            if i != j and rng.random() < density:
+                dist[i][j] = F(rng.randint(0, 12), rng.choice([1, 2, 5]))
+        dist[i][i] = rng.choice([F(0), F(1), INF])
+    return VGraph(EXT_PLUS, names(n), dist)
+
+
+def unit_graph(rng, n):
+    grid = [F(i, 8) for i in range(9)] + [F(1, 3), F(2, 3)]
+    dist = [[rng.choice(grid) for _ in range(n)] for _ in range(n)]
+    return VGraph(UNIT_OPLUS, names(n), dist)
+
+
+def random_dist(rng, elements, mass, size):
+    support = rng.sample(list(elements), size)
+    raw = [rng.randint(1, 9) for _ in support]
+    total = sum(raw)
+    return subdist({x: mass * F(r, total) for x, r in zip(support, raw)})
+
+
+def random_pair(rng, d, mass=F(1), small=False):
+    n = len(d.carrier)
+    hi = max(1, n // 2) if small else n
+    return (random_dist(rng, d.carrier, mass, rng.randint(1, hi)),
+            random_dist(rng, d.carrier, mass, rng.randint(1, hi)))
+
+
+# -- kantorovich_lp against the pricing LP -------------------------------------------
+
+@pytest.mark.parametrize("connected", [True, False])
+def test_lp_matches_pricing_lp_ext_plus(connected):
+    rng = random.Random(101 if connected else 202)
+    unreachable = 0
+    for _ in range(25):
+        d = ext_graph(rng, rng.randint(2, 5), connected)
+        unreachable += sum(is_inf(v) for _x, _y, v in metric_closure(d).pairs())
+        p, q = random_pair(rng, d)
+        assert kantorovich_lp(d, p, q) == lp_oracle(d, p, q), (d.dist, p, q)
+    assert (unreachable > 0) != connected
+
+
+def test_lp_matches_pricing_lp_unit_oplus():
+    rng = random.Random(303)
+    truncated = 0
+    for _ in range(25):
+        d = unit_graph(rng, rng.randint(2, 5))
+        truncated += any(a + b > 1 for a in d.dist[0] for b in d.dist[0])
+        p, q = random_pair(rng, d)
+        assert kantorovich_lp(d, p, q) == lp_oracle(d, p, q), (d.dist, p, q)
+    assert truncated > 0
+
+
+@pytest.mark.parametrize("mass", [F(0), F(1, 3), F(5, 7)])
+def test_lp_matches_pricing_lp_subdistributions(mass):
+    rng = random.Random(str(mass))
+    for _ in range(10):
+        d = ext_graph(rng, rng.randint(2, 5), rng.random() < 0.5) \
+            if rng.random() < 0.5 else unit_graph(rng, rng.randint(2, 5))
+        if mass == 0:
+            p = q = subdist({})
+        else:
+            p, q = random_pair(rng, d, mass)
+        assert p.mass() == q.mass() == mass
+        assert kantorovich_lp(d, p, q) == lp_oracle(d, p, q), (d.dist, p, q)
+
+
+def test_lp_matches_pricing_lp_small_supports():
+    rng = random.Random(404)
+    for _ in range(20):
+        d = ext_graph(rng, 6, rng.random() < 0.5) if rng.random() < 0.5 \
+            else unit_graph(rng, 6)
+        p, q = random_pair(rng, d, small=True)
+        assert len(p) <= 3 and len(q) <= 3
+        assert kantorovich_lp(d, p, q) == lp_oracle(d, p, q), (d.dist, p, q)
+
+
+def test_lp_dirac_pairs_read_the_capped_closure():
+    rng = random.Random(505)
+    for connected in (True, False):
+        for _ in range(4):
+            d = ext_graph(rng, 4, connected)
+            dc = metric_closure(d)
+            cap = max(v for _x, _y, v in dc.pairs() if not is_inf(v))
+            for x in d.carrier:
+                for y in d.carrier:
+                    value = kantorovich_lp(d, dirac(x), dirac(y))
+                    assert value == (cap if is_inf(dc.at(x, y)) else dc.at(x, y))
+                    assert value == lp_oracle(d, dirac(x), dirac(y))
+
+
+def test_lp_checks_in_order():
+    c = carrier(["x", "y"])
+    d = VGraph(BOOLEAN, c, [[True, False], [False, True]])
+    half = subdist({"x": F(1, 2)})
+    # Carrier membership first, then the quantale, then the masses.
+    with pytest.raises(CarrierMismatchError):
+        kantorovich_lp(d, dirac("x"), subdist({"z": F(1, 2)}))
+    with pytest.raises(QuantaleError, match="real-valued"):
+        kantorovich_lp(d, dirac("x"), half)
+    with pytest.raises(ValueError, match="mass mismatch"):
+        kantorovich_lp(VGraph(UNIT_OPLUS, c, [[F(0)] * 2] * 2), dirac("x"), half)
+
+
+# -- kantorovich_lp against networkx ---------------------------------------------
+
+def test_lp_matches_network_simplex_ext_plus():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(606)
+    for _ in range(40):
+        d = ext_graph(rng, rng.randint(3, 8), connected=True)
+        dc = metric_closure(d)
+        p, q = random_pair(rng, d, small=rng.random() < 0.3)
+        mass_scale = lcm(*(w.denominator for _x, w in p.items() + q.items()))
+        cost_scale = lcm(*(v.denominator for _x, _y, v in dc.pairs()))
+        g = nx.DiGraph()
+        for x, w in p.items():
+            g.add_node(("s", x), demand=-int(w * mass_scale))
+        for y, w in q.items():
+            g.add_node(("t", y), demand=int(w * mass_scale))
+        for x, _w in p.items():
+            for y, _v in q.items():
+                g.add_edge(("s", x), ("t", y), weight=int(dc.at(x, y) * cost_scale))
+        cost, _flow = nx.network_simplex(g)
+        assert kantorovich_lp(d, p, q) == F(cost, mass_scale * cost_scale)
+
+
+# -- one-pass metric closure ---------------------------------------------------------
+
+@pytest.mark.parametrize("quantale", [BOOLEAN, UNIT_OPLUS, EXT_PLUS])
+def test_one_pass_closure_matches_two_pass(quantale):
+    rng = random.Random(quantale.ident)
+    for _ in range(40):
+        n = rng.randint(1, 7)
+        if quantale is BOOLEAN:
+            d = VGraph(BOOLEAN, names(n),
+                       [[rng.random() < 0.3 for _ in range(n)] for _ in range(n)])
+        elif quantale is UNIT_OPLUS:
+            d = unit_graph(rng, n)
+        else:
+            d = ext_graph(rng, n, rng.random() < 0.5)
+        before = [row[:] for row in d.dist]
+        closed = metric_closure(d)
+        assert graph_equal(closed, two_pass_closure(d)), d.dist
+        assert is_vcat(closed)
+        assert d.dist == before
