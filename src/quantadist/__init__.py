@@ -8,7 +8,7 @@ rational arithmetic.
 """
 
 from .quantale import (BOOLEAN, EXT_PLUS, INF, UNIT_OPLUS, Quantale,
-                       QuantaleError, get_quantale, lattice, residuation, tensor)
+                       QuantaleError, get_quantale)
 from .vgraph import (Carrier, FiniteMap, VGraph, carrier, direct_image,
                      graph_leq, is_vcat, metric_closure, reindex)
 from .galois import (Grid, PredSet, alpha, extension_largest, extension_smallest,
@@ -17,8 +17,9 @@ from .functor import (ConstF, CoprodF, IdF, ProdF, build_lambda,
                       check_compositionality, const_atoms, const_values,
                       exception_functor, fmap, kantorovich_generic, lift_closed,
                       machine_functor, pow_functor, star)
-from .monadlift import (FinSubset, SubDist, dirac, ev_monad, finsubset,
-                        hausdorff_directed, kantorovich_lp, monad_ops, subdist)
+from .monadlift import (POWERSET, SUBDIST, FinSubset, Monad, SubDist, dirac,
+                        finsubset, get_monad, hausdorff_directed, kantorovich_lp,
+                        subdist)
 from .simplex import LPProblem, LinearConstraint, simplex_solve
 from .distlaw import DistLaw, apply_g_carriers, apply_zeta, determinize, law_suite
 from .behaviour import (Certificate, CoalgebraModel, SparseDist, beh_apply,

@@ -25,7 +25,6 @@ computes it exactly; ``u_exact`` exists only as a desk-scale oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import chain, combinations, product
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -34,8 +33,8 @@ from .distlaw import DetCoalgebra, DistLaw
 from .functor import (ConstF, CoprodF, IdF, Inl, ProdF, iter_payloads,
                       polynomial_distance, shape_check)
 from .galois import BudgetError
-from .monadlift import FinSubset, SubDist, finsubset, subdist
-from .quantale import Quantale, is_inf
+from .monadlift import POWERSET, SUBDIST, FinSubset, Monad, finsubset
+from .quantale import Quantale
 from .vgraph import Carrier, VGraph, metric_closure
 
 
@@ -47,7 +46,7 @@ class ModelError(ValueError):
 class CoalgebraModel:
     quantale: Quantale
     functor: object
-    monad: str
+    monad: Monad
     states: Carrier
     labels: Carrier
     transitions: Dict[str, object]
@@ -66,9 +65,7 @@ class CoalgebraModel:
                 raise ModelError(f"transition for unknown state {x!r}")
             shape_check(self.functor, term)
             for payload in iter_payloads(term):
-                members = payload.members if isinstance(payload, FinSubset) \
-                    else payload.support()
-                for m in members:
+                for m, _w in self.monad.weighted(payload):
                     if m not in self.states:
                         raise ModelError(f"successor {m!r} of {x!r} is not a state")
 
@@ -104,11 +101,11 @@ def _is_power_of_id(f) -> bool:
 def model_kind(model: CoalgebraModel) -> Optional[str]:
     """Recognize the two trace-characterized shapes."""
     f = model.functor
-    if model.monad == "subdist" and isinstance(f, ProdF) and f.labels is None \
+    if model.monad is SUBDIST and isinstance(f, ProdF) and f.labels is None \
             and len(f.parts) == 2 and _is_value_const(f.parts[0]) \
             and _is_power_of_id(f.parts[1]):
         return "machine"
-    if model.monad == "powerset" and isinstance(f, CoprodF) \
+    if model.monad is POWERSET and isinstance(f, CoprodF) \
             and _is_value_const(f.left) and _is_power_of_id(f.right):
         return "exception"
     return None
@@ -389,7 +386,7 @@ Witness = tuple
 
 @dataclass
 class Certificate:
-    monad: str
+    monad: Monad
     candidate: SparseDist
     witnesses: Dict[Tuple[object, object], List[Witness]] = field(default_factory=dict)
 
@@ -398,14 +395,12 @@ class WitnessError(ValueError):
     """A decomposition witness fails its marginal conditions."""
 
 
-def _check_marginals(monad: str, pair, witness: Witness):
+def _check_marginals(monad: Monad, pair, parts):
+    """The flattened marginals of a witness (as a weighted list of
+    pairs) must be the pair itself."""
     left, right = pair
-    if monad == "powerset":
-        lhs = finsubset(chain.from_iterable(a.members for a, _b in witness))
-        rhs = finsubset(chain.from_iterable(b.members for _a, b in witness))
-    else:
-        lhs = _mix([(w, a) for w, (a, _b) in witness])
-        rhs = _mix([(w, b) for w, (_a, b) in witness])
+    lhs = monad.flatten([(a, w) for (a, _b), w in parts])
+    rhs = monad.flatten([(b, w) for (_a, b), w in parts])
     if lhs != left:
         raise WitnessError(
             f"left marginal {canon_key(lhs)} differs from {canon_key(left)}")
@@ -414,35 +409,17 @@ def _check_marginals(monad: str, pair, witness: Witness):
             f"right marginal {canon_key(rhs)} differs from {canon_key(right)}")
 
 
-def _mix(weighted: Sequence[Tuple[Fraction, SubDist]]) -> SubDist:
-    acc: List[Tuple[object, Fraction]] = []
-    for w, dist in weighted:
-        for x, v in dist.items():
-            acc.append((x, w * v))
-    return subdist(acc)
-
-
-def _witness_value(q: Quantale, monad: str, lookup, witness: Witness):
-    if monad == "powerset":
-        return q.meet(lookup(a, b) for a, b in witness)  # numeric max
-    total = Fraction(0)
-    for w, (a, b) in witness:
-        v = lookup(a, b)
-        if is_inf(v):
-            return q.bottom
-        total += Fraction(w) * v
-    return q.validate(total)
-
-
 def witness_bound(cert: Certificate, pair, q: Quantale):
     """The best (quantale-largest, numerically smallest) available bound
     on the up-to function at a pair: the candidate entry itself (the
     unit witness) together with the value of every listed decomposition."""
-    bounds = [cert.candidate.value_at(pair)]
-    lookup = lambda a, b: cert.candidate.value_at((a, b))
+    value_at = cert.candidate.value_at
+    bounds = [value_at(pair)]
     for witness in cert.witnesses.get(pair, []):
-        _check_marginals(cert.monad, pair, witness)
-        bounds.append(_witness_value(q, cert.monad, lookup, witness))
+        parts = cert.monad.witness_parts(witness)
+        _check_marginals(cert.monad, pair, parts)
+        # The evaluation map applied to the candidate on the witness pairs.
+        bounds.append(cert.monad.ev_weighted([(value_at(p), w) for p, w in parts], q))
     return q.join(bounds)  # numeric min
 
 
@@ -516,7 +493,7 @@ def u_exact(model: CoalgebraModel, cand: SparseDist, pair,
     Only the powerset monad is enumerable; subdistribution decompositions
     form a continuum and are refused.
     """
-    if model.monad != "powerset":
+    if model.monad is not POWERSET:
         raise BudgetError("exact up-to values are only enumerable for powerset")
     q = model.quantale
     base = list(model.states.elements)

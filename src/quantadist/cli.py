@@ -11,6 +11,7 @@ refusal.  JSON reports are deterministic (sorted keys, no timing).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -25,7 +26,7 @@ from .distlaw import (ALWAYS_LEFT, DistLaw, StateBudgetError, case_study_laws,
 from .galois import BudgetError
 from .models import (DistanceInstance, ModelFormatError, certificate_from_json,
                      load_json_file, model_from_json)
-from .monadlift import finsubset, hausdorff_directed, kantorovich_lp, subdist
+from .monadlift import POWERSET, finsubset, hausdorff_directed, kantorovich_lp, subdist
 from .quantale import QuantaleError
 from .repro import REPRODUCTIONS
 from .suites import galois_suite, extension_suite, polyfunctor_suite, quantale_suite
@@ -58,7 +59,7 @@ def _parse_tvalue(text: str, instance):
         if text in instance.distributions:
             return instance.distributions[text]
         return _parse_dist_literal(text)
-    if instance.monad == "powerset":
+    if instance.monad is POWERSET:
         return _parse_set_literal(text)
     return _parse_dist_literal(text)
 
@@ -250,10 +251,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process, built on the first call of ``main``
+    (parsing keeps no state in it)."""
+    return build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     started = time.monotonic()

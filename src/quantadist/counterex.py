@@ -18,8 +18,8 @@ from itertools import product
 from typing import Dict, List, Sequence
 
 from .canon import canon_key
-from .monadlift import (FinSubset, SubDist, dirac, finsubset, hausdorff_directed,
-                        kantorovich_lp, monad_mult, subdist)
+from .monadlift import (POWERSET, SUBDIST, FinSubset, SubDist, dirac, finsubset,
+                        hausdorff_directed, kantorovich_lp, subdist)
 from .quantale import UNIT_OPLUS
 from .simplex import LinearConstraint, LPProblem, simplex_solve
 from .vgraph import Carrier, VGraph, graph_from_entries, metric_closure
@@ -68,14 +68,12 @@ def _pricing_vars(d: VGraph):
 
 def combined_pow_pow(d: VGraph, left: FinSubset, right: FinSubset):
     """sup-after-sup collapses to the flattened subsets."""
-    return hausdorff_directed(d, monad_mult("powerset", left),
-                              monad_mult("powerset", right))
+    return hausdorff_directed(d, POWERSET.mult(left), POWERSET.mult(right))
 
 
 def combined_dist_dist(d: VGraph, left: SubDist, right: SubDist):
     """expectation-after-expectation collapses to the flattened mixtures."""
-    return kantorovich_lp(d, monad_mult("subdist", left),
-                          monad_mult("subdist", right))
+    return kantorovich_lp(d, SUBDIST.mult(left), SUBDIST.mult(right))
 
 
 def combined_pow_dist(d: VGraph, left: FinSubset, right: FinSubset):

@@ -24,9 +24,8 @@ from .functor import (ConstF, ConstLeaf, CoprodF, IdF, IdLeaf, Inl, Inr, MonadEv
                       ProdF, StarEval, Tup, build_lambda, eval_map,
                       iter_payloads, map_payloads, term_key)
 from .galois import Grid, gamma_enum, grid_values
-from .monadlift import (POWERSET, FinSubset, SubDist, check_monad, ev_monad,
-                        ev_weighted, finsubset, flatten, kantorovich_lp, monad_map,
-                        monad_mult, monad_unit, pack, subdist, weighted)
+from .monadlift import (POWERSET, SUBDIST, Monad, SubDist, finsubset,
+                        kantorovich_lp, subdist)
 from .quantale import EXT_PLUS, UNIT_OPLUS, Quantale
 from .suites import CheckResult, all_bool_graphs
 from .vgraph import Carrier, VGraph
@@ -50,12 +49,13 @@ class DistLaw:
     """
 
     functor: object
-    monad: str
+    monad: Monad
     quantale: Quantale
     g_variant: str = PRIORITY_LEFT
 
     def __post_init__(self):
-        check_monad(self.monad)
+        if not isinstance(self.monad, Monad):
+            raise ValueError(f"unknown monad {self.monad!r}; expected POWERSET or SUBDIST")
         _check_value_consts(self.functor)
         if self.g_variant not in (PRIORITY_LEFT, ALWAYS_LEFT):
             raise ValueError(f"unknown g variant {self.g_variant!r}")
@@ -87,7 +87,7 @@ def _prioritize(items: Sequence, in_left: Callable[[object], bool], variant: str
     return "right", items
 
 
-def apply_g(monad: str, t, in_left: Callable[[object], bool],
+def apply_g(monad: Monad, t, in_left: Callable[[object], bool],
             variant: str = PRIORITY_LEFT):
     """The prioritizing transformation: tag and restrict a monad value
     over a disjoint union.
@@ -95,15 +95,11 @@ def apply_g(monad: str, t, in_left: Callable[[object], bool],
     Returns (side, restricted) where side is 'left' when the left part
     is inhabited (always, for the mutant variant), 'right' otherwise.
     """
-    # A subsequence of a canonical value is canonical.
-    if monad == POWERSET:
-        side, kept = _prioritize(t.members, in_left, variant)
-        return side, FinSubset(tuple(kept))
-    side, kept = _prioritize(t.weights, lambda pair: in_left(pair[0]), variant)
-    return side, SubDist(tuple(kept))
+    side, kept = _prioritize(monad.weighted(t), lambda pair: in_left(pair[0]), variant)
+    return side, monad.restrict(kept)
 
 
-def apply_g_carriers(monad: str, part1: Sequence[str], part2: Sequence[str], t,
+def apply_g_carriers(monad: Monad, part1: Sequence[str], part2: Sequence[str], t,
                      variant: str = PRIORITY_LEFT):
     """Carrier-level wrapper: elements are split by membership in part1."""
     left = set(part1)
@@ -116,8 +112,7 @@ def apply_g_carriers(monad: str, part1: Sequence[str], part2: Sequence[str], t,
 def apply_zeta(law: DistLaw, t):
     """One component of the exchange law: a monad value of F-terms
     becomes an F-term over monad values."""
-    return _zeta(law, law.functor, weighted(law.monad, t),
-                 lambda pairs: pack(law.monad, pairs))
+    return _zeta(law, law.functor, law.monad.weighted(t), law.monad.pack)
 
 
 def _in_left(pair) -> bool:
@@ -126,12 +121,12 @@ def _in_left(pair) -> bool:
 
 def _zeta(law: DistLaw, functor, pairs, leaf):
     """Walk the functor over a weighted list of F-terms (see
-    ``monadlift.weighted``) without building a monad value of F-terms;
+    ``Monad.weighted``) without building a monad value of F-terms;
     ``leaf`` turns the weighted payload list at each identity node into
     its monad value."""
     if isinstance(functor, ConstF):
-        return ConstLeaf(ev_weighted(law.monad, [(m.atom, w) for m, w in pairs],
-                                     law.quantale))
+        return ConstLeaf(law.monad.ev_weighted([(m.atom, w) for m, w in pairs],
+                                               law.quantale))
     if isinstance(functor, IdF):
         return IdLeaf(leaf([(m.payload, w) for m, w in pairs]))
     if isinstance(functor, ProdF):
@@ -167,9 +162,8 @@ class DetCoalgebra:
         # The exchange law followed by the multiplication at each
         # identity leaf, fused: each successor is canonicalized once.
         monad = self.law.monad
-        lifted = [(self.transitions[x], w) for x, w in weighted(monad, state)]
-        out = _zeta(self.law, self.law.functor, lifted,
-                    lambda pairs: flatten(monad, pairs))
+        lifted = [(self.transitions[x], w) for x, w in monad.weighted(state)]
+        out = _zeta(self.law, self.law.functor, lifted, monad.flatten)
         self.memo[state] = out
         self.frontier.discard(state)
         return out
@@ -247,7 +241,7 @@ def _sample_subdist(rng: random.Random, items, denom: int = 4,
 
 
 def _tvalues(law: DistLaw, rng: random.Random, items, count: int, max_size: int = 2):
-    if law.monad == "powerset":
+    if law.monad is POWERSET:  # enumerable; subdistributions are sampled
         return _small_subsets(items, max_size)
     out = []
     seen = set()
@@ -260,57 +254,54 @@ def _tvalues(law: DistLaw, rng: random.Random, items, count: int, max_size: int 
 
 
 def _unit_compat(law: DistLaw, terms) -> CheckResult:
-    name = f"{law.monad}/{_shape_name(law)}: exchange respects the unit"
+    name = f"{law.monad.name}/{_shape_name(law)}: exchange respects the unit"
     for t in terms:
-        lhs = apply_zeta(law, monad_unit(law.monad, t))
-        rhs = map_payloads(t, lambda p: monad_unit(law.monad, p))
+        lhs = apply_zeta(law, law.monad.unit(t))
+        rhs = map_payloads(t, law.monad.unit)
         if lhs != rhs:
             return CheckResult(name, False, f"term {term_key(t)}")
     return CheckResult(name, True)
 
 
 def _pentagon(law: DistLaw, doubles) -> CheckResult:
-    name = f"{law.monad}/{_shape_name(law)}: exchange respects the multiplication"
+    name = f"{law.monad.name}/{_shape_name(law)}: exchange respects the multiplication"
     for tt in doubles:
-        lhs = apply_zeta(law, monad_mult(law.monad, tt))
-        inner = monad_map(law.monad, lambda t: apply_zeta(law, t), tt)
-        rhs = map_payloads(apply_zeta(law, inner),
-                           lambda nested: monad_mult(law.monad, nested))
+        lhs = apply_zeta(law, law.monad.mult(tt))
+        inner = law.monad.map(lambda t: apply_zeta(law, t), tt)
+        rhs = map_payloads(apply_zeta(law, inner), law.monad.mult)
         if lhs != rhs:
             return CheckResult(name, False, f"input {canon_key(tt)}")
     return CheckResult(name, True)
 
 
 def _g_compat_unit(law: DistLaw) -> CheckResult:
-    name = f"{law.monad} ({law.g_variant}): prioritizer compatible with the unit"
+    monad = law.monad
+    name = f"{monad.name} ({law.g_variant}): prioritizer compatible with the unit"
     elements = ["l_a", "l_b", "r_a", "r_b"]
     in_left = lambda x: x.startswith("l")
     for x in elements:
-        side, restricted = apply_g(law.monad, monad_unit(law.monad, x), in_left,
-                                   law.g_variant)
+        side, restricted = apply_g(monad, monad.unit(x), in_left, law.g_variant)
         want_side = "left" if in_left(x) else "right"
-        if side != want_side or restricted != monad_unit(law.monad, x):
+        if side != want_side or restricted != monad.unit(x):
             return CheckResult(name, False, f"unit at {x}: got {side} {canon_key(restricted)}")
     return CheckResult(name, True)
 
 
 def _g_compat_mult(law: DistLaw, rng: random.Random) -> CheckResult:
-    name = f"{law.monad} ({law.g_variant}): prioritizer compatible with the multiplication"
+    monad = law.monad
+    name = f"{monad.name} ({law.g_variant}): prioritizer compatible with the multiplication"
     elements = ["l_a", "l_b", "r_a", "r_b"]
     in_left = lambda x: x.startswith("l")
     inners = _tvalues(law, rng, elements, 12)
-    doubles = _tvalues(law, rng, inners, 40) if law.monad == "subdist" else \
-        _small_subsets(inners, 2)
+    doubles = _tvalues(law, rng, inners, 40)
     for tt in doubles:
-        lhs = apply_g(law.monad, monad_mult(law.monad, tt), in_left, law.g_variant)
+        lhs = apply_g(monad, monad.mult(tt), in_left, law.g_variant)
         # Right side: apply g inside, tag, apply g at the outer level on
         # the tags, then flatten the surviving side.
-        tagged = monad_map(law.monad,
-                           lambda t: apply_g(law.monad, t, in_left, law.g_variant), tt)
-        outer_side, outer = apply_g(law.monad, tagged,
+        tagged = monad.map(lambda t: apply_g(monad, t, in_left, law.g_variant), tt)
+        outer_side, outer = apply_g(monad, tagged,
                                     lambda pair: pair[0] == "left", law.g_variant)
-        flattened = monad_mult(law.monad,
-                               monad_map(law.monad, lambda pair: pair[1], outer))
+        flattened = monad.mult(monad.map(lambda pair: pair[1], outer))
         rhs = (outer_side, flattened)
         if lhs != rhs:
             return CheckResult(name, False,
@@ -326,8 +317,8 @@ def _well_behaved(law: DistLaw, rng: random.Random) -> CheckResult:
     must stay bottom), so the subdistribution check always runs there;
     the powerset check runs over the law's own quantale.
     """
-    q = EXT_PLUS if law.monad == "subdist" else law.quantale
-    name = f"{law.monad} over {q.ident} ({law.g_variant}): prioritizer well-behaved"
+    q = EXT_PLUS if law.monad is SUBDIST else law.quantale
+    name = f"{law.monad.name} over {q.ident} ({law.g_variant}): prioritizer well-behaved"
     left_els = ["l_a", "l_b"]
     right_els = ["r_a", "r_b"]
     in_left = lambda x: x.startswith("l")
@@ -337,8 +328,7 @@ def _well_behaved(law: DistLaw, rng: random.Random) -> CheckResult:
     ts = _tvalues(law, rng, left_els + right_els, 40)
 
     def run_side(t, bracket):
-        mapped = monad_map(law.monad, bracket, t)
-        return ev_monad(law.monad, mapped, q)
+        return law.monad.ev(law.monad.map(bracket, t), q)
 
     for t in ts:
         side, restricted = apply_g(law.monad, t, in_left, law.g_variant)
@@ -377,7 +367,7 @@ def _sampled_combos(rng, vals, width, count):
 def _exchange_identity(law: DistLaw, rng: random.Random) -> CheckResult:
     """Composite evaluation maps agree across the exchange component."""
     q = law.quantale
-    name = f"{law.monad}/{_shape_name(law)}: evaluation-map exchange identity"
+    name = f"{law.monad.name}/{_shape_name(law)}: evaluation-map exchange identity"
     vals = grid_values(q, Grid(2, cap=1))
     f_terms = _f_terms_over(law.functor, vals, vals)
     if len(f_terms) > 24:
@@ -401,14 +391,26 @@ def _exchange_identity(law: DistLaw, rng: random.Random) -> CheckResult:
 
 
 def _const_algebra_hom(law: DistLaw, rng: random.Random) -> CheckResult:
+    """The evaluation map, the algebra of every value constant, is an
+    Eilenberg-Moore algebra: ev(unit(v)) = v on the grid values, and
+    ev(mult(tt)) = ev(map(ev, tt)) on every pair (s, t) of sampled
+    T-values, with tt the value of s whose members are replaced by s
+    and t in turn."""
     q = law.quantale
-    name = f"{law.monad} over {q.ident}: constant algebras are evaluation homomorphisms"
+    monad = law.monad
+    name = f"{monad.name} over {q.ident}: constant algebras are evaluation homomorphisms"
     vals = grid_values(q, Grid(2, cap=1))
-    for t in _tvalues(law, rng, vals, 30):
-        # Identity evaluation on quantale-valued constants: the algebra
-        # itself must commute with the monad evaluation map.
-        if ev_monad(law.monad, t, q) != ev_monad(law.monad, monad_map(law.monad, lambda v: v, t), q):
-            return CheckResult(name, False, canon_key(t))
+    for v in vals:
+        if monad.ev(monad.unit(v), q) != v:
+            return CheckResult(name, False, f"unit at {canon_key(v)}")
+    ts = _tvalues(law, rng, vals, 30)
+    for s in ts:
+        for t in ts:
+            tt = monad.pack([(t if i % 2 else s, w)
+                             for i, (_v, w) in enumerate(monad.weighted(s))])
+            if monad.ev(monad.mult(tt), q) != \
+                    monad.ev(monad.map(lambda u: monad.ev(u, q), tt), q):
+                return CheckResult(name, False, canon_key(tt))
     return CheckResult(name, True)
 
 
@@ -417,8 +419,8 @@ def _zeta_nonexpansive_boolean(law: DistLaw) -> CheckResult:
     composite liftings, over the boolean quantale (powerset only)."""
     from .functor import kantorovich_generic
 
-    name = f"{law.monad}/{_shape_name(law)}: exchange component non-expansive (boolean exact)"
-    if law.monad != "powerset":
+    name = f"{law.monad.name}/{_shape_name(law)}: exchange component non-expansive (boolean exact)"
+    if law.monad is not POWERSET:
         return CheckResult(name, True, "skipped: expectation is not boolean-valued")
     from .quantale import BOOLEAN
 
@@ -432,11 +434,10 @@ def _zeta_nonexpansive_boolean(law: DistLaw) -> CheckResult:
     ft_evals = [StarEval(ev, ev_t) for ev in lam_f]
 
     def tf_fmap(t, p):
-        return monad_map(law.monad,
-                         lambda term: map_payloads(term, lambda x: p[x]), t)
+        return law.monad.map(lambda term: map_payloads(term, lambda x: p[x]), t)
 
     def ft_fmap(t, p):
-        return map_payloads(t, lambda tv: monad_map(law.monad, lambda x: p[x], tv))
+        return map_payloads(t, lambda tv: law.monad.map(lambda x: p[x], tv))
 
     for d in all_bool_graphs(c):
         preds = gamma_enum(d, Grid(1))
@@ -468,8 +469,8 @@ def _zeta_nonexpansive_machine_lp(law: DistLaw, rng: random.Random) -> CheckResu
     """Exact check for the product-shaped subdistribution law: both
     composite liftings reduce to output differences plus per-label
     transport problems, and the exchange component preserves them."""
-    name = f"{law.monad}/{_shape_name(law)}: exchange component non-expansive (transport exact)"
-    if law.monad != "subdist" or not isinstance(law.functor, ProdF):
+    name = f"{law.monad.name}/{_shape_name(law)}: exchange component non-expansive (transport exact)"
+    if law.monad is not SUBDIST or not isinstance(law.functor, ProdF):
         return CheckResult(name, True, "skipped: shape covered elsewhere")
     q = law.quantale
     c = Carrier(("x", "y"))
@@ -484,13 +485,13 @@ def _zeta_nonexpansive_machine_lp(law: DistLaw, rng: random.Random) -> CheckResu
         for mu in dists:
             for nu in dists:
                 out_diff = q.residuate(
-                    ev_monad("subdist", monad_map("subdist", lambda t: t.items[0].atom, mu), q),
-                    ev_monad("subdist", monad_map("subdist", lambda t: t.items[0].atom, nu), q))
+                    SUBDIST.ev(SUBDIST.map(lambda t: t.items[0].atom, mu), q),
+                    SUBDIST.ev(SUBDIST.map(lambda t: t.items[0].atom, nu), q))
                 label_vals = []
                 for i, _lab in enumerate(labels):
                     push = lambda t, i=i: t.items[1].items[i].payload
                     label_vals.append(kantorovich_lp(
-                        d, monad_map("subdist", push, mu), monad_map("subdist", push, nu)))
+                        d, SUBDIST.map(push, mu), SUBDIST.map(push, nu)))
                 lhs = q.meet([out_diff] + label_vals)
                 zm, zn = apply_zeta(law, mu), apply_zeta(law, nu)
                 rhs_out = q.residuate(zm.items[0].atom, zn.items[0].atom)
@@ -523,8 +524,7 @@ def law_suite(law: DistLaw, seed: int = 0, samples: int = 100) -> List[CheckResu
     if len(f_terms) > 12:
         f_terms = f_terms[:: max(1, len(f_terms) // 12)]
     singles = _tvalues(law, rng, f_terms, samples)
-    doubles = (_small_subsets(singles, 2)[:150] if law.monad == "powerset"
-               else _tvalues(law, rng, singles, samples))
+    doubles = _tvalues(law, rng, singles, samples)[:150]
     results = [
         _unit_compat(law, f_terms),
         _pentagon(law, doubles),
@@ -544,8 +544,8 @@ def case_study_laws() -> Dict[str, DistLaw]:
     from .functor import exception_functor, machine_functor
 
     return {
-        "machine-subdist": DistLaw(machine_functor(["a"]), "subdist", UNIT_OPLUS),
-        "exception-powerset": DistLaw(exception_functor(["a", "b"]), "powerset",
+        "machine-subdist": DistLaw(machine_functor(["a"]), SUBDIST, UNIT_OPLUS),
+        "exception-powerset": DistLaw(exception_functor(["a", "b"]), POWERSET,
                                       UNIT_OPLUS),
-        "exception-subdist": DistLaw(exception_functor(["a"]), "subdist", EXT_PLUS),
+        "exception-subdist": DistLaw(exception_functor(["a"]), SUBDIST, EXT_PLUS),
     }

@@ -16,7 +16,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .canon import canon_key
 from .galois import Grid, Pred, PredSet, gamma_enum, nonexpansive_into_value
-from .monadlift import ev_monad, monad_map
+from .monadlift import Monad
 from .quantale import Quantale
 from .vgraph import Carrier, VGraph, metric_closure
 
@@ -256,10 +256,10 @@ class CoprodEval:
 
 @dataclass(frozen=True)
 class MonadEval:
-    monad: str
+    monad: Monad
 
     def describe(self) -> str:
-        return {"powerset": "sup", "subdist": "expect"}[self.monad]
+        return self.monad.ev_label
 
 
 @dataclass(frozen=True)
@@ -302,11 +302,11 @@ def eval_map(q: Quantale, ev, term):
             return q.top
         raise ShapeError(f"coproduct evaluation on {term!r}")
     if isinstance(ev, MonadEval):
-        return ev_monad(ev.monad, term, q)
+        return ev.monad.ev(term, q)
     if isinstance(ev, StarEval):
         if isinstance(ev.outer, MonadEval):
-            mapped = monad_map(ev.outer.monad, lambda s: eval_map(q, ev.inner, s), term)
-            return ev_monad(ev.outer.monad, mapped, q)
+            monad = ev.outer.monad
+            return monad.ev(monad.map(lambda s: eval_map(q, ev.inner, s), term), q)
         mapped = map_payloads(term, lambda s: eval_map(q, ev.inner, s))
         return eval_map(q, ev.outer, mapped)
     raise TypeError(f"not an evaluation map: {ev!r}")

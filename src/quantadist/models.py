@@ -18,8 +18,7 @@ from typing import Dict
 from .behaviour import Certificate, CoalgebraModel, SparseDist
 from .functor import (ConstF, ConstLeaf, CoprodF, IdF, IdLeaf, Inl, Inr, ProdF,
                       Tup, const_atoms, const_values, pow_functor)
-from .monadlift import (SUBDIST, SubDist, tvalue_from_json, tvalue_to_json,
-                        weight_from_json)
+from .monadlift import SUBDIST, Monad, SubDist, get_monad
 from .quantale import Quantale, get_quantale
 from .vgraph import VGraph, carrier, vgraph_from_json
 
@@ -86,13 +85,13 @@ def functor_from_json(doc, q: Quantale):
 
 # -- terms -------------------------------------------------------------------------
 
-def term_to_json(functor, term, monad: str, q: Quantale) -> object:
+def term_to_json(functor, term, monad: Monad, q: Quantale) -> object:
     if isinstance(functor, ConstF):
         if functor.atoms is None:
             return {"const": q.value_to_json(term.atom)}
         return {"const": {"atom": term.atom}}
     if isinstance(functor, IdF):
-        return {"id": tvalue_to_json(monad, term.payload)}
+        return {"id": monad.to_json(term.payload)}
     if isinstance(functor, ProdF):
         if functor.labels is not None:
             return {"pow": {lab: term_to_json(part, item, monad, q)
@@ -107,7 +106,7 @@ def term_to_json(functor, term, monad: str, q: Quantale) -> object:
     raise ModelFormatError(f"not a functor expression: {functor!r}")
 
 
-def term_from_json(functor, doc, monad: str, q: Quantale):
+def term_from_json(functor, doc, monad: Monad, q: Quantale):
     if not isinstance(doc, dict) or len(doc) != 1:
         raise ModelFormatError(f"bad term document: {doc!r}")
     key, body = next(iter(doc.items()))
@@ -120,7 +119,7 @@ def term_from_json(functor, doc, monad: str, q: Quantale):
     if key == "id":
         if not isinstance(functor, IdF):
             raise ModelFormatError(f"identity leaf where {functor!r} was expected")
-        return IdLeaf(tvalue_from_json(monad, body))
+        return IdLeaf(monad.from_json(body))
     if key == "tuple":
         if not isinstance(functor, ProdF) or not isinstance(body, list) \
                 or len(body) != len(functor.parts):
@@ -181,14 +180,17 @@ def model_from_json(doc: dict):
         if not isinstance(named, dict):
             raise ModelFormatError(
                 f"distributions must be an object keyed by name, got {named!r}")
-        dists = {name: tvalue_from_json(SUBDIST, {"dist": weights})
+        dists = {name: SUBDIST.from_json({"dist": weights})
                  for name, weights in named.items()}
         return DistanceInstance(vgraph_from_json(doc), dists)
     if kind != "coalgebra":
         raise ModelFormatError(f"unknown model kind {kind!r}")
     try:
         q = get_quantale(doc["quantale"])
-        monad = doc["monad"]
+        try:
+            monad = get_monad(doc["monad"])
+        except ValueError as exc:
+            raise ModelFormatError(str(exc)) from None
         functor = functor_from_json(doc["functor"], q)
         states = _names(doc["states"], "states")
         labels = _names(doc.get("labels", []), "labels")
@@ -208,7 +210,7 @@ def model_to_json(model: CoalgebraModel) -> dict:
     return {
         "kind": "coalgebra",
         "quantale": model.quantale.ident,
-        "monad": model.monad,
+        "monad": model.monad.name,
         "functor": functor_to_json(model.functor),
         "states": list(model.states.elements),
         "labels": list(model.labels.elements),
@@ -235,21 +237,14 @@ def certificate_from_json(doc: dict, model: CoalgebraModel) -> Certificate:
     try:
         entries = {}
         for row in _rows(doc["entries"], "certificate entries"):
-            pair = (tvalue_from_json(monad, row["lhs"]),
-                    tvalue_from_json(monad, row["rhs"]))
+            pair = (monad.from_json(row["lhs"]), monad.from_json(row["rhs"]))
             entries[pair] = q.value_from_json(row["value"])
         witnesses = {}
         for row in _rows(doc.get("witnesses", []), "certificate witnesses"):
-            pair = (tvalue_from_json(monad, row["lhs"]),
-                    tvalue_from_json(monad, row["rhs"]))
-            parts = []
-            for part in _rows(row["parts"], "witness parts"):
-                left = tvalue_from_json(monad, part["lhs"])
-                right = tvalue_from_json(monad, part["rhs"])
-                if monad == "powerset":
-                    parts.append((left, right))
-                else:
-                    parts.append((weight_from_json(part["weight"]), (left, right)))
+            pair = (monad.from_json(row["lhs"]), monad.from_json(row["rhs"]))
+            parts = [monad.witness_part((monad.from_json(part["lhs"]),
+                                         monad.from_json(part["rhs"])), part)
+                     for part in _rows(row["parts"], "witness parts")]
             witnesses.setdefault(pair, []).append(tuple(parts))
     except KeyError as exc:
         raise ModelFormatError(f"missing certificate field {exc}") from None
@@ -257,24 +252,17 @@ def certificate_from_json(doc: dict, model: CoalgebraModel) -> Certificate:
 
 
 def certificate_to_json(cert: Certificate, q: Quantale) -> dict:
-    entries = [{"lhs": tvalue_to_json(cert.monad, l),
-                "rhs": tvalue_to_json(cert.monad, r),
-                "value": q.value_to_json(v)}
+    to_json = cert.monad.to_json
+    entries = [{"lhs": to_json(l), "rhs": to_json(r), "value": q.value_to_json(v)}
                for (l, r), v in cert.candidate.entries.items()]
     witnesses = []
     for (l, r), wits in cert.witnesses.items():
         for w in wits:
-            if cert.monad == "powerset":
-                parts = [{"lhs": tvalue_to_json(cert.monad, a),
-                          "rhs": tvalue_to_json(cert.monad, b)} for a, b in w]
-            else:
-                parts = [{"weight": str(weight),
-                          "lhs": tvalue_to_json(cert.monad, a),
-                          "rhs": tvalue_to_json(cert.monad, b)}
-                         for weight, (a, b) in w]
-            witnesses.append({"lhs": tvalue_to_json(cert.monad, l),
-                              "rhs": tvalue_to_json(cert.monad, r),
-                              "parts": parts})
+            parts = []
+            for (a, b), weight in cert.monad.witness_parts(w):
+                part = {} if weight is None else {"weight": str(weight)}
+                parts.append(dict(part, lhs=to_json(a), rhs=to_json(b)))
+            witnesses.append({"lhs": to_json(l), "rhs": to_json(r), "parts": parts})
     return {"entries": entries, "witnesses": witnesses}
 
 

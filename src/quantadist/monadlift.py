@@ -2,11 +2,13 @@
 plus the liftings of distances to them: the closed-form directed
 Hausdorff distance and exact optimal transport.
 
-The powerset evaluation map is the lattice meet of the members (the
-numeric supremum on the real-valued quantales, with the empty set
-evaluating to top); the subdistribution evaluation map is the expected
-value, with the convention that a positive weight times infinity is
-infinity.
+Each monad is one ``Monad`` object (``POWERSET``, ``SUBDIST``; by name
+through ``get_monad``) carrying its unit, map, multiplication,
+evaluation map and the JSON form of its values.  The powerset
+evaluation map is the lattice meet of the members (the numeric
+supremum on the real-valued quantales, with the empty set evaluating
+to top); the subdistribution evaluation map is the expected value,
+with the convention that a positive weight times infinity is infinity.
 """
 
 from __future__ import annotations
@@ -21,15 +23,6 @@ from .galois import PredSet, nonexpansive_into_value
 from .quantale import INF, Quantale, QuantaleError, is_inf
 from .simplex import LinearConstraint, LPProblem
 from .vgraph import Carrier, VGraph, metric_closure
-
-POWERSET = "powerset"
-SUBDIST = "subdist"
-MONADS = (POWERSET, SUBDIST)
-
-
-def check_monad(monad: str):
-    if monad not in MONADS:
-        raise ValueError(f"unknown monad {monad!r}; expected one of {MONADS}")
 
 
 @dataclass(frozen=True)
@@ -119,94 +112,166 @@ def dirac(x) -> SubDist:
     return SubDist(((x, Fraction(1)),))
 
 
-# -- monad structure ---------------------------------------------------------
-
-def monad_unit(monad: str, x):
-    check_monad(monad)
-    if monad == POWERSET:
-        return finsubset([x])
-    return dirac(x)
+def weight_from_json(w) -> Fraction:
+    if isinstance(w, bool) or not isinstance(w, (str, int)):
+        raise ValueError(f"a weight must be a rational string, got {w!r}")
+    return Fraction(w)
 
 
-def monad_map(monad: str, fn, t):
-    check_monad(monad)
-    if monad == POWERSET:
-        return finsubset(fn(m) for m in t.members)
-    return subdist((fn(x), w) for x, w in t.items())
-
-
-def monad_mult(monad: str, tt):
-    check_monad(monad)
-    return flatten(monad, weighted(monad, tt))
-
-
-def monad_ops(monad: str, which: str, *args):
-    """Dispatch entry point: which is one of 'unit', 'mult', 'map'."""
-    if which == "unit":
-        return monad_unit(monad, *args)
-    if which == "mult":
-        return monad_mult(monad, *args)
-    if which == "map":
-        return monad_map(monad, *args)
-    raise ValueError(f"unknown monad operation {which!r}")
-
-
-def ev_monad(monad: str, t, q: Quantale):
-    """The single evaluation map of the monad.
-
-    Powerset: the meet of the members (numeric sup; empty set gives
-    top).  Subdistribution: the expected value, with w * inf = inf for
-    w > 0 (weights are strictly positive by construction).
-    """
-    check_monad(monad)
-    return ev_weighted(monad, weighted(monad, t), q)
-
-
-# -- weighted member lists ------------------------------------------------------
+# -- the monads ----------------------------------------------------------------
 #
-# A monad value spread out as a list of (member, weight) pairs, with
-# weight None for powerset.  Members may repeat: the lists are merged
-# only when ``pack`` or ``flatten`` builds a canonical value, which is
-# exact because union and the meet are idempotent and the expectation
-# and the merge of a subdistribution are linear in unmerged weights.
-# The monad name is not checked here; callers validate it first.
+# A monad value spread out as a weighted member list: (member, weight)
+# pairs, with weight None for powerset.  Members may repeat: the lists
+# are merged only when ``pack`` or ``flatten`` builds a canonical value,
+# which is exact because union and the meet are idempotent and the
+# expectation and the merge of a subdistribution are linear in unmerged
+# weights.
 
 Weighted = Sequence[Tuple[object, Optional[Fraction]]]
 
 
-def weighted(monad: str, t) -> Weighted:
-    if monad == POWERSET:
+class Monad:
+    """A monad with its evaluation map into a quantale: the data (T, unit,
+    multiplication, ev) that the liftings are built from.  The instances
+    are ``POWERSET`` and ``SUBDIST``; each provides
+
+    * ``name`` (as in model files and check names) and ``ev_label`` (the
+      name of its evaluation map);
+    * ``unit(x)`` and ``map(fn, t)``;
+    * on weighted member lists: ``weighted(t)`` (the list of a canonical
+      value), ``pack(pairs)`` (the canonical value of a list),
+      ``restrict(pairs)`` (the value of a sublist of ``weighted(t)``,
+      canonical already), ``flatten(pairs)`` (the multiplication) and
+      ``ev_weighted(pairs, q)`` (the evaluation map);
+    * ``to_json(t)`` / ``from_json(doc)`` for its values;
+    * ``witness_parts(witness)``, a certificate's decomposition witness as
+      a weighted list of (left, right) pairs, and ``witness_part(pair,
+      doc)``, one witness entry read from its JSON part object.
+    """
+
+    name: str = ""
+    ev_label: str = ""
+
+    def mult(self, tt):
+        return self.flatten(self.weighted(tt))
+
+    def ev(self, t, q: Quantale):
+        return self.ev_weighted(self.weighted(t), q)
+
+    def __repr__(self):
+        return f"<monad {self.name}>"
+
+
+class _Powerset(Monad):
+    """Finite subsets.  The evaluation map is the lattice meet of the
+    members (the numeric supremum on the real-valued quantales, with the
+    empty set evaluating to top).  A witness is a tuple of (left, right)
+    subset pairs."""
+
+    name = "powerset"
+    ev_label = "sup"
+
+    def unit(self, x):
+        return finsubset([x])
+
+    def map(self, fn, t):
+        return finsubset(fn(m) for m in t.members)
+
+    def weighted(self, t):
         return [(m, None) for m in t.members]
-    return t.weights
 
-
-def pack(monad: str, pairs: Weighted):
-    """The canonical monad value of a weighted member list."""
-    if monad == POWERSET:
+    def pack(self, pairs):
         return finsubset(m for m, _w in pairs)
-    return subdist(pairs)
 
+    def restrict(self, pairs):
+        return FinSubset(tuple(m for m, _w in pairs))
 
-def flatten(monad: str, pairs: Weighted):
-    """The monad multiplication of a weighted list of monad values."""
-    if monad == POWERSET:
+    def flatten(self, pairs):
         return finsubset(x for inner, _w in pairs for x in inner.members)
-    return subdist((x, w * v) for inner, w in pairs for x, v in inner.weights)
 
-
-def ev_weighted(monad: str, pairs: Weighted, q: Quantale):
-    """The evaluation map (see ``ev_monad``) on a weighted member list."""
-    if monad == POWERSET:
+    def ev_weighted(self, pairs, q):
         return q.meet(q.validate(m) for m, _w in pairs)
-    if q.ident == "boolean":
-        raise QuantaleError("expectation is not defined over the boolean quantale")
-    total = Fraction(0)
-    for x, w in pairs:
-        v = q.validate(x)
-        if is_inf(v):
-            return INF
-        total += w * v
-    return q.validate(total)
+
+    def to_json(self, t):
+        return {"set": [m if isinstance(m, str) else canon_key(m) for m in t.members]}
+
+    def from_json(self, doc):
+        if not isinstance(doc, dict) or not isinstance(doc.get("set"), list) \
+                or not all(isinstance(m, str) for m in doc["set"]):
+            raise ValueError(f"expected a set literal with a member list, got {doc!r}")
+        return finsubset(doc["set"])
+
+    def witness_parts(self, witness):
+        return [(pair, None) for pair in witness]
+
+    def witness_part(self, pair, doc):
+        return pair
+
+
+class _SubDist(Monad):
+    """Subdistributions.  The evaluation map is the expected value, with
+    w * inf = inf for w > 0 (weights are strictly positive by
+    construction).  A witness is a tuple of (weight, (left, right))
+    entries."""
+
+    name = "subdist"
+    ev_label = "expect"
+
+    def unit(self, x):
+        return dirac(x)
+
+    def map(self, fn, t):
+        return subdist((fn(x), w) for x, w in t.items())
+
+    def weighted(self, t):
+        return t.weights
+
+    def pack(self, pairs):
+        return subdist(pairs)
+
+    def restrict(self, pairs):
+        return SubDist(tuple(pairs))
+
+    def flatten(self, pairs):
+        return subdist((x, w * v) for inner, w in pairs for x, v in inner.weights)
+
+    def ev_weighted(self, pairs, q):
+        if q.ident == "boolean":
+            raise QuantaleError("expectation is not defined over the boolean quantale")
+        total = Fraction(0)
+        for x, w in pairs:
+            v = q.validate(x)
+            if is_inf(v):
+                return INF
+            total += w * v
+        return q.validate(total)
+
+    def to_json(self, t):
+        return {"dist": {x if isinstance(x, str) else canon_key(x): str(w)
+                         for x, w in t.items()}}
+
+    def from_json(self, doc):
+        if not isinstance(doc, dict) or not isinstance(doc.get("dist"), dict):
+            raise ValueError(f"expected a dist literal with a weight object, got {doc!r}")
+        return subdist({x: weight_from_json(w) for x, w in doc["dist"].items()})
+
+    def witness_parts(self, witness):
+        return [(pair, w) for w, pair in witness]
+
+    def witness_part(self, pair, doc):
+        return (weight_from_json(doc["weight"]), pair)
+
+
+POWERSET = _Powerset()
+SUBDIST = _SubDist()
+
+_BY_NAME = {m.name: m for m in (POWERSET, SUBDIST)}
+
+
+def get_monad(name: str) -> Monad:
+    if not isinstance(name, str) or name not in _BY_NAME:
+        raise ValueError(f"unknown monad {name!r}; expected one of {tuple(_BY_NAME)}")
+    return _BY_NAME[name]
 
 
 # -- liftings ---------------------------------------------------------------
@@ -380,7 +445,7 @@ def _min_cost_transport(supply: List[int], demand: List[int],
     return sum(c * f for row, fl in zip(cost, flow) for c, f in zip(row, fl))
 
 
-def kantorovich_monad_generic(monad: str, d: VGraph, preds: PredSet,
+def kantorovich_monad_generic(monad: Monad, d: VGraph, preds: PredSet,
                               tvalues: Sequence[object]) -> VGraph:
     """Grid/enumeration oracle for the monad lifting.
 
@@ -401,7 +466,7 @@ def kantorovich_monad_generic(monad: str, d: VGraph, preds: PredSet,
     n = len(tvalues)
     dist = [[q.top] * n for _ in range(n)]
     evaluated = [
-        [ev_monad(monad, monad_map(monad, lambda x: f[x], t), q) for t in tvalues]
+        [monad.ev(monad.map(lambda x: f[x], t), q) for t in tvalues]
         for f in preds.preds
     ]
     for fi in range(len(preds.preds)):
@@ -411,30 +476,3 @@ def kantorovich_monad_generic(monad: str, d: VGraph, preds: PredSet,
                 dist[i][j] = q.meet2(dist[i][j], q.residuate(row[i], row[j]))
     return VGraph(q, out_carrier, dist)
 
-
-# -- JSON ---------------------------------------------------------------------
-
-def tvalue_to_json(monad: str, t, value_to_json=None):
-    check_monad(monad)
-    if monad == POWERSET:
-        return {"set": [m if isinstance(m, str) else canon_key(m) for m in t.members]}
-    return {"dist": {x if isinstance(x, str) else canon_key(x): str(w)
-                     for x, w in t.items()}}
-
-
-def tvalue_from_json(monad: str, doc: dict):
-    check_monad(monad)
-    if monad == POWERSET:
-        if not isinstance(doc, dict) or not isinstance(doc.get("set"), list) \
-                or not all(isinstance(m, str) for m in doc["set"]):
-            raise ValueError(f"expected a set literal with a member list, got {doc!r}")
-        return finsubset(doc["set"])
-    if not isinstance(doc, dict) or not isinstance(doc.get("dist"), dict):
-        raise ValueError(f"expected a dist literal with a weight object, got {doc!r}")
-    return subdist({x: weight_from_json(w) for x, w in doc["dist"].items()})
-
-
-def weight_from_json(w) -> Fraction:
-    if isinstance(w, bool) or not isinstance(w, (str, int)):
-        raise ValueError(f"a weight must be a rational string, got {w!r}")
-    return Fraction(w)

@@ -309,21 +309,3 @@ def get_quantale(ident: str) -> Quantale:
             f"unknown quantale {ident!r}; expected one of {sorted(_BY_IDENT)}")
     return _BY_IDENT[ident]
 
-
-# Operation-style entry points mirroring the module contract.
-
-def tensor(q: Quantale, a, b):
-    return q.tensor(a, b)
-
-
-def residuation(q: Quantale, a, b):
-    """d_V(a, b): the internal distance of the quantale."""
-    return q.residuate(a, b)
-
-
-def lattice(q: Quantale, op: str, values: Iterable):
-    if op == "join":
-        return q.join(values)
-    if op == "meet":
-        return q.meet(values)
-    raise ValueError(f"lattice op must be 'join' or 'meet', got {op!r}")

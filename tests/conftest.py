@@ -5,7 +5,7 @@ import pytest
 from quantadist.behaviour import CoalgebraModel
 from quantadist.functor import (ConstLeaf, IdLeaf, Inl, Inr, Tup,
                                 exception_functor, machine_functor)
-from quantadist.monadlift import dirac, finsubset, subdist
+from quantadist.monadlift import POWERSET, SUBDIST, dirac, finsubset, subdist
 from quantadist.quantale import UNIT_OPLUS
 from quantadist.vgraph import carrier
 
@@ -20,7 +20,7 @@ def build_probchain() -> CoalgebraModel:
         "x'": machine_term(F(1), dirac("x'")),
         "y": machine_term(F(1, 2), dirac("y")),
     }
-    return CoalgebraModel(UNIT_OPLUS, machine_functor(["a"]), "subdist",
+    return CoalgebraModel(UNIT_OPLUS, machine_functor(["a"]), SUBDIST,
                           carrier(["x", "x'", "y"]), carrier(["a"]), trans)
 
 
@@ -43,7 +43,7 @@ def build_exceptions(n: int = 3, values=(F(1, 4), F(1, 3), F(1, 2))) -> Coalgebr
                                           IdLeaf(finsubset(succ["b"])))))
         trans[f"{fam}{n}"] = Inl(ConstLeaf(val))
     states = carrier([f"{fam}{i}" for fam in "xyz" for i in range(n + 1)])
-    return CoalgebraModel(UNIT_OPLUS, exception_functor(["a", "b"]), "powerset",
+    return CoalgebraModel(UNIT_OPLUS, exception_functor(["a", "b"]), POWERSET,
                           states, carrier(["a", "b"]), trans)
 
 

@@ -15,9 +15,9 @@ from quantadist.behaviour import (Certificate, SparseDist, certify, kleene_gfp,
                                   witness_bound)
 from quantadist.galois import Grid, gamma_enum, grid_values
 from quantadist.models import (fixture_certificate, fixture_model, load_fixture)
-from quantadist.monadlift import (dirac, finsubset, hausdorff_directed,
-                                  kantorovich_lp, kantorovich_monad_generic,
-                                  pricing_lp, subdist)
+from quantadist.monadlift import (POWERSET, SUBDIST, dirac, finsubset,
+                                  hausdorff_directed, kantorovich_lp,
+                                  kantorovich_monad_generic, pricing_lp, subdist)
 from quantadist.quantale import EXT_PLUS, UNIT_OPLUS
 from quantadist.repro import REPRODUCTIONS
 from quantadist.simplex import simplex_solve
@@ -130,7 +130,7 @@ def test_criterion_6_oracle_consistency():
     c = carrier(["x", "y"])
     subsets = [finsubset(s) for s in ([], ["x"], ["y"], ["x", "y"])]
     for d in all_bool_graphs(c):
-        oracle = kantorovich_monad_generic("powerset", d, gamma_enum(d, Grid(1)),
+        oracle = kantorovich_monad_generic(POWERSET, d, gamma_enum(d, Grid(1)),
                                            subsets)
         for i, u in enumerate(subsets):
             for j, v in enumerate(subsets):
@@ -151,8 +151,8 @@ def test_criterion_6_oracle_consistency():
     prev_h = prev_w = None
     for k in (2, 4, 8):
         preds = gamma_enum(d, Grid(k))
-        grid_h = kantorovich_monad_generic("powerset", d, preds, sub_pairs)
-        grid_w = kantorovich_monad_generic("subdist", d, preds, dist_pairs)
+        grid_h = kantorovich_monad_generic(POWERSET, d, preds, sub_pairs)
+        grid_w = kantorovich_monad_generic(SUBDIST, d, preds, dist_pairs)
         gap_h = sum(exact_h[(i, j)] - grid_h.dist[i][j]
                     for i in range(3) for j in range(3))
         gap_w = sum(exact_w[(i, j)] - grid_w.dist[i][j]
@@ -174,7 +174,7 @@ def test_criterion_6_oracle_consistency():
     wits = {
         (S("p", "r"), S("r")): [((S("p"), S("r")), (S("r"), S("r")))],
     }
-    cert = Certificate("powerset", cand, wits)
+    cert = Certificate(POWERSET, cand, wits)
     states = [S(), S("p"), S("r"), S("p", "r")]
     for left in states:
         for right in states:

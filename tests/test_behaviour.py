@@ -10,7 +10,7 @@ from quantadist.behaviour import (Certificate, CoalgebraModel, ModelError,
 from quantadist.functor import (ConstLeaf, IdLeaf, Inl, Inr, Tup,
                                 exception_functor)
 from quantadist.galois import BudgetError
-from quantadist.monadlift import dirac, finsubset, subdist
+from quantadist.monadlift import POWERSET, SUBDIST, dirac, finsubset, subdist
 from quantadist.quantale import UNIT_OPLUS
 from quantadist.vgraph import carrier
 
@@ -31,7 +31,7 @@ def exception_certificate(n=3):
         (S("x0", "y0", "y1"), S("z0", "z1")):
             [((S("x0", "y0"), S("z0")), (S("y1"), S("z1")))],
     }
-    return Certificate("powerset", SparseDist(q, entries), wits)
+    return Certificate(POWERSET, SparseDist(q, entries), wits)
 
 
 def probchain_certificate():
@@ -43,7 +43,7 @@ def probchain_certificate():
         (half, dy): [((F(1, 2), (dx, dy)), (F(1, 2), (dxp, dy)))],
         (dy, half): [((F(1, 2), (dy, dx)), (F(1, 2), (dy, dxp)))],
     }
-    return Certificate("subdist", cand, wits)
+    return Certificate(SUBDIST, cand, wits)
 
 
 # -- the behaviour function -------------------------------------------------------
@@ -182,7 +182,7 @@ def test_trace_bound_monotone_in_length(exceptions3):
 def test_trace_bound_shape_guard():
     # An exception-shaped functor paired with the wrong monad has no
     # trace characterization.
-    bad = CoalgebraModel(UNIT_OPLUS, exception_functor(["a"]), "subdist",
+    bad = CoalgebraModel(UNIT_OPLUS, exception_functor(["a"]), SUBDIST,
                          carrier(["s"]), carrier(["a"]),
                          {"s": Inl(ConstLeaf(F(0)))})
     with pytest.raises(ModelError, match="machine- or exception-shaped"):
@@ -207,7 +207,7 @@ def test_witness_bound_subdist_example():
 
 def test_witness_bound_unit_only():
     cand = SparseDist(q, {(S("a"), S("b")): F(1, 3)})
-    cert = Certificate("powerset", cand, {})
+    cert = Certificate(POWERSET, cand, {})
     assert witness_bound(cert, (S("a"), S("b")), q) == F(1, 3)
     assert witness_bound(cert, (S("b"), S("a")), q) == q.bottom
 
@@ -215,7 +215,7 @@ def test_witness_bound_unit_only():
 def test_witness_marginal_mismatch_rejected():
     cand = SparseDist(q, {(S("a", "b"), S("c")): F(1, 2)})
     bad_witness = ((S("a"), S("c")),)  # union misses b
-    cert = Certificate("powerset", cand,
+    cert = Certificate(POWERSET, cand,
                        {(S("a", "b"), S("c")): [bad_witness]})
     with pytest.raises(WitnessError, match="marginal"):
         witness_bound(cert, (S("a", "b"), S("c")), q)
@@ -269,7 +269,7 @@ def test_certify_needs_matching_monad(probchain):
 
 def test_model_rejects_mismatched_labels():
     with pytest.raises(ModelError, match="labels"):
-        CoalgebraModel(UNIT_OPLUS, exception_functor(["a", "b"]), "powerset",
+        CoalgebraModel(UNIT_OPLUS, exception_functor(["a", "b"]), POWERSET,
                        carrier(["s"]), carrier(["a"]),
                        {"s": Inl(ConstLeaf(F(0)))})
 
@@ -292,7 +292,7 @@ def tiny_powerset_model():
         "p": Inr(Tup((IdLeaf(S("p")),))),
         "r": Inl(ConstLeaf(F(1, 2))),
     }
-    return CoalgebraModel(q, func, "powerset", carrier(["p", "r"]),
+    return CoalgebraModel(q, func, POWERSET, carrier(["p", "r"]),
                           carrier(["a"]), trans)
 
 
@@ -301,7 +301,7 @@ def test_u_exact_extensive_and_below_witness_bounds():
     pairs = [(a, b) for a in [S("p"), S("r"), S("p", "r")]
              for b in [S("p"), S("r"), S("p", "r")]]
     cand = SparseDist(q, {pair: F(1, 4) for pair in pairs})
-    cert = Certificate("powerset", cand, {})
+    cert = Certificate(POWERSET, cand, {})
     for pair in pairs:
         exact = u_exact(model, cand, pair)
         assert exact <= cand.value_at(pair)          # extensive (numeric)
@@ -332,7 +332,7 @@ def test_u_exact_boolean_toy_matches_hand_enumeration():
         "p": Inr(Tup((IdLeaf(S("p")),))),
         "r": Inr(Tup((IdLeaf(S("r")),))),
     }
-    model = CoalgebraModel(BOOLEAN, func, "powerset", carrier(["p", "r"]),
+    model = CoalgebraModel(BOOLEAN, func, POWERSET, carrier(["p", "r"]),
                            carrier(["a"]), trans)
     cand = SparseDist(BOOLEAN, {(S("p"), S("r")): True,
                                 (S("p", "r"), S("r")): True})

@@ -20,7 +20,7 @@ from quantadist.distlaw import (ALWAYS_LEFT, PRIORITY_LEFT, DistLaw, apply_zeta,
 from quantadist.functor import (ID, ConstF, ConstLeaf, CoprodF, IdF, IdLeaf, Inl,
                                 Inr, ProdF, Tup, const_values, map_payloads,
                                 pow_functor)
-from quantadist.monadlift import SubDist, finsubset, monad_map, subdist
+from quantadist.monadlift import POWERSET, SUBDIST, SubDist, finsubset, subdist
 from quantadist.quantale import EXT_PLUS, INF, UNIT_OPLUS, is_inf
 
 # The suite seeds the benchmark's `laws` workload draws from.
@@ -30,13 +30,13 @@ BENCH_SUITE_SEEDS = [7919 * k for k in range(4)]
 # -- the oracle -----------------------------------------------------------------
 
 def oracle_mult(monad, tt):
-    if monad == "powerset":
+    if monad is POWERSET:
         return finsubset(x for inner in tt.members for x in inner.members)
     return subdist((x, w * v) for inner, w in tt.items() for x, v in inner.items())
 
 
 def oracle_ev(monad, t, q):
-    if monad == "powerset":
+    if monad is POWERSET:
         return q.meet(q.validate(m) for m in t.members)
     total = F(0)
     for x, w in t.items():
@@ -48,7 +48,7 @@ def oracle_ev(monad, t, q):
 
 
 def oracle_g(monad, t, variant):
-    if monad == "powerset":
+    if monad is POWERSET:
         left = [m for m in t.members if isinstance(m, Inl)]
         if variant == ALWAYS_LEFT or left:
             return "left", finsubset(left)
@@ -62,22 +62,22 @@ def oracle_g(monad, t, variant):
 def oracle_zeta(law, functor, t):
     monad = law.monad
     if isinstance(functor, ConstF):
-        return ConstLeaf(oracle_ev(monad, monad_map(monad, lambda m: m.atom, t),
+        return ConstLeaf(oracle_ev(monad, monad.map(lambda m: m.atom, t),
                                    law.quantale))
     if isinstance(functor, IdF):
-        return IdLeaf(monad_map(monad, lambda m: m.payload, t))
+        return IdLeaf(monad.map(lambda m: m.payload, t))
     if isinstance(functor, ProdF):
-        return Tup(tuple(oracle_zeta(law, part, monad_map(monad, lambda m: m.items[i], t))
+        return Tup(tuple(oracle_zeta(law, part, monad.map(lambda m: m.items[i], t))
                          for i, part in enumerate(functor.parts)))
     side, restricted = oracle_g(monad, t, law.g_variant)
-    stripped = monad_map(monad, lambda m: m.item, restricted)
+    stripped = monad.map(lambda m: m.item, restricted)
     if side == "left":
         return Inl(oracle_zeta(law, functor.left, stripped))
     return Inr(oracle_zeta(law, functor.right, stripped))
 
 
 def oracle_successor(law, transitions, state):
-    lifted = monad_map(law.monad, lambda x: transitions[x], state)
+    lifted = law.monad.map(lambda x: transitions[x], state)
     step = oracle_zeta(law, law.functor, lifted)
     return map_payloads(step, lambda tt: oracle_mult(law.monad, tt))
 
@@ -90,8 +90,8 @@ NESTED = CoprodF(ProdF((const_values(), ID)),
 
 def all_laws():
     shapes = dict(case_study_laws())
-    shapes["nested-powerset"] = DistLaw(NESTED, "powerset", UNIT_OPLUS)
-    shapes["nested-subdist"] = DistLaw(NESTED, "subdist", EXT_PLUS)
+    shapes["nested-powerset"] = DistLaw(NESTED, POWERSET, UNIT_OPLUS)
+    shapes["nested-subdist"] = DistLaw(NESTED, SUBDIST, EXT_PLUS)
     return [(f"{name}/{variant}", DistLaw(law.functor, law.monad, law.quantale, variant))
             for name, law in sorted(shapes.items())
             for variant in (PRIORITY_LEFT, ALWAYS_LEFT)]
@@ -107,7 +107,7 @@ def const_pool(law):
 
 def random_tvalue(rng, monad, items, max_size=3):
     chosen = rng.sample(items, rng.randint(0, min(max_size, len(items))))
-    if monad == "powerset":
+    if monad is POWERSET:
         return finsubset(chosen)
     denom = rng.choice([2, 3, 4, 6])
     remaining = denom
@@ -191,5 +191,5 @@ def test_law_suite_and_mutant_on_benchmark_seeds(seed):
         assert not failed, (name, failed)
         mutant = DistLaw(law.functor, law.monad, law.quantale, g_variant=ALWAYS_LEFT)
         rows = {r.name: r.passed for r in law_suite(mutant, seed=seed)}
-        unit = f"{law.monad} ({ALWAYS_LEFT}): prioritizer compatible with the unit"
+        unit = f"{law.monad.name} ({ALWAYS_LEFT}): prioritizer compatible with the unit"
         assert rows[unit] is False, name

@@ -7,12 +7,12 @@ from quantadist.distlaw import (ALWAYS_LEFT, DistLaw, StateBudgetError,
                                 determinize, law_suite)
 from quantadist.functor import (ConstLeaf, IdLeaf, Inl, Inr, Tup, const_atoms,
                                 exception_functor, machine_functor, map_payloads)
-from quantadist.monadlift import dirac, finsubset, monad_unit, subdist
-from quantadist.quantale import UNIT_OPLUS
+from quantadist.monadlift import POWERSET, SUBDIST, dirac, finsubset, subdist
+from quantadist.quantale import INF, UNIT_OPLUS
 
 
-MACHINE_LAW = DistLaw(machine_functor(["a"]), "subdist", UNIT_OPLUS)
-EXC_LAW = DistLaw(exception_functor(["a", "b"]), "powerset", UNIT_OPLUS)
+MACHINE_LAW = DistLaw(machine_functor(["a"]), SUBDIST, UNIT_OPLUS)
+EXC_LAW = DistLaw(exception_functor(["a", "b"]), POWERSET, UNIT_OPLUS)
 
 
 def machine_term(out, dist):
@@ -22,25 +22,25 @@ def machine_term(out, dist):
 # -- prioritizing transformation -----------------------------------------------
 
 def test_apply_g_powerset():
-    side, kept = apply_g_carriers("powerset", ["x1", "y1"], ["x2", "y2"],
+    side, kept = apply_g_carriers(POWERSET, ["x1", "y1"], ["x2", "y2"],
                                   finsubset(["x1", "y2"]))
     assert side == "left" and kept == finsubset(["x1"])
-    side, kept = apply_g_carriers("powerset", ["x1"], ["x2"], finsubset([]))
+    side, kept = apply_g_carriers(POWERSET, ["x1"], ["x2"], finsubset([]))
     assert side == "right" and kept == finsubset([])
 
 
 def test_apply_g_subdist():
     t = subdist({"x1": F(1, 2), "y2": F(1, 2)})
-    side, kept = apply_g_carriers("subdist", ["x1"], ["y2"], t)
+    side, kept = apply_g_carriers(SUBDIST, ["x1"], ["y2"], t)
     assert side == "left" and kept == subdist({"x1": F(1, 2)})
-    side, kept = apply_g_carriers("subdist", ["z1"], ["y2"],
+    side, kept = apply_g_carriers(SUBDIST, ["z1"], ["y2"],
                                   subdist({"y2": F(1, 3)}))
     assert side == "right" and kept == subdist({"y2": F(1, 3)})
 
 
 def test_apply_g_rejects_overlapping_carriers():
     with pytest.raises(ValueError, match="disjoint"):
-        apply_g_carriers("powerset", ["x"], ["x"], finsubset(["x"]))
+        apply_g_carriers(POWERSET, ["x"], ["x"], finsubset(["x"]))
 
 
 # -- zeta components -------------------------------------------------------------
@@ -85,15 +85,15 @@ def test_zeta_empty_set_transitions_to_empty():
 
 def test_zeta_unit_image():
     term = machine_term(F(1, 4), dirac("x"))
-    lhs = apply_zeta(MACHINE_LAW, monad_unit("subdist", term))
-    rhs = map_payloads(term, lambda p: monad_unit("subdist", p))
+    lhs = apply_zeta(MACHINE_LAW, SUBDIST.unit(term))
+    rhs = map_payloads(term, lambda p: SUBDIST.unit(p))
     assert lhs == rhs
 
 
 def test_law_requires_value_constants():
     named = const_atoms(["a"], [{"a": F(0)}])
     with pytest.raises(ValueError, match="quantale-valued"):
-        DistLaw(named, "powerset", UNIT_OPLUS)
+        DistLaw(named, POWERSET, UNIT_OPLUS)
 
 
 def test_law_rejects_unknown_monad():
@@ -123,7 +123,7 @@ def exception_transitions(n=3):
 
 
 def test_determinize_exception_successors():
-    det = determinize(DistLaw(exception_functor(["a", "b"]), "powerset", UNIT_OPLUS),
+    det = determinize(DistLaw(exception_functor(["a", "b"]), POWERSET, UNIT_OPLUS),
                       exception_transitions(), [finsubset(["x0", "y0"])], depth=1)
     step = det.successor(finsubset(["x0", "y0"]))
     assert step.item.items[0].payload == finsubset(["x0", "x1", "y0"])
@@ -147,7 +147,7 @@ def test_determinize_probabilistic_chain():
 
 
 def test_determinize_depth_zero_and_frontier():
-    det = determinize(DistLaw(exception_functor(["a", "b"]), "powerset", UNIT_OPLUS),
+    det = determinize(DistLaw(exception_functor(["a", "b"]), POWERSET, UNIT_OPLUS),
                       exception_transitions(), [finsubset(["z0"])], depth=0)
     assert list(det.memo) == [finsubset(["z0"])]
     assert det.frontier == {finsubset(["z0", "z1"])}
@@ -155,7 +155,7 @@ def test_determinize_depth_zero_and_frontier():
 
 def test_determinize_budget_refusal():
     with pytest.raises(StateBudgetError, match="budget"):
-        determinize(DistLaw(exception_functor(["a", "b"]), "powerset", UNIT_OPLUS),
+        determinize(DistLaw(exception_functor(["a", "b"]), POWERSET, UNIT_OPLUS),
                     exception_transitions(), [finsubset(["x0", "y0"])],
                     max_states=3)
 
@@ -169,8 +169,42 @@ def test_law_suite_passes(name, law):
     assert not bad, bad
 
 
+def _empty_set_is_bottom(pairs, q):
+    """Mutant powerset evaluation map: the empty set evaluates to bottom."""
+    return q.meet(q.validate(m) for m, _w in pairs) if pairs else q.bottom
+
+
+def _normalized_expectation(pairs, q):
+    """Mutant subdistribution evaluation map: the expectation divided by
+    the mass."""
+    values = [q.validate(x) for x, _w in pairs]
+    if INF in values:
+        return INF
+    mass = sum((w for _x, w in pairs), F(0))
+    total = sum((w * v for v, (_x, w) in zip(values, pairs)), F(0))
+    return q.validate(total / mass) if mass else q.top
+
+
+ALGEBRA_CHECK = "constant algebras are evaluation homomorphisms"
+
+
+def _algebra_rows(law):
+    return [r.passed for r in law_suite(law) if r.name.endswith(ALGEBRA_CHECK)]
+
+
+@pytest.mark.parametrize("name,monad,mutant_ev", [
+    ("exception-powerset", POWERSET, _empty_set_is_bottom),
+    ("machine-subdist", SUBDIST, _normalized_expectation),
+])
+def test_law_suite_catches_mutant_evaluation_map(monkeypatch, name, monad, mutant_ev):
+    law = case_study_laws()[name]
+    assert _algebra_rows(law) == [True]
+    monkeypatch.setattr(monad, "ev_weighted", mutant_ev)
+    assert _algebra_rows(law) == [False]
+
+
 def test_law_suite_mutant_fails_unit_compatibility():
-    law = DistLaw(exception_functor(["a"]), "powerset", UNIT_OPLUS,
+    law = DistLaw(exception_functor(["a"]), POWERSET, UNIT_OPLUS,
                   g_variant=ALWAYS_LEFT)
     results = law_suite(law)
     by_name = {r.name: r for r in results}

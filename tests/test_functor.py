@@ -12,7 +12,7 @@ from quantadist.functor import (ConstF, ConstLeaf, CoprodF,
                                 kantorovich_generic, lift_closed, machine_functor,
                                 map_payloads, shape_check, star, term_key)
 from quantadist.galois import Grid, PredSet, alpha, gamma_enum
-from quantadist.monadlift import dirac, finsubset, subdist
+from quantadist.monadlift import POWERSET, SUBDIST, dirac, finsubset, subdist
 from quantadist.quantale import BOOLEAN, UNIT_OPLUS
 from quantadist.suites import all_bool_graphs, all_bool_preds
 from quantadist.vgraph import (VGraph, carrier, graph_from_entries,
@@ -213,7 +213,7 @@ def test_star_size():
 
 
 def test_star_sup_expect_counterexample_evaluator():
-    sup_e = StarEval(MonadEval("powerset"), MonadEval("subdist"))
+    sup_e = StarEval(MonadEval(POWERSET), MonadEval(SUBDIST))
     for gx, gy in product([F(0), F(1, 3), F(1)], repeat=2):
         u = finsubset([dirac(gx), dirac(gy)])
         v = finsubset([dirac(gx), subdist({gx: F(1, 2), gy: F(1, 2)}), dirac(gy)])

@@ -11,6 +11,7 @@ from quantadist.models import (DistanceInstance, ModelFormatError,
                                functor_from_json, functor_to_json, load_fixture,
                                model_from_json, model_to_json, term_from_json,
                                term_to_json)
+from quantadist.monadlift import POWERSET, SUBDIST
 from quantadist.quantale import UNIT_OPLUS
 
 
@@ -30,8 +31,8 @@ def test_model_json_roundtrip(probchain, exceptions3):
 
 def test_term_json_roundtrip(probchain):
     term = probchain.transitions["x"]
-    doc = term_to_json(probchain.functor, term, "subdist", UNIT_OPLUS)
-    assert term_from_json(probchain.functor, doc, "subdist", UNIT_OPLUS) == term
+    doc = term_to_json(probchain.functor, term, SUBDIST, UNIT_OPLUS)
+    assert term_from_json(probchain.functor, doc, SUBDIST, UNIT_OPLUS) == term
 
 
 def test_certificate_json_roundtrip(exceptions3):
@@ -45,8 +46,8 @@ def test_certificate_json_roundtrip(exceptions3):
 def test_fixture_models_validate():
     prob = fixture_model("probchain.json")
     exc = fixture_model("exceptions.json")
-    assert prob.monad == "subdist" and len(prob.states) == 3
-    assert exc.monad == "powerset" and len(exc.states) == 12
+    assert prob.monad is SUBDIST and len(prob.states) == 3
+    assert exc.monad is POWERSET and len(exc.states) == 12
     transport = model_from_json(load_fixture("transport.json"))
     assert isinstance(transport, DistanceInstance)
     assert set(transport.distributions) == {"P", "Q"}
@@ -63,6 +64,14 @@ def test_model_errors():
     bad["transitions"]["x"] = {"id": {"dist": {"x": "1"}}}
     with pytest.raises(ModelFormatError, match="identity leaf"):
         model_from_json(bad)
+
+
+@pytest.mark.parametrize("monad", ["foo", ["powerset"], None])
+def test_model_rejects_unknown_monad(monad):
+    doc = {"quantale": "unit-oplus", "monad": monad, "functor": "id",
+           "states": [], "transitions": {}}
+    with pytest.raises(ModelFormatError, match="unknown monad"):
+        model_from_json(doc)
 
 
 def fixture_path(name):
@@ -148,9 +157,9 @@ def test_named_atom_term_json_roundtrip():
     from quantadist.functor import const_atoms
     func = const_atoms(["lo", "hi"], [{"lo": F(0), "hi": F(1)}])
     term = ConstLeaf("hi")
-    doc = term_to_json(func, term, "powerset", UNIT_OPLUS)
+    doc = term_to_json(func, term, POWERSET, UNIT_OPLUS)
     assert doc == {"const": {"atom": "hi"}}
-    assert term_from_json(func, doc, "powerset", UNIT_OPLUS) == term
+    assert term_from_json(func, doc, POWERSET, UNIT_OPLUS) == term
 
 
 def test_cli_json_reports_deterministic():
@@ -350,3 +359,35 @@ def test_cli_malformed_vgraph_model_exit_code(tmp_path, path, value, message):
                               "--pair", "P|Q", "--method", "lp")
     assert code == 2
     assert message in err
+
+
+def test_cli_main_repeated_in_one_process(monkeypatch):
+    """``main`` builds its parser once per process; repeated calls answer
+    as a fresh process does."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import quantadist
+    from quantadist import cli
+
+    monkeypatch.setenv("COLUMNS", "80")  # usage text wraps at the terminal width
+    env = dict(os.environ, PYTHONPATH=str(Path(quantadist.__file__).parent.parent))
+    calls = [
+        ("laws", "--scope", "polyfunctor", "--json"),
+        ("distance", "--model"),
+        ("distance", "--model", fixture_path("transport.json"), "--pair", "P|Q",
+         "--method", "lp", "--json"),
+    ]
+    codes = []
+    for argv in calls:
+        code, out, err = run_cli(*argv)
+        fresh = subprocess.run([sys.executable, "-m", "quantadist.cli", *argv],
+                               capture_output=True, text=True, env=env)
+        assert (code, out) == (fresh.returncode, fresh.stdout), argv
+        if code == 2:
+            assert err == fresh.stderr
+        codes.append(code)
+    assert codes == [0, 2, 0]
+    assert cli._parser.cache_info().misses == 1

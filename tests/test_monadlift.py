@@ -5,11 +5,9 @@ from itertools import product
 import pytest
 
 from quantadist.galois import Grid, gamma_enum
-from quantadist.monadlift import (dirac, ev_monad, finsubset,
+from quantadist.monadlift import (POWERSET, SUBDIST, dirac, finsubset,
                                   hausdorff_directed, kantorovich_lp,
-                                  kantorovich_monad_generic, monad_map, monad_mult,
-                                  monad_ops, monad_unit, pricing_lp, subdist,
-                                  tvalue_from_json, tvalue_to_json)
+                                  kantorovich_monad_generic, pricing_lp, subdist)
 from quantadist.quantale import BOOLEAN, EXT_PLUS, INF, UNIT_OPLUS
 from quantadist.simplex import simplex_solve
 from quantadist.vgraph import VGraph, carrier, graph_from_entries, is_vcat, metric_closure
@@ -26,18 +24,17 @@ def geo():
 # -- monad structure ---------------------------------------------------------
 
 def test_powerset_ops():
-    assert monad_unit("powerset", "x") == finsubset(["x"])
+    assert POWERSET.unit("x") == finsubset(["x"])
     nested = finsubset([finsubset(["x"]), finsubset(["x", "y"])])
-    assert monad_mult("powerset", nested) == finsubset(["x", "y"])
-    assert monad_map("powerset", lambda s: s.upper(), finsubset(["a", "b"])) == \
+    assert POWERSET.mult(nested) == finsubset(["x", "y"])
+    assert POWERSET.map(lambda s: s.upper(), finsubset(["a", "b"])) == \
         finsubset(["A", "B"])
-    assert monad_ops("powerset", "unit", "z") == finsubset(["z"])
 
 
 def test_subdist_mult_case_study_value():
     # Flattening one half of a Dirac at x plus one half of a Dirac at y.
     nested = subdist({dirac("x"): F(1, 2), dirac("y"): F(1, 2)})
-    assert monad_mult("subdist", nested) == subdist({"x": F(1, 2), "y": F(1, 2)})
+    assert SUBDIST.mult(nested) == subdist({"x": F(1, 2), "y": F(1, 2)})
 
 
 def test_subdist_validation():
@@ -53,34 +50,32 @@ def test_monad_laws_sampled():
     def rand_nested(monad, depth):
         if depth == 0:
             return rng.choice(elements)
-        if monad == "powerset":
+        if monad is POWERSET:
             return finsubset(rand_nested(monad, depth - 1)
                              for _ in range(rng.randint(0, 2)))
         return subdist([(rand_nested(monad, depth - 1), F(1, 4))
                         for _ in range(rng.randint(0, 3))])
 
-    for monad in ("powerset", "subdist"):
+    for monad in (POWERSET, SUBDIST):
         for _ in range(25):
             t = rand_nested(monad, 1)
-            assert monad_mult(monad, monad_unit(monad, t)) == t
-            assert monad_mult(monad, monad_map(
-                monad, lambda x: monad_unit(monad, x), t)) == t
+            assert monad.mult(monad.unit(t)) == t
+            assert monad.mult(monad.map(lambda x: monad.unit(x), t)) == t
         for _ in range(25):
             ttt = rand_nested(monad, 3)
-            flatten_outer = monad_mult(monad, monad_mult(monad, ttt))
-            flatten_inner = monad_mult(monad, monad_map(
-                monad, lambda tt: monad_mult(monad, tt), ttt))
+            flatten_outer = monad.mult(monad.mult(ttt))
+            flatten_inner = monad.mult(monad.map(lambda tt: monad.mult(tt), ttt))
             assert flatten_outer == flatten_inner
 
 
 # -- evaluation maps ---------------------------------------------------------
 
 def test_ev_monad_examples():
-    assert ev_monad("powerset", finsubset([F(0), F(1, 2), F(0)]), UNIT_OPLUS) == F(1, 2)
-    assert ev_monad("powerset", finsubset([]), UNIT_OPLUS) == F(0)
-    assert ev_monad("subdist", dirac(F(3, 4)), UNIT_OPLUS) == F(3, 4)
-    assert ev_monad("subdist", subdist({INF: F(1, 2), F(0): F(1, 2)}), EXT_PLUS) is INF
-    assert ev_monad("powerset", finsubset([True, False]), BOOLEAN) is False
+    assert POWERSET.ev(finsubset([F(0), F(1, 2), F(0)]), UNIT_OPLUS) == F(1, 2)
+    assert POWERSET.ev(finsubset([]), UNIT_OPLUS) == F(0)
+    assert SUBDIST.ev(dirac(F(3, 4)), UNIT_OPLUS) == F(3, 4)
+    assert SUBDIST.ev(subdist({INF: F(1, 2), F(0): F(1, 2)}), EXT_PLUS) is INF
+    assert POWERSET.ev(finsubset([True, False]), BOOLEAN) is False
 
 
 # -- directed Hausdorff ---------------------------------------------------------
@@ -110,7 +105,7 @@ def test_hausdorff_agrees_with_boolean_generic():
     subsets = [finsubset(s) for s in ([], ["x"], ["y"], ["x", "y"])]
     from quantadist.suites import all_bool_graphs
     for d in all_bool_graphs(c):
-        oracle = kantorovich_monad_generic("powerset", d, gamma_enum(d, Grid(1)), subsets)
+        oracle = kantorovich_monad_generic(POWERSET, d, gamma_enum(d, Grid(1)), subsets)
         for i, u in enumerate(subsets):
             for j, v in enumerate(subsets):
                 assert hausdorff_directed(d, u, v) == oracle.dist[i][j], (d.dist, u, v)
@@ -124,7 +119,7 @@ def test_hausdorff_grid_oracle_unit():
     exact = {(u, v): hausdorff_directed(d, u, v) for u in subsets for v in subsets}
     prev_gap = None
     for k in (2, 4, 8):
-        oracle = kantorovich_monad_generic("powerset", d, gamma_enum(d, Grid(k)), subsets)
+        oracle = kantorovich_monad_generic(POWERSET, d, gamma_enum(d, Grid(k)), subsets)
         gaps = []
         for i, u in enumerate(subsets):
             for j, v in enumerate(subsets):
@@ -220,7 +215,7 @@ def test_lp_grid_oracle_unit():
     assert exact == F(1, 4)
     prev = None
     for k in (2, 4, 8):
-        oracle = kantorovich_monad_generic("subdist", d, gamma_enum(d, Grid(k)), [p, q])
+        oracle = kantorovich_monad_generic(SUBDIST, d, gamma_enum(d, Grid(k)), [p, q])
         approx = oracle.dist[0][1]
         assert approx <= exact
         if prev is not None:
@@ -250,9 +245,9 @@ def test_lp_constraints_against_closure_match_raw_graph():
 
 def test_tvalue_json_roundtrip():
     s = finsubset(["y", "x"])
-    assert tvalue_to_json("powerset", s) == {"set": ["x", "y"]}
-    assert tvalue_from_json("powerset", {"set": ["x", "y"]}) == s
+    assert POWERSET.to_json(s) == {"set": ["x", "y"]}
+    assert POWERSET.from_json({"set": ["x", "y"]}) == s
     p = subdist({"x": F(1, 2), "y": F(1, 2)})
-    doc = tvalue_to_json("subdist", p)
+    doc = SUBDIST.to_json(p)
     assert doc == {"dist": {"x": "1/2", "y": "1/2"}}
-    assert tvalue_from_json("subdist", doc) == p
+    assert SUBDIST.from_json(doc) == p

@@ -20,7 +20,7 @@ from quantadist.functor import (ConstLeaf, IdLeaf, Inl, Inr, Tup, exception_func
                                 machine_functor)
 from quantadist.galois import BudgetError
 from quantadist.models import fixture_model
-from quantadist.monadlift import dirac, finsubset, subdist
+from quantadist.monadlift import POWERSET, SUBDIST, dirac, finsubset, subdist
 from quantadist.quantale import UNIT_OPLUS
 from quantadist.vgraph import carrier
 
@@ -104,7 +104,7 @@ def random_machine(rng, size=4, labels=("a", "b")) -> CoalgebraModel:
             steps.append(subdist({x: F(w, total) for x, w in zip(support, weights)}))
         out = F(rng.randint(0, 4), 4)
         trans[name] = Tup((ConstLeaf(out), Tup(tuple(IdLeaf(d) for d in steps))))
-    return CoalgebraModel(UNIT_OPLUS, machine_functor(labels), "subdist",
+    return CoalgebraModel(UNIT_OPLUS, machine_functor(labels), SUBDIST,
                           carrier(names), carrier(labels), trans)
 
 
@@ -131,7 +131,7 @@ def random_exception_model(rng, size=5, labels=("a", "b")) -> CoalgebraModel:
         else:
             trans[name] = Inr(Tup(tuple(
                 IdLeaf(finsubset(rng.sample(names, rng.randint(0, 2)))) for _ in labels)))
-    return CoalgebraModel(UNIT_OPLUS, exception_functor(labels), "powerset",
+    return CoalgebraModel(UNIT_OPLUS, exception_functor(labels), POWERSET,
                           carrier(names), carrier(labels), trans)
 
 
@@ -151,7 +151,7 @@ def random_dirac_machine(rng, size=4, labels=("a", "b")) -> CoalgebraModel:
     trans = {name: Tup((ConstLeaf(F(rng.randint(0, 4), 4)),
                         Tup(tuple(IdLeaf(dirac(rng.choice(names))) for _ in labels))))
              for name in names}
-    return CoalgebraModel(UNIT_OPLUS, machine_functor(labels), "subdist",
+    return CoalgebraModel(UNIT_OPLUS, machine_functor(labels), SUBDIST,
                           carrier(names), carrier(labels), trans)
 
 

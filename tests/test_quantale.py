@@ -3,38 +3,38 @@ from fractions import Fraction as F
 import pytest
 
 from quantadist.quantale import (BOOLEAN, EXT_PLUS, INF, UNIT_OPLUS, QuantaleError,
-                                 get_quantale, lattice, residuation, tensor)
+                                 get_quantale)
 from quantadist.galois import Grid, grid_values
 from quantadist.suites import quantale_suite
 
 
 def test_tensor_examples():
-    assert tensor(UNIT_OPLUS, F(7, 10), F(3, 5)) == F(1)
-    assert tensor(EXT_PLUS, F(2), INF) is INF
-    assert tensor(BOOLEAN, True, False) is False
+    assert UNIT_OPLUS.tensor(F(7, 10), F(3, 5)) == F(1)
+    assert EXT_PLUS.tensor(F(2), INF) is INF
+    assert BOOLEAN.tensor(True, False) is False
 
 
 def test_residuation_examples():
-    assert residuation(BOOLEAN, True, False) is False
-    assert residuation(UNIT_OPLUS, F(3, 10), F(4, 5)) == F(1, 2)
+    assert BOOLEAN.residuate(True, False) is False
+    assert UNIT_OPLUS.residuate(F(3, 10), F(4, 5)) == F(1, 2)
     # d_V(k, w) = w across a 1/8 grid
     for w in grid_values(UNIT_OPLUS, Grid(8)):
-        assert residuation(UNIT_OPLUS, UNIT_OPLUS.unit, w) == w
+        assert UNIT_OPLUS.residuate(UNIT_OPLUS.unit, w) == w
 
 
 def test_lattice_examples():
-    assert lattice(UNIT_OPLUS, "meet", [F(1, 5), F(7, 10)]) == F(7, 10)
-    assert lattice(UNIT_OPLUS, "join", []) == F(1)  # bottom is numeric 1
-    assert lattice(BOOLEAN, "join", [False, True]) is True
-    assert lattice(BOOLEAN, "meet", []) is True
-    assert lattice(EXT_PLUS, "join", []) is INF
+    assert UNIT_OPLUS.meet([F(1, 5), F(7, 10)]) == F(7, 10)
+    assert UNIT_OPLUS.join([]) == F(1)  # bottom is numeric 1
+    assert BOOLEAN.join([False, True]) is True
+    assert BOOLEAN.meet([]) is True
+    assert EXT_PLUS.join([]) is INF
 
 
 def test_mixed_operands_rejected():
     with pytest.raises(QuantaleError):
-        tensor(BOOLEAN, True, F(1, 2))
+        BOOLEAN.tensor(True, F(1, 2))
     with pytest.raises(QuantaleError):
-        tensor(UNIT_OPLUS, F(1, 2), True)
+        UNIT_OPLUS.tensor(F(1, 2), True)
     with pytest.raises(QuantaleError):
         UNIT_OPLUS.validate(F(3, 2))
     with pytest.raises(QuantaleError):
