@@ -26,7 +26,8 @@ from .distlaw import (ALWAYS_LEFT, DistLaw, StateBudgetError, case_study_laws,
 from .galois import BudgetError
 from .models import (DistanceInstance, ModelFormatError, certificate_from_json,
                      load_json_file, model_from_json)
-from .monadlift import POWERSET, finsubset, hausdorff_directed, kantorovich_lp, subdist
+from .monadlift import (POWERSET, FinSubset, finsubset, hausdorff_directed,
+                        kantorovich_lp, subdist)
 from .quantale import QuantaleError
 from .repro import REPRODUCTIONS
 from .suites import galois_suite, extension_suite, polyfunctor_suite, quantale_suite
@@ -81,7 +82,25 @@ def _parse_pair(text: str, instance):
     if "|" not in text:
         raise _CliError("a pair looks like 'lhs|rhs'")
     left, right = text.split("|", 1)
-    return _parse_tvalue(left, instance), _parse_tvalue(right, instance)
+    pair = _parse_tvalue(left, instance), _parse_tvalue(right, instance)
+    if isinstance(instance, CoalgebraModel):
+        for t in pair:
+            for m in (t.members if isinstance(t, FinSubset) else t.support()):
+                if m not in instance.states:
+                    raise _CliError(f"{m!r} is not a state")
+    return pair
+
+
+def _count(text: str) -> int:
+    """The argparse type of a budget: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return value
 
 
 def _emit(report: dict, as_json: bool, lines: List[str]):
@@ -218,11 +237,13 @@ def build_parser() -> argparse.ArgumentParser:
                            "x:1/2,y:1/2, or names from the model file")
     dist.add_argument("--method", required=True,
                       choices=["kleene", "trace", "lp", "hausdorff"])
-    dist.add_argument("--max-words", type=int, default=10,
+    dist.add_argument("--max-words", type=_count, default=10,
                       help="trace: explore words of length strictly below this")
-    dist.add_argument("--max-iters", type=int, default=1000)
-    dist.add_argument("--max-states", type=int, default=100_000)
-    dist.add_argument("--depth", type=int, default=None,
+    dist.add_argument("--max-iters", type=_count, default=1000)
+    dist.add_argument("--max-states", type=_count, default=10_000,
+                      help="kleene: refuse (exit 3) beyond this many "
+                           "determinized states")
+    dist.add_argument("--depth", type=_count, default=None,
                       help="kleene: bound the exploration depth (the carrier "
                            "must close within it)")
     dist.add_argument("--json", action="store_true")

@@ -281,12 +281,12 @@ def eval_map(q: Quantale, ev, term):
         if not isinstance(term, ConstLeaf):
             raise ShapeError(f"constant evaluation on {term!r}")
         if ev.pred is None:
-            return q.validate(term.atom)
-        return q.validate(dict(ev.pred)[term.atom])
+            return term.atom
+        return dict(ev.pred)[term.atom]
     if isinstance(ev, IdEval):
         if not isinstance(term, IdLeaf):
             raise ShapeError(f"identity evaluation on {term!r}")
-        return q.validate(term.payload)
+        return term.payload
     if isinstance(ev, ProjEval):
         if not isinstance(term, Tup):
             raise ShapeError(f"projection on {term!r}")

@@ -234,21 +234,39 @@ def certificate_from_json(doc: dict, model: CoalgebraModel) -> Certificate:
         raise ModelFormatError("certificate document must be a JSON object")
     q = model.quantale
     monad = model.monad
+    states = model.states
+
+    def pair_of(row):
+        pair = (monad.from_json(row["lhs"]), monad.from_json(row["rhs"]))
+        for t in pair:
+            for m, _w in monad.weighted(t):
+                if m not in states:
+                    raise ModelFormatError(f"{m!r} is not a state")
+        return pair
+
     try:
         entries = {}
         for row in _rows(doc["entries"], "certificate entries"):
-            pair = (monad.from_json(row["lhs"]), monad.from_json(row["rhs"]))
-            entries[pair] = q.value_from_json(row["value"])
+            entries[pair_of(row)] = q.value_from_json(row["value"])
         witnesses = {}
         for row in _rows(doc.get("witnesses", []), "certificate witnesses"):
-            pair = (monad.from_json(row["lhs"]), monad.from_json(row["rhs"]))
-            parts = [monad.witness_part((monad.from_json(part["lhs"]),
-                                         monad.from_json(part["rhs"])), part)
-                     for part in _rows(row["parts"], "witness parts")]
-            witnesses.setdefault(pair, []).append(tuple(parts))
+            pair = pair_of(row)
+            parts = tuple(monad.witness_part(pair_of(part), part)
+                          for part in _rows(row["parts"], "witness parts"))
+            # A convex witness is a subdistribution of pairs: a negative
+            # weight on a pair of empty parts would lower the bound without
+            # changing the marginals.
+            weights = [w for _p, w in monad.witness_parts(parts) if w is not None]
+            if any(w < 0 for w in weights) or sum(weights) > 1:
+                raise ModelFormatError(
+                    f"witness weights {', '.join(map(str, weights))} are not "
+                    f"non-negative with sum at most 1")
+            witnesses.setdefault(pair, []).append(parts)
     except KeyError as exc:
         raise ModelFormatError(f"missing certificate field {exc}") from None
-    return Certificate(monad, SparseDist(q, entries), witnesses)
+    candidate = SparseDist(q)
+    candidate.entries = entries  # value_from_json has validated every value
+    return Certificate(monad, candidate, witnesses)
 
 
 def certificate_to_json(cert: Certificate, q: Quantale) -> dict:

@@ -190,7 +190,7 @@ class _Powerset(Monad):
         return finsubset(x for inner, _w in pairs for x in inner.members)
 
     def ev_weighted(self, pairs, q):
-        return q.meet(q.validate(m) for m, _w in pairs)
+        return q.meet(m for m, _w in pairs)
 
     def to_json(self, t):
         return {"set": [m if isinstance(m, str) else canon_key(m) for m in t.members]}
@@ -239,12 +239,11 @@ class _SubDist(Monad):
         if q.ident == "boolean":
             raise QuantaleError("expectation is not defined over the boolean quantale")
         total = Fraction(0)
-        for x, w in pairs:
-            v = q.validate(x)
-            if is_inf(v):
+        for v, w in pairs:
+            if v is INF:
                 return INF
             total += w * v
-        return q.validate(total)
+        return total
 
     def to_json(self, t):
         return {"dist": {x if isinstance(x, str) else canon_key(x): str(w)

@@ -14,6 +14,15 @@ Because the real-valued quantales reverse the order, the lattice meet is
 the numeric maximum and the lattice join is the numeric minimum; the top
 element is numeric 0 and the bottom is numeric 1 (resp. infinity).  All
 arithmetic uses ``fractions.Fraction``; no floats appear anywhere.
+
+Values are trusted inside the system.  ``leq``, ``join2``, ``meet2``,
+``tensor`` and ``residuate`` assume canonical values of their quantale
+(a ``bool``, a ``Fraction`` in range, or the ``INF`` singleton, tested
+by identity) and check nothing; an operation on anything else gives an
+undefined result.  Values are validated once, where they enter:
+``value_from_json`` (model, certificate and graph files),
+``SparseDist``, ``VGraph`` and ``graph_from_entries`` call
+``validate``, and ``galois.grid_values`` builds canonical values only.
 """
 
 from __future__ import annotations
@@ -51,7 +60,12 @@ Value = object
 
 
 def is_inf(v) -> bool:
-    return v is INF or isinstance(v, _Infinity)
+    return v is INF
+
+
+#: The rational constants of the real-valued quantales.
+ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 def as_fraction(v) -> Fraction:
@@ -64,33 +78,20 @@ def as_fraction(v) -> Fraction:
     raise QuantaleError(f"not an exact rational: {v!r}")
 
 
-def numeric_le(a, b) -> bool:
-    """Numeric <= on [0, oo] values (INF handled explicitly)."""
-    if is_inf(a):
-        return is_inf(b)
-    if is_inf(b):
-        return True
-    return a <= b
-
-
 class Quantale:
-    """Common interface of the three quantale instances."""
+    """Common interface of the three quantale instances.
+
+    The lattice operations trust their operands: they assume canonical
+    values of this quantale and do not check them.
+    """
 
     ident: str = ""
 
-    # -- lattice constants -------------------------------------------------
-    @property
-    def top(self):
-        raise NotImplementedError
-
-    @property
-    def bottom(self):
-        raise NotImplementedError
-
-    @property
-    def unit(self):
-        """The tensor unit k."""
-        raise NotImplementedError
+    #: The lattice top, the lattice bottom and the tensor unit k; each
+    #: instance binds them to module constants.
+    top: Value
+    bottom: Value
+    unit: Value
 
     # -- structure ---------------------------------------------------------
     def validate(self, v):
@@ -141,18 +142,9 @@ class Quantale:
 
 class BooleanQuantale(Quantale):
     ident = "boolean"
-
-    @property
-    def top(self):
-        return True
-
-    @property
-    def bottom(self):
-        return False
-
-    @property
-    def unit(self):
-        return True
+    top = True
+    bottom = False
+    unit = True
 
     def validate(self, v):
         if not isinstance(v, bool):
@@ -160,19 +152,19 @@ class BooleanQuantale(Quantale):
         return v
 
     def leq(self, a, b):
-        return (not self.validate(a)) or self.validate(b)
+        return (not a) or b
 
     def tensor(self, a, b):
-        return self.validate(a) and self.validate(b)
+        return a and b
 
     def residuate(self, a, b):
-        return (not self.validate(a)) or self.validate(b)
+        return (not a) or b
 
     def join2(self, a, b):
-        return self.validate(a) or self.validate(b)
+        return a or b
 
     def meet2(self, a, b):
-        return self.validate(a) and self.validate(b)
+        return a and b
 
     def value_to_json(self, v):
         return self.validate(v)
@@ -184,30 +176,18 @@ class BooleanQuantale(Quantale):
 
 
 class _ReversedNumericQuantale(Quantale):
-    """Shared machinery for the two real-valued quantales.
+    """JSON form shared by the two real-valued quantales.
 
     The order is reversed, so leq(a, b) means a >= b numerically, the
     meet is the numeric max and the join the numeric min.
     """
 
-    def leq(self, a, b):
-        a = self.validate(a)
-        b = self.validate(b)
-        return numeric_le(b, a)
-
-    def join2(self, a, b):
-        a = self.validate(a)
-        b = self.validate(b)
-        return a if numeric_le(a, b) else b
-
-    def meet2(self, a, b):
-        a = self.validate(a)
-        b = self.validate(b)
-        return b if numeric_le(a, b) else a
+    top = ZERO
+    unit = ZERO
 
     def value_to_json(self, v):
         v = self.validate(v)
-        if is_inf(v):
+        if v is INF:
             return "inf"
         return str(v)
 
@@ -225,18 +205,7 @@ class _ReversedNumericQuantale(Quantale):
 
 class UnitIntervalQuantale(_ReversedNumericQuantale):
     ident = "unit-oplus"
-
-    @property
-    def top(self):
-        return Fraction(0)
-
-    @property
-    def bottom(self):
-        return Fraction(1)
-
-    @property
-    def unit(self):
-        return Fraction(0)
+    bottom = ONE
 
     def validate(self, v):
         f = as_fraction(v)
@@ -244,56 +213,67 @@ class UnitIntervalQuantale(_ReversedNumericQuantale):
             raise QuantaleError(f"unit-oplus value out of [0,1]: {f}")
         return f
 
+    def leq(self, a, b):
+        return b <= a
+
+    def join2(self, a, b):
+        return a if a <= b else b
+
+    def meet2(self, a, b):
+        return b if a <= b else a
+
     def tensor(self, a, b):
-        s = self.validate(a) + self.validate(b)
-        return s if s <= 1 else Fraction(1)
+        s = a + b
+        return s if s <= 1 else ONE
 
     def residuate(self, a, b):
-        d = self.validate(b) - self.validate(a)
-        return d if d > 0 else Fraction(0)
+        d = b - a
+        return d if d > 0 else ZERO
 
 
 class ExtendedRealsQuantale(_ReversedNumericQuantale):
     ident = "ext-plus"
-
-    @property
-    def top(self):
-        return Fraction(0)
-
-    @property
-    def bottom(self):
-        return INF
-
-    @property
-    def unit(self):
-        return Fraction(0)
+    bottom = INF
 
     def validate(self, v):
-        if is_inf(v):
+        if v is INF:
             return INF
         f = as_fraction(v)
         if f < 0:
             raise QuantaleError(f"ext-plus value is negative: {f}")
         return f
 
+    def leq(self, a, b):
+        if b is INF:
+            return a is INF
+        return a is INF or b <= a
+
+    def join2(self, a, b):
+        if a is INF:
+            return b
+        if b is INF:
+            return a
+        return a if a <= b else b
+
+    def meet2(self, a, b):
+        if a is INF or b is INF:
+            return INF
+        return b if a <= b else a
+
     def tensor(self, a, b):
-        a = self.validate(a)
-        b = self.validate(b)
-        if is_inf(a) or is_inf(b):
+        if a is INF or b is INF:
             return INF
         return a + b
 
     def residuate(self, a, b):
         # Largest u in the reversed order (numerically smallest) with
         # u + a >= b; truncated extended subtraction.
-        a = self.validate(a)
-        b = self.validate(b)
-        if is_inf(a):
-            return Fraction(0)
-        if is_inf(b):
+        if a is INF:
+            return ZERO
+        if b is INF:
             return INF
         d = b - a
-        return d if d > 0 else Fraction(0)
+        return d if d > 0 else ZERO
 
 
 BOOLEAN = BooleanQuantale()

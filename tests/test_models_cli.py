@@ -391,3 +391,94 @@ def test_cli_main_repeated_in_one_process(monkeypatch):
         codes.append(code)
     assert codes == [0, 2, 0]
     assert cli._parser.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("model,pair,method", [
+    ("exceptions.json", "{nosuch}|{z0}", "kleene"),
+    ("exceptions.json", "{x0}|{z0,nosuch}", "trace"),
+    ("probchain.json", "nosuch:1|y:1", "trace"),
+    ("probchain.json", "y:1|nosuch:1/2", "kleene"),
+])
+def test_cli_pair_with_unknown_state(model, pair, method):
+    code, _out, err = run_cli("distance", "--model", fixture_path(model),
+                              "--pair", pair, "--method", method)
+    assert code == 2
+    assert err == "error: 'nosuch' is not a state\n"
+
+
+@pytest.mark.parametrize("path", [
+    ["entries", 0, "lhs", "set"],
+    ["witnesses", 0, "rhs", "set"],
+    ["witnesses", 0, "parts", 1, "lhs", "set"],
+], ids=["entry", "witness", "witness-part"])
+def test_cli_certificate_with_unknown_state(tmp_path, path):
+    doc = load_fixture("exceptions_cert.json")
+    _set_path(doc, path, ["nosuch"])
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(doc))
+    code, out, err = run_cli("certify", "--model", fixture_path("exceptions.json"),
+                             "--cert", str(cert))
+    assert (code, out) == (2, "")
+    assert err == "error: 'nosuch' is not a state\n"
+    with pytest.raises(ModelFormatError, match="'nosuch' is not a state"):
+        certificate_from_json(doc, fixture_model("exceptions.json"))
+
+
+HALF_X = {"lhs": {"dist": {"x": "1/4", "x'": "1/4"}}, "rhs": {"dist": {"y": "1/2"}}}
+
+
+@pytest.mark.parametrize("parts", [
+    # A negative weight on a pair of empty parts keeps the marginals and
+    # would lower the bound at (x, y) to the false claim 1/4.
+    lambda parts: parts + [{"lhs": {"dist": {}}, "rhs": {"dist": {}}, "weight": "-1/8"}],
+    # Right marginals, but weights summing to 2.
+    lambda parts: [dict(HALF_X, weight="1"), dict(HALF_X, weight="1")],
+], ids=["negative", "sum-above-1"])
+def test_cli_certificate_witness_weights_form_a_subdistribution(tmp_path, parts):
+    doc = load_fixture("probchain_cert.json")
+    doc["entries"][0]["value"] = "1/4"
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(doc))
+    argv = ["certify", "--model", fixture_path("probchain.json"), "--cert", str(cert)]
+    code, out, _err = run_cli(*argv)
+    assert code == 1 and "one-step bound 3/8 exceeds the stated 1/4" in out
+    doc["witnesses"][0]["parts"] = parts(doc["witnesses"][0]["parts"])
+    cert.write_text(json.dumps(doc))
+    code, out, err = run_cli(*argv)
+    assert (code, out) == (2, "")
+    assert "are not non-negative with sum at most 1" in err
+
+
+@pytest.mark.parametrize("flag", ["--max-words", "--max-iters", "--max-states", "--depth"])
+def test_cli_rejects_negative_budgets(flag):
+    argv = ["distance", "--model", fixture_path("exceptions.json"),
+            "--pair", "{x0,y0}|{z0}", "--method", "kleene"]
+    code, out, err = run_cli(*argv, flag, "-1")
+    assert (code, out) == (2, "")
+    assert "expected a non-negative integer, got '-1'" in err
+    code, _out, err = run_cli(*argv, flag, "x")
+    assert code == 2 and "expected a non-negative integer, got 'x'" in err
+    # 0 is a budget like any other: it parses, and the run answers or refuses.
+    code, _out, err = run_cli(*argv, flag, "0")
+    if flag == "--max-states":
+        assert code == 3 and err.startswith("refused:")
+    elif flag == "--depth":
+        assert code == 2 and "not successor-closed within depth 0" in err
+    else:
+        assert code == 0
+
+
+def test_cli_budget_zero_is_valid():
+    code, out, _err = run_cli("distance", "--model", fixture_path("probchain.json"),
+                              "--pair", "y:1|x:1", "--method", "trace",
+                              "--max-words", "0")
+    assert code == 0 and out.splitlines()[0] == "0  [lower bound (numeric)]"
+
+
+def test_cli_default_state_budget_refuses_infinite_determinization():
+    # The determinized part of probchain is infinite; the default budget
+    # must refuse it rather than run for minutes.
+    code, out, err = run_cli("distance", "--model", fixture_path("probchain.json"),
+                             "--pair", "x:1|y:1", "--method", "kleene")
+    assert (code, out) == (3, "")
+    assert err.startswith("refused:") and "10000" in err

@@ -1,11 +1,35 @@
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from itertools import product
+from pathlib import Path
 
 import pytest
 
+import quantadist
+from quantadist.behaviour import SparseDist, certify, pair_gfp
+from quantadist.cli import main
+from quantadist.distlaw import case_study_laws, law_suite
+from quantadist.galois import Grid, grid_values
+from quantadist.models import fixture_certificate, fixture_model, load_fixture
+from quantadist.monadlift import finsubset
 from quantadist.quantale import (BOOLEAN, EXT_PLUS, INF, UNIT_OPLUS, QuantaleError,
                                  get_quantale)
-from quantadist.galois import Grid, grid_values
-from quantadist.suites import quantale_suite
+from quantadist.repro import REPRODUCTIONS
+from quantadist.suites import polyfunctor_suite, quantale_suite
+from quantadist.vgraph import VGraph, carrier, graph_from_entries
+
+OPS = ("leq", "tensor", "residuate", "join2", "meet2")
+VALUE_OPS = ("tensor", "residuate", "join2", "meet2")
+GRIDS = {
+    BOOLEAN: grid_values(BOOLEAN, Grid(1)),
+    UNIT_OPLUS: grid_values(UNIT_OPLUS, Grid(8)),
+    EXT_PLUS: grid_values(EXT_PLUS, Grid(2, cap=3)),
+}
 
 
 def test_tensor_examples():
@@ -31,10 +55,12 @@ def test_lattice_examples():
 
 
 def test_mixed_operands_rejected():
+    # The operations trust their operands; mixed values are stopped where
+    # they enter (see test_boundaries_reject_bad_values).
     with pytest.raises(QuantaleError):
-        BOOLEAN.tensor(True, F(1, 2))
+        BOOLEAN.value_from_json("1/2")
     with pytest.raises(QuantaleError):
-        UNIT_OPLUS.tensor(F(1, 2), True)
+        SparseDist(UNIT_OPLUS, {("p", "q"): True})
     with pytest.raises(QuantaleError):
         UNIT_OPLUS.validate(F(3, 2))
     with pytest.raises(QuantaleError):
@@ -70,3 +96,185 @@ def test_law_suite_small_grids():
     results = quantale_suite(grid=8, ext_cap=2)
     failures = [r for r in results if not r.passed]
     assert not failures, [r.line() for r in failures]
+
+
+# -- the trusted-value contract --------------------------------------------------
+#
+# The lattice operations assume canonical operands.  The oracle below
+# validates every operand first and handles infinity explicitly in the
+# real-valued order.
+
+def _numeric_le(a, b):
+    if a is INF:
+        return b is INF
+    if b is INF:
+        return True
+    return a <= b
+
+
+def _oracle(q, op, a, b):
+    a, b = q.validate(a), q.validate(b)
+    if q is BOOLEAN:
+        return {"leq": (not a) or b, "tensor": a and b, "residuate": (not a) or b,
+                "join2": a or b, "meet2": a and b}[op]
+    if op == "leq":
+        return _numeric_le(b, a)
+    if op == "join2":
+        return a if _numeric_le(a, b) else b
+    if op == "meet2":
+        return b if _numeric_le(a, b) else a
+    if op == "tensor":
+        if a is INF or b is INF:
+            return INF
+        s = a + b
+        return F(1) if q is UNIT_OPLUS and s > 1 else s
+    if a is INF:
+        return F(0)
+    if b is INF:
+        return INF
+    return max(b - a, F(0))
+
+
+def _same(x, y):
+    return x is y or (type(x) is type(y) and x == y)
+
+
+@pytest.mark.parametrize("q", list(GRIDS), ids=lambda q: q.ident)
+def test_trusted_operations_match_validating_oracle(q):
+    vals = GRIDS[q]
+    for a, b in product(vals, repeat=2):
+        for op in OPS:
+            got = getattr(q, op)(a, b)
+            assert _same(got, _oracle(q, op, a, b)), (op, a, b)
+            if op != "leq":
+                assert _same(q.validate(got), got), (op, a, b)
+    for a, b, c in product(vals, repeat=3):
+        for inner in VALUE_OPS:
+            ab = getattr(q, inner)(a, b)
+            for outer in OPS:
+                assert _same(getattr(q, outer)(ab, c), _oracle(q, outer, ab, c)), \
+                    (outer, inner, a, b, c)
+
+
+def test_constants_are_canonical_and_shared():
+    for q in GRIDS:
+        for const in (q.top, q.bottom, q.unit):
+            assert _same(q.validate(const), const)
+        assert q.top is q.top and q.bottom is q.bottom
+    assert UNIT_OPLUS.top == F(0) and UNIT_OPLUS.bottom == F(1)
+    assert EXT_PLUS.bottom is INF and EXT_PLUS.unit == F(0)
+
+
+@pytest.fixture
+def strict_operations(monkeypatch):
+    """Give the three instances operations that record every operand that
+    is not canonical (``validate`` would raise, or return another value)."""
+    bad = []
+
+    def strict(q, op):
+        def checked(a, b):
+            for v in (a, b):
+                try:
+                    ok = q.validate(v) is v
+                except QuantaleError:
+                    ok = False
+                if not ok:
+                    bad.append((q.ident, op, v))
+            return trusted(a, b)
+        trusted = getattr(q, op)
+        return checked
+
+    for q in GRIDS:
+        for op in OPS:
+            monkeypatch.setattr(q, op, strict(q, op))
+    return bad
+
+
+def test_operations_only_see_canonical_values(strict_operations):
+    for name, run in sorted(REPRODUCTIONS.items()):
+        assert run().matches, name
+    for model_name in ("exceptions", "probchain"):
+        model = fixture_model(f"{model_name}.json")
+        cert = fixture_certificate(f"{model_name}_cert.json", model)
+        assert certify(cert, model).accepted, model_name
+    model = fixture_model("exceptions.json")
+    result = pair_gfp(model.det(), finsubset(["x0", "y0"]), finsubset(["z0"]))
+    assert result.value == F(1, 4)
+    assert all(r.passed for r in polyfunctor_suite())
+    for name, law in sorted(case_study_laws().items()):
+        assert all(r.passed for r in law_suite(law, seed=0)), name
+    assert strict_operations == []
+
+
+def test_strict_operations_catch_a_bad_operand(strict_operations):
+    UNIT_OPLUS.tensor(F(1, 2), 1)
+    EXT_PLUS.leq(F(1), True)
+    assert strict_operations == [("unit-oplus", "tensor", 1), ("ext-plus", "leq", True)]
+
+
+# Bad values on unit-oplus: in Python form and in JSON form.
+BAD_VALUES = [True, -1, F(3, 2), INF, 0.5]
+BAD_JSON = [True, -1, "3/2", "inf", 0.5]
+
+
+@pytest.mark.parametrize("bad", BAD_VALUES, ids=repr)
+def test_boundaries_reject_bad_values(bad):
+    c = carrier(["a", "b"])
+    with pytest.raises(QuantaleError):
+        SparseDist(UNIT_OPLUS, {("a", "b"): bad})
+    with pytest.raises(QuantaleError):
+        VGraph(UNIT_OPLUS, c, [[F(0), bad], [F(0), F(0)]])
+    with pytest.raises(QuantaleError):
+        graph_from_entries(UNIT_OPLUS, c, {("a", "b"): bad})
+
+
+@pytest.mark.parametrize("bad", BAD_JSON, ids=repr)
+def test_value_from_json_rejects_bad_values(bad):
+    with pytest.raises(QuantaleError):
+        UNIT_OPLUS.value_from_json(bad)
+
+
+def _fixture_path(name):
+    return str(Path(quantadist.__file__).parent / "fixtures" / name)
+
+
+def _run_cli(tmp_path, argv, **docs):
+    """Run the command line in process with each keyword written to a
+    JSON file and its ``{name}`` placeholder in ``argv`` replaced by the path."""
+    paths = {}
+    for name, doc in docs.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    argv = [str(paths[a[1:-1]]) if a[1:-1] in paths else a for a in argv]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        return main(argv), err.getvalue()
+
+
+@pytest.mark.parametrize("bad", BAD_JSON, ids=repr)
+def test_cli_rejects_bad_values(tmp_path, bad):
+    model = load_fixture("exceptions.json")
+    model["transitions"]["x3"] = {"inl": {"const": bad}}
+    code, err = _run_cli(tmp_path, ["distance", "--model", "{model}", "--pair",
+                                    "{x0}|{z0}", "--method", "kleene"], model=model)
+    assert code == 2 and err.startswith("error:"), err
+
+    cert = load_fixture("exceptions_cert.json")
+    cert["entries"][0]["value"] = bad
+    code, err = _run_cli(tmp_path, ["certify", "--model", _fixture_path("exceptions.json"),
+                                    "--cert", "{cert}"], cert=cert)
+    assert code == 2 and err.startswith("error:"), err
+
+    graph = {"kind": "vgraph", "quantale": "unit-oplus", "elements": ["A", "B"],
+             "dist": [["0", bad], ["1/2", "0"]]}
+    code, err = _run_cli(tmp_path, ["distance", "--model", "{graph}", "--pair",
+                                    "A:1|B:1", "--method", "lp"], graph=graph)
+    assert code == 2 and err.startswith("error:"), err
+
+
+def test_python_m_quantadist(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(quantadist.__file__).parent.parent))
+    run = subprocess.run([sys.executable, "-m", "quantadist", "repro", "pd"],
+                         capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "all values reproduced"
