@@ -22,11 +22,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Set
 from .canon import canon_key
 from .functor import (ConstF, ConstLeaf, CoprodF, IdF, IdLeaf, Inl, Inr, MonadEval,
                       ProdF, StarEval, Tup, build_lambda, eval_map,
-                      iter_payloads, map_payloads, term_key)
-from .galois import Grid, gamma_enum, grid_values
+                      iter_payloads, kantorovich_generic, map_payloads,
+                      score_vectors, term_key)
+from .galois import Grid, gamma_enum, grid_values, residual_meet
 from .monadlift import (POWERSET, SUBDIST, Monad, SubDist, finsubset,
                         kantorovich_lp, subdist)
-from .quantale import EXT_PLUS, UNIT_OPLUS, Quantale
+from .quantale import BOOLEAN, EXT_PLUS, UNIT_OPLUS, Quantale
 from .suites import CheckResult, all_bool_graphs
 from .vgraph import Carrier, VGraph
 
@@ -417,48 +418,30 @@ def _const_algebra_hom(law: DistLaw, rng: random.Random) -> CheckResult:
 def _zeta_nonexpansive_boolean(law: DistLaw) -> CheckResult:
     """Exact non-expansiveness of the exchange component between the two
     composite liftings, over the boolean quantale (powerset only)."""
-    from .functor import kantorovich_generic
-
     name = f"{law.monad.name}/{_shape_name(law)}: exchange component non-expansive (boolean exact)"
     if law.monad is not POWERSET:
         return CheckResult(name, True, "skipped: expectation is not boolean-valued")
-    from .quantale import BOOLEAN
-
     bool_law = DistLaw(law.functor, law.monad, BOOLEAN, law.g_variant)
     c = Carrier(("x", "y"))
     f_terms = _f_terms_over(law.functor, list(c.elements), [False, True])
     tf_terms = _small_subsets(f_terms, 2)[:12]
+    ft_terms = [apply_zeta(bool_law, t) for t in tf_terms]
     lam_f = build_lambda(law.functor)
     ev_t = MonadEval(law.monad)
     tf_evals = [StarEval(ev_t, ev) for ev in lam_f]
     ft_evals = [StarEval(ev, ev_t) for ev in lam_f]
-
-    def tf_fmap(t, p):
-        return law.monad.map(lambda term: map_payloads(term, lambda x: p[x]), t)
-
-    def ft_fmap(t, p):
-        return map_payloads(t, lambda tv: law.monad.map(lambda x: p[x], tv))
+    n = len(tf_terms)
 
     for d in all_bool_graphs(c):
         preds = gamma_enum(d, Grid(1))
-        d_tf = kantorovich_generic(None, tf_evals, d, preds, tf_terms,
-                                   fmap_fn=tf_fmap)
-        ft_terms = [apply_zeta(bool_law, t) for t in tf_terms]
-        # The images may collide; key them by position instead.
-        n = len(tf_terms)
-        value = {}
-        for ev in ft_evals:
-            for f in preds.preds:
-                scores = [eval_map(BOOLEAN, ev, ft_fmap(t, f)) for t in ft_terms]
-                for i in range(n):
-                    for j in range(n):
-                        key = (i, j)
-                        cur = value.get(key, BOOLEAN.top)
-                        value[key] = BOOLEAN.meet2(
-                            cur, BOOLEAN.residuate(scores[i], scores[j]))
+        d_tf = kantorovich_generic(None, tf_evals, d, preds, tf_terms)
+        # The images may collide, so the other side is a matrix by
+        # position rather than a graph keyed by term.
+        d_ft = residual_meet(BOOLEAN, n,
+                             score_vectors(BOOLEAN, ft_evals, preds.preds, ft_terms))
         for i in range(n):
             for j in range(n):
-                if not BOOLEAN.leq(d_tf.dist[i][j], value.get((i, j), BOOLEAN.top)):
+                if not BOOLEAN.leq(d_tf.dist[i][j], d_ft[i][j]):
                     return CheckResult(
                         name, False,
                         f"d={d.dist} at pair ({canon_key(tf_terms[i])}, {canon_key(tf_terms[j])})")

@@ -12,10 +12,12 @@ copies of the body.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .canon import canon_key
-from .galois import Grid, Pred, PredSet, gamma_enum, nonexpansive_into_value
+from .galois import (Grid, Pred, PredSet, gamma_enum, nonexpansive_into_value,
+                     residual_meet)
 from .monadlift import Monad
 from .quantale import Quantale
 from .vgraph import Carrier, VGraph, metric_closure
@@ -409,48 +411,111 @@ def lift_closed(functor: FunctorExpr, d: VGraph, terms: Sequence[object]) -> VGr
 
 
 # -- generic Kantorovich formula ------------------------------------------------
+#
+# A reader is an evaluation map compiled on one term: a function from a
+# predicate to the term's score, that is, to the value of the map on the
+# term with the predicate applied at its carrier leaves.  A polynomial
+# map ends in a constant or in one identity leaf, so its reader returns
+# a constant or looks up a single ``f[x]``; a monad map reads every
+# member and applies the monad's evaluation map.  In ``StarEval(outer,
+# inner)`` the outer map reads the term and the inner map reads the
+# payload of each identity leaf (or member) the outer map reaches; the
+# layering alone says where the predicate applies.
 
-def _default_fmap(term, pred: Pred):
-    return map_payloads(term, lambda x: pred[x])
+Reader = Callable[[Pred], object]
+
+
+def _constant(value) -> Reader:
+    return lambda f: value
+
+
+def _reader(q: Quantale, ev, term, at_leaf: Callable[[object], Reader]) -> Reader:
+    """Compile ``ev`` on ``term``; ``at_leaf`` compiles the payload of
+    each identity leaf or monad member that ``ev`` reads."""
+    if isinstance(ev, ConstEval):
+        if not isinstance(term, ConstLeaf):
+            raise ShapeError(f"constant evaluation on {term!r}")
+        return _constant(term.atom if ev.pred is None else dict(ev.pred)[term.atom])
+    if isinstance(ev, IdEval):
+        if not isinstance(term, IdLeaf):
+            raise ShapeError(f"identity evaluation on {term!r}")
+        return at_leaf(term.payload)
+    if isinstance(ev, ProjEval):
+        if not isinstance(term, Tup):
+            raise ShapeError(f"projection on {term!r}")
+        return _reader(q, ev.inner, term.items[ev.index], at_leaf)
+    if isinstance(ev, CoprodEval):
+        if isinstance(term, Inl):
+            if ev.side == "left":
+                return _reader(q, ev.inner, term.item, at_leaf)
+            return _constant(q.bottom)
+        if isinstance(term, Inr):
+            if ev.side == "right":
+                return _reader(q, ev.inner, term.item, at_leaf)
+            return _constant(q.top)
+        raise ShapeError(f"coproduct evaluation on {term!r}")
+    if isinstance(ev, MonadEval):
+        monad = ev.monad
+        parts = [(at_leaf(m), w) for m, w in monad.weighted(term)]
+        return lambda f: monad.ev_weighted([(read(f), w) for read, w in parts], q)
+    if isinstance(ev, StarEval):
+        return _reader(q, ev.outer, term,
+                       lambda payload: _reader(q, ev.inner, payload, at_leaf))
+    raise TypeError(f"not an evaluation map: {ev!r}")
+
+
+def _recording_lookup(reads: Dict[object, None]) -> Callable[[object], Reader]:
+    def at_leaf(x) -> Reader:
+        reads[x] = None
+        return itemgetter(x)
+    return at_leaf
+
+
+def score_vectors(q: Quantale, evals: Sequence[EvalMap], preds: Sequence[Pred],
+                  terms: Sequence[object]) -> Iterator[List[object]]:
+    """Yield the terms' score vector for every evaluation map and predicate.
+
+    Each (map, term) pair is compiled once into a reader.  Predicates
+    that agree on every carrier element a map reads give that map the
+    same vector, which is yielded once.
+    """
+    for ev in evals:
+        reads: Dict[object, None] = {}
+        readers = [_reader(q, ev, t, _recording_lookup(reads)) for t in terms]
+        read = list(reads)
+        seen = set()
+        for f in preds:
+            key = tuple(f[x] for x in read)
+            if key not in seen:
+                seen.add(key)
+                yield [score(f) for score in readers]
 
 
 def kantorovich_generic(functor: FunctorExpr, evals: Sequence[EvalMap], d: VGraph,
-                        preds: PredSet, terms: Sequence[object],
-                        fmap_fn=None) -> VGraph:
+                        preds: PredSet, terms: Sequence[object]) -> VGraph:
     """The meet over evaluation maps and supplied predicates of the
     residuated evaluation differences.
 
     With the full boolean predicate class this computes the lifting
     exactly; with grid predicate sets it is a quantale-order
     under-approximation.  Every predicate must be non-expansive for
-    ``d`` (rejected with a witness pair otherwise).
+    ``d`` (rejected with a witness pair otherwise).  Terms are checked
+    against ``functor`` unless it is None.  Each (map, term) pair is
+    compiled once into a reader (see ``score_vectors``); a generated
+    polynomial map reads at most one leaf, so scoring a predicate costs
+    one lookup per term whatever the term's depth.
     """
     q = d.quantale
     for f in preds.preds:
         witness = nonexpansive_into_value(q, d, f)
         if witness is not None:
             raise ValueError(f"predicate not non-expansive at pair {witness}")
-    if functor is not None and fmap_fn is None:
+    if functor is not None:
         for t in terms:
             shape_check(functor, t)
-    apply_pred = fmap_fn if fmap_fn is not None else _default_fmap
     out_carrier = _term_carrier(terms)
-    n = len(terms)
-    dist = [[q.top] * n for _ in range(n)]
-    for ev in evals:
-        for f in preds.preds:
-            scores = [eval_map(q, ev, apply_pred(t, f)) for t in terms]
-            for i in range(n):
-                for j in range(n):
-                    dist[i][j] = q.meet2(dist[i][j], q.residuate(scores[i], scores[j]))
-    return VGraph(q, out_carrier, dist)
-
-
-def composed_fmap(term, pred: Pred):
-    """Predicate application for flat two-layer terms: the identity
-    leaves of the outer layer hold inner terms whose own identity
-    leaves hold carrier elements."""
-    return map_payloads(term, lambda inner: map_payloads(inner, lambda x: pred[x]))
+    vectors = score_vectors(q, evals, preds.preds, terms)
+    return VGraph(q, out_carrier, residual_meet(q, len(terms), vectors))
 
 
 def check_compositionality(outer: FunctorExpr, lam_outer: Sequence[EvalMap],
@@ -475,14 +540,13 @@ def check_compositionality(outer: FunctorExpr, lam_outer: Sequence[EvalMap],
             raise ValueError("a grid is required over real-valued quantales")
         method = f"grid-{grid.resolution}"
 
-    inner_graph = kantorovich_generic(
-        inner, lam_inner, d, gamma_enum(d, grid), inner_terms)
+    preds = gamma_enum(d, grid)
+    inner_graph = kantorovich_generic(inner, lam_inner, d, preds, inner_terms)
     outer_terms = [map_payloads(t, term_key) for t in composed_terms]
     lhs = kantorovich_generic(
         outer, lam_outer, inner_graph, gamma_enum(inner_graph, grid), outer_terms)
-    rhs = kantorovich_generic(
-        outer, star(lam_outer, lam_inner), d, gamma_enum(d, grid),
-        composed_terms, fmap_fn=composed_fmap)
+    rhs = kantorovich_generic(outer, star(lam_outer, lam_inner), d, preds,
+                              composed_terms)
     n = len(composed_terms)
     equal = all(lhs.dist[i][j] == rhs.dist[i][j] for i in range(n) for j in range(n))
     composed_below_combined = all(

@@ -20,10 +20,10 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .quantale import BOOLEAN, INF, Quantale, QuantaleError
-from .vgraph import Carrier, VGraph, all_top, is_vcat, metric_closure
+from .vgraph import Carrier, VGraph, is_vcat, metric_closure
 
 #: Predicates are total dicts element -> value.
 Pred = Dict[str, object]
@@ -79,6 +79,23 @@ def grid_values(q: Quantale, grid: Grid) -> List[object]:
     raise QuantaleError(f"no grid for quantale {q.ident!r}")
 
 
+def residual_meet(q: Quantale, n: int, vectors: Iterable[Sequence]) -> List[List]:
+    """The n x n matrix whose (i, j) entry is the meet, over the score
+    vectors ``s``, of ``residuate(s[i], s[j])``; top everywhere when
+    there is no vector.
+
+    Each vector is folded in as it arrives, so ``vectors`` may be a
+    generator and no more than one vector is held at a time.
+    """
+    dist = [[q.top] * n for _ in range(n)]
+    meet2, residuate = q.meet2, q.residuate
+    for s in vectors:
+        for row, si in zip(dist, s):
+            for j, sj in enumerate(s):
+                row[j] = meet2(row[j], residuate(si, sj))
+    return dist
+
+
 def alpha(preds: PredSet) -> VGraph:
     """Greatest conformance turning every predicate into a non-expansive map.
 
@@ -86,12 +103,8 @@ def alpha(preds: PredSet) -> VGraph:
     """
     q = preds.quantale
     c = preds.carrier
-    out = all_top(q, c)
-    for p in preds.preds:
-        for i, x in enumerate(c.elements):
-            for j, y in enumerate(c.elements):
-                out.dist[i][j] = q.meet2(out.dist[i][j], q.residuate(p[x], p[y]))
-    return out
+    vectors = ([p[x] for x in c.elements] for p in preds.preds)
+    return VGraph(q, c, residual_meet(q, len(c), vectors))
 
 
 def nonexpansive_into_value(q: Quantale, d: VGraph, p: Pred) -> Optional[Tuple[str, str]]:

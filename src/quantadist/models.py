@@ -11,7 +11,9 @@ transportation example).
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
+from fractions import Fraction
 from importlib import resources
 from typing import Dict
 
@@ -157,10 +159,41 @@ class DistanceInstance:
     distributions: Dict[str, SubDist]
 
 
+#: Names that read as another value's canonical key or break a CLI
+#: literal: the boolean and infinity keys, the empty name, rational
+#: literals, and names holding a character that delimits set,
+#: distribution and pair literals.
+RESERVED_NAMES = frozenset({"", "T", "F", "inf"})
+_RESERVED_CHAR = re.compile(r"[{},:|\s]")
+
+
+def _reserved(name: str) -> bool:
+    if name in RESERVED_NAMES or _RESERVED_CHAR.search(name):
+        return True
+    if name[0] not in "+-.0123456789":  # how every rational literal starts
+        return False
+    try:
+        Fraction(name)
+    except (ValueError, ZeroDivisionError):
+        return False
+    return True
+
+
 def _names(value, what: str):
     if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
         raise ModelFormatError(f"{what} must be a list of names, got {value!r}")
     return carrier(value)
+
+
+def _point_names(value, what: str):
+    """Names of states or graph elements, which become canonical keys."""
+    points = _names(value, what)
+    for name in points:
+        if _reserved(name):
+            raise ModelFormatError(
+                f"reserved name {name!r} in {what}: a name may not be T, F, "
+                f"inf, a rational or empty, nor contain {{ }} , : | or whitespace")
+    return points
 
 
 def model_from_json(doc: dict):
@@ -170,7 +203,7 @@ def model_from_json(doc: dict):
     if kind == "vgraph":
         try:
             get_quantale(doc["quantale"])
-            _names(doc["elements"], "elements")
+            _point_names(doc["elements"], "elements")
             rows = doc["dist"]
         except KeyError as exc:
             raise ModelFormatError(f"missing model field {exc}") from None
@@ -192,7 +225,7 @@ def model_from_json(doc: dict):
         except ValueError as exc:
             raise ModelFormatError(str(exc)) from None
         functor = functor_from_json(doc["functor"], q)
-        states = _names(doc["states"], "states")
+        states = _point_names(doc["states"], "states")
         labels = _names(doc.get("labels", []), "labels")
         if not isinstance(doc["transitions"], dict):
             raise ModelFormatError(

@@ -19,7 +19,7 @@ from math import lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .canon import canon_key
-from .galois import PredSet, nonexpansive_into_value
+from .galois import PredSet, nonexpansive_into_value, residual_meet
 from .quantale import INF, Quantale, QuantaleError, is_inf
 from .simplex import LinearConstraint, LPProblem
 from .vgraph import Carrier, VGraph, metric_closure
@@ -461,17 +461,6 @@ def kantorovich_monad_generic(monad: Monad, d: VGraph, preds: PredSet,
     keys = [canon_key(t) for t in tvalues]
     if len(set(keys)) != len(keys):
         raise ValueError("duplicate T-values supplied")
-    out_carrier = Carrier(tuple(keys))
-    n = len(tvalues)
-    dist = [[q.top] * n for _ in range(n)]
-    evaluated = [
-        [monad.ev(monad.map(lambda x: f[x], t), q) for t in tvalues]
-        for f in preds.preds
-    ]
-    for fi in range(len(preds.preds)):
-        row = evaluated[fi]
-        for i in range(n):
-            for j in range(n):
-                dist[i][j] = q.meet2(dist[i][j], q.residuate(row[i], row[j]))
-    return VGraph(q, out_carrier, dist)
-
+    vectors = ([monad.ev(monad.map(lambda x: f[x], t), q) for t in tvalues]
+               for f in preds.preds)
+    return VGraph(q, Carrier(tuple(keys)), residual_meet(q, len(tvalues), vectors))

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from conftest import build_exceptions
 from quantadist.cli import main
 from quantadist.functor import ConstLeaf
 from quantadist.models import (DistanceInstance, ModelFormatError,
@@ -482,3 +483,61 @@ def test_cli_default_state_budget_refuses_infinite_determinization():
                              "--pair", "x:1|y:1", "--method", "kleene")
     assert (code, out) == (3, "")
     assert err.startswith("refused:") and "10000" in err
+
+
+# -- reserved names ---------------------------------------------------------------
+
+RESERVED = ["T", "F", "inf", "1/2", "3", "-1", "0.5", "", "a b", "x\ty",
+            "{x}", "x,y", "x:1", "x|y", "{"]
+
+
+@pytest.mark.parametrize("name", RESERVED)
+def test_model_rejects_reserved_state_names(name):
+    doc = load_fixture("exceptions.json")
+    doc["states"].append(name)
+    with pytest.raises(ModelFormatError, match="reserved name"):
+        model_from_json(doc)
+
+
+@pytest.mark.parametrize("name", RESERVED)
+def test_vgraph_model_rejects_reserved_element_names(name):
+    doc = load_fixture("transport.json")
+    doc["elements"][0] = name
+    with pytest.raises(ModelFormatError, match="reserved name"):
+        model_from_json(doc)
+
+
+@pytest.mark.parametrize("fixture,name,pair,method", [
+    ("exceptions.json", "T", "{x0}|{z0}", "kleene"),
+    ("probchain.json", "1/2", "x:1|y:1", "trace"),
+])
+def test_cli_reserved_state_name_exit_code(tmp_path, fixture, name, pair, method):
+    doc = load_fixture(fixture)
+    doc["states"].append(name)
+    code, _out, err = run_cli("distance", "--model", _write_model(tmp_path, doc),
+                              "--pair", pair, "--method", method)
+    assert code == 2
+    assert "reserved name" in err
+
+
+def test_cli_reserved_element_name_exit_code(tmp_path):
+    doc = load_fixture("transport.json")
+    doc["elements"][2] = "inf"
+    code, _out, err = run_cli("distance", "--model", _write_model(tmp_path, doc),
+                              "--pair", "P|Q", "--method", "lp")
+    assert code == 2
+    assert "reserved name" in err
+
+
+def test_name_families_in_use_still_load(probchain):
+    # Bundled fixtures, and the state and element names that the
+    # benchmark workloads generate: x0.., y0.., z0.., x', v0...
+    for name in ("exceptions.json", "probchain.json"):
+        assert fixture_model(name).states
+    for model in (build_exceptions(5), probchain):
+        assert model_from_json(model_to_json(model)).states == model.states
+    assert "x'" in probchain.states
+    doc = load_fixture("transport.json")
+    doc["elements"] = [f"v{i}" for i in range(3)]
+    doc["distributions"] = {"P": {"v0": "1"}, "Q": {"v2": "1"}}
+    assert model_from_json(doc).graph.carrier.elements == ("v0", "v1", "v2")
