@@ -446,18 +446,38 @@ def certify(cert: Certificate, model: CoalgebraModel) -> Verdict:
     pairs; the pair passes when the candidate entry is below that value
     in the quantale order (numerically at least it).  Off-support pairs
     carry the trivial bottom claim and need no check.
+
+    Each successor pair is bounded once per call, and a witness that
+    fails its marginals fails every support pair that reads it.  The
+    successors of point states, the usual support of a sparse
+    certificate, are the model's own transitions: succ(η x) = c(x) by
+    the unit law of the exchange law (see ``DetCoalgebra``).
     """
     if cert.monad != model.monad:
         raise ModelError("certificate and model monads differ")
     q = model.quantale
     det = model.det()
     failures: List[Tuple[object, object, str]] = []
+    bounds: Dict[Tuple[object, object], object] = {}
+
+    def leaf(x, y):
+        pair = (x, y)
+        bound = bounds.get(pair)
+        if bound is None:
+            try:
+                bound = witness_bound(cert, pair, q)
+            except WitnessError as exc:
+                bound = exc
+            bounds[pair] = bound
+        if isinstance(bound, WitnessError):
+            raise bound.with_traceback(None)
+        return bound
+
     support = cert.candidate.support()
     for pair in support:
         p_state, q_state = pair
         stated = cert.candidate.value_at(pair)
         try:
-            leaf = lambda x, y: witness_bound(cert, (x, y), q)
             bound = beh_value(det, leaf, p_state, q_state)
         except (WitnessError, ModelError, KeyError) as exc:
             failures.append((p_state, q_state, str(exc)))

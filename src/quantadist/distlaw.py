@@ -58,6 +58,7 @@ class DistLaw:
         if not isinstance(self.monad, Monad):
             raise ValueError(f"unknown monad {self.monad!r}; expected POWERSET or SUBDIST")
         _check_value_consts(self.functor)
+        check_evaluable(self.functor, self.monad, self.quantale)
         if self.g_variant not in (PRIORITY_LEFT, ALWAYS_LEFT):
             raise ValueError(f"unknown g variant {self.g_variant!r}")
 
@@ -76,6 +77,26 @@ def _check_value_consts(functor):
         _check_value_consts(functor.right)
     elif not isinstance(functor, IdF):
         raise TypeError(f"not a functor expression: {functor!r}")
+
+
+def _has_value_consts(functor) -> bool:
+    if isinstance(functor, ConstF):
+        return functor.atoms is None
+    if isinstance(functor, ProdF):
+        return any(_has_value_consts(part) for part in functor.parts)
+    if isinstance(functor, CoprodF):
+        return _has_value_consts(functor.left) or _has_value_consts(functor.right)
+    return False
+
+
+def check_evaluable(functor, monad: Monad, quantale: Quantale):
+    """Refuse a functor whose value constants the monad cannot evaluate:
+    the expectation of a subdistribution is not defined over the
+    boolean quantale."""
+    if monad is SUBDIST and quantale is BOOLEAN and _has_value_consts(functor):
+        raise ValueError("subdistributions over the boolean quantale admit no "
+                         "value constants: expectation is not defined over "
+                         "the boolean quantale")
 
 
 def _prioritize(items: Sequence, in_left: Callable[[object], bool], variant: str):
@@ -146,7 +167,19 @@ def _zeta(law: DistLaw, functor, pairs, leaf):
 
 @dataclass
 class DetCoalgebra:
-    """Memoized determinized transition structure over monad states."""
+    """Memoized determinized transition structure over monad states.
+
+    A point state, the unit η(x) of a base state x (a one-member set, or
+    a subdistribution with one member of weight 1), steps to the
+    model's own transition term: succ(η x) = c(x).  The exchange law's
+    unit axiom λ∘η_F = Fη together with μ∘η_T = id makes η a coalgebra
+    morphism from the model into its determinization, so ``successor``
+    reads c(x) off ``transitions`` instead of running the exchange law
+    and the multiplication.  The mutant prioritizer breaks the unit
+    axiom and keeps the general path.  Transition terms must be
+    canonical (monad values as built by their constructors, constants
+    validated), as they are when read from a model file.
+    """
 
     law: DistLaw
     transitions: Dict[str, object]
@@ -160,11 +193,16 @@ class DetCoalgebra:
         if len(self.memo) >= self.max_states:
             raise StateBudgetError(
                 f"determinization exceeded the budget of {self.max_states} states")
-        # The exchange law followed by the multiplication at each
-        # identity leaf, fused: each successor is canonicalized once.
         monad = self.law.monad
-        lifted = [(self.transitions[x], w) for x, w in monad.weighted(state)]
-        out = _zeta(self.law, self.law.functor, lifted, monad.flatten)
+        members = monad.weighted(state)
+        if len(members) == 1 and members[0][1] in (None, 1) \
+                and self.law.g_variant != ALWAYS_LEFT:
+            out = self.transitions[members[0][0]]  # the unit law
+        else:
+            # The exchange law followed by the multiplication at each
+            # identity leaf, fused: each successor is canonicalized once.
+            lifted = [(self.transitions[x], w) for x, w in members]
+            out = _zeta(self.law, self.law.functor, lifted, monad.flatten)
         self.memo[state] = out
         self.frontier.discard(state)
         return out
@@ -329,7 +367,8 @@ def _well_behaved(law: DistLaw, rng: random.Random) -> CheckResult:
     ts = _tvalues(law, rng, left_els + right_els, 40)
 
     def run_side(t, bracket):
-        return law.monad.ev(law.monad.map(bracket, t), q)
+        monad = law.monad
+        return monad.ev_weighted([(bracket(x), w) for x, w in monad.weighted(t)], q)
 
     for t in ts:
         side, restricted = apply_g(law.monad, t, in_left, law.g_variant)

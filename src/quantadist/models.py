@@ -18,6 +18,8 @@ from importlib import resources
 from typing import Dict
 
 from .behaviour import Certificate, CoalgebraModel, SparseDist
+from .canon import canon_key
+from .distlaw import check_evaluable
 from .functor import (ConstF, ConstLeaf, CoprodF, IdF, IdLeaf, Inl, Inr, ProdF,
                       Tup, const_atoms, const_values, pow_functor)
 from .monadlift import SUBDIST, Monad, SubDist, get_monad
@@ -49,6 +51,10 @@ def functor_to_json(f) -> object:
     raise ModelFormatError(f"not a functor expression: {f!r}")
 
 
+def _is_name_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
+
+
 def functor_from_json(doc, q: Quantale):
     if doc == "id":
         return IdF()
@@ -58,7 +64,7 @@ def functor_from_json(doc, q: Quantale):
     if key == "const":
         if body == "value":
             return const_values()
-        if not isinstance(body, dict) or not isinstance(body.get("atoms"), list):
+        if not isinstance(body, dict) or not _is_name_list(body.get("atoms")):
             raise ModelFormatError(
                 f"a constant functor is \"value\" or has an atom list, got {body!r}")
         atoms = body["atoms"]
@@ -73,7 +79,7 @@ def functor_from_json(doc, q: Quantale):
             raise ModelFormatError(f"a product has a list of parts, got {body!r}")
         return ProdF(tuple(functor_from_json(p, q) for p in body))
     if key == "pow":
-        if not isinstance(body, dict) or not isinstance(body.get("labels"), list):
+        if not isinstance(body, dict) or not _is_name_list(body.get("labels")):
             raise ModelFormatError(
                 f"a power has a label list and a body, got {body!r}")
         return pow_functor(body["labels"], functor_from_json(body["body"], q))
@@ -117,6 +123,8 @@ def term_from_json(functor, doc, monad: Monad, q: Quantale):
             raise ModelFormatError(f"constant leaf where {functor!r} was expected")
         if functor.atoms is None:
             return ConstLeaf(q.value_from_json(body))
+        if not isinstance(body, dict) or not isinstance(body.get("atom"), str):
+            raise ModelFormatError(f"an atom constant is {{\"atom\": name}}, got {body!r}")
         return ConstLeaf(body["atom"])
     if key == "id":
         if not isinstance(functor, IdF):
@@ -180,7 +188,7 @@ def _reserved(name: str) -> bool:
 
 
 def _names(value, what: str):
-    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+    if not _is_name_list(value):
         raise ModelFormatError(f"{what} must be a list of names, got {value!r}")
     return carrier(value)
 
@@ -225,6 +233,10 @@ def model_from_json(doc: dict):
         except ValueError as exc:
             raise ModelFormatError(str(exc)) from None
         functor = functor_from_json(doc["functor"], q)
+        try:
+            check_evaluable(functor, monad, q)
+        except ValueError as exc:
+            raise ModelFormatError(str(exc)) from None
         states = _point_names(doc["states"], "states")
         labels = _names(doc.get("labels", []), "labels")
         if not isinstance(doc["transitions"], dict):
@@ -277,10 +289,27 @@ def certificate_from_json(doc: dict, model: CoalgebraModel) -> Certificate:
                     raise ModelFormatError(f"{m!r} is not a state")
         return pair
 
+    literals = {}
+
+    def value_of(raw):
+        if not isinstance(raw, str):  # True and 1 hash alike; lists do not hash
+            return q.value_from_json(raw)
+        value = literals.get(raw)
+        if value is None:
+            value = literals[raw] = q.value_from_json(raw)
+        return value
+
     try:
         entries = {}
         for row in _rows(doc["entries"], "certificate entries"):
-            entries[pair_of(row)] = q.value_from_json(row["value"])
+            pair = pair_of(row)
+            value = value_of(row["value"])
+            if entries.get(pair, value) != value:
+                raise ModelFormatError(
+                    f"conflicting entries for ({canon_key(pair[0])}, "
+                    f"{canon_key(pair[1])}): {q.value_to_json(entries[pair])} "
+                    f"and {q.value_to_json(value)}")
+            entries[pair] = value
         witnesses = {}
         for row in _rows(doc.get("witnesses", []), "certificate witnesses"):
             pair = pair_of(row)

@@ -199,7 +199,8 @@ class _Powerset(Monad):
         if not isinstance(doc, dict) or not isinstance(doc.get("set"), list) \
                 or not all(isinstance(m, str) for m in doc["set"]):
             raise ValueError(f"expected a set literal with a member list, got {doc!r}")
-        return finsubset(doc["set"])
+        # canon_key of a name is the name itself: finsubset's order.
+        return FinSubset(tuple(sorted(set(doc["set"]))))
 
     def witness_parts(self, witness):
         return [(pair, None) for pair in witness]
@@ -461,6 +462,7 @@ def kantorovich_monad_generic(monad: Monad, d: VGraph, preds: PredSet,
     keys = [canon_key(t) for t in tvalues]
     if len(set(keys)) != len(keys):
         raise ValueError("duplicate T-values supplied")
-    vectors = ([monad.ev(monad.map(lambda x: f[x], t), q) for t in tvalues]
+    members = [monad.weighted(t) for t in tvalues]
+    vectors = ([monad.ev_weighted([(f[x], w) for x, w in pairs], q) for pairs in members]
                for f in preds.preds)
     return VGraph(q, Carrier(tuple(keys)), residual_meet(q, len(tvalues), vectors))

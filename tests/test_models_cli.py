@@ -163,6 +163,14 @@ def test_named_atom_term_json_roundtrip():
     assert term_from_json(func, doc, POWERSET, UNIT_OPLUS) == term
 
 
+@pytest.mark.parametrize("body", ["hi", ["hi"], {}, {"atom": ["hi"]}])
+def test_malformed_named_atom_term(body):
+    from quantadist.functor import const_atoms
+    func = const_atoms(["lo", "hi"], [{"lo": F(0), "hi": F(1)}])
+    with pytest.raises(ModelFormatError, match="an atom constant is"):
+        term_from_json(func, {"const": body}, POWERSET, UNIT_OPLUS)
+
+
 def test_cli_json_reports_deterministic():
     first = run_cli("repro", "transport", "--json")
     second = run_cli("repro", "transport", "--json")
@@ -287,6 +295,8 @@ def _set_path(doc, path, value):
     (["transitions"], [], "transitions must be an object"),
     (["transitions", "x0", "inr", "pow"], 5, "labelled tuple is an object"),
     (["transitions", "x0", "inr", "pow", "a", "id", "set"], [["x1"]], "member list"),
+    (["functor", "coprod", 1, "pow", "labels"], [{"dist": {}}], "label list"),
+    (["functor", "coprod", 0, "const"], {"atoms": [["a"]]}, "atom list"),
 ])
 def test_cli_malformed_model_exit_code(tmp_path, path, value, message):
     doc = load_fixture("exceptions.json")
@@ -541,3 +551,77 @@ def test_name_families_in_use_still_load(probchain):
     doc["elements"] = [f"v{i}" for i in range(3)]
     doc["distributions"] = {"P": {"v0": "1"}, "Q": {"v2": "1"}}
     assert model_from_json(doc).graph.carrier.elements == ("v0", "v1", "v2")
+
+
+@pytest.mark.parametrize("first", ["0", "1/4"])
+def test_cli_conflicting_certificate_entries_are_malformed(tmp_path, first):
+    """Two entries for one pair (equal once members are ordered) that
+    disagree on the value: refused whichever comes first."""
+    doc = load_fixture("exceptions_cert.json")
+    row = {"lhs": {"set": ["y0", "x0"]}, "rhs": {"set": ["z0"]}, "value": "0"}
+    original = doc["entries"][0]
+    assert original["lhs"] == {"set": ["x0", "y0"]} and original["value"] == "1/4"
+    doc["entries"].insert(0 if first == "0" else 1, row)
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(doc))
+    code, out, err = run_cli("certify", "--model", fixture_path("exceptions.json"),
+                             "--cert", str(cert))
+    assert (code, out) == (2, "")
+    assert "conflicting entries for ({x0,y0}, {z0})" in err
+    with pytest.raises(ModelFormatError, match="conflicting entries"):
+        certificate_from_json(doc, fixture_model("exceptions.json"))
+
+
+def test_certificate_repeated_entries_and_witnesses_still_load(tmp_path):
+    """A repeated entry with the same value is no conflict, and a pair
+    may carry several witnesses."""
+    doc = load_fixture("exceptions_cert.json")
+    doc["entries"].append(dict(doc["entries"][0], lhs={"set": ["y0", "x0"]}))
+    doc["witnesses"].append(doc["witnesses"][0])
+    model = fixture_model("exceptions.json")
+    cert = certificate_from_json(doc, model)
+    assert len(cert.candidate.entries) == len(doc["entries"]) - 1
+    assert max(len(w) for w in cert.witnesses.values()) == 2
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(doc))
+    code, out, _err = run_cli("certify", "--model", fixture_path("exceptions.json"),
+                              "--cert", str(path))
+    assert (code, out) == (0, "accepted (7 support pairs verified)\n")
+
+
+def _boolean_subdist_doc():
+    return {"quantale": "boolean", "monad": "subdist",
+            "functor": {"prod": [{"const": "value"},
+                                 {"pow": {"labels": ["a"], "body": "id"}}]},
+            "states": ["x"], "labels": ["a"],
+            "transitions": {"x": {"tuple": [{"const": True},
+                                            {"pow": {"a": {"id": {"dist": {"x": "1"}}}}}]}}}
+
+
+def test_boolean_subdist_law_with_value_constants_is_refused():
+    from quantadist.distlaw import DistLaw
+    from quantadist.functor import ID, machine_functor, pow_functor
+    from quantadist.quantale import BOOLEAN
+
+    with pytest.raises(ValueError, match="boolean quantale"):
+        DistLaw(machine_functor(["a"]), SUBDIST, BOOLEAN)
+    with pytest.raises(ModelFormatError, match="boolean quantale"):
+        model_from_json(_boolean_subdist_doc())
+    # Without value constants there is nothing to take the expectation of.
+    DistLaw(pow_functor(["a"], ID), SUBDIST, BOOLEAN)
+    DistLaw(machine_functor(["a"]), POWERSET, BOOLEAN)
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--cert", "CERT"],
+    ["distance", "--pair", "x:1|x:1", "--method", "kleene"],
+    ["distance", "--pair", "x:1|x:1", "--method", "trace"],
+])
+def test_cli_boolean_subdist_model_exit_code(tmp_path, argv):
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps({"entries": []}))
+    argv = [str(cert) if a == "CERT" else a for a in argv]
+    model = _write_model(tmp_path, _boolean_subdist_doc())
+    code, out, err = run_cli(argv[0], "--model", model, *argv[1:])
+    assert (code, out) == (2, "")
+    assert "subdistributions over the boolean quantale admit no value constants" in err

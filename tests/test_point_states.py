@@ -1,0 +1,307 @@
+"""The point-state shortcut of determinization and the certificate
+checker built on it, against the general path.
+
+A point state η(x) steps to the model's own transition term c(x)
+(the unit law of the exchange law).  The general path runs the exchange
+law over the lifted transitions and flattens every identity leaf; the
+reference checker below uses it for every state and bounds every leaf
+read afresh, as the checker did before it read point states off the
+model and bounded each successor pair once.
+"""
+
+import random
+from fractions import Fraction as F
+
+import pytest
+
+import quantadist.distlaw as distlaw
+from conftest import build_exceptions, build_probchain
+from quantadist.behaviour import (ModelError, Verdict, WitnessError, certify,
+                                  witness_bound)
+from quantadist.canon import canon_key
+from quantadist.distlaw import ALWAYS_LEFT, DistLaw, _zeta, case_study_laws
+from quantadist.functor import (ID, ConstLeaf, CoprodF, Inl, Inr, ProdF, Tup,
+                                const_values, iter_payloads, polynomial_distance,
+                                pow_functor)
+from quantadist.models import (certificate_from_json, fixture_certificate,
+                               fixture_model, model_from_json)
+from quantadist.monadlift import POWERSET, SUBDIST, finsubset, subdist
+from quantadist.quantale import EXT_PLUS, INF, UNIT_OPLUS
+from test_determinize import random_model
+
+
+def general_successor(law, transitions, state):
+    monad = law.monad
+    lifted = [(transitions[x], w) for x, w in monad.weighted(state)]
+    return _zeta(law, law.functor, lifted, monad.flatten)
+
+
+def point_states(monad, states):
+    return [monad.unit(x) for x in states]
+
+
+def assert_canonical(law, term):
+    """Every identity leaf holds a canonical monad value and every
+    constant a validated quantale value."""
+    monad = law.monad
+    for payload in iter_payloads(term):
+        assert payload == monad.pack(monad.weighted(payload))
+    stack = [term]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, ConstLeaf):
+            assert law.quantale.validate(t.atom) == t.atom
+        elif isinstance(t, Tup):
+            stack.extend(t.items)
+        elif isinstance(t, (Inl, Inr)):
+            stack.append(t.item)
+
+
+# -- successor on point states ---------------------------------------------------
+
+def random_functor(rng, depth):
+    """A polynomial functor with value constants only."""
+    kinds = ["value", "id"] + (["prod", "pow", "coprod"] if depth else [])
+    kind = rng.choice(kinds)
+    if kind == "value":
+        return const_values()
+    if kind == "id":
+        return ID
+    if kind == "prod":
+        return ProdF(tuple(random_functor(rng, depth - 1)
+                           for _ in range(rng.randint(1, 3))))
+    if kind == "pow":
+        return pow_functor(["a", "b"], random_functor(rng, depth - 1))
+    return CoprodF(random_functor(rng, depth - 1), random_functor(rng, depth - 1))
+
+
+def random_laws():
+    rng = random.Random("point-state laws")
+    laws = [(f"case-{name}", law) for name, law in sorted(case_study_laws().items())]
+    for k in range(12):
+        monad = (POWERSET, SUBDIST)[k % 2]
+        quantale = (UNIT_OPLUS, EXT_PLUS)[(k // 2) % 2]
+        laws.append((f"random-{k}-{monad.name}-{quantale.ident}",
+                     DistLaw(random_functor(rng, 3), monad, quantale)))
+    return laws
+
+
+LAWS = random_laws()
+
+
+@pytest.mark.parametrize("name,law", LAWS, ids=[name for name, _law in LAWS])
+def test_point_state_successor_matches_general_path(name, law):
+    rng = random.Random(f"point:{name}")
+    for _ in range(20):
+        states, transitions = random_model(rng, law, n_states=5, n_terms=4)
+        det = distlaw.DetCoalgebra(law, transitions)
+        for state in point_states(law.monad, states):
+            fast = det.successor(state)
+            general = general_successor(law, transitions, state)
+            assert fast == general, state
+            assert canon_key(fast) == canon_key(general)
+            assert_canonical(law, fast)
+            assert det.memo[state] is fast
+
+
+@pytest.mark.parametrize("name,law", LAWS[:3], ids=[name for name, _law in LAWS[:3]])
+def test_point_state_shortcut_skips_the_exchange_law(name, law, monkeypatch):
+    """Point states never reach the exchange law; the mutant prioritizer,
+    which breaks the unit axiom, always does."""
+    calls = []
+    original = distlaw._zeta
+
+    def counting(*args):
+        calls.append(args[1])
+        return original(*args)
+
+    monkeypatch.setattr(distlaw, "_zeta", counting)
+    rng = random.Random(f"skip:{name}")
+    states, transitions = random_model(rng, law, n_states=5, n_terms=4)
+    points = point_states(law.monad, states)
+    det = distlaw.DetCoalgebra(law, transitions)
+    for state in points:
+        det.successor(state)
+    assert calls == []
+    mutant = DistLaw(law.functor, law.monad, law.quantale, g_variant=ALWAYS_LEFT)
+    det = distlaw.DetCoalgebra(mutant, transitions)
+    for state in points:
+        assert det.successor(state) == general_successor(mutant, transitions, state)
+    assert len([f for f in calls if f is law.functor]) == len(points)
+
+
+def test_mutant_point_state_differs_from_transition():
+    """Under the mutant a point state on the right summand steps to the
+    empty left summand, not to its transition term."""
+    law = case_study_laws()["exception-powerset"]
+    mutant = DistLaw(law.functor, law.monad, law.quantale, g_variant=ALWAYS_LEFT)
+    model = build_exceptions(2)
+    det = distlaw.DetCoalgebra(mutant, model.transitions)
+    step = det.successor(finsubset(["x0"]))
+    assert step != model.transitions["x0"]
+    assert step == general_successor(mutant, model.transitions, finsubset(["x0"]))
+
+
+def test_point_state_shortcut_keeps_budget_and_frontier():
+    model = build_exceptions(2)
+    det = model.det(max_states=1)
+    point = finsubset(["x0"])
+    det.frontier.add(point)
+    det.successor(point)
+    assert point not in det.frontier
+    with pytest.raises(distlaw.StateBudgetError):
+        det.successor(finsubset(["y0"]))
+
+
+def test_subdist_state_of_mass_below_one_takes_general_path():
+    model = build_probchain()
+    det = model.det()
+    half = subdist({"x": F(1, 2)})
+    assert det.successor(half) == general_successor(model.law(), model.transitions, half)
+    assert det.successor(half) != model.transitions["x"]
+
+
+# -- certify against the reference checker --------------------------------------
+
+def reference_certify(cert, model):
+    """Every support pair through the general path, every leaf bounded
+    on each read."""
+    law = model.law()
+    q = model.quantale
+    failures = []
+    support = cert.candidate.support()
+    for pair in support:
+        p_state, q_state = pair
+        stated = cert.candidate.value_at(pair)
+        try:
+            bound = polynomial_distance(
+                q, law.functor, lambda x, y: witness_bound(cert, (x, y), q),
+                general_successor(law, model.transitions, p_state),
+                general_successor(law, model.transitions, q_state))
+        except (WitnessError, ModelError, KeyError) as exc:
+            failures.append((p_state, q_state, str(exc)))
+            continue
+        if not q.leq(stated, bound):
+            failures.append((
+                p_state, q_state,
+                f"one-step bound {canon_key(bound)} exceeds the stated "
+                f"{canon_key(stated)} numerically"))
+    return Verdict(not failures, failures, len(support))
+
+
+def exception_certificate_doc(n, values):
+    """The 2n+1-entry certificate bracketing ({x0,y0},{z0}) with its two
+    union witnesses."""
+    vx, vy, vz = values
+    cx, cy = max(vz - vx, F(0)), max(vz - vy, F(0))
+    s = lambda *members: {"set": list(members)}
+    entries = [{"lhs": s("x0", "y0"), "rhs": s("z0"), "value": str(max(cx, cy))}]
+    for i in range(1, n + 1):
+        entries.append({"lhs": s(f"x{i}"), "rhs": s(f"z{i}"), "value": str(cx)})
+        entries.append({"lhs": s(f"y{i}"), "rhs": s(f"z{i}"), "value": str(cy)})
+    witnesses = [
+        {"lhs": s("x0", "x1", "y0"), "rhs": s("z0", "z1"),
+         "parts": [{"lhs": s("x0", "y0"), "rhs": s("z0")},
+                   {"lhs": s("x1"), "rhs": s("z1")}]},
+        {"lhs": s("x0", "y0", "y1"), "rhs": s("z0", "z1"),
+         "parts": [{"lhs": s("x0", "y0"), "rhs": s("z0")},
+                   {"lhs": s("y1"), "rhs": s("z1")}]},
+    ]
+    return {"entries": entries, "witnesses": witnesses}
+
+
+def certified_cases():
+    cases = [
+        ("fixture-exceptions", fixture_model("exceptions.json"), "exceptions_cert.json"),
+        ("fixture-probchain", fixture_model("probchain.json"), "probchain_cert.json"),
+    ]
+    out = [(name, model, fixture_certificate(cert, model)) for name, model, cert in cases]
+    values = (F(1, 4), F(1, 3), F(1, 2))
+    for n in (1, 5, 20):
+        model = build_exceptions(n, values)
+        out.append((f"exceptions-n{n}", model,
+                    certificate_from_json(exception_certificate_doc(n, values), model)))
+    return out
+
+
+CASES = certified_cases()
+
+
+@pytest.mark.parametrize("name,model,cert", CASES, ids=[c[0] for c in CASES])
+def test_certify_matches_reference(name, model, cert):
+    verdict = certify(cert, model)
+    assert verdict.accepted
+    assert verdict == reference_certify(cert, model)
+    assert verdict.checked == len(cert.candidate.entries)
+
+
+#: Entries above the behavioural distance: probchain's x' and y both
+#: stay put and x' outputs more, so their distance is 0 and the entry
+#: 1/2 can be lowered all the way.
+SLACK_ENTRIES = {("fixture-probchain", "x':1", "y:1")}
+
+
+@pytest.mark.parametrize("name,model,cert", CASES, ids=[c[0] for c in CASES])
+def test_every_single_entry_lowering_is_judged_like_the_reference(name, model, cert):
+    """Halving one entry is rejected unless the entry is slack, and
+    gives the reference verdict either way."""
+    q = model.quantale
+    lowered = 0
+    for pair, value in list(cert.candidate.entries.items()):
+        if value == q.top:
+            continue  # numerically 0: nothing below it
+        assert value is not INF
+        cert.candidate.entries[pair] = value / 2
+        try:
+            verdict = certify(cert, model)
+            slack = (name, canon_key(pair[0]), canon_key(pair[1])) in SLACK_ENTRIES
+            assert verdict.accepted == slack, pair
+            assert verdict == reference_certify(cert, model), pair
+        finally:
+            cert.candidate.entries[pair] = value
+        lowered += 1
+    assert lowered == len(cert.candidate.entries)
+
+
+def test_broken_witness_fails_every_support_pair_that_reads_it():
+    """Two support pairs step to the same successor pair, whose witness
+    fails its marginals: both fail, with the same reason."""
+    model = model_from_json({
+        "quantale": "unit-oplus", "monad": "powerset",
+        "functor": {"coprod": [{"const": "value"},
+                               {"pow": {"labels": ["a"], "body": "id"}}]},
+        "states": ["p", "r", "c", "d"], "labels": ["a"],
+        "transitions": {"p": {"inr": {"pow": {"a": {"id": {"set": ["c"]}}}}},
+                        "r": {"inr": {"pow": {"a": {"id": {"set": ["c"]}}}}},
+                        "c": {"inl": {"const": "1/2"}},
+                        "d": {"inl": {"const": "1/2"}}}})
+    s = lambda *members: {"set": list(members)}
+    cert = certificate_from_json({
+        "entries": [{"lhs": s("p"), "rhs": s("r"), "value": "0"},
+                    {"lhs": s("r"), "rhs": s("p"), "value": "0"}],
+        "witnesses": [{"lhs": s("c"), "rhs": s("c"),
+                       "parts": [{"lhs": s("c"), "rhs": s("d")}]}]}, model)
+    verdict = certify(cert, model)
+    assert verdict == reference_certify(cert, model)
+    assert [(canon_key(l), canon_key(r)) for l, r, _why in verdict.failures] == \
+        [("{p}", "{r}"), ("{r}", "{p}")]
+    reasons = {why for _l, _r, why in verdict.failures}
+    assert len(reasons) == 1 and "right marginal" in reasons.pop()
+
+
+def test_certify_bounds_each_successor_pair_once(monkeypatch):
+    import quantadist.behaviour as behaviour
+
+    model = build_exceptions(5)
+    cert = certificate_from_json(
+        exception_certificate_doc(5, (F(1, 4), F(1, 3), F(1, 2))), model)
+    reads = []
+    original = behaviour.witness_bound
+
+    def counting(cert, pair, q):
+        reads.append(pair)
+        return original(cert, pair, q)
+
+    monkeypatch.setattr(behaviour, "witness_bound", counting)
+    assert certify(cert, model).accepted
+    assert reads and len(reads) == len(set(reads))
