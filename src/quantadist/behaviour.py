@@ -7,12 +7,14 @@ behavioural distance; Kleene iteration from the top graph descends
 towards it, so truncated runs are sound quantale-order upper bounds
 (numeric lower bounds).
 
-Distance queries run ``pair_gfp``, which iterates only on the pairs
-reachable from the query pair in the synchronized product (the lifted
-distance reads successor pairs at matching positions only), over
-integer-interned states.  ``kleene_gfp`` iterates over every pair of a
-successor-closed carrier; it is the reference the local solver is
-tested against.
+Distance queries and trace bounds run ``pair_gfp``: one breadth-first
+pass over the pairs reachable from the query pair in the synchronized
+product (the lifted distance reads successor pairs at matching
+positions only), one depth layer per Kleene iterate.  A run cut at
+depth k answers the k-th iterate, the trace bound over words shorter
+than k; an exhausted pair graph answers the fixpoint.  ``kleene_gfp``
+iterates over every pair of a successor-closed carrier; it is the
+reference the local solver is tested against.
 
 Upper bounds in the numeric order come from certificates: sparse
 candidate distances whose support pairs are post-fixpoints up to the
@@ -25,15 +27,15 @@ computes it exactly; ``u_exact`` exists only as a desk-scale oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, combinations, product
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from itertools import chain, combinations
+from typing import Callable, Dict, Iterable, List, Sequence, Set, Tuple
 
 from .canon import canon_key
 from .distlaw import DetCoalgebra, DistLaw
-from .functor import (ConstF, CoprodF, IdF, Inl, ProdF, iter_payloads,
-                      polynomial_distance, shape_check)
+from .functor import (CoprodF, ProdF, iter_payloads, polynomial_distance,
+                      shape_check)
 from .galois import BudgetError
-from .monadlift import POWERSET, SUBDIST, FinSubset, Monad, finsubset
+from .monadlift import POWERSET, FinSubset, Monad, finsubset
 from .quantale import Quantale
 from .vgraph import Carrier, VGraph, metric_closure
 
@@ -87,28 +89,6 @@ def _labelled_products(functor):
     elif isinstance(functor, CoprodF):
         yield from _labelled_products(functor.left)
         yield from _labelled_products(functor.right)
-
-
-def _is_value_const(f) -> bool:
-    return isinstance(f, ConstF) and f.atoms is None
-
-
-def _is_power_of_id(f) -> bool:
-    return isinstance(f, ProdF) and f.labels is not None and \
-        all(isinstance(p, IdF) for p in f.parts)
-
-
-def model_kind(model: CoalgebraModel) -> Optional[str]:
-    """Recognize the two trace-characterized shapes."""
-    f = model.functor
-    if model.monad is SUBDIST and isinstance(f, ProdF) and f.labels is None \
-            and len(f.parts) == 2 and _is_value_const(f.parts[0]) \
-            and _is_power_of_id(f.parts[1]):
-        return "machine"
-    if model.monad is POWERSET and isinstance(f, CoprodF) \
-            and _is_value_const(f.left) and _is_power_of_id(f.right):
-        return "exception"
-    return None
 
 
 # -- the behaviour function -----------------------------------------------------
@@ -206,156 +186,62 @@ def reachable_states(det: DetCoalgebra, seeds: Sequence[object],
 
 @dataclass
 class PairResult:
-    """The behaviour-function iterate at one query pair."""
+    """The behaviour-function iterate at one query pair: ``value`` is
+    the ``iterations``-th Kleene iterate there."""
 
     value: object
-    converged: bool
-    iterations: int
-    states: int  # determinized states touched
-    pairs: int   # pairs explored
+    converged: bool  # the pair graph was exhausted: value is the fixpoint
+    iterations: int  # depth layers evaluated
+    states: int      # determinized states the evaluated pairs touch
+    pairs: int       # pairs evaluated
 
 
 def pair_gfp(det: DetCoalgebra, p, q, max_iters: int = 1000) -> PairResult:
-    """Iterate the behaviour function from all-top on the pairs reachable
-    from ``(p, q)`` only.
+    """The ``max_iters``-th Kleene iterate of the behaviour function at
+    ``(p, q)``, from one breadth-first pass over the synchronized pair
+    graph.
 
-    ``polynomial_distance`` reads the distance only at identity leaves
-    sitting at the same position of both one-step terms (mismatched
-    coproduct sides read none), so those successor pairs span a
-    sub-system closed under the behaviour function.  Each state is
-    hashed once, when it is first met, and given an integer id; each
-    pair stores its successor pair ids in the order the lifted distance
-    visits its identity leaves, so the leaf callback reads values by
-    position.  Round 1 evaluates every explored pair; a later round
-    re-evaluates only the predecessors of pairs that changed in the
-    round before.  The iterate after k rounds equals ``kleene_gfp``'s
-    k-th iterate at the query pair, so a truncated run is the same
-    numeric lower bound and a stabilized one the exact fixpoint.
+    ``polynomial_distance`` has no tensor: it meets local constant
+    comparisons with the distance at the identity leaves in the same
+    position of both one-step terms.  So the k-th iterate at the query
+    is the meet of the local values (leaves read as top) of the pairs
+    within depth k - 1.  Each layer's pairs are evaluated once, queueing
+    unseen leaf pairs as the next layer; an empty layer means the pair
+    graph is exhausted and the value is the fixpoint.  Only the states
+    of evaluated pairs are determinized.
     """
     qt = det.law.quantale
     functor = det.law.functor
-    state_ids: Dict[object, int] = {}
-    terms: List[object] = []
-    pair_ids: Dict[Tuple[int, int], int] = {}
-    pairs: List[Tuple[int, int]] = []
-    succs: List[List[int]] = []
-    preds: List[List[int]] = []
+    value = qt.top
+    seen = {(p, q)}
+    layer = [(p, q)]
+    states: Set[object] = set()
+    iterations = 0
+    while layer and iterations < max_iters:
+        following: List[Tuple[object, object]] = []
 
-    def state_id(state) -> int:
-        i = state_ids.get(state)
-        if i is None:
-            i = state_ids[state] = len(terms)
-            terms.append(det.successor(state))
-        return i
-
-    def pair_id(a: int, b: int) -> int:
-        k = pair_ids.get((a, b))
-        if k is None:
-            k = pair_ids[(a, b)] = len(pairs)
-            pairs.append((a, b))
-            succs.append([])
-            preds.append([])
-        return k
-
-    # Breadth-first exploration: the loop also visits pairs appended
-    # while it runs.  Recording leaves answer top, so the values it
-    # computes are round 1.
-    root = pair_id(state_id(p), state_id(q))
-    values: List[object] = []
-    for k, (a, b) in enumerate(pairs):
         def record(x, y):
-            j = pair_id(state_id(x), state_id(y))
-            succs[k].append(j)
-            if not preds[j] or preds[j][-1] != k:
-                preds[j].append(k)
+            if (x, y) not in seen:
+                seen.add((x, y))
+                following.append((x, y))
             return qt.top
 
-        values.append(polynomial_distance(qt, functor, record, terms[a], terms[b]))
-    if max_iters < 1:
-        return PairResult(qt.top, False, 0, len(terms), len(pairs))
-
-    def evaluate(k: int):
-        position = iter(succs[k])
-        a, b = pairs[k]
-        return polynomial_distance(qt, functor,
-                                   lambda _x, _y: values[next(position)],
-                                   terms[a], terms[b])
-
-    changed = [k for k, v in enumerate(values) if v != qt.top]
-    iterations = 1
-    while changed and iterations < max_iters:
-        updates = [(j, evaluate(j)) for j in {j for k in changed for j in preds[k]}]
-        changed = []
-        for j, v in updates:
-            if v != values[j]:
-                values[j] = v
-                changed.append(j)
+        for a, b in layer:
+            states.update((a, b))
+            value = qt.meet2(value, polynomial_distance(
+                qt, functor, record, det.successor(a), det.successor(b)))
+        layer = following
         iterations += 1
-    return PairResult(values[root], not changed, iterations, len(terms), len(pairs))
-
-
-# -- trace oracles ----------------------------------------------------------------
-
-def _machine_out(det: DetCoalgebra, state):
-    return det.successor(state).items[0].atom
-
-
-def _machine_step(det: DetCoalgebra, state, label_index: int):
-    return det.successor(state).items[1].items[label_index].payload
-
-
-def _exception_probe(det: DetCoalgebra, state, word: Sequence[int]):
-    """First-throw time and value along a word (None, None when the word
-    never reaches a throwing state)."""
-    current = state
-    for k in range(len(word) + 1):
-        step = det.successor(current)
-        if isinstance(step, Inl):
-            return k, step.item.atom
-        if k < len(word):
-            current = step.item.items[word[k]].payload
-    return None, None
+    return PairResult(value, not layer, iterations, len(states), len(seen) - len(layer))
 
 
 def trace_lower_bound(model: CoalgebraModel, p, q, max_words: int):
-    """Numeric lower bound on the behavioural distance at (p, q) from
-    all words of length strictly below ``max_words``.
-
-    Monotone (numerically non-decreasing) in ``max_words``.
-    """
-    kind = model_kind(model)
-    if kind is None:
-        raise ModelError("trace bounds need a machine- or exception-shaped model")
-    det = model.det()
-    qt = model.quantale
-    n_labels = len(model.labels)
-    best = qt.top  # the empty word set gives the trivial numeric-0 bound
-    for length in range(max_words):
-        for word in product(range(n_labels), repeat=length):
-            if kind == "machine":
-                sp, sq = p, q
-                for i in word:
-                    sp = _machine_step(det, sp, i)
-                    sq = _machine_step(det, sq, i)
-                value = qt.residuate(_machine_out(det, sp), _machine_out(det, sq))
-            else:
-                value = _exception_word_distance(det, qt, p, q, word)
-            best = qt.meet2(best, value)  # numeric max
-    return best
-
-
-def _exception_word_distance(det, qt, left_state, right_state, word):
-    ec1, val1 = _exception_probe(det, left_state, word)
-    ec2, val2 = _exception_probe(det, right_state, word)
-    if ec2 is None:
-        return qt.top
-    if ec1 is None:
-        return qt.bottom
-    if ec1 == ec2:
-        return qt.residuate(val1, val2)
-    if ec1 > ec2:
-        return qt.bottom
-    return qt.top
+    """Numeric lower bound on the behavioural distance at (p, q), valid
+    for any polynomial-functor model: the ``max_words``-th Kleene
+    iterate, which on machine- and exception-shaped models reads every
+    word of length strictly below ``max_words``.  Monotone (numerically
+    non-decreasing) in ``max_words``."""
+    return pair_gfp(model.det(), p, q, max_iters=max_words).value
 
 
 # -- candidates, witnesses, certificates --------------------------------------------

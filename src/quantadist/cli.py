@@ -26,8 +26,8 @@ from .distlaw import (ALWAYS_LEFT, DistLaw, StateBudgetError, case_study_laws,
 from .galois import BudgetError
 from .models import (DistanceInstance, ModelFormatError, certificate_from_json,
                      load_json_file, model_from_json)
-from .monadlift import (POWERSET, FinSubset, finsubset, hausdorff_directed,
-                        kantorovich_lp, subdist)
+from .monadlift import (POWERSET, FinSubset, SubDist, finsubset,
+                        hausdorff_directed, kantorovich_lp, subdist)
 from .quantale import QuantaleError
 from .repro import REPRODUCTIONS
 from .suites import galois_suite, extension_suite, polyfunctor_suite, quantale_suite
@@ -54,14 +54,17 @@ def _parse_set_literal(text: str):
 
 def _parse_tvalue(text: str, instance):
     text = text.strip()
-    if text.startswith("{"):
-        return _parse_set_literal(text)
     if isinstance(instance, DistanceInstance):
+        if text.startswith("{"):
+            return _parse_set_literal(text)
         if text in instance.distributions:
             return instance.distributions[text]
         return _parse_dist_literal(text)
     if instance.monad is POWERSET:
         return _parse_set_literal(text)
+    if text.startswith("{"):
+        raise _CliError(f"a {instance.monad.name} model compares distributions "
+                        f"like 'x:1/2,y:1/2', got {text!r}")
     return _parse_dist_literal(text)
 
 
@@ -120,6 +123,10 @@ def _cmd_distance(args) -> int:
     if args.method in ("lp", "hausdorff"):
         if not isinstance(instance, DistanceInstance):
             raise _CliError(f"method {args.method!r} needs a distance-matrix model")
+        kind, name = (SubDist, "distributions") if args.method == "lp" \
+            else (FinSubset, "sets")
+        if not all(isinstance(t, kind) for t in pair):
+            raise _CliError(f"method {args.method!r} compares two {name}")
         if args.method == "lp":
             value = kantorovich_lp(instance.graph, pair[0], pair[1])
         else:
@@ -238,7 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     dist.add_argument("--method", required=True,
                       choices=["kleene", "trace", "lp", "hausdorff"])
     dist.add_argument("--max-words", type=_count, default=10,
-                      help="trace: explore words of length strictly below this")
+                      help="trace: the bound after this many Kleene iterates, "
+                           "which reads words of length strictly below it")
     dist.add_argument("--max-iters", type=_count, default=1000)
     dist.add_argument("--max-states", type=_count, default=10_000,
                       help="kleene: refuse (exit 3) beyond this many "

@@ -44,14 +44,15 @@ def _all(name: str, cases, predicate) -> CheckResult:
 # -- quantale laws -----------------------------------------------------------
 
 def residuation_lemma_suite(q: Quantale, values: Sequence) -> List[CheckResult]:
-    """The ten internal-hom properties, checked on all value triples."""
+    """The ten internal-hom properties, checked on all value pairs
+    (item 1, against every u), triples and quadruples."""
     vals = list(values)
     triples = list(product(vals, repeat=3))
     res = q.residuate
     out = [
-        _all(f"{q.ident}: largest-u characterization (item 1)", triples,
-             lambda c: q.leq(q.tensor(res(c[1], c[2]), c[1]), c[2])
-             and all(not q.leq(q.tensor(u, c[1]), c[2]) or q.leq(u, res(c[1], c[2]))
+        _all(f"{q.ident}: largest-u characterization (item 1)", product(vals, repeat=2),
+             lambda c: q.leq(q.tensor(res(c[0], c[1]), c[0]), c[1])
+             and all(not q.leq(q.tensor(u, c[0]), c[1]) or q.leq(u, res(c[0], c[1]))
                      for u in vals)),
         _all(f"{q.ident}: reflexivity (item 2)", vals,
              lambda v: q.leq(q.unit, res(v, v))),

@@ -4,7 +4,7 @@ import pytest
 
 from quantadist.behaviour import (Certificate, CoalgebraModel, ModelError,
                                   SparseDist, WitnessError, beh_apply, beh_value,
-                                  certify, kleene_gfp, model_kind,
+                                  certify, kleene_gfp,
                                   reachable_states, trace_lower_bound, u_exact,
                                   witness_bound)
 from quantadist.functor import (ConstLeaf, IdLeaf, Inl, Inr, Tup,
@@ -47,11 +47,6 @@ def probchain_certificate():
 
 
 # -- the behaviour function -------------------------------------------------------
-
-def test_model_kind_recognition(probchain, exceptions3):
-    assert model_kind(probchain) == "machine"
-    assert model_kind(exceptions3) == "exception"
-
 
 def test_beh_machine_formula(probchain):
     det = probchain.det()
@@ -179,14 +174,21 @@ def test_trace_bound_monotone_in_length(exceptions3):
     assert trace_lower_bound(exceptions3, pair[0], pair[1], 3) == F(0)
 
 
-def test_trace_bound_shape_guard():
-    # An exception-shaped functor paired with the wrong monad has no
-    # trace characterization.
-    bad = CoalgebraModel(UNIT_OPLUS, exception_functor(["a"]), SUBDIST,
-                         carrier(["s"]), carrier(["a"]),
-                         {"s": Inl(ConstLeaf(F(0)))})
-    with pytest.raises(ModelError, match="machine- or exception-shaped"):
-        trace_lower_bound(bad, dirac("s"), dirac("s"), 2)
+def test_trace_bound_on_a_shape_without_word_semantics():
+    # An exception-shaped functor paired with the subdistribution monad
+    # has no word characterization; its trace bound is still the
+    # truncated Kleene iterate.
+    model = CoalgebraModel(UNIT_OPLUS, exception_functor(["a", "b"]), SUBDIST,
+                           carrier(["s", "t", "u"]), carrier(["a", "b"]),
+                           {"s": Inr(Tup((IdLeaf(subdist({"t": F(1, 2), "u": F(1, 2)})),
+                                          IdLeaf(dirac("s"))))),
+                            "t": Inl(ConstLeaf(F(1, 4))),
+                            "u": Inr(Tup((IdLeaf(dirac("t")), IdLeaf(dirac("u")))))})
+    det = model.det()
+    p, r = dirac("s"), dirac("u")
+    values = [trace_lower_bound(model, p, r, depth) for depth in range(6)]
+    assert values == [_bounded_iterate(det, p, r, depth) for depth in range(6)]
+    assert values == sorted(values) and values[-1] > F(0)
 
 
 # -- witnesses and certificates ------------------------------------------------------------

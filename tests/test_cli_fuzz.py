@@ -1,13 +1,17 @@
-"""Fuzzing ``quantadist certify`` with mutated copies of the bundled
-model/certificate pairs.
+"""Fuzzing ``quantadist certify`` and ``quantadist distance`` with mutated
+copies of the bundled models, certificates and pair literals.
 
-Each example applies a few mutations to the model or the certificate
-document (a dropped key, a value of another JSON type, an unknown
-state, a bad or negative value, a duplicated row, reordered set
+A ``certify`` example applies a few mutations to the model or the
+certificate document (a dropped key, a value of another JSON type, an
+unknown state, a bad or negative value, a duplicated row, reordered set
 members) and runs the command line in process.  Whatever the input, the
 exit code is 0 (accepted), 1 (rejected) or 2 (malformed), and no
-exception escapes ``cli.main``.  The search is derandomized and bounded,
-so a run is reproducible and takes a few seconds.
+exception escapes ``cli.main``.  A ``distance`` example mutates the set
+or distribution literals of a query on a coalgebra fixture (``kleene``
+and ``trace`` under small budgets), or the ``transport.json`` document
+(``lp`` and ``hausdorff``); its exit code is 0 (answered), 2
+(malformed) or 3 (refused).  The search is derandomized and bounded, so
+a run is reproducible and takes a few seconds.
 """
 
 import contextlib
@@ -128,11 +132,69 @@ def test_certify_cli_never_escapes(tmp_path, data):
     for key, doc in docs.items():
         files[key] = tmp_path / f"{key}.json"
         files[key].write_text(json.dumps(doc))
+    run(["certify", "--model", str(files["model"]), "--cert", str(files["cert"])],
+        (0, 1, 2))
+
+
+def run(argv, codes):
+    """Run the command line in process and check its exit code."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["certify", "--model", str(files["model"]),
-                     "--cert", str(files["cert"])])
-    assert code in (0, 1, 2), err.getvalue()
+        code = main(argv)
+    assert code in codes, err.getvalue()
     assert "Traceback" not in err.getvalue()
     if code == 2:
         assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+    if code == 3:
+        assert out.getvalue() == "" and err.getvalue().startswith("refused: ")
+
+
+QUERIES = {
+    "exceptions.json": ["{x0,y0}|{z0}", "{x0,x1,y0}|{z0,z1}", "{y1}|{z1}", "{}|{x0}",
+                        "x0:1|{z0}"],
+    "probchain.json": ["y:1|x:1", "x:1/2,x':1/2|y:1", "x':1|y:1/2", "{y}|x:1"],
+}
+TRANSPORT_QUERIES = ["P|Q", "A:7/10,B:1/10,C:1/5|A:1/5,B:3/10,C:1/2", "Q|P",
+                     "{A,B}|{C}", "{A}|{}"]
+PIECES = ["", "{", "}", ",", ":", "|", " ", "x0", "z1", "x", "x'", "y", "A", "C", "P",
+          "ghost", "1", "0", "1/2", "-1/2", "3/2", "1/0", "inf", "abc", "T"]
+
+
+def mutate_literal(text, data):
+    """Replace up to three short slices of the text with literal pieces
+    (an empty piece deletes, an empty slice inserts)."""
+    for _ in range(data.draw(st.integers(1, 3))):
+        i = data.draw(st.integers(0, len(text)))
+        j = data.draw(st.integers(i, min(len(text), i + 3)))
+        text = text[:i] + data.draw(st.sampled_from(PIECES)) + text[j:]
+    return text
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_distance_cli_never_escapes_on_literals(tmp_path, data):
+    name = data.draw(st.sampled_from(sorted(QUERIES)))
+    model = tmp_path / name
+    model.write_text(fixture_text(name))
+    pair = mutate_literal(data.draw(st.sampled_from(QUERIES[name])), data)
+    method = data.draw(st.sampled_from(["kleene", "trace"]))
+    budget = "--max-iters" if method == "kleene" else "--max-words"
+    run(["distance", "--model", str(model), f"--pair={pair}", "--method", method,
+         budget, str(data.draw(st.integers(0, 6)))], (0, 2, 3))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_distance_cli_never_escapes_on_transport(tmp_path, data):
+    doc = json.loads(fixture_text("transport.json"))
+    for _ in range(data.draw(st.integers(0, 3))):
+        data.draw(st.sampled_from(MUTATIONS))(doc, data)
+    model = tmp_path / "transport.json"
+    model.write_text(json.dumps(doc))
+    pair = data.draw(st.sampled_from(TRANSPORT_QUERIES))
+    if data.draw(st.booleans()):
+        pair = mutate_literal(pair, data)
+    run(["distance", "--model", str(model), f"--pair={pair}",
+         "--method", data.draw(st.sampled_from(["lp", "hausdorff"]))], (0, 2, 3))

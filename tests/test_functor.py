@@ -10,10 +10,11 @@ from quantadist.functor import (ConstF, ConstLeaf, CoprodF,
                                 check_compositionality, const_atoms, const_values,
                                 eval_map, exception_functor, fmap,
                                 kantorovich_generic, lift_closed, machine_functor,
-                                map_payloads, shape_check, star, term_key)
-from quantadist.galois import Grid, PredSet, alpha, gamma_enum
+                                map_payloads, polynomial_distance, shape_check, star,
+                                term_key)
+from quantadist.galois import Grid, PredSet, alpha, gamma_enum, grid_values
 from quantadist.monadlift import POWERSET, SUBDIST, dirac, finsubset, subdist
-from quantadist.quantale import BOOLEAN, UNIT_OPLUS
+from quantadist.quantale import BOOLEAN, EXT_PLUS, UNIT_OPLUS
 from quantadist.suites import all_bool_graphs, all_bool_preds
 from quantadist.vgraph import (VGraph, carrier, graph_from_entries,
                                graph_leq, is_vcat, metric_closure)
@@ -295,3 +296,65 @@ def test_lambda_set_commutes_with_coclosure_boolean():
                     for j in range(n):
                         assert BOOLEAN.leq(lifted_graph.dist[i][j],
                                            BOOLEAN.residuate(scores[i], scores[j]))
+
+
+# -- no tensor in the lifted distance --------------------------------------------
+#
+# ``pair_gfp`` reads a Kleene iterate as the meet of local values over
+# a pair graph.  That needs the lifted distance to be the meet of its
+# value with top leaves and of the distance at the leaf pairs it reads:
+# no tensor, no weighted leaf.
+
+ATOMS = ["lo", "hi"]
+PAYLOADS = ["u", "v", "w"]
+
+
+def random_functor(rng, values, depth=3):
+    kinds = ["value", "atoms", "id"] + (["prod", "coprod"] * 2 if depth else [])
+    kind = rng.choice(kinds)
+    if kind == "value":
+        return const_values()
+    if kind == "atoms":
+        return const_atoms(ATOMS, [{a: rng.choice(values) for a in ATOMS}
+                                   for _ in range(rng.randint(1, 2))])
+    if kind == "id":
+        return IdF()
+    if kind == "prod":
+        parts = tuple(random_functor(rng, values, depth - 1)
+                      for _ in range(rng.randint(1, 3)))
+        labels = tuple(f"l{i}" for i in range(len(parts))) if rng.random() < 0.5 else None
+        return ProdF(parts, labels)
+    return CoprodF(random_functor(rng, values, depth - 1),
+                   random_functor(rng, values, depth - 1))
+
+
+def random_term(rng, functor, values):
+    if isinstance(functor, ConstF):
+        return ConstLeaf(rng.choice(values if functor.atoms is None else ATOMS))
+    if isinstance(functor, IdF):
+        return IdLeaf(rng.choice(PAYLOADS))
+    if isinstance(functor, ProdF):
+        return Tup(tuple(random_term(rng, part, values) for part in functor.parts))
+    if rng.random() < 0.5:
+        return Inl(random_term(rng, functor.left, values))
+    return Inr(random_term(rng, functor.right, values))
+
+
+@pytest.mark.parametrize("q, grid", [(UNIT_OPLUS, Grid(4)), (EXT_PLUS, Grid(2, cap=3))],
+                         ids=["unit-oplus", "ext-plus"])
+def test_lifted_distance_is_a_meet_of_local_and_leaf_values(q, grid):
+    rng = random.Random(11)
+    values = grid_values(q, grid)
+    for _ in range(300):
+        functor = random_functor(rng, values)
+        s, t = random_term(rng, functor, values), random_term(rng, functor, values)
+        d = {(x, y): rng.choice(values) for x in PAYLOADS for y in PAYLOADS}
+        read = []
+
+        def record(x, y):
+            read.append((x, y))
+            return q.top
+
+        local = polynomial_distance(q, functor, record, s, t)
+        expected = q.meet([local] + [d[pair] for pair in read])
+        assert polynomial_distance(q, functor, lambda x, y: d[(x, y)], s, t) == expected

@@ -190,6 +190,19 @@ def test_cli_parse_error_exit_code(tmp_path):
     assert "line 1" in err
 
 
+@pytest.mark.parametrize("model, pair, method, reason", [
+    ("transport.json", "P|Q", "hausdorff", "method 'hausdorff' compares two sets"),
+    ("transport.json", "{A}|{B}", "lp", "method 'lp' compares two distributions"),
+    ("probchain.json", "{x}|y:1", "kleene", "a subdist model compares distributions"),
+    ("probchain.json", "y:1|{x}", "trace", "a subdist model compares distributions"),
+])
+def test_cli_literal_of_the_wrong_kind_exit_code(model, pair, method, reason):
+    code, out, err = run_cli("distance", "--model", fixture_path(model),
+                             "--pair", pair, "--method", method)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and reason in err
+
+
 def test_cli_budget_exit_code(tmp_path):
     code, _out, err = run_cli("distance", "--model", fixture_path("exceptions.json"),
                               "--pair", "{x0,y0}|{z0}", "--method", "kleene",
@@ -239,13 +252,16 @@ def test_cli_kleene_report_counts_explored_pairs():
     assert code == 0
     doc = json.loads(out)
     assert (doc["carrier_size"], doc["pairs"]) == (19, 15)
+    assert doc["iterations"] == 4
+    # Two iterations evaluate the query pair and its two successor pairs
+    # ({x0,x1,y0}, {z0,z1}) and ({x0,y0,y1}, {z0,z1}): five states.
     code, out, _err = run_cli("distance", "--model", fixture_path("exceptions.json"),
                               "--pair", "{x0,y0}|{z0}", "--method", "kleene",
                               "--max-iters", "2")
     assert code == 0
     assert out.splitlines() == [
         "0  [lower bound (numeric)]",
-        "carrier: 19 determinized states, 15 pairs, 2 iterations (not stabilized)"]
+        "carrier: 5 determinized states, 3 pairs, 2 iterations (not stabilized)"]
 
 
 def _write_model(tmp_path, doc):
@@ -486,13 +502,21 @@ def test_cli_budget_zero_is_valid():
     assert code == 0 and out.splitlines()[0] == "0  [lower bound (numeric)]"
 
 
-def test_cli_default_state_budget_refuses_infinite_determinization():
-    # The determinized part of probchain is infinite; the default budget
-    # must refuse it rather than run for minutes.
-    code, out, err = run_cli("distance", "--model", fixture_path("probchain.json"),
-                             "--pair", "x:1|y:1", "--method", "kleene")
+def test_cli_infinite_determinization_truncates_or_refuses():
+    # The determinized part of probchain is infinite.  The default
+    # iteration budget answers its 1000th iterate, determinizing only
+    # the states within that depth; a state budget that binds first
+    # refuses rather than truncating silently.
+    argv = ["distance", "--model", fixture_path("probchain.json"),
+            "--pair", "x:1|y:1", "--method", "kleene"]
+    code, out, _err = run_cli(*argv)
+    assert code == 0
+    assert out.splitlines() == [
+        "0  [lower bound (numeric)]",
+        "carrier: 1001 determinized states, 1000 pairs, 1000 iterations (not stabilized)"]
+    code, out, err = run_cli(*argv, "--max-states", "500")
     assert (code, out) == (3, "")
-    assert err.startswith("refused:") and "10000" in err
+    assert err.startswith("refused:") and "500" in err
 
 
 # -- reserved names ---------------------------------------------------------------

@@ -1,23 +1,27 @@
-"""The local pair solver against the global Kleene oracle.
+"""The local pair solver against the global Kleene oracle and the word
+enumerator.
 
 ``kleene_gfp`` iterates over every pair of a successor-closed carrier;
-``pair_gfp`` only over the pairs reachable from the query.  Their k-th
-iterates must agree at the query pair for every k, and so must their
-fixpoints.
+``pair_gfp`` evaluates the pairs reachable from the query, one depth
+layer per iterate.  Their k-th iterates must agree at the query pair
+for every k, and so must their fixpoints.  On the two trace-characterized
+shapes, the trace bound over words shorter than k must be that iterate
+too.
 """
 
 import random
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 from conftest import build_exceptions, build_probchain
 from quantadist import behaviour
-from quantadist.behaviour import CoalgebraModel, kleene_gfp, pair_gfp, reachable_states
+from quantadist.behaviour import (CoalgebraModel, kleene_gfp, pair_gfp, reachable_states,
+                                  trace_lower_bound)
 from quantadist.distlaw import StateBudgetError
-from quantadist.functor import (ConstLeaf, IdLeaf, Inl, Inr, Tup, exception_functor,
-                                machine_functor)
+from quantadist.functor import (ConstF, ConstLeaf, CoprodF, IdF, IdLeaf, Inl, Inr, ProdF,
+                                Tup, exception_functor, machine_functor)
 from quantadist.galois import BudgetError
 from quantadist.models import fixture_model
 from quantadist.monadlift import POWERSET, SUBDIST, dirac, finsubset, subdist
@@ -55,15 +59,22 @@ def assert_agrees(monkeypatch, det, queries):
         local = pair_gfp(det, p, q)
         assert local.converged
         assert local.value == oracle.at(p, q)
-        assert local.iterations <= oracle.iterations
         closure = reachable_states(det, [p, q])
         assert local.states <= len(closure)
         assert local.pairs <= len(closure) ** 2
         assert pair_gfp(det, p, q, max_iters=0).value == top
-        for k in range(1, oracle.iterations + 1):
+        # The pair graph can be deeper than the rounds the values take to
+        # stabilize, and shallower: compare every iterate up to both.
+        for k in range(1, max(oracle.iterations, local.iterations) + 1):
             truncated = pair_gfp(det, p, q, max_iters=k)
-            assert truncated.value == tables[k - 1][(p, q)], (p, q, k)
+            assert truncated.value == iterate(tables, k, p, q), (p, q, k)
             assert truncated.converged == (k >= local.iterations)
+
+
+def iterate(tables, k, p, q):
+    """The oracle's k-th iterate at (p, q), k >= 1; its last table is
+    the fixpoint."""
+    return tables[min(k, len(tables)) - 1][(p, q)]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -174,3 +185,140 @@ def test_probchain_fixture(monkeypatch):
         reachable_states(det, [dirac("y"), dirac("x")], max_states=40)
     with pytest.raises(StateBudgetError):
         pair_gfp(build_probchain().det(max_states=40), dirac("y"), dirac("x"))
+
+
+# -- the word enumerator ------------------------------------------------------------
+
+def word_shape(model):
+    """'machine' or 'exception' for the two trace-characterized shapes,
+    None for any other model."""
+    f = model.functor
+    value = lambda g: isinstance(g, ConstF) and g.atoms is None
+    power = lambda g: isinstance(g, ProdF) and g.labels is not None \
+        and all(isinstance(part, IdF) for part in g.parts)
+    if model.monad is SUBDIST and isinstance(f, ProdF) and f.labels is None \
+            and len(f.parts) == 2 and value(f.parts[0]) and power(f.parts[1]):
+        return "machine"
+    if model.monad is POWERSET and isinstance(f, CoprodF) \
+            and value(f.left) and power(f.right):
+        return "exception"
+    return None
+
+
+def machine_output(det, state, word):
+    """The expected payoff after reading the word."""
+    for i in word:
+        state = det.successor(state).items[1].items[i].payload
+    return det.successor(state).items[0].atom
+
+
+def exception_probe(det, state, word):
+    """First-throw time and value along a word (None, None when the word
+    never reaches a throwing state)."""
+    for k in range(len(word) + 1):
+        step = det.successor(state)
+        if isinstance(step, Inl):
+            return k, step.item.atom
+        if k < len(word):
+            state = step.item.items[word[k]].payload
+    return None, None
+
+
+def exception_word_distance(det, qt, p, q, word):
+    time_p, value_p = exception_probe(det, p, word)
+    time_q, value_q = exception_probe(det, q, word)
+    if time_q is None:
+        return qt.top
+    if time_p is None:
+        return qt.bottom
+    if time_p == time_q:
+        return qt.residuate(value_p, value_q)
+    return qt.bottom if time_p > time_q else qt.top
+
+
+def word_bounds(model, p, q, max_words):
+    """The trace bounds at (p, q) over the words shorter than L, for
+    every L from 0 to ``max_words``, by enumerating the words."""
+    shape = word_shape(model)
+    assert shape is not None
+    det = model.det()
+    qt = model.quantale
+    bounds = [qt.top]  # the empty word set gives the trivial numeric-0 bound
+    for length in range(max_words):
+        best = bounds[-1]
+        for word in product(range(len(model.labels)), repeat=length):
+            if shape == "machine":
+                value = qt.residuate(machine_output(det, p, word),
+                                     machine_output(det, q, word))
+            else:
+                value = exception_word_distance(det, qt, p, q, word)
+            best = qt.meet2(best, value)  # numeric max
+        bounds.append(best)
+    return bounds
+
+
+def assert_trace_agrees(monkeypatch, model, queries, max_words):
+    """``trace_lower_bound`` equals the word enumerator and the Kleene
+    oracle's iterate at every word length up to ``max_words``."""
+    det = model.det()
+    states = reachable_states(det, [s for pair in queries for s in pair])
+    _oracle, tables = oracle_iterates(monkeypatch, det, states)
+    for p, q in queries:
+        words = word_bounds(model, p, q, max_words)
+        for k in range(max_words + 1):
+            bound = trace_lower_bound(model, p, q, k)
+            assert bound == words[k], (p, q, k)
+            assert bound == (det.law.quantale.top if k == 0
+                             else iterate(tables, k, p, q)), (p, q, k)
+
+
+def sample_pairs(rng, seeds, count):
+    pairs = [(a, b) for a in seeds for b in seeds]
+    return rng.sample(pairs, min(count, len(pairs)))
+
+
+def test_word_shapes():
+    assert word_shape(build_probchain()) == "machine"
+    assert word_shape(build_exceptions(2)) == "exception"
+    other = CoalgebraModel(UNIT_OPLUS, exception_functor(["a"]), SUBDIST,
+                           carrier(["s"]), carrier(["a"]), {"s": Inl(ConstLeaf(F(0)))})
+    assert word_shape(other) is None
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_trace_matches_words_on_exception_family(monkeypatch, n):
+    rng = random.Random(100 + n)
+    values = tuple(F(rng.randint(0, 12), 12) for _ in range(3))
+    model = build_exceptions(n, values)
+    assert_trace_agrees(monkeypatch, model, sample_pairs(rng, SEED_SETS, 12), 2 * n + 2)
+
+
+def test_trace_matches_words_on_fixtures(monkeypatch):
+    model = fixture_model("exceptions.json")
+    assert_trace_agrees(monkeypatch, model, sample_pairs(random.Random(7), SEED_SETS, 12), 8)
+    chain = build_probchain()
+    absorbing = [dirac("y"), dirac("x'")]
+    assert_trace_agrees(monkeypatch, chain, [(a, b) for a in absorbing for b in absorbing], 6)
+    # From 1*x the determinized system is infinite: words only.
+    for p, q in [(dirac("y"), dirac("x")), (dirac("x"), dirac("y"))]:
+        words = word_bounds(chain, p, q, 10)
+        assert [trace_lower_bound(chain, p, q, k) for k in range(11)] == words
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_trace_matches_words_on_random_models(monkeypatch, seed):
+    rng = random.Random(200 + seed)
+    machine = random_machine(rng)
+    names = list(machine.states.elements)
+    seeds = [dirac(x) for x in names] + [subdist({names[0]: F(1, 2), names[1]: F(1, 3)})]
+    assert_trace_agrees(monkeypatch, machine, sample_pairs(rng, seeds, 6), 2 * len(names) + 2)
+    cyclic = random_dirac_machine(rng)
+    names = list(cyclic.states.elements)
+    seeds = [subdist({x: F(rng.randint(0, 2), 2 * len(names)) for x in names})
+             for _ in range(3)]
+    assert_trace_agrees(monkeypatch, cyclic, sample_pairs(rng, seeds, 6), 2 * len(names) + 2)
+    exceptions = random_exception_model(rng)
+    names = list(exceptions.states.elements)
+    seeds = [finsubset([x]) for x in names] + [finsubset(names[:2]), finsubset([])]
+    assert_trace_agrees(monkeypatch, exceptions, sample_pairs(rng, seeds, 6),
+                        2 * len(names) + 2)

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import io
 import json
 import os
@@ -20,7 +21,7 @@ from quantadist.monadlift import finsubset
 from quantadist.quantale import (BOOLEAN, EXT_PLUS, INF, UNIT_OPLUS, QuantaleError,
                                  get_quantale)
 from quantadist.repro import REPRODUCTIONS
-from quantadist.suites import polyfunctor_suite, quantale_suite
+from quantadist.suites import polyfunctor_suite, quantale_suite, residuation_lemma_suite
 from quantadist.vgraph import VGraph, carrier, graph_from_entries
 
 OPS = ("leq", "tensor", "residuate", "join2", "meet2")
@@ -96,6 +97,22 @@ def test_law_suite_small_grids():
     results = quantale_suite(grid=8, ext_cap=2)
     failures = [r for r in results if not r.passed]
     assert not failures, [r.line() for r in failures]
+
+
+@pytest.mark.parametrize("q", [UNIT_OPLUS, EXT_PLUS], ids=lambda q: q.ident)
+def test_largest_u_check_rejects_a_smaller_residuation(q):
+    # Numerically 1/8 above the true residual, where that stays in range:
+    # still a solution of u (x) b <= c, but not the largest one.
+    def smaller(a, b):
+        r = q.residuate(a, b)
+        return r if r is INF or (q is UNIT_OPLUS and r > F(7, 8)) else r + F(1, 8)
+
+    vals = GRIDS[q]
+    weak = copy.copy(q)
+    weak.residuate = smaller
+    assert residuation_lemma_suite(q, vals)[0].passed
+    item1 = residuation_lemma_suite(weak, vals)[0]
+    assert "item 1" in item1.name and not item1.passed
 
 
 # -- the trusted-value contract --------------------------------------------------
