@@ -32,8 +32,7 @@ from typing import Callable, Dict, Iterable, List, Sequence, Set, Tuple
 
 from .canon import canon_key
 from .distlaw import DetCoalgebra, DistLaw
-from .functor import (CoprodF, ProdF, iter_payloads, polynomial_distance,
-                      shape_check)
+from .functor import polynomial_distance
 from .galois import BudgetError
 from .monadlift import POWERSET, FinSubset, Monad, finsubset
 from .quantale import Quantale
@@ -41,11 +40,19 @@ from .vgraph import Carrier, VGraph, metric_closure
 
 
 class ModelError(ValueError):
-    """Malformed coalgebra model."""
+    """A model does not fit what it is used with: a bound table, a
+    carrier or a certificate."""
 
 
 @dataclass
 class CoalgebraModel:
+    """A coalgebra X -> F T X: every state's transition term, with the
+    monad values at its identity leaves over the states.  A trusted
+    record: ``models.model_from_json`` checks a model where it is read
+    (term shapes, successors, labels, transition keys and the exchange
+    law), and code that builds one directly is responsible for the same
+    invariants."""
+
     quantale: Quantale
     functor: object
     monad: Monad
@@ -53,42 +60,11 @@ class CoalgebraModel:
     labels: Carrier
     transitions: Dict[str, object]
 
-    def __post_init__(self):
-        for labels in _labelled_products(self.functor):
-            if labels != self.labels.elements:
-                raise ModelError(
-                    f"labelled product over {labels} does not match the "
-                    f"model labels {self.labels.elements}")
-        for x in self.states:
-            if x not in self.transitions:
-                raise ModelError(f"state {x!r} has no transition")
-        for x, term in self.transitions.items():
-            if x not in self.states:
-                raise ModelError(f"transition for unknown state {x!r}")
-            shape_check(self.functor, term)
-            for payload in iter_payloads(term):
-                for m, _w in self.monad.weighted(payload):
-                    if m not in self.states:
-                        raise ModelError(f"successor {m!r} of {x!r} is not a state")
-
     def law(self) -> DistLaw:
         return DistLaw(self.functor, self.monad, self.quantale)
 
     def det(self, max_states: int = 100_000) -> DetCoalgebra:
         return DetCoalgebra(self.law(), self.transitions, max_states=max_states)
-
-
-def _labelled_products(functor):
-    """Yield the label tuples of every labelled product in the functor."""
-    if isinstance(functor, ProdF):
-        if functor.labels is not None:
-            yield functor.labels
-        else:
-            for part in functor.parts:
-                yield from _labelled_products(part)
-    elif isinstance(functor, CoprodF):
-        yield from _labelled_products(functor.left)
-        yield from _labelled_products(functor.right)
 
 
 # -- the behaviour function -----------------------------------------------------

@@ -25,7 +25,7 @@ from .distlaw import (ALWAYS_LEFT, DistLaw, StateBudgetError, case_study_laws,
                       determinize, law_suite)
 from .galois import BudgetError
 from .models import (DistanceInstance, ModelFormatError, certificate_from_json,
-                     load_json_file, model_from_json)
+                     check_members, load_json_file, model_from_json)
 from .monadlift import (POWERSET, FinSubset, SubDist, finsubset,
                         hausdorff_directed, kantorovich_lp, subdist)
 from .quantale import QuantaleError
@@ -88,9 +88,7 @@ def _parse_pair(text: str, instance):
     pair = _parse_tvalue(left, instance), _parse_tvalue(right, instance)
     if isinstance(instance, CoalgebraModel):
         for t in pair:
-            for m in (t.members if isinstance(t, FinSubset) else t.support()):
-                if m not in instance.states:
-                    raise _CliError(f"{m!r} is not a state")
+            check_members(instance.monad, t, instance.states)
     return pair
 
 

@@ -57,46 +57,31 @@ class DistLaw:
     def __post_init__(self):
         if not isinstance(self.monad, Monad):
             raise ValueError(f"unknown monad {self.monad!r}; expected POWERSET or SUBDIST")
-        _check_value_consts(self.functor)
-        check_evaluable(self.functor, self.monad, self.quantale)
+        consts = list(_const_nodes(self.functor))
+        if any(c.atoms is not None for c in consts):
+            raise ValueError(
+                "exchange laws require quantale-valued constant nodes "
+                "(no canonical algebra exists on named atoms)")
+        if consts and self.monad is SUBDIST and self.quantale is BOOLEAN:
+            raise ValueError("subdistributions over the boolean quantale admit no "
+                             "value constants: expectation is not defined over "
+                             "the boolean quantale")
         if self.g_variant not in (PRIORITY_LEFT, ALWAYS_LEFT):
             raise ValueError(f"unknown g variant {self.g_variant!r}")
 
 
-def _check_value_consts(functor):
+def _const_nodes(functor):
+    """Yield every constant node of the functor."""
     if isinstance(functor, ConstF):
-        if functor.atoms is not None:
-            raise ValueError(
-                "exchange laws require quantale-valued constant nodes "
-                "(no canonical algebra exists on named atoms)")
+        yield functor
     elif isinstance(functor, ProdF):
         for part in functor.parts:
-            _check_value_consts(part)
+            yield from _const_nodes(part)
     elif isinstance(functor, CoprodF):
-        _check_value_consts(functor.left)
-        _check_value_consts(functor.right)
+        yield from _const_nodes(functor.left)
+        yield from _const_nodes(functor.right)
     elif not isinstance(functor, IdF):
         raise TypeError(f"not a functor expression: {functor!r}")
-
-
-def _has_value_consts(functor) -> bool:
-    if isinstance(functor, ConstF):
-        return functor.atoms is None
-    if isinstance(functor, ProdF):
-        return any(_has_value_consts(part) for part in functor.parts)
-    if isinstance(functor, CoprodF):
-        return _has_value_consts(functor.left) or _has_value_consts(functor.right)
-    return False
-
-
-def check_evaluable(functor, monad: Monad, quantale: Quantale):
-    """Refuse a functor whose value constants the monad cannot evaluate:
-    the expectation of a subdistribution is not defined over the
-    boolean quantale."""
-    if monad is SUBDIST and quantale is BOOLEAN and _has_value_consts(functor):
-        raise ValueError("subdistributions over the boolean quantale admit no "
-                         "value constants: expectation is not defined over "
-                         "the boolean quantale")
 
 
 def _prioritize(items: Sequence, in_left: Callable[[object], bool], variant: str):

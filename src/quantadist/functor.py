@@ -222,14 +222,10 @@ def fmap(functor: FunctorExpr, fn, term):
 class ConstEval:
     pred: Optional[Tuple[Tuple[str, object], ...]] = None  # None = identity
 
-    def describe(self) -> str:
-        return "const-id" if self.pred is None else f"const{dict(self.pred)}"
-
 
 @dataclass(frozen=True)
 class IdEval:
-    def describe(self) -> str:
-        return "id"
+    pass
 
 
 @dataclass(frozen=True)
@@ -238,30 +234,16 @@ class ProjEval:
     inner: object
     label: Optional[str] = None
 
-    def describe(self) -> str:
-        tag = self.label if self.label is not None else str(self.index)
-        return f"pi[{tag}].{self.inner.describe()}"
-
 
 @dataclass(frozen=True)
 class CoprodEval:
     side: str  # 'left' = [ev, top], 'right' = [bottom, ev], 'split' = [bottom, top]
     inner: object = None
 
-    def describe(self) -> str:
-        if self.side == "left":
-            return f"[{self.inner.describe()},top]"
-        if self.side == "right":
-            return f"[bottom,{self.inner.describe()}]"
-        return "[bottom,top]"
-
 
 @dataclass(frozen=True)
 class MonadEval:
     monad: Monad
-
-    def describe(self) -> str:
-        return self.monad.ev_label
 
 
 @dataclass(frozen=True)
@@ -270,9 +252,6 @@ class StarEval:
 
     outer: object
     inner: object
-
-    def describe(self) -> str:
-        return f"{self.outer.describe()}*{self.inner.describe()}"
 
 
 EvalMap = object

@@ -19,12 +19,12 @@ from typing import Dict
 
 from .behaviour import Certificate, CoalgebraModel, SparseDist
 from .canon import canon_key
-from .distlaw import check_evaluable
+from .distlaw import DistLaw
 from .functor import (ConstF, ConstLeaf, CoprodF, IdF, IdLeaf, Inl, Inr, ProdF,
                       Tup, const_atoms, const_values, pow_functor)
 from .monadlift import SUBDIST, Monad, SubDist, get_monad
 from .quantale import Quantale, get_quantale
-from .vgraph import VGraph, carrier, vgraph_from_json
+from .vgraph import Carrier, VGraph, carrier, vgraph_from_json
 
 
 class ModelFormatError(ValueError):
@@ -114,7 +114,19 @@ def term_to_json(functor, term, monad: Monad, q: Quantale) -> object:
     raise ModelFormatError(f"not a functor expression: {functor!r}")
 
 
-def term_from_json(functor, doc, monad: Monad, q: Quantale):
+def check_members(monad: Monad, t, states: Carrier):
+    """Return the monad value ``t`` if every member is a state; raise
+    ``ModelFormatError`` naming the first member that is not."""
+    for m, _w in monad.weighted(t):
+        if m not in states:
+            raise ModelFormatError(f"{m!r} is not a state")
+    return t
+
+
+def term_from_json(functor, doc, monad: Monad, q: Quantale, states: Carrier):
+    """Read a transition term, built to the functor's shape: an atom
+    constant must be one of its node's atoms, and every member of an
+    identity-leaf monad value must be one of ``states``."""
     if not isinstance(doc, dict) or len(doc) != 1:
         raise ModelFormatError(f"bad term document: {doc!r}")
     key, body = next(iter(doc.items()))
@@ -125,16 +137,18 @@ def term_from_json(functor, doc, monad: Monad, q: Quantale):
             return ConstLeaf(q.value_from_json(body))
         if not isinstance(body, dict) or not isinstance(body.get("atom"), str):
             raise ModelFormatError(f"an atom constant is {{\"atom\": name}}, got {body!r}")
+        if body["atom"] not in functor.atoms:
+            raise ModelFormatError(f"unknown constant atom {body['atom']!r}")
         return ConstLeaf(body["atom"])
     if key == "id":
         if not isinstance(functor, IdF):
             raise ModelFormatError(f"identity leaf where {functor!r} was expected")
-        return IdLeaf(monad.from_json(body))
+        return IdLeaf(check_members(monad, monad.from_json(body), states))
     if key == "tuple":
         if not isinstance(functor, ProdF) or not isinstance(body, list) \
                 or len(body) != len(functor.parts):
             raise ModelFormatError(f"tuple arity mismatch at {doc!r}")
-        return Tup(tuple(term_from_json(part, item, monad, q)
+        return Tup(tuple(term_from_json(part, item, monad, q, states)
                          for part, item in zip(functor.parts, body)))
     if key == "pow":
         if not isinstance(functor, ProdF) or functor.labels is None:
@@ -144,16 +158,16 @@ def term_from_json(functor, doc, monad: Monad, q: Quantale):
         missing = [lab for lab in functor.labels if lab not in body]
         if missing:
             raise ModelFormatError(f"missing labels {missing} in {doc!r}")
-        return Tup(tuple(term_from_json(part, body[lab], monad, q)
+        return Tup(tuple(term_from_json(part, body[lab], monad, q, states)
                          for lab, part in zip(functor.labels, functor.parts)))
     if key == "inl":
         if not isinstance(functor, CoprodF):
             raise ModelFormatError(f"injection where {functor!r} was expected")
-        return Inl(term_from_json(functor.left, body, monad, q))
+        return Inl(term_from_json(functor.left, body, monad, q, states))
     if key == "inr":
         if not isinstance(functor, CoprodF):
             raise ModelFormatError(f"injection where {functor!r} was expected")
-        return Inr(term_from_json(functor.right, body, monad, q))
+        return Inr(term_from_json(functor.right, body, monad, q, states))
     raise ModelFormatError(f"unknown term node {key!r}")
 
 
@@ -234,7 +248,7 @@ def model_from_json(doc: dict):
             raise ModelFormatError(str(exc)) from None
         functor = functor_from_json(doc["functor"], q)
         try:
-            check_evaluable(functor, monad, q)
+            DistLaw(functor, monad, q)
         except ValueError as exc:
             raise ModelFormatError(str(exc)) from None
         states = _point_names(doc["states"], "states")
@@ -243,12 +257,36 @@ def model_from_json(doc: dict):
             raise ModelFormatError(
                 f"transitions must be an object keyed by state, got {doc['transitions']!r}")
         transitions = {
-            state: term_from_json(functor, term_doc, monad, q)
+            state: term_from_json(functor, term_doc, monad, q, states)
             for state, term_doc in doc["transitions"].items()
         }
     except KeyError as exc:
         raise ModelFormatError(f"missing model field {exc}") from None
+    for product_labels in _labelled_products(functor):
+        if product_labels != labels.elements:
+            raise ModelFormatError(
+                f"labelled product over {product_labels} does not match the "
+                f"model labels {labels.elements}")
+    for x in states:
+        if x not in transitions:
+            raise ModelFormatError(f"state {x!r} has no transition")
+    for x in transitions:
+        if x not in states:
+            raise ModelFormatError(f"transition for unknown state {x!r}")
     return CoalgebraModel(q, functor, monad, states, labels, transitions)
+
+
+def _labelled_products(functor):
+    """Yield the label tuples of every labelled product in the functor."""
+    if isinstance(functor, ProdF):
+        if functor.labels is not None:
+            yield functor.labels
+        else:
+            for part in functor.parts:
+                yield from _labelled_products(part)
+    elif isinstance(functor, CoprodF):
+        yield from _labelled_products(functor.left)
+        yield from _labelled_products(functor.right)
 
 
 def model_to_json(model: CoalgebraModel) -> dict:
@@ -282,12 +320,8 @@ def certificate_from_json(doc: dict, model: CoalgebraModel) -> Certificate:
     states = model.states
 
     def pair_of(row):
-        pair = (monad.from_json(row["lhs"]), monad.from_json(row["rhs"]))
-        for t in pair:
-            for m, _w in monad.weighted(t):
-                if m not in states:
-                    raise ModelFormatError(f"{m!r} is not a state")
-        return pair
+        lhs, rhs = monad.from_json(row["lhs"]), monad.from_json(row["rhs"])
+        return check_members(monad, lhs, states), check_members(monad, rhs, states)
 
     literals = {}
 

@@ -135,8 +135,7 @@ class Monad:
     multiplication, ev) that the liftings are built from.  The instances
     are ``POWERSET`` and ``SUBDIST``; each provides
 
-    * ``name`` (as in model files and check names) and ``ev_label`` (the
-      name of its evaluation map);
+    * ``name`` (as in model files and check names);
     * ``unit(x)`` and ``map(fn, t)``;
     * on weighted member lists: ``weighted(t)`` (the list of a canonical
       value), ``pack(pairs)`` (the canonical value of a list),
@@ -150,7 +149,6 @@ class Monad:
     """
 
     name: str = ""
-    ev_label: str = ""
 
     def mult(self, tt):
         return self.flatten(self.weighted(tt))
@@ -169,7 +167,6 @@ class _Powerset(Monad):
     subset pairs."""
 
     name = "powerset"
-    ev_label = "sup"
 
     def unit(self, x):
         return finsubset([x])
@@ -216,7 +213,6 @@ class _SubDist(Monad):
     entries."""
 
     name = "subdist"
-    ev_label = "expect"
 
     def unit(self, x):
         return dirac(x)

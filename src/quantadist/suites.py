@@ -199,6 +199,7 @@ def galois_suite(max_size: int = 3) -> List[CheckResult]:
     nat_wit = lax_wit = strict_wit = ""
     for dom, cod in [(x2, x2), (x2, x3), (x3, x2)]:
         cod_preds = all_bool_preds(cod)
+        cod_graphs = all_bool_graphs(cod)
         for f in all_maps(dom, cod):
             for pbits in product([False, True], repeat=len(cod_preds)):
                 chosen = [cod_preds[i] for i in range(len(cod_preds)) if pbits[i]]
@@ -208,7 +209,7 @@ def galois_suite(max_size: int = 3) -> List[CheckResult]:
                 if not graph_equal(lhs, rhs):
                     ok_nat = False
                     nat_wit = f"f={f.assignment} S={[sorted(p.items()) for p in chosen]}"
-            for d in all_bool_graphs(cod):
+            for d in cod_graphs:
                 pulled = _predset_keys(reindex_preds(gamma_enum(d, full), f))
                 direct = _predset_keys(gamma_enum(reindex(f, d), full))
                 if not pulled <= direct:
@@ -226,11 +227,14 @@ def galois_suite(max_size: int = 3) -> List[CheckResult]:
     ok_adj = True
     adj_wit = ""
     for dom, cod in [(x2, x2), (x3, x2)]:
+        dom_graphs = all_bool_graphs(dom)
+        cod_graphs = all_bool_graphs(cod)
         for f in all_maps(dom, cod):
-            for d in all_bool_graphs(dom):
+            reindexed = [(e, reindex(f, e)) for e in cod_graphs]
+            for d in dom_graphs:
                 sigma = direct_image(f, d)
-                for e in all_bool_graphs(cod):
-                    if graph_leq(sigma, e) != graph_leq(d, reindex(f, e)):
+                for e, fe in reindexed:
+                    if graph_leq(sigma, e) != graph_leq(d, fe):
                         ok_adj = False
                         adj_wit = f"f={f.assignment} d={d.dist} e={e.dist}"
     out.append(CheckResult("direct image adjoint to reindexing (boolean)",

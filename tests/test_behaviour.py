@@ -10,6 +10,7 @@ from quantadist.behaviour import (Certificate, CoalgebraModel, ModelError,
 from quantadist.functor import (ConstLeaf, IdLeaf, Inl, Inr, Tup,
                                 exception_functor)
 from quantadist.galois import BudgetError
+from quantadist.models import ModelFormatError, model_from_json, model_to_json
 from quantadist.monadlift import POWERSET, SUBDIST, dirac, finsubset, subdist
 from quantadist.quantale import UNIT_OPLUS
 from quantadist.vgraph import carrier
@@ -270,10 +271,11 @@ def test_certify_needs_matching_monad(probchain):
 
 
 def test_model_rejects_mismatched_labels():
-    with pytest.raises(ModelError, match="labels"):
-        CoalgebraModel(UNIT_OPLUS, exception_functor(["a", "b"]), POWERSET,
-                       carrier(["s"]), carrier(["a"]),
-                       {"s": Inl(ConstLeaf(F(0)))})
+    model = CoalgebraModel(UNIT_OPLUS, exception_functor(["a", "b"]), POWERSET,
+                           carrier(["s"]), carrier(["a"]),
+                           {"s": Inl(ConstLeaf(F(0)))})
+    with pytest.raises(ModelFormatError, match="labels"):
+        model_from_json(model_to_json(model))
 
 
 def test_kleene_fixpoint_is_vcat(exceptions3):

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -14,6 +15,7 @@ from quantadist.models import (DistanceInstance, ModelFormatError,
                                term_to_json)
 from quantadist.monadlift import POWERSET, SUBDIST
 from quantadist.quantale import UNIT_OPLUS
+from quantadist.vgraph import carrier
 
 
 def test_functor_json_roundtrip(probchain, exceptions3):
@@ -33,7 +35,8 @@ def test_model_json_roundtrip(probchain, exceptions3):
 def test_term_json_roundtrip(probchain):
     term = probchain.transitions["x"]
     doc = term_to_json(probchain.functor, term, SUBDIST, UNIT_OPLUS)
-    assert term_from_json(probchain.functor, doc, SUBDIST, UNIT_OPLUS) == term
+    assert term_from_json(probchain.functor, doc, SUBDIST, UNIT_OPLUS,
+                          probchain.states) == term
 
 
 def test_certificate_json_roundtrip(exceptions3):
@@ -160,7 +163,7 @@ def test_named_atom_term_json_roundtrip():
     term = ConstLeaf("hi")
     doc = term_to_json(func, term, POWERSET, UNIT_OPLUS)
     assert doc == {"const": {"atom": "hi"}}
-    assert term_from_json(func, doc, POWERSET, UNIT_OPLUS) == term
+    assert term_from_json(func, doc, POWERSET, UNIT_OPLUS, carrier([])) == term
 
 
 @pytest.mark.parametrize("body", ["hi", ["hi"], {}, {"atom": ["hi"]}])
@@ -168,7 +171,69 @@ def test_malformed_named_atom_term(body):
     from quantadist.functor import const_atoms
     func = const_atoms(["lo", "hi"], [{"lo": F(0), "hi": F(1)}])
     with pytest.raises(ModelFormatError, match="an atom constant is"):
-        term_from_json(func, {"const": body}, POWERSET, UNIT_OPLUS)
+        term_from_json(func, {"const": body}, POWERSET, UNIT_OPLUS, carrier([]))
+
+
+def test_unknown_named_atom_term():
+    from quantadist.functor import const_atoms
+    func = const_atoms(["lo", "hi"], [{"lo": F(0), "hi": F(1)}])
+    with pytest.raises(ModelFormatError, match="unknown constant atom 'mid'"):
+        term_from_json(func, {"const": {"atom": "mid"}}, POWERSET, UNIT_OPLUS,
+                       carrier([]))
+
+
+def _unknown_set_successor(doc):
+    doc["transitions"]["x0"]["inr"]["pow"]["b"]["id"]["set"].append("nosuch")
+
+
+def _unknown_dist_successor(doc):
+    doc["transitions"]["y"]["tuple"][1]["pow"]["a"]["id"]["dist"] = {
+        "y": "1/2", "nosuch": "1/2"}
+
+
+def _missing_transition(doc):
+    del doc["transitions"]["x1"]
+
+
+def _unknown_transition(doc):
+    doc["transitions"]["nosuch"] = doc["transitions"]["x0"]
+
+
+def _mismatched_labels(doc):
+    doc["labels"] = ["a"]
+
+
+def _atom_constants(doc):
+    doc["functor"]["coprod"][0] = {"const": {"atoms": ["lo", "hi"],
+                                             "evals": [{"lo": "0", "hi": "1"}]}}
+    for term in doc["transitions"].values():
+        if "inl" in term:
+            term["inl"] = {"const": {"atom": "hi"}}
+
+
+@pytest.mark.parametrize("fixture,mutate,message", [
+    ("exceptions.json", _unknown_set_successor, "'nosuch' is not a state"),
+    ("probchain.json", _unknown_dist_successor, "'nosuch' is not a state"),
+    ("exceptions.json", _missing_transition, "state 'x1' has no transition"),
+    ("exceptions.json", _unknown_transition, "transition for unknown state 'nosuch'"),
+    ("exceptions.json", _mismatched_labels,
+     "labelled product over ('a', 'b') does not match the model labels ('a',)"),
+    ("exceptions.json", _atom_constants,
+     "exchange laws require quantale-valued constant nodes"),
+], ids=["set-successor", "dist-successor", "no-transition", "unknown-transition",
+        "labels", "atom-constants"])
+def test_model_checked_where_it_loads(tmp_path, fixture, mutate, message):
+    """Each model check fails the document when it loads, in the library
+    and on the command line, whatever the query."""
+    doc = load_fixture(fixture)
+    mutate(doc)
+    with pytest.raises(ModelFormatError, match=re.escape(message)):
+        model_from_json(doc)
+    pair = "{x0}|{z0}" if fixture == "exceptions.json" else "x:1|y:1"
+    code, out, err = run_cli("distance", "--model", _write_model(tmp_path, doc),
+                             "--pair", pair, "--method", "kleene")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}")
 
 
 def test_cli_json_reports_deterministic():
