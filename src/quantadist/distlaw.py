@@ -24,11 +24,11 @@ from .functor import (ConstF, ConstLeaf, CoprodF, IdF, IdLeaf, Inl, Inr, MonadEv
                       ProdF, StarEval, Tup, build_lambda, eval_map,
                       iter_payloads, kantorovich_generic, map_payloads,
                       score_vectors, term_key)
-from .galois import Grid, gamma_enum, grid_values, residual_meet
+from .galois import Grid, grid_values, residual_meet
 from .monadlift import (POWERSET, SUBDIST, Monad, SubDist, finsubset,
                         kantorovich_lp, subdist)
 from .quantale import BOOLEAN, EXT_PLUS, UNIT_OPLUS, Quantale
-from .suites import CheckResult, all_bool_graphs
+from .suites import CheckResult, boolean_fibre
 from .vgraph import Carrier, VGraph
 
 
@@ -441,7 +441,10 @@ def _const_algebra_hom(law: DistLaw, rng: random.Random) -> CheckResult:
 
 def _zeta_nonexpansive_boolean(law: DistLaw) -> CheckResult:
     """Exact non-expansiveness of the exchange component between the two
-    composite liftings, over the boolean quantale (powerset only)."""
+    composite liftings, over the boolean quantale (powerset only).
+
+    Both liftings read each boolean graph only through its predicate
+    set, so each gamma-class is checked once (``BooleanFibre``)."""
     name = f"{law.monad.name}/{_shape_name(law)}: exchange component non-expansive (boolean exact)"
     if law.monad is not POWERSET:
         return CheckResult(name, True, "skipped: expectation is not boolean-valued")
@@ -456,8 +459,7 @@ def _zeta_nonexpansive_boolean(law: DistLaw) -> CheckResult:
     ft_evals = [StarEval(ev, ev_t) for ev in lam_f]
     n = len(tf_terms)
 
-    for d in all_bool_graphs(c):
-        preds = gamma_enum(d, Grid(1))
+    def fails(d, preds):
         d_tf = kantorovich_generic(None, tf_evals, d, preds, tf_terms)
         # The images may collide, so the other side is a matrix by
         # position rather than a graph keyed by term.
@@ -466,10 +468,12 @@ def _zeta_nonexpansive_boolean(law: DistLaw) -> CheckResult:
         for i in range(n):
             for j in range(n):
                 if not BOOLEAN.leq(d_tf.dist[i][j], d_ft[i][j]):
-                    return CheckResult(
-                        name, False,
-                        f"d={d.dist} at pair ({canon_key(tf_terms[i])}, {canon_key(tf_terms[j])})")
-    return CheckResult(name, True)
+                    return (f"d={d.dist} at pair "
+                            f"({canon_key(tf_terms[i])}, {canon_key(tf_terms[j])})")
+        return None
+
+    witness = boolean_fibre(c).first_failure(fails)
+    return CheckResult(name, witness is None, witness or "")
 
 
 def _zeta_nonexpansive_machine_lp(law: DistLaw, rng: random.Random) -> CheckResult:

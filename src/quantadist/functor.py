@@ -509,6 +509,13 @@ def check_compositionality(outer: FunctorExpr, lam_outer: Sequence[EvalMap],
     approximations and the result is tagged accordingly.  The report
     also checks the one inequality that holds unconditionally: the
     composed lifting is below the combined one in the quantale order.
+
+    Every value compared is a function of the predicate set
+    ``gamma_enum(d, grid)``: both liftings of d read d only through it,
+    and the outer lifting reads the inner graph, itself a lifting of d.
+    So graphs with the same predicate set get the same report, which
+    lets the exhaustive boolean suites check one graph per set
+    (``suites.BooleanFibre``).
     """
     q = d.quantale
     if q.ident == "boolean":

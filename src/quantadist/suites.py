@@ -12,14 +12,15 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, product
-from typing import List, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from .canon import canon_key
 from .galois import (Grid, Pred, PredSet, alpha, gamma_enum, grid_values,
                      reindex_preds)
 from .quantale import BOOLEAN, EXT_PLUS, UNIT_OPLUS, Quantale
-from .vgraph import (Carrier, FiniteMap, VGraph, carrier, direct_image,
-                     graph_equal, graph_leq, is_vcat, metric_closure, reindex)
+from .vgraph import (Carrier, CarrierMismatchError, FiniteMap, VGraph, carrier,
+                     direct_image, graph_equal, graph_leq, is_vcat, metric_closure,
+                     reindex)
 
 
 @dataclass
@@ -139,22 +140,83 @@ def _predset_keys(preds: PredSet) -> frozenset:
     return frozenset(_pred_key(p) for p in preds.preds)
 
 
+@dataclass
+class BooleanFibre:
+    """Every boolean graph on one carrier, in ``all_bool_graphs`` order,
+    with its predicate set gamma(d) = ``gamma_enum(d, Grid(1))``
+    computed once, the set's keys (``_predset_keys``), and the index of
+    its gamma-class, the graphs with the same predicate set.
+
+    The Kantorovich lifting of d is alpha applied to the evaluations of
+    the predicates in gamma(d), so it reads d only through gamma(d):
+    ``kantorovich_generic`` uses d for its quantale and to re-check that
+    the predicates are non-expansive, which every graph of the class
+    passes.  A boolean law check that compares liftings of d is then a
+    function of gamma(d), and running it once per class, on the class's
+    first graph, gives each graph's answer exactly.  Classes are
+    numbered in the order of their first graphs, so the first failing
+    class starts at the first failing graph of the enumeration.
+    """
+
+    carrier: Carrier
+    graphs: List[VGraph]
+    gammas: List[PredSet]
+    keys: List[frozenset]
+    classes: List[int]
+    firsts: List[int]
+
+    def index(self, d: VGraph) -> int:
+        """The position of a boolean graph on this carrier in ``graphs``."""
+        if d.carrier != self.carrier:
+            raise CarrierMismatchError("graph is not on the fibre's carrier")
+        i = 0
+        for row in d.dist:
+            for bit in row:
+                i = 2 * i + bit
+        return i
+
+    def first_failure(self, check: Callable[[VGraph, PredSet], Optional[str]]
+                      ) -> Optional[str]:
+        """The first witness ``check(d, gamma(d))`` returns over the
+        graphs in order, or None when it returns None on all of them.
+
+        ``check`` runs once per gamma-class; it must depend on d only
+        through gamma(d) (see the class docstring).
+        """
+        for i in self.firsts:
+            witness = check(self.graphs[i], self.gammas[i])
+            if witness is not None:
+                return witness
+        return None
+
+
+def boolean_fibre(c: Carrier) -> BooleanFibre:
+    """The boolean graphs on ``c`` grouped by predicate set; see
+    ``BooleanFibre``."""
+    graphs = all_bool_graphs(c)
+    gammas = [gamma_enum(d, Grid(1)) for d in graphs]
+    keys = [_predset_keys(preds) for preds in gammas]
+    class_of: Dict[frozenset, int] = {}
+    classes = [class_of.setdefault(k, len(class_of)) for k in keys]
+    firsts = [classes.index(k) for k in range(len(class_of))]
+    return BooleanFibre(c, graphs, gammas, keys, classes, firsts)
+
+
 # -- Galois-pair laws ----------------------------------------------------------
 
 def galois_suite(max_size: int = 3) -> List[CheckResult]:
     """Boolean-exact checks of the generating/observing adjunction and
-    its consequences, exhaustively on small carriers."""
+    its consequences, exhaustively on small carriers.  Each carrier's
+    predicate sets are enumerated once (``boolean_fibre``) and read by
+    every check."""
     out: List[CheckResult] = []
-    full = Grid(1)
 
     # Galois connection + co-closure on carriers of size 2 and 3.
     for n in range(2, max_size + 1):
         c = carrier([f"e{i}" for i in range(n)])
-        graphs = all_bool_graphs(c)
+        fibre = boolean_fibre(c)
+        graphs = fibre.graphs
         preds = all_bool_preds(c)
-        gammas = {}
-        for idx, d in enumerate(graphs):
-            gammas[idx] = _predset_keys(gamma_enum(d, full))
         ok_gc = True
         witness = ""
         pred_keys = [_pred_key(p) for p in preds]
@@ -164,7 +226,7 @@ def galois_suite(max_size: int = 3) -> List[CheckResult]:
             ag = alpha(PredSet(BOOLEAN, c, chosen))
             for idx, d in enumerate(graphs):
                 lhs = graph_leq(d, ag)
-                rhs = chosen_keys <= gammas[idx]
+                rhs = chosen_keys <= fibre.keys[idx]
                 if lhs != rhs:
                     ok_gc = False
                     witness = f"n={n} S={sorted(chosen_keys)} d={d.dist}"
@@ -176,8 +238,8 @@ def galois_suite(max_size: int = 3) -> List[CheckResult]:
 
         ok_cc = True
         witness = ""
-        for d in graphs:
-            if not graph_equal(alpha(gamma_enum(d, full)), metric_closure(d)):
+        for d, gamma in zip(graphs, fibre.gammas):
+            if not graph_equal(alpha(gamma), metric_closure(d)):
                 ok_cc = False
                 witness = f"d={d.dist}"
                 break
@@ -193,13 +255,14 @@ def galois_suite(max_size: int = 3) -> List[CheckResult]:
     # Naturality of alpha; lax naturality of gamma, strict on V-categories.
     x2 = carrier(["a0", "a1"])
     x3 = carrier(["b0", "b1", "b2"])
+    fibres = {x2: boolean_fibre(x2), x3: boolean_fibre(x3)}
     ok_nat = True
     ok_lax = True
     ok_strict = True
     nat_wit = lax_wit = strict_wit = ""
     for dom, cod in [(x2, x2), (x2, x3), (x3, x2)]:
         cod_preds = all_bool_preds(cod)
-        cod_graphs = all_bool_graphs(cod)
+        dom_fibre, cod_fibre = fibres[dom], fibres[cod]
         for f in all_maps(dom, cod):
             for pbits in product([False, True], repeat=len(cod_preds)):
                 chosen = [cod_preds[i] for i in range(len(cod_preds)) if pbits[i]]
@@ -209,9 +272,9 @@ def galois_suite(max_size: int = 3) -> List[CheckResult]:
                 if not graph_equal(lhs, rhs):
                     ok_nat = False
                     nat_wit = f"f={f.assignment} S={[sorted(p.items()) for p in chosen]}"
-            for d in cod_graphs:
-                pulled = _predset_keys(reindex_preds(gamma_enum(d, full), f))
-                direct = _predset_keys(gamma_enum(reindex(f, d), full))
+            for d, gamma in zip(cod_fibre.graphs, cod_fibre.gammas):
+                pulled = _predset_keys(reindex_preds(gamma, f))
+                direct = dom_fibre.keys[dom_fibre.index(reindex(f, d))]
                 if not pulled <= direct:
                     ok_lax = False
                     lax_wit = f"f={f.assignment} d={d.dist}"
@@ -227,8 +290,8 @@ def galois_suite(max_size: int = 3) -> List[CheckResult]:
     ok_adj = True
     adj_wit = ""
     for dom, cod in [(x2, x2), (x3, x2)]:
-        dom_graphs = all_bool_graphs(dom)
-        cod_graphs = all_bool_graphs(cod)
+        dom_graphs = fibres[dom].graphs
+        cod_graphs = fibres[cod].graphs
         for f in all_maps(dom, cod):
             reindexed = [(e, reindex(f, e)) for e in cod_graphs]
             for d in dom_graphs:
@@ -248,8 +311,11 @@ def galois_suite(max_size: int = 3) -> List[CheckResult]:
 
 def polyfunctor_suite() -> List[CheckResult]:
     """Boolean-exact compositionality and construction laws for the two
-    case-study functor shapes."""
-    from fractions import Fraction
+    case-study functor shapes.
+
+    Compositionality is checked on every boolean graph over {x, y},
+    once per gamma-class (``BooleanFibre``): both of its liftings read
+    the graph only through its predicate set."""
     from .functor import (ConstLeaf, CoprodF, IdF, IdLeaf, Inl, Inr, Tup,
                           build_lambda, check_compositionality, const_values,
                           exception_functor, lift_closed, machine_functor)
@@ -257,6 +323,7 @@ def polyfunctor_suite() -> List[CheckResult]:
 
     out: List[CheckResult] = []
     c = carrier(["x", "y"])
+    fibre = boolean_fibre(c)
     shapes = {
         "machine": machine_functor(["a"]),
         "exception": exception_functor(["a"]),
@@ -277,18 +344,18 @@ def polyfunctor_suite() -> List[CheckResult]:
                     [Inr(Tup((IdLeaf(g),))) for g in g_terms]
             lam_f = build_lambda(outer)
             lam_g = build_lambda(inner)
-            ok = True
-            witness = ""
-            for d in all_bool_graphs(c):
+
+            def fails(d, _gamma):
                 report = check_compositionality(outer, lam_f, inner, lam_g, d,
                                                 g_terms, fg_terms)
-                if not (report["equal"] and report["composed_below_combined"]):
-                    ok = False
-                    witness = f"d={d.dist}"
-                    break
+                if report["equal"] and report["composed_below_combined"]:
+                    return None
+                return f"d={d.dist}"
+
+            witness = fibre.first_failure(fails)
             out.append(CheckResult(
                 f"compositionality: {shape_name} after {inner_name} "
-                "(boolean, exhaustive)", ok, witness))
+                "(boolean, exhaustive)", witness is None, witness or ""))
 
     # Associativity of the coproduct evaluation-set construction, read
     # off the induced lifted distances.

@@ -1,0 +1,269 @@
+"""The exhaustive boolean law checks run once per gamma-class.
+
+``suites.BooleanFibre`` groups the boolean graphs on a carrier by their
+predicate set gamma(d); ``polyfunctor_suite``, ``_zeta_nonexpansive_boolean``
+and ``galois_suite`` read it.  The oracles below are the per-graph loops
+those checks ran before the grouping: the grouped versions must give the
+same rows and witness strings, also under a mutant lifting that fails
+only away from the first graph.
+"""
+
+import random
+from dataclasses import replace
+from fractions import Fraction
+
+import pytest
+
+from quantadist import distlaw, functor, suites
+from quantadist.canon import canon_key
+from quantadist.distlaw import (ALWAYS_LEFT, _f_terms_over, _shape_name,
+                                _small_subsets, _zeta_nonexpansive_boolean, apply_zeta,
+                                case_study_laws)
+from quantadist.functor import (ConstLeaf, CoprodF, IdF, IdLeaf, Inl, Inr, MonadEval,
+                                StarEval, Tup, build_lambda, check_compositionality,
+                                const_values, exception_functor, machine_functor,
+                                score_vectors)
+from quantadist.galois import Grid, gamma_enum, grid_values, residual_meet
+from quantadist.monadlift import POWERSET
+from quantadist.quantale import BOOLEAN, UNIT_OPLUS
+from quantadist.suites import (CheckResult, _predset_keys, all_bool_graphs,
+                               boolean_fibre, polyfunctor_suite)
+from quantadist.vgraph import VGraph, carrier
+
+XY = carrier(["x", "y"])
+SHAPES = {"machine": machine_functor(["a"]),
+          "exception": exception_functor(["a"])}
+
+
+# -- oracles: the per-graph loops ------------------------------------------------
+
+def oracle_compositionality_rows():
+    inners = {
+        "identity": (IdF(), [IdLeaf("x"), IdLeaf("y")]),
+        "coproduct": (CoprodF(const_values(), IdF()),
+                      [Inl(ConstLeaf(False)), Inl(ConstLeaf(True)),
+                       Inr(IdLeaf("x")), Inr(IdLeaf("y"))]),
+    }
+    out = []
+    for shape_name, outer in SHAPES.items():
+        for inner_name, (inner, g_terms) in inners.items():
+            if shape_name == "machine":
+                fg_terms = [Tup((ConstLeaf(b), Tup((IdLeaf(g),))))
+                            for b in (False, True) for g in g_terms]
+            else:
+                fg_terms = [Inl(ConstLeaf(b)) for b in (False, True)] + \
+                    [Inr(Tup((IdLeaf(g),))) for g in g_terms]
+            lam_f = build_lambda(outer)
+            lam_g = build_lambda(inner)
+            ok = True
+            witness = ""
+            for d in all_bool_graphs(XY):
+                report = check_compositionality(outer, lam_f, inner, lam_g, d,
+                                                g_terms, fg_terms)
+                if not (report["equal"] and report["composed_below_combined"]):
+                    ok = False
+                    witness = f"d={d.dist}"
+                    break
+            out.append(CheckResult(
+                f"compositionality: {shape_name} after {inner_name} "
+                "(boolean, exhaustive)", ok, witness))
+    return out
+
+
+def oracle_zeta_nonexpansive_boolean(law):
+    name = f"{law.monad.name}/{_shape_name(law)}: exchange component non-expansive (boolean exact)"
+    if law.monad is not POWERSET:
+        return CheckResult(name, True, "skipped: expectation is not boolean-valued")
+    bool_law = distlaw.DistLaw(law.functor, law.monad, BOOLEAN, law.g_variant)
+    f_terms = _f_terms_over(law.functor, list(XY.elements), [False, True])
+    tf_terms = _small_subsets(f_terms, 2)[:12]
+    ft_terms = [apply_zeta(bool_law, t) for t in tf_terms]
+    lam_f = build_lambda(law.functor)
+    ev_t = MonadEval(law.monad)
+    tf_evals = [StarEval(ev_t, ev) for ev in lam_f]
+    ft_evals = [StarEval(ev, ev_t) for ev in lam_f]
+    n = len(tf_terms)
+    for d in all_bool_graphs(XY):
+        preds = gamma_enum(d, Grid(1))
+        # Read through the module so that a patched lifting reaches here too.
+        d_tf = functor.kantorovich_generic(None, tf_evals, d, preds, tf_terms)
+        d_ft = residual_meet(BOOLEAN, n,
+                             score_vectors(BOOLEAN, ft_evals, preds.preds, ft_terms))
+        for i in range(n):
+            for j in range(n):
+                if not BOOLEAN.leq(d_tf.dist[i][j], d_ft[i][j]):
+                    return CheckResult(
+                        name, False,
+                        f"d={d.dist} at pair ({canon_key(tf_terms[i])}, {canon_key(tf_terms[j])})")
+    return CheckResult(name, True)
+
+
+def _laws():
+    return [replace(law, g_variant=variant)
+            for law in case_study_laws().values()
+            for variant in (law.g_variant, ALWAYS_LEFT)]
+
+
+def _rows(results):
+    return [(r.name, r.passed, r.detail) for r in results]
+
+
+# -- the table -------------------------------------------------------------------
+
+@pytest.mark.parametrize("size", [2, 3])
+def test_fibre_lists_every_graph_with_its_gamma(size):
+    c = carrier([f"e{i}" for i in range(size)])
+    fibre = boolean_fibre(c)
+    graphs = all_bool_graphs(c)
+    assert [d.dist for d in fibre.graphs] == [d.dist for d in graphs]
+    for i, d in enumerate(graphs):
+        assert fibre.index(d) == i
+        assert fibre.gammas[i].preds == gamma_enum(d, Grid(1)).preds
+        assert fibre.keys[i] == _predset_keys(fibre.gammas[i])
+    for i, k in enumerate(fibre.classes):
+        assert fibre.firsts[k] <= i
+        assert fibre.keys[i] == fibre.keys[fibre.firsts[k]]
+    assert fibre.firsts == sorted(fibre.firsts)
+    assert len(fibre.firsts) == len(set(fibre.keys))
+
+
+def test_two_point_fibre_has_four_classes():
+    # gamma(d) depends on d(x, y) and d(y, x) only: four predicate sets.
+    fibre = boolean_fibre(XY)
+    assert len(fibre.graphs) == 16
+    assert fibre.firsts == [0, 2, 4, 6]
+    assert [len(fibre.gammas[i]) for i in fibre.firsts] == [4, 3, 3, 2]
+
+
+def test_first_failure_reports_the_first_failing_graph():
+    fibre = boolean_fibre(XY)
+    seen = []
+
+    def check(d, preds):
+        seen.append(fibre.index(d))
+        return f"d={d.dist}" if len(preds) == 3 else None
+
+    assert fibre.first_failure(check) == f"d={fibre.graphs[2].dist}"
+    assert seen == [0, 2]
+    assert fibre.first_failure(lambda d, preds: None) is None
+
+
+# -- grouped versus per-graph ------------------------------------------------------
+
+def test_polyfunctor_rows_match_the_per_graph_oracle():
+    assert _rows(polyfunctor_suite()[:4]) == _rows(oracle_compositionality_rows())
+
+
+@pytest.mark.parametrize("law", _laws(), ids=lambda law: f"{law.monad.name}-"
+                         f"{_shape_name(law)}-{law.g_variant}")
+def test_exchange_check_matches_the_per_graph_oracle(law):
+    assert _rows([_zeta_nonexpansive_boolean(law)]) == \
+        _rows([oracle_zeta_nonexpansive_boolean(law)])
+
+
+def _flip_on(size):
+    """A lifting that is wrong, at one entry, on predicate sets of one size."""
+    lift = functor.kantorovich_generic
+
+    def mutant(fn, evals, d, preds, terms):
+        out = lift(fn, evals, d, preds, terms)
+        if len(preds) != size:
+            return out
+        dist = [row[:] for row in out.dist]
+        dist[0][1] = not dist[0][1]
+        return VGraph(out.quantale, out.carrier, dist)
+    return mutant
+
+
+@pytest.mark.parametrize("size,first", [(2, 6), (3, 2)])
+def test_mutant_failing_away_from_the_first_graph(monkeypatch, size, first):
+    # Size 2 fails on one class only; size 3 on two, the first of them
+    # starting at graph 2 and the second at graph 4.
+    mutant = _flip_on(size)
+    monkeypatch.setattr(functor, "kantorovich_generic", mutant)
+    monkeypatch.setattr(distlaw, "kantorovich_generic", mutant)
+    witness = f"d={all_bool_graphs(XY)[first].dist}"
+
+    grouped = _rows(polyfunctor_suite()[:4])
+    assert grouped == _rows(oracle_compositionality_rows())
+    assert any(not passed for _, passed, _ in grouped)
+    for _, passed, detail in grouped:
+        assert passed or detail == witness
+
+    exchange_failed = False
+    for law in _laws():
+        row = _zeta_nonexpansive_boolean(law)
+        assert _rows([row]) == _rows([oracle_zeta_nonexpansive_boolean(law)])
+        if not row.passed:
+            exchange_failed = True
+            assert row.detail.startswith(witness + " at pair")
+    assert exchange_failed
+
+
+# -- counts ------------------------------------------------------------------------
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_polyfunctor_suite_checks_once_per_class(monkeypatch):
+    calls = _count_calls(monkeypatch, functor, "check_compositionality")
+    assert all(r.passed for r in polyfunctor_suite())
+    assert len(calls) == 4 * 4  # four shape pairs, four classes
+
+
+def test_galois_suite_enumerates_each_graph_once(monkeypatch):
+    calls = _count_calls(monkeypatch, suites, "gamma_enum")
+    assert all(r.passed for r in suites.galois_suite(max_size=2))
+    # Graphs on the carriers {e0, e1}, {a0, a1} and {b0, b1, b2}.
+    assert len(calls) == 16 + 16 + 512
+
+
+# -- the invariant the grouping relies on -------------------------------------------
+
+def _assert_lifting_is_a_function_of_gamma(functor_expr, graphs, grid, terms):
+    lam = build_lambda(functor_expr)
+    by_gamma = {}
+    repeated = 0
+    for d in graphs:
+        preds = gamma_enum(d, grid)
+        lifted = functor.kantorovich_generic(functor_expr, lam, d, preds, terms).dist
+        key = _predset_keys(preds)
+        if key in by_gamma:
+            repeated += 1
+            assert lifted == by_gamma[key], d.dist
+        else:
+            by_gamma[key] = lifted
+    assert repeated > 0
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_boolean_lifting_depends_only_on_gamma(shape):
+    f = SHAPES[shape]
+    terms = _f_terms_over(f, list(XY.elements), [False, True])
+    _assert_lifting_is_a_function_of_gamma(f, all_bool_graphs(XY), Grid(1), terms)
+
+    xyz = carrier(["x", "y", "z"])
+    rng = random.Random(11)
+    graphs = rng.sample(all_bool_graphs(xyz), 96)
+    terms = _f_terms_over(f, list(xyz.elements), [False, True])
+    _assert_lifting_is_a_function_of_gamma(f, graphs, Grid(1), terms)
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_grid_lifting_depends_only_on_grid_gamma(shape):
+    # On unit-oplus, gamma_enum(d, Grid(2)) is the grid under-approximation.
+    f = SHAPES[shape]
+    vals = grid_values(UNIT_OPLUS, Grid(2))
+    rng = random.Random(5)
+    graphs = [VGraph(UNIT_OPLUS, XY, [[rng.choice(vals) for _ in XY] for _ in XY])
+              for _ in range(60)]
+    terms = _f_terms_over(f, list(XY.elements), [Fraction(0), Fraction(1, 2)])
+    _assert_lifting_is_a_function_of_gamma(f, graphs, Grid(2), terms)
