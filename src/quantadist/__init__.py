@@ -21,10 +21,9 @@ from .monadlift import (POWERSET, SUBDIST, FinSubset, Monad, SubDist, dirac,
                         finsubset, get_monad, hausdorff_directed, kantorovich_lp,
                         subdist)
 from .simplex import LPProblem, LinearConstraint, simplex_solve
-from .distlaw import DistLaw, apply_g_carriers, apply_zeta, determinize, law_suite
+from .distlaw import DistLaw, apply_g_carriers, apply_zeta, law_suite
 from .behaviour import (Certificate, CoalgebraModel, SparseDist, beh_apply,
-                        certify, kleene_gfp, trace_lower_bound, u_exact,
-                        witness_bound)
+                        certify, kleene_gfp, trace_lower_bound, witness_bound)
 from .models import (certificate_from_json, load_model_file, model_from_json,
                      model_to_json)
 

@@ -21,22 +21,20 @@ candidate distances whose support pairs are post-fixpoints up to the
 algebraic structure of the monad.  The checker bounds the up-to
 function through explicit decomposition witnesses (unions for the
 powerset monad, convex combinations for subdistributions) and never
-computes it exactly; ``u_exact`` exists only as a desk-scale oracle.
+computes it exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, combinations
 from typing import Callable, Dict, Iterable, List, Sequence, Set, Tuple
 
 from .canon import canon_key
 from .distlaw import DetCoalgebra, DistLaw
 from .functor import polynomial_distance
-from .galois import BudgetError
-from .monadlift import POWERSET, FinSubset, Monad, finsubset
+from .monadlift import Monad
 from .quantale import Quantale
-from .vgraph import Carrier, VGraph, metric_closure
+from .vgraph import Carrier, VGraph
 
 
 class ModelError(ValueError):
@@ -142,9 +140,9 @@ def kleene_gfp(det: DetCoalgebra, states: Sequence[object],
     return KleeneResult(states, VGraph(q, keys, dist), converged, iterations)
 
 
-def reachable_states(det: DetCoalgebra, seeds: Sequence[object],
-                     max_states: int = 100_000) -> List[object]:
-    """Successor-closure of the seeds (for finite determinized systems)."""
+def reachable_states(det: DetCoalgebra, seeds: Sequence[object]) -> List[object]:
+    """Successor-closure of the seeds (for finite determinized systems;
+    ``det.max_states`` bounds the exploration)."""
     out: List[object] = []
     seen: Set[object] = set()
     queue = list(seeds)
@@ -152,8 +150,6 @@ def reachable_states(det: DetCoalgebra, seeds: Sequence[object],
         s = queue.pop(0)
         if s in seen:
             continue
-        if len(seen) >= max_states:
-            raise BudgetError(f"reachable carrier exceeds {max_states} states")
         seen.add(s)
         out.append(s)
         queue.extend(det.successor_states(s))
@@ -350,61 +346,3 @@ def certify(cert: Certificate, model: CoalgebraModel) -> Verdict:
                 f"one-step bound {canon_key(bound)} exceeds the stated "
                 f"{canon_key(stated)} numerically"))
     return Verdict(not failures, failures, len(support))
-
-
-# -- exact up-to oracle -------------------------------------------------------------
-
-def _subsets_with_union(universe: Sequence[FinSubset], target: FinSubset):
-    """All collections of the given subsets whose union is the target."""
-    usable = [s for s in universe if all(m in target.members for m in s.members)]
-    out = []
-    for size in range(len(usable) + 1):
-        for combo in combinations(usable, size):
-            union = finsubset(chain.from_iterable(s.members for s in combo))
-            if union == target:
-                out.append(list(combo))
-    return out
-
-
-def u_exact(model: CoalgebraModel, cand: SparseDist, pair,
-            budget: int = 10 ** 6):
-    """Exact up-to value by enumerating every decomposition of the pair:
-    the join (numeric min) over all monad values with the right
-    flattened marginals of the lifted candidate distance.
-
-    Only the powerset monad is enumerable; subdistribution decompositions
-    form a continuum and are refused.
-    """
-    if model.monad is not POWERSET:
-        raise BudgetError("exact up-to values are only enumerable for powerset")
-    q = model.quantale
-    base = list(model.states.elements)
-    if (2 ** len(base)) ** 3 > budget:
-        raise BudgetError(
-            f"closing the candidate over {2 ** len(base)} monad states exceeds "
-            f"the budget of {budget}")
-    all_subsets = [finsubset(c) for size in range(len(base) + 1)
-                   for c in combinations(base, size)]
-    left_options = _subsets_with_union(all_subsets, pair[0])
-    right_options = _subsets_with_union(all_subsets, pair[1])
-    if len(left_options) * len(right_options) > budget:
-        raise BudgetError(
-            f"{len(left_options) * len(right_options)} decompositions exceed "
-            f"the budget of {budget}")
-    keys = Carrier(tuple(canon_key(s) for s in all_subsets))
-    n = len(all_subsets)
-    index = {canon_key(s): i for i, s in enumerate(all_subsets)}
-    dist = [[cand.value_at((all_subsets[i], all_subsets[j])) for j in range(n)]
-            for i in range(n)]
-    graph = VGraph(q, keys, dist)
-    closed = metric_closure(graph)
-
-    def lifted(collection_a, collection_b):
-        # Directed Hausdorff over the candidate graph on monad states.
-        return q.meet(
-            q.join(closed.at_idx(index[canon_key(a)], index[canon_key(b)])
-                   for a in collection_a)
-            for b in collection_b)
-
-    return q.join(lifted(t1, t2)
-                  for t1 in left_options for t2 in right_options)

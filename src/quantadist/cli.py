@@ -22,7 +22,7 @@ from .behaviour import (CoalgebraModel, ModelError, certify, pair_gfp,
                         trace_lower_bound)
 from .canon import canon_key
 from .distlaw import (ALWAYS_LEFT, DistLaw, StateBudgetError, case_study_laws,
-                      determinize, law_suite)
+                      law_suite)
 from .galois import BudgetError
 from .models import (DistanceInstance, ModelFormatError, certificate_from_json,
                      check_members, load_json_file, model_from_json)
@@ -134,16 +134,8 @@ def _cmd_distance(args) -> int:
     elif args.method == "kleene":
         if not isinstance(instance, CoalgebraModel):
             raise _CliError("method 'kleene' needs a coalgebra model")
-        if args.depth is not None:
-            det = determinize(instance.law(), instance.transitions, list(pair),
-                              depth=args.depth, max_states=args.max_states)
-            if det.frontier:
-                raise _CliError(
-                    f"the carrier is not successor-closed within depth "
-                    f"{args.depth} ({len(det.frontier)} frontier states)")
-        else:
-            det = instance.det(max_states=args.max_states)
-        result = pair_gfp(det, pair[0], pair[1], max_iters=args.max_iters)
+        result = pair_gfp(instance.det(max_states=args.max_states), pair[0], pair[1],
+                          max_iters=args.max_iters)
         q = instance.quantale
         report.update(value=q.value_to_json(result.value),
                       soundness="exact" if result.converged
@@ -249,9 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     dist.add_argument("--max-states", type=_count, default=10_000,
                       help="kleene: refuse (exit 3) beyond this many "
                            "determinized states")
-    dist.add_argument("--depth", type=_count, default=None,
-                      help="kleene: bound the exploration depth (the carrier "
-                           "must close within it)")
     dist.add_argument("--json", action="store_true")
     dist.set_defaults(func=_cmd_distance)
 

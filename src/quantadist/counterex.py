@@ -136,10 +136,6 @@ class CounterexampleReport:
     composed: object
     combined: object
 
-    def as_rows(self):
-        return [(f"{self.name} two-step lifting", self.composed),
-                (f"{self.name} combined-map lifting", self.combined)]
-
 
 def pow_pow_case() -> CounterexampleReport:
     d = discrete_two_points()

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from typing import Callable, Dict, List, Sequence
 
 from .canon import canon_key
 from .functor import (ConstF, ConstLeaf, CoprodF, IdF, IdLeaf, Inl, Inr, MonadEval,
@@ -164,12 +164,15 @@ class DetCoalgebra:
     axiom and keeps the general path.  Transition terms must be
     canonical (monad values as built by their constructors, constants
     validated), as they are when read from a model file.
+
+    States are determinized lazily, on their first read; reading a new
+    state once ``max_states`` are memoized raises StateBudgetError
+    rather than truncating.
     """
 
     law: DistLaw
     transitions: Dict[str, object]
     memo: Dict[object, object] = field(default_factory=dict)
-    frontier: Set[object] = field(default_factory=set)
     max_states: int = 100_000
 
     def successor(self, state):
@@ -189,42 +192,10 @@ class DetCoalgebra:
             lifted = [(self.transitions[x], w) for x, w in members]
             out = _zeta(self.law, self.law.functor, lifted, monad.flatten)
         self.memo[state] = out
-        self.frontier.discard(state)
         return out
 
     def successor_states(self, state):
         return list(iter_payloads(self.successor(state)))
-
-
-def determinize(law: DistLaw, transitions: Dict[str, object],
-                seeds: Sequence[object], depth: Optional[int] = None,
-                max_states: int = 100_000) -> DetCoalgebra:
-    """Memoize the determinized step on everything reachable from the
-    seeds within ``depth`` steps (to exhaustion when depth is None).
-
-    States left unexplored (because of the depth bound) are reported in
-    the frontier.  Exceeding ``max_states`` raises StateBudgetError
-    with the count rather than truncating silently.
-    """
-    det = DetCoalgebra(law, transitions, max_states=max_states)
-    level = list(dict.fromkeys(seeds))
-    steps = 0
-    while level:
-        if depth is not None and steps > depth:
-            det.frontier.update(level)
-            break
-        next_level = []
-        seen_next = set()
-        for state in level:
-            if state in det.memo:
-                continue
-            for succ in det.successor_states(state):
-                if succ not in det.memo and succ not in seen_next:
-                    seen_next.add(succ)
-                    next_level.append(succ)
-        level = next_level
-        steps += 1
-    return det
 
 
 # -- law suites -----------------------------------------------------------------

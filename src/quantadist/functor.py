@@ -258,39 +258,10 @@ EvalMap = object
 
 
 def eval_map(q: Quantale, ev, term):
-    if isinstance(ev, ConstEval):
-        if not isinstance(term, ConstLeaf):
-            raise ShapeError(f"constant evaluation on {term!r}")
-        if ev.pred is None:
-            return term.atom
-        return dict(ev.pred)[term.atom]
-    if isinstance(ev, IdEval):
-        if not isinstance(term, IdLeaf):
-            raise ShapeError(f"identity evaluation on {term!r}")
-        return term.payload
-    if isinstance(ev, ProjEval):
-        if not isinstance(term, Tup):
-            raise ShapeError(f"projection on {term!r}")
-        return eval_map(q, ev.inner, term.items[ev.index])
-    if isinstance(ev, CoprodEval):
-        if isinstance(term, Inl):
-            if ev.side == "left":
-                return eval_map(q, ev.inner, term.item)
-            return q.bottom
-        if isinstance(term, Inr):
-            if ev.side == "right":
-                return eval_map(q, ev.inner, term.item)
-            return q.top
-        raise ShapeError(f"coproduct evaluation on {term!r}")
-    if isinstance(ev, MonadEval):
-        return ev.monad.ev(term, q)
-    if isinstance(ev, StarEval):
-        if isinstance(ev.outer, MonadEval):
-            monad = ev.outer.monad
-            return monad.ev(monad.map(lambda s: eval_map(q, ev.inner, s), term), q)
-        mapped = map_payloads(term, lambda s: eval_map(q, ev.inner, s))
-        return eval_map(q, ev.outer, mapped)
-    raise TypeError(f"not an evaluation map: {ev!r}")
+    """The value of an evaluation map on a term whose carrier leaves
+    (identity-leaf payloads and monad members) are quantale values: the
+    map's reader (see ``_reader``) with each leaf read as itself."""
+    return _reader(q, ev, term, _constant)(None)
 
 
 def build_lambda(functor: FunctorExpr) -> List[EvalMap]:

@@ -19,10 +19,9 @@ from math import lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .canon import canon_key
-from .galois import PredSet, nonexpansive_into_value, residual_meet
 from .quantale import INF, Quantale, QuantaleError, is_inf
 from .simplex import LinearConstraint, LPProblem
-from .vgraph import Carrier, VGraph, metric_closure
+from .vgraph import VGraph, metric_closure
 
 
 @dataclass(frozen=True)
@@ -439,26 +438,3 @@ def _min_cost_transport(supply: List[int], demand: List[int],
         for i, j, sign in path:
             flow[i][j] += sign * amount
     return sum(c * f for row, fl in zip(cost, flow) for c, f in zip(row, fl))
-
-
-def kantorovich_monad_generic(monad: Monad, d: VGraph, preds: PredSet,
-                              tvalues: Sequence[object]) -> VGraph:
-    """Grid/enumeration oracle for the monad lifting.
-
-    Computes the meet over the supplied predicates of the residuated
-    evaluation differences.  With the full boolean predicate class this
-    is the exact lifting; with grids it under-approximates the true
-    value in the quantale order (numerically a lower bound).
-    """
-    q = d.quantale
-    for f in preds.preds:
-        witness = nonexpansive_into_value(q, d, f)
-        if witness is not None:
-            raise ValueError(f"predicate not non-expansive at pair {witness}")
-    keys = [canon_key(t) for t in tvalues]
-    if len(set(keys)) != len(keys):
-        raise ValueError("duplicate T-values supplied")
-    members = [monad.weighted(t) for t in tvalues]
-    vectors = ([monad.ev_weighted([(f[x], w) for x, w in pairs], q) for pairs in members]
-               for f in preds.preds)
-    return VGraph(q, Carrier(tuple(keys)), residual_meet(q, len(tvalues), vectors))

@@ -223,9 +223,11 @@ def galois_suite(max_size: int = 3) -> List[CheckResult]:
         for pbits in product([False, True], repeat=len(preds)):
             chosen = [preds[i] for i in range(len(preds)) if pbits[i]]
             chosen_keys = frozenset(pred_keys[i] for i in range(len(preds)) if pbits[i])
-            ag = alpha(PredSet(BOOLEAN, c, chosen))
+            # d <= alpha(S) pointwise reads off the bits of ``fibre.index``:
+            # no entry of d is True where alpha(S) is False.
+            ag_bits = fibre.index(alpha(PredSet(BOOLEAN, c, chosen)))
             for idx, d in enumerate(graphs):
-                lhs = graph_leq(d, ag)
+                lhs = not idx & ~ag_bits
                 rhs = chosen_keys <= fibre.keys[idx]
                 if lhs != rhs:
                     ok_gc = False

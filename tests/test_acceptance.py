@@ -11,13 +11,13 @@ from fractions import Fraction as F
 
 
 from quantadist.behaviour import (Certificate, SparseDist, certify, kleene_gfp,
-                                  reachable_states, trace_lower_bound, u_exact,
-                                  witness_bound)
+                                  reachable_states, trace_lower_bound, witness_bound)
+from quantadist.functor import MonadEval, kantorovich_generic
 from quantadist.galois import Grid, gamma_enum, grid_values
 from quantadist.models import (fixture_certificate, fixture_model, load_fixture)
 from quantadist.monadlift import (POWERSET, SUBDIST, dirac, finsubset,
-                                  hausdorff_directed, kantorovich_lp,
-                                  kantorovich_monad_generic, pricing_lp, subdist)
+                                  hausdorff_directed, kantorovich_lp, pricing_lp,
+                                  subdist)
 from quantadist.quantale import EXT_PLUS, UNIT_OPLUS
 from quantadist.repro import REPRODUCTIONS
 from quantadist.simplex import simplex_solve
@@ -25,7 +25,7 @@ from quantadist.suites import (all_bool_graphs, extension_suite, galois_suite,
                                polyfunctor_suite, quantale_suite)
 from quantadist.vgraph import carrier, graph_from_entries, vgraph_from_json
 
-from test_behaviour import tiny_powerset_model
+from test_behaviour import tiny_powerset_model, u_exact
 
 
 def _report(name: str, started: float, budget: float):
@@ -130,8 +130,8 @@ def test_criterion_6_oracle_consistency():
     c = carrier(["x", "y"])
     subsets = [finsubset(s) for s in ([], ["x"], ["y"], ["x", "y"])]
     for d in all_bool_graphs(c):
-        oracle = kantorovich_monad_generic(POWERSET, d, gamma_enum(d, Grid(1)),
-                                           subsets)
+        oracle = kantorovich_generic(None, [MonadEval(POWERSET)], d,
+                                     gamma_enum(d, Grid(1)), subsets)
         for i, u in enumerate(subsets):
             for j, v in enumerate(subsets):
                 assert hausdorff_directed(d, u, v) == oracle.dist[i][j]
@@ -151,8 +151,8 @@ def test_criterion_6_oracle_consistency():
     prev_h = prev_w = None
     for k in (2, 4, 8):
         preds = gamma_enum(d, Grid(k))
-        grid_h = kantorovich_monad_generic(POWERSET, d, preds, sub_pairs)
-        grid_w = kantorovich_monad_generic(SUBDIST, d, preds, dist_pairs)
+        grid_h = kantorovich_generic(None, [MonadEval(POWERSET)], d, preds, sub_pairs)
+        grid_w = kantorovich_generic(None, [MonadEval(SUBDIST)], d, preds, dist_pairs)
         gap_h = sum(exact_h[(i, j)] - grid_h.dist[i][j]
                     for i in range(3) for j in range(3))
         gap_w = sum(exact_w[(i, j)] - grid_w.dist[i][j]

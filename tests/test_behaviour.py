@@ -1,19 +1,20 @@
 from fractions import Fraction as F
+from itertools import chain, combinations
 
 import pytest
 
 from quantadist.behaviour import (Certificate, CoalgebraModel, ModelError,
                                   SparseDist, WitnessError, beh_apply, beh_value,
                                   certify, kleene_gfp,
-                                  reachable_states, trace_lower_bound, u_exact,
-                                  witness_bound)
+                                  reachable_states, trace_lower_bound, witness_bound)
+from quantadist.canon import canon_key
 from quantadist.functor import (ConstLeaf, IdLeaf, Inl, Inr, Tup,
                                 exception_functor)
 from quantadist.galois import BudgetError
 from quantadist.models import ModelFormatError, model_from_json, model_to_json
 from quantadist.monadlift import POWERSET, SUBDIST, dirac, finsubset, subdist
 from quantadist.quantale import UNIT_OPLUS
-from quantadist.vgraph import carrier
+from quantadist.vgraph import Carrier, VGraph, carrier, metric_closure
 
 
 
@@ -289,6 +290,65 @@ def test_kleene_fixpoint_is_vcat(exceptions3):
 
 
 # -- exact up-to oracle ------------------------------------------------------------------------
+#
+# The certificate checker only bounds the up-to function through the
+# listed witnesses.  ``u_exact`` computes it exactly for powerset models
+# small enough to enumerate every decomposition, as the oracle the
+# witness bounds are tested against.
+
+def _subsets_with_union(universe, target):
+    """All collections of the given subsets whose union is the target."""
+    usable = [s for s in universe if all(m in target.members for m in s.members)]
+    out = []
+    for size in range(len(usable) + 1):
+        for combo in combinations(usable, size):
+            union = finsubset(chain.from_iterable(s.members for s in combo))
+            if union == target:
+                out.append(list(combo))
+    return out
+
+
+def u_exact(model, cand, pair, budget=10 ** 6):
+    """Exact up-to value by enumerating every decomposition of the pair:
+    the join (numeric min) over all monad values with the right
+    flattened marginals of the lifted candidate distance.
+
+    Only the powerset monad is enumerable; subdistribution decompositions
+    form a continuum and are refused.
+    """
+    if model.monad is not POWERSET:
+        raise BudgetError("exact up-to values are only enumerable for powerset")
+    q = model.quantale
+    base = list(model.states.elements)
+    if (2 ** len(base)) ** 3 > budget:
+        raise BudgetError(
+            f"closing the candidate over {2 ** len(base)} monad states exceeds "
+            f"the budget of {budget}")
+    all_subsets = [finsubset(c) for size in range(len(base) + 1)
+                   for c in combinations(base, size)]
+    left_options = _subsets_with_union(all_subsets, pair[0])
+    right_options = _subsets_with_union(all_subsets, pair[1])
+    if len(left_options) * len(right_options) > budget:
+        raise BudgetError(
+            f"{len(left_options) * len(right_options)} decompositions exceed "
+            f"the budget of {budget}")
+    keys = Carrier(tuple(canon_key(s) for s in all_subsets))
+    n = len(all_subsets)
+    index = {canon_key(s): i for i, s in enumerate(all_subsets)}
+    dist = [[cand.value_at((all_subsets[i], all_subsets[j])) for j in range(n)]
+            for i in range(n)]
+    closed = metric_closure(VGraph(q, keys, dist))
+
+    def lifted(collection_a, collection_b):
+        # Directed Hausdorff over the candidate graph on monad states.
+        return q.meet(
+            q.join(closed.at_idx(index[canon_key(a)], index[canon_key(b)])
+                   for a in collection_a)
+            for b in collection_b)
+
+    return q.join(lifted(t1, t2)
+                  for t1 in left_options for t2 in right_options)
+
 
 def tiny_powerset_model():
     func = exception_functor(["a"])

@@ -28,7 +28,7 @@ from quantadist.monadlift import POWERSET
 from quantadist.quantale import BOOLEAN, UNIT_OPLUS
 from quantadist.suites import (CheckResult, _predset_keys, all_bool_graphs,
                                boolean_fibre, polyfunctor_suite)
-from quantadist.vgraph import VGraph, carrier
+from quantadist.vgraph import VGraph, carrier, graph_leq
 
 XY = carrier(["x", "y"])
 SHAPES = {"machine": machine_functor(["a"]),
@@ -125,6 +125,35 @@ def test_fibre_lists_every_graph_with_its_gamma(size):
         assert fibre.keys[i] == fibre.keys[fibre.firsts[k]]
     assert fibre.firsts == sorted(fibre.firsts)
     assert len(fibre.firsts) == len(set(fibre.keys))
+
+
+def _leq_by_index(fibre, d, e):
+    """d <= e read off the index bits, as ``galois_suite`` reads
+    d <= alpha(S)."""
+    return not fibre.index(d) & ~fibre.index(e)
+
+
+def test_index_bits_decide_graph_leq_on_two_points():
+    fibre = boolean_fibre(XY)
+    for d in fibre.graphs:
+        for e in fibre.graphs:
+            assert _leq_by_index(fibre, d, e) == graph_leq(d, e), (d.dist, e.dist)
+
+
+def test_index_bits_decide_graph_leq_on_three_points():
+    rng = random.Random(11)
+    fibre = boolean_fibre(carrier(["e0", "e1", "e2"]))
+    graphs = fibre.graphs
+    outcomes = set()
+    for _ in range(400):
+        d = rng.choice(graphs)
+        # Half the pairs grow d, so both answers occur.
+        e = graphs[fibre.index(d) | rng.randrange(512)] if rng.random() < 0.5 \
+            else rng.choice(graphs)
+        leq = graph_leq(d, e)
+        outcomes.add(leq)
+        assert _leq_by_index(fibre, d, e) == leq, (d.dist, e.dist)
+    assert outcomes == {False, True}
 
 
 def test_two_point_fibre_has_four_classes():

@@ -15,8 +15,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from quantadist.distlaw import (ALWAYS_LEFT, PRIORITY_LEFT, DistLaw, apply_zeta,
-                                case_study_laws, determinize, law_suite)
+from quantadist.distlaw import (ALWAYS_LEFT, PRIORITY_LEFT, DetCoalgebra, DistLaw,
+                                apply_zeta, case_study_laws, law_suite)
 from quantadist.functor import (ID, ConstF, ConstLeaf, CoprodF, IdF, IdLeaf, Inl,
                                 Inr, ProdF, Tup, const_values, map_payloads,
                                 pow_functor)
@@ -142,6 +142,17 @@ def random_model(rng, law, n_states=6, n_terms=3):
     return states, {s: rng.choice(pool) for s in states}
 
 
+def explore(law, transitions, seeds, depth):
+    """A determinized system with every state within ``depth`` steps of
+    the seeds memoized, level by level."""
+    det = DetCoalgebra(law, transitions)
+    level = list(seeds)
+    for _ in range(depth + 1):
+        level = [succ for state in level if state not in det.memo
+                 for succ in det.successor_states(state)]
+    return det
+
+
 # -- tests --------------------------------------------------------------------------
 
 @pytest.mark.parametrize("name,law", LAWS, ids=[name for name, _law in LAWS])
@@ -150,7 +161,7 @@ def test_successor_matches_oracle(name, law):
     for _ in range(25):
         states, transitions = random_model(rng, law)
         seeds = [random_tvalue(rng, law.monad, states, max_size=6) for _ in range(4)]
-        det = determinize(law, transitions, seeds, depth=3)
+        det = explore(law, transitions, seeds, depth=3)
         assert det.memo
         for state, step in det.memo.items():
             assert step == oracle_successor(law, transitions, state), state
@@ -177,7 +188,7 @@ def test_subdist_successor_merges_shared_terms():
     term = Tup((ConstLeaf(F(1, 2)), Tup((IdLeaf(subdist({"x": F(1, 2), "y": F(1, 2)})),))))
     transitions = {"x": term, "y": term}
     state = subdist({"x": F(1, 3), "y": F(1, 3)})
-    det = determinize(law, transitions, [state], depth=0)
+    det = DetCoalgebra(law, transitions)
     step = det.successor(state)
     assert step == oracle_successor(law, transitions, state)
     assert step.items[0].atom == F(1, 3)

@@ -2,9 +2,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from quantadist.distlaw import (ALWAYS_LEFT, DistLaw, StateBudgetError,
+from quantadist.behaviour import reachable_states
+from quantadist.distlaw import (ALWAYS_LEFT, DetCoalgebra, DistLaw, StateBudgetError,
                                 apply_g_carriers, apply_zeta, case_study_laws,
-                                determinize, law_suite)
+                                law_suite)
 from quantadist.functor import (ConstLeaf, IdLeaf, Inl, Inr, Tup, const_atoms,
                                 exception_functor, machine_functor, map_payloads)
 from quantadist.monadlift import POWERSET, SUBDIST, dirac, finsubset, subdist
@@ -123,8 +124,8 @@ def exception_transitions(n=3):
 
 
 def test_determinize_exception_successors():
-    det = determinize(DistLaw(exception_functor(["a", "b"]), POWERSET, UNIT_OPLUS),
-                      exception_transitions(), [finsubset(["x0", "y0"])], depth=1)
+    det = DetCoalgebra(DistLaw(exception_functor(["a", "b"]), POWERSET, UNIT_OPLUS),
+                       exception_transitions())
     step = det.successor(finsubset(["x0", "y0"]))
     assert step.item.items[0].payload == finsubset(["x0", "x1", "y0"])
     assert step.item.items[1].payload == finsubset(["x0", "y0", "y1"])
@@ -136,7 +137,7 @@ def test_determinize_probabilistic_chain():
         "x'": machine_term(F(1), dirac("x'")),
         "y": machine_term(F(1, 2), dirac("y")),
     }
-    det = determinize(MACHINE_LAW, trans, [dirac("x")], depth=2)
+    det = DetCoalgebra(MACHINE_LAW, trans)
     first = det.successor(dirac("x"))
     assert first.items[0].atom == F(1, 2)
     half = subdist({"x": F(1, 2), "x'": F(1, 2)})
@@ -146,18 +147,11 @@ def test_determinize_probabilistic_chain():
     assert second.items[1].items[0].payload == subdist({"x": F(1, 4), "x'": F(3, 4)})
 
 
-def test_determinize_depth_zero_and_frontier():
-    det = determinize(DistLaw(exception_functor(["a", "b"]), POWERSET, UNIT_OPLUS),
-                      exception_transitions(), [finsubset(["z0"])], depth=0)
-    assert list(det.memo) == [finsubset(["z0"])]
-    assert det.frontier == {finsubset(["z0", "z1"])}
-
-
 def test_determinize_budget_refusal():
+    det = DetCoalgebra(DistLaw(exception_functor(["a", "b"]), POWERSET, UNIT_OPLUS),
+                       exception_transitions(), max_states=3)
     with pytest.raises(StateBudgetError, match="budget"):
-        determinize(DistLaw(exception_functor(["a", "b"]), POWERSET, UNIT_OPLUS),
-                    exception_transitions(), [finsubset(["x0", "y0"])],
-                    max_states=3)
+        reachable_states(det, [finsubset(["x0", "y0"])])
 
 
 # -- law suites -----------------------------------------------------------------------

@@ -304,11 +304,21 @@ def test_cli_distance_json_deterministic():
 
 
 def test_cli_budget_exit_code_with_depth():
+    # --max-iters bounds the depth of the pair exploration; the state
+    # budget still binds first.
     code, _out, err = run_cli("distance", "--model", fixture_path("exceptions.json"),
                               "--pair", "{x0,y0}|{z0}", "--method", "kleene",
-                              "--max-states", "3", "--depth", "10")
+                              "--max-states", "3", "--max-iters", "10")
     assert code == 3
     assert "refused" in err
+
+
+def test_cli_depth_flag_is_unknown():
+    code, out, err = run_cli("distance", "--model", fixture_path("exceptions.json"),
+                             "--pair", "{x0,y0}|{z0}", "--method", "kleene",
+                             "--depth", "3")
+    assert (code, out) == (2, "")
+    assert "usage:" in err and "unrecognized arguments: --depth 3" in err
 
 
 def test_cli_kleene_report_counts_explored_pairs():
@@ -541,7 +551,7 @@ def test_cli_certificate_witness_weights_form_a_subdistribution(tmp_path, parts)
     assert "are not non-negative with sum at most 1" in err
 
 
-@pytest.mark.parametrize("flag", ["--max-words", "--max-iters", "--max-states", "--depth"])
+@pytest.mark.parametrize("flag", ["--max-words", "--max-iters", "--max-states"])
 def test_cli_rejects_negative_budgets(flag):
     argv = ["distance", "--model", fixture_path("exceptions.json"),
             "--pair", "{x0,y0}|{z0}", "--method", "kleene"]
@@ -554,8 +564,6 @@ def test_cli_rejects_negative_budgets(flag):
     code, _out, err = run_cli(*argv, flag, "0")
     if flag == "--max-states":
         assert code == 3 and err.startswith("refused:")
-    elif flag == "--depth":
-        assert code == 2 and "not successor-closed within depth 0" in err
     else:
         assert code == 0
 

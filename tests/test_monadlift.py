@@ -4,10 +4,11 @@ from itertools import product
 
 import pytest
 
+from quantadist.functor import MonadEval, kantorovich_generic
 from quantadist.galois import Grid, gamma_enum
 from quantadist.monadlift import (POWERSET, SUBDIST, dirac, finsubset,
-                                  hausdorff_directed, kantorovich_lp,
-                                  kantorovich_monad_generic, pricing_lp, subdist)
+                                  hausdorff_directed, kantorovich_lp, pricing_lp,
+                                  subdist)
 from quantadist.quantale import BOOLEAN, EXT_PLUS, INF, UNIT_OPLUS
 from quantadist.simplex import simplex_solve
 from quantadist.vgraph import VGraph, carrier, graph_from_entries, is_vcat, metric_closure
@@ -105,7 +106,8 @@ def test_hausdorff_agrees_with_boolean_generic():
     subsets = [finsubset(s) for s in ([], ["x"], ["y"], ["x", "y"])]
     from quantadist.suites import all_bool_graphs
     for d in all_bool_graphs(c):
-        oracle = kantorovich_monad_generic(POWERSET, d, gamma_enum(d, Grid(1)), subsets)
+        oracle = kantorovich_generic(None, [MonadEval(POWERSET)], d,
+                                     gamma_enum(d, Grid(1)), subsets)
         for i, u in enumerate(subsets):
             for j, v in enumerate(subsets):
                 assert hausdorff_directed(d, u, v) == oracle.dist[i][j], (d.dist, u, v)
@@ -119,7 +121,8 @@ def test_hausdorff_grid_oracle_unit():
     exact = {(u, v): hausdorff_directed(d, u, v) for u in subsets for v in subsets}
     prev_gap = None
     for k in (2, 4, 8):
-        oracle = kantorovich_monad_generic(POWERSET, d, gamma_enum(d, Grid(k)), subsets)
+        oracle = kantorovich_generic(None, [MonadEval(POWERSET)], d,
+                                     gamma_enum(d, Grid(k)), subsets)
         gaps = []
         for i, u in enumerate(subsets):
             for j, v in enumerate(subsets):
@@ -215,7 +218,8 @@ def test_lp_grid_oracle_unit():
     assert exact == F(1, 4)
     prev = None
     for k in (2, 4, 8):
-        oracle = kantorovich_monad_generic(SUBDIST, d, gamma_enum(d, Grid(k)), [p, q])
+        oracle = kantorovich_generic(None, [MonadEval(SUBDIST)], d,
+                                     gamma_enum(d, Grid(k)), [p, q])
         approx = oracle.dist[0][1]
         assert approx <= exact
         if prev is not None:

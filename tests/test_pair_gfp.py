@@ -22,7 +22,6 @@ from quantadist.behaviour import (CoalgebraModel, kleene_gfp, pair_gfp, reachabl
 from quantadist.distlaw import StateBudgetError
 from quantadist.functor import (ConstF, ConstLeaf, CoprodF, IdF, IdLeaf, Inl, Inr, ProdF,
                                 Tup, exception_functor, machine_functor)
-from quantadist.galois import BudgetError
 from quantadist.models import fixture_model
 from quantadist.monadlift import POWERSET, SUBDIST, dirac, finsubset, subdist
 from quantadist.quantale import UNIT_OPLUS
@@ -181,8 +180,8 @@ def test_probchain_fixture(monkeypatch):
     absorbing = [dirac("y"), dirac("x'")]
     assert_agrees(monkeypatch, det, [(a, b) for a in absorbing for b in absorbing])
     # From 1*x the determinized system is infinite: both solvers refuse.
-    with pytest.raises(BudgetError):
-        reachable_states(det, [dirac("y"), dirac("x")], max_states=40)
+    with pytest.raises(StateBudgetError):
+        reachable_states(build_probchain().det(max_states=40), [dirac("y"), dirac("x")])
     with pytest.raises(StateBudgetError):
         pair_gfp(build_probchain().det(max_states=40), dirac("y"), dirac("x"))
 

@@ -2,8 +2,8 @@
 
 The oracle is the map-then-evaluate formula: apply the predicate at the
 carrier leaves of every term (``map_payloads`` / ``Monad.map``), then
-walk the mapped term with ``eval_map``, and fold the residuated score
-differences into the meet.  ``kantorovich_generic`` instead compiles
+evaluate the mapped term with the recursive walk ``walk_eval`` below,
+and fold the residuated score differences into the meet.  ``kantorovich_generic`` instead compiles
 each (evaluation map, term) pair once into a reader and must give the
 same matrix on every generated input.
 """
@@ -13,11 +13,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from quantadist.functor import (ID, ConstF, ConstLeaf, CoprodF, IdF, IdLeaf, Inl,
-                                Inr, MonadEval, ProdF, StarEval, Tup, _reader,
+from quantadist.functor import (ID, ConstEval, ConstF, ConstLeaf, CoprodEval, CoprodF,
+                                IdEval, IdF, IdLeaf, Inl, Inr, MonadEval, ProdF,
+                                ProjEval, ShapeError, StarEval, Tup, _reader,
                                 build_lambda, const_atoms, const_values,
-                                eval_map, kantorovich_generic, map_payloads,
-                                pow_functor, star, term_key)
+                                eval_map, kantorovich_generic, map_payloads, pow_functor,
+                                star, term_key)
 from quantadist.galois import Grid, gamma_enum, grid_values
 from quantadist.monadlift import POWERSET, SUBDIST, finsubset, subdist
 from quantadist.quantale import BOOLEAN, EXT_PLUS, UNIT_OPLUS
@@ -28,13 +29,52 @@ GRIDS = {BOOLEAN: Grid(1), UNIT_OPLUS: Grid(2), EXT_PLUS: Grid(1, cap=2)}
 XYZ = carrier(["x", "y", "z"])
 
 
+def walk_eval(q, ev, term):
+    """An evaluation map on a term whose carrier leaves are quantale
+    values, by structural recursion: a ``StarEval`` maps the inner map
+    over the term, then applies the outer one."""
+    if isinstance(ev, ConstEval):
+        if not isinstance(term, ConstLeaf):
+            raise ShapeError(f"constant evaluation on {term!r}")
+        if ev.pred is None:
+            return term.atom
+        return dict(ev.pred)[term.atom]
+    if isinstance(ev, IdEval):
+        if not isinstance(term, IdLeaf):
+            raise ShapeError(f"identity evaluation on {term!r}")
+        return term.payload
+    if isinstance(ev, ProjEval):
+        if not isinstance(term, Tup):
+            raise ShapeError(f"projection on {term!r}")
+        return walk_eval(q, ev.inner, term.items[ev.index])
+    if isinstance(ev, CoprodEval):
+        if isinstance(term, Inl):
+            if ev.side == "left":
+                return walk_eval(q, ev.inner, term.item)
+            return q.bottom
+        if isinstance(term, Inr):
+            if ev.side == "right":
+                return walk_eval(q, ev.inner, term.item)
+            return q.top
+        raise ShapeError(f"coproduct evaluation on {term!r}")
+    if isinstance(ev, MonadEval):
+        return ev.monad.ev(term, q)
+    if isinstance(ev, StarEval):
+        if isinstance(ev.outer, MonadEval):
+            monad = ev.outer.monad
+            return monad.ev(monad.map(lambda s: walk_eval(q, ev.inner, s), term), q)
+        mapped = map_payloads(term, lambda s: walk_eval(q, ev.inner, s))
+        return walk_eval(q, ev.outer, mapped)
+    raise TypeError(f"not an evaluation map: {ev!r}")
+
+
 def oracle(evals, d, preds, terms, apply_pred):
     q = d.quantale
     n = len(terms)
     dist = [[q.top] * n for _ in range(n)]
     for ev in evals:
         for f in preds.preds:
-            scores = [eval_map(q, ev, apply_pred(t, f)) for t in terms]
+            scores = [walk_eval(q, ev, apply_pred(t, f)) for t in terms]
             for i in range(n):
                 for j in range(n):
                     dist[i][j] = q.meet2(dist[i][j], q.residuate(scores[i], scores[j]))
@@ -181,6 +221,28 @@ def test_bare_monad_map_matches_oracle(seed):
                         for _ in range(20)), 6)
     apply_pred = lambda t, f: monad.map(lambda x: f[x], t)
     assert_same(None, [MonadEval(monad)], d, preds, tvalues, apply_pred)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_eval_map_matches_walk(seed):
+    """``functor.eval_map``, a reader read once, against the walk on
+    mapped star and monad terms."""
+    rng, q, d, preds, monad = monad_case(seed)
+    outer = random_functor(rng, q, rng.randint(0, 2))
+    inner = random_functor(rng, q, rng.randint(0, 2))
+    leaf = lambda: rng.choice(XYZ.elements)
+    terms = [random_term(rng, q, outer, lambda: random_term(rng, q, inner, leaf))
+             for _ in range(5)]
+    tvalues = [random_tvalue(rng, monad, terms) for _ in range(5)]
+    for f in preds.preds[:4]:
+        for ev in star(build_lambda(outer), build_lambda(inner)):
+            for t in terms:
+                mapped = at_depth_two(t, f)
+                assert eval_map(q, ev, mapped) == walk_eval(q, ev, mapped)
+            outside = StarEval(MonadEval(monad), ev)
+            for t in tvalues:
+                mapped = monad.map(lambda m: at_depth_two(m, f), t)
+                assert eval_map(q, outside, mapped) == walk_eval(q, outside, mapped)
 
 
 def test_generated_inputs_are_not_trivial():
