@@ -24,7 +24,6 @@ from .simplex import LPProblem, LinearConstraint, simplex_solve
 from .distlaw import DistLaw, apply_g_carriers, apply_zeta, law_suite
 from .behaviour import (Certificate, CoalgebraModel, SparseDist, beh_apply,
                         certify, kleene_gfp, trace_lower_bound, witness_bound)
-from .models import (certificate_from_json, load_model_file, model_from_json,
-                     model_to_json)
+from .models import certificate_from_json, model_from_json, model_to_json
 
 __version__ = "0.1.0"

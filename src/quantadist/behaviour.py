@@ -207,13 +207,15 @@ def pair_gfp(det: DetCoalgebra, p, q, max_iters: int = 1000) -> PairResult:
     return PairResult(value, not layer, iterations, len(states), len(seen) - len(layer))
 
 
-def trace_lower_bound(model: CoalgebraModel, p, q, max_words: int):
+def trace_lower_bound(model: CoalgebraModel, p, q, max_words: int, *,
+                      max_states: int = 100_000):
     """Numeric lower bound on the behavioural distance at (p, q), valid
     for any polynomial-functor model: the ``max_words``-th Kleene
     iterate, which on machine- and exception-shaped models reads every
     word of length strictly below ``max_words``.  Monotone (numerically
-    non-decreasing) in ``max_words``."""
-    return pair_gfp(model.det(), p, q, max_iters=max_words).value
+    non-decreasing) in ``max_words``.  Determinizing more than
+    ``max_states`` states raises ``StateBudgetError``."""
+    return pair_gfp(model.det(max_states), p, q, max_iters=max_words).value
 
 
 # -- candidates, witnesses, certificates --------------------------------------------
@@ -237,8 +239,8 @@ class SparseDist:
         return list(self.entries)
 
 
-#: A powerset witness is a tuple of (left, right) subset pairs; a
-#: subdistribution witness is a tuple of (weight, (left, right)) triples.
+#: A decomposition witness is a monad value over pairs in ``Monad.weighted``
+#: form: a tuple of ((left, right), weight) parts, weight None for powerset.
 Witness = tuple
 
 
@@ -254,8 +256,7 @@ class WitnessError(ValueError):
 
 
 def _check_marginals(monad: Monad, pair, parts):
-    """The flattened marginals of a witness (as a weighted list of
-    pairs) must be the pair itself."""
+    """The flattened marginals of a witness must be the pair itself."""
     left, right = pair
     lhs = monad.flatten([(a, w) for (a, _b), w in parts])
     rhs = monad.flatten([(b, w) for (_a, b), w in parts])
@@ -273,8 +274,7 @@ def witness_bound(cert: Certificate, pair, q: Quantale):
     unit witness) together with the value of every listed decomposition."""
     value_at = cert.candidate.value_at
     bounds = [value_at(pair)]
-    for witness in cert.witnesses.get(pair, []):
-        parts = cert.monad.witness_parts(witness)
+    for parts in cert.witnesses.get(pair, []):
         _check_marginals(cert.monad, pair, parts)
         # The evaluation map applied to the candidate on the witness pairs.
         bounds.append(cert.monad.ev_weighted([(value_at(p), w) for p, w in parts], q))

@@ -149,7 +149,8 @@ def _cmd_distance(args) -> int:
     elif args.method == "trace":
         if not isinstance(instance, CoalgebraModel):
             raise _CliError("method 'trace' needs a coalgebra model")
-        value = trace_lower_bound(instance, pair[0], pair[1], args.max_words)
+        value = trace_lower_bound(instance, pair[0], pair[1], args.max_words,
+                                  max_states=args.max_states)
         q = instance.quantale
         report.update(value=q.value_to_json(value),
                       soundness="lower bound (numeric)",
@@ -239,8 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
                            "which reads words of length strictly below it")
     dist.add_argument("--max-iters", type=_count, default=1000)
     dist.add_argument("--max-states", type=_count, default=10_000,
-                      help="kleene: refuse (exit 3) beyond this many "
-                           "determinized states")
+                      help="kleene and trace: refuse (exit 3) beyond this "
+                           "many determinized states")
     dist.add_argument("--json", action="store_true")
     dist.set_defaults(func=_cmd_distance)
 

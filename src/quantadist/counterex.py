@@ -15,14 +15,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 from .canon import canon_key
 from .monadlift import (POWERSET, SUBDIST, FinSubset, SubDist, dirac, finsubset,
-                        hausdorff_directed, kantorovich_lp, subdist)
+                        hausdorff_directed, kantorovich_lp, price_polytope,
+                        subdist)
 from .quantale import UNIT_OPLUS
 from .simplex import LinearConstraint, LPProblem, simplex_solve
-from .vgraph import Carrier, VGraph, graph_from_entries, metric_closure
+from .vgraph import Carrier, VGraph, graph_from_entries
 
 
 def discrete_two_points() -> VGraph:
@@ -48,24 +49,6 @@ def graph_on_dists(d: VGraph, dists: Sequence[SubDist]) -> VGraph:
     return VGraph(d.quantale, keys, dist)
 
 
-def _nonexpansive_constraints(d: VGraph) -> List[LinearConstraint]:
-    dc = metric_closure(d)
-    out = []
-    for x in d.carrier:
-        for y in d.carrier:
-            if x != y:
-                out.append(LinearConstraint(
-                    {f"g_{y}": Fraction(1), f"g_{x}": Fraction(-1)},
-                    "<=", Fraction(dc.at(x, y))))
-    return out
-
-
-def _pricing_vars(d: VGraph):
-    variables = [f"g_{x}" for x in d.carrier]
-    bounds = {v: (Fraction(0), Fraction(1)) for v in variables}
-    return variables, bounds
-
-
 def combined_pow_pow(d: VGraph, left: FinSubset, right: FinSubset):
     """sup-after-sup collapses to the flattened subsets."""
     return hausdorff_directed(d, POWERSET.mult(left), POWERSET.mult(right))
@@ -85,8 +68,7 @@ def combined_pow_dist(d: VGraph, left: FinSubset, right: FinSubset):
     zero.
     """
     q = d.quantale
-    variables, bounds = _pricing_vars(d)
-    base = _nonexpansive_constraints(d)
+    variables, bounds, base = price_polytope(d)
     best = Fraction(0)
     for nu in right.members:
         constraints = list(base)
@@ -95,7 +77,7 @@ def combined_pow_dist(d: VGraph, left: FinSubset, right: FinSubset):
             for x in d.carrier:
                 delta = mu.weight(x) - nu.weight(x)
                 if delta != 0:
-                    coeffs[f"g_{x}"] = coeffs.get(f"g_{x}", Fraction(0)) + delta
+                    coeffs[f"f_{x}"] = coeffs.get(f"f_{x}", Fraction(0)) + delta
             constraints.append(LinearConstraint(coeffs, "<=", Fraction(0)))
         lp = LPProblem(variables + ["t"], {"t": Fraction(1)}, constraints,
                        {**bounds, "t": (None, None)})
@@ -107,8 +89,7 @@ def combined_dist_pow(d: VGraph, left: SubDist, right: SubDist):
     """The expectation-of-sups lifting at a pair of distributions over
     sets, by enumerating which member of each subset attains its sup."""
     q = d.quantale
-    variables, bounds = _pricing_vars(d)
-    base = _nonexpansive_constraints(d)
+    variables, bounds, base = price_polytope(d)
     sets = list(dict.fromkeys(list(left.support()) + list(right.support())))
     best = Fraction(0)
     for selection in product(*[list(s.members) for s in sets]):
@@ -120,11 +101,11 @@ def combined_dist_pow(d: VGraph, left: SubDist, right: SubDist):
             for z in s.members:
                 if z != top:
                     constraints.append(LinearConstraint(
-                        {f"g_{z}": Fraction(1), f"g_{top}": Fraction(-1)},
+                        {f"f_{z}": Fraction(1), f"f_{top}": Fraction(-1)},
                         "<=", Fraction(0)))
             coeff = right.weight(s) - left.weight(s)
             if coeff != 0:
-                objective[f"g_{top}"] = objective.get(f"g_{top}", Fraction(0)) + coeff
+                objective[f"f_{top}"] = objective.get(f"f_{top}", Fraction(0)) + coeff
         lp = LPProblem(variables, objective, constraints, bounds)
         best = max(best, simplex_solve(lp).optimum)
     return q.validate(best if best > 0 else Fraction(0))

@@ -192,14 +192,3 @@ def extension_smallest(d: VGraph, sub: Sequence[str], f: Pred) -> Pred:
         for x in d.carrier
     }
 
-
-# -- JSON ------------------------------------------------------------------
-
-def predset_to_json(preds: PredSet) -> list:
-    q = preds.quantale
-    return [{x: q.value_to_json(p[x]) for x in preds.carrier} for p in preds.preds]
-
-
-def predset_from_json(q: Quantale, c: Carrier, doc: list) -> PredSet:
-    preds = [{x: q.value_from_json(entry[x]) for x in c} for entry in doc]
-    return PredSet(q, c, preds)

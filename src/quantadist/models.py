@@ -21,10 +21,10 @@ from .behaviour import Certificate, CoalgebraModel, SparseDist
 from .canon import canon_key
 from .distlaw import DistLaw
 from .functor import (ConstF, ConstLeaf, CoprodF, IdF, IdLeaf, Inl, Inr, ProdF,
-                      Tup, const_atoms, const_values, pow_functor)
+                      Tup, const_values, pow_functor)
 from .monadlift import SUBDIST, Monad, SubDist, get_monad
 from .quantale import Quantale, get_quantale
-from .vgraph import Carrier, VGraph, carrier, vgraph_from_json
+from .vgraph import Carrier, VGraph, carrier
 
 
 class ModelFormatError(ValueError):
@@ -34,11 +34,8 @@ class ModelFormatError(ValueError):
 # -- functor expressions ---------------------------------------------------------
 
 def functor_to_json(f) -> object:
-    if isinstance(f, ConstF):
-        if f.atoms is None:
-            return {"const": "value"}
-        return {"const": {"atoms": list(f.atoms),
-                          "evals": [{a: str(v) for a, v in e} for e in f.evals]}}
+    if isinstance(f, ConstF) and f.atoms is None:
+        return {"const": "value"}
     if isinstance(f, IdF):
         return "id"
     if isinstance(f, ProdF):
@@ -48,46 +45,39 @@ def functor_to_json(f) -> object:
         return {"prod": [functor_to_json(p) for p in f.parts]}
     if isinstance(f, CoprodF):
         return {"coprod": [functor_to_json(f.left), functor_to_json(f.right)]}
-    raise ModelFormatError(f"not a functor expression: {f!r}")
+    raise ModelFormatError(f"{f!r} has no model form")
 
 
 def _is_name_list(value) -> bool:
     return isinstance(value, list) and all(isinstance(x, str) for x in value)
 
 
-def functor_from_json(doc, q: Quantale):
+def functor_from_json(doc):
     if doc == "id":
         return IdF()
     if not isinstance(doc, dict) or len(doc) != 1:
         raise ModelFormatError(f"bad functor document: {doc!r}")
     key, body = next(iter(doc.items()))
     if key == "const":
-        if body == "value":
-            return const_values()
-        if not isinstance(body, dict) or not _is_name_list(body.get("atoms")):
+        if body != "value":
             raise ModelFormatError(
-                f"a constant functor is \"value\" or has an atom list, got {body!r}")
-        atoms = body["atoms"]
-        evals = body.get("evals", [])
-        if not isinstance(evals, list) or not all(isinstance(e, dict) for e in evals):
-            raise ModelFormatError(
-                f"constant evals must be a list of objects, got {evals!r}")
-        evals = [{a: q.value_from_json(v) for a, v in e.items()} for e in evals]
-        return const_atoms(atoms, evals)
+                f"a constant node is {{\"const\": \"value\"}}, got {body!r}: an "
+                f"exchange law needs quantale-valued constants")
+        return const_values()
     if key == "prod":
         if not isinstance(body, list):
             raise ModelFormatError(f"a product has a list of parts, got {body!r}")
-        return ProdF(tuple(functor_from_json(p, q) for p in body))
+        return ProdF(tuple(functor_from_json(p) for p in body))
     if key == "pow":
         if not isinstance(body, dict) or not _is_name_list(body.get("labels")):
             raise ModelFormatError(
                 f"a power has a label list and a body, got {body!r}")
-        return pow_functor(body["labels"], functor_from_json(body["body"], q))
+        return pow_functor(body["labels"], functor_from_json(body["body"]))
     if key == "coprod":
         if not isinstance(body, list) or len(body) != 2:
             raise ModelFormatError(f"a coproduct has two summands, got {body!r}")
         left, right = body
-        return CoprodF(functor_from_json(left, q), functor_from_json(right, q))
+        return CoprodF(functor_from_json(left), functor_from_json(right))
     raise ModelFormatError(f"unknown functor node {key!r}")
 
 
@@ -95,9 +85,7 @@ def functor_from_json(doc, q: Quantale):
 
 def term_to_json(functor, term, monad: Monad, q: Quantale) -> object:
     if isinstance(functor, ConstF):
-        if functor.atoms is None:
-            return {"const": q.value_to_json(term.atom)}
-        return {"const": {"atom": term.atom}}
+        return {"const": q.value_to_json(term.atom)}
     if isinstance(functor, IdF):
         return {"id": monad.to_json(term.payload)}
     if isinstance(functor, ProdF):
@@ -114,32 +102,25 @@ def term_to_json(functor, term, monad: Monad, q: Quantale) -> object:
     raise ModelFormatError(f"not a functor expression: {functor!r}")
 
 
-def check_members(monad: Monad, t, states: Carrier):
-    """Return the monad value ``t`` if every member is a state; raise
-    ``ModelFormatError`` naming the first member that is not."""
+def check_members(monad: Monad, t, points: Carrier, what: str = "a state"):
+    """Return the monad value ``t`` if every member is one of ``points``;
+    raise ``ModelFormatError`` naming the first member that is not."""
     for m, _w in monad.weighted(t):
-        if m not in states:
-            raise ModelFormatError(f"{m!r} is not a state")
+        if m not in points:
+            raise ModelFormatError(f"{m!r} is not {what}")
     return t
 
 
 def term_from_json(functor, doc, monad: Monad, q: Quantale, states: Carrier):
-    """Read a transition term, built to the functor's shape: an atom
-    constant must be one of its node's atoms, and every member of an
-    identity-leaf monad value must be one of ``states``."""
+    """Read a transition term, built to the functor's shape: every member
+    of an identity-leaf monad value must be one of ``states``."""
     if not isinstance(doc, dict) or len(doc) != 1:
         raise ModelFormatError(f"bad term document: {doc!r}")
     key, body = next(iter(doc.items()))
     if key == "const":
         if not isinstance(functor, ConstF):
             raise ModelFormatError(f"constant leaf where {functor!r} was expected")
-        if functor.atoms is None:
-            return ConstLeaf(q.value_from_json(body))
-        if not isinstance(body, dict) or not isinstance(body.get("atom"), str):
-            raise ModelFormatError(f"an atom constant is {{\"atom\": name}}, got {body!r}")
-        if body["atom"] not in functor.atoms:
-            raise ModelFormatError(f"unknown constant atom {body['atom']!r}")
-        return ConstLeaf(body["atom"])
+        return ConstLeaf(q.value_from_json(body))
     if key == "id":
         if not isinstance(functor, IdF):
             raise ModelFormatError(f"identity leaf where {functor!r} was expected")
@@ -224,8 +205,8 @@ def model_from_json(doc: dict):
     kind = doc.get("kind", "coalgebra")
     if kind == "vgraph":
         try:
-            get_quantale(doc["quantale"])
-            _point_names(doc["elements"], "elements")
+            q = get_quantale(doc["quantale"])
+            elements = _point_names(doc["elements"], "elements")
             rows = doc["dist"]
         except KeyError as exc:
             raise ModelFormatError(f"missing model field {exc}") from None
@@ -235,9 +216,11 @@ def model_from_json(doc: dict):
         if not isinstance(named, dict):
             raise ModelFormatError(
                 f"distributions must be an object keyed by name, got {named!r}")
-        dists = {name: SUBDIST.from_json({"dist": weights})
+        dists = {name: check_members(SUBDIST, SUBDIST.from_json({"dist": weights}),
+                                     elements, "an element")
                  for name, weights in named.items()}
-        return DistanceInstance(vgraph_from_json(doc), dists)
+        dist = [[q.value_from_json(v) for v in row] for row in rows]
+        return DistanceInstance(VGraph(q, elements, dist), dists)
     if kind != "coalgebra":
         raise ModelFormatError(f"unknown model kind {kind!r}")
     try:
@@ -246,7 +229,7 @@ def model_from_json(doc: dict):
             monad = get_monad(doc["monad"])
         except ValueError as exc:
             raise ModelFormatError(str(exc)) from None
-        functor = functor_from_json(doc["functor"], q)
+        functor = functor_from_json(doc["functor"])
         try:
             DistLaw(functor, monad, q)
         except ValueError as exc:
@@ -347,12 +330,12 @@ def certificate_from_json(doc: dict, model: CoalgebraModel) -> Certificate:
         witnesses = {}
         for row in _rows(doc.get("witnesses", []), "certificate witnesses"):
             pair = pair_of(row)
-            parts = tuple(monad.witness_part(pair_of(part), part)
+            parts = tuple((pair_of(part), monad.part_weight(part))
                           for part in _rows(row["parts"], "witness parts"))
             # A convex witness is a subdistribution of pairs: a negative
             # weight on a pair of empty parts would lower the bound without
             # changing the marginals.
-            weights = [w for _p, w in monad.witness_parts(parts) if w is not None]
+            weights = [w for _p, w in parts if w is not None]
             if any(w < 0 for w in weights) or sum(weights) > 1:
                 raise ModelFormatError(
                     f"witness weights {', '.join(map(str, weights))} are not "
@@ -373,7 +356,7 @@ def certificate_to_json(cert: Certificate, q: Quantale) -> dict:
     for (l, r), wits in cert.witnesses.items():
         for w in wits:
             parts = []
-            for (a, b), weight in cert.monad.witness_parts(w):
+            for (a, b), weight in w:
                 part = {} if weight is None else {"weight": str(weight)}
                 parts.append(dict(part, lhs=to_json(a), rhs=to_json(b)))
             witnesses.append({"lhs": to_json(l), "rhs": to_json(r), "parts": parts})
@@ -390,10 +373,6 @@ def load_json_file(path: str) -> dict:
         raise ModelFormatError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}") from None
-
-
-def load_model_file(path: str):
-    return model_from_json(load_json_file(path))
 
 
 def fixture_text(name: str) -> str:

@@ -142,9 +142,9 @@ class Monad:
       canonical already), ``flatten(pairs)`` (the multiplication) and
       ``ev_weighted(pairs, q)`` (the evaluation map);
     * ``to_json(t)`` / ``from_json(doc)`` for its values;
-    * ``witness_parts(witness)``, a certificate's decomposition witness as
-      a weighted list of (left, right) pairs, and ``witness_part(pair,
-      doc)``, one witness entry read from its JSON part object.
+    * ``part_weight(doc)``, the weight of a certificate witness part read
+      from its JSON part object (a witness is a monad value over pairs in
+      the ``weighted`` form: ``((left, right), weight)`` parts).
     """
 
     name: str = ""
@@ -162,8 +162,7 @@ class Monad:
 class _Powerset(Monad):
     """Finite subsets.  The evaluation map is the lattice meet of the
     members (the numeric supremum on the real-valued quantales, with the
-    empty set evaluating to top).  A witness is a tuple of (left, right)
-    subset pairs."""
+    empty set evaluating to top)."""
 
     name = "powerset"
 
@@ -198,18 +197,14 @@ class _Powerset(Monad):
         # canon_key of a name is the name itself: finsubset's order.
         return FinSubset(tuple(sorted(set(doc["set"]))))
 
-    def witness_parts(self, witness):
-        return [(pair, None) for pair in witness]
-
-    def witness_part(self, pair, doc):
-        return pair
+    def part_weight(self, doc):
+        return None
 
 
 class _SubDist(Monad):
     """Subdistributions.  The evaluation map is the expected value, with
     w * inf = inf for w > 0 (weights are strictly positive by
-    construction).  A witness is a tuple of (weight, (left, right))
-    entries."""
+    construction)."""
 
     name = "subdist"
 
@@ -250,11 +245,8 @@ class _SubDist(Monad):
             raise ValueError(f"expected a dist literal with a weight object, got {doc!r}")
         return subdist({x: weight_from_json(w) for x, w in doc["dist"].items()})
 
-    def witness_parts(self, witness):
-        return [(pair, w) for w, pair in witness]
-
-    def witness_part(self, pair, doc):
-        return (weight_from_json(doc["weight"]), pair)
+    def part_weight(self, doc):
+        return weight_from_json(doc["weight"])
 
 
 POWERSET = _Powerset()
@@ -306,37 +298,38 @@ def _price_cap(d: VGraph, dc: VGraph) -> Fraction:
     return max(finite) if finite else Fraction(0)
 
 
-def pricing_lp(d: VGraph, p: SubDist, q_dist: SubDist) -> LPProblem:
-    """The dual transportation LP for a pair of (sub)distributions.
+def price_polytope(d: VGraph):
+    """The feasible prices of the transportation dual over ``d``: one
+    price ``f_x`` per point, boxed by the range cap (1 on the unit
+    interval, the largest finite closure entry otherwise) and
+    non-expansive against the metric closure of ``d``.  Returns the
+    variables, their bounds and the non-expansiveness constraints (an
+    infinite closure entry gives none: it is vacuous against the box).
+    """
+    dc = metric_closure(d)
+    els = d.carrier.elements
+    cap = _price_cap(d, dc)
+    variables = [f"f_{x}" for x in els]
+    constraints = [
+        LinearConstraint({f"f_{y}": Fraction(1), f"f_{x}": Fraction(-1)},
+                         "<=", Fraction(dc.at(x, y)))
+        for x in els for y in els if x != y and not is_inf(dc.at(x, y))]
+    return variables, {v: (Fraction(0), cap) for v in variables}, constraints
 
-    Variables are prices per point, constrained to be non-expansive
-    against the metric closure of ``d`` and boxed by the range cap (1
-    on the unit interval, the largest finite closure entry otherwise);
-    the objective maximizes the price difference of the two masses.
-    ``kantorovich_lp`` solves the primal of this LP; the tests use this
-    one with ``simplex_solve`` as its oracle.
+
+def pricing_lp(d: VGraph, p: SubDist, q_dist: SubDist) -> LPProblem:
+    """The dual transportation LP for a pair of (sub)distributions: over
+    the ``price_polytope`` of ``d``, maximize the price difference of
+    the two masses.  ``kantorovich_lp`` solves the primal of this LP;
+    the tests use this one with ``simplex_solve`` as its oracle.
     """
     _check_transport(d, p, q_dist)
-    dc = metric_closure(d)
-    els = list(d.carrier.elements)
-    cap = _price_cap(d, dc)
+    variables, bounds, constraints = price_polytope(d)
     objective: Dict[str, Fraction] = {}
-    for x in els:
+    for x in d.carrier.elements:
         coeff = q_dist.weight(x) - p.weight(x)
         if coeff != 0:
             objective[f"f_{x}"] = coeff
-    constraints = []
-    for x in els:
-        for y in els:
-            if x == y:
-                continue
-            bound = dc.at(x, y)
-            if is_inf(bound):
-                continue  # vacuous against the box
-            constraints.append(LinearConstraint(
-                {f"f_{y}": Fraction(1), f"f_{x}": Fraction(-1)}, "<=", Fraction(bound)))
-    variables = [f"f_{x}" for x in els]
-    bounds = {v: (Fraction(0), cap) for v in variables}
     return LPProblem(variables, objective, constraints, bounds, maximize=True)
 
 

@@ -13,10 +13,9 @@ from typing import List
 
 from .behaviour import certify, pair_gfp, trace_lower_bound
 from .counterex import CASES
-from .models import fixture_certificate, fixture_model, load_fixture
-from .monadlift import dirac, finsubset, kantorovich_lp, pricing_lp, subdist
+from .models import fixture_certificate, fixture_model
+from .monadlift import dirac, finsubset, kantorovich_lp, pricing_lp
 from .simplex import simplex_solve
-from .vgraph import vgraph_from_json
 
 
 @dataclass
@@ -45,10 +44,8 @@ class ReproResult:
 
 def repro_transport() -> ReproResult:
     out = ReproResult("transport")
-    doc = load_fixture("transport.json")
-    graph = vgraph_from_json(doc)
-    dists = {name: subdist({x: Fraction(w) for x, w in weights.items()})
-             for name, weights in doc["distributions"].items()}
+    instance = fixture_model("transport.json")
+    graph, dists = instance.graph, instance.distributions
     value = kantorovich_lp(graph, dists["P"], dists["Q"])
     out.add("transport distance", value, Fraction(21, 10))
     lp = pricing_lp(graph, dists["P"], dists["Q"])

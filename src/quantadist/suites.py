@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, product
+from itertools import product
 from typing import Callable, Dict, List, Optional, Sequence
 
 from .canon import canon_key
@@ -19,7 +19,7 @@ from .galois import (Grid, Pred, PredSet, alpha, gamma_enum, grid_values,
                      reindex_preds)
 from .quantale import BOOLEAN, EXT_PLUS, UNIT_OPLUS, Quantale
 from .vgraph import (Carrier, CarrierMismatchError, FiniteMap, VGraph, carrier,
-                     direct_image, graph_equal, graph_leq, is_vcat, metric_closure,
+                     direct_image, graph_equal, is_vcat, metric_closure,
                      reindex)
 
 
@@ -71,12 +71,27 @@ def residuation_lemma_suite(q: Quantale, values: Sequence) -> List[CheckResult]:
              lambda c: q.leq(res(c[0], c[2]), res(res(c[1], c[0]), res(c[1], c[2])))),
         _all(f"{q.ident}: right self-distribution bound (item 9)", triples,
              lambda c: q.leq(res(c[0], c[2]), res(res(c[2], c[1]), res(c[0], c[1])))),
-        _all(f"{q.ident}: meet-family bound (item 10)",
-             islice(product(vals, repeat=4), 160000),
-             lambda c: q.leq(q.meet([res(c[0], c[1]), res(c[2], c[3])]),
-                             res(q.meet([c[0], c[2]]), q.meet([c[1], c[3]])))),
+        _meet_family_bound(q, vals),
     ]
     return out
+
+
+def _meet_family_bound(q: Quantale, vals: List) -> CheckResult:
+    """Item 10 on every quadruple of ``vals`` in product order, reading
+    ``meet2`` off a table over the values (closed under it, as every
+    chain is), ``residuate`` off one over their pairs, and the comparison
+    off one over triples of distinct residuals."""
+    name = f"{q.ident}: meet-family bound (item 10)"
+    position = {v: i for i, v in enumerate(vals)}
+    meet = [[position[q.meet2(a, c)] for c in vals] for a in vals]
+    found: Dict[object, int] = {}
+    res = [[found.setdefault(q.residuate(a, b), len(found)) for b in vals] for a in vals]
+    holds = [[[q.leq(q.meet2(x, y), z) for z in found] for y in found] for x in found]
+    for a, b, c, d in product(range(len(vals)), repeat=4):
+        if not holds[res[a][b]][res[c][d]][res[meet[a][c]][meet[b][d]]]:
+            case = (vals[a], vals[b], vals[c], vals[d])
+            return CheckResult(name, False, f"counterexample: {case!r}")
+    return CheckResult(name, True)
 
 
 def adjunction_suite(q: Quantale, values: Sequence) -> List[CheckResult]:
@@ -289,19 +304,21 @@ def galois_suite(max_size: int = 3) -> List[CheckResult]:
                            ok_strict, strict_wit))
 
     # Direct image is left adjoint to reindexing on the fibre lattices.
+    # Both sides of each comparison read off ``fibre.index`` bits, and a
+    # graph's index is its position in ``fibre.graphs``.
     ok_adj = True
     adj_wit = ""
     for dom, cod in [(x2, x2), (x3, x2)]:
-        dom_graphs = fibres[dom].graphs
-        cod_graphs = fibres[cod].graphs
+        dom_fibre, cod_fibre = fibres[dom], fibres[cod]
         for f in all_maps(dom, cod):
-            reindexed = [(e, reindex(f, e)) for e in cod_graphs]
-            for d in dom_graphs:
-                sigma = direct_image(f, d)
-                for e, fe in reindexed:
-                    if graph_leq(sigma, e) != graph_leq(d, fe):
+            reindexed = [dom_fibre.index(reindex(f, e)) for e in cod_fibre.graphs]
+            for i, d in enumerate(dom_fibre.graphs):
+                sigma = cod_fibre.index(direct_image(f, d))
+                for j, fe in enumerate(reindexed):
+                    if (not sigma & ~j) != (not i & ~fe):
                         ok_adj = False
-                        adj_wit = f"f={f.assignment} d={d.dist} e={e.dist}"
+                        adj_wit = (f"f={f.assignment} d={d.dist} "
+                                   f"e={cod_fibre.graphs[j].dist}")
     out.append(CheckResult("direct image adjoint to reindexing (boolean)",
                            ok_adj, adj_wit))
     return out

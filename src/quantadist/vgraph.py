@@ -244,22 +244,3 @@ def metric_closure(d: VGraph) -> VGraph:
                     row[j] = cand
     return out
 
-
-# -- JSON ------------------------------------------------------------------
-
-def vgraph_to_json(d: VGraph) -> dict:
-    q = d.quantale
-    return {
-        "quantale": q.ident,
-        "elements": list(d.carrier.elements),
-        "dist": [[q.value_to_json(v) for v in row] for row in d.dist],
-    }
-
-
-def vgraph_from_json(doc: dict) -> VGraph:
-    from .quantale import get_quantale
-
-    q = get_quantale(doc["quantale"])
-    c = carrier(doc["elements"])
-    dist = [[q.value_from_json(v) for v in row] for row in doc["dist"]]
-    return VGraph(q, c, dist)

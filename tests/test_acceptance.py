@@ -14,7 +14,7 @@ from quantadist.behaviour import (Certificate, SparseDist, certify, kleene_gfp,
                                   reachable_states, trace_lower_bound, witness_bound)
 from quantadist.functor import MonadEval, kantorovich_generic
 from quantadist.galois import Grid, gamma_enum, grid_values
-from quantadist.models import (fixture_certificate, fixture_model, load_fixture)
+from quantadist.models import fixture_certificate, fixture_model
 from quantadist.monadlift import (POWERSET, SUBDIST, dirac, finsubset,
                                   hausdorff_directed, kantorovich_lp, pricing_lp,
                                   subdist)
@@ -23,7 +23,7 @@ from quantadist.repro import REPRODUCTIONS
 from quantadist.simplex import simplex_solve
 from quantadist.suites import (all_bool_graphs, extension_suite, galois_suite,
                                polyfunctor_suite, quantale_suite)
-from quantadist.vgraph import carrier, graph_from_entries, vgraph_from_json
+from quantadist.vgraph import carrier, graph_from_entries
 
 from test_behaviour import tiny_powerset_model, u_exact
 
@@ -36,10 +36,9 @@ def _report(name: str, started: float, budget: float):
 
 def test_criterion_1_transport_lp():
     started = time.monotonic()
-    doc = load_fixture("transport.json")
-    graph = vgraph_from_json(doc)
-    p = subdist({x: F(w) for x, w in doc["distributions"]["P"].items()})
-    q = subdist({x: F(w) for x, w in doc["distributions"]["Q"].items()})
+    instance = fixture_model("transport.json")
+    graph = instance.graph
+    p, q = instance.distributions["P"], instance.distributions["Q"]
     assert kantorovich_lp(graph, p, q) == F(21, 10)
     lp = pricing_lp(graph, p, q)
     stated = {"f_A": F(0), "f_B": F(3), "f_C": F(5)}
@@ -172,7 +171,7 @@ def test_criterion_6_oracle_consistency():
         (S("r"), S("r")): F(0),
     })
     wits = {
-        (S("p", "r"), S("r")): [((S("p"), S("r")), (S("r"), S("r")))],
+        (S("p", "r"), S("r")): [(((S("p"), S("r")), None), ((S("r"), S("r")), None))],
     }
     cert = Certificate(POWERSET, cand, wits)
     states = [S(), S("p"), S("r"), S("p", "r")]

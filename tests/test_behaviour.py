@@ -29,9 +29,9 @@ def exception_certificate(n=3):
         entries[(S(f"y{i}"), S(f"z{i}"))] = F(1, 6)
     wits = {
         (S("x0", "x1", "y0"), S("z0", "z1")):
-            [((S("x0", "y0"), S("z0")), (S("x1"), S("z1")))],
+            [(((S("x0", "y0"), S("z0")), None), ((S("x1"), S("z1")), None))],
         (S("x0", "y0", "y1"), S("z0", "z1")):
-            [((S("x0", "y0"), S("z0")), (S("y1"), S("z1")))],
+            [(((S("x0", "y0"), S("z0")), None), ((S("y1"), S("z1")), None))],
     }
     return Certificate(POWERSET, SparseDist(q, entries), wits)
 
@@ -42,8 +42,8 @@ def probchain_certificate():
     cand = SparseDist(q, {(dx, dy): F(1, 2), (dxp, dy): F(1, 2),
                           (dy, dx): F(1, 2), (dy, dxp): F(1, 2)})
     wits = {
-        (half, dy): [((F(1, 2), (dx, dy)), (F(1, 2), (dxp, dy)))],
-        (dy, half): [((F(1, 2), (dy, dx)), (F(1, 2), (dy, dxp)))],
+        (half, dy): [(((dx, dy), F(1, 2)), ((dxp, dy), F(1, 2)))],
+        (dy, half): [(((dy, dx), F(1, 2)), ((dy, dxp), F(1, 2)))],
     }
     return Certificate(SUBDIST, cand, wits)
 
@@ -218,7 +218,7 @@ def test_witness_bound_unit_only():
 
 def test_witness_marginal_mismatch_rejected():
     cand = SparseDist(q, {(S("a", "b"), S("c")): F(1, 2)})
-    bad_witness = ((S("a"), S("c")),)  # union misses b
+    bad_witness = (((S("a"), S("c")), None),)  # union misses b
     cert = Certificate(POWERSET, cand,
                        {(S("a", "b"), S("c")): [bad_witness]})
     with pytest.raises(WitnessError, match="marginal"):

@@ -4,8 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from quantadist.galois import (BudgetError, Grid, PredSet, alpha, extension_largest,
-                               extension_smallest, gamma_enum, grid_values,
-                               predset_from_json, predset_to_json)
+                               extension_smallest, gamma_enum, grid_values)
 from quantadist.quantale import BOOLEAN, EXT_PLUS, UNIT_OPLUS
 from quantadist.suites import extension_suite, galois_suite
 from quantadist.vgraph import (carrier, graph_equal, graph_from_entries,
@@ -189,10 +188,3 @@ def test_extension_suite_runs_clean():
     bad = [r.line() for r in results if not r.passed]
     assert not bad, bad
 
-
-def test_predset_json_roundtrip():
-    ps = PredSet(UNIT_OPLUS, XY, [{"x": F(0), "y": F(1, 2)}])
-    doc = predset_to_json(ps)
-    assert doc == [{"x": "0", "y": "1/2"}]
-    back = predset_from_json(UNIT_OPLUS, XY, doc)
-    assert back.preds == ps.preds

@@ -7,8 +7,8 @@ built to the functor's shape with no member check, and then the whole
 model walked again (``shape_check`` on every term, every successor a
 state, every labelled product over the model labels, transitions keyed
 by exactly the states).  The loader must accept exactly the documents
-the oracle accepts, with one exception: a model with atom constants has
-no exchange law, so the loader now refuses it where it loads.
+the oracle accepts.  Both refuse a document with named-atom constants:
+a constant node is ``{"const": "value"}`` only.
 """
 
 import random
@@ -90,9 +90,8 @@ def oracle_model(doc) -> CoalgebraModel:
         raise ValueError("not a coalgebra document")
     q = get_quantale(doc["quantale"])
     monad = get_monad(doc["monad"])
-    functor = functor_from_json(doc["functor"], q)
-    if monad is SUBDIST and q is BOOLEAN \
-            and any(c.atoms is None for c in _constant_nodes(functor)):
+    functor = functor_from_json(doc["functor"])
+    if monad is SUBDIST and q is BOOLEAN and any(_constant_nodes(functor)):
         raise ValueError("no expectation over the boolean quantale")
     # The loader's own name checks, which this change leaves alone.
     states = _point_names(doc["states"], "states")
@@ -107,23 +106,18 @@ def oracle_model(doc) -> CoalgebraModel:
 
 
 def assert_loader_agrees(doc) -> str:
-    """Load the document with both loaders; return the verdict: 'accept',
-    'reject', or 'atoms' (accepted by the oracle, refused for its atom
-    constants)."""
+    """Load the document with both loaders; return the verdict, 'accept'
+    or 'reject'."""
     try:
         expected = oracle_model(doc)
     except REFUSED + (KeyError,):
         expected = None
-    atoms = expected is not None \
-        and any(c.atoms is not None for c in _constant_nodes(expected.functor))
     try:
         model = model_from_json(doc)
     except REFUSED as exc:
-        assert expected is None or atoms, exc
-        if atoms:
-            assert "exchange laws require quantale-valued constant nodes" in str(exc)
-        return "atoms" if atoms else "reject"
-    assert expected is not None and not atoms, doc
+        assert expected is None, exc
+        return "reject"
+    assert expected is not None, doc
     assert (model.states, model.labels) == (expected.states, expected.labels)
     assert model.transitions == expected.transitions
     return "accept"
@@ -132,7 +126,8 @@ def assert_loader_agrees(doc) -> str:
 # -- generated documents ---------------------------------------------------------------
 
 def with_atom_constants(doc):
-    """The exceptions model with its output values read as named atoms."""
+    """The exceptions model with its output values written as named atoms,
+    a form no loader reads."""
     doc["functor"]["coprod"][0] = {"const": {"atoms": ["lo", "hi"],
                                              "evals": [{"lo": "0", "hi": "1"}]}}
     for term in doc["transitions"].values():
@@ -160,7 +155,7 @@ def test_loader_matches_two_pass_check_on_mutated_documents():
         verdicts[assert_loader_agrees(doc)] += 1
 
     check()
-    assert min(verdicts[v] for v in ("accept", "reject", "atoms")) >= 10, verdicts
+    assert min(verdicts[v] for v in ("accept", "reject")) >= 10, verdicts
 
 
 def test_loader_matches_two_pass_check_on_random_models():

@@ -6,7 +6,6 @@ import pytest
 
 from conftest import build_exceptions
 from quantadist.cli import main
-from quantadist.functor import ConstLeaf
 from quantadist.models import (DistanceInstance, ModelFormatError,
                                certificate_from_json, certificate_to_json,
                                fixture_certificate, fixture_model,
@@ -15,13 +14,12 @@ from quantadist.models import (DistanceInstance, ModelFormatError,
                                term_to_json)
 from quantadist.monadlift import POWERSET, SUBDIST
 from quantadist.quantale import UNIT_OPLUS
-from quantadist.vgraph import carrier
 
 
 def test_functor_json_roundtrip(probchain, exceptions3):
     for model in (probchain, exceptions3):
         doc = functor_to_json(model.functor)
-        assert functor_from_json(doc, model.quantale) == model.functor
+        assert functor_from_json(doc) == model.functor
 
 
 def test_model_json_roundtrip(probchain, exceptions3):
@@ -157,31 +155,6 @@ def test_cli_repro_all():
         assert "all values reproduced" in out
 
 
-def test_named_atom_term_json_roundtrip():
-    from quantadist.functor import const_atoms
-    func = const_atoms(["lo", "hi"], [{"lo": F(0), "hi": F(1)}])
-    term = ConstLeaf("hi")
-    doc = term_to_json(func, term, POWERSET, UNIT_OPLUS)
-    assert doc == {"const": {"atom": "hi"}}
-    assert term_from_json(func, doc, POWERSET, UNIT_OPLUS, carrier([])) == term
-
-
-@pytest.mark.parametrize("body", ["hi", ["hi"], {}, {"atom": ["hi"]}])
-def test_malformed_named_atom_term(body):
-    from quantadist.functor import const_atoms
-    func = const_atoms(["lo", "hi"], [{"lo": F(0), "hi": F(1)}])
-    with pytest.raises(ModelFormatError, match="an atom constant is"):
-        term_from_json(func, {"const": body}, POWERSET, UNIT_OPLUS, carrier([]))
-
-
-def test_unknown_named_atom_term():
-    from quantadist.functor import const_atoms
-    func = const_atoms(["lo", "hi"], [{"lo": F(0), "hi": F(1)}])
-    with pytest.raises(ModelFormatError, match="unknown constant atom 'mid'"):
-        term_from_json(func, {"const": {"atom": "mid"}}, POWERSET, UNIT_OPLUS,
-                       carrier([]))
-
-
 def _unknown_set_successor(doc):
     doc["transitions"]["x0"]["inr"]["pow"]["b"]["id"]["set"].append("nosuch")
 
@@ -219,7 +192,9 @@ def _atom_constants(doc):
     ("exceptions.json", _mismatched_labels,
      "labelled product over ('a', 'b') does not match the model labels ('a',)"),
     ("exceptions.json", _atom_constants,
-     "exchange laws require quantale-valued constant nodes"),
+     "a constant node is {\"const\": \"value\"}, got {'atoms': ['lo', 'hi'], "
+     "'evals': [{'lo': '0', 'hi': '1'}]}: an exchange law needs quantale-valued "
+     "constants"),
 ], ids=["set-successor", "dist-successor", "no-transition", "unknown-transition",
         "labels", "atom-constants"])
 def test_model_checked_where_it_loads(tmp_path, fixture, mutate, message):
@@ -313,6 +288,17 @@ def test_cli_budget_exit_code_with_depth():
     assert "refused" in err
 
 
+def test_cli_trace_refuses_beyond_max_states():
+    # probchain determinizes without end; kleene and trace read the same
+    # state budget, and both refuse cleanly once it binds.
+    argv = ["distance", "--model", fixture_path("probchain.json"),
+            "--pair", "y:1|x:1", "--max-states", "5"]
+    for method, depth in (("kleene", "--max-iters"), ("trace", "--max-words")):
+        code, out, err = run_cli(*argv, "--method", method, depth, "60")
+        assert (code, out) == (3, "")
+        assert err == "refused: determinization exceeded the budget of 5 states\n"
+
+
 def test_cli_depth_flag_is_unknown():
     code, out, err = run_cli("distance", "--model", fixture_path("exceptions.json"),
                              "--pair", "{x0,y0}|{z0}", "--method", "kleene",
@@ -351,7 +337,7 @@ def test_cli_non_list_constant_functor_exit_code(tmp_path):
     code, _out, err = run_cli("distance", "--model", _write_model(tmp_path, doc),
                               "--pair", "{x0}|{z0}", "--method", "kleene")
     assert code == 2
-    assert "constant functor" in err
+    assert "a constant node is" in err
 
 
 def test_cli_set_literal_must_be_a_list(tmp_path):
@@ -380,14 +366,15 @@ def _set_path(doc, path, value):
 @pytest.mark.parametrize("path,value,message", [
     (["functor"], {"coprod": [{"const": {"atoms": ["a"], "evals": [5]}},
                               {"pow": {"labels": ["a", "b"], "body": "id"}}]},
-     "constant evals"),
+     "exchange law needs quantale-valued constants"),
     (["functor"], {"prod": 5}, "list of parts"),
     (["states"], 5, "states must be a list"),
     (["transitions"], [], "transitions must be an object"),
     (["transitions", "x0", "inr", "pow"], 5, "labelled tuple is an object"),
     (["transitions", "x0", "inr", "pow", "a", "id", "set"], [["x1"]], "member list"),
     (["functor", "coprod", 1, "pow", "labels"], [{"dist": {}}], "label list"),
-    (["functor", "coprod", 0, "const"], {"atoms": [["a"]]}, "atom list"),
+    (["functor", "coprod", 0, "const"], {"atoms": [["a"]]},
+     "exchange law needs quantale-valued constants"),
 ])
 def test_cli_malformed_model_exit_code(tmp_path, path, value, message):
     doc = load_fixture("exceptions.json")
@@ -450,6 +437,7 @@ def test_cli_certificate_weight_must_be_rational(tmp_path):
     (["distributions", "P"], 5, "weight object"),
     (["distributions", "P", "A"], [1], "weight must be a rational string"),
     (["elements"], "ABC", "elements must be a list of names"),
+    (["distributions", "P"], {"A": "1/2", "D": "1/2"}, "'D' is not an element"),
 ])
 def test_cli_malformed_vgraph_model_exit_code(tmp_path, path, value, message):
     doc = load_fixture("transport.json")

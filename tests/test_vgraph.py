@@ -8,8 +8,7 @@ from quantadist.quantale import BOOLEAN, EXT_PLUS, UNIT_OPLUS
 from quantadist.vgraph import (Carrier, CarrierMismatchError, FiniteMap, VGraph, all_top,
                                carrier, compose_maps, direct_image,
                                graph_equal, graph_leq, graph_from_entries,
-                               identity_map, is_vcat, metric_closure, reindex,
-                               vgraph_from_json, vgraph_to_json)
+                               identity_map, is_vcat, metric_closure, reindex)
 from quantadist.suites import all_bool_graphs
 
 
@@ -179,10 +178,3 @@ def test_metric_closure_least_among_grid_vcats_unit():
             if is_vcat(e) and graph_leq(d, e):
                 assert graph_leq(closed, e)
 
-
-def test_vgraph_json_roundtrip():
-    d = geo_graph()
-    doc = vgraph_to_json(d)
-    assert doc["quantale"] == "ext-plus"
-    assert doc["dist"][0][1] == "3"
-    assert graph_equal(vgraph_from_json(doc), d)
