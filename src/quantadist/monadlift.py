@@ -307,13 +307,11 @@ def price_polytope(d: VGraph):
     infinite closure entry gives none: it is vacuous against the box).
     """
     dc = metric_closure(d)
-    els = d.carrier.elements
     cap = _price_cap(d, dc)
-    variables = [f"f_{x}" for x in els]
-    constraints = [
-        LinearConstraint({f"f_{y}": Fraction(1), f"f_{x}": Fraction(-1)},
-                         "<=", Fraction(dc.at(x, y)))
-        for x in els for y in els if x != y and not is_inf(dc.at(x, y))]
+    variables = [f"f_{x}" for x in d.carrier.elements]
+    constraints = [LinearConstraint({f"f_{y}": Fraction(1), f"f_{x}": Fraction(-1)},
+                                    "<=", Fraction(v))
+                   for x, y, v in dc.pairs() if x != y and not is_inf(v)]
     return variables, {v: (Fraction(0), cap) for v in variables}, constraints
 
 
