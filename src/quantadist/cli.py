@@ -26,7 +26,7 @@ from .distlaw import (ALWAYS_LEFT, DistLaw, StateBudgetError, case_study_laws,
 from .galois import BudgetError
 from .models import (DistanceInstance, ModelFormatError, certificate_from_json,
                      check_members, load_json_file, model_from_json)
-from .monadlift import (POWERSET, FinSubset, SubDist, finsubset,
+from .monadlift import (POWERSET, SUBDIST, FinSubset, SubDist, finsubset,
                         hausdorff_directed, kantorovich_lp, subdist)
 from .quantale import QuantaleError
 from .repro import REPRODUCTIONS
@@ -86,9 +86,12 @@ def _parse_pair(text: str, instance):
         raise _CliError("a pair looks like 'lhs|rhs'")
     left, right = text.split("|", 1)
     pair = _parse_tvalue(left, instance), _parse_tvalue(right, instance)
-    if isinstance(instance, CoalgebraModel):
-        for t in pair:
+    for t in pair:
+        if isinstance(instance, CoalgebraModel):
             check_members(instance.monad, t, instance.states)
+        else:
+            check_members(POWERSET if isinstance(t, FinSubset) else SUBDIST, t,
+                          instance.graph.carrier, "an element")
     return pair
 
 

@@ -16,8 +16,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
-from typing import Callable, Dict, List, Sequence
+from itertools import chain, combinations, islice, product
+from typing import Callable, Dict, List, Optional, Sequence
 
 from .canon import canon_key
 from .functor import (ConstF, ConstLeaf, CoprodF, IdF, IdLeaf, Inl, Inr, MonadEval,
@@ -215,11 +215,12 @@ def _f_terms_over(functor, payloads, const_vals):
     raise TypeError(functor)
 
 
-def _small_subsets(items, max_size):
-    out = [finsubset([])]
-    for size in range(1, max_size + 1):
-        out.extend(finsubset(c) for c in combinations(items, size))
-    return out
+def _small_subsets(items, max_size, keep: Optional[int] = None):
+    """The first ``keep`` (all, when None) subsets of at most
+    ``max_size`` items, smallest first; none past them is built."""
+    combos = chain.from_iterable(combinations(items, size)
+                                 for size in range(max_size + 1))
+    return [finsubset(c) for c in islice(combos, keep)]
 
 
 def _sample_subdist(rng: random.Random, items, denom: int = 4,
@@ -235,9 +236,14 @@ def _sample_subdist(rng: random.Random, items, denom: int = 4,
     return subdist(weights)
 
 
-def _tvalues(law: DistLaw, rng: random.Random, items, count: int, max_size: int = 2):
+def _tvalues(law: DistLaw, rng: random.Random, items, count: int,
+             keep: Optional[int] = None):
+    """The T-values a check runs on, at most ``keep`` of them: every
+    subset of at most two items for powerset, the distinct values among
+    ``count`` samples for subdistributions (all ``count`` are drawn
+    whatever is kept, so later draws do not depend on ``keep``)."""
     if law.monad is POWERSET:  # enumerable; subdistributions are sampled
-        return _small_subsets(items, max_size)
+        return _small_subsets(items, 2, keep)
     out = []
     seen = set()
     for _ in range(count):
@@ -245,7 +251,7 @@ def _tvalues(law: DistLaw, rng: random.Random, items, count: int, max_size: int 
         if t not in seen:
             seen.add(t)
             out.append(t)
-    return out
+    return out[:keep]
 
 
 def _unit_compat(law: DistLaw, terms) -> CheckResult:
@@ -328,18 +334,22 @@ def _well_behaved(law: DistLaw, rng: random.Random) -> CheckResult:
 
     for t in ts:
         side, restricted = apply_g(law.monad, t, in_left, law.g_variant)
+        # The split square reads no f, so its sides are computed once per
+        # t; it is still compared third for each f, which keeps the first
+        # failure, and so the witness, that of the per-f loop.
+        split = (run_side(t, lambda x: q.bottom if in_left(x) else q.top),
+                 q.bottom if side == "left" else q.top)
         for f in fs:
             cases = [
-                ("left-eval", lambda x: f[x] if in_left(x) else q.top,
+                ("left-eval", lambda: run_side(t, lambda x: f[x] if in_left(x) else q.top),
                  (lambda: run_side(restricted, lambda x: f[x]) if side == "left" else q.top)),
-                ("right-eval", lambda x: q.bottom if in_left(x) else f[x],
+                ("right-eval", lambda: run_side(t, lambda x: q.bottom if in_left(x) else f[x]),
                  (lambda: q.bottom if side == "left"
                   else run_side(restricted, lambda x: f[x]))),
-                ("split", lambda x: q.bottom if in_left(x) else q.top,
-                 (lambda: q.bottom if side == "left" else q.top)),
+                ("split", lambda: split[0], lambda: split[1]),
             ]
-            for tag, bracket, via_g in cases:
-                direct = run_side(t, bracket)
+            for tag, via_direct, via_g in cases:
+                direct = via_direct()
                 routed = via_g()
                 if direct != routed:
                     return CheckResult(
@@ -400,13 +410,16 @@ def _const_algebra_hom(law: DistLaw, rng: random.Random) -> CheckResult:
         if monad.ev(monad.unit(v), q) != v:
             return CheckResult(name, False, f"unit at {canon_key(v)}")
     ts = _tvalues(law, rng, vals, 30)
-    for s in ts:
-        for t in ts:
-            tt = monad.pack([(t if i % 2 else s, w)
-                             for i, (_v, w) in enumerate(monad.weighted(s))])
-            if monad.ev(monad.mult(tt), q) != \
-                    monad.ev(monad.map(lambda u: monad.ev(u, q), tt), q):
-                return CheckResult(name, False, canon_key(tt))
+    # tt stays a weighted list: the multiplication and the evaluation
+    # map read repeated members as the canonical value merges them.
+    evs = [monad.ev(t, q) for t in ts]
+    for s, ev_s in zip(ts, evs):
+        weights = [w for _v, w in monad.weighted(s)]
+        for t, ev_t in zip(ts, evs):
+            tt = [(t if i % 2 else s, w) for i, w in enumerate(weights)]
+            if monad.ev(monad.flatten(tt), q) != monad.ev_weighted(
+                    [(ev_t if i % 2 else ev_s, w) for i, w in enumerate(weights)], q):
+                return CheckResult(name, False, canon_key(monad.pack(tt)))
     return CheckResult(name, True)
 
 
@@ -420,7 +433,7 @@ def _zeta_nonexpansive_boolean(law: DistLaw) -> CheckResult:
     bool_law = DistLaw(law.functor, law.monad, BOOLEAN, law.g_variant)
     c = Carrier(("x", "y"))
     f_terms = _f_terms_over(law.functor, list(c.elements), [False, True])
-    tf_terms = _small_subsets(f_terms, 2)[:12]
+    tf_terms = _small_subsets(f_terms, 2, keep=12)
     ft_terms = [apply_zeta(bool_law, t) for t in tf_terms]
     lam_f = build_lambda(law.functor)
     ev_t = MonadEval(law.monad)
@@ -460,23 +473,31 @@ def _zeta_nonexpansive_machine_lp(law: DistLaw, rng: random.Random) -> CheckResu
         d = VGraph(q, c, [[rng.choice(grid) for _ in c.elements] for _ in c.elements])
         dists = [t for t in (_sample_subdist(rng, f_terms, 4, 2) for _ in range(24))
                  if t.mass() == 1][:6]
+        # Each distribution's output expectation and label distributions,
+        # pushed forward and through the exchange component, once.
+        images = []
         for mu in dists:
-            for nu in dists:
-                out_diff = q.residuate(
-                    SUBDIST.ev(SUBDIST.map(lambda t: t.items[0].atom, mu), q),
-                    SUBDIST.ev(SUBDIST.map(lambda t: t.items[0].atom, nu), q))
-                label_vals = []
-                for i, _lab in enumerate(labels):
-                    push = lambda t, i=i: t.items[1].items[i].payload
-                    label_vals.append(kantorovich_lp(
-                        d, SUBDIST.map(push, mu), SUBDIST.map(push, nu)))
-                lhs = q.meet([out_diff] + label_vals)
-                zm, zn = apply_zeta(law, mu), apply_zeta(law, nu)
-                rhs_out = q.residuate(zm.items[0].atom, zn.items[0].atom)
-                rhs_vals = [kantorovich_lp(d, zm.items[1].items[i].payload,
-                                           zn.items[1].items[i].payload)
-                            for i in range(len(labels))]
-                rhs = q.meet([rhs_out] + rhs_vals)
+            z = apply_zeta(law, mu)
+            images.append((
+                (SUBDIST.ev(SUBDIST.map(lambda t: t.items[0].atom, mu), q),
+                 [SUBDIST.map(lambda t, i=i: t.items[1].items[i].payload, mu)
+                  for i in range(len(labels))]),
+                (z.items[0].atom, [z.items[1].items[i].payload for i in range(len(labels))])))
+        solved = {}
+
+        def lifted(a, b):
+            # The pairs of the pushed distributions repeat; each distinct
+            # transport problem on this graph is solved once.
+            pairs = list(zip(a[1], b[1]))
+            for pair in pairs:
+                if pair not in solved:
+                    solved[pair] = kantorovich_lp(d, *pair)
+            return q.meet([q.residuate(a[0], b[0])] + [solved[pair] for pair in pairs])
+
+        for mu, (m_pushed, m_zeta) in zip(dists, images):
+            for nu, (n_pushed, n_zeta) in zip(dists, images):
+                lhs = lifted(m_pushed, n_pushed)
+                rhs = lifted(m_zeta, n_zeta)
                 if lhs != rhs:
                     return CheckResult(name, False,
                                        f"{canon_key(mu)} vs {canon_key(nu)}")
@@ -502,7 +523,7 @@ def law_suite(law: DistLaw, seed: int = 0, samples: int = 100) -> List[CheckResu
     if len(f_terms) > 12:
         f_terms = f_terms[:: max(1, len(f_terms) // 12)]
     singles = _tvalues(law, rng, f_terms, samples)
-    doubles = _tvalues(law, rng, singles, samples)[:150]
+    doubles = _tvalues(law, rng, singles, samples, keep=150)
     results = [
         _unit_compat(law, f_terms),
         _pentagon(law, doubles),

@@ -86,7 +86,18 @@ def residual_meet(q: Quantale, n: int, vectors: Iterable[Sequence]) -> List[List
 
     Each vector is folded in as it arrives, so ``vectors`` may be a
     generator and no more than one vector is held at a time.
+
+    Over the boolean quantale ``residuate(a, b)`` is ``not a or b`` and
+    the meet is conjunction, so entry (i, j) is True exactly when no
+    vector is True at i and False at j.  That fold keeps two bitmasks
+    per vector, the positions where it is True and where it is False,
+    and ORs the False mask into a per-row mask at each True position;
+    equal vectors give equal masks and are folded once.  It computes
+    the same booleans as the generic fold without a ``residuate`` or
+    ``meet2`` call per entry.
     """
+    if q is BOOLEAN:
+        return _boolean_residual_meet(n, vectors)
     dist = [[q.top] * n for _ in range(n)]
     meet2, residuate = q.meet2, q.residuate
     for s in vectors:
@@ -94,6 +105,22 @@ def residual_meet(q: Quantale, n: int, vectors: Iterable[Sequence]) -> List[List
             for j, sj in enumerate(s):
                 row[j] = meet2(row[j], residuate(si, sj))
     return dist
+
+
+def _boolean_residual_meet(n: int, vectors: Iterable[Sequence]) -> List[List[bool]]:
+    """``residual_meet`` over the boolean quantale, by bitmasks."""
+    full = (1 << n) - 1
+    true_masks = set()
+    for s in vectors:
+        true_masks.add(sum(1 << i for i, v in enumerate(s) if v))
+    # broken[i]: the positions j with some vector True at i and False at j.
+    broken = [0] * n
+    for mask in true_masks:
+        false_mask = full & ~mask
+        for i in range(n):
+            if mask >> i & 1:
+                broken[i] |= false_mask
+    return [[not (row >> j) & 1 for j in range(n)] for row in broken]
 
 
 def alpha(preds: PredSet) -> VGraph:

@@ -2,14 +2,20 @@ from fractions import Fraction as F
 
 import pytest
 
+from quantadist import distlaw
 from quantadist.behaviour import reachable_states
-from quantadist.distlaw import (ALWAYS_LEFT, DetCoalgebra, DistLaw, StateBudgetError,
-                                apply_g_carriers, apply_zeta, case_study_laws,
-                                law_suite)
+from quantadist.canon import canon_key
+from quantadist.distlaw import (ALWAYS_LEFT, PRIORITY_LEFT, DetCoalgebra, DistLaw,
+                                StateBudgetError, apply_g, apply_g_carriers, apply_zeta,
+                                case_study_laws, law_suite)
 from quantadist.functor import (ConstLeaf, IdLeaf, Inl, Inr, Tup, const_atoms,
                                 exception_functor, machine_functor, map_payloads)
-from quantadist.monadlift import POWERSET, SUBDIST, dirac, finsubset, subdist
-from quantadist.quantale import INF, UNIT_OPLUS
+from quantadist.galois import Grid, grid_values
+from quantadist.monadlift import (POWERSET, SUBDIST, dirac, finsubset, kantorovich_lp,
+                                  subdist)
+from quantadist.quantale import EXT_PLUS, INF, UNIT_OPLUS
+from quantadist.suites import CheckResult
+from quantadist.vgraph import Carrier, VGraph
 
 
 MACHINE_LAW = DistLaw(machine_functor(["a"]), SUBDIST, UNIT_OPLUS)
@@ -186,10 +192,13 @@ def _algebra_rows(law):
     return [r.passed for r in law_suite(law) if r.name.endswith(ALGEBRA_CHECK)]
 
 
-@pytest.mark.parametrize("name,monad,mutant_ev", [
+MUTANT_EVS = [
     ("exception-powerset", POWERSET, _empty_set_is_bottom),
     ("machine-subdist", SUBDIST, _normalized_expectation),
-])
+]
+
+
+@pytest.mark.parametrize("name,monad,mutant_ev", MUTANT_EVS)
 def test_law_suite_catches_mutant_evaluation_map(monkeypatch, name, monad, mutant_ev):
     law = case_study_laws()[name]
     assert _algebra_rows(law) == [True]
@@ -204,3 +213,174 @@ def test_law_suite_mutant_fails_unit_compatibility():
     by_name = {r.name: r for r in results}
     unit_rows = [r for n, r in by_name.items() if "unit" in n and "prioritizer" in n]
     assert unit_rows and not unit_rows[0].passed
+
+
+# -- law-suite checks against their per-pair oracles ------------------------------------
+#
+# The suite evaluates each sampled input once.  These oracles are the
+# per-pair loops it replaced; with them patched in, the suite must
+# print the same rows, witness strings included, and leave the
+# generator where the fast checks leave it.
+
+def oracle_well_behaved(law, rng):
+    q = EXT_PLUS if law.monad is SUBDIST else law.quantale
+    name = f"{law.monad.name} over {q.ident} ({law.g_variant}): prioritizer well-behaved"
+    left_els = ["l_a", "l_b"]
+    right_els = ["r_a", "r_b"]
+    in_left = lambda x: x.startswith("l")
+    vals = grid_values(q, Grid(2, cap=1))
+    fs = [dict(zip(left_els + right_els, combo))
+          for combo in distlaw._sampled_combos(rng, vals, 4, 40)]
+    ts = distlaw._tvalues(law, rng, left_els + right_els, 40)
+
+    def run_side(t, bracket):
+        monad = law.monad
+        return monad.ev_weighted([(bracket(x), w) for x, w in monad.weighted(t)], q)
+
+    for t in ts:
+        side, restricted = apply_g(law.monad, t, in_left, law.g_variant)
+        for f in fs:
+            cases = [
+                ("left-eval", lambda x: f[x] if in_left(x) else q.top,
+                 (lambda: run_side(restricted, lambda x: f[x]) if side == "left" else q.top)),
+                ("right-eval", lambda x: q.bottom if in_left(x) else f[x],
+                 (lambda: q.bottom if side == "left"
+                  else run_side(restricted, lambda x: f[x]))),
+                ("split", lambda x: q.bottom if in_left(x) else q.top,
+                 (lambda: q.bottom if side == "left" else q.top)),
+            ]
+            for tag, bracket, via_g in cases:
+                direct = run_side(t, bracket)
+                routed = via_g()
+                if direct != routed:
+                    return CheckResult(
+                        name, False,
+                        f"{tag} square at {canon_key(t)}, f={ {k: canon_key(v) for k, v in f.items()} }: "
+                        f"{canon_key(direct)} vs {canon_key(routed)}")
+    return CheckResult(name, True)
+
+
+def oracle_const_algebra_hom(law, rng):
+    q = law.quantale
+    monad = law.monad
+    name = f"{monad.name} over {q.ident}: constant algebras are evaluation homomorphisms"
+    vals = grid_values(q, Grid(2, cap=1))
+    for v in vals:
+        if monad.ev(monad.unit(v), q) != v:
+            return CheckResult(name, False, f"unit at {canon_key(v)}")
+    ts = distlaw._tvalues(law, rng, vals, 30)
+    for s in ts:
+        for t in ts:
+            tt = monad.pack([(t if i % 2 else s, w)
+                             for i, (_v, w) in enumerate(monad.weighted(s))])
+            if monad.ev(monad.mult(tt), q) != \
+                    monad.ev(monad.map(lambda u: monad.ev(u, q), tt), q):
+                return CheckResult(name, False, canon_key(tt))
+    return CheckResult(name, True)
+
+
+def oracle_zeta_nonexpansive_machine_lp(law, rng):
+    name = (f"{law.monad.name}/{distlaw._shape_name(law)}: exchange component "
+            "non-expansive (transport exact)")
+    q = law.quantale
+    c = Carrier(("x", "y"))
+    labels = law.functor.parts[1].labels or ("a",)
+    vals = [F(0), F(1, 2), F(1)]
+    f_terms = distlaw._f_terms_over(law.functor, list(c.elements), vals)
+    grid = [F(i, 4) for i in range(5)]
+    for _ in range(6):
+        d = VGraph(q, c, [[rng.choice(grid) for _ in c.elements] for _ in c.elements])
+        dists = [t for t in (distlaw._sample_subdist(rng, f_terms, 4, 2) for _ in range(24))
+                 if t.mass() == 1][:6]
+        for mu in dists:
+            for nu in dists:
+                out_diff = q.residuate(
+                    SUBDIST.ev(SUBDIST.map(lambda t: t.items[0].atom, mu), q),
+                    SUBDIST.ev(SUBDIST.map(lambda t: t.items[0].atom, nu), q))
+                label_vals = []
+                for i, _lab in enumerate(labels):
+                    push = lambda t, i=i: t.items[1].items[i].payload
+                    label_vals.append(kantorovich_lp(
+                        d, SUBDIST.map(push, mu), SUBDIST.map(push, nu)))
+                lhs = q.meet([out_diff] + label_vals)
+                zm, zn = distlaw.apply_zeta(law, mu), distlaw.apply_zeta(law, nu)
+                rhs_out = q.residuate(zm.items[0].atom, zn.items[0].atom)
+                rhs_vals = [kantorovich_lp(d, zm.items[1].items[i].payload,
+                                           zn.items[1].items[i].payload)
+                            for i in range(len(labels))]
+                rhs = q.meet([rhs_out] + rhs_vals)
+                if lhs != rhs:
+                    return CheckResult(name, False,
+                                       f"{canon_key(mu)} vs {canon_key(nu)}")
+    return CheckResult(name, True)
+
+
+ORACLES = {
+    "_well_behaved": oracle_well_behaved,
+    "_const_algebra_hom": oracle_const_algebra_hom,
+    "_zeta_nonexpansive_machine_lp": oracle_zeta_nonexpansive_machine_lp,
+}
+
+
+def _suite_rows(law, seed):
+    return [(r.name, r.passed, r.detail) for r in law_suite(law, seed)]
+
+
+def assert_rows_match_the_oracles(monkeypatch, law, seeds=(0,)):
+    fast = [_suite_rows(law, seed) for seed in seeds]
+    with monkeypatch.context() as patch:
+        for check, oracle in ORACLES.items():
+            patch.setattr(distlaw, check, oracle)
+        slow = [_suite_rows(law, seed) for seed in seeds]
+    assert fast == slow
+    return fast
+
+
+@pytest.mark.parametrize("variant", [PRIORITY_LEFT, ALWAYS_LEFT])
+@pytest.mark.parametrize("name", sorted(case_study_laws()))
+def test_law_suite_rows_match_the_per_pair_oracles(monkeypatch, name, variant):
+    base = case_study_laws()[name]
+    law = DistLaw(base.functor, base.monad, base.quantale, g_variant=variant)
+    fast = assert_rows_match_the_oracles(monkeypatch, law, [7919 * k for k in range(4)])
+    if variant == ALWAYS_LEFT:  # the mutant's witness strings are compared too
+        assert any(not passed and detail for rows in fast for _n, passed, detail in rows)
+
+
+TRANSPORT_CHECK = "exchange component non-expansive (transport exact)"
+
+
+def _transport_rows(law):
+    return [r.passed for r in law_suite(law) if r.name.endswith(TRANSPORT_CHECK)]
+
+
+def test_mutant_rows_match_the_oracles(monkeypatch):
+    """The failing rows of a mutant evaluation map or exchange component
+    carry the oracles' witness strings."""
+    for name, monad, mutant_ev in MUTANT_EVS:
+        with monkeypatch.context() as patch:
+            patch.setattr(monad, "ev_weighted", mutant_ev)
+            rows = assert_rows_match_the_oracles(patch, case_study_laws()[name])
+        assert any(n.endswith(ALGEBRA_CHECK) and not ok and detail
+                   for n, ok, detail in rows[0])
+    with monkeypatch.context() as patch:
+        patch.setattr(distlaw, "apply_zeta", _mass_to_first_member(distlaw.apply_zeta))
+        rows = assert_rows_match_the_oracles(patch, case_study_laws()["machine-subdist"])
+    assert any(n.endswith(TRANSPORT_CHECK) and not ok and detail for n, ok, detail in rows[0])
+
+
+def _mass_to_first_member(exact):
+    """A mutant exchange component: each identity leaf's payload mass all
+    on its first member."""
+    def to_first_member(p):
+        return subdist([(p.support()[0], p.mass())]) if len(p) else p
+    return lambda law, t: map_payloads(exact(law, t), to_first_member)
+
+
+def test_transport_exact_row_catches_a_mutant_exchange_component(monkeypatch):
+    """An exchange component that moves all of a label's payload mass to
+    its first member keeps every shape and mass but not the transport
+    distances, so only the exact check can see it."""
+    law = case_study_laws()["machine-subdist"]
+    assert _transport_rows(law) == [True]
+    monkeypatch.setattr(distlaw, "apply_zeta", _mass_to_first_member(distlaw.apply_zeta))
+    assert _transport_rows(law) == [False]

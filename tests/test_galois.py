@@ -1,10 +1,12 @@
+import random
 import warnings
 from fractions import Fraction as F
 
 import pytest
 
 from quantadist.galois import (BudgetError, Grid, PredSet, alpha, extension_largest,
-                               extension_smallest, gamma_enum, grid_values)
+                               extension_smallest, gamma_enum, grid_values,
+                               residual_meet)
 from quantadist.quantale import BOOLEAN, EXT_PLUS, UNIT_OPLUS
 from quantadist.suites import extension_suite, galois_suite
 from quantadist.vgraph import (carrier, graph_equal, graph_from_entries,
@@ -31,6 +33,41 @@ def test_alpha_single_real_predicate():
     d = alpha(PredSet(UNIT_OPLUS, XY, [{"x": F(0), "y": F(2, 5)}]))
     assert d.at("x", "y") == F(2, 5)
     assert d.at("y", "x") == F(0)
+
+
+def generic_residual_meet(q, n, vectors):
+    """Oracle: the per-entry fold, one residuate and one meet2 per entry
+    and vector."""
+    dist = [[q.top] * n for _ in range(n)]
+    for s in vectors:
+        for i in range(n):
+            for j in range(n):
+                dist[i][j] = q.meet2(dist[i][j], q.residuate(s[i], s[j]))
+    return dist
+
+
+def assert_boolean_fold_agrees(n, vectors):
+    got = residual_meet(BOOLEAN, n, (list(s) for s in vectors))
+    assert got == generic_residual_meet(BOOLEAN, n, vectors)
+    assert len(got) == n
+    assert all(len(row) == n and all(type(v) is bool for v in row) for row in got)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_boolean_residual_meet_matches_the_generic_fold(n):
+    rng = random.Random(n)
+    for count in (0, 1, 2, 3, 5, 9, 20):
+        for _ in range(8):
+            vectors = [[rng.random() < 0.5 for _ in range(n)] for _ in range(count)]
+            assert_boolean_fold_agrees(n, vectors)
+
+
+def test_boolean_residual_meet_edge_vectors():
+    for n in range(7):
+        assert residual_meet(BOOLEAN, n, []) == [[True] * n for _ in range(n)]
+        assert_boolean_fold_agrees(n, [[False] * n])
+        assert_boolean_fold_agrees(n, [[True] * n, [True] * n])
+        assert_boolean_fold_agrees(n, [[i == k for i in range(n)] for k in range(n)])
 
 
 def test_gamma_boolean_discrete():

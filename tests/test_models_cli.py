@@ -496,6 +496,24 @@ def test_cli_pair_with_unknown_state(model, pair, method):
     assert err == "error: 'nosuch' is not a state\n"
 
 
+@pytest.mark.parametrize("pair,method", [
+    ("D:1|A:1", "lp"),
+    ("{D}|{A}", "hausdorff"),
+])
+def test_cli_vgraph_pair_with_unknown_element(monkeypatch, pair, method):
+    from quantadist import cli
+
+    def no_solve(*_args):
+        raise AssertionError("solver reached with an unchecked pair")
+
+    monkeypatch.setattr(cli, "kantorovich_lp", no_solve)
+    monkeypatch.setattr(cli, "hausdorff_directed", no_solve)
+    code, out, err = run_cli("distance", "--model", fixture_path("transport.json"),
+                             "--pair", pair, "--method", method)
+    assert (code, out) == (2, "")
+    assert err == "error: 'D' is not an element\n"
+
+
 @pytest.mark.parametrize("path", [
     ["entries", 0, "lhs", "set"],
     ["witnesses", 0, "rhs", "set"],
