@@ -266,9 +266,21 @@ def _unit_compat(law: DistLaw, terms) -> CheckResult:
 
 def _pentagon(law: DistLaw, doubles) -> CheckResult:
     name = f"{law.monad.name}/{_shape_name(law)}: exchange respects the multiplication"
+    # The doubles are drawn from a few singles, so the same inner values
+    # recur: apply zeta once to each.  They are keyed by identity (the
+    # doubles hold the singles themselves, and keep them alive for the
+    # call), since hashing a T-value walks all of it.
+    zeta_of: Dict[int, object] = {}
+
+    def inner_zeta(t):
+        z = zeta_of.get(id(t))
+        if z is None:
+            z = zeta_of[id(t)] = apply_zeta(law, t)
+        return z
+
     for tt in doubles:
         lhs = apply_zeta(law, law.monad.mult(tt))
-        inner = law.monad.map(lambda t: apply_zeta(law, t), tt)
+        inner = law.monad.map(inner_zeta, tt)
         rhs = map_payloads(apply_zeta(law, inner), law.monad.mult)
         if lhs != rhs:
             return CheckResult(name, False, f"input {canon_key(tt)}")

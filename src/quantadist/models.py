@@ -220,7 +220,7 @@ def model_from_json(doc: dict):
                                      elements, "an element")
                  for name, weights in named.items()}
         dist = [[q.value_from_json(v) for v in row] for row in rows]
-        return DistanceInstance(VGraph(q, elements, dist), dists)
+        return DistanceInstance(VGraph(q, elements, dist, validated=True), dists)
     if kind != "coalgebra":
         raise ModelFormatError(f"unknown model kind {kind!r}")
     try:

@@ -19,9 +19,9 @@ from math import lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .canon import canon_key
-from .quantale import INF, Quantale, QuantaleError, is_inf
+from .quantale import INF, Quantale, QuantaleError
 from .simplex import LinearConstraint, LPProblem
-from .vgraph import VGraph, metric_closure
+from .vgraph import VGraph, metric_closure, scaled_closure
 
 
 @dataclass(frozen=True)
@@ -269,14 +269,33 @@ def hausdorff_directed(d: VGraph, left: FinSubset, right: FinSubset):
     meet over members of the right of the join over members of the
     left of the closure distance; on the real-valued quantales this is
     sup_{v in right} inf_{u in left} dc(u, v).  Conventions: an empty
-    right gives top, an empty left (nonempty right) gives bottom.
+    right gives top, an empty left (nonempty right) gives bottom.  On
+    the real-valued quantales it reads the |left| x |right| entries it
+    needs off the integer closure of ``scaled_closure`` and builds one
+    ``Fraction``, for the answer.
     """
     q = d.quantale
-    dc = metric_closure(d)
-    return q.meet(
-        q.join(dc.at(u, v) for u in left.members)
-        for v in right.members
-    )
+    if q.ident == "boolean":
+        dc = metric_closure(d)
+        return q.meet(
+            q.join(dc.at(u, v) for u in left.members)
+            for v in right.members
+        )
+    if not right.members:
+        return q.top
+    if not left.members:
+        return q.bottom
+    index = d.carrier.index
+    rows = [index(u) for u in left.members]
+    cols = [index(v) for v in right.members]
+    m, scale = scaled_closure(d)
+    worst = 0
+    for j in cols:
+        finite = [m[i][j] for i in rows if m[i][j] is not None]
+        if not finite:
+            return INF
+        worst = max(worst, min(finite))
+    return Fraction(worst, scale)
 
 
 def _check_transport(d: VGraph, p: SubDist, q_dist: SubDist):
@@ -289,13 +308,13 @@ def _check_transport(d: VGraph, p: SubDist, q_dist: SubDist):
         )
 
 
-def _price_cap(d: VGraph, dc: VGraph) -> Fraction:
-    """The range of a price: 1 on the unit interval, the largest finite
+def _price_cap(q: Quantale, m: List[List[Optional[int]]], scale: int) -> int:
+    """The range of a price in the units of the integer closure ``m``
+    (see ``scaled_closure``): 1 on the unit interval, the largest finite
     closure entry otherwise."""
-    if d.quantale.ident == "unit-oplus":
-        return Fraction(1)
-    finite = [v for row in dc.dist for v in row if not is_inf(v)]
-    return max(finite) if finite else Fraction(0)
+    if q.ident == "unit-oplus":
+        return scale
+    return max((v for row in m for v in row if v is not None), default=0)
 
 
 def price_polytope(d: VGraph):
@@ -306,12 +325,13 @@ def price_polytope(d: VGraph):
     variables, their bounds and the non-expansiveness constraints (an
     infinite closure entry gives none: it is vacuous against the box).
     """
-    dc = metric_closure(d)
-    cap = _price_cap(d, dc)
+    m, scale = scaled_closure(d)
+    cap = Fraction(_price_cap(d.quantale, m, scale), scale)
     variables = [f"f_{x}" for x in d.carrier.elements]
-    constraints = [LinearConstraint({f"f_{y}": Fraction(1), f"f_{x}": Fraction(-1)},
-                                    "<=", Fraction(v))
-                   for x, y, v in dc.pairs() if x != y and not is_inf(v)]
+    constraints = [LinearConstraint({fy: Fraction(1), fx: Fraction(-1)},
+                                    "<=", Fraction(v, scale))
+                   for fx, row in zip(variables, m)
+                   for fy, v in zip(variables, row) if fx != fy and v is not None]
     return variables, {v: (Fraction(0), cap) for v in variables}, constraints
 
 
@@ -341,26 +361,28 @@ def kantorovich_lp(d: VGraph, p: SubDist, q_dist: SubDist):
     closure entry on ext-plus), so a pair at distance inf costs cap.
     The capped cost still obeys the triangle inequality and vanishes on
     the diagonal, and at equal mass the box of the dual never binds, so
-    by LP duality this is exactly the optimum of ``pricing_lp``.
+    by LP duality this is exactly the optimum of ``pricing_lp``.  The
+    costs are read, capped, off the integer closure of
+    ``scaled_closure`` and the masses are scaled to integers too, so
+    the flow computation runs on plain ints; the answer is one
+    ``Fraction`` over both scales.
     """
     index = d.carrier.index
     sources = [index(x) for x in p.support()]
     sinks = [index(y) for y in q_dist.support()]
     _check_transport(d, p, q_dist)
-    dc = metric_closure(d)
-    cap = _price_cap(d, dc)
-    cost = [[cap if is_inf(dc.dist[i][j]) else min(dc.dist[i][j], cap) for j in sinks]
+    m, scale = scaled_closure(d)
+    cap = _price_cap(d.quantale, m, scale)
+    cost = [[cap if m[i][j] is None else min(m[i][j], cap) for j in sinks]
             for i in sources]
     supply = [w for _x, w in p.items()]
     demand = [w for _y, w in q_dist.items()]
-    # Scale to integers so the flow computation runs on plain ints.
     mass_scale = lcm(*(w.denominator for w in supply + demand))
-    cost_scale = lcm(*(c.denominator for row in cost for c in row))
     total = _min_cost_transport(
         [int(w * mass_scale) for w in supply],
         [int(w * mass_scale) for w in demand],
-        [[int(c * cost_scale) for c in row] for row in cost])
-    return d.quantale.validate(Fraction(total, mass_scale * cost_scale))
+        cost)
+    return d.quantale.validate(Fraction(total, mass_scale * scale))
 
 
 def _min_cost_transport(supply: List[int], demand: List[int],

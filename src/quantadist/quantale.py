@@ -21,8 +21,9 @@ Values are trusted inside the system.  ``leq``, ``join2``, ``meet2``,
 by identity) and check nothing; an operation on anything else gives an
 undefined result.  Values are validated once, where they enter:
 ``value_from_json`` (model, certificate and graph files),
-``SparseDist``, ``VGraph`` and ``graph_from_entries`` call
-``validate``, and ``galois.grid_values`` builds canonical values only.
+``SparseDist``, ``VGraph`` (unless built from values validated
+already) and ``graph_from_entries`` call ``validate``, and
+``galois.grid_values`` builds canonical values only.
 """
 
 from __future__ import annotations

@@ -9,8 +9,10 @@ graph by shortest-path style saturation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Tuple
+from dataclasses import InitVar, dataclass, field
+from fractions import Fraction
+from math import lcm
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .quantale import INF, Quantale
 
@@ -54,15 +56,22 @@ def carrier(elements: Iterable[str]) -> Carrier:
 
 @dataclass
 class VGraph:
+    """A square matrix of quantale values over a carrier.  The entries
+    are validated unless ``validated`` says they are canonical values of
+    the quantale already (read by ``value_from_json``, or computed by
+    quantale operations); the shape is always checked."""
+
     quantale: Quantale
     carrier: Carrier
     dist: List[List[object]]
+    validated: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, validated):
         n = len(self.carrier)
         if len(self.dist) != n or any(len(row) != n for row in self.dist):
             raise ValueError("distance matrix does not match the carrier size")
-        self.dist = [[self.quantale.validate(v) for v in row] for row in self.dist]
+        if not validated:
+            self.dist = [[self.quantale.validate(v) for v in row] for row in self.dist]
 
     def at(self, x: str, y: str):
         return self.dist[self.carrier.index(x)][self.carrier.index(y)]
@@ -71,7 +80,8 @@ class VGraph:
         return self.dist[i][j]
 
     def copy(self) -> "VGraph":
-        return VGraph(self.quantale, self.carrier, [row[:] for row in self.dist])
+        return VGraph(self.quantale, self.carrier, [row[:] for row in self.dist],
+                      validated=True)
 
     def pairs(self):
         els = self.carrier.elements
@@ -97,11 +107,12 @@ def graph_from_entries(q: Quantale, c: Carrier, entries: Dict[Tuple[str, str], o
                        default=None) -> VGraph:
     """Build a graph from an entry map; missing entries use ``default``
     (the quantale top if not given)."""
-    default = q.top if default is None else default
-    g = constant_graph(q, c, default)
+    default = q.top if default is None else q.validate(default)
+    n = len(c)
+    dist = [[default] * n for _ in range(n)]
     for (x, y), v in entries.items():
-        g.dist[c.index(x)][c.index(y)] = q.validate(v)
-    return g
+        dist[c.index(x)][c.index(y)] = q.validate(v)
+    return VGraph(q, c, dist, validated=True)
 
 
 def _require_same(d1: VGraph, d2: VGraph):
@@ -199,6 +210,34 @@ def is_vcat(d: VGraph) -> bool:
     return True
 
 
+def scaled_closure(d: VGraph) -> Tuple[List[List[Optional[int]]], int]:
+    """The metric closure of a graph over a real-valued quantale, on
+    plain ints: returns ``(m, scale)`` where entry (i, j) of the least
+    V-category above ``d`` is ``m[i][j] / scale``, with ``None`` for
+    ``INF``.  ``scale`` is the least common multiple of the denominators
+    of the finite entries; ``metric_closure`` says why the pass below is
+    exact.  With the diagonal at 0, row k does not change in round k, so
+    its finite entries are read once per round.
+    """
+    scale = lcm(*(v.denominator for row in d.dist for v in row if v is not INF))
+    m = [[None if v is INF else v.numerator * (scale // v.denominator) for v in row]
+         for row in d.dist]
+    for i, row in enumerate(m):
+        row[i] = 0
+    for k, row_k in enumerate(m):
+        through_k = [(j, b) for j, b in enumerate(row_k) if b is not None]
+        for row in m:
+            a = row[k]
+            if a is None or row is row_k:
+                continue
+            for j, b in through_k:
+                cand = a + b
+                old = row[j]
+                if old is None or cand < old:
+                    row[j] = cand
+    return m, scale
+
+
 def metric_closure(d: VGraph) -> VGraph:
     """Least V-category above ``d``.
 
@@ -208,39 +247,33 @@ def metric_closure(d: VGraph) -> VGraph:
     quantales are integral: the unit is top, so going round a cycle
     never improves a path and the best path through {0..k} is a simple
     one.  The entries were validated when ``d`` was built, so they are
-    combined here as plain values: and/or on the booleans, numeric
-    addition and minimum on the real-valued quantales.  A composite
-    replaces an entry only when it is numerically below it, hence
-    below 1 on unit-oplus, so the truncation of the sum never applies.
+    combined here as plain values.  The booleans use and/or.  On the
+    real-valued quantales the pass runs in ``scaled_closure`` on plain
+    ints: every finite entry times the least common multiple of the
+    denominators, ``INF`` as ``None``.  Multiplying by a positive integer
+    commutes with addition and minimum, so the scaled pass computes
+    exactly the scaled closure, and each entry is read back as one
+    ``Fraction``.  A composite replaces an entry only when it is
+    numerically below it, hence below 1 on unit-oplus, so the truncation
+    of the sum never applies.  The result holds canonical values and is
+    not validated again.
     """
     q = d.quantale
+    if q.ident != "boolean":
+        m, scale = scaled_closure(d)
+        return VGraph(q, d.carrier,
+                      [[INF if v is None else Fraction(v, scale) for v in row] for row in m],
+                      validated=True)
     n = len(d.carrier)
     out = d.copy()
     m = out.dist
     for i in range(n):
         m[i][i] = q.join2(m[i][i], q.unit)
-    if q.ident == "boolean":
-        for k in range(n):
-            row_k = m[k]
-            for row in m:
-                if row[k]:
-                    for j in range(n):
-                        if row_k[j]:
-                            row[j] = True
-        return out
     for k in range(n):
         row_k = m[k]
         for row in m:
-            a = row[k]
-            if a is INF:
-                continue
-            for j in range(n):
-                b = row_k[j]
-                if b is INF:
-                    continue
-                cand = a + b
-                old = row[j]
-                if old is INF or cand < old:
-                    row[j] = cand
+            if row[k]:
+                for j in range(n):
+                    if row_k[j]:
+                        row[j] = True
     return out
-

@@ -315,7 +315,19 @@ def oracle_zeta_nonexpansive_machine_lp(law, rng):
     return CheckResult(name, True)
 
 
+def oracle_pentagon(law, doubles):
+    name = f"{law.monad.name}/{distlaw._shape_name(law)}: exchange respects the multiplication"
+    for tt in doubles:
+        lhs = distlaw.apply_zeta(law, law.monad.mult(tt))
+        inner = law.monad.map(lambda t: distlaw.apply_zeta(law, t), tt)
+        rhs = map_payloads(distlaw.apply_zeta(law, inner), law.monad.mult)
+        if lhs != rhs:
+            return CheckResult(name, False, f"input {canon_key(tt)}")
+    return CheckResult(name, True)
+
+
 ORACLES = {
+    "_pentagon": oracle_pentagon,
     "_well_behaved": oracle_well_behaved,
     "_const_algebra_hom": oracle_const_algebra_hom,
     "_zeta_nonexpansive_machine_lp": oracle_zeta_nonexpansive_machine_lp,
@@ -384,3 +396,30 @@ def test_transport_exact_row_catches_a_mutant_exchange_component(monkeypatch):
     assert _transport_rows(law) == [True]
     monkeypatch.setattr(distlaw, "apply_zeta", _mass_to_first_member(distlaw.apply_zeta))
     assert _transport_rows(law) == [False]
+
+
+def test_pentagon_applies_zeta_once_per_distinct_inner_value(monkeypatch):
+    pentagon, exact = distlaw._pentagon, distlaw.apply_zeta
+    seen = {}
+
+    def counted_pentagon(law, doubles):
+        calls = seen["calls"] = []
+        seen["doubles"] = doubles
+        with monkeypatch.context() as patch:
+            patch.setattr(distlaw, "apply_zeta",
+                          lambda law, t: calls.append(t) or exact(law, t))
+            return pentagon(law, doubles)
+
+    monkeypatch.setattr(distlaw, "_pentagon", counted_pentagon)
+    for seed in (0, 7919):
+        for name, law in sorted(case_study_laws().items()):
+            assert all(r.passed for r in law_suite(law, seed)), name
+            doubles, calls = seen["doubles"], seen["calls"]
+            inner = [t for tt in doubles for t, _w in law.monad.weighted(tt)]
+            distinct = len(set(inner))
+            # The inner values are the singles themselves, so equal ones
+            # are one object.
+            assert len({id(t) for t in inner}) == distinct < len(inner), name
+            # Per double its flattening and its mapped value, then one
+            # call per distinct inner value.
+            assert len(calls) == 2 * len(doubles) + distinct, name

@@ -1,10 +1,13 @@
-"""Differential tests of the transport lifting and the metric closure.
+"""Differential tests of the liftings and the metric closure.
 
 ``kantorovich_lp`` solves the primal transportation problem; its
-oracles are the dual pricing LP solved by ``simplex_solve`` and, on
+oracles are the dual pricing LP solved by ``simplex_solve``, the same
+flow computation on costs read off the ``Fraction`` closure, and, on
 integer-scaled instances, ``networkx.network_simplex``.  The one-pass
 ``metric_closure`` is compared with the re-checking Floyd-Warshall loop
-it replaced, kept here.
+it replaced and with the one-pass loop over ``Fraction`` values that
+``scaled_closure`` replaced, both kept here; ``hausdorff_directed`` with
+its closed form over the ``Fraction`` closure.
 """
 
 import random
@@ -13,11 +16,13 @@ from math import lcm
 
 import pytest
 
-from quantadist.monadlift import dirac, kantorovich_lp, pricing_lp, subdist
+from quantadist.monadlift import (_min_cost_transport, dirac, finsubset,
+                                  hausdorff_directed, kantorovich_lp, pricing_lp, subdist)
 from quantadist.quantale import BOOLEAN, EXT_PLUS, INF, UNIT_OPLUS, QuantaleError, is_inf
 from quantadist.simplex import simplex_solve
+from quantadist.suites import all_bool_graphs
 from quantadist.vgraph import (CarrierMismatchError, VGraph, carrier, graph_equal,
-                               is_vcat, metric_closure)
+                               is_vcat, metric_closure, scaled_closure)
 
 
 # -- oracles ----------------------------------------------------------------------
@@ -49,6 +54,61 @@ def two_pass_closure(d):
                         m[i][j] = new
                         changed = True
     return out
+
+
+def fraction_closure(d):
+    """The one-pass Floyd-Warshall loop over ``Fraction`` values (and
+    ``INF``), as ``metric_closure`` ran it on the real-valued quantales
+    before the pass moved to scaled integers."""
+    q = d.quantale
+    n = len(d.carrier)
+    out = d.copy()
+    m = out.dist
+    for i in range(n):
+        m[i][i] = q.join2(m[i][i], q.unit)
+    for k in range(n):
+        row_k = m[k]
+        for row in m:
+            a = row[k]
+            if a is INF:
+                continue
+            for j in range(n):
+                b = row_k[j]
+                if b is INF:
+                    continue
+                cand = a + b
+                old = row[j]
+                if old is INF or cand < old:
+                    row[j] = cand
+    return out
+
+
+def hausdorff_oracle(dc, left, right):
+    """The closed form of the powerset lifting through the quantale
+    operations, over a closure ``dc`` computed by an oracle loop."""
+    q = dc.quantale
+    return q.meet(q.join(dc.at(u, v) for u in left.members) for v in right.members)
+
+
+def fraction_transport(d, p, q):
+    """Optimal transport with the capped costs read off the ``Fraction``
+    closure and rescaled to integers entry by entry, as
+    ``kantorovich_lp`` computed them before the integer closure."""
+    dc = fraction_closure(d)
+    if d.quantale is UNIT_OPLUS:
+        cap = F(1)
+    else:
+        cap = max((v for _x, _y, v in dc.pairs() if not is_inf(v)), default=F(0))
+    cost = [[cap if is_inf(dc.at(x, y)) else min(dc.at(x, y), cap) for y in q.support()]
+            for x in p.support()]
+    supply = [w for _x, w in p.items()]
+    demand = [w for _y, w in q.items()]
+    mass_scale = lcm(*(w.denominator for w in supply + demand))
+    cost_scale = lcm(*(c.denominator for row in cost for c in row))
+    total = _min_cost_transport([int(w * mass_scale) for w in supply],
+                                [int(w * mass_scale) for w in demand],
+                                [[int(c * cost_scale) for c in row] for row in cost])
+    return d.quantale.validate(F(total, mass_scale * cost_scale))
 
 
 # -- generators -------------------------------------------------------------------
@@ -210,3 +270,124 @@ def test_one_pass_closure_matches_two_pass(quantale):
         assert graph_equal(closed, two_pass_closure(d)), d.dist
         assert is_vcat(closed)
         assert d.dist == before
+
+
+# -- the integer closure and the liftings that read it -------------------------------
+
+COPRIME = [F(1, 7), F(3, 11), F(5, 13)]
+
+
+def edge_graphs():
+    """Graphs at the edges of the integer closure: coprime denominators,
+    off-diagonals all inf with an inf or 1 diagonal, unit-oplus entries
+    at 1, one point, no point."""
+    c3 = names(3)
+    out = [
+        VGraph(EXT_PLUS, c3, [[INF, F(1, 7), INF], [INF, INF, F(3, 11)],
+                              [F(5, 13), INF, INF]]),
+        VGraph(EXT_PLUS, c3, [[F(1), F(3, 11), F(5, 13)], [F(1, 7), F(1), F(5, 13)],
+                              [F(3, 11), F(1, 7), F(1)]]),
+        VGraph(UNIT_OPLUS, c3, [[F(1), F(1, 7), F(1)], [F(1), F(1), F(3, 11)],
+                                [F(5, 13), F(1), F(1)]]),
+        VGraph(EXT_PLUS, c3, [[INF] * 3 for _ in range(3)]),
+        VGraph(EXT_PLUS, c3, [[F(1) if i == j else INF for j in range(3)]
+                              for i in range(3)]),
+        VGraph(EXT_PLUS, c3, [[(INF, F(1), INF)[i] if i == j else INF for j in range(3)]
+                              for i in range(3)]),
+        VGraph(UNIT_OPLUS, c3, [[F(1)] * 3 for _ in range(3)]),
+        VGraph(UNIT_OPLUS, names(4), [[F(1) if (i + j) % 2 else F(2, 3) for j in range(4)]
+                                      for i in range(4)]),
+        VGraph(EXT_PLUS, names(1), [[INF]]),
+        VGraph(UNIT_OPLUS, names(1), [[F(1)]]),
+        VGraph(EXT_PLUS, names(0), []),
+    ]
+    rng = random.Random(707)
+    for _ in range(6):
+        n = rng.randint(2, 6)
+        out.append(VGraph(UNIT_OPLUS, names(n), [[rng.choice(COPRIME + [F(1)])
+                                                  for _ in range(n)] for _ in range(n)]))
+        out.append(VGraph(EXT_PLUS, names(n), [[rng.choice(COPRIME + [INF, F(2)])
+                                                for _ in range(n)] for _ in range(n)]))
+        out.append(ext_graph(rng, n, rng.random() < 0.5))
+        out.append(unit_graph(rng, n))
+    return out
+
+
+def boolean_graphs():
+    rng = random.Random(808)
+    out = list(all_bool_graphs(names(2)))
+    for _ in range(10):
+        n = rng.randint(1, 5)
+        out.append(VGraph(BOOLEAN, names(n),
+                          [[rng.random() < 0.3 for _ in range(n)] for _ in range(n)]))
+    return out
+
+
+def all_subsets(c):
+    els = list(c.elements)
+    return [finsubset(x for k, x in enumerate(els) if bits >> k & 1)
+            for bits in range(1 << len(els))]
+
+
+def test_scaled_closure_matches_the_fraction_closure():
+    for d in edge_graphs():
+        before = [row[:] for row in d.dist]
+        oracle = fraction_closure(d)
+        m, scale = scaled_closure(d)
+        assert scale == lcm(*(v.denominator for row in d.dist for v in row
+                              if not is_inf(v)))
+        assert all(isinstance(v, int) for row in m for v in row if v is not None)
+        assert [[INF if v is None else F(v, scale) for v in row] for row in m] == \
+            oracle.dist, d.dist
+        closed = metric_closure(d)
+        assert graph_equal(closed, oracle) and graph_equal(closed, two_pass_closure(d))
+        assert all(v is INF or type(v) is F for _x, _y, v in closed.pairs())
+        assert is_vcat(closed)
+        assert d.dist == before
+
+
+def test_coprime_denominators_scale_exactly():
+    d = VGraph(EXT_PLUS, names(3), [[F(0), F(1, 7), INF], [INF, F(0), F(3, 11)],
+                                    [F(5, 13), INF, F(0)]])
+    m, scale = scaled_closure(d)
+    assert scale == 7 * 11 * 13
+    assert m[0][2] == 11 * 13 + 3 * 7 * 13 and m[2][1] == 5 * 7 * 11 + 11 * 13
+    assert metric_closure(d).at("v0", "v2") == F(1, 7) + F(3, 11)
+
+
+def test_hausdorff_matches_the_fraction_expression():
+    graphs = edge_graphs() + boolean_graphs()
+    rng = random.Random(909)
+    empty_left = empty_right = 0
+    for d in graphs:
+        dc = two_pass_closure(d) if d.quantale is BOOLEAN else fraction_closure(d)
+        subsets = all_subsets(d.carrier)
+        if len(subsets) > 16:
+            subsets = [finsubset([])] + rng.sample(subsets, 15)
+        for left in subsets:
+            for right in subsets:
+                value = hausdorff_directed(d, left, right)
+                expected = hausdorff_oracle(dc, left, right)
+                assert value == expected and type(value) is type(expected), \
+                    (d.dist, left, right)
+                empty_left += not left.members and bool(right.members)
+                empty_right += not right.members
+    assert empty_left > 0 and empty_right > 0
+
+
+def test_kantorovich_matches_the_fraction_costs():
+    rng = random.Random(1010)
+    for d in edge_graphs():
+        if not len(d.carrier):
+            assert kantorovich_lp(d, subdist({}), subdist({})) == F(0)
+            continue
+        for x in d.carrier:
+            for y in d.carrier:
+                assert kantorovich_lp(d, dirac(x), dirac(y)) == \
+                    fraction_transport(d, dirac(x), dirac(y)), (d.dist, x, y)
+        for mass in (F(1), F(2, 9)):
+            for _ in range(2):
+                p, q = random_pair(rng, d, mass)
+                value = kantorovich_lp(d, p, q)
+                assert value == fraction_transport(d, p, q), (d.dist, p, q)
+                assert value == lp_oracle(d, p, q), (d.dist, p, q)

@@ -1,10 +1,12 @@
 import random
+import re
 from fractions import Fraction as F
 from itertools import product
 
 import pytest
 
-from quantadist.quantale import BOOLEAN, EXT_PLUS, UNIT_OPLUS
+from quantadist.models import load_fixture, model_from_json
+from quantadist.quantale import BOOLEAN, EXT_PLUS, INF, UNIT_OPLUS, QuantaleError
 from quantadist.vgraph import (Carrier, CarrierMismatchError, FiniteMap, VGraph, all_top,
                                carrier, compose_maps, direct_image,
                                graph_equal, graph_leq, graph_from_entries,
@@ -178,3 +180,69 @@ def test_metric_closure_least_among_grid_vcats_unit():
             if is_vcat(e) and graph_leq(d, e):
                 assert graph_leq(closed, e)
 
+
+
+# -- values are validated once, where they enter -----------------------------------
+
+def count_validate(monkeypatch, q):
+    """Record every value ``q.validate`` is called on."""
+    calls = []
+    validate = q.validate
+
+    def counted(v):
+        calls.append(v)
+        return validate(v)
+
+    monkeypatch.setattr(q, "validate", counted)
+    return calls
+
+
+def test_vgraph_document_validates_each_entry_once(monkeypatch):
+    doc = load_fixture("transport.json")
+    calls = count_validate(monkeypatch, EXT_PLUS)
+    graph = model_from_json(doc).graph
+    assert len(calls) == sum(len(row) for row in doc["dist"]) == 9
+    assert all(type(v) is F for _x, _y, v in graph.pairs())
+    assert graph.at("A", "C") == F(5)
+    del calls[:]
+    assert graph_equal(graph.copy(), graph) and graph_equal(metric_closure(graph), graph)
+    assert calls == []
+
+
+@pytest.mark.parametrize("entry,message", [
+    ("-3", "ext-plus value is negative: -3"),
+    ([3], "expected rational string, got [3]"),
+    (True, "expected rational string, got boolean True"),
+])
+def test_vgraph_document_entry_errors(entry, message):
+    doc = load_fixture("transport.json")
+    doc["dist"][2][0] = entry
+    with pytest.raises(QuantaleError, match=re.escape(message)):
+        model_from_json(doc)
+
+
+def test_graph_from_entries_validates_each_value_once(monkeypatch):
+    c = carrier(["x", "y", "z"])
+    calls = count_validate(monkeypatch, EXT_PLUS)
+    g = graph_from_entries(EXT_PLUS, c, {("x", "y"): 2, ("y", "x"): F(1, 2)})
+    assert calls == [2, F(1, 2)]
+    assert g.at("x", "y") == F(2) and type(g.at("x", "y")) is F
+    assert g.at("z", "z") == F(0)
+    del calls[:]
+    g = graph_from_entries(EXT_PLUS, c, {("x", "y"): 2}, default=INF)
+    assert calls == [INF, 2] and g.at("y", "z") is INF
+    with pytest.raises(QuantaleError, match="ext-plus value is negative: -1"):
+        graph_from_entries(EXT_PLUS, c, {("x", "y"): 2}, default=-1)
+    with pytest.raises(QuantaleError, match="ext-plus value is negative: -2"):
+        graph_from_entries(EXT_PLUS, c, {("x", "q"): -2})
+    with pytest.raises(CarrierMismatchError, match="'q' is not a carrier element"):
+        graph_from_entries(EXT_PLUS, c, {("x", "q"): 2})
+
+
+def test_vgraph_validates_unless_told_otherwise():
+    c = carrier(["x"])
+    assert type(VGraph(EXT_PLUS, c, [[3]]).at("x", "x")) is F
+    with pytest.raises(QuantaleError, match="out of"):
+        VGraph(UNIT_OPLUS, c, [[F(3, 2)]])
+    with pytest.raises(ValueError, match="does not match the carrier size"):
+        VGraph(UNIT_OPLUS, c, [[F(0), F(0)]], validated=True)
