@@ -32,7 +32,7 @@ from typing import Callable, Dict, Iterable, List, Sequence, Set, Tuple
 from .canon import canon_key
 from .distlaw import DetCoalgebra, DistLaw
 from .functor import polynomial_distance
-from .monadlift import Monad
+from .monadlift import POWERSET, Monad
 from .quantale import Quantale
 from .vgraph import Carrier, VGraph
 
@@ -44,12 +44,14 @@ class ModelError(ValueError):
 
 @dataclass
 class CoalgebraModel:
-    """A coalgebra X -> F T X: every state's transition term, with the
-    monad values at its identity leaves over the states.  A trusted
-    record: ``models.model_from_json`` checks a model where it is read
-    (term shapes, successors, labels, transition keys and the exchange
-    law), and code that builds one directly is responsible for the same
-    invariants."""
+    """A coalgebra X -> F T X: every state's transition term, with a
+    monad value over the states at each identity leaf, held as a state of
+    the determinization (``DetCoalgebra``): for powerset the bitmask of
+    ``distlaw.point_mask`` over ``states``, for subdistributions the
+    subdistribution itself.  A trusted record: ``models.model_from_json``
+    checks a model where it is read (term shapes, successors, labels,
+    transition keys and the exchange law), and code that builds one
+    directly is responsible for the same invariants."""
 
     quantale: Quantale
     functor: object
@@ -62,7 +64,8 @@ class CoalgebraModel:
         return DistLaw(self.functor, self.monad, self.quantale)
 
     def det(self, max_states: int = 100_000) -> DetCoalgebra:
-        return DetCoalgebra(self.law(), self.transitions, max_states=max_states)
+        return DetCoalgebra(self.law(), self.transitions, self.states,
+                            max_states=max_states)
 
 
 # -- the behaviour function -----------------------------------------------------
@@ -87,8 +90,8 @@ def beh_apply(det: DetCoalgebra, d: Dict[Tuple[object, object], object],
             return d[(x, y)]
         except KeyError:
             raise ModelError(
-                f"no bound for successor pair ({canon_key(x)}, {canon_key(y)})"
-            ) from None
+                f"no bound for successor pair ({canon_key(det.value(x))}, "
+                f"{canon_key(det.value(y))})") from None
 
     return {(p, q): beh_value(det, leaf, p, q) for p, q in pairs}
 
@@ -101,7 +104,7 @@ class KleeneResult:
     iterations: int
 
     def at(self, p, q):
-        return self.graph.at(canon_key(p), canon_key(q))
+        return self.graph.dist[self.states.index(p)][self.states.index(q)]
 
 
 def kleene_gfp(det: DetCoalgebra, states: Sequence[object],
@@ -112,7 +115,8 @@ def kleene_gfp(det: DetCoalgebra, states: Sequence[object],
     stabilization the result is the greatest fixpoint; otherwise the
     last iterate is returned flagged as an approximation (still a
     quantale-order upper bound on the fixpoint, i.e. a numeric lower
-    bound on every distance).
+    bound on every distance).  The graph's carrier names each state by
+    the canonical key of its monad value (``DetCoalgebra.value``).
     """
     states = list(dict.fromkeys(states))
     known = set(states)
@@ -120,8 +124,8 @@ def kleene_gfp(det: DetCoalgebra, states: Sequence[object],
         for succ in det.successor_states(s):
             if succ not in known:
                 raise ModelError(
-                    f"carrier not closed under successors: {canon_key(s)} "
-                    f"reaches {canon_key(succ)}")
+                    f"carrier not closed under successors: {canon_key(det.value(s))} "
+                    f"reaches {canon_key(det.value(succ))}")
     q = det.law.quantale
     pairs = [(p, r) for p in states for r in states]
     current = {pair: q.top for pair in pairs}
@@ -134,7 +138,7 @@ def kleene_gfp(det: DetCoalgebra, states: Sequence[object],
             converged = True
             break
         current = new
-    keys = Carrier(tuple(canon_key(s) for s in states))
+    keys = Carrier(tuple(canon_key(det.value(s)) for s in states))
     n = len(states)
     dist = [[current[(states[i], states[j])] for j in range(n)] for i in range(n)]
     return KleeneResult(states, VGraph(q, keys, dist), converged, iterations)
@@ -252,20 +256,36 @@ class Certificate:
 
 
 class WitnessError(ValueError):
-    """A decomposition witness fails its marginal conditions."""
+    """A decomposition witness fails its marginal conditions: its
+    ``side`` marginal is the state ``got``, not the pair's ``want``."""
+
+    def __init__(self, side: str, got, want):
+        super().__init__(f"{side} marginal differs from the pair's {side} state")
+        self.side, self.got, self.want = side, got, want
+
+    def describe(self, value: Callable[[object], object]) -> str:
+        """The failure with both states read as monad values by ``value``
+        (``DetCoalgebra.value``)."""
+        return (f"{self.side} marginal {canon_key(value(self.got))} differs from "
+                f"{canon_key(value(self.want))}")
 
 
 def _check_marginals(monad: Monad, pair, parts):
-    """The flattened marginals of a witness must be the pair itself."""
+    """The flattened marginals of a witness must be the pair itself.  On
+    powerset states, masks, the multiplication is the union of bits."""
     left, right = pair
-    lhs = monad.flatten([(a, w) for (a, _b), w in parts])
-    rhs = monad.flatten([(b, w) for (_a, b), w in parts])
+    if monad is POWERSET:
+        lhs = rhs = 0
+        for (a, b), _w in parts:
+            lhs |= a
+            rhs |= b
+    else:
+        lhs = monad.flatten([(a, w) for (a, _b), w in parts])
+        rhs = monad.flatten([(b, w) for (_a, b), w in parts])
     if lhs != left:
-        raise WitnessError(
-            f"left marginal {canon_key(lhs)} differs from {canon_key(left)}")
+        raise WitnessError("left", lhs, left)
     if rhs != right:
-        raise WitnessError(
-            f"right marginal {canon_key(rhs)} differs from {canon_key(right)}")
+        raise WitnessError("right", rhs, right)
 
 
 def witness_bound(cert: Certificate, pair, q: Quantale):
@@ -309,7 +329,10 @@ def certify(cert: Certificate, model: CoalgebraModel) -> Verdict:
     fails its marginals fails every support pair that reads it.  The
     successors of point states, the usual support of a sparse
     certificate, are the model's own transitions: succ(η x) = c(x) by
-    the unit law of the exchange law (see ``DetCoalgebra``).
+    the unit law of the exchange law (see ``DetCoalgebra``).  The
+    certificate's pairs are determinized states, as
+    ``models.certificate_from_json`` reads them; the verdict's failures
+    name monad values (``DetCoalgebra.value``).
     """
     if cert.monad != model.monad:
         raise ModelError("certificate and model monads differ")
@@ -337,12 +360,14 @@ def certify(cert: Certificate, model: CoalgebraModel) -> Verdict:
         stated = cert.candidate.value_at(pair)
         try:
             bound = beh_value(det, leaf, p_state, q_state)
-        except (WitnessError, ModelError, KeyError) as exc:
-            failures.append((p_state, q_state, str(exc)))
-            continue
-        if not q.leq(stated, bound):
-            failures.append((
-                p_state, q_state,
-                f"one-step bound {canon_key(bound)} exceeds the stated "
-                f"{canon_key(stated)} numerically"))
+        except WitnessError as exc:
+            why = exc.describe(det.value)
+        except (ModelError, KeyError) as exc:
+            why = str(exc)
+        else:
+            if q.leq(stated, bound):
+                continue
+            why = (f"one-step bound {canon_key(bound)} exceeds the stated "
+                   f"{canon_key(stated)} numerically")
+        failures.append((det.value(p_state), det.value(q_state), why))
     return Verdict(not failures, failures, len(support))

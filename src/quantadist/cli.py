@@ -137,7 +137,8 @@ def _cmd_distance(args) -> int:
     elif args.method == "kleene":
         if not isinstance(instance, CoalgebraModel):
             raise _CliError("method 'kleene' needs a coalgebra model")
-        result = pair_gfp(instance.det(max_states=args.max_states), pair[0], pair[1],
+        det = instance.det(max_states=args.max_states)
+        result = pair_gfp(det, det.state(pair[0]), det.state(pair[1]),
                           max_iters=args.max_iters)
         q = instance.quantale
         report.update(value=q.value_to_json(result.value),
@@ -152,8 +153,9 @@ def _cmd_distance(args) -> int:
     elif args.method == "trace":
         if not isinstance(instance, CoalgebraModel):
             raise _CliError("method 'trace' needs a coalgebra model")
-        value = trace_lower_bound(instance, pair[0], pair[1], args.max_words,
-                                  max_states=args.max_states)
+        state = instance.det().state
+        value = trace_lower_bound(instance, state(pair[0]), state(pair[1]),
+                                  args.max_words, max_states=args.max_states)
         q = instance.quantale
         report.update(value=q.value_to_json(value),
                       soundness="lower bound (numeric)",

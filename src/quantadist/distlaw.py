@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations, islice, product
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from .canon import canon_key
 from .functor import (ConstF, ConstLeaf, CoprodF, IdF, IdLeaf, Inl, Inr, MonadEval,
@@ -25,7 +25,7 @@ from .functor import (ConstF, ConstLeaf, CoprodF, IdF, IdLeaf, Inl, Inr, MonadEv
                       iter_payloads, kantorovich_generic, map_payloads,
                       score_vectors, term_key)
 from .galois import Grid, grid_values, residual_meet
-from .monadlift import (POWERSET, SUBDIST, Monad, SubDist, finsubset,
+from .monadlift import (POWERSET, SUBDIST, FinSubset, Monad, SubDist, finsubset,
                         kantorovich_lp, subdist)
 from .quantale import BOOLEAN, EXT_PLUS, UNIT_OPLUS, Quantale
 from .suites import CheckResult, boolean_fibre
@@ -150,9 +150,44 @@ def _zeta(law: DistLaw, functor, pairs, leaf):
 
 # -- determinization -----------------------------------------------------------
 
+def point_mask(names: Iterable[str], states: Carrier) -> int:
+    """The powerset state with the given members: the bitmask whose bit i
+    stands for the point state ``states.elements[i]``.  A name that is not
+    a state raises ``CarrierMismatchError``."""
+    mask = 0
+    for x in names:
+        mask |= 1 << states.index(x)
+    return mask
+
+
+def mask_value(mask: int, states: Carrier) -> FinSubset:
+    """The set of point states a powerset state stands for, in
+    ``finsubset`` order (a name is its own canonical key)."""
+    return FinSubset(tuple(sorted(states.elements[low.bit_length() - 1]
+                                  for low in _bits(mask))))
+
+
+def _bits(mask: int):
+    """The one-bit masks of the members of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
+
+
 @dataclass
 class DetCoalgebra:
     """Memoized determinized transition structure over monad states.
+
+    A powerset state is an ``int``, the bitmask over the point states
+    of ``point_mask``; a subdistribution state is the subdistribution
+    itself.  The identity-leaf payloads of the transition terms are
+    states in the same form (``models.model_from_json`` reads them so),
+    and so are those of every successor, which is a term built from
+    ``Inl``/``Inr``/``Tup``/``IdLeaf``/``ConstLeaf``.  ``state`` and
+    ``value`` convert a monad value over the point states to its state
+    and back, where states enter or leave the program: command line
+    pairs, reports and failure messages.
 
     A point state, the unit η(x) of a base state x (a one-member set, or
     a subdistribution with one member of weight 1), steps to the
@@ -165,6 +200,15 @@ class DetCoalgebra:
     canonical (monad values as built by their constructors, constants
     validated), as they are when read from a model file.
 
+    On powerset the general path is the exchange law followed by the
+    multiplication, on masks.  Each point state's transition is compiled
+    once, when a state with it as a member is first read, into the
+    functor's nodes: its coproduct sides, the mask at each identity leaf
+    and its constants.  A state then walks the functor once: a coproduct
+    keeps the members on its left summand when there are any (always,
+    for the mutant), an identity leaf ORs the members' leaf masks, and a
+    constant is the meet of the members' constants.
+
     States are determinized lazily, on their first read; reading a new
     state once ``max_states`` are memoized raises StateBudgetError
     rather than truncating.
@@ -172,8 +216,23 @@ class DetCoalgebra:
 
     law: DistLaw
     transitions: Dict[str, object]
+    states: Carrier
     memo: Dict[object, object] = field(default_factory=dict)
     max_states: int = 100_000
+    _root: object = field(default=None, init=False, repr=False)
+    _compiled: int = field(default=0, init=False, repr=False)
+
+    def __post_init__(self):
+        if self.law.monad is POWERSET:
+            self._root = _mask_node(self.law, self.law.functor)
+
+    def state(self, t):
+        """The state of a monad value over the point states."""
+        return point_mask(t, self.states) if self.law.monad is POWERSET else t
+
+    def value(self, state):
+        """The monad value a state stands for."""
+        return mask_value(state, self.states) if self.law.monad is POWERSET else state
 
     def successor(self, state):
         if state in self.memo:
@@ -181,21 +240,116 @@ class DetCoalgebra:
         if len(self.memo) >= self.max_states:
             raise StateBudgetError(
                 f"determinization exceeded the budget of {self.max_states} states")
-        monad = self.law.monad
-        members = monad.weighted(state)
-        if len(members) == 1 and members[0][1] in (None, 1) \
-                and self.law.g_variant != ALWAYS_LEFT:
-            out = self.transitions[members[0][0]]  # the unit law
+        unit_law = self.law.g_variant != ALWAYS_LEFT
+        if self.law.monad is POWERSET:
+            if unit_law and state and not state & (state - 1):  # one member
+                out = self.transitions[self.states.elements[state.bit_length() - 1]]
+            else:
+                new = state & ~self._compiled
+                for low in _bits(new):
+                    x = self.states.elements[low.bit_length() - 1]
+                    self._root.compile(low, self.transitions[x])
+                self._compiled |= new
+                out = self._root.step(state)
         else:
-            # The exchange law followed by the multiplication at each
-            # identity leaf, fused: each successor is canonicalized once.
-            lifted = [(self.transitions[x], w) for x, w in members]
-            out = _zeta(self.law, self.law.functor, lifted, monad.flatten)
+            members = state.weights
+            if unit_law and len(members) == 1 and members[0][1] == 1:
+                out = self.transitions[members[0][0]]  # the unit law
+            else:
+                # The exchange law followed by the multiplication at each
+                # identity leaf, fused: each successor is canonicalized once.
+                lifted = [(self.transitions[x], w) for x, w in members]
+                out = _zeta(self.law, self.law.functor, lifted, SUBDIST.flatten)
         self.memo[state] = out
         return out
 
     def successor_states(self, state):
         return list(iter_payloads(self.successor(state)))
+
+
+def _mask_node(law: DistLaw, functor):
+    """The functor's node tree for the powerset successor on masks, with
+    no point state compiled yet."""
+    if isinstance(functor, ConstF):
+        return _ConstNode(law.quantale)
+    if isinstance(functor, IdF):
+        return _LeafNode()
+    if isinstance(functor, ProdF):
+        return _ProdNode(tuple(_mask_node(law, part) for part in functor.parts))
+    if isinstance(functor, CoprodF):
+        return _CoprodNode(_mask_node(law, functor.left), _mask_node(law, functor.right),
+                           law.g_variant == ALWAYS_LEFT)
+    raise TypeError(f"not a functor expression: {functor!r}")
+
+
+class _ConstNode:
+    """A constant: the value of each compiled point state, by its bit."""
+
+    def __init__(self, quantale: Quantale):
+        self.quantale = quantale
+        self.of: Dict[int, object] = {}
+
+    def compile(self, bit, term):
+        self.of[bit] = term.atom
+
+    def step(self, mask):
+        return ConstLeaf(self.quantale.meet([self.of[low] for low in _bits(mask)]))
+
+
+class _LeafNode:
+    """An identity leaf: the leaf mask of each compiled point state, by
+    its bit."""
+
+    def __init__(self):
+        self.of: Dict[int, int] = {}
+
+    def compile(self, bit, term):
+        self.of[bit] = term.payload
+
+    def step(self, mask):
+        of = self.of
+        out = 0
+        while mask:
+            low = mask & -mask
+            out |= of[low]
+            mask ^= low
+        return IdLeaf(out)
+
+
+class _ProdNode:
+    def __init__(self, parts):
+        self.parts = parts
+
+    def compile(self, bit, term):
+        for part, item in zip(self.parts, term.items):
+            part.compile(bit, item)
+
+    def step(self, mask):
+        return Tup(tuple(part.step(mask) for part in self.parts))
+
+
+class _CoprodNode:
+    """A coproduct: ``left`` holds the compiled point states whose term
+    takes the left summand here."""
+
+    def __init__(self, left_node, right_node, always_left: bool):
+        self.left_node = left_node
+        self.right_node = right_node
+        self.always_left = always_left
+        self.left = 0
+
+    def compile(self, bit, term):
+        if isinstance(term, Inl):
+            self.left |= bit
+            self.left_node.compile(bit, term.item)
+        else:
+            self.right_node.compile(bit, term.item)
+
+    def step(self, mask):
+        kept = mask & self.left
+        if kept or self.always_left:
+            return Inl(self.left_node.step(kept))
+        return Inr(self.right_node.step(mask))
 
 
 # -- law suites -----------------------------------------------------------------

@@ -2,7 +2,10 @@
 plus the bundled example fixtures.
 
 Rationals travel as lowest-term strings ("7/10"), infinity as "inf",
-booleans as JSON booleans.  A model file is either a coalgebra
+booleans as JSON booleans.  A powerset model's sets of states, at its
+identity leaves and in its certificates, are read straight into states
+of the determinization, bitmasks over the point states (see
+``DetCoalgebra``).  A model file is either a coalgebra
 (functor, monad, states, labels, per-state transition terms) or a bare
 distance matrix with optional named distributions (used by the
 transportation example).
@@ -19,12 +22,13 @@ from typing import Dict
 
 from .behaviour import Certificate, CoalgebraModel, SparseDist
 from .canon import canon_key
-from .distlaw import DistLaw
+from .distlaw import DistLaw, mask_value, point_mask
 from .functor import (ConstF, ConstLeaf, CoprodF, IdF, IdLeaf, Inl, Inr, ProdF,
                       Tup, const_values, pow_functor)
-from .monadlift import SUBDIST, Monad, SubDist, get_monad
+from .monadlift import (POWERSET, SUBDIST, Monad, SubDist, get_monad,
+                        set_members_from_json)
 from .quantale import Quantale, get_quantale
-from .vgraph import Carrier, VGraph, carrier
+from .vgraph import Carrier, CarrierMismatchError, VGraph, carrier
 
 
 class ModelFormatError(ValueError):
@@ -83,22 +87,25 @@ def functor_from_json(doc):
 
 # -- terms -------------------------------------------------------------------------
 
-def term_to_json(functor, term, monad: Monad, q: Quantale) -> object:
+def term_to_json(functor, term, monad: Monad, q: Quantale, states: Carrier) -> object:
+    """The document ``term_from_json`` reads back as ``term``."""
     if isinstance(functor, ConstF):
         return {"const": q.value_to_json(term.atom)}
     if isinstance(functor, IdF):
-        return {"id": monad.to_json(term.payload)}
+        payload = term.payload
+        return {"id": monad.to_json(mask_value(payload, states) if monad is POWERSET
+                                    else payload)}
     if isinstance(functor, ProdF):
         if functor.labels is not None:
-            return {"pow": {lab: term_to_json(part, item, monad, q)
+            return {"pow": {lab: term_to_json(part, item, monad, q, states)
                             for lab, part, item
                             in zip(functor.labels, functor.parts, term.items)}}
-        return {"tuple": [term_to_json(part, item, monad, q)
+        return {"tuple": [term_to_json(part, item, monad, q, states)
                           for part, item in zip(functor.parts, term.items)]}
     if isinstance(functor, CoprodF):
         if isinstance(term, Inl):
-            return {"inl": term_to_json(functor.left, term.item, monad, q)}
-        return {"inr": term_to_json(functor.right, term.item, monad, q)}
+            return {"inl": term_to_json(functor.left, term.item, monad, q, states)}
+        return {"inr": term_to_json(functor.right, term.item, monad, q, states)}
     raise ModelFormatError(f"not a functor expression: {functor!r}")
 
 
@@ -111,9 +118,25 @@ def check_members(monad: Monad, t, points: Carrier, what: str = "a state"):
     return t
 
 
+def state_from_json(monad: Monad, doc, states: Carrier):
+    """Read a monad value over ``states`` as a state of the determinized
+    system (see ``DetCoalgebra``): a powerset member list goes straight
+    into its mask.  Raise ``ModelFormatError`` naming the first member,
+    in the value's canonical order, that is not a state."""
+    if monad is not POWERSET:
+        return check_members(monad, monad.from_json(doc), states)
+    names = set_members_from_json(doc)
+    try:
+        return point_mask(names, states)
+    except CarrierMismatchError:
+        missing = min(m for m in names if m not in states)
+        raise ModelFormatError(f"{missing!r} is not a state") from None
+
+
 def term_from_json(functor, doc, monad: Monad, q: Quantale, states: Carrier):
     """Read a transition term, built to the functor's shape: every member
-    of an identity-leaf monad value must be one of ``states``."""
+    of an identity-leaf monad value must be one of ``states``, and the
+    value is read as a state (``state_from_json``)."""
     if not isinstance(doc, dict) or len(doc) != 1:
         raise ModelFormatError(f"bad term document: {doc!r}")
     key, body = next(iter(doc.items()))
@@ -124,7 +147,7 @@ def term_from_json(functor, doc, monad: Monad, q: Quantale, states: Carrier):
     if key == "id":
         if not isinstance(functor, IdF):
             raise ModelFormatError(f"identity leaf where {functor!r} was expected")
-        return IdLeaf(check_members(monad, monad.from_json(body), states))
+        return IdLeaf(state_from_json(monad, body, states))
     if key == "tuple":
         if not isinstance(functor, ProdF) or not isinstance(body, list) \
                 or len(body) != len(functor.parts):
@@ -281,7 +304,7 @@ def model_to_json(model: CoalgebraModel) -> dict:
         "states": list(model.states.elements),
         "labels": list(model.labels.elements),
         "transitions": {
-            s: term_to_json(model.functor, t, model.monad, model.quantale)
+            s: term_to_json(model.functor, t, model.monad, model.quantale, model.states)
             for s, t in model.transitions.items()
         },
     }
@@ -296,6 +319,8 @@ def _rows(value, what: str):
 
 
 def certificate_from_json(doc: dict, model: CoalgebraModel) -> Certificate:
+    """Read a certificate over the model's determinized states, each read
+    by ``state_from_json``."""
     if not isinstance(doc, dict):
         raise ModelFormatError("certificate document must be a JSON object")
     q = model.quantale
@@ -303,8 +328,8 @@ def certificate_from_json(doc: dict, model: CoalgebraModel) -> Certificate:
     states = model.states
 
     def pair_of(row):
-        lhs, rhs = monad.from_json(row["lhs"]), monad.from_json(row["rhs"])
-        return check_members(monad, lhs, states), check_members(monad, rhs, states)
+        return (state_from_json(monad, row["lhs"], states),
+                state_from_json(monad, row["rhs"], states))
 
     literals = {}
 
@@ -322,10 +347,10 @@ def certificate_from_json(doc: dict, model: CoalgebraModel) -> Certificate:
             pair = pair_of(row)
             value = value_of(row["value"])
             if entries.get(pair, value) != value:
+                left, right = map(model.det().value, pair)
                 raise ModelFormatError(
-                    f"conflicting entries for ({canon_key(pair[0])}, "
-                    f"{canon_key(pair[1])}): {q.value_to_json(entries[pair])} "
-                    f"and {q.value_to_json(value)}")
+                    f"conflicting entries for ({canon_key(left)}, {canon_key(right)}): "
+                    f"{q.value_to_json(entries[pair])} and {q.value_to_json(value)}")
             entries[pair] = value
         witnesses = {}
         for row in _rows(doc.get("witnesses", []), "certificate witnesses"):
@@ -348,8 +373,11 @@ def certificate_from_json(doc: dict, model: CoalgebraModel) -> Certificate:
     return Certificate(monad, candidate, witnesses)
 
 
-def certificate_to_json(cert: Certificate, q: Quantale) -> dict:
-    to_json = cert.monad.to_json
+def certificate_to_json(cert: Certificate, model: CoalgebraModel) -> dict:
+    """The document ``certificate_from_json`` reads back as ``cert``."""
+    q = model.quantale
+    value = model.det().value
+    to_json = lambda state: cert.monad.to_json(value(state))
     entries = [{"lhs": to_json(l), "rhs": to_json(r), "value": q.value_to_json(v)}
                for (l, r), v in cert.candidate.entries.items()]
     witnesses = []

@@ -83,7 +83,8 @@ def subdist(weights) -> SubDist:
     """Build a subdistribution from a mapping or (element, weight) pairs.
 
     Zero weights are dropped; repeated elements are merged; the total
-    mass must not exceed 1.
+    mass must not exceed 1.  Weights that are not ``Fraction``s yet (ints,
+    rational strings) are converted.
     """
     if isinstance(weights, dict):
         pairs = weights.items()
@@ -91,7 +92,8 @@ def subdist(weights) -> SubDist:
         pairs = weights
     acc: Dict[str, Tuple[object, Fraction]] = {}
     for x, w in pairs:
-        w = Fraction(w)
+        if not isinstance(w, Fraction):
+            w = Fraction(w)
         if w < 0:
             raise ValueError(f"negative weight {w} for {x!r}")
         if w == 0:
@@ -105,6 +107,14 @@ def subdist(weights) -> SubDist:
     if total > 1:
         raise ValueError(f"subdistribution mass {total} exceeds 1")
     return SubDist(tuple(acc[k] for k in sorted(acc)))
+
+
+def set_members_from_json(doc) -> List[str]:
+    """The member names of a set literal ``{"set": [...]}``, as listed."""
+    if not isinstance(doc, dict) or not isinstance(doc.get("set"), list) \
+            or not all(isinstance(m, str) for m in doc["set"]):
+        raise ValueError(f"expected a set literal with a member list, got {doc!r}")
+    return doc["set"]
 
 
 def dirac(x) -> SubDist:
@@ -191,11 +201,8 @@ class _Powerset(Monad):
         return {"set": [m if isinstance(m, str) else canon_key(m) for m in t.members]}
 
     def from_json(self, doc):
-        if not isinstance(doc, dict) or not isinstance(doc.get("set"), list) \
-                or not all(isinstance(m, str) for m in doc["set"]):
-            raise ValueError(f"expected a set literal with a member list, got {doc!r}")
         # canon_key of a name is the name itself: finsubset's order.
-        return FinSubset(tuple(sorted(set(doc["set"]))))
+        return FinSubset(tuple(sorted(set(set_members_from_json(doc)))))
 
     def part_weight(self, doc):
         return None

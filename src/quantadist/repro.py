@@ -14,7 +14,7 @@ from typing import List
 from .behaviour import certify, pair_gfp, trace_lower_bound
 from .counterex import CASES
 from .models import fixture_certificate, fixture_model
-from .monadlift import dirac, finsubset, kantorovich_lp, pricing_lp
+from .monadlift import dirac, kantorovich_lp, pricing_lp
 from .simplex import simplex_solve
 
 
@@ -108,7 +108,7 @@ def repro_exceptions() -> ReproResult:
     out = ReproResult("exceptions")
     model = fixture_model("exceptions.json")
     det = model.det()
-    seeds = [finsubset(["x0", "y0"]), finsubset(["z0"])]
+    seeds = [det.state(["x0", "y0"]), det.state(["z0"])]
     result = pair_gfp(det, seeds[0], seeds[1])
     out.add("fixpoint iteration converged", result.converged, True)
     out.add("distance at ({x0,y0}, {z0})", result.value, Fraction(1, 4))

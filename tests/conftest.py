@@ -3,9 +3,10 @@ from fractions import Fraction as F
 import pytest
 
 from quantadist.behaviour import CoalgebraModel
+from quantadist.distlaw import point_mask
 from quantadist.functor import (ConstLeaf, IdLeaf, Inl, Inr, Tup,
                                 exception_functor, machine_functor)
-from quantadist.monadlift import POWERSET, SUBDIST, dirac, finsubset, subdist
+from quantadist.monadlift import POWERSET, SUBDIST, dirac, subdist
 from quantadist.quantale import UNIT_OPLUS
 from quantadist.vgraph import carrier
 
@@ -26,7 +27,9 @@ def build_probchain() -> CoalgebraModel:
 
 def build_exceptions(n: int = 3, values=(F(1, 4), F(1, 3), F(1, 2))) -> CoalgebraModel:
     """The exception case study with chains of length n; ``values`` are the
-    throw values of the x, y and z chains."""
+    throw values of the x, y and z chains.  Successor sets are states of
+    the determinization, masks over the point states."""
+    states = carrier([f"{fam}{i}" for fam in "xyz" for i in range(n + 1)])
     trans = {}
     for fam, val in zip("xyz", values):
         for i in range(n):
@@ -39,10 +42,9 @@ def build_exceptions(n: int = 3, values=(F(1, 4), F(1, 3), F(1, 2))) -> Coalgebr
                     succ = {"a": ["z0", "z1"], "b": ["z0", "z1"]}
             else:
                 succ = {"a": [f"{fam}{i + 1}"], "b": [f"{fam}{i + 1}"]}
-            trans[f"{fam}{i}"] = Inr(Tup((IdLeaf(finsubset(succ["a"])),
-                                          IdLeaf(finsubset(succ["b"])))))
+            trans[f"{fam}{i}"] = Inr(Tup((IdLeaf(point_mask(succ["a"], states)),
+                                          IdLeaf(point_mask(succ["b"], states)))))
         trans[f"{fam}{n}"] = Inl(ConstLeaf(val))
-    states = carrier([f"{fam}{i}" for fam in "xyz" for i in range(n + 1)])
     return CoalgebraModel(UNIT_OPLUS, exception_functor(["a", "b"]), POWERSET,
                           states, carrier(["a", "b"]), trans)
 

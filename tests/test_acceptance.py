@@ -70,7 +70,7 @@ def test_criterion_3_exception_case_study():
     model = fixture_model("exceptions.json")
     n = 3
     det = model.det()
-    seeds = [finsubset(["x0", "y0"]), finsubset(["z0"])]
+    seeds = [det.state(finsubset(["x0", "y0"])), det.state(finsubset(["z0"]))]
     states = reachable_states(det, seeds)
     result = kleene_gfp(det, states)
     assert result.converged
@@ -170,14 +170,18 @@ def test_criterion_6_oracle_consistency():
         (S("p", "r"), S("r")): F(1, 8),
         (S("r"), S("r")): F(0),
     })
+    state = model.det().state
+    M = lambda *xs: state(xs)
     wits = {
-        (S("p", "r"), S("r")): [(((S("p"), S("r")), None), ((S("r"), S("r")), None))],
+        (M("p", "r"), M("r")): [(((M("p"), M("r")), None), ((M("r"), M("r")), None))],
     }
-    cert = Certificate(POWERSET, cand, wits)
+    cert = Certificate(POWERSET, SparseDist(UNIT_OPLUS, {
+        (state(a), state(b)): v for (a, b), v in cand.entries.items()}), wits)
     states = [S(), S("p"), S("r"), S("p", "r")]
     for left in states:
         for right in states:
             pair = (left, right)
             exact = u_exact(model, cand, pair)
-            assert witness_bound(cert, pair, UNIT_OPLUS) >= exact, pair
+            assert witness_bound(cert, (state(left), state(right)), UNIT_OPLUS) >= exact, \
+                pair
     _report("6 (oracle consistency)", started, 60.0)

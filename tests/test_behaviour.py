@@ -7,7 +7,9 @@ from quantadist.behaviour import (Certificate, CoalgebraModel, ModelError,
                                   SparseDist, WitnessError, beh_apply, beh_value,
                                   certify, kleene_gfp,
                                   reachable_states, trace_lower_bound, witness_bound)
+from conftest import build_exceptions
 from quantadist.canon import canon_key
+from quantadist.distlaw import mask_value, point_mask
 from quantadist.functor import (ConstLeaf, IdLeaf, Inl, Inr, Tup,
                                 exception_functor)
 from quantadist.galois import BudgetError
@@ -20,18 +22,24 @@ from quantadist.vgraph import Carrier, VGraph, carrier, metric_closure
 
 S = lambda *xs: finsubset(list(xs))
 q = UNIT_OPLUS
+EXCEPTIONS3 = build_exceptions(3).det()
+
+
+def M(*names):
+    """The state of ``build_exceptions(3)`` with the given members."""
+    return EXCEPTIONS3.state(names)
 
 
 def exception_certificate(n=3):
-    entries = {(S("x0", "y0"), S("z0")): F(1, 4)}
+    entries = {(M("x0", "y0"), M("z0")): F(1, 4)}
     for i in range(1, n + 1):
-        entries[(S(f"x{i}"), S(f"z{i}"))] = F(1, 4)
-        entries[(S(f"y{i}"), S(f"z{i}"))] = F(1, 6)
+        entries[(M(f"x{i}"), M(f"z{i}"))] = F(1, 4)
+        entries[(M(f"y{i}"), M(f"z{i}"))] = F(1, 6)
     wits = {
-        (S("x0", "x1", "y0"), S("z0", "z1")):
-            [(((S("x0", "y0"), S("z0")), None), ((S("x1"), S("z1")), None))],
-        (S("x0", "y0", "y1"), S("z0", "z1")):
-            [(((S("x0", "y0"), S("z0")), None), ((S("y1"), S("z1")), None))],
+        (M("x0", "x1", "y0"), M("z0", "z1")):
+            [(((M("x0", "y0"), M("z0")), None), ((M("x1"), M("z1")), None))],
+        (M("x0", "y0", "y1"), M("z0", "z1")):
+            [(((M("x0", "y0"), M("z0")), None), ((M("y1"), M("z1")), None))],
     }
     return Certificate(POWERSET, SparseDist(q, entries), wits)
 
@@ -62,13 +70,13 @@ def test_beh_machine_formula(probchain):
 
 def test_beh_exception_injection_cases(exceptions3):
     det = exceptions3.det()
-    thrower = S("x3")      # terminal, raises 1/4
-    stepper = S("x0")      # keeps transitioning
+    thrower = M("x3")      # terminal, raises 1/4
+    stepper = M("x0")      # keeps transitioning
     bottom_case = beh_value(det, lambda a, b: F(0), stepper, thrower)
     assert bottom_case == q.bottom  # transition versus throw is the worst case
     top_case = beh_value(det, lambda a, b: F(1), thrower, stepper)
     assert top_case == q.top        # throw versus transition costs nothing
-    both = beh_value(det, lambda a, b: F(1), thrower, S("z3"))
+    both = beh_value(det, lambda a, b: F(1), thrower, M("z3"))
     assert both == F(1, 4)          # 1/2 minus 1/4
 
 
@@ -89,7 +97,7 @@ def test_beh_apply_missing_pair_raises(probchain):
 
 def test_kleene_exception_case_study(exceptions3):
     det = exceptions3.det()
-    seeds = [S("x0", "y0"), S("z0")]
+    seeds = [M("x0", "y0"), M("z0")]
     states = reachable_states(det, seeds)
     assert len(states) == 19
     result = kleene_gfp(det, states)
@@ -168,7 +176,7 @@ def test_trace_bound_probchain_values(probchain):
 
 
 def test_trace_bound_monotone_in_length(exceptions3):
-    pair = (S("x0", "y0"), S("z0"))
+    pair = (M("x0", "y0"), M("z0"))
     values = [trace_lower_bound(exceptions3, pair[0], pair[1], L)
               for L in range(1, 6)]
     assert values == sorted(values)
@@ -198,7 +206,7 @@ def test_trace_bound_on_a_shape_without_word_semantics():
 def test_witness_bound_powerset_example(exceptions3):
     cert = exception_certificate()
     extended = dict(cert.witnesses)
-    pair = (S("x0", "x1", "y0"), S("z0", "z1"))
+    pair = (M("x0", "x1", "y0"), M("z0", "z1"))
     value = witness_bound(cert, pair, q)
     assert value == F(1, 4)  # max(1/4, 1/4) beats the default 1
 
@@ -209,20 +217,36 @@ def test_witness_bound_subdist_example():
     assert witness_bound(cert, (half, dirac("y")), q) == F(1, 2)
 
 
+ABC = carrier(["a", "b", "c"])
+
+
+def A(*names):
+    """The powerset state with the given members over the points a, b, c."""
+    return point_mask(names, ABC)
+
+
 def test_witness_bound_unit_only():
-    cand = SparseDist(q, {(S("a"), S("b")): F(1, 3)})
+    cand = SparseDist(q, {(A("a"), A("b")): F(1, 3)})
     cert = Certificate(POWERSET, cand, {})
-    assert witness_bound(cert, (S("a"), S("b")), q) == F(1, 3)
-    assert witness_bound(cert, (S("b"), S("a")), q) == q.bottom
+    assert witness_bound(cert, (A("a"), A("b")), q) == F(1, 3)
+    assert witness_bound(cert, (A("b"), A("a")), q) == q.bottom
 
 
 def test_witness_marginal_mismatch_rejected():
-    cand = SparseDist(q, {(S("a", "b"), S("c")): F(1, 2)})
-    bad_witness = (((S("a"), S("c")), None),)  # union misses b
+    cand = SparseDist(q, {(A("a", "b"), A("c")): F(1, 2)})
+    bad_witness = (((A("a"), A("c")), None),)  # union misses b
     cert = Certificate(POWERSET, cand,
-                       {(S("a", "b"), S("c")): [bad_witness]})
-    with pytest.raises(WitnessError, match="marginal"):
-        witness_bound(cert, (S("a", "b"), S("c")), q)
+                       {(A("a", "b"), A("c")): [bad_witness]})
+    with pytest.raises(WitnessError, match="marginal") as caught:
+        witness_bound(cert, (A("a", "b"), A("c")), q)
+    assert caught.value.describe(lambda mask: mask_value(mask, ABC)) == \
+        "left marginal {a} differs from {a,b}"
+    # The right marginal is checked too.
+    cert.witnesses[(A("a", "b"), A("c"))] = [(((A("a", "b"), A("b")), None),)]
+    with pytest.raises(WitnessError) as caught:
+        witness_bound(cert, (A("a", "b"), A("c")), q)
+    assert caught.value.describe(lambda mask: mask_value(mask, ABC)) == \
+        "right marginal {b} differs from {c}"
 
 
 def test_certify_exception_case_study(exceptions3):
@@ -237,7 +261,7 @@ def test_certify_probchain_case_study(probchain):
 
 def test_certify_rejects_lowered_entry(exceptions3):
     cert = exception_certificate()
-    cert.candidate.entries[(S("x0", "y0"), S("z0"))] = F(1, 5)
+    cert.candidate.entries[(M("x0", "y0"), M("z0"))] = F(1, 5)
     verdict = certify(cert, exceptions3)
     assert not verdict.accepted
     bad_pair = verdict.failures[0][:2]
@@ -260,7 +284,7 @@ def test_certify_not_monotone_under_single_entry_weakening(exceptions3):
     # genuinely break their checks: the up-to bound is monotone in the
     # candidate, so the main pair stops being covered.
     cert = exception_certificate()
-    cert.candidate.entries[(S("y1"), S("z1"))] = F(1, 2)
+    cert.candidate.entries[(M("y1"), M("z1"))] = F(1, 2)
     verdict = certify(cert, exceptions3)
     assert not verdict.accepted
     assert verdict.failures[0][:2] == (S("x0", "y0"), S("z0"))
@@ -283,10 +307,67 @@ def test_kleene_fixpoint_is_vcat(exceptions3):
     from quantadist.vgraph import is_vcat
 
     det = exceptions3.det()
-    states = reachable_states(det, [S("x0", "y0"), S("z0")])
+    states = reachable_states(det, [M("x0", "y0"), M("z0")])
     result = kleene_gfp(det, states)
     assert result.converged
     assert is_vcat(result.graph)
+
+
+#: ``kleene_gfp`` on ``build_exceptions(3)`` from ({x0,y0}, {z0}), as
+#: computed on monad-valued states: the carrier's names and the fixpoint's
+#: rows, in that order.
+KLEENE_EXCEPTIONS3_NAMES = [
+    "{x0,y0}",
+    "{z0}",
+    "{x0,x1,y0}",
+    "{x0,y0,y1}",
+    "{z0,z1}",
+    "{x0,x1,x2,y0}",
+    "{x0,x2,y0,y1}",
+    "{x0,x1,y0,y2}",
+    "{x0,y0,y1,y2}",
+    "{z0,z1,z2}",
+    "{x0,x1,x2,x3,y0}",
+    "{x0,x2,x3,y0,y1}",
+    "{x0,x1,x3,y0,y2}",
+    "{x0,x3,y0,y1,y2}",
+    "{x0,x1,x2,y0,y3}",
+    "{x0,x2,y0,y1,y3}",
+    "{x0,x1,y0,y2,y3}",
+    "{x0,y0,y1,y2,y3}",
+    "{z0,z1,z2,z3}",
+]
+KLEENE_EXCEPTIONS3_ROWS = [
+    "0 1/4 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1",
+    "0 0 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1",
+    "0 0 0 1/12 1/4 1 1 1 1 1 1 1 1 1 1 1 1 1 1",
+    "0 0 0 0 1/6 1 1 1 1 1 1 1 1 1 1 1 1 1 1",
+    "0 0 0 0 0 1 1 1 1 1 1 1 1 1 1 1 1 1 1",
+    "0 0 0 0 0 0 0 1/12 1/12 1/4 1 1 1 1 1 1 1 1 1",
+    "0 0 0 0 0 0 0 1/12 1/12 1/4 1 1 1 1 1 1 1 1 1",
+    "0 0 0 0 0 0 0 0 0 1/6 1 1 1 1 1 1 1 1 1",
+    "0 0 0 0 0 0 0 0 0 1/6 1 1 1 1 1 1 1 1 1",
+    "0 0 0 0 0 0 0 0 0 0 1 1 1 1 1 1 1 1 1",
+    "0 0 0 0 0 0 0 0 0 0 0 0 0 0 1/12 1/12 1/12 1/12 1/4",
+    "0 0 0 0 0 0 0 0 0 0 0 0 0 0 1/12 1/12 1/12 1/12 1/4",
+    "0 0 0 0 0 0 0 0 0 0 0 0 0 0 1/12 1/12 1/12 1/12 1/4",
+    "0 0 0 0 0 0 0 0 0 0 0 0 0 0 1/12 1/12 1/12 1/12 1/4",
+    "0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 1/6",
+    "0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 1/6",
+    "0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 1/6",
+    "0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 1/6",
+    "0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0",
+]
+
+
+def test_kleene_carrier_names_and_matrix_on_mask_states(exceptions3):
+    det = exceptions3.det()
+    result = kleene_gfp(det, reachable_states(det, [M("x0", "y0"), M("z0")]))
+    assert result.converged
+    assert list(result.graph.carrier.elements) == KLEENE_EXCEPTIONS3_NAMES
+    assert [" ".join(map(str, row)) for row in result.graph.dist] == \
+        KLEENE_EXCEPTIONS3_ROWS
+    assert [canon_key(det.value(s)) for s in result.states] == KLEENE_EXCEPTIONS3_NAMES
 
 
 # -- exact up-to oracle ------------------------------------------------------------------------
@@ -352,12 +433,12 @@ def u_exact(model, cand, pair, budget=10 ** 6):
 
 def tiny_powerset_model():
     func = exception_functor(["a"])
+    states = carrier(["p", "r"])
     trans = {
-        "p": Inr(Tup((IdLeaf(S("p")),))),
+        "p": Inr(Tup((IdLeaf(point_mask(["p"], states)),))),
         "r": Inl(ConstLeaf(F(1, 2))),
     }
-    return CoalgebraModel(q, func, POWERSET, carrier(["p", "r"]),
-                          carrier(["a"]), trans)
+    return CoalgebraModel(q, func, POWERSET, states, carrier(["a"]), trans)
 
 
 def test_u_exact_extensive_and_below_witness_bounds():
@@ -365,11 +446,13 @@ def test_u_exact_extensive_and_below_witness_bounds():
     pairs = [(a, b) for a in [S("p"), S("r"), S("p", "r")]
              for b in [S("p"), S("r"), S("p", "r")]]
     cand = SparseDist(q, {pair: F(1, 4) for pair in pairs})
-    cert = Certificate(POWERSET, cand, {})
-    for pair in pairs:
-        exact = u_exact(model, cand, pair)
-        assert exact <= cand.value_at(pair)          # extensive (numeric)
-        assert witness_bound(cert, pair, q) >= exact  # witnesses over-approximate
+    state = model.det().state
+    cert = Certificate(POWERSET, SparseDist(q, {(state(a), state(b)): v
+                                                for (a, b), v in cand.entries.items()}), {})
+    for a, b in pairs:
+        exact = u_exact(model, cand, (a, b))
+        assert exact <= cand.value_at((a, b))                      # extensive (numeric)
+        assert witness_bound(cert, (state(a), state(b)), q) >= exact  # over-approximate
 
 
 def test_u_exact_matches_hand_enumeration():
@@ -392,12 +475,12 @@ def test_u_exact_boolean_toy_matches_hand_enumeration():
     from quantadist.quantale import BOOLEAN
 
     func = exception_functor(["a"])
+    states = carrier(["p", "r"])
     trans = {
-        "p": Inr(Tup((IdLeaf(S("p")),))),
-        "r": Inr(Tup((IdLeaf(S("r")),))),
+        "p": Inr(Tup((IdLeaf(point_mask(["p"], states)),))),
+        "r": Inr(Tup((IdLeaf(point_mask(["r"], states)),))),
     }
-    model = CoalgebraModel(BOOLEAN, func, POWERSET, carrier(["p", "r"]),
-                           carrier(["a"]), trans)
+    model = CoalgebraModel(BOOLEAN, func, POWERSET, states, carrier(["a"]), trans)
     cand = SparseDist(BOOLEAN, {(S("p"), S("r")): True,
                                 (S("p", "r"), S("r")): True})
     # By hand: every decomposition of ({p},{r}) is covered by the direct
@@ -420,7 +503,7 @@ def test_u_exact_budget_refusals(probchain, exceptions3):
 def test_soundness_sandwich(exceptions3, probchain):
     # trace bounds <= converged fixpoint <= certified candidate, numerically.
     det = exceptions3.det()
-    seeds = [S("x0", "y0"), S("z0")]
+    seeds = [M("x0", "y0"), M("z0")]
     states = reachable_states(det, seeds)
     fixpoint = kleene_gfp(det, states).at(seeds[0], seeds[1])
     cert_value = exception_certificate().candidate.value_at((seeds[0], seeds[1]))

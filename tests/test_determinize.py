@@ -1,13 +1,19 @@
-"""Determinization and the exchange law against the level-by-level oracle.
+"""Determinization and the exchange law against two oracles.
 
-``DetCoalgebra.successor`` and ``apply_zeta`` walk the functor over
-weighted member lists and build one canonical monad value per identity
-leaf.  The oracle below is the pipeline they replaced: map the
+``apply_zeta`` walks the functor over weighted member lists and builds
+one canonical monad value per identity leaf; so does
+``finsubset_successor``, the successor on monad values that
+``DetCoalgebra`` ran before powerset states became bitmasks.  The
+level-by-level oracle is the pipeline both replaced: map the
 transitions into the monad, apply the exchange law on canonical monad
 values at every level of the functor, then flatten each identity leaf
 with the multiplication.  Its multiplication, evaluation map and
 prioritizer are written out here, so it shares no code with the
 weighted path beyond the canonical constructors.
+
+``DetCoalgebra.successor`` on powerset masks is checked against
+``finsubset_successor`` through ``DetCoalgebra.value``; on
+subdistributions it is that successor.
 """
 
 import random
@@ -15,13 +21,16 @@ from fractions import Fraction as F
 
 import pytest
 
+from conftest import build_exceptions
 from quantadist.distlaw import (ALWAYS_LEFT, PRIORITY_LEFT, DetCoalgebra, DistLaw,
-                                apply_zeta, case_study_laws, law_suite)
+                                _zeta, apply_zeta, case_study_laws, law_suite,
+                                point_mask)
 from quantadist.functor import (ID, ConstF, ConstLeaf, CoprodF, IdF, IdLeaf, Inl,
                                 Inr, ProdF, Tup, const_values, map_payloads,
                                 pow_functor)
 from quantadist.monadlift import POWERSET, SUBDIST, SubDist, finsubset, subdist
 from quantadist.quantale import EXT_PLUS, INF, UNIT_OPLUS, is_inf
+from quantadist.vgraph import carrier
 
 # The suite seeds the benchmark's `laws` workload draws from.
 BENCH_SUITE_SEEDS = [7919 * k for k in range(4)]
@@ -82,6 +91,34 @@ def oracle_successor(law, transitions, state):
     return map_payloads(step, lambda tt: oracle_mult(law.monad, tt))
 
 
+def finsubset_successor(law, transitions, state):
+    """The successor of a monad value over transitions whose leaves hold
+    monad values: the unit law at a point state, else the exchange law
+    and the multiplication fused over weighted member lists."""
+    monad = law.monad
+    members = monad.weighted(state)
+    if len(members) == 1 and members[0][1] in (None, 1) \
+            and law.g_variant != ALWAYS_LEFT:
+        return transitions[members[0][0]]  # the unit law
+    lifted = [(transitions[x], w) for x, w in members]
+    return _zeta(law, law.functor, lifted, monad.flatten)
+
+
+def state_transitions(law, states, transitions):
+    """Transitions over monad values, with each leaf read as a state of
+    the determinization, as ``models.model_from_json`` reads them."""
+    if law.monad is not POWERSET:
+        return transitions
+    return {x: map_payloads(t, lambda v: point_mask(v, states))
+            for x, t in transitions.items()}
+
+
+def value_transitions(det):
+    """The determinization's transitions with each leaf state read back as
+    its monad value: the form ``finsubset_successor`` reads."""
+    return {x: map_payloads(t, det.value) for x, t in det.transitions.items()}
+
+
 # -- generated inputs -------------------------------------------------------------
 
 NESTED = CoprodF(ProdF((const_values(), ID)),
@@ -133,7 +170,8 @@ def random_term(rng, functor, payload, consts):
 
 def random_model(rng, law, n_states=6, n_terms=3):
     """Transitions drawn from a pool of ``n_terms`` terms, so several
-    states share a transition term and their weights merge."""
+    states share a transition term and their weights merge.  Leaves hold
+    monad values (``state_transitions`` reads them as states)."""
     states = [f"s{i}" for i in range(n_states)]
     consts = const_pool(law)
     pool = [random_term(rng, law.functor,
@@ -142,15 +180,31 @@ def random_model(rng, law, n_states=6, n_terms=3):
     return states, {s: rng.choice(pool) for s in states}
 
 
-def explore(law, transitions, seeds, depth):
-    """A determinized system with every state within ``depth`` steps of
-    the seeds memoized, level by level."""
-    det = DetCoalgebra(law, transitions)
+def random_det(rng, law, **sizes):
+    """A random model's determinization and its transitions over monad
+    values."""
+    states, transitions = random_model(rng, law, **sizes)
+    c = carrier(states)
+    return DetCoalgebra(law, state_transitions(law, c, transitions), c), transitions
+
+
+def explore(det, seeds, depth):
+    """Memoize every state within ``depth`` steps of the seeds, level by
+    level."""
     level = list(seeds)
     for _ in range(depth + 1):
         level = [succ for state in level if state not in det.memo
                  for succ in det.successor_states(state)]
-    return det
+
+
+def assert_memo_matches_finsubset_successor(det, transitions):
+    """Every memoized successor, read back as monad values, is the
+    ``finsubset_successor`` of the state's monad value."""
+    assert det.memo
+    for state, step in det.memo.items():
+        value = det.value(state)
+        assert map_payloads(step, det.value) == \
+            finsubset_successor(det.law, transitions, value), value
 
 
 # -- tests --------------------------------------------------------------------------
@@ -159,12 +213,37 @@ def explore(law, transitions, seeds, depth):
 def test_successor_matches_oracle(name, law):
     rng = random.Random(f"successor:{name}")
     for _ in range(25):
-        states, transitions = random_model(rng, law)
-        seeds = [random_tvalue(rng, law.monad, states, max_size=6) for _ in range(4)]
-        det = explore(law, transitions, seeds, depth=3)
-        assert det.memo
-        for state, step in det.memo.items():
-            assert step == oracle_successor(law, transitions, state), state
+        det, transitions = random_det(rng, law)
+        seeds = [det.state(random_tvalue(rng, law.monad, list(det.states), max_size=6))
+                 for _ in range(4)]
+        explore(det, seeds, depth=3)
+        assert_memo_matches_finsubset_successor(det, transitions)
+        for state in det.memo:
+            value = det.value(state)
+            assert finsubset_successor(law, transitions, value) == \
+                oracle_successor(law, transitions, value), value
+
+
+@pytest.mark.parametrize("variant", [PRIORITY_LEFT, ALWAYS_LEFT])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_mask_successor_on_the_exception_family(n, variant):
+    model = build_exceptions(n)
+    law = DistLaw(model.functor, model.monad, model.quantale, variant)
+    det = DetCoalgebra(law, model.transitions, model.states)
+    seeds = [det.state(finsubset(names))
+             for names in (["x0", "y0"], ["z0"], ["x0", "z1", f"y{n}"], [], [f"x{n}"])]
+    explore(det, seeds, depth=n + 1)
+    assert_memo_matches_finsubset_successor(det, value_transitions(det))
+
+
+def test_mask_states_round_trip():
+    model = build_exceptions(40)  # 123 point states: masks past one machine word
+    det = model.det()
+    names = ["x0", "y7", "z40", "x40"]
+    mask = det.state(finsubset(names))
+    assert mask == sum(1 << model.states.index(x) for x in names)
+    assert det.value(mask) == finsubset(names)
+    assert det.value(0) == finsubset([]) and det.state(finsubset([])) == 0
 
 
 @pytest.mark.parametrize("name,law", LAWS, ids=[name for name, _law in LAWS])
@@ -188,7 +267,7 @@ def test_subdist_successor_merges_shared_terms():
     term = Tup((ConstLeaf(F(1, 2)), Tup((IdLeaf(subdist({"x": F(1, 2), "y": F(1, 2)})),))))
     transitions = {"x": term, "y": term}
     state = subdist({"x": F(1, 3), "y": F(1, 3)})
-    det = DetCoalgebra(law, transitions)
+    det = DetCoalgebra(law, transitions, carrier(["x", "y"]))
     step = det.successor(state)
     assert step == oracle_successor(law, transitions, state)
     assert step.items[0].atom == F(1, 3)

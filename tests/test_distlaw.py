@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from conftest import build_exceptions
 from quantadist import distlaw
 from quantadist.behaviour import reachable_states
 from quantadist.canon import canon_key
@@ -110,31 +111,12 @@ def test_law_rejects_unknown_monad():
 
 # -- determinization ----------------------------------------------------------------
 
-def exception_transitions(n=3):
-    trans = {}
-    for fam, val in (("x", F(1, 4)), ("y", F(1, 3)), ("z", F(1, 2))):
-        for i in range(n):
-            if i == 0:
-                if fam == "x":
-                    succ = {"a": ["x0", "x1"], "b": ["x0"]}
-                elif fam == "y":
-                    succ = {"a": ["y0"], "b": ["y0", "y1"]}
-                else:
-                    succ = {"a": ["z0", "z1"], "b": ["z0", "z1"]}
-            else:
-                succ = {"a": [f"{fam}{i + 1}"], "b": [f"{fam}{i + 1}"]}
-            trans[f"{fam}{i}"] = Inr(Tup((IdLeaf(finsubset(succ["a"])),
-                                          IdLeaf(finsubset(succ["b"])))))
-        trans[f"{fam}{n}"] = Inl(ConstLeaf(val))
-    return trans
-
-
 def test_determinize_exception_successors():
-    det = DetCoalgebra(DistLaw(exception_functor(["a", "b"]), POWERSET, UNIT_OPLUS),
-                       exception_transitions())
-    step = det.successor(finsubset(["x0", "y0"]))
-    assert step.item.items[0].payload == finsubset(["x0", "x1", "y0"])
-    assert step.item.items[1].payload == finsubset(["x0", "y0", "y1"])
+    model = build_exceptions(3)
+    det = DetCoalgebra(EXC_LAW, model.transitions, model.states)
+    step = det.successor(det.state(finsubset(["x0", "y0"])))
+    assert det.value(step.item.items[0].payload) == finsubset(["x0", "x1", "y0"])
+    assert det.value(step.item.items[1].payload) == finsubset(["x0", "y0", "y1"])
 
 
 def test_determinize_probabilistic_chain():
@@ -143,7 +125,7 @@ def test_determinize_probabilistic_chain():
         "x'": machine_term(F(1), dirac("x'")),
         "y": machine_term(F(1, 2), dirac("y")),
     }
-    det = DetCoalgebra(MACHINE_LAW, trans)
+    det = DetCoalgebra(MACHINE_LAW, trans, Carrier(("x", "x'", "y")))
     first = det.successor(dirac("x"))
     assert first.items[0].atom == F(1, 2)
     half = subdist({"x": F(1, 2), "x'": F(1, 2)})
@@ -154,10 +136,10 @@ def test_determinize_probabilistic_chain():
 
 
 def test_determinize_budget_refusal():
-    det = DetCoalgebra(DistLaw(exception_functor(["a", "b"]), POWERSET, UNIT_OPLUS),
-                       exception_transitions(), max_states=3)
+    model = build_exceptions(3)
+    det = DetCoalgebra(EXC_LAW, model.transitions, model.states, max_states=3)
     with pytest.raises(StateBudgetError, match="budget"):
-        reachable_states(det, [finsubset(["x0", "y0"])])
+        reachable_states(det, [det.state(finsubset(["x0", "y0"]))])
 
 
 # -- law suites -----------------------------------------------------------------------

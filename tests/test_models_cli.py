@@ -32,14 +32,15 @@ def test_model_json_roundtrip(probchain, exceptions3):
 
 def test_term_json_roundtrip(probchain):
     term = probchain.transitions["x"]
-    doc = term_to_json(probchain.functor, term, SUBDIST, UNIT_OPLUS)
+    doc = term_to_json(probchain.functor, term, SUBDIST, UNIT_OPLUS, probchain.states)
     assert term_from_json(probchain.functor, doc, SUBDIST, UNIT_OPLUS,
                           probchain.states) == term
 
 
 def test_certificate_json_roundtrip(exceptions3):
     cert = fixture_certificate("exceptions_cert.json", exceptions3)
-    doc = certificate_to_json(cert, UNIT_OPLUS)
+    doc = certificate_to_json(cert, exceptions3)
+    assert doc == load_fixture("exceptions_cert.json")
     back = certificate_from_json(doc, exceptions3)
     assert back.candidate.entries == cert.candidate.entries
     assert back.witnesses == cert.witnesses
@@ -329,6 +330,20 @@ def _write_model(tmp_path, doc):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def test_cli_state_budget_counts_each_determinized_state(tmp_path):
+    """The query reaches 2 058 determinized states at n = 10: a budget of
+    exactly that answers, one less refuses."""
+    argv = ["distance", "--model", _write_model(tmp_path, model_to_json(build_exceptions(10))),
+            "--pair", "{x0,y0}|{z0}", "--method", "kleene"]
+    code, out, _err = run_cli(*argv, "--max-states", "2058")
+    assert code == 0
+    assert out.splitlines() == [
+        "1/4  [exact]", "carrier: 2058 determinized states, 2047 pairs, 11 iterations"]
+    code, out, err = run_cli(*argv, "--max-states", "2057")
+    assert (code, out) == (3, "")
+    assert err == "refused: determinization exceeded the budget of 2057 states\n"
 
 
 def test_cli_non_list_constant_functor_exit_code(tmp_path):

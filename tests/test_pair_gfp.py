@@ -19,7 +19,7 @@ from conftest import build_exceptions, build_probchain
 from quantadist import behaviour
 from quantadist.behaviour import (CoalgebraModel, kleene_gfp, pair_gfp, reachable_states,
                                   trace_lower_bound)
-from quantadist.distlaw import StateBudgetError
+from quantadist.distlaw import StateBudgetError, point_mask
 from quantadist.functor import (ConstF, ConstLeaf, CoprodF, IdF, IdLeaf, Inl, Inr, ProdF,
                                 Tup, exception_functor, machine_functor)
 from quantadist.models import fixture_model
@@ -50,7 +50,9 @@ def oracle_iterates(monkeypatch, det, states):
 
 def assert_agrees(monkeypatch, det, queries):
     """Every truncated and converged ``pair_gfp`` value at the queries
-    equals the oracle's, within the oracle's carrier."""
+    (pairs of monad values) equals the oracle's, within the oracle's
+    carrier."""
+    queries = [(det.state(a), det.state(b)) for a, b in queries]
     states = reachable_states(det, [s for pair in queries for s in pair])
     oracle, tables = oracle_iterates(monkeypatch, det, states)
     top = det.law.quantale.top
@@ -86,7 +88,9 @@ def test_exception_family_matches_kleene(monkeypatch, n):
 
 def test_published_exception_distance():
     for model in (build_exceptions(3), fixture_model("exceptions.json")):
-        result = pair_gfp(model.det(), finsubset(["x0", "y0"]), finsubset(["z0"]))
+        det = model.det()
+        result = pair_gfp(det, det.state(finsubset(["x0", "y0"])),
+                          det.state(finsubset(["z0"])))
         assert result.converged and result.value == F(1, 4)
 
 
@@ -134,15 +138,17 @@ def random_exception_model(rng, size=5, labels=("a", "b")) -> CoalgebraModel:
     """An exception-shaped model with arbitrary successor sets, so its
     pair graph has cycles through the query pair."""
     names = [f"e{i}" for i in range(size)]
+    states = carrier(names)
     trans = {}
     for name in names:
         if rng.random() < 0.3:
             trans[name] = Inl(ConstLeaf(F(rng.randint(0, 12), 12)))
         else:
             trans[name] = Inr(Tup(tuple(
-                IdLeaf(finsubset(rng.sample(names, rng.randint(0, 2)))) for _ in labels)))
+                IdLeaf(point_mask(rng.sample(names, rng.randint(0, 2)), states))
+                for _ in labels)))
     return CoalgebraModel(UNIT_OPLUS, exception_functor(labels), POWERSET,
-                          carrier(names), carrier(labels), trans)
+                          states, carrier(labels), trans)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -258,8 +264,10 @@ def word_bounds(model, p, q, max_words):
 
 def assert_trace_agrees(monkeypatch, model, queries, max_words):
     """``trace_lower_bound`` equals the word enumerator and the Kleene
-    oracle's iterate at every word length up to ``max_words``."""
+    oracle's iterate at every word length up to ``max_words``, at the
+    queries (pairs of monad values)."""
     det = model.det()
+    queries = [(det.state(a), det.state(b)) for a, b in queries]
     states = reachable_states(det, [s for pair in queries for s in pair])
     _oracle, tables = oracle_iterates(monkeypatch, det, states)
     for p, q in queries:

@@ -4,30 +4,32 @@ checker built on it, against the general path.
 A point state η(x) steps to the model's own transition term c(x)
 (the unit law of the exchange law).  The general path runs the exchange
 law over the lifted transitions and flattens every identity leaf; the
-reference checker below uses it for every state and bounds every leaf
-read afresh, as the checker did before it read point states off the
-model and bounded each successor pair once.
+reference checker below uses it for every state of the certificate, read
+back as a monad value, and bounds every leaf read afresh, as the checker
+did before it read point states off the model and bounded each successor
+pair once.
 """
 
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+import quantadist.canon as canon
 import quantadist.distlaw as distlaw
 from conftest import build_exceptions, build_probchain
-from quantadist.behaviour import (ModelError, Verdict, WitnessError, certify,
-                                  witness_bound)
+from quantadist.behaviour import Verdict, certify, pair_gfp
 from quantadist.canon import canon_key
 from quantadist.distlaw import ALWAYS_LEFT, DistLaw, _zeta, case_study_laws
 from quantadist.functor import (ID, ConstLeaf, CoprodF, Inl, Inr, ProdF, Tup,
-                                const_values, iter_payloads, polynomial_distance,
-                                pow_functor)
+                                const_values, iter_payloads, map_payloads,
+                                polynomial_distance, pow_functor)
 from quantadist.models import (certificate_from_json, fixture_certificate,
                                fixture_model, model_from_json)
 from quantadist.monadlift import POWERSET, SUBDIST, finsubset, subdist
 from quantadist.quantale import EXT_PLUS, INF, UNIT_OPLUS
-from test_determinize import random_model
+from test_determinize import random_det, value_transitions
 
 
 def general_successor(law, transitions, state):
@@ -36,8 +38,9 @@ def general_successor(law, transitions, state):
     return _zeta(law, law.functor, lifted, monad.flatten)
 
 
-def point_states(monad, states):
-    return [monad.unit(x) for x in states]
+def point_states(det):
+    """The point states of a determinization, as states."""
+    return [det.state(det.law.monad.unit(x)) for x in det.states]
 
 
 def assert_canonical(law, term):
@@ -93,21 +96,23 @@ LAWS = random_laws()
 def test_point_state_successor_matches_general_path(name, law):
     rng = random.Random(f"point:{name}")
     for _ in range(20):
-        states, transitions = random_model(rng, law, n_states=5, n_terms=4)
-        det = distlaw.DetCoalgebra(law, transitions)
-        for state in point_states(law.monad, states):
-            fast = det.successor(state)
-            general = general_successor(law, transitions, state)
+        det, transitions = random_det(rng, law, n_states=5, n_terms=4)
+        for x, state in zip(det.states, point_states(det)):
+            step = det.successor(state)
+            assert det.memo[state] is step is det.transitions[x]
+            fast = map_payloads(step, det.value)
+            general = general_successor(law, transitions, det.value(state))
             assert fast == general, state
             assert canon_key(fast) == canon_key(general)
             assert_canonical(law, fast)
-            assert det.memo[state] is fast
 
 
 @pytest.mark.parametrize("name,law", LAWS[:3], ids=[name for name, _law in LAWS[:3]])
 def test_point_state_shortcut_skips_the_exchange_law(name, law, monkeypatch):
-    """Point states never reach the exchange law; the mutant prioritizer,
-    which breaks the unit axiom, always does."""
+    """Point states never reach the exchange law: their successor is the
+    transition term itself.  The mutant prioritizer, which breaks the unit
+    axiom, always does (on subdistributions through ``_zeta``; powerset
+    states walk the functor on masks)."""
     calls = []
     original = distlaw._zeta
 
@@ -117,17 +122,20 @@ def test_point_state_shortcut_skips_the_exchange_law(name, law, monkeypatch):
 
     monkeypatch.setattr(distlaw, "_zeta", counting)
     rng = random.Random(f"skip:{name}")
-    states, transitions = random_model(rng, law, n_states=5, n_terms=4)
-    points = point_states(law.monad, states)
-    det = distlaw.DetCoalgebra(law, transitions)
-    for state in points:
-        det.successor(state)
+    det, transitions = random_det(rng, law, n_states=5, n_terms=4)
+    points = point_states(det)
+    for x, state in zip(det.states, points):
+        assert det.successor(state) is det.transitions[x]
     assert calls == []
     mutant = DistLaw(law.functor, law.monad, law.quantale, g_variant=ALWAYS_LEFT)
-    det = distlaw.DetCoalgebra(mutant, transitions)
-    for state in points:
-        assert det.successor(state) == general_successor(mutant, transitions, state)
-    assert len([f for f in calls if f is law.functor]) == len(points)
+    det = distlaw.DetCoalgebra(mutant, det.transitions, det.states)
+    for x, state in zip(det.states, points):
+        step = det.successor(state)
+        assert step is not det.transitions[x]
+        assert map_payloads(step, det.value) == \
+            general_successor(mutant, transitions, det.value(state))
+    expected = len(points) if law.monad is SUBDIST else 0
+    assert len([f for f in calls if f is law.functor]) == expected
 
 
 def test_mutant_point_state_differs_from_transition():
@@ -136,18 +144,21 @@ def test_mutant_point_state_differs_from_transition():
     law = case_study_laws()["exception-powerset"]
     mutant = DistLaw(law.functor, law.monad, law.quantale, g_variant=ALWAYS_LEFT)
     model = build_exceptions(2)
-    det = distlaw.DetCoalgebra(mutant, model.transitions)
-    step = det.successor(finsubset(["x0"]))
+    det = distlaw.DetCoalgebra(mutant, model.transitions, model.states)
+    x0 = det.state(finsubset(["x0"]))
+    step = det.successor(x0)
     assert step != model.transitions["x0"]
-    assert step == general_successor(mutant, model.transitions, finsubset(["x0"]))
+    assert step == Inl(ConstLeaf(UNIT_OPLUS.top))
+    assert map_payloads(step, det.value) == general_successor(
+        mutant, value_transitions(det), finsubset(["x0"]))
 
 
 def test_point_state_shortcut_keeps_budget():
     model = build_exceptions(2)
     det = model.det(max_states=1)
-    det.successor(finsubset(["x0"]))
+    det.successor(det.state(finsubset(["x0"])))
     with pytest.raises(distlaw.StateBudgetError):
-        det.successor(finsubset(["y0"]))
+        det.successor(det.state(finsubset(["y0"])))
 
 
 def test_subdist_state_of_mass_below_one_takes_general_path():
@@ -161,29 +172,51 @@ def test_subdist_state_of_mass_below_one_takes_general_path():
 # -- certify against the reference checker --------------------------------------
 
 def reference_certify(cert, model):
-    """Every support pair through the general path, every leaf bounded
-    on each read."""
+    """Every support pair through the general path on monad values (the
+    certificate's states read back by ``DetCoalgebra.value``), every leaf
+    bounded on each read by the witness bound on monad values."""
     law = model.law()
+    monad = law.monad
     q = model.quantale
+    det = model.det()
+    value = det.value
+    transitions = value_transitions(det)
+    entries = {(value(l), value(r)): v for (l, r), v in cert.candidate.entries.items()}
+    witnesses = {(value(l), value(r)): [tuple(((value(a), value(b)), w)
+                                              for (a, b), w in parts)
+                                        for parts in wits]
+                 for (l, r), wits in cert.witnesses.items()}
+
+    def bound(x, y):
+        bounds = [entries.get((x, y), q.bottom)]
+        for parts in witnesses.get((x, y), []):
+            for side, want, got in (
+                    ("left", x, monad.flatten([(a, w) for (a, _b), w in parts])),
+                    ("right", y, monad.flatten([(b, w) for (_a, b), w in parts]))):
+                if got != want:
+                    raise ValueError(f"{side} marginal {canon_key(got)} differs "
+                                     f"from {canon_key(want)}")
+            bounds.append(monad.ev_weighted(
+                [(entries.get(pair, q.bottom), w) for pair, w in parts], q))
+        return q.join(bounds)
+
     failures = []
-    support = cert.candidate.support()
-    for pair in support:
-        p_state, q_state = pair
-        stated = cert.candidate.value_at(pair)
+    for p_state, q_state in entries:
+        stated = entries[(p_state, q_state)]
         try:
-            bound = polynomial_distance(
-                q, law.functor, lambda x, y: witness_bound(cert, (x, y), q),
-                general_successor(law, model.transitions, p_state),
-                general_successor(law, model.transitions, q_state))
-        except (WitnessError, ModelError, KeyError) as exc:
+            bound_value = polynomial_distance(
+                q, law.functor, bound,
+                general_successor(law, transitions, p_state),
+                general_successor(law, transitions, q_state))
+        except (ValueError, KeyError) as exc:  # a broken witness, a ModelError
             failures.append((p_state, q_state, str(exc)))
             continue
-        if not q.leq(stated, bound):
+        if not q.leq(stated, bound_value):
             failures.append((
                 p_state, q_state,
-                f"one-step bound {canon_key(bound)} exceeds the stated "
+                f"one-step bound {canon_key(bound_value)} exceeds the stated "
                 f"{canon_key(stated)} numerically"))
-    return Verdict(not failures, failures, len(support))
+    return Verdict(not failures, failures, len(entries))
 
 
 def exception_certificate_doc(n, values):
@@ -302,3 +335,28 @@ def test_certify_bounds_each_successor_pair_once(monkeypatch):
     monkeypatch.setattr(behaviour, "witness_bound", counting)
     assert certify(cert, model).accepted
     assert reads and len(reads) == len(set(reads))
+
+
+def test_pair_gfp_and_certify_read_no_canonical_keys(monkeypatch):
+    """Once the query and the certificate are read as states, neither the
+    pair solver nor the checker computes a canonical key."""
+    model = build_exceptions(8)
+    cert = certificate_from_json(
+        exception_certificate_doc(8, (F(1, 4), F(1, 3), F(1, 2))), model)
+    det = model.det()
+    query = det.state(["x0", "y0"]), det.state(["z0"])
+    calls = []
+    original = canon.canon_key
+
+    def counting(x):
+        calls.append(x)
+        return original(x)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("quantadist") and getattr(module, "canon_key", None) is original:
+            monkeypatch.setattr(module, "canon_key", counting)
+    result = pair_gfp(det, *query)
+    assert (result.value, result.converged, result.states) == (F(1, 4), True, 520)
+    assert certify(cert, model).accepted
+    assert calls == []
+    assert canon_key(det.value(query[0])) == "{x0,y0}" and calls

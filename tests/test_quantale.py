@@ -215,7 +215,8 @@ def test_operations_only_see_canonical_values(strict_operations):
         cert = fixture_certificate(f"{model_name}_cert.json", model)
         assert certify(cert, model).accepted, model_name
     model = fixture_model("exceptions.json")
-    result = pair_gfp(model.det(), finsubset(["x0", "y0"]), finsubset(["z0"]))
+    det = model.det()
+    result = pair_gfp(det, det.state(finsubset(["x0", "y0"])), det.state(finsubset(["z0"])))
     assert result.value == F(1, 4)
     assert all(r.passed for r in polyfunctor_suite())
     for name, law in sorted(case_study_laws().items()):

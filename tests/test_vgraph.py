@@ -209,6 +209,33 @@ def test_vgraph_document_validates_each_entry_once(monkeypatch):
     assert calls == []
 
 
+def test_vgraph_document_converts_each_weight_once(monkeypatch):
+    """A distribution weight becomes a ``Fraction`` once, in
+    ``weight_from_json``; ``subdist`` keeps it and still converts the ints
+    and strings other callers pass."""
+    import quantadist.monadlift as monadlift
+
+    calls = []
+
+    class Counted(F):
+        def __new__(cls, *args):
+            calls.append(args)
+            return super().__new__(cls, *args)
+
+    monkeypatch.setattr(monadlift, "Fraction", Counted)
+    doc = load_fixture("transport.json")
+    dists = model_from_json(doc).distributions
+    weights = [(w,) for named in doc["distributions"].values() for w in named.values()]
+    assert [args for args in calls if args != (0,)] == weights
+    assert len(calls) == len(weights) + len(dists)  # and one zero per mass sum
+    assert dists["P"] == monadlift.subdist({"A": F(7, 10), "B": F(1, 10), "C": F(1, 5)})
+    del calls[:]
+    whole, half = monadlift.subdist({"x": 1}), monadlift.subdist([("y", "1/2")])
+    assert [args for args in calls if args != (0,)] == [(1,), ("1/2",)]
+    assert (whole.weights, half.weights) == ((("x", F(1)),), (("y", F(1, 2)),))
+    assert type(whole.weights[0][1]) is Counted and type(half.weights[0][1]) is Counted
+
+
 @pytest.mark.parametrize("entry,message", [
     ("-3", "ext-plus value is negative: -3"),
     ([3], "expected rational string, got [3]"),
