@@ -31,7 +31,6 @@ from typing import Callable, Dict, Iterable, List, Sequence, Set, Tuple
 
 from .canon import canon_key
 from .distlaw import DetCoalgebra, DistLaw
-from .functor import polynomial_distance
 from .monadlift import POWERSET, Monad
 from .quantale import Quantale
 from .vgraph import Carrier, VGraph
@@ -74,11 +73,10 @@ def beh_value(det: DetCoalgebra, dfun: Callable[[object, object], object],
               p, q):
     """One-step behaviour bound at a pair, with the distance at identity
     leaves supplied by the caller (already-saturated bounds plug in
-    directly; no closure is re-applied here)."""
-    law = det.law
-    sp = det.successor(p)
-    sq = det.successor(q)
-    return polynomial_distance(law.quantale, law.functor, dfun, sp, sq)
+    directly; no closure is re-applied here): the determinization's
+    compiled lifted distance (``DetCoalgebra.distance``) on the two
+    successors."""
+    return det.distance(det.successor(p), det.successor(q), dfun)
 
 
 def beh_apply(det: DetCoalgebra, d: Dict[Tuple[object, object], object],
@@ -177,18 +175,19 @@ def pair_gfp(det: DetCoalgebra, p, q, max_iters: int = 1000) -> PairResult:
     ``(p, q)``, from one breadth-first pass over the synchronized pair
     graph.
 
-    ``polynomial_distance`` has no tensor: it meets local constant
-    comparisons with the distance at the identity leaves in the same
-    position of both one-step terms.  So the k-th iterate at the query
-    is the meet of the local values (leaves read as top) of the pairs
-    within depth k - 1.  Each layer's pairs are evaluated once, queueing
-    unseen leaf pairs as the next layer; an empty layer means the pair
-    graph is exhausted and the value is the fixpoint.  Only the states
-    of evaluated pairs are determinized.
+    The lifted distance (``DetCoalgebra.distance``) has no tensor: it
+    meets local constant comparisons with the distance at the identity
+    leaves in the same position of both one-step terms.  So the k-th
+    iterate at the query is the meet of the local values (leaves read as
+    top) of the pairs within depth k - 1.  Each layer's pairs are
+    evaluated once, queueing unseen leaf pairs as the next layer; an
+    empty layer means the pair graph is exhausted and the value is the
+    fixpoint.  Only the states of evaluated pairs are determinized.
     """
     qt = det.law.quantale
-    functor = det.law.functor
-    value = qt.top
+    top, meet2 = qt.top, qt.meet2
+    distance, successor = det.distance, det.successor
+    value = top
     seen = {(p, q)}
     layer = [(p, q)]
     states: Set[object] = set()
@@ -200,12 +199,13 @@ def pair_gfp(det: DetCoalgebra, p, q, max_iters: int = 1000) -> PairResult:
             if (x, y) not in seen:
                 seen.add((x, y))
                 following.append((x, y))
-            return qt.top
+            return top
 
         for a, b in layer:
             states.update((a, b))
-            value = qt.meet2(value, polynomial_distance(
-                qt, functor, record, det.successor(a), det.successor(b)))
+            local = distance(successor(a), successor(b), record)
+            if local is not top:
+                value = meet2(value, local)
         layer = following
         iterations += 1
     return PairResult(value, not layer, iterations, len(states), len(seen) - len(layer))
@@ -320,7 +320,9 @@ def certify(cert: Certificate, model: CoalgebraModel) -> Verdict:
     behavioural distance at every pair.
 
     For each support pair, the one-step behaviour value is computed
-    with identity leaves bounded by ``witness_bound`` at the successor
+    by the determinization's compiled lifted distance
+    (``DetCoalgebra.distance``, the program ``beh_value`` runs) with
+    identity leaves bounded by ``witness_bound`` at the successor
     pairs; the pair passes when the candidate entry is below that value
     in the quantale order (numerically at least it).  Off-support pairs
     carry the trivial bottom claim and need no check.
@@ -354,12 +356,13 @@ def certify(cert: Certificate, model: CoalgebraModel) -> Verdict:
             raise bound.with_traceback(None)
         return bound
 
+    distance, successor = det.distance, det.successor
     support = cert.candidate.support()
     for pair in support:
         p_state, q_state = pair
         stated = cert.candidate.value_at(pair)
         try:
-            bound = beh_value(det, leaf, p_state, q_state)
+            bound = distance(successor(p_state), successor(q_state), leaf)
         except WitnessError as exc:
             why = exc.describe(det.value)
         except (ModelError, KeyError) as exc:

@@ -20,16 +20,16 @@ from itertools import chain, combinations, islice, product
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from .canon import canon_key
-from .functor import (ConstF, ConstLeaf, CoprodF, IdF, IdLeaf, Inl, Inr, MonadEval,
-                      ProdF, StarEval, Tup, build_lambda, eval_map,
-                      iter_payloads, kantorovich_generic, map_payloads,
-                      score_vectors, term_key)
+from .functor import (ConstF, ConstLeaf, CoprodF, DistanceProgram, IdF, IdLeaf, Inl,
+                      Inr, MonadEval, ProdF, StarEval, Tup, build_lambda,
+                      distance_program, eval_map, iter_payloads,
+                      kantorovich_generic, map_payloads, score_vectors, term_key)
 from .galois import Grid, grid_values, residual_meet
 from .monadlift import (POWERSET, SUBDIST, FinSubset, Monad, SubDist, finsubset,
                         kantorovich_lp, subdist)
 from .quantale import BOOLEAN, EXT_PLUS, UNIT_OPLUS, Quantale
 from .suites import CheckResult, boolean_fibre
-from .vgraph import Carrier, VGraph
+from .vgraph import Carrier, CarrierMismatchError, VGraph
 
 
 class StateBudgetError(RuntimeError):
@@ -154,9 +154,13 @@ def point_mask(names: Iterable[str], states: Carrier) -> int:
     """The powerset state with the given members: the bitmask whose bit i
     stands for the point state ``states.elements[i]``.  A name that is not
     a state raises ``CarrierMismatchError``."""
+    bits = states.bits()
     mask = 0
     for x in names:
-        mask |= 1 << states.index(x)
+        try:
+            mask |= bits[x]
+        except KeyError:
+            raise CarrierMismatchError(f"{x!r} is not a carrier element") from None
     return mask
 
 
@@ -212,6 +216,11 @@ class DetCoalgebra:
     States are determinized lazily, on their first read; reading a new
     state once ``max_states`` are memoized raises StateBudgetError
     rather than truncating.
+
+    ``distance`` is the law's functor compiled once into its lifted
+    distance (``functor.distance_program``): ``distance(s, t, leaf)``
+    compares two successors with ``leaf`` at their identity leaves.
+    The behaviour function, ``pair_gfp`` and ``certify`` all run it.
     """
 
     law: DistLaw
@@ -219,10 +228,12 @@ class DetCoalgebra:
     states: Carrier
     memo: Dict[object, object] = field(default_factory=dict)
     max_states: int = 100_000
+    distance: DistanceProgram = field(init=False, repr=False, compare=False)
     _root: object = field(default=None, init=False, repr=False)
     _compiled: int = field(default=0, init=False, repr=False)
 
     def __post_init__(self):
+        self.distance = distance_program(self.law.quantale, self.law.functor)
         if self.law.monad is POWERSET:
             self._root = _mask_node(self.law, self.law.functor)
 

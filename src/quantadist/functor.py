@@ -293,46 +293,112 @@ def star(lam_outer: Sequence[EvalMap], lam_inner: Sequence[EvalMap]) -> List[Eva
 
 
 # -- closed-form lifted distance ----------------------------------------------
+#
+# The lifted distance of a composite functor is the composite of the
+# liftings of its nodes, so a functor is compiled once into a distance
+# program: one function ``(s, t, leaf)`` per node, with the quantale
+# operations bound and the children's programs closed over, and a term
+# pair runs through it with no dispatch on the functor syntax.
+
+#: A compiled lifted distance: ``program(s, t, leaf)`` with ``leaf(x, y)``
+#: the distance at a pair of identity-leaf payloads.
+DistanceProgram = Callable[[object, object, Callable[[object, object], object]], object]
+
+
+def distance_program(q: Quantale, functor: FunctorExpr) -> DistanceProgram:
+    """Compile the structural lifted distance of ``functor`` over ``q``.
+
+    Constants take the meet over the node's evaluation predicates of
+    the residuated values; products take the componentwise meet (a part
+    at top leaves the meet as it is); coproducts compare same-side terms
+    recursively, give top on left-versus-right and bottom on
+    right-versus-left.  A term that does not match its node's shape
+    raises ``ShapeError`` when the program reaches it.  The program binds
+    the quantale's operations when it is built, so build it where it is
+    used (``DetCoalgebra.distance`` holds one per determinization).
+    """
+    if isinstance(functor, ConstF):
+        return _const_program(q, functor)
+    if isinstance(functor, IdF):
+        return _id_program
+    if isinstance(functor, ProdF):
+        return _prod_program(q, functor)
+    if isinstance(functor, CoprodF):
+        return _coprod_program(q, functor)
+    raise TypeError(f"not a functor expression: {functor!r}")
+
+
+def _const_program(q: Quantale, functor: ConstF) -> DistanceProgram:
+    residuate = q.residuate
+    if functor.atoms is None:
+        def value_const(s, t, leaf):
+            if isinstance(s, ConstLeaf) and isinstance(t, ConstLeaf):
+                return residuate(s.atom, t.atom)
+            raise ShapeError("constant distance on non-constant terms")
+        return value_const
+
+    preds = functor.eval_preds()
+    meet2, top = q.meet2, q.top
+
+    def atom_const(s, t, leaf):
+        if not (isinstance(s, ConstLeaf) and isinstance(t, ConstLeaf)):
+            raise ShapeError("constant distance on non-constant terms")
+        value = top
+        for pred in preds:
+            value = meet2(value, residuate(pred[s.atom], pred[t.atom]))
+        return value
+    return atom_const
+
+
+def _id_program(s, t, leaf):
+    if isinstance(s, IdLeaf) and isinstance(t, IdLeaf):
+        return leaf(s.payload, t.payload)
+    raise ShapeError("identity distance on non-identity terms")
+
+
+def _prod_program(q: Quantale, functor: ProdF) -> DistanceProgram:
+    parts = tuple(distance_program(q, part) for part in functor.parts)
+    n = len(parts)
+    meet2, top = q.meet2, q.top
+
+    def prod(s, t, leaf):
+        if not (isinstance(s, Tup) and isinstance(t, Tup)
+                and len(s.items) == n == len(t.items)):
+            raise ShapeError(f"product distance on terms that are not {n}-tuples")
+        value = top
+        for part, a, b in zip(parts, s.items, t.items):
+            v = part(a, b, leaf)
+            if v is not top:
+                value = v if value is top else meet2(value, v)
+        return value
+    return prod
+
+
+def _coprod_program(q: Quantale, functor: CoprodF) -> DistanceProgram:
+    left = distance_program(q, functor.left)
+    right = distance_program(q, functor.right)
+    top, bottom = q.top, q.bottom
+
+    def coprod(s, t, leaf):
+        if isinstance(s, Inl):
+            if isinstance(t, Inl):
+                return left(s.item, t.item, leaf)
+            if isinstance(t, Inr):
+                return top
+        elif isinstance(s, Inr):
+            if isinstance(t, Inr):
+                return right(s.item, t.item, leaf)
+            if isinstance(t, Inl):
+                return bottom
+        raise ShapeError("coproduct distance on non-injection terms")
+    return coprod
+
 
 def polynomial_distance(q: Quantale, functor: FunctorExpr, leaf_dist, s, t):
     """Structural lifted distance with a caller-supplied distance at
-    identity leaves.
-
-    Constants take the meet over the node's evaluation predicates of
-    the residuated values; products take the componentwise meet;
-    coproducts compare same-side terms recursively, give top on
-    left-versus-right and bottom on right-versus-left.
-    """
-    if isinstance(functor, ConstF):
-        if not (isinstance(s, ConstLeaf) and isinstance(t, ConstLeaf)):
-            raise ShapeError("constant distance on non-constant terms")
-        values = []
-        for pred in functor.eval_preds():
-            if pred is None:
-                values.append(q.residuate(s.atom, t.atom))
-            else:
-                values.append(q.residuate(pred[s.atom], pred[t.atom]))
-        return q.meet(values)
-    if isinstance(functor, IdF):
-        if not (isinstance(s, IdLeaf) and isinstance(t, IdLeaf)):
-            raise ShapeError("identity distance on non-identity terms")
-        return leaf_dist(s.payload, t.payload)
-    if isinstance(functor, ProdF):
-        return q.meet(
-            polynomial_distance(q, part, leaf_dist, s.items[i], t.items[i])
-            for i, part in enumerate(functor.parts)
-        )
-    if isinstance(functor, CoprodF):
-        if isinstance(s, Inl) and isinstance(t, Inl):
-            return polynomial_distance(q, functor.left, leaf_dist, s.item, t.item)
-        if isinstance(s, Inr) and isinstance(t, Inr):
-            return polynomial_distance(q, functor.right, leaf_dist, s.item, t.item)
-        if isinstance(s, Inl) and isinstance(t, Inr):
-            return q.top
-        if isinstance(s, Inr) and isinstance(t, Inl):
-            return q.bottom
-        raise ShapeError("coproduct distance on non-injection terms")
-    raise TypeError(f"not a functor expression: {functor!r}")
+    identity leaves: ``distance_program(q, functor)`` built and run once.
+    Code that compares many pairs builds the program once instead."""
+    return distance_program(q, functor)(s, t, leaf_dist)
 
 
 def _term_carrier(terms: Sequence[object]) -> Carrier:
@@ -354,9 +420,8 @@ def lift_closed(functor: FunctorExpr, d: VGraph, terms: Sequence[object]) -> VGr
     dc = metric_closure(d)
     leaf = lambda x, y: dc.at(x, y)
     out_carrier = _term_carrier(terms)
-    n = len(terms)
-    dist = [[polynomial_distance(q, functor, leaf, terms[i], terms[j])
-             for j in range(n)] for i in range(n)]
+    distance = distance_program(q, functor)
+    dist = [[distance(s, t, leaf) for t in terms] for s in terms]
     return VGraph(q, out_carrier, dist)
 
 
@@ -449,17 +514,20 @@ def kantorovich_generic(functor: FunctorExpr, evals: Sequence[EvalMap], d: VGrap
     With the full boolean predicate class this computes the lifting
     exactly; with grid predicate sets it is a quantale-order
     under-approximation.  Every predicate must be non-expansive for
-    ``d`` (rejected with a witness pair otherwise).  Terms are checked
+    ``d`` (rejected with a witness pair otherwise); a set that
+    ``gamma_enum`` enumerated from ``d`` itself (``preds.source is d``)
+    holds only such predicates and is not checked again.  Terms are checked
     against ``functor`` unless it is None.  Each (map, term) pair is
     compiled once into a reader (see ``score_vectors``); a generated
     polynomial map reads at most one leaf, so scoring a predicate costs
     one lookup per term whatever the term's depth.
     """
     q = d.quantale
-    for f in preds.preds:
-        witness = nonexpansive_into_value(q, d, f)
-        if witness is not None:
-            raise ValueError(f"predicate not non-expansive at pair {witness}")
+    if preds.source is not d:
+        for f in preds.preds:
+            witness = nonexpansive_into_value(q, d, f)
+            if witness is not None:
+                raise ValueError(f"predicate not non-expansive at pair {witness}")
     if functor is not None:
         for t in terms:
             shape_check(functor, t)

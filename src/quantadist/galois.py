@@ -17,7 +17,7 @@ real-valued quantales.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -35,9 +35,14 @@ class BudgetError(RuntimeError):
 
 @dataclass
 class PredSet:
+    """Total predicates on a carrier.  ``source`` is the graph that
+    ``gamma_enum`` enumerated the set from, every predicate non-expansive
+    for it; None for a set built any other way."""
+
     quantale: Quantale
     carrier: Carrier
     preds: List[Pred]
+    source: Optional[VGraph] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         for p in self.preds:
@@ -164,7 +169,7 @@ def gamma_enum(d: VGraph, grid: Grid, budget: int = 10 ** 6) -> PredSet:
         p = dict(zip(els, combo))
         if nonexpansive_into_value(q, d, p) is None:
             preds.append(p)
-    return PredSet(q, d.carrier, preds)
+    return PredSet(q, d.carrier, preds, source=d)
 
 
 def reindex_preds(preds: PredSet, f) -> PredSet:

@@ -5,7 +5,11 @@ Rationals travel as lowest-term strings ("7/10"), infinity as "inf",
 booleans as JSON booleans.  A powerset model's sets of states, at its
 identity leaves and in its certificates, are read straight into states
 of the determinization, bitmasks over the point states (see
-``DetCoalgebra``).  A model file is either a coalgebra
+``DetCoalgebra``), through the state carrier's name-to-bit table
+(``Carrier.bits``).  Transition terms are read by a reader compiled
+once per model from its functor (``term_reader``), so a document is
+read with one table lookup per node and no dispatch on the functor
+syntax.  A model file is either a coalgebra
 (functor, monad, states, labels, per-state transition terms) or a bare
 distance matrix with optional named distributions (used by the
 transportation example).
@@ -18,17 +22,17 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from typing import Dict
+from typing import Callable, Dict
 
 from .behaviour import Certificate, CoalgebraModel, SparseDist
 from .canon import canon_key
-from .distlaw import DistLaw, mask_value, point_mask
+from .distlaw import DistLaw, mask_value
 from .functor import (ConstF, ConstLeaf, CoprodF, IdF, IdLeaf, Inl, Inr, ProdF,
                       Tup, const_values, pow_functor)
 from .monadlift import (POWERSET, SUBDIST, Monad, SubDist, get_monad,
                         set_members_from_json)
 from .quantale import Quantale, get_quantale
-from .vgraph import Carrier, CarrierMismatchError, VGraph, carrier
+from .vgraph import Carrier, VGraph, carrier
 
 
 class ModelFormatError(ValueError):
@@ -118,61 +122,120 @@ def check_members(monad: Monad, t, points: Carrier, what: str = "a state"):
     return t
 
 
-def state_from_json(monad: Monad, doc, states: Carrier):
-    """Read a monad value over ``states`` as a state of the determinized
-    system (see ``DetCoalgebra``): a powerset member list goes straight
-    into its mask.  Raise ``ModelFormatError`` naming the first member,
-    in the value's canonical order, that is not a state."""
+def state_reader(monad: Monad, states: Carrier) -> Callable[[object], object]:
+    """The reader of monad values over ``states`` as states of the
+    determinized system (see ``DetCoalgebra``).  A powerset member list
+    goes straight into its mask through the carrier's name-to-bit table
+    (``Carrier.bits``).  A value with a member that is not a state raises
+    ``ModelFormatError`` naming the first such member in the value's
+    canonical order."""
     if monad is not POWERSET:
-        return check_members(monad, monad.from_json(doc), states)
-    names = set_members_from_json(doc)
-    try:
-        return point_mask(names, states)
-    except CarrierMismatchError:
-        missing = min(m for m in names if m not in states)
-        raise ModelFormatError(f"{missing!r} is not a state") from None
+        return lambda doc: check_members(monad, monad.from_json(doc), states)
+    bits = states.bits()
+
+    def read_set(doc):
+        members = doc.get("set") if isinstance(doc, dict) else None
+        if isinstance(members, list):
+            mask = 0
+            try:
+                for x in members:
+                    mask |= bits[x]
+                return mask
+            except (KeyError, TypeError):  # a name that is no state, or no name
+                pass
+        names = set_members_from_json(doc)
+        missing = min(m for m in names if m not in bits)
+        raise ModelFormatError(f"{missing!r} is not a state")
+    return read_set
+
+
+def term_reader(functor, monad: Monad, q: Quantale,
+                states: Carrier) -> Callable[[object], object]:
+    """Compile the reader of transition terms of ``functor``, built to its
+    shape: every member of an identity-leaf monad value must be one of
+    ``states``, and the value is read as a state (``state_reader``).  A
+    labelled tuple names exactly its product's labels.
+
+    Each functor node gets a table from term key to handler, so a term
+    document is read with one lookup per node.  The readers of a model's
+    terms share one state reader and so one name-to-bit table."""
+    return _node_reader(functor, q, state_reader(monad, states))
+
+
+def _node_reader(functor, q: Quantale, read_state) -> Callable[[object], object]:
+    def misplaced(what):
+        def refuse(body, doc):
+            raise ModelFormatError(f"{what} where {functor!r} was expected")
+        return refuse
+
+    def tuple_mismatch(body, doc):
+        raise ModelFormatError(f"tuple arity mismatch at {doc!r}")
+
+    handlers = {"const": misplaced("constant leaf"), "id": misplaced("identity leaf"),
+                "tuple": tuple_mismatch, "pow": misplaced("labelled tuple"),
+                "inl": misplaced("injection"), "inr": misplaced("injection")}
+    if isinstance(functor, ConstF):
+        value_from_json = q.value_from_json
+        handlers["const"] = lambda body, doc: ConstLeaf(value_from_json(body))
+    elif isinstance(functor, IdF):
+        handlers["id"] = lambda body, doc: IdLeaf(read_state(body))
+    elif isinstance(functor, ProdF):
+        parts = [_node_reader(part, q, read_state) for part in functor.parts]
+        handlers["tuple"] = _tuple_handler(parts)
+        if functor.labels is not None:
+            handlers["pow"] = _labelled_handler(functor.labels, parts)
+    elif isinstance(functor, CoprodF):
+        left = _node_reader(functor.left, q, read_state)
+        right = _node_reader(functor.right, q, read_state)
+        handlers["inl"] = lambda body, doc: Inl(left(body))
+        handlers["inr"] = lambda body, doc: Inr(right(body))
+    else:
+        raise TypeError(f"not a functor expression: {functor!r}")
+    handler_of = handlers.get
+
+    def read(doc):
+        if not isinstance(doc, dict) or len(doc) != 1:
+            raise ModelFormatError(f"bad term document: {doc!r}")
+        (key, body), = doc.items()
+        handler = handler_of(key)
+        if handler is None:
+            raise ModelFormatError(f"unknown term node {key!r}")
+        return handler(body, doc)
+    return read
+
+
+def _tuple_handler(parts):
+    n = len(parts)
+
+    def read_tuple(body, doc):
+        if not isinstance(body, list) or len(body) != n:
+            raise ModelFormatError(f"tuple arity mismatch at {doc!r}")
+        return Tup(tuple([read(item) for read, item in zip(parts, body)]))
+    return read_tuple
+
+
+def _labelled_handler(labels, parts):
+    labelled = tuple(zip(labels, parts))
+    known = frozenset(labels)
+
+    def read_labelled(body, doc):
+        if not isinstance(body, dict):
+            raise ModelFormatError(f"a labelled tuple is an object, got {body!r}")
+        if len(body) != len(known) or not known.issuperset(body):
+            missing = [lab for lab in labels if lab not in body]
+            if missing:
+                raise ModelFormatError(f"missing labels {missing} in {doc!r}")
+            unknown = [lab for lab in body if lab not in known]
+            raise ModelFormatError(f"unknown labels {unknown} in {doc!r}")
+        return Tup(tuple([read(body[lab]) for lab, read in labelled]))
+    return read_labelled
 
 
 def term_from_json(functor, doc, monad: Monad, q: Quantale, states: Carrier):
-    """Read a transition term, built to the functor's shape: every member
-    of an identity-leaf monad value must be one of ``states``, and the
-    value is read as a state (``state_from_json``)."""
-    if not isinstance(doc, dict) or len(doc) != 1:
-        raise ModelFormatError(f"bad term document: {doc!r}")
-    key, body = next(iter(doc.items()))
-    if key == "const":
-        if not isinstance(functor, ConstF):
-            raise ModelFormatError(f"constant leaf where {functor!r} was expected")
-        return ConstLeaf(q.value_from_json(body))
-    if key == "id":
-        if not isinstance(functor, IdF):
-            raise ModelFormatError(f"identity leaf where {functor!r} was expected")
-        return IdLeaf(state_from_json(monad, body, states))
-    if key == "tuple":
-        if not isinstance(functor, ProdF) or not isinstance(body, list) \
-                or len(body) != len(functor.parts):
-            raise ModelFormatError(f"tuple arity mismatch at {doc!r}")
-        return Tup(tuple(term_from_json(part, item, monad, q, states)
-                         for part, item in zip(functor.parts, body)))
-    if key == "pow":
-        if not isinstance(functor, ProdF) or functor.labels is None:
-            raise ModelFormatError(f"labelled tuple where {functor!r} was expected")
-        if not isinstance(body, dict):
-            raise ModelFormatError(f"a labelled tuple is an object, got {body!r}")
-        missing = [lab for lab in functor.labels if lab not in body]
-        if missing:
-            raise ModelFormatError(f"missing labels {missing} in {doc!r}")
-        return Tup(tuple(term_from_json(part, body[lab], monad, q, states)
-                         for lab, part in zip(functor.labels, functor.parts)))
-    if key == "inl":
-        if not isinstance(functor, CoprodF):
-            raise ModelFormatError(f"injection where {functor!r} was expected")
-        return Inl(term_from_json(functor.left, body, monad, q, states))
-    if key == "inr":
-        if not isinstance(functor, CoprodF):
-            raise ModelFormatError(f"injection where {functor!r} was expected")
-        return Inr(term_from_json(functor.right, body, monad, q, states))
-    raise ModelFormatError(f"unknown term node {key!r}")
+    """Read one transition term: ``term_reader(functor, monad, q, states)``
+    built and run once.  Code that reads many terms builds the reader
+    once instead."""
+    return term_reader(functor, monad, q, states)(doc)
 
 
 # -- models ---------------------------------------------------------------------------
@@ -262,10 +325,9 @@ def model_from_json(doc: dict):
         if not isinstance(doc["transitions"], dict):
             raise ModelFormatError(
                 f"transitions must be an object keyed by state, got {doc['transitions']!r}")
-        transitions = {
-            state: term_from_json(functor, term_doc, monad, q, states)
-            for state, term_doc in doc["transitions"].items()
-        }
+        read_term = term_reader(functor, monad, q, states)
+        transitions = {state: read_term(term_doc)
+                       for state, term_doc in doc["transitions"].items()}
     except KeyError as exc:
         raise ModelFormatError(f"missing model field {exc}") from None
     for product_labels in _labelled_products(functor):
@@ -320,16 +382,15 @@ def _rows(value, what: str):
 
 def certificate_from_json(doc: dict, model: CoalgebraModel) -> Certificate:
     """Read a certificate over the model's determinized states, each read
-    by ``state_from_json``."""
+    by the model's ``state_reader``."""
     if not isinstance(doc, dict):
         raise ModelFormatError("certificate document must be a JSON object")
     q = model.quantale
     monad = model.monad
-    states = model.states
+    read_state = state_reader(monad, model.states)
 
     def pair_of(row):
-        return (state_from_json(monad, row["lhs"], states),
-                state_from_json(monad, row["rhs"], states))
+        return read_state(row["lhs"]), read_state(row["rhs"])
 
     literals = {}
 

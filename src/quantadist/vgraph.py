@@ -27,6 +27,8 @@ class Carrier:
 
     elements: Tuple[str, ...]
     _positions: Dict[str, int] = field(init=False, repr=False, compare=False)
+    _bits: Optional[Dict[str, int]] = field(default=None, init=False, repr=False,
+                                            compare=False)
 
     def __post_init__(self):
         positions = {x: i for i, x in enumerate(self.elements)}
@@ -48,6 +50,13 @@ class Carrier:
             return self._positions[x]
         except KeyError:
             raise CarrierMismatchError(f"{x!r} is not a carrier element") from None
+
+    def bits(self) -> Dict[str, int]:
+        """Each element's one-bit mask, ``1 << index``, in a table built on
+        first use: the bit a set of elements read as a bitmask gives it."""
+        if self._bits is None:
+            object.__setattr__(self, "_bits", {x: 1 << i for x, i in self._positions.items()})
+        return self._bits
 
 
 def carrier(elements: Iterable[str]) -> Carrier:

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from quantadist import distlaw, functor, suites
+from quantadist import distlaw, functor, galois, suites
 from quantadist.canon import canon_key
 from quantadist.distlaw import (ALWAYS_LEFT, _f_terms_over, _shape_name,
                                 _small_subsets, _zeta_nonexpansive_boolean, apply_zeta,
@@ -247,6 +247,17 @@ def test_polyfunctor_suite_checks_once_per_class(monkeypatch):
     calls = _count_calls(monkeypatch, functor, "check_compositionality")
     assert all(r.passed for r in polyfunctor_suite())
     assert len(calls) == 4 * 4  # four shape pairs, four classes
+
+
+def test_polyfunctor_suite_checks_each_predicate_once(monkeypatch):
+    # gamma_enum admits only non-expansive predicates, so the lifting
+    # does not check again a set enumerated from its own graph: the 288
+    # checks left are gamma_enum's own (160 more were re-checks).
+    calls = _count_calls(monkeypatch, galois, "nonexpansive_into_value")
+    monkeypatch.setattr(functor, "nonexpansive_into_value",
+                        galois.nonexpansive_into_value)
+    assert all(r.passed for r in polyfunctor_suite())
+    assert len(calls) == 288
 
 
 def test_galois_suite_enumerates_each_graph_once(monkeypatch):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 from itertools import product
 
@@ -8,7 +9,7 @@ from quantadist.functor import (ConstF, ConstLeaf, CoprodF,
                                 IdEval, IdF, IdLeaf, Inl, Inr, MonadEval, ProdF,
                                 ShapeError, StarEval, Tup, build_lambda,
                                 check_compositionality, const_atoms, const_values,
-                                eval_map, exception_functor, fmap,
+                                distance_program, eval_map, exception_functor, fmap,
                                 kantorovich_generic, lift_closed, machine_functor,
                                 map_payloads, polynomial_distance, shape_check, star,
                                 term_key)
@@ -172,6 +173,20 @@ def test_generic_rejects_expansive_predicates():
     bad = PredSet(UNIT_OPLUS, XY, [{"x": F(0), "y": F(1)}])
     with pytest.raises(ValueError, match="non-expansive"):
         kantorovich_generic(IdF(), [IdEval()], d, bad, [IdLeaf("x")])
+
+
+def test_generic_checks_predicates_enumerated_from_another_graph():
+    # Every predicate is non-expansive for the all-bottom graph; only the
+    # constant ones are for the all-top graph.
+    loose = graph_from_entries(UNIT_OPLUS, XY, {}, default=F(1))
+    tight = graph_from_entries(UNIT_OPLUS, XY, {}, default=F(0))
+    preds = gamma_enum(loose, Grid(1))
+    assert preds.source is loose and len(preds) == 4
+    with pytest.raises(ValueError, match="non-expansive"):
+        kantorovich_generic(IdF(), [IdEval()], tight, preds, [IdLeaf("x")])
+    same = VGraph(UNIT_OPLUS, XY, [row[:] for row in loose.dist])
+    assert kantorovich_generic(IdF(), [IdEval()], same, preds, [IdLeaf("x")]).dist \
+        == kantorovich_generic(IdF(), [IdEval()], loose, preds, [IdLeaf("x")]).dist
 
 
 def test_generic_grid_bounds_closed_form_machine():
@@ -358,3 +373,99 @@ def test_lifted_distance_is_a_meet_of_local_and_leaf_values(q, grid):
         local = polynomial_distance(q, functor, record, s, t)
         expected = q.meet([local] + [d[pair] for pair in read])
         assert polynomial_distance(q, functor, lambda x, y: d[(x, y)], s, t) == expected
+
+
+# -- the compiled distance against the recursive one ------------------------------
+#
+# ``distance_program`` compiles a functor once into one function per
+# node.  The oracle is the recursive body it replaced, which dispatched
+# on the functor syntax at every node of every pair.  One change: a
+# product refuses terms that are not tuples of its arity with
+# ``ShapeError``, where the recursive body raised ``AttributeError`` or
+# ``IndexError`` (or ignored surplus items).
+
+
+def oracle_polynomial_distance(q, functor, leaf_dist, s, t):
+    """The structural lifted distance, recursing through the functor."""
+    if isinstance(functor, ConstF):
+        if not (isinstance(s, ConstLeaf) and isinstance(t, ConstLeaf)):
+            raise ShapeError("constant distance on non-constant terms")
+        values = []
+        for pred in functor.eval_preds():
+            if pred is None:
+                values.append(q.residuate(s.atom, t.atom))
+            else:
+                values.append(q.residuate(pred[s.atom], pred[t.atom]))
+        return q.meet(values)
+    if isinstance(functor, IdF):
+        if not (isinstance(s, IdLeaf) and isinstance(t, IdLeaf)):
+            raise ShapeError("identity distance on non-identity terms")
+        return leaf_dist(s.payload, t.payload)
+    if isinstance(functor, ProdF):
+        n = len(functor.parts)
+        if not (isinstance(s, Tup) and isinstance(t, Tup)
+                and len(s.items) == n == len(t.items)):
+            raise ShapeError(f"product distance on terms that are not {n}-tuples")
+        return q.meet(
+            oracle_polynomial_distance(q, part, leaf_dist, s.items[i], t.items[i])
+            for i, part in enumerate(functor.parts)
+        )
+    if isinstance(functor, CoprodF):
+        if isinstance(s, Inl) and isinstance(t, Inl):
+            return oracle_polynomial_distance(q, functor.left, leaf_dist, s.item, t.item)
+        if isinstance(s, Inr) and isinstance(t, Inr):
+            return oracle_polynomial_distance(q, functor.right, leaf_dist, s.item, t.item)
+        if isinstance(s, Inl) and isinstance(t, Inr):
+            return q.top
+        if isinstance(s, Inr) and isinstance(t, Inl):
+            return q.bottom
+        raise ShapeError("coproduct distance on non-injection terms")
+    raise TypeError(f"not a functor expression: {functor!r}")
+
+
+def mutate(rng, term, values):
+    """The term with one subterm replaced by a small random term, most
+    often of another shape."""
+    if isinstance(term, Tup) and term.items and rng.random() < 0.7:
+        items = list(term.items)
+        i = rng.randrange(len(items))
+        items[i] = mutate(rng, items[i], values)
+        return Tup(tuple(items))
+    if isinstance(term, (Inl, Inr)) and rng.random() < 0.7:
+        return type(term)(mutate(rng, term.item, values))
+    return rng.choice([
+        ConstLeaf(rng.choice(values)), IdLeaf(rng.choice(PAYLOADS)),
+        Tup(tuple(IdLeaf(x) for x in rng.sample(PAYLOADS, rng.randint(0, 3)))),
+        Inl(IdLeaf(rng.choice(PAYLOADS))), Inr(ConstLeaf(rng.choice(values)))])
+
+
+def outcome(run, *args):
+    """What a distance returns, or the type and message of what it raises."""
+    try:
+        return "value", run(*args)
+    except (ShapeError, KeyError) as exc:  # an atom constant reads a value leaf
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("q, grid", [(BOOLEAN, Grid(1)), (UNIT_OPLUS, Grid(4)),
+                                     (EXT_PLUS, Grid(2, cap=3))],
+                         ids=["boolean", "unit-oplus", "ext-plus"])
+def test_distance_program_matches_the_recursive_oracle(q, grid):
+    rng = random.Random(f"program-{q.ident}")
+    values = grid_values(q, grid)
+    seen = Counter()
+    for _ in range(300):
+        functor = random_functor(rng, values)
+        program = distance_program(q, functor)
+        d = {(x, y): rng.choice(values) for x in PAYLOADS for y in PAYLOADS}
+        leaf = lambda x, y: d[(x, y)]
+        for _ in range(6):
+            s, t = random_term(rng, functor, values), random_term(rng, functor, values)
+            if rng.random() < 0.4:
+                s, t = (mutate(rng, s, values), t) if rng.random() < 0.5 \
+                    else (s, mutate(rng, t, values))
+            got = outcome(program, s, t, leaf)
+            assert got == outcome(oracle_polynomial_distance, q, functor, leaf, s, t), \
+                (functor, s, t)
+            seen[got[0]] += 1
+    assert seen["value"] >= 1000 and seen["ShapeError"] >= 100, seen

@@ -1,4 +1,5 @@
-"""The one-pass model loader against the two-pass check it replaced.
+"""The one-pass model loader against the two-pass check it replaced,
+and the compiled term reader against the recursive one it replaced.
 
 ``models.model_from_json`` decides in one pass whether a coalgebra
 model document is well formed.  The oracle below reads a document the
@@ -9,32 +10,105 @@ state, every labelled product over the model labels, transitions keyed
 by exactly the states).  The loader must accept exactly the documents
 the oracle accepts.  Both refuse a document with named-atom constants:
 a constant node is ``{"const": "value"}`` only.
+
+``models.term_reader`` compiles a functor into per-node tables from term
+key to handler.  ``oracle_term_from_json`` is the recursive reader it
+replaced, which dispatched on the functor syntax at every node and
+looked each set member up with ``Carrier.index``; the compiled reader
+must return the same terms and refuse the same documents with the same
+message.  Both refuse a labelled tuple with a label its product does
+not have.
 """
 
 import random
+import re
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import build_exceptions
 from test_cli_fuzz import MUTATIONS
 from test_determinize import LAWS, random_model, state_transitions
-from quantadist.behaviour import CoalgebraModel
+from quantadist.behaviour import CoalgebraModel, certify
 from quantadist.distlaw import PRIORITY_LEFT
-from quantadist.functor import (ConstF, CoprodF, ProdF, iter_payloads,
-                                shape_check)
-from quantadist.models import (_names, _point_names, functor_from_json,
-                               load_fixture, model_from_json, model_to_json,
-                               term_from_json)
-from quantadist.monadlift import POWERSET, SUBDIST, get_monad
+from quantadist.functor import (ConstF, ConstLeaf, CoprodF, IdF, IdLeaf, Inl, Inr,
+                                ProdF, Tup, iter_payloads, shape_check)
+from quantadist.models import (ModelFormatError, _names, _point_names,
+                               certificate_from_json, check_members,
+                               functor_from_json, load_fixture, model_from_json,
+                               model_to_json, state_reader, term_reader)
+from quantadist.monadlift import POWERSET, SUBDIST, get_monad, set_members_from_json
 from quantadist.quantale import BOOLEAN, QuantaleError, get_quantale
-from quantadist.vgraph import carrier
+from quantadist.vgraph import Carrier, carrier
 
 #: What a loader raises on a malformed document.
 REFUSED = (ValueError, ZeroDivisionError, QuantaleError)
 
 
-# -- the oracle -------------------------------------------------------------------------
+# -- the recursive reader --------------------------------------------------------------
+
+def oracle_state(monad, doc, states):
+    """A monad value over ``states`` read as a state, a powerset member
+    list into its mask one ``Carrier.index`` call per member."""
+    if monad is not POWERSET:
+        return check_members(monad, monad.from_json(doc), states)
+    names = set_members_from_json(doc)
+    missing = [m for m in names if m not in states]
+    if missing:
+        raise ModelFormatError(f"{min(missing)!r} is not a state")
+    mask = 0
+    for x in names:
+        mask |= 1 << states.index(x)
+    return mask
+
+
+def oracle_term_from_json(functor, doc, monad, q, states):
+    """Read a transition term recursively, dispatching on the functor
+    syntax at every node."""
+    if not isinstance(doc, dict) or len(doc) != 1:
+        raise ModelFormatError(f"bad term document: {doc!r}")
+    key, body = next(iter(doc.items()))
+    if key == "const":
+        if not isinstance(functor, ConstF):
+            raise ModelFormatError(f"constant leaf where {functor!r} was expected")
+        return ConstLeaf(q.value_from_json(body))
+    if key == "id":
+        if not isinstance(functor, IdF):
+            raise ModelFormatError(f"identity leaf where {functor!r} was expected")
+        return IdLeaf(oracle_state(monad, body, states))
+    if key == "tuple":
+        if not isinstance(functor, ProdF) or not isinstance(body, list) \
+                or len(body) != len(functor.parts):
+            raise ModelFormatError(f"tuple arity mismatch at {doc!r}")
+        return Tup(tuple(oracle_term_from_json(part, item, monad, q, states)
+                         for part, item in zip(functor.parts, body)))
+    if key == "pow":
+        if not isinstance(functor, ProdF) or functor.labels is None:
+            raise ModelFormatError(f"labelled tuple where {functor!r} was expected")
+        if not isinstance(body, dict):
+            raise ModelFormatError(f"a labelled tuple is an object, got {body!r}")
+        missing = [lab for lab in functor.labels if lab not in body]
+        if missing:
+            raise ModelFormatError(f"missing labels {missing} in {doc!r}")
+        unknown = [lab for lab in body if lab not in functor.labels]
+        if unknown:
+            raise ModelFormatError(f"unknown labels {unknown} in {doc!r}")
+        return Tup(tuple(oracle_term_from_json(part, body[lab], monad, q, states)
+                         for lab, part in zip(functor.labels, functor.parts)))
+    if key == "inl":
+        if not isinstance(functor, CoprodF):
+            raise ModelFormatError(f"injection where {functor!r} was expected")
+        return Inl(oracle_term_from_json(functor.left, body, monad, q, states))
+    if key == "inr":
+        if not isinstance(functor, CoprodF):
+            raise ModelFormatError(f"injection where {functor!r} was expected")
+        return Inr(oracle_term_from_json(functor.right, body, monad, q, states))
+    raise ModelFormatError(f"unknown term node {key!r}")
+
+
+# -- the two-pass loader ---------------------------------------------------------------
 
 class _AnyState:
     """A state set holding every name: terms are read with no member check.
@@ -110,7 +184,7 @@ def oracle_model(doc) -> CoalgebraModel:
     labels = _names(doc.get("labels", []), "labels")
     if not isinstance(doc["transitions"], dict):
         raise ValueError("transitions must be an object")
-    transitions = {x: term_from_json(functor, t, monad, q, _AnyState(states))
+    transitions = {x: oracle_term_from_json(functor, t, monad, q, _AnyState(states))
                    for x, t in doc["transitions"].items()}
     model = CoalgebraModel(q, functor, monad, states, labels, transitions)
     two_pass_check(model)
@@ -184,3 +258,127 @@ def test_loader_matches_two_pass_check_on_random_models():
             doc = model_to_json(model)
             assert assert_loader_agrees(doc) == "accept", name
             assert model_from_json(doc).transitions == transitions
+
+
+# -- the compiled reader against the recursive one -------------------------------------
+
+def outcome(read, *args):
+    """What a reader returns, or the type and message of what it raises."""
+    try:
+        return "read", read(*args)
+    except REFUSED as exc:
+        return type(exc).__name__, str(exc)
+
+
+def assert_readers_agree(doc) -> Counter:
+    """Read every transition term and certificate state of the document
+    with both readers; count the outcomes.  A document whose header (the
+    quantale, monad, functor and states) does not parse has nothing to
+    compare."""
+    seen = Counter()
+    try:
+        q = get_quantale(doc["quantale"])
+        monad = get_monad(doc["monad"])
+        functor = functor_from_json(doc["functor"])
+        states = _point_names(doc["states"], "states")
+        terms = list(doc["transitions"].values())
+    except (KeyError, AttributeError, TypeError) + REFUSED:
+        return seen
+    read_term = term_reader(functor, monad, q, states)
+    for term_doc in terms:
+        got = outcome(read_term, term_doc)
+        assert got == outcome(oracle_term_from_json, functor, term_doc, monad, q,
+                              states), term_doc
+        seen[got[0]] += 1
+    read_state = state_reader(monad, states)
+    for state_doc in (doc.get("certificate_states") or []):
+        got = outcome(read_state, state_doc)
+        assert got == outcome(oracle_state, monad, state_doc, states), state_doc
+        seen[got[0]] += 1
+    return seen
+
+
+def with_certificate_states(name):
+    """A model fixture carrying the states its certificate names, so that
+    the mutations reach them too."""
+    doc = load_fixture(f"{name}.json")
+    cert = load_fixture(f"{name}_cert.json")
+    doc["certificate_states"] = [row[side] for row in cert["entries"] + cert["witnesses"]
+                                 for side in ("lhs", "rhs")]
+    return doc
+
+
+def test_reader_matches_recursive_reader_on_mutated_documents():
+    seen = Counter()
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def check(data):
+        doc = with_certificate_states(data.draw(st.sampled_from(["exceptions",
+                                                                  "probchain"])))
+        for _ in range(data.draw(st.integers(0, 3))):
+            data.draw(st.sampled_from(MUTATIONS))(doc, data)
+        seen.update(assert_readers_agree(doc))
+
+    check()
+    assert seen["read"] >= 100 and seen["ModelFormatError"] >= 10, seen
+
+
+def test_reader_matches_recursive_reader_on_random_models():
+    rng = random.Random("reader")
+    for name, law in LAWS:
+        labels = next(_labelled_products(law.functor), ())
+        for _ in range(10):
+            states, transitions = random_model(rng, law)
+            transitions = state_transitions(law, carrier(states), transitions)
+            model = CoalgebraModel(law.quantale, law.functor, law.monad,
+                                   carrier(states), carrier(labels), transitions)
+            seen = assert_readers_agree(model_to_json(model))
+            assert seen == Counter(read=len(states)), name
+
+
+@pytest.mark.parametrize("extra", [{"zz": {"id": {"set": ["nope"]}}},
+                                   {"zz": {"id": {"set": []}}}])
+def test_labelled_tuple_with_an_unknown_label_is_refused(extra):
+    doc = load_fixture("exceptions.json")
+    doc["transitions"]["x0"]["inr"]["pow"].update(extra)
+    message = "unknown labels ['zz']"
+    with pytest.raises(ModelFormatError, match=re.escape(message)):
+        model_from_json(doc)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        oracle_model(doc)
+
+
+def exception_certificate(n):
+    """A sparse certificate for ``build_exceptions(n)`` at ({x0,y0}, {z0}):
+    2n + 1 support pairs and two union witnesses."""
+    s = lambda *members: {"set": list(members)}
+    entries = [{"lhs": s("x0", "y0"), "rhs": s("z0"), "value": "1/4"}]
+    for i in range(1, n + 1):
+        entries.append({"lhs": s(f"x{i}"), "rhs": s(f"z{i}"), "value": "1/4"})
+        entries.append({"lhs": s(f"y{i}"), "rhs": s(f"z{i}"), "value": "1/6"})
+    witnesses = [{"lhs": s("x0", "x1", "y0"), "rhs": s("z0", "z1"),
+                  "parts": [{"lhs": s("x0", "y0"), "rhs": s("z0")},
+                            {"lhs": s("x1"), "rhs": s("z1")}]},
+                 {"lhs": s("x0", "y0", "y1"), "rhs": s("z0", "z1"),
+                  "parts": [{"lhs": s("x0", "y0"), "rhs": s("z0")},
+                            {"lhs": s("y1"), "rhs": s("z1")}]}]
+    return {"entries": entries, "witnesses": witnesses}
+
+
+def test_loading_reads_set_members_through_the_bit_table(monkeypatch):
+    model = build_exceptions(8)
+    doc = model_to_json(model)
+    calls = []
+    index = Carrier.index
+
+    def counted(self, x):
+        calls.append(x)
+        return index(self, x)
+    monkeypatch.setattr(Carrier, "index", counted)
+    loaded = model_from_json(doc)
+    cert = certificate_from_json(exception_certificate(8), loaded)
+    assert calls == []
+    assert loaded.transitions == model.transitions
+    verdict = certify(cert, loaded)
+    assert verdict.accepted and verdict.checked == 17

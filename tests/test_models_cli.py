@@ -386,6 +386,8 @@ def _set_path(doc, path, value):
     (["states"], 5, "states must be a list"),
     (["transitions"], [], "transitions must be an object"),
     (["transitions", "x0", "inr", "pow"], 5, "labelled tuple is an object"),
+    (["transitions", "x0", "inr", "pow", "zz"], {"id": {"set": ["nope"]}},
+     "unknown labels ['zz']"),
     (["transitions", "x0", "inr", "pow", "a", "id", "set"], [["x1"]], "member list"),
     (["functor", "coprod", 1, "pow", "labels"], [{"dist": {}}], "label list"),
     (["functor", "coprod", 0, "const"], {"atoms": [["a"]]},

@@ -7,7 +7,8 @@ law over the lifted transitions and flattens every identity leaf; the
 reference checker below uses it for every state of the certificate, read
 back as a monad value, and bounds every leaf read afresh, as the checker
 did before it read point states off the model and bounded each successor
-pair once.
+pair once; it compares successors with the recursive lifted distance
+(``test_functor.oracle_polynomial_distance``).
 """
 
 import random
@@ -24,12 +25,13 @@ from quantadist.canon import canon_key
 from quantadist.distlaw import ALWAYS_LEFT, DistLaw, _zeta, case_study_laws
 from quantadist.functor import (ID, ConstLeaf, CoprodF, Inl, Inr, ProdF, Tup,
                                 const_values, iter_payloads, map_payloads,
-                                polynomial_distance, pow_functor)
+                                pow_functor)
 from quantadist.models import (certificate_from_json, fixture_certificate,
                                fixture_model, model_from_json)
 from quantadist.monadlift import POWERSET, SUBDIST, finsubset, subdist
 from quantadist.quantale import EXT_PLUS, INF, UNIT_OPLUS
 from test_determinize import random_det, value_transitions
+from test_functor import oracle_polynomial_distance
 
 
 def general_successor(law, transitions, state):
@@ -204,7 +206,7 @@ def reference_certify(cert, model):
     for p_state, q_state in entries:
         stated = entries[(p_state, q_state)]
         try:
-            bound_value = polynomial_distance(
+            bound_value = oracle_polynomial_distance(
                 q, law.functor, bound,
                 general_successor(law, transitions, p_state),
                 general_successor(law, transitions, q_state))
