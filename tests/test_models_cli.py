@@ -386,12 +386,12 @@ def _set_path(doc, path, value):
     (["states"], 5, "states must be a list"),
     (["transitions"], [], "transitions must be an object"),
     (["transitions", "x0", "inr", "pow"], 5, "labelled tuple is an object"),
-    (["transitions", "x0", "inr", "pow", "zz"], {"id": {"set": ["nope"]}},
-     "unknown labels ['zz']"),
     (["transitions", "x0", "inr", "pow", "a", "id", "set"], [["x1"]], "member list"),
     (["functor", "coprod", 1, "pow", "labels"], [{"dist": {}}], "label list"),
     (["functor", "coprod", 0, "const"], {"atoms": [["a"]]},
      "exchange law needs quantale-valued constants"),
+    (["transitions", "x0", "inr", "pow", "zz"], {"id": {"set": ["nope"]}},
+     "unknown labels ['zz']"),
 ])
 def test_cli_malformed_model_exit_code(tmp_path, path, value, message):
     doc = load_fixture("exceptions.json")
