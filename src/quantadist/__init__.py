@@ -14,9 +14,9 @@ from .vgraph import (Carrier, FiniteMap, VGraph, carrier, direct_image,
 from .galois import (Grid, PredSet, alpha, extension_largest, extension_smallest,
                      gamma_enum)
 from .functor import (ConstF, CoprodF, IdF, ProdF, build_lambda,
-                      check_compositionality, const_atoms, const_values,
-                      exception_functor, fmap, kantorovich_generic, lift_closed,
-                      machine_functor, pow_functor, star)
+                      check_compositionality, compile_lifting, const_atoms,
+                      const_values, exception_functor, fmap, kantorovich_generic,
+                      lift_closed, machine_functor, pow_functor, star)
 from .monadlift import (POWERSET, SUBDIST, FinSubset, Monad, SubDist, dirac,
                         finsubset, get_monad, hausdorff_directed, kantorovich_lp,
                         subdist)

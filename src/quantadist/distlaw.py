@@ -22,8 +22,8 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence
 from .canon import canon_key
 from .functor import (ConstF, ConstLeaf, CoprodF, DistanceProgram, IdF, IdLeaf, Inl,
                       Inr, MonadEval, ProdF, StarEval, Tup, build_lambda,
-                      distance_program, eval_map, iter_payloads,
-                      kantorovich_generic, map_payloads, score_vectors, term_key)
+                      compile_lifting, distance_program, eval_map, iter_payloads,
+                      map_payloads, score_program, term_key)
 from .galois import Grid, grid_values, residual_meet
 from .monadlift import (POWERSET, SUBDIST, FinSubset, Monad, SubDist, finsubset,
                         kantorovich_lp, subdist)
@@ -558,10 +558,10 @@ def _exchange_identity(law: DistLaw, rng: random.Random) -> CheckResult:
     inputs = _tvalues(law, rng, f_terms, 60)
     lam_f = build_lambda(law.functor)
     ev_t = MonadEval(law.monad)
+    images = [apply_zeta(law, t) for t in inputs]
 
     def via_zeta_vector(ev):
-        return tuple(canon_key(eval_map(q, StarEval(ev, ev_t), apply_zeta(law, t)))
-                     for t in inputs)
+        return tuple(canon_key(eval_map(q, StarEval(ev, ev_t), z)) for z in images)
 
     def direct_vector(ev):
         return tuple(canon_key(eval_map(q, StarEval(ev_t, ev), t)) for t in inputs)
@@ -605,7 +605,9 @@ def _zeta_nonexpansive_boolean(law: DistLaw) -> CheckResult:
     composite liftings, over the boolean quantale (powerset only).
 
     Both liftings read each boolean graph only through its predicate
-    set, so each gamma-class is checked once (``BooleanFibre``)."""
+    set, so each gamma-class is checked once (``BooleanFibre``).  The
+    lifting on the T(F)-terms and the readers of their images are
+    compiled once and run on each class's predicate set."""
     name = f"{law.monad.name}/{_shape_name(law)}: exchange component non-expansive (boolean exact)"
     bool_law = DistLaw(law.functor, law.monad, BOOLEAN, law.g_variant)
     c = Carrier(("x", "y"))
@@ -617,13 +619,14 @@ def _zeta_nonexpansive_boolean(law: DistLaw) -> CheckResult:
     tf_evals = [StarEval(ev_t, ev) for ev in lam_f]
     ft_evals = [StarEval(ev, ev_t) for ev in lam_f]
     n = len(tf_terms)
+    tf_lifting = compile_lifting(BOOLEAN, None, tf_evals, tf_terms)
+    # The images may collide, so the other side is a matrix by position
+    # rather than a graph keyed by term.
+    ft_scores = score_program(BOOLEAN, ft_evals, ft_terms)
 
     def fails(d, preds):
-        d_tf = kantorovich_generic(None, tf_evals, d, preds, tf_terms)
-        # The images may collide, so the other side is a matrix by
-        # position rather than a graph keyed by term.
-        d_ft = residual_meet(BOOLEAN, n,
-                             score_vectors(BOOLEAN, ft_evals, preds.preds, ft_terms))
+        d_tf = tf_lifting(d, preds)
+        d_ft = residual_meet(BOOLEAN, n, ft_scores(preds.preds))
         for i in range(n):
             for j in range(n):
                 if not BOOLEAN.leq(d_tf.dist[i][j], d_ft[i][j]):

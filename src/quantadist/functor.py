@@ -20,7 +20,7 @@ from .galois import (Grid, Pred, PredSet, gamma_enum, nonexpansive_into_value,
                      residual_meet)
 from .monadlift import Monad
 from .quantale import Quantale
-from .vgraph import Carrier, VGraph, metric_closure
+from .vgraph import Carrier, CarrierMismatchError, VGraph, metric_closure
 
 
 class ShapeError(ValueError):
@@ -486,54 +486,149 @@ def _recording_lookup(reads: Dict[object, None]) -> Callable[[object], Reader]:
     return at_leaf
 
 
-def score_vectors(q: Quantale, evals: Sequence[EvalMap], preds: Sequence[Pred],
-                  terms: Sequence[object]) -> Iterator[List[object]]:
-    """Yield the terms' score vector for every evaluation map and predicate.
+#: Compiled score vectors: ``scores(preds)`` yields the terms' score
+#: vectors, one list per evaluation map and distinct predicate reading.
+ScoreProgram = Callable[[Sequence[Pred]], Iterator[List[object]]]
 
-    Each (map, term) pair is compiled once into a reader.  Predicates
-    that agree on every carrier element a map reads give that map the
-    same vector, which is yielded once.
+
+def score_program(q: Quantale, evals: Sequence[EvalMap],
+                  terms: Sequence[object]) -> ScoreProgram:
+    """Compile the score vectors of ``terms`` under ``evals``.
+
+    Each (map, term) pair is compiled once into a reader, along with the
+    carrier elements the map reads on any of the terms.  Running the
+    program on a list of predicates yields, for every map, the terms'
+    score vector under each predicate; predicates that agree on every
+    element the map reads give the same vector, which is yielded once.
     """
+    compiled = []
     for ev in evals:
         reads: Dict[object, None] = {}
         readers = [_reader(q, ev, t, _recording_lookup(reads)) for t in terms]
-        read = list(reads)
-        seen = set()
-        for f in preds:
-            key = tuple(f[x] for x in read)
-            if key not in seen:
-                seen.add(key)
-                yield [score(f) for score in readers]
+        compiled.append((tuple(reads), readers))
+
+    def scores(preds: Sequence[Pred]) -> Iterator[List[object]]:
+        for read, readers in compiled:
+            seen = set()
+            for f in preds:
+                key = tuple(f[x] for x in read)
+                if key not in seen:
+                    seen.add(key)
+                    yield [score(f) for score in readers]
+    return scores
 
 
-def kantorovich_generic(functor: FunctorExpr, evals: Sequence[EvalMap], d: VGraph,
-                        preds: PredSet, terms: Sequence[object]) -> VGraph:
-    """The meet over evaluation maps and supplied predicates of the
+#: A compiled Kantorovich lifting: ``lifting(d, preds)`` is the lifted
+#: graph on the compiled terms.
+Lifting = Callable[[VGraph, PredSet], VGraph]
+
+
+def compile_lifting(q: Quantale, functor: Optional[FunctorExpr],
+                    evals: Sequence[EvalMap], terms: Sequence[object]) -> Lifting:
+    """Compile the generic Kantorovich formula over ``q`` on ``terms``:
+    the meet over evaluation maps and supplied predicates of the
     residuated evaluation differences.
 
+    Compiling checks the terms against ``functor`` (unless it is None),
+    builds the term carrier and compiles the score vectors
+    (``score_program``); none of that depends on the graph.  Running the
+    lifting on ``(d, preds)`` does only the predicate-dependent work.
     With the full boolean predicate class this computes the lifting
     exactly; with grid predicate sets it is a quantale-order
     under-approximation.  Every predicate must be non-expansive for
     ``d`` (rejected with a witness pair otherwise); a set that
     ``gamma_enum`` enumerated from ``d`` itself (``preds.source is d``)
-    holds only such predicates and is not checked again.  Terms are checked
-    against ``functor`` unless it is None.  Each (map, term) pair is
-    compiled once into a reader (see ``score_vectors``); a generated
-    polynomial map reads at most one leaf, so scoring a predicate costs
-    one lookup per term whatever the term's depth.
+    holds only such predicates and is not checked again.  The result's
+    entries are computed by quantale operations, so they are not
+    validated again.
     """
-    q = d.quantale
-    if preds.source is not d:
-        for f in preds.preds:
-            witness = nonexpansive_into_value(q, d, f)
-            if witness is not None:
-                raise ValueError(f"predicate not non-expansive at pair {witness}")
     if functor is not None:
         for t in terms:
             shape_check(functor, t)
     out_carrier = _term_carrier(terms)
-    vectors = score_vectors(q, evals, preds.preds, terms)
-    return VGraph(q, out_carrier, residual_meet(q, len(terms), vectors))
+    scores = score_program(q, evals, terms)
+    n = len(terms)
+
+    def lifting(d: VGraph, preds: PredSet) -> VGraph:
+        if d.quantale is not q:
+            raise CarrierMismatchError(
+                f"lifting compiled over {q.ident} run on a {d.quantale.ident} graph")
+        if preds.source is not d:
+            for f in preds.preds:
+                witness = nonexpansive_into_value(q, d, f)
+                if witness is not None:
+                    raise ValueError(f"predicate not non-expansive at pair {witness}")
+        return VGraph(q, out_carrier, residual_meet(q, n, scores(preds.preds)),
+                      validated=True)
+    return lifting
+
+
+def kantorovich_generic(functor: FunctorExpr, evals: Sequence[EvalMap], d: VGraph,
+                        preds: PredSet, terms: Sequence[object]) -> VGraph:
+    """The generic Kantorovich lifting of ``d`` on ``terms``:
+    ``compile_lifting(d.quantale, functor, evals, terms)`` compiled and
+    run once on ``(d, preds)``.  Code that lifts the same terms under
+    many graphs compiles once instead.  A generated polynomial map reads
+    at most one leaf, so scoring a predicate costs one lookup per term
+    whatever the term's depth.
+    """
+    return compile_lifting(d.quantale, functor, evals, terms)(d, preds)
+
+
+#: A compiled compositionality check: ``check(d, preds)`` is the report
+#: of ``check_compositionality`` on ``d``, given ``preds`` =
+#: ``gamma_enum(d, grid)``.
+CompositionalityCheck = Callable[[VGraph, PredSet], dict]
+
+
+def _compositionality_grid(q: Quantale, grid: Optional[Grid]) -> Tuple[Grid, str]:
+    if q.ident == "boolean":
+        return Grid(1), "exact-boolean"
+    if grid is None:
+        raise ValueError("a grid is required over real-valued quantales")
+    return grid, f"grid-{grid.resolution}"
+
+
+def compositionality_check(q: Quantale, outer: FunctorExpr,
+                           lam_outer: Sequence[EvalMap], inner: FunctorExpr,
+                           lam_inner: Sequence[EvalMap], inner_terms: Sequence[object],
+                           composed_terms: Sequence[object],
+                           grid: Optional[Grid] = None) -> CompositionalityCheck:
+    """Compile the comparison of the two-step lifting with the single
+    combined-map lifting (see ``check_compositionality``) over ``q``.
+
+    Its three liftings are compiled once: the inner one on
+    ``inner_terms``, the outer one on the composed terms with each inner
+    term replaced by its key (the inner graph's carrier), and the
+    combined ``star`` one on ``composed_terms``.  The returned check runs
+    them on a graph d and its predicate set ``preds``, which must be
+    ``gamma_enum(d, grid)``; only the outer lifting enumerates
+    predicates, those of the inner graph.
+    """
+    grid, method = _compositionality_grid(q, grid)
+    inner_lifting = compile_lifting(q, inner, lam_inner, inner_terms)
+    outer_lifting = compile_lifting(
+        q, outer, lam_outer, [map_payloads(t, term_key) for t in composed_terms])
+    combined_lifting = compile_lifting(q, outer, star(lam_outer, lam_inner),
+                                       composed_terms)
+    n = len(composed_terms)
+    leq = q.leq
+
+    def check(d: VGraph, preds: PredSet) -> dict:
+        inner_graph = inner_lifting(d, preds)
+        lhs = outer_lifting(inner_graph, gamma_enum(inner_graph, grid))
+        rhs = combined_lifting(d, preds)
+        equal = lhs.dist == rhs.dist
+        composed_below_combined = all(
+            leq(lhs.dist[i][j], rhs.dist[i][j]) for i in range(n) for j in range(n))
+        return {
+            "lhs": lhs,
+            "rhs": rhs,
+            "equal": equal,
+            "composed_below_combined": composed_below_combined,
+            "method": method,
+        }
+    return check
 
 
 def check_compositionality(outer: FunctorExpr, lam_outer: Sequence[EvalMap],
@@ -549,37 +644,16 @@ def check_compositionality(outer: FunctorExpr, lam_outer: Sequence[EvalMap],
     also checks the one inequality that holds unconditionally: the
     composed lifting is below the combined one in the quantale order.
 
-    Every value compared is a function of the predicate set
-    ``gamma_enum(d, grid)``: both liftings of d read d only through it,
-    and the outer lifting reads the inner graph, itself a lifting of d.
-    So graphs with the same predicate set get the same report, which
-    lets the exhaustive boolean suites check one graph per set
-    (``suites.BooleanFibre``).
+    This is ``compositionality_check`` compiled and run once on d and
+    ``gamma_enum(d, grid)``.  Every value compared is a function of that
+    predicate set: both liftings of d read d only through it, and the
+    outer lifting reads the inner graph, itself a lifting of d.  So
+    graphs with the same predicate set get the same report, which lets
+    the exhaustive boolean suites compile the check once and run it on
+    one graph per set (``suites.BooleanFibre``).
     """
     q = d.quantale
-    if q.ident == "boolean":
-        grid = Grid(1)
-        method = "exact-boolean"
-    else:
-        if grid is None:
-            raise ValueError("a grid is required over real-valued quantales")
-        method = f"grid-{grid.resolution}"
-
-    preds = gamma_enum(d, grid)
-    inner_graph = kantorovich_generic(inner, lam_inner, d, preds, inner_terms)
-    outer_terms = [map_payloads(t, term_key) for t in composed_terms]
-    lhs = kantorovich_generic(
-        outer, lam_outer, inner_graph, gamma_enum(inner_graph, grid), outer_terms)
-    rhs = kantorovich_generic(outer, star(lam_outer, lam_inner), d, preds,
-                              composed_terms)
-    n = len(composed_terms)
-    equal = all(lhs.dist[i][j] == rhs.dist[i][j] for i in range(n) for j in range(n))
-    composed_below_combined = all(
-        q.leq(lhs.dist[i][j], rhs.dist[i][j]) for i in range(n) for j in range(n))
-    return {
-        "lhs": lhs,
-        "rhs": rhs,
-        "equal": equal,
-        "composed_below_combined": composed_below_combined,
-        "method": method,
-    }
+    grid, _method = _compositionality_grid(q, grid)
+    check = compositionality_check(q, outer, lam_outer, inner, lam_inner,
+                                   inner_terms, composed_terms, grid)
+    return check(d, gamma_enum(d, grid))

@@ -163,14 +163,14 @@ class BooleanFibre:
     its gamma-class, the graphs with the same predicate set.
 
     The Kantorovich lifting of d is alpha applied to the evaluations of
-    the predicates in gamma(d), so it reads d only through gamma(d):
-    ``kantorovich_generic`` uses d for its quantale and to re-check that
-    the predicates are non-expansive, which every graph of the class
-    passes.  A boolean law check that compares liftings of d is then a
-    function of gamma(d), and running it once per class, on the class's
-    first graph, gives each graph's answer exactly.  Classes are
-    numbered in the order of their first graphs, so the first failing
-    class starts at the first failing graph of the enumeration.
+    the predicates in gamma(d), so it reads d only through gamma(d): a
+    compiled lifting (``functor.compile_lifting``) run on d and gamma(d)
+    uses d only to tell that the set was enumerated from it.  A boolean
+    law check that compares liftings of d is then a function of
+    gamma(d), and running it once per class, on the class's first graph
+    and its predicate set, gives each graph's answer exactly.  Classes
+    are numbered in the order of their first graphs, so the first
+    failing class starts at the first failing graph of the enumeration.
     """
 
     carrier: Carrier
@@ -195,7 +195,9 @@ class BooleanFibre:
         """The first witness ``check(d, gamma(d))`` returns over the
         graphs in order, or None when it returns None on all of them.
 
-        ``check`` runs once per gamma-class; it must depend on d only
+        ``check`` runs once per gamma-class, on the class's first graph
+        and the predicate set ``gammas`` holds for it, which it uses
+        rather than enumerating its own; it must depend on d only
         through gamma(d) (see the class docstring).
         """
         for i in self.firsts:
@@ -334,9 +336,11 @@ def polyfunctor_suite() -> List[CheckResult]:
 
     Compositionality is checked on every boolean graph over {x, y},
     once per gamma-class (``BooleanFibre``): both of its liftings read
-    the graph only through its predicate set."""
+    the graph only through its predicate set.  Each shape pair's check
+    is compiled once (``compositionality_check``) and run on each class's
+    own predicate set."""
     from .functor import (ConstLeaf, CoprodF, IdF, IdLeaf, Inl, Inr, Tup,
-                          build_lambda, check_compositionality, const_values,
+                          build_lambda, compositionality_check, const_values,
                           exception_functor, lift_closed, machine_functor)
     from .vgraph import graph_from_entries
 
@@ -361,12 +365,12 @@ def polyfunctor_suite() -> List[CheckResult]:
             else:
                 fg_terms = [Inl(ConstLeaf(b)) for b in (False, True)] + \
                     [Inr(Tup((IdLeaf(g),))) for g in g_terms]
-            lam_f = build_lambda(outer)
-            lam_g = build_lambda(inner)
+            check = compositionality_check(BOOLEAN, outer, build_lambda(outer),
+                                           inner, build_lambda(inner), g_terms,
+                                           fg_terms)
 
-            def fails(d, _gamma):
-                report = check_compositionality(outer, lam_f, inner, lam_g, d,
-                                                g_terms, fg_terms)
+            def fails(d, gamma):
+                report = check(d, gamma)
                 if report["equal"] and report["composed_below_combined"]:
                     return None
                 return f"d={d.dist}"

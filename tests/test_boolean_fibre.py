@@ -22,7 +22,7 @@ from quantadist.distlaw import (ALWAYS_LEFT, _f_terms_over, _shape_name,
 from quantadist.functor import (ConstLeaf, CoprodF, IdF, IdLeaf, Inl, Inr, MonadEval,
                                 StarEval, Tup, build_lambda, check_compositionality,
                                 const_values, exception_functor, machine_functor,
-                                score_vectors)
+                                score_program)
 from quantadist.galois import Grid, gamma_enum, grid_values, residual_meet
 from quantadist.monadlift import POWERSET
 from quantadist.quantale import BOOLEAN, UNIT_OPLUS
@@ -86,7 +86,7 @@ def oracle_zeta_nonexpansive_boolean(law):
         # Read through the module so that a patched lifting reaches here too.
         d_tf = functor.kantorovich_generic(None, tf_evals, d, preds, tf_terms)
         d_ft = residual_meet(BOOLEAN, n,
-                             score_vectors(BOOLEAN, ft_evals, preds.preds, ft_terms))
+                             score_program(BOOLEAN, ft_evals, ft_terms)(preds.preds))
         for i in range(n):
             for j in range(n):
                 if not BOOLEAN.leq(d_tf.dist[i][j], d_ft[i][j]):
@@ -192,26 +192,34 @@ def test_exchange_check_matches_the_per_graph_oracle(law):
 
 
 def _flip_on(size):
-    """A lifting that is wrong, at one entry, on predicate sets of one size."""
-    lift = functor.kantorovich_generic
+    """A lifting compiler whose liftings are wrong, at one entry, on
+    predicate sets of one size."""
+    compile_lifting = functor.compile_lifting
 
-    def mutant(fn, evals, d, preds, terms):
-        out = lift(fn, evals, d, preds, terms)
-        if len(preds) != size:
-            return out
-        dist = [row[:] for row in out.dist]
-        dist[0][1] = not dist[0][1]
-        return VGraph(out.quantale, out.carrier, dist)
+    def mutant(*args):
+        lifting = compile_lifting(*args)
+
+        def flipped(d, preds):
+            out = lifting(d, preds)
+            if len(preds) != size:
+                return out
+            dist = [row[:] for row in out.dist]
+            dist[0][1] = not dist[0][1]
+            return VGraph(out.quantale, out.carrier, dist)
+        return flipped
     return mutant
 
 
 @pytest.mark.parametrize("size,first", [(2, 6), (3, 2)])
 def test_mutant_failing_away_from_the_first_graph(monkeypatch, size, first):
     # Size 2 fails on one class only; size 3 on two, the first of them
-    # starting at graph 2 and the second at graph 4.
+    # starting at graph 2 and the second at graph 4.  The suites compile
+    # their liftings once and run them per class, so the mutant replaces
+    # the compiler; the oracles reach it through the wrappers
+    # ``kantorovich_generic`` and ``check_compositionality``.
     mutant = _flip_on(size)
-    monkeypatch.setattr(functor, "kantorovich_generic", mutant)
-    monkeypatch.setattr(distlaw, "kantorovich_generic", mutant)
+    monkeypatch.setattr(functor, "compile_lifting", mutant)
+    monkeypatch.setattr(distlaw, "compile_lifting", mutant)
     witness = f"d={all_bool_graphs(XY)[first].dist}"
 
     grouped = _rows(polyfunctor_suite()[:4])
@@ -243,21 +251,59 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
+def _count_runs(monkeypatch, module, name):
+    """Count the runs of what ``module.name`` compiles."""
+    runs = []
+    real = getattr(module, name)
+
+    def compiled(*args, **kwargs):
+        run = real(*args, **kwargs)
+
+        def counted(*run_args):
+            runs.append(None)
+            return run(*run_args)
+        return counted
+    monkeypatch.setattr(module, name, compiled)
+    return runs
+
+
 def test_polyfunctor_suite_checks_once_per_class(monkeypatch):
-    calls = _count_calls(monkeypatch, functor, "check_compositionality")
+    checks = _count_runs(monkeypatch, functor, "compositionality_check")
+    compiles = _count_calls(monkeypatch, functor, "compositionality_check")
     assert all(r.passed for r in polyfunctor_suite())
-    assert len(calls) == 4 * 4  # four shape pairs, four classes
+    assert len(compiles) == 4  # one per shape pair
+    assert len(checks) == 4 * 4  # four shape pairs, four classes
+
+
+def test_polyfunctor_suite_compiles_each_lifting_once(monkeypatch):
+    # Inner, outer and combined lifting once per shape pair: 12, where
+    # compiling per class made 48.
+    compiles = _count_calls(monkeypatch, functor, "compile_lifting")
+    # The fibre enumerates each of the 16 graphs once, and each check
+    # enumerates its inner graph's set: 16 + 4 * 4 = 32.  The check runs
+    # on the class's own set, so gamma(d) is not enumerated again (48
+    # calls when it was).
+    enumerations = []
+    real = galois.gamma_enum
+    for module in (suites, functor):
+        monkeypatch.setattr(module, "gamma_enum",
+                            lambda *args: enumerations.append(None) or real(*args))
+    assert all(r.passed for r in polyfunctor_suite())
+    assert len(compiles) == 12
+    assert len(enumerations) == 32
 
 
 def test_polyfunctor_suite_checks_each_predicate_once(monkeypatch):
     # gamma_enum admits only non-expansive predicates, so the lifting
-    # does not check again a set enumerated from its own graph: the 288
-    # checks left are gamma_enum's own (160 more were re-checks).
+    # does not check again a set enumerated from its own graph, and each
+    # class's gamma(d) is enumerated once, by the fibre: the 224 checks
+    # left are those of the fibre's and the inner graphs' enumerations
+    # (160 more were re-checks, and 64 more re-enumerated gamma(d)).
     calls = _count_calls(monkeypatch, galois, "nonexpansive_into_value")
     monkeypatch.setattr(functor, "nonexpansive_into_value",
                         galois.nonexpansive_into_value)
     assert all(r.passed for r in polyfunctor_suite())
-    assert len(calls) == 288
+    assert len(calls) == 224
 
 
 def test_galois_suite_enumerates_each_graph_once(monkeypatch):

@@ -9,7 +9,8 @@ from quantadist.canon import canon_key
 from quantadist.distlaw import (ALWAYS_LEFT, PRIORITY_LEFT, DetCoalgebra, DistLaw,
                                 StateBudgetError, apply_g, apply_g_carriers, apply_zeta,
                                 case_study_laws, law_suite)
-from quantadist.functor import (ConstLeaf, IdLeaf, Inl, Inr, Tup, const_atoms,
+from quantadist.functor import (ConstLeaf, IdLeaf, Inl, Inr, MonadEval, StarEval, Tup,
+                                build_lambda, const_atoms, eval_map,
                                 exception_functor, machine_functor, map_payloads)
 from quantadist.galois import Grid, grid_values
 from quantadist.monadlift import (POWERSET, SUBDIST, dirac, finsubset, kantorovich_lp,
@@ -308,8 +309,29 @@ def oracle_pentagon(law, doubles):
     return CheckResult(name, True)
 
 
+def oracle_exchange_identity(law, rng):
+    """``_exchange_identity`` with the exchange component applied to
+    every input once per evaluation map."""
+    q = law.quantale
+    name = f"{law.monad.name}/{distlaw._shape_name(law)}: evaluation-map exchange identity"
+    vals = grid_values(q, Grid(2, cap=1))
+    f_terms = distlaw._f_terms_over(law.functor, vals, vals)
+    if len(f_terms) > 24:
+        f_terms = f_terms[:: max(1, len(f_terms) // 24)]
+    inputs = distlaw._tvalues(law, rng, f_terms, 60)
+    ev_t = MonadEval(law.monad)
+    lhs = sorted(tuple(canon_key(eval_map(q, StarEval(ev, ev_t), distlaw.apply_zeta(law, t)))
+                       for t in inputs) for ev in build_lambda(law.functor))
+    rhs = sorted(tuple(canon_key(eval_map(q, StarEval(ev_t, ev), t)) for t in inputs)
+                 for ev in build_lambda(law.functor))
+    if lhs != rhs:
+        return CheckResult(name, False, "composite evaluations differ on grid inputs")
+    return CheckResult(name, True)
+
+
 ORACLES = {
     "_pentagon": oracle_pentagon,
+    "_exchange_identity": oracle_exchange_identity,
     "_well_behaved": oracle_well_behaved,
     "_const_algebra_hom": oracle_const_algebra_hom,
     "_zeta_nonexpansive_machine_lp": oracle_zeta_nonexpansive_machine_lp,
@@ -405,3 +427,30 @@ def test_pentagon_applies_zeta_once_per_distinct_inner_value(monkeypatch):
             # Per double its flattening and its mapped value, then one
             # call per distinct inner value.
             assert len(calls) == 2 * len(doubles) + distinct, name
+
+
+def test_exchange_identity_applies_zeta_once_per_input(monkeypatch):
+    exchange_identity, tvalues, exact = (distlaw._exchange_identity, distlaw._tvalues,
+                                         distlaw.apply_zeta)
+    seen = {}
+
+    def recorded_tvalues(*args):
+        inputs = seen["inputs"] = tvalues(*args)
+        return inputs
+
+    def counted_exchange_identity(law, rng):
+        calls = seen["calls"] = []
+        with monkeypatch.context() as patch:
+            patch.setattr(distlaw, "_tvalues", recorded_tvalues)
+            patch.setattr(distlaw, "apply_zeta",
+                          lambda law, t: calls.append(t) or exact(law, t))
+            return exchange_identity(law, rng)
+
+    monkeypatch.setattr(distlaw, "_exchange_identity", counted_exchange_identity)
+    for seed in (0, 7919):
+        for name, law in sorted(case_study_laws().items()):
+            assert all(r.passed for r in law_suite(law, seed)), name
+            # Every evaluation map reads the same images (at seed 0, 316
+            # calls for 79 inputs on exception-powerset before).
+            assert len(build_lambda(law.functor)) > 1
+            assert seen["calls"] == seen["inputs"], name

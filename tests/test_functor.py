@@ -8,8 +8,8 @@ import pytest
 from quantadist.functor import (ConstF, ConstLeaf, CoprodF,
                                 IdEval, IdF, IdLeaf, Inl, Inr, MonadEval, ProdF,
                                 ShapeError, StarEval, Tup, build_lambda,
-                                check_compositionality, const_atoms, const_values,
-                                distance_program, eval_map, exception_functor, fmap,
+                                check_compositionality, compile_lifting, const_atoms,
+                                const_values, distance_program, eval_map, exception_functor, fmap,
                                 kantorovich_generic, lift_closed, machine_functor,
                                 map_payloads, polynomial_distance, shape_check, star,
                                 term_key)
@@ -17,8 +17,8 @@ from quantadist.galois import Grid, PredSet, alpha, gamma_enum, grid_values
 from quantadist.monadlift import POWERSET, SUBDIST, dirac, finsubset, subdist
 from quantadist.quantale import BOOLEAN, EXT_PLUS, UNIT_OPLUS
 from quantadist.suites import all_bool_graphs, all_bool_preds
-from quantadist.vgraph import (VGraph, carrier, graph_from_entries,
-                               graph_leq, is_vcat, metric_closure)
+from quantadist.vgraph import (CarrierMismatchError, VGraph, carrier,
+                               graph_from_entries, graph_leq, is_vcat, metric_closure)
 
 
 XY = carrier(["x", "y"])
@@ -187,6 +187,25 @@ def test_generic_checks_predicates_enumerated_from_another_graph():
     same = VGraph(UNIT_OPLUS, XY, [row[:] for row in loose.dist])
     assert kantorovich_generic(IdF(), [IdEval()], same, preds, [IdLeaf("x")]).dist \
         == kantorovich_generic(IdF(), [IdEval()], loose, preds, [IdLeaf("x")]).dist
+
+
+def test_compiled_lifting_runs_on_many_graphs():
+    # One compiled lifting, run on every graph in turn, gives each
+    # graph's lifting; nothing of one run carries over to the next.
+    terms = [machine_term(b, g) for b in (False, True) for g in ("x", "y")]
+    lifting = compile_lifting(BOOLEAN, MACHINE, build_lambda(MACHINE), terms)
+    graphs = all_bool_graphs(XY)
+    for d in graphs + graphs[::-1]:
+        preds = gamma_enum(d, Grid(1))
+        assert lifting(d, preds).dist == \
+            kantorovich_generic(MACHINE, build_lambda(MACHINE), d, preds, terms).dist
+
+
+def test_compiled_lifting_refuses_a_graph_over_another_quantale():
+    lifting = compile_lifting(BOOLEAN, IdF(), [IdEval()], [IdLeaf("x")])
+    d = graph_from_entries(UNIT_OPLUS, XY, {}, default=F(0))
+    with pytest.raises(CarrierMismatchError, match="boolean"):
+        lifting(d, gamma_enum(d, Grid(1)))
 
 
 def test_generic_grid_bounds_closed_form_machine():
