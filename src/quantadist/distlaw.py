@@ -44,7 +44,7 @@ ALWAYS_LEFT = "always-left"  # law-suite mutant: drops the priority test
 class DistLaw:
     """An exchange law for a monad over a polynomial functor.
 
-    Constant nodes must be quantale-valued; their algebra is the monad
+    Constant nodes are quantale-valued; their algebra is the monad
     evaluation map (numeric sup for powerset, expectation for
     subdistributions), which is an algebra homomorphism into itself.
     """
@@ -58,10 +58,6 @@ class DistLaw:
         if not isinstance(self.monad, Monad):
             raise ValueError(f"unknown monad {self.monad!r}; expected POWERSET or SUBDIST")
         consts = list(_const_nodes(self.functor))
-        if any(c.atoms is not None for c in consts):
-            raise ValueError(
-                "exchange laws require quantale-valued constant nodes "
-                "(no canonical algebra exists on named atoms)")
         if consts and self.monad is SUBDIST and self.quantale is BOOLEAN:
             raise ValueError("subdistributions over the boolean quantale admit no "
                              "value constants: expectation is not defined over "
@@ -104,16 +100,6 @@ def apply_g(monad: Monad, t, in_left: Callable[[object], bool],
     """
     side, kept = _prioritize(monad.weighted(t), lambda pair: in_left(pair[0]), variant)
     return side, monad.restrict(kept)
-
-
-def apply_g_carriers(monad: Monad, part1: Sequence[str], part2: Sequence[str], t,
-                     variant: str = PRIORITY_LEFT):
-    """Carrier-level wrapper: elements are split by membership in part1."""
-    left = set(part1)
-    overlap = left & set(part2)
-    if overlap:
-        raise ValueError(f"carriers are not disjoint: {sorted(overlap)}")
-    return apply_g(monad, t, lambda x: x in left, variant)
 
 
 def apply_zeta(law: DistLaw, t):

@@ -2,11 +2,10 @@
 evaluation maps, closed-form lifted distances, and the generic meet
 formula for the Kantorovich lifting.
 
-Functor grammar: constants (either over named atoms with explicit
-evaluation predicates, or over the quantale's own values with the
-identity evaluation), the identity functor, finite labelled products,
-and binary coproducts.  Powers are sugar for labelled products of
-copies of the body.
+Functor grammar: constants over the quantale's own values (evaluated
+by the identity), the identity functor, finite labelled products, and
+binary coproducts.  Powers are sugar for labelled products of copies
+of the body.
 """
 
 from __future__ import annotations
@@ -31,21 +30,10 @@ class ShapeError(ValueError):
 
 @dataclass(frozen=True)
 class ConstF:
-    """Constant functor.
-
-    ``atoms is None`` means the constant carrier is the quantale itself
-    and evaluation is the identity (the usual choice for payoff
-    components); otherwise ``evals`` lists total predicates on the
-    named atoms, encoded as sorted tuples of (atom, value) pairs.
+    """Constant functor: the constant carrier is the quantale itself and
+    its evaluation map is the identity.  An exchange law needs this: the
+    constant's algebra is the monad's evaluation map on quantale values.
     """
-
-    atoms: Optional[Tuple[str, ...]] = None
-    evals: Optional[Tuple[Tuple[Tuple[str, object], ...], ...]] = None
-
-    def eval_preds(self) -> List[Optional[Dict[str, object]]]:
-        if self.atoms is None or self.evals is None:
-            return [None]  # identity on quantale values
-        return [dict(e) for e in self.evals]
 
 
 @dataclass(frozen=True)
@@ -77,12 +65,7 @@ ID = IdF()
 
 
 def const_values() -> ConstF:
-    return ConstF(None, None)
-
-
-def const_atoms(atoms: Sequence[str], evals: Sequence[Dict[str, object]]) -> ConstF:
-    frozen = tuple(tuple(sorted(e.items())) for e in evals)
-    return ConstF(tuple(atoms), frozen)
+    return ConstF()
 
 
 def pow_functor(labels: Sequence[str], body: FunctorExpr) -> ProdF:
@@ -104,7 +87,7 @@ def exception_functor(labels: Sequence[str]) -> CoprodF:
 
 @dataclass(frozen=True)
 class ConstLeaf:
-    atom: object  # str atom name, or a quantale value
+    atom: object  # a quantale value
 
     def canon(self) -> str:
         return f"c({canon_key(self.atom)})"
@@ -142,9 +125,6 @@ class Inr:
         return f"r({canon_key(self.item)})"
 
 
-FTerm = object
-
-
 def term_key(t) -> str:
     return canon_key(t)
 
@@ -153,8 +133,6 @@ def shape_check(functor: FunctorExpr, term) -> None:
     if isinstance(functor, ConstF):
         if not isinstance(term, ConstLeaf):
             raise ShapeError(f"expected a constant leaf, got {term!r}")
-        if functor.atoms is not None and term.atom not in functor.atoms:
-            raise ShapeError(f"unknown constant atom {term.atom!r}")
         return
     if isinstance(functor, IdF):
         if not isinstance(term, IdLeaf):
@@ -204,23 +182,11 @@ def iter_payloads(term):
         raise ShapeError(f"not a term: {term!r}")
 
 
-def fmap(functor: FunctorExpr, fn, term):
-    """Functorial action on a shape-checked term.
-
-    ``fn`` may be a callable or a dict over the payload carrier.
-    """
-    shape_check(functor, term)
-    if isinstance(fn, dict):
-        mapping = fn
-        fn = lambda x: mapping[x]
-    return map_payloads(term, fn)
-
-
 # -- evaluation maps ----------------------------------------------------------
 
 @dataclass(frozen=True)
 class ConstEval:
-    pred: Optional[Tuple[Tuple[str, object], ...]] = None  # None = identity
+    pass
 
 
 @dataclass(frozen=True)
@@ -267,9 +233,7 @@ def eval_map(q: Quantale, ev, term):
 def build_lambda(functor: FunctorExpr) -> List[EvalMap]:
     """The generated evaluation-map set of a polynomial functor."""
     if isinstance(functor, ConstF):
-        if functor.atoms is None:
-            return [ConstEval(None)]
-        return [ConstEval(e) for e in functor.evals]
+        return [ConstEval()]
     if isinstance(functor, IdF):
         return [IdEval()]
     if isinstance(functor, ProdF):
@@ -308,17 +272,17 @@ DistanceProgram = Callable[[object, object, Callable[[object, object], object]],
 def distance_program(q: Quantale, functor: FunctorExpr) -> DistanceProgram:
     """Compile the structural lifted distance of ``functor`` over ``q``.
 
-    Constants take the meet over the node's evaluation predicates of
-    the residuated values; products take the componentwise meet (a part
-    at top leaves the meet as it is); coproducts compare same-side terms
-    recursively, give top on left-versus-right and bottom on
-    right-versus-left.  A term that does not match its node's shape
-    raises ``ShapeError`` when the program reaches it.  The program binds
-    the quantale's operations when it is built, so build it where it is
-    used (``DetCoalgebra.distance`` holds one per determinization).
+    Constants take the residuated values; products take the
+    componentwise meet (a part at top leaves the meet as it is);
+    coproducts compare same-side terms recursively, give top on
+    left-versus-right and bottom on right-versus-left.  A term that does
+    not match its node's shape raises ``ShapeError`` when the program
+    reaches it.  The program binds the quantale's operations when it is
+    built, so build it where it is used (``DetCoalgebra.distance`` holds
+    one per determinization).
     """
     if isinstance(functor, ConstF):
-        return _const_program(q, functor)
+        return _const_program(q)
     if isinstance(functor, IdF):
         return _id_program
     if isinstance(functor, ProdF):
@@ -328,26 +292,14 @@ def distance_program(q: Quantale, functor: FunctorExpr) -> DistanceProgram:
     raise TypeError(f"not a functor expression: {functor!r}")
 
 
-def _const_program(q: Quantale, functor: ConstF) -> DistanceProgram:
+def _const_program(q: Quantale) -> DistanceProgram:
     residuate = q.residuate
-    if functor.atoms is None:
-        def value_const(s, t, leaf):
-            if isinstance(s, ConstLeaf) and isinstance(t, ConstLeaf):
-                return residuate(s.atom, t.atom)
-            raise ShapeError("constant distance on non-constant terms")
-        return value_const
 
-    preds = functor.eval_preds()
-    meet2, top = q.meet2, q.top
-
-    def atom_const(s, t, leaf):
-        if not (isinstance(s, ConstLeaf) and isinstance(t, ConstLeaf)):
-            raise ShapeError("constant distance on non-constant terms")
-        value = top
-        for pred in preds:
-            value = meet2(value, residuate(pred[s.atom], pred[t.atom]))
-        return value
-    return atom_const
+    def const(s, t, leaf):
+        if isinstance(s, ConstLeaf) and isinstance(t, ConstLeaf):
+            return residuate(s.atom, t.atom)
+        raise ShapeError("constant distance on non-constant terms")
+    return const
 
 
 def _id_program(s, t, leaf):
@@ -450,7 +402,7 @@ def _reader(q: Quantale, ev, term, at_leaf: Callable[[object], Reader]) -> Reade
     if isinstance(ev, ConstEval):
         if not isinstance(term, ConstLeaf):
             raise ShapeError(f"constant evaluation on {term!r}")
-        return _constant(term.atom if ev.pred is None else dict(ev.pred)[term.atom])
+        return _constant(term.atom)
     if isinstance(ev, IdEval):
         if not isinstance(term, IdLeaf):
             raise ShapeError(f"identity evaluation on {term!r}")
@@ -563,30 +515,9 @@ def compile_lifting(q: Quantale, functor: Optional[FunctorExpr],
     return lifting
 
 
-def kantorovich_generic(functor: FunctorExpr, evals: Sequence[EvalMap], d: VGraph,
-                        preds: PredSet, terms: Sequence[object]) -> VGraph:
-    """The generic Kantorovich lifting of ``d`` on ``terms``:
-    ``compile_lifting(d.quantale, functor, evals, terms)`` compiled and
-    run once on ``(d, preds)``.  Code that lifts the same terms under
-    many graphs compiles once instead.  A generated polynomial map reads
-    at most one leaf, so scoring a predicate costs one lookup per term
-    whatever the term's depth.
-    """
-    return compile_lifting(d.quantale, functor, evals, terms)(d, preds)
-
-
 #: A compiled compositionality check: ``check(d, preds)`` is the report
-#: of ``check_compositionality`` on ``d``, given ``preds`` =
-#: ``gamma_enum(d, grid)``.
+#: on ``d``, given ``preds`` = ``gamma_enum(d, grid)``.
 CompositionalityCheck = Callable[[VGraph, PredSet], dict]
-
-
-def _compositionality_grid(q: Quantale, grid: Optional[Grid]) -> Tuple[Grid, str]:
-    if q.ident == "boolean":
-        return Grid(1), "exact-boolean"
-    if grid is None:
-        raise ValueError("a grid is required over real-valued quantales")
-    return grid, f"grid-{grid.resolution}"
 
 
 def compositionality_check(q: Quantale, outer: FunctorExpr,
@@ -595,7 +526,13 @@ def compositionality_check(q: Quantale, outer: FunctorExpr,
                            composed_terms: Sequence[object],
                            grid: Optional[Grid] = None) -> CompositionalityCheck:
     """Compile the comparison of the two-step lifting with the single
-    combined-map lifting (see ``check_compositionality``) over ``q``.
+    combined-map lifting over ``q``.
+
+    Exact on the boolean quantale (full predicate enumeration); with a
+    grid on the real-valued quantales both sides are grid
+    approximations and the report is tagged accordingly.  The report
+    also checks the one inequality that holds unconditionally: the
+    composed lifting is below the combined one in the quantale order.
 
     Its three liftings are compiled once: the inner one on
     ``inner_terms``, the outer one on the composed terms with each inner
@@ -603,9 +540,19 @@ def compositionality_check(q: Quantale, outer: FunctorExpr,
     combined ``star`` one on ``composed_terms``.  The returned check runs
     them on a graph d and its predicate set ``preds``, which must be
     ``gamma_enum(d, grid)``; only the outer lifting enumerates
-    predicates, those of the inner graph.
+    predicates, those of the inner graph.  Every value compared is a
+    function of ``preds``: both liftings of d read d only through it,
+    and the outer lifting reads the inner graph, itself a lifting of d.
+    So graphs with the same predicate set get the same report, which
+    lets the exhaustive boolean suites run the check on one graph per
+    set (``suites.BooleanFibre``).
     """
-    grid, method = _compositionality_grid(q, grid)
+    if q.ident == "boolean":
+        grid, method = Grid(1), "exact-boolean"
+    elif grid is None:
+        raise ValueError("a grid is required over real-valued quantales")
+    else:
+        method = f"grid-{grid.resolution}"
     inner_lifting = compile_lifting(q, inner, lam_inner, inner_terms)
     outer_lifting = compile_lifting(
         q, outer, lam_outer, [map_payloads(t, term_key) for t in composed_terms])
@@ -629,31 +576,3 @@ def compositionality_check(q: Quantale, outer: FunctorExpr,
             "method": method,
         }
     return check
-
-
-def check_compositionality(outer: FunctorExpr, lam_outer: Sequence[EvalMap],
-                           inner: FunctorExpr, lam_inner: Sequence[EvalMap],
-                           d: VGraph, inner_terms: Sequence[object],
-                           composed_terms: Sequence[object],
-                           grid: Optional[Grid] = None) -> dict:
-    """Compare the two-step lifting with the single combined-map lifting.
-
-    Exact on the boolean quantale (full predicate enumeration); with a
-    grid on the real-valued quantales both sides are grid
-    approximations and the result is tagged accordingly.  The report
-    also checks the one inequality that holds unconditionally: the
-    composed lifting is below the combined one in the quantale order.
-
-    This is ``compositionality_check`` compiled and run once on d and
-    ``gamma_enum(d, grid)``.  Every value compared is a function of that
-    predicate set: both liftings of d read d only through it, and the
-    outer lifting reads the inner graph, itself a lifting of d.  So
-    graphs with the same predicate set get the same report, which lets
-    the exhaustive boolean suites compile the check once and run it on
-    one graph per set (``suites.BooleanFibre``).
-    """
-    q = d.quantale
-    grid, _method = _compositionality_grid(q, grid)
-    check = compositionality_check(q, outer, lam_outer, inner, lam_inner,
-                                   inner_terms, composed_terms, grid)
-    return check(d, gamma_enum(d, grid))

@@ -1,5 +1,5 @@
-"""JSON (de)serialization of functors, terms, models, and certificates,
-plus the bundled example fixtures.
+"""JSON reading of functors, terms, models and certificates, the
+certificate writer, and the bundled example fixtures.
 
 Rationals travel as lowest-term strings ("7/10"), infinity as "inf",
 booleans as JSON booleans.  A powerset model's sets of states, at its
@@ -26,7 +26,7 @@ from typing import Callable, Dict
 
 from .behaviour import Certificate, CoalgebraModel, SparseDist
 from .canon import canon_key
-from .distlaw import DistLaw, mask_value
+from .distlaw import DistLaw
 from .functor import (ConstF, ConstLeaf, CoprodF, IdF, IdLeaf, Inl, Inr, ProdF,
                       Tup, const_values, pow_functor)
 from .monadlift import (POWERSET, SUBDIST, Monad, SubDist, get_monad,
@@ -40,21 +40,6 @@ class ModelFormatError(ValueError):
 
 
 # -- functor expressions ---------------------------------------------------------
-
-def functor_to_json(f) -> object:
-    if isinstance(f, ConstF) and f.atoms is None:
-        return {"const": "value"}
-    if isinstance(f, IdF):
-        return "id"
-    if isinstance(f, ProdF):
-        if f.labels is not None and all(p == f.parts[0] for p in f.parts):
-            return {"pow": {"labels": list(f.labels),
-                            "body": functor_to_json(f.parts[0])}}
-        return {"prod": [functor_to_json(p) for p in f.parts]}
-    if isinstance(f, CoprodF):
-        return {"coprod": [functor_to_json(f.left), functor_to_json(f.right)]}
-    raise ModelFormatError(f"{f!r} has no model form")
-
 
 def _is_name_list(value) -> bool:
     return isinstance(value, list) and all(isinstance(x, str) for x in value)
@@ -90,28 +75,6 @@ def functor_from_json(doc):
 
 
 # -- terms -------------------------------------------------------------------------
-
-def term_to_json(functor, term, monad: Monad, q: Quantale, states: Carrier) -> object:
-    """The document ``term_from_json`` reads back as ``term``."""
-    if isinstance(functor, ConstF):
-        return {"const": q.value_to_json(term.atom)}
-    if isinstance(functor, IdF):
-        payload = term.payload
-        return {"id": monad.to_json(mask_value(payload, states) if monad is POWERSET
-                                    else payload)}
-    if isinstance(functor, ProdF):
-        if functor.labels is not None:
-            return {"pow": {lab: term_to_json(part, item, monad, q, states)
-                            for lab, part, item
-                            in zip(functor.labels, functor.parts, term.items)}}
-        return {"tuple": [term_to_json(part, item, monad, q, states)
-                          for part, item in zip(functor.parts, term.items)]}
-    if isinstance(functor, CoprodF):
-        if isinstance(term, Inl):
-            return {"inl": term_to_json(functor.left, term.item, monad, q, states)}
-        return {"inr": term_to_json(functor.right, term.item, monad, q, states)}
-    raise ModelFormatError(f"not a functor expression: {functor!r}")
-
 
 def check_members(monad: Monad, t, points: Carrier, what: str = "a state"):
     """Return the monad value ``t`` if every member is one of ``points``;
@@ -231,13 +194,6 @@ def _labelled_handler(labels, parts):
     return read_labelled
 
 
-def term_from_json(functor, doc, monad: Monad, q: Quantale, states: Carrier):
-    """Read one transition term: ``term_reader(functor, monad, q, states)``
-    built and run once.  Code that reads many terms builds the reader
-    once instead."""
-    return term_reader(functor, monad, q, states)(doc)
-
-
 # -- models ---------------------------------------------------------------------------
 
 @dataclass
@@ -355,21 +311,6 @@ def _labelled_products(functor):
     elif isinstance(functor, CoprodF):
         yield from _labelled_products(functor.left)
         yield from _labelled_products(functor.right)
-
-
-def model_to_json(model: CoalgebraModel) -> dict:
-    return {
-        "kind": "coalgebra",
-        "quantale": model.quantale.ident,
-        "monad": model.monad.name,
-        "functor": functor_to_json(model.functor),
-        "states": list(model.states.elements),
-        "labels": list(model.labels.elements),
-        "transitions": {
-            s: term_to_json(model.functor, t, model.monad, model.quantale, model.states)
-            for s, t in model.transitions.items()
-        },
-    }
 
 
 # -- certificates -----------------------------------------------------------------------

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .canon import canon_key
 from .quantale import INF, Quantale, QuantaleError
@@ -135,8 +135,6 @@ def weight_from_json(w) -> Fraction:
 # which is exact because union and the meet are idempotent and the
 # expectation and the merge of a subdistribution are linear in unmerged
 # weights.
-
-Weighted = Sequence[Tuple[object, Optional[Fraction]]]
 
 
 class Monad:

@@ -85,9 +85,6 @@ class VGraph:
     def at(self, x: str, y: str):
         return self.dist[self.carrier.index(x)][self.carrier.index(y)]
 
-    def at_idx(self, i: int, j: int):
-        return self.dist[i][j]
-
     def copy(self) -> "VGraph":
         return VGraph(self.quantale, self.carrier, [row[:] for row in self.dist],
                       validated=True)
@@ -102,10 +99,6 @@ class VGraph:
 def constant_graph(q: Quantale, c: Carrier, value) -> VGraph:
     n = len(c)
     return VGraph(q, c, [[value] * n for _ in range(n)])
-
-
-def all_top(q: Quantale, c: Carrier) -> VGraph:
-    return constant_graph(q, c, q.top)
 
 
 def all_bottom(q: Quantale, c: Carrier) -> VGraph:
@@ -131,14 +124,6 @@ def _require_same(d1: VGraph, d2: VGraph):
         raise CarrierMismatchError("graphs over different carriers")
 
 
-def graph_leq(d1: VGraph, d2: VGraph) -> bool:
-    """Pointwise quantale order."""
-    _require_same(d1, d2)
-    q = d1.quantale
-    n = len(d1.carrier)
-    return all(q.leq(d1.dist[i][j], d2.dist[i][j]) for i in range(n) for j in range(n))
-
-
 def graph_equal(d1: VGraph, d2: VGraph) -> bool:
     _require_same(d1, d2)
     return d1.dist == d2.dist
@@ -162,17 +147,6 @@ class FiniteMap:
 
     def __call__(self, x: str) -> str:
         return self.assignment[x]
-
-
-def identity_map(c: Carrier) -> FiniteMap:
-    return FiniteMap(c, c, {x: x for x in c})
-
-
-def compose_maps(f: FiniteMap, g: FiniteMap) -> FiniteMap:
-    """g after f."""
-    if f.codomain != g.domain:
-        raise CarrierMismatchError("maps do not compose")
-    return FiniteMap(f.domain, g.codomain, {x: g(f(x)) for x in f.domain})
 
 
 def reindex(f: FiniteMap, d_cod: VGraph) -> VGraph:

@@ -3,9 +3,9 @@ from fractions import Fraction as F
 import pytest
 
 from quantadist.behaviour import CoalgebraModel
-from quantadist.distlaw import point_mask
-from quantadist.functor import (ConstLeaf, IdLeaf, Inl, Inr, Tup,
-                                exception_functor, machine_functor)
+from quantadist.distlaw import mask_value, point_mask
+from quantadist.functor import (ConstF, ConstLeaf, CoprodF, IdF, IdLeaf, Inl, Inr,
+                                ProdF, Tup, exception_functor, machine_functor)
 from quantadist.monadlift import POWERSET, SUBDIST, dirac, subdist
 from quantadist.quantale import UNIT_OPLUS
 from quantadist.vgraph import carrier
@@ -47,6 +47,65 @@ def build_exceptions(n: int = 3, values=(F(1, 4), F(1, 3), F(1, 2))) -> Coalgebr
         trans[f"{fam}{n}"] = Inl(ConstLeaf(val))
     return CoalgebraModel(UNIT_OPLUS, exception_functor(["a", "b"]), POWERSET,
                           states, carrier(["a", "b"]), trans)
+
+
+# -- the model writer: the document ``models.model_from_json`` reads back ------------
+
+def functor_to_json(f) -> object:
+    if isinstance(f, ConstF):
+        return {"const": "value"}
+    if isinstance(f, IdF):
+        return "id"
+    if isinstance(f, ProdF):
+        if f.labels is not None and all(p == f.parts[0] for p in f.parts):
+            return {"pow": {"labels": list(f.labels),
+                            "body": functor_to_json(f.parts[0])}}
+        return {"prod": [functor_to_json(p) for p in f.parts]}
+    assert isinstance(f, CoprodF), f
+    return {"coprod": [functor_to_json(f.left), functor_to_json(f.right)]}
+
+
+def term_to_json(functor, term, monad, q, states) -> object:
+    """The document ``models.term_reader(functor, monad, q, states)``
+    reads back as ``term``."""
+    if isinstance(functor, ConstF):
+        return {"const": q.value_to_json(term.atom)}
+    if isinstance(functor, IdF):
+        payload = term.payload
+        return {"id": monad.to_json(mask_value(payload, states) if monad is POWERSET
+                                    else payload)}
+    if isinstance(functor, ProdF):
+        if functor.labels is not None:
+            return {"pow": {lab: term_to_json(part, item, monad, q, states)
+                            for lab, part, item
+                            in zip(functor.labels, functor.parts, term.items)}}
+        return {"tuple": [term_to_json(part, item, monad, q, states)
+                          for part, item in zip(functor.parts, term.items)]}
+    if isinstance(term, Inl):
+        return {"inl": term_to_json(functor.left, term.item, monad, q, states)}
+    return {"inr": term_to_json(functor.right, term.item, monad, q, states)}
+
+
+def model_to_json(model: CoalgebraModel) -> dict:
+    return {
+        "kind": "coalgebra",
+        "quantale": model.quantale.ident,
+        "monad": model.monad.name,
+        "functor": functor_to_json(model.functor),
+        "states": list(model.states.elements),
+        "labels": list(model.labels.elements),
+        "transitions": {
+            s: term_to_json(model.functor, t, model.monad, model.quantale, model.states)
+            for s, t in model.transitions.items()
+        },
+    }
+
+
+def graph_leq(d1, d2) -> bool:
+    """The pointwise quantale order of two graphs on one carrier."""
+    assert d1.quantale is d2.quantale and d1.carrier == d2.carrier
+    leq, n = d1.quantale.leq, len(d1.carrier)
+    return all(leq(d1.dist[i][j], d2.dist[i][j]) for i in range(n) for j in range(n))
 
 
 @pytest.fixture

@@ -12,13 +12,13 @@ from fractions import Fraction as F
 
 from quantadist.behaviour import (Certificate, SparseDist, certify, kleene_gfp,
                                   reachable_states, trace_lower_bound, witness_bound)
-from quantadist.functor import MonadEval, kantorovich_generic
+from quantadist.functor import MonadEval, compile_lifting
 from quantadist.galois import Grid, gamma_enum, grid_values
 from quantadist.models import fixture_certificate, fixture_model
 from quantadist.monadlift import (POWERSET, SUBDIST, dirac, finsubset,
                                   hausdorff_directed, kantorovich_lp, pricing_lp,
                                   subdist)
-from quantadist.quantale import EXT_PLUS, UNIT_OPLUS
+from quantadist.quantale import BOOLEAN, EXT_PLUS, UNIT_OPLUS
 from quantadist.repro import REPRODUCTIONS
 from quantadist.simplex import simplex_solve
 from quantadist.suites import (all_bool_graphs, extension_suite, galois_suite,
@@ -128,9 +128,9 @@ def test_criterion_6_oracle_consistency():
     # oracle exactly.
     c = carrier(["x", "y"])
     subsets = [finsubset(s) for s in ([], ["x"], ["y"], ["x", "y"])]
+    oracle_lifting = compile_lifting(BOOLEAN, None, [MonadEval(POWERSET)], subsets)
     for d in all_bool_graphs(c):
-        oracle = kantorovich_generic(None, [MonadEval(POWERSET)], d,
-                                     gamma_enum(d, Grid(1)), subsets)
+        oracle = oracle_lifting(d, gamma_enum(d, Grid(1)))
         for i, u in enumerate(subsets):
             for j, v in enumerate(subsets):
                 assert hausdorff_directed(d, u, v) == oracle.dist[i][j]
@@ -147,11 +147,13 @@ def test_criterion_6_oracle_consistency():
                for i in range(3) for j in range(3)}
     exact_w = {(i, j): kantorovich_lp(d, dist_pairs[i], dist_pairs[j])
                for i in range(3) for j in range(3)}
+    hausdorff = compile_lifting(UNIT_OPLUS, None, [MonadEval(POWERSET)], sub_pairs)
+    wasserstein = compile_lifting(UNIT_OPLUS, None, [MonadEval(SUBDIST)], dist_pairs)
     prev_h = prev_w = None
     for k in (2, 4, 8):
         preds = gamma_enum(d, Grid(k))
-        grid_h = kantorovich_generic(None, [MonadEval(POWERSET)], d, preds, sub_pairs)
-        grid_w = kantorovich_generic(None, [MonadEval(SUBDIST)], d, preds, dist_pairs)
+        grid_h = hausdorff(d, preds)
+        grid_w = wasserstein(d, preds)
         gap_h = sum(exact_h[(i, j)] - grid_h.dist[i][j]
                     for i in range(3) for j in range(3))
         gap_w = sum(exact_w[(i, j)] - grid_w.dist[i][j]

@@ -7,13 +7,13 @@ from quantadist.behaviour import (Certificate, CoalgebraModel, ModelError,
                                   SparseDist, WitnessError, beh_apply, beh_value,
                                   certify, kleene_gfp,
                                   reachable_states, trace_lower_bound, witness_bound)
-from conftest import build_exceptions
+from conftest import build_exceptions, model_to_json
 from quantadist.canon import canon_key
 from quantadist.distlaw import mask_value, point_mask
 from quantadist.functor import (ConstLeaf, IdLeaf, Inl, Inr, Tup,
                                 exception_functor)
 from quantadist.galois import BudgetError
-from quantadist.models import ModelFormatError, model_from_json, model_to_json
+from quantadist.models import ModelFormatError, model_from_json
 from quantadist.monadlift import POWERSET, SUBDIST, dirac, finsubset, subdist
 from quantadist.quantale import UNIT_OPLUS
 from quantadist.vgraph import Carrier, VGraph, carrier, metric_closure
@@ -423,7 +423,7 @@ def u_exact(model, cand, pair, budget=10 ** 6):
     def lifted(collection_a, collection_b):
         # Directed Hausdorff over the candidate graph on monad states.
         return q.meet(
-            q.join(closed.at_idx(index[canon_key(a)], index[canon_key(b)])
+            q.join(closed.dist[index[canon_key(a)]][index[canon_key(b)]]
                    for a in collection_a)
             for b in collection_b)
 

@@ -14,21 +14,21 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import graph_leq
 from quantadist import distlaw, functor, galois, suites
 from quantadist.canon import canon_key
 from quantadist.distlaw import (ALWAYS_LEFT, _f_terms_over, _shape_name,
                                 _small_subsets, _zeta_nonexpansive_boolean, apply_zeta,
                                 case_study_laws, law_suite)
 from quantadist.functor import (ConstLeaf, CoprodF, IdF, IdLeaf, Inl, Inr, MonadEval,
-                                StarEval, Tup, build_lambda, check_compositionality,
-                                const_values, exception_functor, machine_functor,
-                                score_program)
+                                StarEval, Tup, build_lambda, const_values,
+                                exception_functor, machine_functor, score_program)
 from quantadist.galois import Grid, gamma_enum, grid_values, residual_meet
 from quantadist.monadlift import POWERSET
 from quantadist.quantale import BOOLEAN, UNIT_OPLUS
 from quantadist.suites import (CheckResult, _predset_keys, all_bool_graphs,
                                boolean_fibre, polyfunctor_suite)
-from quantadist.vgraph import VGraph, carrier, graph_leq
+from quantadist.vgraph import VGraph, carrier
 
 XY = carrier(["x", "y"])
 SHAPES = {"machine": machine_functor(["a"]),
@@ -53,13 +53,14 @@ def oracle_compositionality_rows():
             else:
                 fg_terms = [Inl(ConstLeaf(b)) for b in (False, True)] + \
                     [Inr(Tup((IdLeaf(g),))) for g in g_terms]
-            lam_f = build_lambda(outer)
-            lam_g = build_lambda(inner)
+            # Read through the module so that a patched lifting reaches here too.
+            check = functor.compositionality_check(
+                BOOLEAN, outer, build_lambda(outer), inner, build_lambda(inner),
+                g_terms, fg_terms)
             ok = True
             witness = ""
             for d in all_bool_graphs(XY):
-                report = check_compositionality(outer, lam_f, inner, lam_g, d,
-                                                g_terms, fg_terms)
+                report = check(d, gamma_enum(d, Grid(1)))
                 if not (report["equal"] and report["composed_below_combined"]):
                     ok = False
                     witness = f"d={d.dist}"
@@ -81,10 +82,11 @@ def oracle_zeta_nonexpansive_boolean(law):
     tf_evals = [StarEval(ev_t, ev) for ev in lam_f]
     ft_evals = [StarEval(ev, ev_t) for ev in lam_f]
     n = len(tf_terms)
+    # Read through the module so that a patched lifting reaches here too.
+    tf_lifting = functor.compile_lifting(BOOLEAN, None, tf_evals, tf_terms)
     for d in all_bool_graphs(XY):
         preds = gamma_enum(d, Grid(1))
-        # Read through the module so that a patched lifting reaches here too.
-        d_tf = functor.kantorovich_generic(None, tf_evals, d, preds, tf_terms)
+        d_tf = tf_lifting(d, preds)
         d_ft = residual_meet(BOOLEAN, n,
                              score_program(BOOLEAN, ft_evals, ft_terms)(preds.preds))
         for i in range(n):
@@ -215,8 +217,8 @@ def test_mutant_failing_away_from_the_first_graph(monkeypatch, size, first):
     # Size 2 fails on one class only; size 3 on two, the first of them
     # starting at graph 2 and the second at graph 4.  The suites compile
     # their liftings once and run them per class, so the mutant replaces
-    # the compiler; the oracles reach it through the wrappers
-    # ``kantorovich_generic`` and ``check_compositionality``.
+    # the compiler; the oracles reach it through ``functor.compile_lifting``
+    # and ``functor.compositionality_check``.
     mutant = _flip_on(size)
     monkeypatch.setattr(functor, "compile_lifting", mutant)
     monkeypatch.setattr(distlaw, "compile_lifting", mutant)
@@ -316,12 +318,13 @@ def test_galois_suite_enumerates_each_graph_once(monkeypatch):
 # -- the invariant the grouping relies on -------------------------------------------
 
 def _assert_lifting_is_a_function_of_gamma(functor_expr, graphs, grid, terms):
-    lam = build_lambda(functor_expr)
+    lifting = functor.compile_lifting(graphs[0].quantale, functor_expr,
+                                      build_lambda(functor_expr), terms)
     by_gamma = {}
     repeated = 0
     for d in graphs:
         preds = gamma_enum(d, grid)
-        lifted = functor.kantorovich_generic(functor_expr, lam, d, preds, terms).dist
+        lifted = lifting(d, preds).dist
         key = _predset_keys(preds)
         if key in by_gamma:
             repeated += 1

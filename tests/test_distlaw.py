@@ -7,10 +7,10 @@ from quantadist import distlaw
 from quantadist.behaviour import reachable_states
 from quantadist.canon import canon_key
 from quantadist.distlaw import (ALWAYS_LEFT, PRIORITY_LEFT, DetCoalgebra, DistLaw,
-                                StateBudgetError, apply_g, apply_g_carriers, apply_zeta,
+                                StateBudgetError, apply_g, apply_zeta,
                                 case_study_laws, law_suite)
 from quantadist.functor import (ConstLeaf, IdLeaf, Inl, Inr, MonadEval, StarEval, Tup,
-                                build_lambda, const_atoms, eval_map,
+                                build_lambda, eval_map,
                                 exception_functor, machine_functor, map_payloads)
 from quantadist.galois import Grid, grid_values
 from quantadist.monadlift import (POWERSET, SUBDIST, dirac, finsubset, kantorovich_lp,
@@ -30,26 +30,28 @@ def machine_term(out, dist):
 
 # -- prioritizing transformation -----------------------------------------------
 
+def in_part(*members):
+    return lambda x: x in members
+
+
 def test_apply_g_powerset():
-    side, kept = apply_g_carriers(POWERSET, ["x1", "y1"], ["x2", "y2"],
-                                  finsubset(["x1", "y2"]))
+    in_left = in_part("x1", "y1")
+    side, kept = apply_g(POWERSET, finsubset(["x1", "y2"]), in_left)
     assert side == "left" and kept == finsubset(["x1"])
-    side, kept = apply_g_carriers(POWERSET, ["x1"], ["x2"], finsubset([]))
+    side, kept = apply_g(POWERSET, finsubset(["y2"]), in_left)
+    assert side == "right" and kept == finsubset(["y2"])
+    side, kept = apply_g(POWERSET, finsubset([]), in_part("x1"))
     assert side == "right" and kept == finsubset([])
+    side, kept = apply_g(POWERSET, finsubset(["y2"]), in_left, ALWAYS_LEFT)
+    assert side == "left" and kept == finsubset([])
 
 
 def test_apply_g_subdist():
     t = subdist({"x1": F(1, 2), "y2": F(1, 2)})
-    side, kept = apply_g_carriers(SUBDIST, ["x1"], ["y2"], t)
+    side, kept = apply_g(SUBDIST, t, in_part("x1"))
     assert side == "left" and kept == subdist({"x1": F(1, 2)})
-    side, kept = apply_g_carriers(SUBDIST, ["z1"], ["y2"],
-                                  subdist({"y2": F(1, 3)}))
+    side, kept = apply_g(SUBDIST, subdist({"y2": F(1, 3)}), in_part("z1"))
     assert side == "right" and kept == subdist({"y2": F(1, 3)})
-
-
-def test_apply_g_rejects_overlapping_carriers():
-    with pytest.raises(ValueError, match="disjoint"):
-        apply_g_carriers(POWERSET, ["x"], ["x"], finsubset(["x"]))
 
 
 # -- zeta components -------------------------------------------------------------
@@ -97,12 +99,6 @@ def test_zeta_unit_image():
     lhs = apply_zeta(MACHINE_LAW, SUBDIST.unit(term))
     rhs = map_payloads(term, lambda p: SUBDIST.unit(p))
     assert lhs == rhs
-
-
-def test_law_requires_value_constants():
-    named = const_atoms(["a"], [{"a": F(0)}])
-    with pytest.raises(ValueError, match="quantale-valued"):
-        DistLaw(named, POWERSET, UNIT_OPLUS)
 
 
 def test_law_rejects_unknown_monad():

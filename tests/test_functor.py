@@ -5,12 +5,13 @@ from itertools import product
 
 import pytest
 
+from conftest import graph_leq
 from quantadist.functor import (ConstF, ConstLeaf, CoprodF,
                                 IdEval, IdF, IdLeaf, Inl, Inr, MonadEval, ProdF,
                                 ShapeError, StarEval, Tup, build_lambda,
-                                check_compositionality, compile_lifting, const_atoms,
-                                const_values, distance_program, eval_map, exception_functor, fmap,
-                                kantorovich_generic, lift_closed, machine_functor,
+                                compile_lifting, compositionality_check,
+                                const_values, distance_program, eval_map, exception_functor,
+                                lift_closed, machine_functor,
                                 map_payloads, polynomial_distance, shape_check, star,
                                 term_key)
 from quantadist.galois import Grid, PredSet, alpha, gamma_enum, grid_values
@@ -18,7 +19,7 @@ from quantadist.monadlift import POWERSET, SUBDIST, dirac, finsubset, subdist
 from quantadist.quantale import BOOLEAN, EXT_PLUS, UNIT_OPLUS
 from quantadist.suites import all_bool_graphs, all_bool_preds
 from quantadist.vgraph import (CarrierMismatchError, VGraph, carrier,
-                               graph_from_entries, graph_leq, is_vcat, metric_closure)
+                               graph_from_entries, is_vcat, metric_closure)
 
 
 XY = carrier(["x", "y"])
@@ -51,41 +52,11 @@ def test_build_lambda_coproduct_count():
     assert sides == ["left", "right", "split"]
 
 
-def test_named_atom_const():
-    func = const_atoms(["lo", "hi"], [{"lo": F(0), "hi": F(1)}])
-    lam = build_lambda(func)
-    assert eval_map(UNIT_OPLUS, lam[0], ConstLeaf("hi")) == F(1)
-    d = graph_from_entries(UNIT_OPLUS, XY, {}, default=F(0))
-    lifted = lift_closed(func, d, [ConstLeaf("lo"), ConstLeaf("hi")])
-    assert lifted.at("c(lo)", "c(hi)") == F(1)
-    assert lifted.at("c(hi)", "c(lo)") == F(0)
-
-
-# -- fmap -----------------------------------------------------------------------
-
-def test_fmap_identity_and_constant():
-    t = machine_term(F(1, 2), "x")
-    assert fmap(MACHINE, lambda p: p, t) == t
-    collapsed = fmap(MACHINE, lambda p: "y", t)
-    assert collapsed.items[1].items[0].payload == "y"
-
-
-def test_fmap_composition():
-    rng = random.Random(9)
-    f = {"x": "y", "y": "x"}
-    g = {"x": "x", "y": "x"}
-    for _ in range(10):
-        t = machine_term(F(rng.randint(0, 4), 4), rng.choice(["x", "y"]))
-        lhs = fmap(MACHINE, lambda p: g[f[p]], t)
-        rhs = fmap(MACHINE, g, fmap(MACHINE, f, t))
-        assert lhs == rhs
-
-
 def test_shape_errors():
     with pytest.raises(ShapeError):
         shape_check(MACHINE, Inl(ConstLeaf(F(1))))
     with pytest.raises(ShapeError):
-        fmap(IdF(), lambda p: p, ConstLeaf(F(0)))
+        shape_check(IdF(), ConstLeaf(F(0)))
 
 
 # -- closed-form lifted distance -------------------------------------------------
@@ -154,7 +125,7 @@ def test_coproduct_eval_sets_associative_via_distances():
 def test_generic_identity_equals_closure_boolean():
     terms = [IdLeaf("x"), IdLeaf("y")]
     for d in all_bool_graphs(XY):
-        out = kantorovich_generic(IdF(), [IdEval()], d, gamma_enum(d, Grid(1)), terms)
+        out = compile_lifting(BOOLEAN, IdF(), [IdEval()], terms)(d, gamma_enum(d, Grid(1)))
         closed = metric_closure(d)
         for i, x in enumerate(XY.elements):
             for j, y in enumerate(XY.elements):
@@ -163,8 +134,8 @@ def test_generic_identity_equals_closure_boolean():
 
 def test_generic_empty_eval_set_gives_top():
     d = graph_from_entries(UNIT_OPLUS, XY, {("x", "y"): F(1, 2)}, default=F(0))
-    out = kantorovich_generic(MACHINE, [], d, gamma_enum(d, Grid(2)),
-                              [machine_term(F(0), "x")])
+    out = compile_lifting(UNIT_OPLUS, MACHINE, [], [machine_term(F(0), "x")])(
+        d, gamma_enum(d, Grid(2)))
     assert out.dist[0][0] == UNIT_OPLUS.top
 
 
@@ -172,7 +143,7 @@ def test_generic_rejects_expansive_predicates():
     d = graph_from_entries(UNIT_OPLUS, XY, {("x", "y"): F(1, 4)}, default=F(0))
     bad = PredSet(UNIT_OPLUS, XY, [{"x": F(0), "y": F(1)}])
     with pytest.raises(ValueError, match="non-expansive"):
-        kantorovich_generic(IdF(), [IdEval()], d, bad, [IdLeaf("x")])
+        compile_lifting(UNIT_OPLUS, IdF(), [IdEval()], [IdLeaf("x")])(d, bad)
 
 
 def test_generic_checks_predicates_enumerated_from_another_graph():
@@ -182,11 +153,11 @@ def test_generic_checks_predicates_enumerated_from_another_graph():
     tight = graph_from_entries(UNIT_OPLUS, XY, {}, default=F(0))
     preds = gamma_enum(loose, Grid(1))
     assert preds.source is loose and len(preds) == 4
+    lifting = compile_lifting(UNIT_OPLUS, IdF(), [IdEval()], [IdLeaf("x")])
     with pytest.raises(ValueError, match="non-expansive"):
-        kantorovich_generic(IdF(), [IdEval()], tight, preds, [IdLeaf("x")])
+        lifting(tight, preds)
     same = VGraph(UNIT_OPLUS, XY, [row[:] for row in loose.dist])
-    assert kantorovich_generic(IdF(), [IdEval()], same, preds, [IdLeaf("x")]).dist \
-        == kantorovich_generic(IdF(), [IdEval()], loose, preds, [IdLeaf("x")]).dist
+    assert lifting(same, preds).dist == lifting(loose, preds).dist
 
 
 def test_compiled_lifting_runs_on_many_graphs():
@@ -197,8 +168,8 @@ def test_compiled_lifting_runs_on_many_graphs():
     graphs = all_bool_graphs(XY)
     for d in graphs + graphs[::-1]:
         preds = gamma_enum(d, Grid(1))
-        assert lifting(d, preds).dist == \
-            kantorovich_generic(MACHINE, build_lambda(MACHINE), d, preds, terms).dist
+        fresh = compile_lifting(BOOLEAN, MACHINE, build_lambda(MACHINE), terms)
+        assert lifting(d, preds).dist == fresh(d, preds).dist
 
 
 def test_compiled_lifting_refuses_a_graph_over_another_quantale():
@@ -213,10 +184,10 @@ def test_generic_grid_bounds_closed_form_machine():
                            default=F(0))
     terms = [machine_term(r, s) for r in (F(0), F(1, 2)) for s in ("x", "y")]
     closed = lift_closed(MACHINE, d, terms)
-    lam = build_lambda(MACHINE)
+    lifting = compile_lifting(UNIT_OPLUS, MACHINE, build_lambda(MACHINE), terms)
     prev_gap = None
     for k in (2, 4, 8):
-        approx = kantorovich_generic(MACHINE, lam, d, gamma_enum(d, Grid(k)), terms)
+        approx = lifting(d, gamma_enum(d, Grid(k)))
         gap = F(0)
         n = len(terms)
         for i in range(n):
@@ -282,11 +253,10 @@ def test_compositionality_boolean_exhaustive(outer_shape, inner_kind):
     inner = IdF() if inner_kind == "id" else CoprodF(const_values(), IdF())
     g_terms = boolean_terms_for(inner)
     fg_terms = composed_terms_for(outer_shape, g_terms)
-    lam_f = build_lambda(outer)
-    lam_g = build_lambda(inner)
+    check = compositionality_check(BOOLEAN, outer, build_lambda(outer), inner,
+                                   build_lambda(inner), g_terms, fg_terms)
     for d in all_bool_graphs(XY):
-        report = check_compositionality(outer, lam_f, inner, lam_g, d,
-                                        g_terms, fg_terms)
+        report = check(d, gamma_enum(d, Grid(1)))
         assert report["composed_below_combined"]
         assert report["equal"], (d.dist, report["lhs"].dist, report["rhs"].dist)
 
@@ -339,18 +309,14 @@ def test_lambda_set_commutes_with_coclosure_boolean():
 # value with top leaves and of the distance at the leaf pairs it reads:
 # no tensor, no weighted leaf.
 
-ATOMS = ["lo", "hi"]
 PAYLOADS = ["u", "v", "w"]
 
 
 def random_functor(rng, values, depth=3):
-    kinds = ["value", "atoms", "id"] + (["prod", "coprod"] * 2 if depth else [])
+    kinds = ["value", "id"] + (["prod", "coprod"] * 2 if depth else [])
     kind = rng.choice(kinds)
     if kind == "value":
         return const_values()
-    if kind == "atoms":
-        return const_atoms(ATOMS, [{a: rng.choice(values) for a in ATOMS}
-                                   for _ in range(rng.randint(1, 2))])
     if kind == "id":
         return IdF()
     if kind == "prod":
@@ -364,7 +330,7 @@ def random_functor(rng, values, depth=3):
 
 def random_term(rng, functor, values):
     if isinstance(functor, ConstF):
-        return ConstLeaf(rng.choice(values if functor.atoms is None else ATOMS))
+        return ConstLeaf(rng.choice(values))
     if isinstance(functor, IdF):
         return IdLeaf(rng.choice(PAYLOADS))
     if isinstance(functor, ProdF):
@@ -409,13 +375,7 @@ def oracle_polynomial_distance(q, functor, leaf_dist, s, t):
     if isinstance(functor, ConstF):
         if not (isinstance(s, ConstLeaf) and isinstance(t, ConstLeaf)):
             raise ShapeError("constant distance on non-constant terms")
-        values = []
-        for pred in functor.eval_preds():
-            if pred is None:
-                values.append(q.residuate(s.atom, t.atom))
-            else:
-                values.append(q.residuate(pred[s.atom], pred[t.atom]))
-        return q.meet(values)
+        return q.residuate(s.atom, t.atom)
     if isinstance(functor, IdF):
         if not (isinstance(s, IdLeaf) and isinstance(t, IdLeaf)):
             raise ShapeError("identity distance on non-identity terms")
@@ -462,7 +422,7 @@ def outcome(run, *args):
     """What a distance returns, or the type and message of what it raises."""
     try:
         return "value", run(*args)
-    except (ShapeError, KeyError) as exc:  # an atom constant reads a value leaf
+    except ShapeError as exc:
         return type(exc).__name__, str(exc)
 
 

@@ -28,7 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_exceptions
+from conftest import build_exceptions, model_to_json
 from test_cli_fuzz import MUTATIONS
 from test_determinize import LAWS, random_model, state_transitions
 from quantadist.behaviour import CoalgebraModel, certify
@@ -38,7 +38,7 @@ from quantadist.functor import (ConstF, ConstLeaf, CoprodF, IdF, IdLeaf, Inl, In
 from quantadist.models import (ModelFormatError, _names, _point_names,
                                certificate_from_json, check_members,
                                functor_from_json, load_fixture, model_from_json,
-                               model_to_json, state_reader, term_reader)
+                               state_reader, term_reader)
 from quantadist.monadlift import POWERSET, SUBDIST, get_monad, set_members_from_json
 from quantadist.quantale import BOOLEAN, QuantaleError, get_quantale
 from quantadist.vgraph import Carrier, carrier

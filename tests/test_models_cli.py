@@ -4,14 +4,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import build_exceptions
+from conftest import build_exceptions, functor_to_json, model_to_json, term_to_json
 from quantadist.cli import main
 from quantadist.models import (DistanceInstance, ModelFormatError,
                                certificate_from_json, certificate_to_json,
                                fixture_certificate, fixture_model,
-                               functor_from_json, functor_to_json, load_fixture,
-                               model_from_json, model_to_json, term_from_json,
-                               term_to_json)
+                               functor_from_json, load_fixture, model_from_json,
+                               term_reader)
 from quantadist.monadlift import POWERSET, SUBDIST
 from quantadist.quantale import UNIT_OPLUS
 
@@ -33,8 +32,8 @@ def test_model_json_roundtrip(probchain, exceptions3):
 def test_term_json_roundtrip(probchain):
     term = probchain.transitions["x"]
     doc = term_to_json(probchain.functor, term, SUBDIST, UNIT_OPLUS, probchain.states)
-    assert term_from_json(probchain.functor, doc, SUBDIST, UNIT_OPLUS,
-                          probchain.states) == term
+    assert term_reader(probchain.functor, SUBDIST, UNIT_OPLUS,
+                       probchain.states)(doc) == term
 
 
 def test_certificate_json_roundtrip(exceptions3):

@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from quantadist.functor import MonadEval, kantorovich_generic
+from quantadist.functor import MonadEval, compile_lifting
 from quantadist.galois import Grid, gamma_enum
 from quantadist.monadlift import (POWERSET, SUBDIST, dirac, finsubset,
                                   hausdorff_directed, kantorovich_lp, pricing_lp,
@@ -105,9 +105,9 @@ def test_hausdorff_agrees_with_boolean_generic():
     c = carrier(["x", "y"])
     subsets = [finsubset(s) for s in ([], ["x"], ["y"], ["x", "y"])]
     from quantadist.suites import all_bool_graphs
+    lifting = compile_lifting(BOOLEAN, None, [MonadEval(POWERSET)], subsets)
     for d in all_bool_graphs(c):
-        oracle = kantorovich_generic(None, [MonadEval(POWERSET)], d,
-                                     gamma_enum(d, Grid(1)), subsets)
+        oracle = lifting(d, gamma_enum(d, Grid(1)))
         for i, u in enumerate(subsets):
             for j, v in enumerate(subsets):
                 assert hausdorff_directed(d, u, v) == oracle.dist[i][j], (d.dist, u, v)
@@ -119,10 +119,10 @@ def test_hausdorff_grid_oracle_unit():
                            default=F(0))
     subsets = [finsubset(s) for s in (["x"], ["y"], ["x", "y"])]
     exact = {(u, v): hausdorff_directed(d, u, v) for u in subsets for v in subsets}
+    lifting = compile_lifting(UNIT_OPLUS, None, [MonadEval(POWERSET)], subsets)
     prev_gap = None
     for k in (2, 4, 8):
-        oracle = kantorovich_generic(None, [MonadEval(POWERSET)], d,
-                                     gamma_enum(d, Grid(k)), subsets)
+        oracle = lifting(d, gamma_enum(d, Grid(k)))
         gaps = []
         for i, u in enumerate(subsets):
             for j, v in enumerate(subsets):
@@ -216,10 +216,10 @@ def test_lp_grid_oracle_unit():
     q = dirac("y")
     exact = kantorovich_lp(d, p, q)
     assert exact == F(1, 4)
+    lifting = compile_lifting(UNIT_OPLUS, None, [MonadEval(SUBDIST)], [p, q])
     prev = None
     for k in (2, 4, 8):
-        oracle = kantorovich_generic(None, [MonadEval(SUBDIST)], d,
-                                     gamma_enum(d, Grid(k)), [p, q])
+        oracle = lifting(d, gamma_enum(d, Grid(k)))
         approx = oracle.dist[0][1]
         assert approx <= exact
         if prev is not None:

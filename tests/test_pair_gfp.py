@@ -198,7 +198,7 @@ def word_shape(model):
     """'machine' or 'exception' for the two trace-characterized shapes,
     None for any other model."""
     f = model.functor
-    value = lambda g: isinstance(g, ConstF) and g.atoms is None
+    value = lambda g: isinstance(g, ConstF)
     power = lambda g: isinstance(g, ProdF) and g.labels is not None \
         and all(isinstance(part, IdF) for part in g.parts)
     if model.monad is SUBDIST and isinstance(f, ProdF) and f.labels is None \

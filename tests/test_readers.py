@@ -3,9 +3,10 @@
 The oracle is the map-then-evaluate formula: apply the predicate at the
 carrier leaves of every term (``map_payloads`` / ``Monad.map``), then
 evaluate the mapped term with the recursive walk ``walk_eval`` below,
-and fold the residuated score differences into the meet.  ``kantorovich_generic`` instead compiles
-each (evaluation map, term) pair once into a reader and must give the
-same matrix on every generated input.
+and fold the residuated score differences into the meet.
+``compile_lifting`` instead compiles each (evaluation map, term) pair
+once into a reader and must give the same matrix on every generated
+input.
 """
 
 import random
@@ -16,9 +17,8 @@ import pytest
 from quantadist.functor import (ID, ConstEval, ConstF, ConstLeaf, CoprodEval, CoprodF,
                                 IdEval, IdF, IdLeaf, Inl, Inr, MonadEval, ProdF,
                                 ProjEval, ShapeError, StarEval, Tup, _reader,
-                                build_lambda, const_atoms, const_values,
-                                eval_map, kantorovich_generic, map_payloads, pow_functor,
-                                star, term_key)
+                                build_lambda, compile_lifting, const_values,
+                                eval_map, map_payloads, pow_functor, star, term_key)
 from quantadist.galois import Grid, gamma_enum, grid_values
 from quantadist.monadlift import POWERSET, SUBDIST, finsubset, subdist
 from quantadist.quantale import BOOLEAN, EXT_PLUS, UNIT_OPLUS
@@ -36,9 +36,7 @@ def walk_eval(q, ev, term):
     if isinstance(ev, ConstEval):
         if not isinstance(term, ConstLeaf):
             raise ShapeError(f"constant evaluation on {term!r}")
-        if ev.pred is None:
-            return term.atom
-        return dict(ev.pred)[term.atom]
+        return term.atom
     if isinstance(ev, IdEval):
         if not isinstance(term, IdLeaf):
             raise ShapeError(f"identity evaluation on {term!r}")
@@ -96,15 +94,10 @@ def random_graph(rng, q):
 
 
 def random_functor(rng, q, depth):
-    kinds = ["value", "atoms", "id"] + (["prod", "pow", "coprod"] if depth else [])
+    kinds = ["value", "id"] + (["prod", "pow", "coprod"] if depth else [])
     kind = rng.choice(kinds)
     if kind == "value":
         return const_values()
-    if kind == "atoms":
-        vals = grid_values(q, GRIDS[q])
-        evals = [{"a": rng.choice(vals), "b": rng.choice(vals)}
-                 for _ in range(rng.randint(1, 2))]
-        return const_atoms(["a", "b"], evals)
     if kind == "id":
         return ID
     if kind == "prod":
@@ -117,9 +110,7 @@ def random_functor(rng, q, depth):
 
 def random_term(rng, q, functor, leaf):
     if isinstance(functor, ConstF):
-        if functor.atoms is None:
-            return ConstLeaf(rng.choice(grid_values(q, GRIDS[q])))
-        return ConstLeaf(rng.choice(functor.atoms))
+        return ConstLeaf(rng.choice(grid_values(q, GRIDS[q])))
     if isinstance(functor, IdF):
         return IdLeaf(leaf())
     if isinstance(functor, ProdF):
@@ -154,7 +145,7 @@ def case(seed, quantales=tuple(GRIDS)):
 
 
 def assert_same(functor, evals, d, preds, terms, apply_pred):
-    got = kantorovich_generic(functor, evals, d, preds, terms)
+    got = compile_lifting(d.quantale, functor, evals, terms)(d, preds)
     assert got.carrier.elements == tuple(term_key(t) for t in terms)
     want = oracle(evals, d, preds, terms, apply_pred)
     assert got.dist == want
@@ -253,7 +244,7 @@ def test_generated_inputs_are_not_trivial():
         functor = random_functor(rng, q, 2)
         leaf = lambda: rng.choice(XYZ.elements)
         terms = distinct((random_term(rng, q, functor, leaf) for _ in range(30)), 6)
-        got = kantorovich_generic(functor, build_lambda(functor), d, preds, terms)
+        got = compile_lifting(q, functor, build_lambda(functor), terms)(d, preds)
         below_top += any(v != q.top for row in got.dist for v in row)
     assert below_top >= 10
 

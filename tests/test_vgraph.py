@@ -5,12 +5,12 @@ from itertools import product
 
 import pytest
 
+from conftest import graph_leq
 from quantadist.models import load_fixture, model_from_json
 from quantadist.quantale import BOOLEAN, EXT_PLUS, INF, UNIT_OPLUS, QuantaleError
-from quantadist.vgraph import (Carrier, CarrierMismatchError, FiniteMap, VGraph, all_top,
-                               carrier, compose_maps, direct_image,
-                               graph_equal, graph_leq, graph_from_entries,
-                               identity_map, is_vcat, metric_closure, reindex)
+from quantadist.vgraph import (Carrier, CarrierMismatchError, FiniteMap, VGraph,
+                               all_bottom, carrier, direct_image, graph_equal,
+                               graph_from_entries, is_vcat, metric_closure, reindex)
 from quantadist.suites import all_bool_graphs
 
 
@@ -58,15 +58,15 @@ def test_graph_leq_matches_entrywise_reversed_numeric():
         assert graph_leq(d1, d2) == expected
 
 
-def test_graph_leq_carrier_mismatch():
+def test_graph_equal_carrier_mismatch():
     with pytest.raises(CarrierMismatchError):
-        graph_leq(geo_graph(), all_top(EXT_PLUS, carrier(["A", "B"])))
+        graph_equal(geo_graph(), all_bottom(EXT_PLUS, carrier(["A", "B"])))
 
 
 def test_reindex():
     d = geo_graph()
-    ident = identity_map(d.carrier)
-    assert graph_equal(reindex(ident, d), d)
+    c = d.carrier
+    assert graph_equal(reindex(FiniteMap(c, c, {x: x for x in c}), d), d)
     dom = carrier(["u", "v"])
     const = FiniteMap(dom, d.carrier, {"u": "B", "v": "B"})
     pulled = reindex(const, d)
@@ -87,14 +87,15 @@ def test_reindex_functorial():
     g = FiniteMap(b, a, {"b0": "a0", "b1": "a1", "b2": "a0"})
     d = graph_from_entries(UNIT_OPLUS, a, {("a0", "a1"): F(1, 2), ("a1", "a0"): F(1, 4)},
                            default=F(0))
-    gf = compose_maps(f, g)
+    gf = FiniteMap(a, a, {x: g(f(x)) for x in a})  # g after f
     assert graph_equal(reindex(gf, d), reindex(f, reindex(g, d)))
-    assert graph_equal(reindex(identity_map(a), d), d)
+    assert graph_equal(reindex(FiniteMap(a, a, {x: x for x in a}), d), d)
 
 
 def test_direct_image():
     d = geo_graph()
-    assert graph_equal(direct_image(identity_map(d.carrier), d), d)
+    c = d.carrier
+    assert graph_equal(direct_image(FiniteMap(c, c, {x: x for x in c}), d), d)
     one = carrier(["*"])
     collapse = FiniteMap(d.carrier, one, {x: "*" for x in d.carrier})
     out = direct_image(collapse, d)
