@@ -14,8 +14,8 @@ from .vgraph import (Carrier, FiniteMap, VGraph, carrier, direct_image, is_vcat,
 from .galois import (Grid, PredSet, alpha, extension_largest, extension_smallest,
                      gamma_enum)
 from .functor import (ConstF, CoprodF, IdF, ProdF, build_lambda, compile_lifting,
-                      compositionality_check, const_values, exception_functor,
-                      lift_closed, machine_functor, pow_functor, star)
+                      compositionality_check, exception_functor, lift_closed,
+                      machine_functor, pow_functor, star)
 from .monadlift import (POWERSET, SUBDIST, FinSubset, Monad, SubDist, dirac,
                         finsubset, get_monad, hausdorff_directed, kantorovich_lp,
                         subdist)

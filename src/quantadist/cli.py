@@ -39,9 +39,7 @@ EXIT_BUDGET = 3
 
 
 class _CliError(Exception):
-    def __init__(self, message, code=EXIT_USAGE):
-        super().__init__(message)
-        self.code = code
+    """A usage error: the command line names no valid input (exit 2)."""
 
 
 def _parse_set_literal(text: str):
@@ -188,7 +186,7 @@ def _cmd_laws(args) -> int:
     if args.scope == "quantale":
         results = quantale_suite(grid=args.grid)
     elif args.scope == "galois":
-        results = galois_suite(max_size=3) + extension_suite()
+        results = galois_suite() + extension_suite()
     elif args.scope == "polyfunctor":
         results = polyfunctor_suite()
     elif args.scope == "distlaw":
@@ -291,10 +289,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (BudgetError, StateBudgetError) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (_CliError,) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (ModelFormatError, ModelError, QuantaleError, ValueError,
+    except (_CliError, ModelFormatError, ModelError, QuantaleError, ValueError,
             ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,29 +1,35 @@
 """Exact computation of the four monad-composition counterexamples.
 
-For each combination of the powerset and distribution functors (each
-carrying its single evaluation map) the composed two-step lifting and
-the single combined-map lifting are computed exactly on the standard
-two-point discrete instance: closed forms (directed Hausdorff, the
-transportation LP) for the two-step side, and flattening or
-attaining-member case enumeration for the combined side.  The
-combined-map objectives are piecewise linear, so enumerating the
-attaining members and solving one LP per case is exact.
+For each combination of an outer and an inner monad (powerset or
+distribution, each carrying its single evaluation map), one routine,
+``counterexample``, computes the composed two-step lifting and the
+single combined-map lifting exactly on the standard two-point discrete
+instance.  The two-step side runs the closed forms (directed Hausdorff,
+the transportation LP) twice: the inner lifting on three inner values,
+then the outer one on that graph.  The combined side is the outer
+lifting of the flattened values when the two monads coincide; for a
+mixed pair, attaining-member case enumeration with one LP per case.
+The combined-map objectives are piecewise linear, so that enumeration
+is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from typing import Dict, Sequence
 
 from .canon import canon_key
-from .monadlift import (POWERSET, SUBDIST, FinSubset, SubDist, dirac, finsubset,
-                        hausdorff_directed, kantorovich_lp, price_polytope,
-                        subdist)
+from .monadlift import (POWERSET, SUBDIST, FinSubset, Monad, SubDist, dirac,
+                        finsubset, hausdorff_directed, kantorovich_lp,
+                        price_polytope, subdist)
 from .quantale import UNIT_OPLUS
 from .simplex import LinearConstraint, LPProblem, simplex_solve
 from .vgraph import Carrier, VGraph, graph_from_entries
+
+_HALF = Fraction(1, 2)
 
 
 def discrete_two_points() -> VGraph:
@@ -33,30 +39,18 @@ def discrete_two_points() -> VGraph:
                               default=Fraction(0))
 
 
-def graph_on_subsets(d: VGraph, subsets: Sequence[FinSubset]) -> VGraph:
-    keys = Carrier(tuple(canon_key(s) for s in subsets))
-    n = len(subsets)
-    dist = [[hausdorff_directed(d, subsets[i], subsets[j]) for j in range(n)]
-            for i in range(n)]
-    return VGraph(d.quantale, keys, dist)
+def _lift(d: VGraph, left, right):
+    """The monad lifting of ``d`` at two values of one monad: directed
+    Hausdorff on sets, the transportation LP on subdistributions."""
+    if isinstance(left, FinSubset):
+        return hausdorff_directed(d, left, right)
+    return kantorovich_lp(d, left, right)
 
 
-def graph_on_dists(d: VGraph, dists: Sequence[SubDist]) -> VGraph:
-    keys = Carrier(tuple(canon_key(p) for p in dists))
-    n = len(dists)
-    dist = [[kantorovich_lp(d, dists[i], dists[j]) for j in range(n)]
-            for i in range(n)]
-    return VGraph(d.quantale, keys, dist)
-
-
-def combined_pow_pow(d: VGraph, left: FinSubset, right: FinSubset):
-    """sup-after-sup collapses to the flattened subsets."""
-    return hausdorff_directed(d, POWERSET.mult(left), POWERSET.mult(right))
-
-
-def combined_dist_dist(d: VGraph, left: SubDist, right: SubDist):
-    """expectation-after-expectation collapses to the flattened mixtures."""
-    return kantorovich_lp(d, SUBDIST.mult(left), SUBDIST.mult(right))
+def inner_graph(d: VGraph, values: Sequence) -> VGraph:
+    """The lifting of ``d`` on monad values, over their canonical keys."""
+    keys = Carrier(tuple(canon_key(v) for v in values))
+    return VGraph(d.quantale, keys, [[_lift(d, s, t) for t in values] for s in values])
 
 
 def combined_pow_dist(d: VGraph, left: FinSubset, right: FinSubset):
@@ -111,6 +105,24 @@ def combined_dist_pow(d: VGraph, left: SubDist, right: SubDist):
     return q.validate(best if best > 0 else Fraction(0))
 
 
+
+
+def _inner_values(inner: Monad):
+    """The inner values (x, middle, y) on the two points."""
+    if inner is POWERSET:
+        return finsubset(["x"]), finsubset(["x", "y"]), finsubset(["y"])
+    return dirac("x"), subdist({"x": _HALF, "y": _HALF}), dirac("y")
+
+
+def _compared(outer: Monad, a, middle, b):
+    """The compared outer pair over inner values (a, middle, b): the sets
+    {a, b} and {a, middle, b}, or the mixture of a and b against the
+    middle."""
+    if outer is POWERSET:
+        return finsubset([a, b]), finsubset([a, middle, b])
+    return subdist({a: _HALF, b: _HALF}), dirac(middle)
+
+
 @dataclass
 class CounterexampleReport:
     name: str
@@ -118,64 +130,33 @@ class CounterexampleReport:
     combined: object
 
 
-def pow_pow_case() -> CounterexampleReport:
+_NOUNS = {POWERSET: "powerset", SUBDIST: "distribution"}
+
+
+def counterexample(outer: Monad, inner: Monad) -> CounterexampleReport:
+    """The two liftings of ``outer`` after ``inner`` at one compared pair.
+
+    The composed side is the outer lifting on the inner graph, at the
+    pair built from the inner values' keys; the combined side compares
+    the pair built from the inner values themselves."""
     d = discrete_two_points()
-    sx, sy, sxy = finsubset(["x"]), finsubset(["y"]), finsubset(["x", "y"])
-    inner = [sx, sy, sxy]
-    inner_graph = graph_on_subsets(d, inner)
-    left = finsubset([canon_key(sx), canon_key(sy)])
-    right = finsubset([canon_key(sx), canon_key(sy), canon_key(sxy)])
-    composed = hausdorff_directed(inner_graph, left, right)
-    combined = combined_pow_pow(d, finsubset([sx, sy]), finsubset([sx, sy, sxy]))
-    return CounterexampleReport("powerset after powerset", composed, combined)
-
-
-def _three_dists():
-    return dirac("x"), subdist({"x": Fraction(1, 2), "y": Fraction(1, 2)}), dirac("y")
-
-
-def pow_dist_case() -> CounterexampleReport:
-    d = discrete_two_points()
-    dx, mid, dy = _three_dists()
-    inner_graph = graph_on_dists(d, [dx, mid, dy])
-    left = finsubset([canon_key(dx), canon_key(dy)])
-    right = finsubset([canon_key(dx), canon_key(mid), canon_key(dy)])
-    composed = hausdorff_directed(inner_graph, left, right)
-    combined = combined_pow_dist(d, finsubset([dx, dy]), finsubset([dx, mid, dy]))
-    return CounterexampleReport("powerset after distribution", composed, combined)
-
-
-def dist_pow_case() -> CounterexampleReport:
-    d = discrete_two_points()
-    sx, sy, sxy = finsubset(["x"]), finsubset(["y"]), finsubset(["x", "y"])
-    inner_graph = graph_on_subsets(d, [sx, sy, sxy])
-    mu = subdist({canon_key(sx): Fraction(1, 2), canon_key(sy): Fraction(1, 2)})
-    nu = subdist({canon_key(sxy): Fraction(1)})
-    composed = kantorovich_lp(inner_graph, mu, nu)
-    combined = combined_dist_pow(
-        d,
-        subdist({sx: Fraction(1, 2), sy: Fraction(1, 2)}),
-        subdist({sxy: Fraction(1)}))
-    return CounterexampleReport("distribution after powerset", composed, combined)
-
-
-def dist_dist_case() -> CounterexampleReport:
-    d = discrete_two_points()
-    dx, mid, dy = _three_dists()
-    inner_graph = graph_on_dists(d, [dx, mid, dy])
-    mu = subdist({canon_key(dx): Fraction(1, 2), canon_key(dy): Fraction(1, 2)})
-    nu = subdist({canon_key(mid): Fraction(1)})
-    composed = kantorovich_lp(inner_graph, mu, nu)
-    combined = combined_dist_dist(
-        d,
-        subdist({dx: Fraction(1, 2), dy: Fraction(1, 2)}),
-        subdist({mid: Fraction(1)}))
-    return CounterexampleReport("distribution after distribution", composed, combined)
+    values = _inner_values(inner)
+    composed = _lift(inner_graph(d, values),
+                     *_compared(outer, *(canon_key(v) for v in values)))
+    left, right = _compared(outer, *values)
+    if outer is inner:
+        combined = _lift(d, outer.mult(left), outer.mult(right))
+    elif outer is POWERSET:
+        combined = combined_pow_dist(d, left, right)
+    else:
+        combined = combined_dist_pow(d, left, right)
+    return CounterexampleReport(f"{_NOUNS[outer]} after {_NOUNS[inner]}",
+                                composed, combined)
 
 
 CASES = {
-    "pp": pow_pow_case,
-    "pd": pow_dist_case,
-    "dp": dist_pow_case,
-    "dd": dist_dist_case,
+    "pp": partial(counterexample, POWERSET, POWERSET),
+    "pd": partial(counterexample, POWERSET, SUBDIST),
+    "dp": partial(counterexample, SUBDIST, POWERSET),
+    "dd": partial(counterexample, SUBDIST, SUBDIST),
 }

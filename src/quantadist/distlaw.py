@@ -23,7 +23,8 @@ from .canon import canon_key
 from .functor import (ConstF, ConstLeaf, CoprodF, DistanceProgram, IdF, IdLeaf, Inl,
                       Inr, MonadEval, ProdF, StarEval, Tup, build_lambda,
                       compile_lifting, distance_program, eval_map, iter_payloads,
-                      map_payloads, score_program, term_key)
+                      exception_functor, machine_functor, map_payloads,
+                      score_program)
 from .galois import Grid, grid_values, residual_meet
 from .monadlift import (POWERSET, SUBDIST, FinSubset, Monad, SubDist, finsubset,
                         kantorovich_lp, subdist)
@@ -212,7 +213,7 @@ class DetCoalgebra:
     law: DistLaw
     transitions: Dict[str, object]
     states: Carrier
-    memo: Dict[object, object] = field(default_factory=dict)
+    memo: Dict[object, object] = field(default_factory=dict, init=False)
     max_states: int = 100_000
     distance: DistanceProgram = field(init=False, repr=False, compare=False)
     _root: object = field(default=None, init=False, repr=False)
@@ -374,16 +375,16 @@ def _small_subsets(items, max_size, keep: Optional[int] = None):
     return [finsubset(c) for c in islice(combos, keep)]
 
 
-def _sample_subdist(rng: random.Random, items, denom: int = 4,
-                    max_support: int = 2) -> SubDist:
-    size = rng.randint(0, max_support)
+def _sample_subdist(rng: random.Random, items) -> SubDist:
+    """A subdistribution on at most two of ``items``, weights in quarters."""
+    size = rng.randint(0, 2)
     chosen = rng.sample(list(items), min(size, len(items)))
-    remaining = denom
+    remaining = 4
     weights = []
     for x in chosen:
         w = rng.randint(0, remaining)
         remaining -= w
-        weights.append((x, Fraction(w, denom)))
+        weights.append((x, Fraction(w, 4)))
     return subdist(weights)
 
 
@@ -411,7 +412,7 @@ def _unit_compat(law: DistLaw, terms) -> CheckResult:
         lhs = apply_zeta(law, law.monad.unit(t))
         rhs = map_payloads(t, law.monad.unit)
         if lhs != rhs:
-            return CheckResult(name, False, f"term {term_key(t)}")
+            return CheckResult(name, False, f"term {canon_key(t)}")
     return CheckResult(name, True)
 
 
@@ -637,7 +638,7 @@ def _zeta_nonexpansive_machine_lp(law: DistLaw, rng: random.Random) -> CheckResu
     grid = [Fraction(i, 4) for i in range(5)]
     for _ in range(6):
         d = VGraph(q, c, [[rng.choice(grid) for _ in c.elements] for _ in c.elements])
-        dists = [t for t in (_sample_subdist(rng, f_terms, 4, 2) for _ in range(24))
+        dists = [t for t in (_sample_subdist(rng, f_terms) for _ in range(24))
                  if t.mass() == 1][:6]
         # Each distribution's output expectation and label distributions,
         # pushed forward and through the exchange component, once.
@@ -679,7 +680,7 @@ def _shape_name(law: DistLaw) -> str:
     return type(f).__name__
 
 
-def law_suite(law: DistLaw, seed: int = 0, samples: int = 100) -> List[CheckResult]:
+def law_suite(law: DistLaw, seed: int = 0) -> List[CheckResult]:
     """Run every exchange-law check for one monad/functor combination."""
     rng = random.Random(seed)
     q = law.quantale
@@ -688,8 +689,8 @@ def law_suite(law: DistLaw, seed: int = 0, samples: int = 100) -> List[CheckResu
     f_terms = _f_terms_over(law.functor, payloads, vals)
     if len(f_terms) > 12:
         f_terms = f_terms[:: max(1, len(f_terms) // 12)]
-    singles = _tvalues(law, rng, f_terms, samples)
-    doubles = _tvalues(law, rng, singles, samples, keep=150)
+    singles = _tvalues(law, rng, f_terms, 100)
+    doubles = _tvalues(law, rng, singles, 100, keep=150)
     results = [
         _unit_compat(law, f_terms),
         _pentagon(law, doubles),
@@ -710,8 +711,6 @@ def law_suite(law: DistLaw, seed: int = 0, samples: int = 100) -> List[CheckResu
 
 def case_study_laws() -> Dict[str, DistLaw]:
     """The three standard law instances exercised by the suite."""
-    from .functor import exception_functor, machine_functor
-
     return {
         "machine-subdist": DistLaw(machine_functor(["a"]), SUBDIST, UNIT_OPLUS),
         "exception-powerset": DistLaw(exception_functor(["a", "b"]), POWERSET,

@@ -18,7 +18,7 @@ from .canon import canon_key
 from .galois import (Grid, Pred, PredSet, gamma_enum, nonexpansive_into_value,
                      residual_meet)
 from .monadlift import Monad
-from .quantale import Quantale
+from .quantale import BOOLEAN, Quantale
 from .vgraph import Carrier, CarrierMismatchError, VGraph, metric_closure
 
 
@@ -64,10 +64,6 @@ FunctorExpr = object  # ConstF | IdF | ProdF | CoprodF
 ID = IdF()
 
 
-def const_values() -> ConstF:
-    return ConstF()
-
-
 def pow_functor(labels: Sequence[str], body: FunctorExpr) -> ProdF:
     labels = tuple(labels)
     return ProdF(parts=(body,) * len(labels), labels=labels)
@@ -75,12 +71,12 @@ def pow_functor(labels: Sequence[str], body: FunctorExpr) -> ProdF:
 
 def machine_functor(labels: Sequence[str]) -> ProdF:
     """Payoff paired with a labelled family of successors."""
-    return ProdF(parts=(const_values(), pow_functor(labels, ID)), labels=None)
+    return ProdF(parts=(ConstF(), pow_functor(labels, ID)), labels=None)
 
 
 def exception_functor(labels: Sequence[str]) -> CoprodF:
     """Either a terminal output value or a labelled family of successors."""
-    return CoprodF(const_values(), pow_functor(labels, ID))
+    return CoprodF(ConstF(), pow_functor(labels, ID))
 
 
 # -- terms --------------------------------------------------------------------
@@ -123,10 +119,6 @@ class Inr:
 
     def canon(self) -> str:
         return f"r({canon_key(self.item)})"
-
-
-def term_key(t) -> str:
-    return canon_key(t)
 
 
 def shape_check(functor: FunctorExpr, term) -> None:
@@ -198,7 +190,6 @@ class IdEval:
 class ProjEval:
     index: int
     inner: object
-    label: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -239,9 +230,8 @@ def build_lambda(functor: FunctorExpr) -> List[EvalMap]:
     if isinstance(functor, ProdF):
         out: List[EvalMap] = []
         for i, part in enumerate(functor.parts):
-            label = functor.labels[i] if functor.labels else None
             for inner in build_lambda(part):
-                out.append(ProjEval(i, inner, label))
+                out.append(ProjEval(i, inner))
         return out
     if isinstance(functor, CoprodF):
         out = [CoprodEval("left", e) for e in build_lambda(functor.left)]
@@ -354,7 +344,7 @@ def polynomial_distance(q: Quantale, functor: FunctorExpr, leaf_dist, s, t):
 
 
 def _term_carrier(terms: Sequence[object]) -> Carrier:
-    keys = [term_key(t) for t in terms]
+    keys = [canon_key(t) for t in terms]
     if len(set(keys)) != len(keys):
         raise ValueError("duplicate terms in the term carrier")
     return Carrier(tuple(keys))
@@ -516,50 +506,43 @@ def compile_lifting(q: Quantale, functor: Optional[FunctorExpr],
 
 
 #: A compiled compositionality check: ``check(d, preds)`` is the report
-#: on ``d``, given ``preds`` = ``gamma_enum(d, grid)``.
+#: on a boolean graph ``d``, given ``preds`` = ``gamma_enum(d, Grid(1))``.
 CompositionalityCheck = Callable[[VGraph, PredSet], dict]
 
 
-def compositionality_check(q: Quantale, outer: FunctorExpr,
-                           lam_outer: Sequence[EvalMap], inner: FunctorExpr,
-                           lam_inner: Sequence[EvalMap], inner_terms: Sequence[object],
-                           composed_terms: Sequence[object],
-                           grid: Optional[Grid] = None) -> CompositionalityCheck:
-    """Compile the comparison of the two-step lifting with the single
-    combined-map lifting over ``q``.
+def compositionality_check(outer: FunctorExpr, lam_outer: Sequence[EvalMap],
+                           inner: FunctorExpr, lam_inner: Sequence[EvalMap],
+                           inner_terms: Sequence[object],
+                           composed_terms: Sequence[object]) -> CompositionalityCheck:
+    """Compile the boolean-exact comparison of the two-step lifting with
+    the single combined-map lifting.
 
-    Exact on the boolean quantale (full predicate enumeration); with a
-    grid on the real-valued quantales both sides are grid
-    approximations and the report is tagged accordingly.  The report
-    also checks the one inequality that holds unconditionally: the
-    composed lifting is below the combined one in the quantale order.
+    Over the boolean quantale the full predicate class is enumerable, so
+    both sides are exact.  The report also checks the one inequality
+    that holds unconditionally: the composed lifting is below the
+    combined one in the quantale order.
 
-    Its three liftings are compiled once: the inner one on
-    ``inner_terms``, the outer one on the composed terms with each inner
-    term replaced by its key (the inner graph's carrier), and the
+    Its three liftings are compiled once over ``BOOLEAN``: the inner one
+    on ``inner_terms``, the outer one on the composed terms with each
+    inner term replaced by its key (the inner graph's carrier), and the
     combined ``star`` one on ``composed_terms``.  The returned check runs
-    them on a graph d and its predicate set ``preds``, which must be
-    ``gamma_enum(d, grid)``; only the outer lifting enumerates
-    predicates, those of the inner graph.  Every value compared is a
-    function of ``preds``: both liftings of d read d only through it,
-    and the outer lifting reads the inner graph, itself a lifting of d.
-    So graphs with the same predicate set get the same report, which
-    lets the exhaustive boolean suites run the check on one graph per
-    set (``suites.BooleanFibre``).
+    them on a boolean graph d and its predicate set ``preds``, which
+    must be ``gamma_enum(d, Grid(1))``; only the outer lifting
+    enumerates predicates, those of the inner graph.  A graph over
+    another quantale is refused by the compiled liftings.  Every value
+    compared is a function of ``preds``: both liftings of d read d only
+    through it, and the outer lifting reads the inner graph, itself a
+    lifting of d.  So graphs with the same predicate set get the same
+    report, which lets the exhaustive boolean suites run the check on
+    one graph per set (``suites.BooleanFibre``).
     """
-    if q.ident == "boolean":
-        grid, method = Grid(1), "exact-boolean"
-    elif grid is None:
-        raise ValueError("a grid is required over real-valued quantales")
-    else:
-        method = f"grid-{grid.resolution}"
-    inner_lifting = compile_lifting(q, inner, lam_inner, inner_terms)
+    inner_lifting = compile_lifting(BOOLEAN, inner, lam_inner, inner_terms)
     outer_lifting = compile_lifting(
-        q, outer, lam_outer, [map_payloads(t, term_key) for t in composed_terms])
-    combined_lifting = compile_lifting(q, outer, star(lam_outer, lam_inner),
+        BOOLEAN, outer, lam_outer, [map_payloads(t, canon_key) for t in composed_terms])
+    combined_lifting = compile_lifting(BOOLEAN, outer, star(lam_outer, lam_inner),
                                        composed_terms)
     n = len(composed_terms)
-    leq = q.leq
+    grid, leq = Grid(1), BOOLEAN.leq
 
     def check(d: VGraph, preds: PredSet) -> dict:
         inner_graph = inner_lifting(d, preds)
@@ -573,6 +556,5 @@ def compositionality_check(q: Quantale, outer: FunctorExpr,
             "rhs": rhs,
             "equal": equal,
             "composed_below_combined": composed_below_combined,
-            "method": method,
         }
     return check

@@ -28,7 +28,7 @@ from .behaviour import Certificate, CoalgebraModel, SparseDist
 from .canon import canon_key
 from .distlaw import DistLaw
 from .functor import (ConstF, ConstLeaf, CoprodF, IdF, IdLeaf, Inl, Inr, ProdF,
-                      Tup, const_values, pow_functor)
+                      Tup, pow_functor)
 from .monadlift import (POWERSET, SUBDIST, Monad, SubDist, get_monad,
                         set_members_from_json)
 from .quantale import Quantale, get_quantale
@@ -56,7 +56,7 @@ def functor_from_json(doc):
             raise ModelFormatError(
                 f"a constant node is {{\"const\": \"value\"}}, got {body!r}: an "
                 f"exchange law needs quantale-valued constants")
-        return const_values()
+        return ConstF()
     if key == "prod":
         if not isinstance(body, list):
             raise ModelFormatError(f"a product has a list of parts, got {body!r}")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import List
 
 from .behaviour import certify, pair_gfp, trace_lower_bound
@@ -32,7 +33,7 @@ class ReproRow:
 @dataclass
 class ReproResult:
     name: str
-    rows: List[ReproRow] = field(default_factory=list)
+    rows: List[ReproRow] = field(default_factory=list, init=False)
 
     def add(self, label, computed, expected):
         self.rows.append(ReproRow(label, str(computed), str(expected)))
@@ -73,22 +74,6 @@ def _counterexample_repro(key: str, expected_composed: Fraction,
     return out
 
 
-def repro_pp() -> ReproResult:
-    return _counterexample_repro("pp", Fraction(1), Fraction(0))
-
-
-def repro_pd() -> ReproResult:
-    return _counterexample_repro("pd", Fraction(1, 2), Fraction(0))
-
-
-def repro_dp() -> ReproResult:
-    return _counterexample_repro("dp", Fraction(1), Fraction(1, 2))
-
-
-def repro_dd() -> ReproResult:
-    return _counterexample_repro("dd", Fraction(1, 2), Fraction(0))
-
-
 def repro_probchain() -> ReproResult:
     out = ReproResult("probchain")
     model = fixture_model("probchain.json")
@@ -121,10 +106,10 @@ def repro_exceptions() -> ReproResult:
 
 REPRODUCTIONS = {
     "transport": repro_transport,
-    "pp": repro_pp,
-    "pd": repro_pd,
-    "dp": repro_dp,
-    "dd": repro_dd,
+    "pp": partial(_counterexample_repro, "pp", Fraction(1), Fraction(0)),
+    "pd": partial(_counterexample_repro, "pd", Fraction(1, 2), Fraction(0)),
+    "dp": partial(_counterexample_repro, "dp", Fraction(1), Fraction(1, 2)),
+    "dd": partial(_counterexample_repro, "dd", Fraction(1, 2), Fraction(0)),
     "probchain": repro_probchain,
     "exceptions": repro_exceptions,
 }

@@ -15,12 +15,15 @@ from itertools import product
 from typing import Callable, Dict, List, Optional, Sequence
 
 from .canon import canon_key
-from .galois import (Grid, Pred, PredSet, alpha, gamma_enum, grid_values,
-                     reindex_preds)
+from .functor import (ConstF, ConstLeaf, CoprodF, IdF, IdLeaf, Inl, Inr, Tup,
+                      build_lambda, compositionality_check, exception_functor,
+                      lift_closed, machine_functor)
+from .galois import (Grid, Pred, PredSet, alpha, extension_largest,
+                     extension_smallest, gamma_enum, grid_values, reindex_preds)
 from .quantale import BOOLEAN, EXT_PLUS, UNIT_OPLUS, Quantale
 from .vgraph import (Carrier, CarrierMismatchError, FiniteMap, VGraph, carrier,
-                     direct_image, graph_equal, is_vcat, metric_closure,
-                     reindex)
+                     direct_image, graph_equal, graph_from_entries, is_vcat,
+                     metric_closure, reindex)
 
 
 @dataclass
@@ -110,12 +113,15 @@ def distributivity_suite(q: Quantale, values: Sequence) -> List[CheckResult]:
         lambda c: q.tensor(c[0], q.join(c[1])) == q.join(q.tensor(c[0], b) for b in c[1]))]
 
 
-def quantale_suite(grid: int = 8, ext_cap: int = 4) -> List[CheckResult]:
+def quantale_suite(grid: int = 8) -> List[CheckResult]:
+    """The residuation, adjunction and distributivity laws of the three
+    quantales, on both booleans, the unit interval's ``grid`` grid, and
+    the extended reals' quarters up to 4 with infinity."""
     out: List[CheckResult] = []
     value_sets = {
         BOOLEAN: [False, True],
         UNIT_OPLUS: grid_values(UNIT_OPLUS, Grid(grid)),
-        EXT_PLUS: grid_values(EXT_PLUS, Grid(4, cap=ext_cap)),
+        EXT_PLUS: grid_values(EXT_PLUS, Grid(4, cap=4)),
     }
     for q, vals in value_sets.items():
         out.extend(residuation_lemma_suite(q, vals))
@@ -221,15 +227,15 @@ def boolean_fibre(c: Carrier) -> BooleanFibre:
 
 # -- Galois-pair laws ----------------------------------------------------------
 
-def galois_suite(max_size: int = 3) -> List[CheckResult]:
+def galois_suite() -> List[CheckResult]:
     """Boolean-exact checks of the generating/observing adjunction and
-    its consequences, exhaustively on small carriers.  Each carrier's
-    predicate sets are enumerated once (``boolean_fibre``) and read by
-    every check."""
+    its consequences, exhaustively on the carriers of sizes 2 and 3.
+    Each carrier's predicate sets are enumerated once (``boolean_fibre``)
+    and read by every check."""
     out: List[CheckResult] = []
 
     # Galois connection + co-closure on carriers of size 2 and 3.
-    for n in range(2, max_size + 1):
+    for n in (2, 3):
         c = carrier([f"e{i}" for i in range(n)])
         fibre = boolean_fibre(c)
         graphs = fibre.graphs
@@ -339,11 +345,6 @@ def polyfunctor_suite() -> List[CheckResult]:
     the graph only through its predicate set.  Each shape pair's check
     is compiled once (``compositionality_check``) and run on each class's
     own predicate set."""
-    from .functor import (ConstLeaf, CoprodF, IdF, IdLeaf, Inl, Inr, Tup,
-                          build_lambda, compositionality_check, const_values,
-                          exception_functor, lift_closed, machine_functor)
-    from .vgraph import graph_from_entries
-
     out: List[CheckResult] = []
     c = carrier(["x", "y"])
     fibre = boolean_fibre(c)
@@ -353,7 +354,7 @@ def polyfunctor_suite() -> List[CheckResult]:
     }
     inners = {
         "identity": (IdF(), [IdLeaf("x"), IdLeaf("y")]),
-        "coproduct": (CoprodF(const_values(), IdF()),
+        "coproduct": (CoprodF(ConstF(), IdF()),
                       [Inl(ConstLeaf(False)), Inl(ConstLeaf(True)),
                        Inr(IdLeaf("x")), Inr(IdLeaf("y"))]),
     }
@@ -365,9 +366,8 @@ def polyfunctor_suite() -> List[CheckResult]:
             else:
                 fg_terms = [Inl(ConstLeaf(b)) for b in (False, True)] + \
                     [Inr(Tup((IdLeaf(g),))) for g in g_terms]
-            check = compositionality_check(BOOLEAN, outer, build_lambda(outer),
-                                           inner, build_lambda(inner), g_terms,
-                                           fg_terms)
+            check = compositionality_check(outer, build_lambda(outer), inner,
+                                           build_lambda(inner), g_terms, fg_terms)
 
             def fails(d, gamma):
                 report = check(d, gamma)
@@ -384,8 +384,8 @@ def polyfunctor_suite() -> List[CheckResult]:
     # off the induced lifted distances.
     d = graph_from_entries(UNIT_OPLUS, c, {("x", "y"): Fraction(1, 2)},
                            default=Fraction(0))
-    left_assoc = CoprodF(CoprodF(const_values(), IdF()), IdF())
-    right_assoc = CoprodF(const_values(), CoprodF(IdF(), IdF()))
+    left_assoc = CoprodF(CoprodF(ConstF(), IdF()), IdF())
+    right_assoc = CoprodF(ConstF(), CoprodF(IdF(), IdF()))
     ltr = [Inl(Inl(ConstLeaf(Fraction(1, 4)))), Inl(Inr(IdLeaf("x"))),
            Inr(IdLeaf("y"))]
     rtr = [Inl(ConstLeaf(Fraction(1, 4))), Inr(Inl(IdLeaf("x"))),
@@ -403,17 +403,19 @@ def _random_vcat(rng: random.Random, q: Quantale, c: Carrier, vals) -> VGraph:
     return metric_closure(VGraph(q, c, dist))
 
 
-def extension_suite(instances: int = 120, seed: int = 7) -> List[CheckResult]:
-    from .galois import extension_largest, extension_smallest
-
-    rng = random.Random(seed)
+def extension_suite() -> List[CheckResult]:
+    """The largest and smallest non-expansive extensions of a map from a
+    sub-carrier, on 120 random V-categories over the three quantales:
+    each agrees on the sub-carrier, is non-expansive, and bounds every
+    grid-valued non-expansive extension from its side."""
+    rng = random.Random(7)
     quantales = {
         BOOLEAN: [False, True],
         UNIT_OPLUS: grid_values(UNIT_OPLUS, Grid(4)),
         EXT_PLUS: grid_values(EXT_PLUS, Grid(2, cap=2)),
     }
     checked = 0
-    for _ in range(instances):
+    for _ in range(120):
         q = rng.choice(list(quantales))
         vals = quantales[q]
         size = rng.choice([2, 3])

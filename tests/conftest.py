@@ -7,12 +7,21 @@ from quantadist.distlaw import mask_value, point_mask
 from quantadist.functor import (ConstF, ConstLeaf, CoprodF, IdF, IdLeaf, Inl, Inr,
                                 ProdF, Tup, exception_functor, machine_functor)
 from quantadist.monadlift import POWERSET, SUBDIST, dirac, subdist
-from quantadist.quantale import UNIT_OPLUS
-from quantadist.vgraph import carrier
+from quantadist.quantale import EXT_PLUS, UNIT_OPLUS
+from quantadist.vgraph import carrier, graph_from_entries
 
 
 def machine_term(out, dist):
     return Tup((ConstLeaf(out), Tup((IdLeaf(dist),))))
+
+
+def geo():
+    """The symmetric three-point road map of the transport instance."""
+    c = carrier(["A", "B", "C"])
+    return graph_from_entries(EXT_PLUS, c, {
+        ("A", "B"): F(3), ("B", "A"): F(3),
+        ("A", "C"): F(5), ("C", "A"): F(5),
+        ("B", "C"): F(4), ("C", "B"): F(4)}, default=F(0))
 
 
 def build_probchain() -> CoalgebraModel:

@@ -110,9 +110,9 @@ def test_criterion_5_property_suites():
     ext_vals = grid_values(EXT_PLUS, Grid(4, cap=4))
     triples = len(unit_vals) ** 3 + len(ext_vals) ** 3 + 2 ** 3
     assert triples >= 10 ** 4
-    results = quantale_suite(grid=21, ext_cap=4)
-    results += galois_suite(max_size=3)
-    results += extension_suite(instances=120)
+    results = quantale_suite(grid=21)
+    results += galois_suite()
+    results += extension_suite()
     results += polyfunctor_suite()
     for _name, law in sorted(case_study_laws().items()):
         results += law_suite(law)

@@ -20,8 +20,8 @@ from quantadist.canon import canon_key
 from quantadist.distlaw import (ALWAYS_LEFT, _f_terms_over, _shape_name,
                                 _small_subsets, _zeta_nonexpansive_boolean, apply_zeta,
                                 case_study_laws, law_suite)
-from quantadist.functor import (ConstLeaf, CoprodF, IdF, IdLeaf, Inl, Inr, MonadEval,
-                                StarEval, Tup, build_lambda, const_values,
+from quantadist.functor import (ConstF, ConstLeaf, CoprodF, IdF, IdLeaf, Inl, Inr,
+                                MonadEval, StarEval, Tup, build_lambda,
                                 exception_functor, machine_functor, score_program)
 from quantadist.galois import Grid, gamma_enum, grid_values, residual_meet
 from quantadist.monadlift import POWERSET
@@ -40,7 +40,7 @@ SHAPES = {"machine": machine_functor(["a"]),
 def oracle_compositionality_rows():
     inners = {
         "identity": (IdF(), [IdLeaf("x"), IdLeaf("y")]),
-        "coproduct": (CoprodF(const_values(), IdF()),
+        "coproduct": (CoprodF(ConstF(), IdF()),
                       [Inl(ConstLeaf(False)), Inl(ConstLeaf(True)),
                        Inr(IdLeaf("x")), Inr(IdLeaf("y"))]),
     }
@@ -55,8 +55,8 @@ def oracle_compositionality_rows():
                     [Inr(Tup((IdLeaf(g),))) for g in g_terms]
             # Read through the module so that a patched lifting reaches here too.
             check = functor.compositionality_check(
-                BOOLEAN, outer, build_lambda(outer), inner, build_lambda(inner),
-                g_terms, fg_terms)
+                outer, build_lambda(outer), inner, build_lambda(inner), g_terms,
+                fg_terms)
             ok = True
             witness = ""
             for d in all_bool_graphs(XY):
@@ -270,8 +270,8 @@ def _count_runs(monkeypatch, module, name):
 
 
 def test_polyfunctor_suite_checks_once_per_class(monkeypatch):
-    checks = _count_runs(monkeypatch, functor, "compositionality_check")
-    compiles = _count_calls(monkeypatch, functor, "compositionality_check")
+    checks = _count_runs(monkeypatch, suites, "compositionality_check")
+    compiles = _count_calls(monkeypatch, suites, "compositionality_check")
     assert all(r.passed for r in polyfunctor_suite())
     assert len(compiles) == 4  # one per shape pair
     assert len(checks) == 4 * 4  # four shape pairs, four classes
@@ -310,9 +310,9 @@ def test_polyfunctor_suite_checks_each_predicate_once(monkeypatch):
 
 def test_galois_suite_enumerates_each_graph_once(monkeypatch):
     calls = _count_calls(monkeypatch, suites, "gamma_enum")
-    assert all(r.passed for r in suites.galois_suite(max_size=2))
-    # Graphs on the carriers {e0, e1}, {a0, a1} and {b0, b1, b2}.
-    assert len(calls) == 16 + 16 + 512
+    assert all(r.passed for r in suites.galois_suite())
+    # Graphs on the carriers {e0, e1}, {e0, e1, e2}, {a0, a1} and {b0, b1, b2}.
+    assert len(calls) == 16 + 512 + 16 + 512
 
 
 # -- the invariant the grouping relies on -------------------------------------------

@@ -1,37 +1,28 @@
 from fractions import Fraction as F
 from itertools import product
 
+import pytest
+
 from quantadist.canon import canon_key
 from quantadist.counterex import (CASES, combined_dist_pow, combined_pow_dist,
-                                  discrete_two_points, dist_dist_case,
-                                  dist_pow_case, graph_on_dists, pow_dist_case,
-                                  pow_pow_case)
+                                  discrete_two_points, inner_graph)
 from quantadist.monadlift import dirac, finsubset, subdist
 from quantadist.quantale import UNIT_OPLUS
 
 
-def test_pow_pow_values():
-    report = pow_pow_case()
-    assert report.composed == F(1)
-    assert report.combined == F(0)
+#: The (two-step, combined-map) value of each case.
+EXPECTED = {
+    "pp": (F(1), F(0)),
+    "pd": (F(1, 2), F(0)),
+    "dp": (F(1), F(1, 2)),
+    "dd": (F(1, 2), F(0)),
+}
 
 
-def test_pow_dist_values():
-    report = pow_dist_case()
-    assert report.composed == F(1, 2)
-    assert report.combined == F(0)
-
-
-def test_dist_pow_values():
-    report = dist_pow_case()
-    assert report.composed == F(1)
-    assert report.combined == F(1, 2)
-
-
-def test_dist_dist_values():
-    report = dist_dist_case()
-    assert report.composed == F(1, 2)
-    assert report.combined == F(0)
+@pytest.mark.parametrize("key", sorted(CASES))
+def test_counterexample_values(key):
+    report = CASES[key]()
+    assert (report.composed, report.combined) == EXPECTED[key]
 
 
 def test_composed_always_dominates():
@@ -48,7 +39,7 @@ def test_pow_dist_lower_bound_via_published_witness():
     q = UNIT_OPLUS
     dists = [subdist({"x": F(i, 4), "y": F(4 - i, 4)}) for i in range(5)]
     score = {canon_key(p): min(p.weight("x"), p.weight("y")) for p in dists}
-    inner = graph_on_dists(d, dists)
+    inner = inner_graph(d, dists)
     for a in dists:
         for b in dists:
             w = inner.at(canon_key(a), canon_key(b))

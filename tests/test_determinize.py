@@ -26,8 +26,7 @@ from quantadist.distlaw import (ALWAYS_LEFT, PRIORITY_LEFT, DetCoalgebra, DistLa
                                 _zeta, apply_zeta, case_study_laws, law_suite,
                                 point_mask)
 from quantadist.functor import (ID, ConstF, ConstLeaf, CoprodF, IdF, IdLeaf, Inl,
-                                Inr, ProdF, Tup, const_values, map_payloads,
-                                pow_functor)
+                                Inr, ProdF, Tup, map_payloads, pow_functor)
 from quantadist.monadlift import POWERSET, SUBDIST, SubDist, finsubset, subdist
 from quantadist.quantale import EXT_PLUS, INF, UNIT_OPLUS, is_inf
 from quantadist.vgraph import carrier
@@ -121,8 +120,8 @@ def value_transitions(det):
 
 # -- generated inputs -------------------------------------------------------------
 
-NESTED = CoprodF(ProdF((const_values(), ID)),
-                 CoprodF(const_values(), pow_functor(["a", "b"], ID)))
+NESTED = CoprodF(ProdF((ConstF(), ID)),
+                 CoprodF(ConstF(), pow_functor(["a", "b"], ID)))
 
 
 def all_laws():

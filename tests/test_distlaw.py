@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import build_exceptions
+from conftest import build_exceptions, machine_term
 from quantadist import distlaw
 from quantadist.behaviour import reachable_states
 from quantadist.canon import canon_key
@@ -22,10 +22,6 @@ from quantadist.vgraph import Carrier, VGraph
 
 MACHINE_LAW = DistLaw(machine_functor(["a"]), SUBDIST, UNIT_OPLUS)
 EXC_LAW = DistLaw(exception_functor(["a", "b"]), POWERSET, UNIT_OPLUS)
-
-
-def machine_term(out, dist):
-    return Tup((ConstLeaf(out), Tup((IdLeaf(dist),))))
 
 
 # -- prioritizing transformation -----------------------------------------------
@@ -269,7 +265,7 @@ def oracle_zeta_nonexpansive_machine_lp(law, rng):
     grid = [F(i, 4) for i in range(5)]
     for _ in range(6):
         d = VGraph(q, c, [[rng.choice(grid) for _ in c.elements] for _ in c.elements])
-        dists = [t for t in (distlaw._sample_subdist(rng, f_terms, 4, 2) for _ in range(24))
+        dists = [t for t in (distlaw._sample_subdist(rng, f_terms) for _ in range(24))
                  if t.mass() == 1][:6]
         for mu in dists:
             for nu in dists:

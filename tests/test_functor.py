@@ -5,15 +5,15 @@ from itertools import product
 
 import pytest
 
-from conftest import graph_leq
+from conftest import graph_leq, machine_term
+from quantadist.canon import canon_key
 from quantadist.functor import (ConstF, ConstLeaf, CoprodF,
                                 IdEval, IdF, IdLeaf, Inl, Inr, MonadEval, ProdF,
                                 ShapeError, StarEval, Tup, build_lambda,
                                 compile_lifting, compositionality_check,
-                                const_values, distance_program, eval_map, exception_functor,
+                                distance_program, eval_map, exception_functor,
                                 lift_closed, machine_functor,
-                                map_payloads, polynomial_distance, shape_check, star,
-                                term_key)
+                                map_payloads, polynomial_distance, shape_check, star)
 from quantadist.galois import Grid, PredSet, alpha, gamma_enum, grid_values
 from quantadist.monadlift import POWERSET, SUBDIST, dirac, finsubset, subdist
 from quantadist.quantale import BOOLEAN, EXT_PLUS, UNIT_OPLUS
@@ -25,10 +25,6 @@ from quantadist.vgraph import (CarrierMismatchError, VGraph, carrier,
 XY = carrier(["x", "y"])
 MACHINE = machine_functor(["a"])
 EXCEPTION = exception_functor(["a"])
-
-
-def machine_term(out, succ):
-    return Tup((ConstLeaf(out), Tup((IdLeaf(succ),))))
 
 
 # -- evaluation-map construction ------------------------------------------------
@@ -46,7 +42,7 @@ def test_build_lambda_machine():
 
 
 def test_build_lambda_coproduct_count():
-    lam = build_lambda(CoprodF(const_values(), IdF()))
+    lam = build_lambda(CoprodF(ConstF(), IdF()))
     assert len(lam) == 3
     sides = sorted(ev.side for ev in lam)
     assert sides == ["left", "right", "split"]
@@ -66,8 +62,8 @@ def test_lift_closed_coproduct_cross_cases():
     throw = Inl(ConstLeaf(F(1, 4)))
     step = Inr(Tup((IdLeaf("x"),)))
     lifted = lift_closed(EXCEPTION, d, [throw, step])
-    assert lifted.at(term_key(throw), term_key(step)) == UNIT_OPLUS.top
-    assert lifted.at(term_key(step), term_key(throw)) == UNIT_OPLUS.bottom
+    assert lifted.at(canon_key(throw), canon_key(step)) == UNIT_OPLUS.top
+    assert lifted.at(canon_key(step), canon_key(throw)) == UNIT_OPLUS.bottom
 
 
 def test_lift_closed_machine_formula():
@@ -82,7 +78,7 @@ def test_lift_closed_machine_formula():
             p1 = s.items[1].items[0].payload
             p2 = t.items[1].items[0].payload
             expected = max(max(r2 - r1, F(0)), dc.at(p1, p2))
-            assert lifted.at(term_key(s), term_key(t)) == expected
+            assert lifted.at(canon_key(s), canon_key(t)) == expected
 
 
 def test_lift_closed_equal_tuples_hit_closure_diagonal():
@@ -90,7 +86,7 @@ def test_lift_closed_equal_tuples_hit_closure_diagonal():
     func = ProdF((IdF(), IdF()))
     t = Tup((IdLeaf("x"), IdLeaf("x")))
     lifted = lift_closed(func, d, [t])
-    assert lifted.at(term_key(t), term_key(t)) == F(0)  # closure saturates the diagonal
+    assert lifted.at(canon_key(t), canon_key(t)) == F(0)  # closure saturates the diagonal
 
 
 def test_lift_closed_monotone_and_preserves_vcat():
@@ -109,7 +105,7 @@ def test_lift_closed_monotone_and_preserves_vcat():
 
 
 def test_coproduct_eval_sets_associative_via_distances():
-    a, b, c1 = const_values(), IdF(), IdF()
+    a, b, c1 = ConstF(), IdF(), IdF()
     left_assoc = CoprodF(CoprodF(a, b), c1)
     right_assoc = CoprodF(a, CoprodF(b, c1))
     d = graph_from_entries(UNIT_OPLUS, XY, {("x", "y"): F(1, 2)}, default=F(0))
@@ -213,7 +209,7 @@ def test_star_identity_neutral():
 
 
 def test_star_size():
-    lam_f = build_lambda(CoprodF(const_values(), IdF()))
+    lam_f = build_lambda(CoprodF(ConstF(), IdF()))
     lam_g = build_lambda(MACHINE)
     assert len(star(lam_f, lam_g)) == len(lam_f) * len(lam_g)
 
@@ -250,15 +246,18 @@ def composed_terms_for(outer_shape, g_terms):
 @pytest.mark.parametrize("inner_kind", ["id", "coprod"])
 def test_compositionality_boolean_exhaustive(outer_shape, inner_kind):
     outer = MACHINE if outer_shape == "machine" else EXCEPTION
-    inner = IdF() if inner_kind == "id" else CoprodF(const_values(), IdF())
+    inner = IdF() if inner_kind == "id" else CoprodF(ConstF(), IdF())
     g_terms = boolean_terms_for(inner)
     fg_terms = composed_terms_for(outer_shape, g_terms)
-    check = compositionality_check(BOOLEAN, outer, build_lambda(outer), inner,
+    check = compositionality_check(outer, build_lambda(outer), inner,
                                    build_lambda(inner), g_terms, fg_terms)
     for d in all_bool_graphs(XY):
         report = check(d, gamma_enum(d, Grid(1)))
         assert report["composed_below_combined"]
         assert report["equal"], (d.dist, report["lhs"].dist, report["rhs"].dist)
+    real = graph_from_entries(UNIT_OPLUS, XY, {}, default=F(0))
+    with pytest.raises(CarrierMismatchError, match="boolean"):
+        check(real, gamma_enum(real, Grid(1)))
 
 
 def test_lambda_set_commutes_with_coclosure_boolean():
@@ -271,7 +270,7 @@ def test_lambda_set_commutes_with_coclosure_boolean():
     terms = composed_terms_for("exception", [])
     terms = [Inl(ConstLeaf(False)), Inl(ConstLeaf(True)),
              Inr(Tup((IdLeaf("x"),))), Inr(Tup((IdLeaf("y"),)))]
-    keys = carrier([term_key(t) for t in terms])
+    keys = carrier([canon_key(t) for t in terms])
     for bits in product([False, True], repeat=len(preds)):
         chosen = [preds[i] for i in range(len(preds)) if bits[i]]
         if not chosen:
@@ -316,7 +315,7 @@ def random_functor(rng, values, depth=3):
     kinds = ["value", "id"] + (["prod", "coprod"] * 2 if depth else [])
     kind = rng.choice(kinds)
     if kind == "value":
-        return const_values()
+        return ConstF()
     if kind == "id":
         return IdF()
     if kind == "prod":

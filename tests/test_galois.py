@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from conftest import geo
 from quantadist.galois import (BudgetError, Grid, PredSet, alpha, extension_largest,
                                extension_smallest, gamma_enum, grid_values,
                                residual_meet)
@@ -98,14 +99,6 @@ def test_gamma_budget_refusal():
     d = graph_from_entries(UNIT_OPLUS, XY, {}, default=F(0))
     with pytest.raises(BudgetError):
         gamma_enum(d, Grid(100), budget=100)
-
-
-def geo():
-    c = carrier(["A", "B", "C"])
-    return graph_from_entries(EXT_PLUS, c, {
-        ("A", "B"): F(3), ("B", "A"): F(3),
-        ("A", "C"): F(5), ("C", "A"): F(5),
-        ("B", "C"): F(4), ("C", "B"): F(4)}, default=F(0))
 
 
 def test_extension_full_carrier_identity():
@@ -215,13 +208,13 @@ def test_boolean_unique_extensions_collapse():
 
 
 def test_galois_suite_small():
-    results = galois_suite(max_size=2)
+    results = galois_suite()
     bad = [r.line() for r in results if not r.passed]
     assert not bad, bad
 
 
 def test_extension_suite_runs_clean():
-    results = extension_suite(instances=40)
+    results = extension_suite()
     bad = [r.line() for r in results if not r.passed]
     assert not bad, bad
 

@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from conftest import geo
 from quantadist.functor import MonadEval, compile_lifting
 from quantadist.galois import Grid, gamma_enum
 from quantadist.monadlift import (POWERSET, SUBDIST, dirac, finsubset,
@@ -12,14 +13,6 @@ from quantadist.monadlift import (POWERSET, SUBDIST, dirac, finsubset,
 from quantadist.quantale import BOOLEAN, EXT_PLUS, INF, UNIT_OPLUS
 from quantadist.simplex import simplex_solve
 from quantadist.vgraph import VGraph, carrier, graph_from_entries, is_vcat, metric_closure
-
-
-def geo():
-    c = carrier(["A", "B", "C"])
-    return graph_from_entries(EXT_PLUS, c, {
-        ("A", "B"): F(3), ("B", "A"): F(3),
-        ("A", "C"): F(5), ("C", "A"): F(5),
-        ("B", "C"): F(4), ("C", "B"): F(4)}, default=F(0))
 
 
 # -- monad structure ---------------------------------------------------------

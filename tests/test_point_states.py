@@ -23,9 +23,8 @@ from conftest import build_exceptions, build_probchain
 from quantadist.behaviour import Verdict, certify, pair_gfp
 from quantadist.canon import canon_key
 from quantadist.distlaw import ALWAYS_LEFT, DistLaw, _zeta, case_study_laws
-from quantadist.functor import (ID, ConstLeaf, CoprodF, Inl, Inr, ProdF, Tup,
-                                const_values, iter_payloads, map_payloads,
-                                pow_functor)
+from quantadist.functor import (ID, ConstF, ConstLeaf, CoprodF, Inl, Inr, ProdF,
+                                Tup, iter_payloads, map_payloads, pow_functor)
 from quantadist.models import (certificate_from_json, fixture_certificate,
                                fixture_model, model_from_json)
 from quantadist.monadlift import POWERSET, SUBDIST, finsubset, subdist
@@ -69,7 +68,7 @@ def random_functor(rng, depth):
     kinds = ["value", "id"] + (["prod", "pow", "coprod"] if depth else [])
     kind = rng.choice(kinds)
     if kind == "value":
-        return const_values()
+        return ConstF()
     if kind == "id":
         return ID
     if kind == "prod":

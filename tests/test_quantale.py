@@ -94,7 +94,7 @@ def test_get_quantale():
 
 
 def test_law_suite_small_grids():
-    results = quantale_suite(grid=8, ext_cap=2)
+    results = quantale_suite(grid=8)
     failures = [r for r in results if not r.passed]
     assert not failures, [r.line() for r in failures]
 

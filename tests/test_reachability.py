@@ -1,5 +1,6 @@
 """Every top-level function and class in ``src/quantadist`` is reached
-from a command, and no module there imports a name it never uses.
+from a command, every parameter default there is overridden by some
+call, and no module there imports a name it never uses.
 
 A name is reached when a chain of loaded names leads to it from a root:
 ``cli.main`` (the console script), the module-level code of any module
@@ -113,6 +114,71 @@ def test_every_top_level_name_is_reached_from_a_command():
 def test_exemptions_are_defined_and_unreached():
     defined, reached = _reachability()
     assert EXEMPT.keys() <= defined - reached
+
+
+#: Defaulted parameters no call in ``src`` passes, kept on purpose, with the reason.
+CONSTANT_EXEMPT = {
+    "galois.gamma_enum.budget": "a refusal threshold that tests lower",
+    "behaviour.kleene_gfp.max_iters": "kept while the benchmark tracer wraps kleene_gfp",
+    "cli.main.argv": "the console script calls main with no arguments",
+}
+
+
+def _defaulted_parameters():
+    """(qualified name, callee names, parameter, position) for each
+    parameter with a default of a top-level function or method.  The
+    position counts the arguments a call passes before it (None for a
+    keyword-only one, after ``self`` for a method); a class's name calls
+    its ``__init__``."""
+    out = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        functions = [(f"{path.stem}.{node.name}", {node.name}, 0, node)
+                     for node in tree.body if isinstance(node, ast.FunctionDef)]
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef):
+                    names = {node.name, cls.name} if node.name == "__init__" else {node.name}
+                    functions.append((f"{path.stem}.{cls.name}.{node.name}", names, 1, node))
+        for qualified, names, bound, node in functions:
+            args = node.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            for i, arg in enumerate(positional[first:], start=first):
+                out.append((f"{qualified}.{arg.arg}", names, arg.arg, i - bound))
+            out.extend((f"{qualified}.{arg.arg}", names, arg.arg, None)
+                       for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                       if default is not None)
+    return out
+
+
+def _constant_parameters():
+    """The defaulted parameters that no call in ``src`` passes.  A call
+    passes the keywords it names (``**kwargs`` passes every one) and its
+    first positions (``*args`` passes every one)."""
+    keywords, positions = {}, {}
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                keywords.setdefault(name, set()).update(kw.arg for kw in node.keywords)
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                positions[name] = max(positions.get(name, 0),
+                                      float("inf") if starred else len(node.args))
+    return {qualified for qualified, names, arg, position in _defaulted_parameters()
+            if not any(arg in keywords.get(n, ()) or None in keywords.get(n, ())
+                       or (position is not None and positions.get(n, 0) > position)
+                       for n in names)}
+
+
+def test_every_parameter_default_is_overridden_by_a_call():
+    constant = sorted(_constant_parameters() - CONSTANT_EXEMPT.keys())
+    assert not constant, (f"no call in src passes {constant}: make each a constant "
+                          "in the function body")
+
+
+def test_parameter_exemptions_are_defaulted_and_never_passed():
+    assert CONSTANT_EXEMPT.keys() <= _constant_parameters()
 
 
 # __init__.py's imports are the package's public names.

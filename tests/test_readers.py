@@ -14,11 +14,12 @@ from fractions import Fraction as F
 
 import pytest
 
+from quantadist.canon import canon_key
 from quantadist.functor import (ID, ConstEval, ConstF, ConstLeaf, CoprodEval, CoprodF,
                                 IdEval, IdF, IdLeaf, Inl, Inr, MonadEval, ProdF,
                                 ProjEval, ShapeError, StarEval, Tup, _reader,
-                                build_lambda, compile_lifting, const_values,
-                                eval_map, map_payloads, pow_functor, star, term_key)
+                                build_lambda, compile_lifting, eval_map,
+                                map_payloads, pow_functor, star)
 from quantadist.galois import Grid, gamma_enum, grid_values
 from quantadist.monadlift import POWERSET, SUBDIST, finsubset, subdist
 from quantadist.quantale import BOOLEAN, EXT_PLUS, UNIT_OPLUS
@@ -97,7 +98,7 @@ def random_functor(rng, q, depth):
     kinds = ["value", "id"] + (["prod", "pow", "coprod"] if depth else [])
     kind = rng.choice(kinds)
     if kind == "value":
-        return const_values()
+        return ConstF()
     if kind == "id":
         return ID
     if kind == "prod":
@@ -123,7 +124,7 @@ def random_term(rng, q, functor, leaf):
 def distinct(items, count):
     out = {}
     for item in items:
-        out.setdefault(term_key(item), item)
+        out.setdefault(canon_key(item), item)
         if len(out) == count:
             break
     return list(out.values())
@@ -146,7 +147,7 @@ def case(seed, quantales=tuple(GRIDS)):
 
 def assert_same(functor, evals, d, preds, terms, apply_pred):
     got = compile_lifting(d.quantale, functor, evals, terms)(d, preds)
-    assert got.carrier.elements == tuple(term_key(t) for t in terms)
+    assert got.carrier.elements == tuple(canon_key(t) for t in terms)
     want = oracle(evals, d, preds, terms, apply_pred)
     assert got.dist == want
     return got

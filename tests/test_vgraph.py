@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from conftest import graph_leq
+from conftest import geo, graph_leq
 from quantadist.models import load_fixture, model_from_json
 from quantadist.quantale import BOOLEAN, EXT_PLUS, INF, UNIT_OPLUS, QuantaleError
 from quantadist.vgraph import (Carrier, CarrierMismatchError, FiniteMap, VGraph,
@@ -26,19 +26,8 @@ def test_carrier_positions():
         carrier(["a", "a"])
 
 
-def geo_graph():
-    # The symmetric three-point road map used by the transport instance.
-    c = carrier(["A", "B", "C"])
-    return graph_from_entries(EXT_PLUS, c, {
-        ("A", "B"): F(3), ("B", "A"): F(3),
-        ("A", "C"): F(5), ("C", "A"): F(5),
-        ("B", "C"): F(4), ("C", "B"): F(4),
-        ("A", "A"): F(0), ("B", "B"): F(0), ("C", "C"): F(0),
-    })
-
-
 def test_graph_leq_reflexive_and_bottom():
-    d = geo_graph()
+    d = geo()
     assert graph_leq(d, d)
     c = carrier(["x", "y"])
     ones = VGraph(UNIT_OPLUS, c, [[F(1)] * 2] * 2)
@@ -60,11 +49,11 @@ def test_graph_leq_matches_entrywise_reversed_numeric():
 
 def test_graph_equal_carrier_mismatch():
     with pytest.raises(CarrierMismatchError):
-        graph_equal(geo_graph(), all_bottom(EXT_PLUS, carrier(["A", "B"])))
+        graph_equal(geo(), all_bottom(EXT_PLUS, carrier(["A", "B"])))
 
 
 def test_reindex():
-    d = geo_graph()
+    d = geo()
     c = d.carrier
     assert graph_equal(reindex(FiniteMap(c, c, {x: x for x in c}), d), d)
     dom = carrier(["u", "v"])
@@ -93,7 +82,7 @@ def test_reindex_functorial():
 
 
 def test_direct_image():
-    d = geo_graph()
+    d = geo()
     c = d.carrier
     assert graph_equal(direct_image(FiniteMap(c, c, {x: x for x in c}), d), d)
     one = carrier(["*"])
@@ -111,7 +100,7 @@ def test_direct_image():
 
 
 def test_is_vcat():
-    assert is_vcat(geo_graph())
+    assert is_vcat(geo())
     c = carrier(["x"])
     bad_diag = VGraph(UNIT_OPLUS, c, [[F(1, 5)]])
     assert not is_vcat(bad_diag)
@@ -143,8 +132,8 @@ def test_metric_closure_examples():
     assert closed.at("A", "C") == F(7)
     assert is_vcat(closed)
     # A V-category is left unchanged.
-    geo = geo_graph()
-    assert graph_equal(metric_closure(geo), geo)
+    road = geo()
+    assert graph_equal(metric_closure(road), road)
     # Diagonal saturation.
     c = carrier(["x"])
     d = VGraph(UNIT_OPLUS, c, [[F(1, 5)]])
