@@ -67,7 +67,9 @@ def _parse_tvalue(text: str, instance):
 
 
 def _parse_dist_literal(text: str):
-    weights = {}
+    """A distribution literal 'x:1/2,y:1/2'; ``subdist`` adds up the
+    weights of a repeated name."""
+    weights = []
     for chunk in text.split(","):
         chunk = chunk.strip()
         if not chunk:
@@ -75,7 +77,7 @@ def _parse_dist_literal(text: str):
         if ":" not in chunk:
             raise _CliError(f"expected 'state:weight' entries, got {chunk!r}")
         name, w = chunk.rsplit(":", 1)
-        weights[name.strip()] = Fraction(w.strip())
+        weights.append((name.strip(), Fraction(w.strip())))
     return subdist(weights)
 
 

@@ -204,6 +204,23 @@ class DistanceInstance:
     distributions: Dict[str, SubDist]
 
 
+def literal_reader(q: Quantale) -> Callable[[object], object]:
+    """A reader of the quantale literals of one document: each distinct
+    string literal goes through ``q.value_from_json`` once, and a repeat
+    reads back the value of its first occurrence."""
+    literals = {}
+
+    def value_of(raw):
+        if not isinstance(raw, str):  # True and 1 hash alike; lists do not hash
+            return q.value_from_json(raw)
+        value = literals.get(raw)
+        if value is None:
+            value = literals[raw] = q.value_from_json(raw)
+        return value
+
+    return value_of
+
+
 #: Names that read as another value's canonical key or break a CLI
 #: literal: the boolean and infinity keys, the empty name, rational
 #: literals, and names holding a character that delimits set,
@@ -258,10 +275,14 @@ def model_from_json(doc: dict):
         if not isinstance(named, dict):
             raise ModelFormatError(
                 f"distributions must be an object keyed by name, got {named!r}")
+        # A pair on the command line names a distribution where it could
+        # write a literal, so the names follow the rule of point names.
+        _point_names(list(named), "distributions")
         dists = {name: check_members(SUBDIST, SUBDIST.from_json({"dist": weights}),
                                      elements, "an element")
                  for name, weights in named.items()}
-        dist = [[q.value_from_json(v) for v in row] for row in rows]
+        value_of = literal_reader(q)
+        dist = [[value_of(v) for v in row] for row in rows]
         return DistanceInstance(VGraph(q, elements, dist, validated=True), dists)
     if kind != "coalgebra":
         raise ModelFormatError(f"unknown model kind {kind!r}")
@@ -329,19 +350,10 @@ def certificate_from_json(doc: dict, model: CoalgebraModel) -> Certificate:
     q = model.quantale
     monad = model.monad
     read_state = state_reader(monad, model.states)
+    value_of = literal_reader(q)
 
     def pair_of(row):
         return read_state(row["lhs"]), read_state(row["rhs"])
-
-    literals = {}
-
-    def value_of(raw):
-        if not isinstance(raw, str):  # True and 1 hash alike; lists do not hash
-            return q.value_from_json(raw)
-        value = literals.get(raw)
-        if value is None:
-            value = literals[raw] = q.value_from_json(raw)
-        return value
 
     try:
         entries = {}

@@ -359,34 +359,53 @@ def pricing_lp(d: VGraph, p: SubDist, q_dist: SubDist) -> LPProblem:
 def kantorovich_lp(d: VGraph, p: SubDist, q_dist: SubDist):
     """Exact optimal transport cost of moving ``p`` onto ``q_dist``.
 
-    Solves the primal transportation problem on support(p) x
-    support(q_dist), where moving a unit of mass from x to y costs
-    min(dc(x, y), cap): dc is the metric closure of ``d`` and cap the
-    price range of ``pricing_lp`` (1 on unit-oplus, the largest finite
-    closure entry on ext-plus), so a pair at distance inf costs cap.
-    The capped cost still obeys the triangle inequality and vanishes on
-    the diagonal, and at equal mass the box of the dual never binds, so
-    by LP duality this is exactly the optimum of ``pricing_lp``.  The
-    costs are read, capped, off the integer closure of
-    ``scaled_closure`` and the masses are scaled to integers too, so
-    the flow computation runs on plain ints; the answer is one
-    ``Fraction`` over both scales.
+    Moving a unit of mass from x to y costs c(x, y) = min(dc(x, y),
+    cap): dc is the metric closure of ``d`` and cap the price range of
+    ``pricing_lp`` (1 on unit-oplus, the largest finite closure entry
+    on ext-plus).  No finite closure entry exceeds cap, so c is dc with
+    a pair at distance inf priced at cap.  It still vanishes on the
+    diagonal and obeys the triangle inequality c(y, z) <= c(y, x) +
+    c(x, z): dc is inf at (y, z) only if it is inf at (y, x) or (x, z),
+    and then the right side is at least cap.  At equal mass the box of
+    the dual never binds, so by LP duality this is exactly the optimum
+    of ``pricing_lp``.
+
+    Only the excess moves: the problem solved ships the net mass
+    (p - q_dist)+ onto (q_dist - p)+, and the mass both share at a point
+    stays there at cost 0.  That loses nothing.  Take an optimal plan
+    that moves the least mass off the diagonal.  If it shipped mass from
+    y into x and from x on to z (x other than y and z), routing some of
+    it from y to z directly and keeping as much at x would never cost
+    more, because c(y, z) <= c(y, x) + c(x, z), and would move less mass
+    off the diagonal.  So no point both sends and receives, and the
+    plan keeps min(p(x), q_dist(x)) in place at every x and ships
+    exactly the excess.  ``p == q_dist`` gives an empty problem, of
+    cost 0.
+
+    The costs are read off the integer closure of ``scaled_closure``,
+    inf as cap, and the masses are scaled to integers too, so the flow
+    computation runs on plain ints; the answer is one ``Fraction`` over
+    both scales.
     """
     index = d.carrier.index
-    sources = [index(x) for x in p.support()]
-    sinks = [index(y) for y in q_dist.support()]
+    supply = [(index(x), w) for x, w in p.items()]
+    demand = [(index(y), w) for y, w in q_dist.items()]
     _check_transport(d, p, q_dist)
+    mass_scale = lcm(*(w.denominator for _i, w in supply + demand))
+    net: Dict[int, int] = {}
+    for i, w in supply:
+        net[i] = w.numerator * (mass_scale // w.denominator)
+    for j, w in demand:
+        net[j] = net.get(j, 0) - w.numerator * (mass_scale // w.denominator)
+    sources = [i for i, v in net.items() if v > 0]
+    if not sources:
+        return Fraction(0)
+    sinks = [j for j, v in net.items() if v < 0]
     m, scale = scaled_closure(d)
     cap = _price_cap(d.quantale, m, scale)
-    cost = [[cap if m[i][j] is None else min(m[i][j], cap) for j in sinks]
-            for i in sources]
-    supply = [w for _x, w in p.items()]
-    demand = [w for _y, w in q_dist.items()]
-    mass_scale = lcm(*(w.denominator for w in supply + demand))
-    total = _min_cost_transport(
-        [int(w * mass_scale) for w in supply],
-        [int(w * mass_scale) for w in demand],
-        cost)
+    cost = [[cap if m[i][j] is None else m[i][j] for j in sinks] for i in sources]
+    total = _min_cost_transport([net[i] for i in sources],
+                                [-net[j] for j in sinks], cost)
     return d.quantale.validate(Fraction(total, mass_scale * scale))
 
 

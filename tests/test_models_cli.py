@@ -299,6 +299,17 @@ def test_cli_trace_refuses_beyond_max_states():
         assert err == "refused: determinization exceeded the budget of 5 states\n"
 
 
+@pytest.mark.parametrize("left", ["y:1/2,y:1/2", "y:1/4, y:1/2,y:1/4"])
+def test_cli_distribution_literal_adds_repeated_members(left):
+    argv = ["distance", "--model", fixture_path("probchain.json"), "--method", "trace"]
+    code, out, _err = run_cli(*argv, "--pair", f"{left}|x:1")
+    assert (code, out) == (0, "511/1024  [lower bound (numeric)]\n")
+    assert run_cli(*argv, "--pair", "y:1|x:1")[:2] == (code, out)
+    code, out, err = run_cli(*argv, "--pair", "y:1/2,y:2/3|x:1")
+    assert (code, out) == (2, "")
+    assert "mass 7/6 exceeds 1" in err
+
+
 def test_cli_depth_flag_is_unknown():
     code, out, err = run_cli("distance", "--model", fixture_path("exceptions.json"),
                              "--pair", "{x0,y0}|{z0}", "--method", "kleene",
@@ -454,6 +465,11 @@ def test_cli_certificate_weight_must_be_rational(tmp_path):
     (["distributions", "P", "A"], [1], "weight must be a rational string"),
     (["elements"], "ABC", "elements must be a list of names"),
     (["distributions", "P"], {"A": "1/2", "D": "1/2"}, "'D' is not an element"),
+    # A distribution named like a literal would shadow it ('A:1' as the
+    # pair's Dirac literal), and '' or 'x|y' can never be named in a pair.
+    (["distributions", "A:1"], {"B": "1"}, "reserved name 'A:1' in distributions"),
+    (["distributions", ""], {"B": "1"}, "reserved name '' in distributions"),
+    (["distributions", "x|y"], {"B": "1"}, "reserved name 'x|y' in distributions"),
 ])
 def test_cli_malformed_vgraph_model_exit_code(tmp_path, path, value, message):
     doc = load_fixture("transport.json")

@@ -1,8 +1,9 @@
 """Differential tests of the liftings and the metric closure.
 
-``kantorovich_lp`` solves the primal transportation problem; its
-oracles are the dual pricing LP solved by ``simplex_solve``, the same
-flow computation on costs read off the ``Fraction`` closure, and, on
+``kantorovich_lp`` solves the primal transportation problem on the
+excess mass; its oracles are the dual pricing LP solved by
+``simplex_solve``, the same flow computation on all of support(p) x
+support(q) with costs read off the ``Fraction`` closure, and, on
 integer-scaled instances, ``networkx.network_simplex``.  The one-pass
 ``metric_closure`` is compared with the re-checking Floyd-Warshall loop
 it replaced and with the one-pass loop over ``Fraction`` values that
@@ -91,9 +92,11 @@ def hausdorff_oracle(dc, left, right):
 
 
 def fraction_transport(d, p, q):
-    """Optimal transport with the capped costs read off the ``Fraction``
-    closure and rescaled to integers entry by entry, as
-    ``kantorovich_lp`` computed them before the integer closure."""
+    """Optimal transport on all of support(p) x support(q), the shared
+    mass included, with the capped costs read off the ``Fraction``
+    closure and rescaled to integers entry by entry: the problem
+    ``kantorovich_lp`` solved before it shipped only the excess and
+    read the integer closure."""
     dc = fraction_closure(d)
     if d.quantale is UNIT_OPLUS:
         cap = F(1)
@@ -213,6 +216,64 @@ def test_lp_dirac_pairs_read_the_capped_closure():
                     value = kantorovich_lp(d, dirac(x), dirac(y))
                     assert value == (cap if is_inf(dc.at(x, y)) else dc.at(x, y))
                     assert value == lp_oracle(d, dirac(x), dirac(y))
+
+
+# -- the excess problem against the unreduced oracles --------------------------------
+
+def overlapping_pair(rng, d, mass):
+    """``p`` of mass ``mass`` and a ``q`` of the same mass that keeps p's
+    weight at some points of its support and spreads the rest over
+    random points, so that the two overlap in part."""
+    p = random_dist(rng, d.carrier, mass, rng.randint(1, len(d.carrier)))
+    kept = [(x, w) for x, w in p.items() if rng.random() < 0.5]
+    rest = mass - sum(w for _x, w in kept)
+    if not rest:
+        return p, subdist(kept)
+    moved = random_dist(rng, d.carrier, rest, rng.randint(1, len(d.carrier)))
+    return p, subdist(kept + list(moved.items()))
+
+
+@pytest.mark.parametrize("kind", ["ext-plus", "unit-oplus"])
+def test_excess_transport_matches_the_unreduced_oracles(kind, monkeypatch):
+    import quantadist.monadlift as monadlift
+
+    shipped = []
+
+    def recorded(supply, demand, cost):
+        shipped.append((supply, demand))
+        return _min_cost_transport(supply, demand, cost)
+
+    monkeypatch.setattr(monadlift, "_min_cost_transport", recorded)
+    rng = random.Random(f"excess {kind}")
+    unreachable = shared = 0
+    for _ in range(12):
+        n = rng.randint(2, 6)
+        d = ext_graph(rng, n, connected=False) if kind == "ext-plus" else unit_graph(rng, n)
+        unreachable += sum(is_inf(v) for _x, _y, v in metric_closure(d).pairs())
+        pairs = [(dirac(x), dirac(y)) for x in d.carrier for y in d.carrier]
+        for mass in (F(1), F(3, 5)):
+            p, q = overlapping_pair(rng, d, mass)
+            pairs += [(p, q), (q, p), (p, p)]
+        for p, q in pairs:
+            del shipped[:]
+            value = kantorovich_lp(d, p, q)
+            assert value == fraction_transport(d, p, q) == lp_oracle(d, p, q), \
+                (d.dist, p, q)
+            excess = {x: p.weight(x) - q.weight(x) for x in set(p.support() + q.support())}
+            if p == q:
+                assert value == 0 and shipped == []
+                continue
+            # The solver sees the net masses only: no point both sends and
+            # receives, and the common mass never enters the problem.
+            [(supply, demand)] = shipped
+            assert len(supply) == sum(v > 0 for v in excess.values())
+            assert len(demand) == sum(v < 0 for v in excess.values())
+            mass_scale = lcm(*(w.denominator for _x, w in p.items() + q.items()))
+            assert sum(supply) == sum(demand) == \
+                sum(v for v in excess.values() if v > 0) * mass_scale
+            shared += any(v == 0 for v in excess.values())
+    assert shared > 0
+    assert (unreachable > 0) == (kind == "ext-plus")
 
 
 def test_lp_checks_in_order():

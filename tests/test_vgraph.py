@@ -191,7 +191,8 @@ def test_vgraph_document_validates_each_entry_once(monkeypatch):
     doc = load_fixture("transport.json")
     calls = count_validate(monkeypatch, EXT_PLUS)
     graph = model_from_json(doc).graph
-    assert len(calls) == sum(len(row) for row in doc["dist"]) == 9
+    # One validation per distinct literal: "0", "3", "5" and "4".
+    assert len(calls) == len({v for row in doc["dist"] for v in row}) == 4
     assert all(type(v) is F for _x, _y, v in graph.pairs())
     assert graph.at("A", "C") == F(5)
     del calls[:]
