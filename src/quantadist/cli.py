@@ -193,7 +193,7 @@ def _cmd_laws(args) -> int:
         results = polyfunctor_suite()
     elif args.scope == "distlaw":
         results = []
-        for name, law in sorted(case_study_laws().items()):
+        for _name, law in sorted(case_study_laws().items()):
             if args.mutant_g:
                 law = DistLaw(law.functor, law.monad, law.quantale,
                               g_variant=ALWAYS_LEFT)

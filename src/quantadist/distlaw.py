@@ -606,14 +606,14 @@ def _zeta_nonexpansive_boolean(law: DistLaw) -> CheckResult:
     tf_evals = [StarEval(ev_t, ev) for ev in lam_f]
     ft_evals = [StarEval(ev, ev_t) for ev in lam_f]
     n = len(tf_terms)
-    tf_lifting = compile_lifting(BOOLEAN, None, tf_evals, tf_terms)
+    tf_lifting = compile_lifting(None, tf_evals, tf_terms)
     # The images may collide, so the other side is a matrix by position
     # rather than a graph keyed by term.
-    ft_scores = score_program(BOOLEAN, ft_evals, ft_terms)
+    ft_scores = score_program(ft_evals, ft_terms)
 
     def fails(d, preds):
         d_tf = tf_lifting(d, preds)
-        d_ft = residual_meet(BOOLEAN, n, ft_scores(preds.preds))
+        d_ft = residual_meet(n, ft_scores(preds.preds))
         for i in range(n):
             for j in range(n):
                 if not BOOLEAN.leq(d_tf.dist[i][j], d_ft[i][j]):

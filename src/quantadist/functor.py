@@ -1,6 +1,7 @@
 """Finite-coproduct polynomial functors: syntax, terms, generated
 evaluation maps, closed-form lifted distances, and the generic meet
-formula for the Kantorovich lifting.
+formula for the Kantorovich lifting over the booleans, where the full
+predicate class is enumerable and the formula is exact.
 
 Functor grammar: constants over the quantale's own values (evaluated
 by the identity), the identity functor, finite labelled products, and
@@ -15,8 +16,7 @@ from operator import itemgetter
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .canon import canon_key
-from .galois import (Grid, Pred, PredSet, gamma_enum, nonexpansive_into_value,
-                     residual_meet)
+from .galois import Pred, PredSet, gamma_enum, nonexpansive_into_value, residual_meet
 from .monadlift import Monad
 from .quantale import BOOLEAN, Quantale
 from .vgraph import Carrier, CarrierMismatchError, VGraph, metric_closure
@@ -369,6 +369,8 @@ def lift_closed(functor: FunctorExpr, d: VGraph, terms: Sequence[object]) -> VGr
 
 # -- generic Kantorovich formula ------------------------------------------------
 #
+# The formula is compiled over the booleans only (``score_program``,
+# ``compile_lifting``); readers and ``eval_map`` serve every quantale.
 # A reader is an evaluation map compiled on one term: a function from a
 # predicate to the term's score, that is, to the value of the map on the
 # term with the predicate applied at its carrier leaves.  A polynomial
@@ -433,9 +435,8 @@ def _recording_lookup(reads: Dict[object, None]) -> Callable[[object], Reader]:
 ScoreProgram = Callable[[Sequence[Pred]], Iterator[List[object]]]
 
 
-def score_program(q: Quantale, evals: Sequence[EvalMap],
-                  terms: Sequence[object]) -> ScoreProgram:
-    """Compile the score vectors of ``terms`` under ``evals``.
+def score_program(evals: Sequence[EvalMap], terms: Sequence[object]) -> ScoreProgram:
+    """Compile the boolean score vectors of ``terms`` under ``evals``.
 
     Each (map, term) pair is compiled once into a reader, along with the
     carrier elements the map reads on any of the terms.  Running the
@@ -446,7 +447,7 @@ def score_program(q: Quantale, evals: Sequence[EvalMap],
     compiled = []
     for ev in evals:
         reads: Dict[object, None] = {}
-        readers = [_reader(q, ev, t, _recording_lookup(reads)) for t in terms]
+        readers = [_reader(BOOLEAN, ev, t, _recording_lookup(reads)) for t in terms]
         compiled.append((tuple(reads), readers))
 
     def scores(preds: Sequence[Pred]) -> Iterator[List[object]]:
@@ -465,48 +466,48 @@ def score_program(q: Quantale, evals: Sequence[EvalMap],
 Lifting = Callable[[VGraph, PredSet], VGraph]
 
 
-def compile_lifting(q: Quantale, functor: Optional[FunctorExpr],
-                    evals: Sequence[EvalMap], terms: Sequence[object]) -> Lifting:
-    """Compile the generic Kantorovich formula over ``q`` on ``terms``:
-    the meet over evaluation maps and supplied predicates of the
-    residuated evaluation differences.
+def compile_lifting(functor: Optional[FunctorExpr], evals: Sequence[EvalMap],
+                    terms: Sequence[object]) -> Lifting:
+    """Compile the generic Kantorovich formula over the booleans on
+    ``terms``: the meet over evaluation maps and supplied predicates of
+    the residuated evaluation differences.
 
     Compiling checks the terms against ``functor`` (unless it is None),
     builds the term carrier and compiles the score vectors
     (``score_program``); none of that depends on the graph.  Running the
-    lifting on ``(d, preds)`` does only the predicate-dependent work.
-    With the full boolean predicate class this computes the lifting
-    exactly; with grid predicate sets it is a quantale-order
-    under-approximation.  Every predicate must be non-expansive for
+    lifting on a boolean graph and a predicate set ``(d, preds)`` does
+    only the predicate-dependent work; a graph over another quantale is
+    refused.  With the full predicate class, ``gamma_enum(d)``, this is
+    the lifting exactly.  Every predicate must be non-expansive for
     ``d`` (rejected with a witness pair otherwise); a set that
     ``gamma_enum`` enumerated from ``d`` itself (``preds.source is d``)
     holds only such predicates and is not checked again.  The result's
-    entries are computed by quantale operations, so they are not
-    validated again.
+    entries are booleans by construction, so they are not validated
+    again.
     """
     if functor is not None:
         for t in terms:
             shape_check(functor, t)
     out_carrier = _term_carrier(terms)
-    scores = score_program(q, evals, terms)
+    scores = score_program(evals, terms)
     n = len(terms)
 
     def lifting(d: VGraph, preds: PredSet) -> VGraph:
-        if d.quantale is not q:
+        if d.quantale is not BOOLEAN:
             raise CarrierMismatchError(
-                f"lifting compiled over {q.ident} run on a {d.quantale.ident} graph")
+                f"lifting compiled over boolean run on a {d.quantale.ident} graph")
         if preds.source is not d:
             for f in preds.preds:
-                witness = nonexpansive_into_value(q, d, f)
+                witness = nonexpansive_into_value(d, f)
                 if witness is not None:
                     raise ValueError(f"predicate not non-expansive at pair {witness}")
-        return VGraph(q, out_carrier, residual_meet(q, n, scores(preds.preds)),
+        return VGraph(BOOLEAN, out_carrier, residual_meet(n, scores(preds.preds)),
                       validated=True)
     return lifting
 
 
 #: A compiled compositionality check: ``check(d, preds)`` is the report
-#: on a boolean graph ``d``, given ``preds`` = ``gamma_enum(d, Grid(1))``.
+#: on a boolean graph ``d``, given ``preds`` = ``gamma_enum(d)``.
 CompositionalityCheck = Callable[[VGraph, PredSet], dict]
 
 
@@ -522,12 +523,12 @@ def compositionality_check(outer: FunctorExpr, lam_outer: Sequence[EvalMap],
     that holds unconditionally: the composed lifting is below the
     combined one in the quantale order.
 
-    Its three liftings are compiled once over ``BOOLEAN``: the inner one
+    Its three liftings are compiled once: the inner one
     on ``inner_terms``, the outer one on the composed terms with each
     inner term replaced by its key (the inner graph's carrier), and the
     combined ``star`` one on ``composed_terms``.  The returned check runs
     them on a boolean graph d and its predicate set ``preds``, which
-    must be ``gamma_enum(d, Grid(1))``; only the outer lifting
+    must be ``gamma_enum(d)``; only the outer lifting
     enumerates predicates, those of the inner graph.  A graph over
     another quantale is refused by the compiled liftings.  Every value
     compared is a function of ``preds``: both liftings of d read d only
@@ -536,17 +537,16 @@ def compositionality_check(outer: FunctorExpr, lam_outer: Sequence[EvalMap],
     report, which lets the exhaustive boolean suites run the check on
     one graph per set (``suites.BooleanFibre``).
     """
-    inner_lifting = compile_lifting(BOOLEAN, inner, lam_inner, inner_terms)
+    inner_lifting = compile_lifting(inner, lam_inner, inner_terms)
     outer_lifting = compile_lifting(
-        BOOLEAN, outer, lam_outer, [map_payloads(t, canon_key) for t in composed_terms])
-    combined_lifting = compile_lifting(BOOLEAN, outer, star(lam_outer, lam_inner),
-                                       composed_terms)
+        outer, lam_outer, [map_payloads(t, canon_key) for t in composed_terms])
+    combined_lifting = compile_lifting(outer, star(lam_outer, lam_inner), composed_terms)
     n = len(composed_terms)
-    grid, leq = Grid(1), BOOLEAN.leq
+    leq = BOOLEAN.leq
 
     def check(d: VGraph, preds: PredSet) -> dict:
         inner_graph = inner_lifting(d, preds)
-        lhs = outer_lifting(inner_graph, gamma_enum(inner_graph, grid))
+        lhs = outer_lifting(inner_graph, gamma_enum(inner_graph))
         rhs = combined_lifting(d, preds)
         equal = lhs.dist == rhs.dist
         composed_below_combined = all(

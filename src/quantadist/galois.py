@@ -1,17 +1,19 @@
 """Predicate sets, the generating/observing Galois pair, and extensions.
 
-``alpha`` turns a set of quantale-valued predicates into the greatest
+``alpha`` turns a set of boolean predicates into the greatest boolean
 conformance making them all non-expansive; ``gamma_enum`` enumerates
-the non-expansive predicates with values restricted to a finite grid
-(exact for the boolean quantale, a finite approximation otherwise).
-The pair restricts to a contravariant Galois connection, and
-``alpha(gamma(d))`` is the metric closure of ``d``.
+the non-expansive boolean predicates of a boolean graph, which is the
+whole predicate class, so the pair is exact: it restricts to a
+contravariant Galois connection, and ``alpha(gamma(d))`` is the metric
+closure of ``d``.  On the real-valued quantales the liftings are the
+closed forms in ``functor`` and ``monadlift``; the grid-predicate form
+of the same formula is a test-side oracle for them.
 
 ``extension_largest`` and ``extension_smallest`` realize the two
 canonical non-expansive extensions of a predicate defined on a
-sub-carrier of a V-category; note that "largest"/"smallest" refer to
-the quantale order, which is the reversed numeric order on the
-real-valued quantales.
+sub-carrier of a V-category over any of the quantales; note that
+"largest"/"smallest" refer to the quantale order, which is the reversed
+numeric order on the real-valued quantales.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ class PredSet:
     ``gamma_enum`` enumerated the set from, every predicate non-expansive
     for it; None for a set built any other way."""
 
-    quantale: Quantale
     carrier: Carrier
     preds: List[Pred]
     source: Optional[VGraph] = field(default=None, repr=False, compare=False)
@@ -56,7 +57,7 @@ class PredSet:
 
 @dataclass(frozen=True)
 class Grid:
-    """Finite value grid used by enumeration oracles.
+    """Finite value grid, the value lists of the law suites.
 
     For unit-oplus the grid is {0, 1/k, ..., 1}; for ext-plus it is
     {0, 1/k, ..., cap} plus infinity; for boolean it is the whole
@@ -84,40 +85,20 @@ def grid_values(q: Quantale, grid: Grid) -> List[object]:
     raise QuantaleError(f"no grid for quantale {q.ident!r}")
 
 
-def residual_meet(q: Quantale, n: int, vectors: Iterable[Sequence]) -> List[List]:
-    """The n x n matrix whose (i, j) entry is the meet, over the score
-    vectors ``s``, of ``residuate(s[i], s[j])``; top everywhere when
-    there is no vector.
+def residual_meet(n: int, vectors: Iterable[Sequence]) -> List[List[bool]]:
+    """The n x n boolean matrix whose (i, j) entry is the meet, over the
+    boolean score vectors ``s``, of ``residuate(s[i], s[j])``; True
+    everywhere when there is no vector.
 
-    Each vector is folded in as it arrives, so ``vectors`` may be a
-    generator and no more than one vector is held at a time.
-
-    Over the boolean quantale ``residuate(a, b)`` is ``not a or b`` and
-    the meet is conjunction, so entry (i, j) is True exactly when no
-    vector is True at i and False at j.  That fold keeps two bitmasks
-    per vector, the positions where it is True and where it is False,
-    and ORs the False mask into a per-row mask at each True position;
-    equal vectors give equal masks and are folded once.  It computes
-    the same booleans as the generic fold without a ``residuate`` or
-    ``meet2`` call per entry.
+    Over the booleans ``residuate(a, b)`` is ``not a or b`` and the meet
+    is conjunction, so entry (i, j) is True exactly when no vector is
+    True at i and False at j.  Each vector is folded in as it arrives
+    (``vectors`` may be a generator) as the bitmask of its True
+    positions, so equal vectors are folded once; then every row i ORs in
+    the False mask of each vector True at i.
     """
-    if q is BOOLEAN:
-        return _boolean_residual_meet(n, vectors)
-    dist = [[q.top] * n for _ in range(n)]
-    meet2, residuate = q.meet2, q.residuate
-    for s in vectors:
-        for row, si in zip(dist, s):
-            for j, sj in enumerate(s):
-                row[j] = meet2(row[j], residuate(si, sj))
-    return dist
-
-
-def _boolean_residual_meet(n: int, vectors: Iterable[Sequence]) -> List[List[bool]]:
-    """``residual_meet`` over the boolean quantale, by bitmasks."""
     full = (1 << n) - 1
-    true_masks = set()
-    for s in vectors:
-        true_masks.add(sum(1 << i for i, v in enumerate(s) if v))
+    true_masks = {sum(1 << i for i, v in enumerate(s) if v) for s in vectors}
     # broken[i]: the positions j with some vector True at i and False at j.
     broken = [0] * n
     for mask in true_masks:
@@ -129,47 +110,50 @@ def _boolean_residual_meet(n: int, vectors: Iterable[Sequence]) -> List[List[boo
 
 
 def alpha(preds: PredSet) -> VGraph:
-    """Greatest conformance turning every predicate into a non-expansive map.
+    """Greatest boolean conformance turning every boolean predicate into
+    a non-expansive map.
 
-    The empty predicate set yields the all-top graph.
+    The empty predicate set yields the all-True graph.
     """
-    q = preds.quantale
     c = preds.carrier
     vectors = ([p[x] for x in c.elements] for p in preds.preds)
-    return VGraph(q, c, residual_meet(q, len(c), vectors))
+    return VGraph(BOOLEAN, c, residual_meet(len(c), vectors))
 
 
-def nonexpansive_into_value(q: Quantale, d: VGraph, p: Pred) -> Optional[Tuple[str, str]]:
-    """Return a violating pair if ``p`` fails d <= d_V o (p x p), else None."""
+def nonexpansive_into_value(d: VGraph, p: Pred) -> Optional[Tuple[str, str]]:
+    """Return a violating pair if the boolean predicate ``p`` fails
+    d <= d_V o (p x p) on the boolean graph ``d``, else None: a pair
+    with d(x, y), p(x) and not p(y)."""
     for x, y, v in d.pairs():
-        if not q.leq(v, q.residuate(p[x], p[y])):
+        if v and p[x] and not p[y]:
             return (x, y)
     return None
 
 
-def gamma_enum(d: VGraph, grid: Grid, budget: int = 10 ** 6) -> PredSet:
-    """All grid-valued predicates that are non-expansive from ``d`` into
-    the residuation distance.
+def gamma_enum(d: VGraph, budget: int = 10 ** 6) -> PredSet:
+    """All boolean predicates that are non-expansive from the boolean
+    graph ``d`` into the residuation distance, in the order of
+    ``product((False, True), repeat=n)``.
 
-    Exact for the boolean quantale; a finite under-approximation of the
-    full predicate class otherwise.  Refuses (rather than truncating)
-    when the candidate space exceeds ``budget``.
+    This is the whole predicate class, so the Kantorovich lifting over
+    it is exact.  Refuses a graph over another quantale, and refuses
+    (rather than truncating) when the 2**n candidates exceed ``budget``.
     """
-    q = d.quantale
-    vals = grid_values(q, grid)
+    if d.quantale is not BOOLEAN:
+        raise QuantaleError(f"gamma_enum needs a boolean graph, got {d.quantale.ident}")
     n = len(d.carrier)
-    total = len(vals) ** n
+    total = 2 ** n
     if total > budget:
         raise BudgetError(
             f"gamma enumeration needs {total} candidates, budget is {budget}"
         )
     els = d.carrier.elements
     preds: List[Pred] = []
-    for combo in product(vals, repeat=n):
+    for combo in product((False, True), repeat=n):
         p = dict(zip(els, combo))
-        if nonexpansive_into_value(q, d, p) is None:
+        if nonexpansive_into_value(d, p) is None:
             preds.append(p)
-    return PredSet(q, d.carrier, preds, source=d)
+    return PredSet(d.carrier, preds, source=d)
 
 
 def reindex_preds(preds: PredSet, f) -> PredSet:
@@ -177,7 +161,7 @@ def reindex_preds(preds: PredSet, f) -> PredSet:
     if f.codomain != preds.carrier:
         raise ValueError("predicate reindexing: carrier mismatch")
     out = [{x: p[f(x)] for x in f.domain} for p in preds.preds]
-    return PredSet(preds.quantale, f.domain, out)
+    return PredSet(f.domain, out)
 
 
 def _closed_input(d: VGraph) -> VGraph:

@@ -62,7 +62,7 @@ class LPProblem:
             for v in con.coeffs:
                 if v not in known:
                     raise ValueError(f"constraint references unknown variable {v!r}")
-        for v, (lo, hi) in self.bounds.items():
+        for v, (lo, _hi) in self.bounds.items():
             if v not in known:
                 raise ValueError(f"bound on unknown variable {v!r}")
             if lo is not None and lo != 0:
@@ -171,7 +171,6 @@ def simplex_solve(lp: LPProblem) -> LPSolution:
         if rel in ("<=", ">="):
             ncols += 1
     artificial_start = ncols
-    art_rows = [i for i, (_c, rel, _b) in enumerate(normalized)]
     nart = 0
     for _c, rel, _b in normalized:
         if rel in (">=", "=="):

@@ -164,7 +164,7 @@ def _predset_keys(preds: PredSet) -> frozenset:
 @dataclass
 class BooleanFibre:
     """Every boolean graph on one carrier, in ``all_bool_graphs`` order,
-    with its predicate set gamma(d) = ``gamma_enum(d, Grid(1))``
+    with its predicate set gamma(d) = ``gamma_enum(d)``
     computed once, the set's keys (``_predset_keys``), and the index of
     its gamma-class, the graphs with the same predicate set.
 
@@ -217,7 +217,7 @@ def boolean_fibre(c: Carrier) -> BooleanFibre:
     """The boolean graphs on ``c`` grouped by predicate set; see
     ``BooleanFibre``."""
     graphs = all_bool_graphs(c)
-    gammas = [gamma_enum(d, Grid(1)) for d in graphs]
+    gammas = [gamma_enum(d) for d in graphs]
     keys = [_predset_keys(preds) for preds in gammas]
     class_of: Dict[frozenset, int] = {}
     classes = [class_of.setdefault(k, len(class_of)) for k in keys]
@@ -248,7 +248,7 @@ def galois_suite() -> List[CheckResult]:
             chosen_keys = frozenset(pred_keys[i] for i in range(len(preds)) if pbits[i])
             # d <= alpha(S) pointwise reads off the bits of ``fibre.index``:
             # no entry of d is True where alpha(S) is False.
-            ag_bits = fibre.index(alpha(PredSet(BOOLEAN, c, chosen)))
+            ag_bits = fibre.index(alpha(PredSet(c, chosen)))
             for idx, d in enumerate(graphs):
                 lhs = not idx & ~ag_bits
                 rhs = chosen_keys <= fibre.keys[idx]
@@ -272,7 +272,7 @@ def galois_suite() -> List[CheckResult]:
             f"boolean co-closure equals metric closure, {n}-point carrier",
             ok_cc, witness))
 
-        ok_cat = all(is_vcat(alpha(PredSet(BOOLEAN, c, list(sub))))
+        ok_cat = all(is_vcat(alpha(PredSet(c, list(sub))))
                      for sub in [preds[:0], preds[:1], preds[:3], preds])
         out.append(CheckResult(
             f"alpha lands in V-Cat, {n}-point carrier", ok_cat))
@@ -291,7 +291,7 @@ def galois_suite() -> List[CheckResult]:
         for f in all_maps(dom, cod):
             for pbits in product([False, True], repeat=len(cod_preds)):
                 chosen = [cod_preds[i] for i in range(len(cod_preds)) if pbits[i]]
-                pset = PredSet(BOOLEAN, cod, chosen)
+                pset = PredSet(cod, chosen)
                 lhs = alpha(reindex_preds(pset, f))
                 rhs = reindex(f, alpha(pset))
                 if not graph_equal(lhs, rhs):

@@ -18,13 +18,14 @@ from quantadist.models import fixture_certificate, fixture_model
 from quantadist.monadlift import (POWERSET, SUBDIST, dirac, finsubset,
                                   hausdorff_directed, kantorovich_lp, pricing_lp,
                                   subdist)
-from quantadist.quantale import BOOLEAN, EXT_PLUS, UNIT_OPLUS
+from quantadist.quantale import EXT_PLUS, UNIT_OPLUS
 from quantadist.repro import REPRODUCTIONS
 from quantadist.simplex import simplex_solve
 from quantadist.suites import (all_bool_graphs, extension_suite, galois_suite,
                                polyfunctor_suite, quantale_suite)
 from quantadist.vgraph import carrier, graph_from_entries
 
+from grid_oracle import grid_gamma, grid_lifting
 from test_behaviour import tiny_powerset_model, u_exact
 
 
@@ -128,15 +129,15 @@ def test_criterion_6_oracle_consistency():
     # oracle exactly.
     c = carrier(["x", "y"])
     subsets = [finsubset(s) for s in ([], ["x"], ["y"], ["x", "y"])]
-    oracle_lifting = compile_lifting(BOOLEAN, None, [MonadEval(POWERSET)], subsets)
+    oracle_lifting = compile_lifting(None, [MonadEval(POWERSET)], subsets)
     for d in all_bool_graphs(c):
-        oracle = oracle_lifting(d, gamma_enum(d, Grid(1)))
+        oracle = oracle_lifting(d, gamma_enum(d))
         for i, u in enumerate(subsets):
             for j, v in enumerate(subsets):
                 assert hausdorff_directed(d, u, v) == oracle.dist[i][j]
 
-    # Real-valued: closed forms dominate every grid value and the gap
-    # closes as the grid refines.
+    # Real-valued: closed forms dominate every value of the grid oracle
+    # and the gap closes as the grid refines.
     d = graph_from_entries(UNIT_OPLUS, c,
                            {("x", "y"): F(1, 4), ("y", "x"): F(1, 2)},
                            default=F(0))
@@ -147,11 +148,11 @@ def test_criterion_6_oracle_consistency():
                for i in range(3) for j in range(3)}
     exact_w = {(i, j): kantorovich_lp(d, dist_pairs[i], dist_pairs[j])
                for i in range(3) for j in range(3)}
-    hausdorff = compile_lifting(UNIT_OPLUS, None, [MonadEval(POWERSET)], sub_pairs)
-    wasserstein = compile_lifting(UNIT_OPLUS, None, [MonadEval(SUBDIST)], dist_pairs)
+    hausdorff = grid_lifting(UNIT_OPLUS, None, [MonadEval(POWERSET)], sub_pairs)
+    wasserstein = grid_lifting(UNIT_OPLUS, None, [MonadEval(SUBDIST)], dist_pairs)
     prev_h = prev_w = None
     for k in (2, 4, 8):
-        preds = gamma_enum(d, Grid(k))
+        preds = grid_gamma(d, Grid(k))
         grid_h = hausdorff(d, preds)
         grid_w = wasserstein(d, preds)
         gap_h = sum(exact_h[(i, j)] - grid_h.dist[i][j]

@@ -15,6 +15,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import graph_leq
+from grid_oracle import grid_gamma, grid_lifting
 from quantadist import distlaw, functor, galois, suites
 from quantadist.canon import canon_key
 from quantadist.distlaw import (ALWAYS_LEFT, _f_terms_over, _shape_name,
@@ -60,7 +61,7 @@ def oracle_compositionality_rows():
             ok = True
             witness = ""
             for d in all_bool_graphs(XY):
-                report = check(d, gamma_enum(d, Grid(1)))
+                report = check(d, gamma_enum(d))
                 if not (report["equal"] and report["composed_below_combined"]):
                     ok = False
                     witness = f"d={d.dist}"
@@ -83,12 +84,11 @@ def oracle_zeta_nonexpansive_boolean(law):
     ft_evals = [StarEval(ev, ev_t) for ev in lam_f]
     n = len(tf_terms)
     # Read through the module so that a patched lifting reaches here too.
-    tf_lifting = functor.compile_lifting(BOOLEAN, None, tf_evals, tf_terms)
+    tf_lifting = functor.compile_lifting(None, tf_evals, tf_terms)
     for d in all_bool_graphs(XY):
-        preds = gamma_enum(d, Grid(1))
+        preds = gamma_enum(d)
         d_tf = tf_lifting(d, preds)
-        d_ft = residual_meet(BOOLEAN, n,
-                             score_program(BOOLEAN, ft_evals, ft_terms)(preds.preds))
+        d_ft = residual_meet(n, score_program(ft_evals, ft_terms)(preds.preds))
         for i in range(n):
             for j in range(n):
                 if not BOOLEAN.leq(d_tf.dist[i][j], d_ft[i][j]):
@@ -118,7 +118,7 @@ def test_fibre_lists_every_graph_with_its_gamma(size):
     assert [d.dist for d in fibre.graphs] == [d.dist for d in graphs]
     for i, d in enumerate(graphs):
         assert fibre.index(d) == i
-        assert fibre.gammas[i].preds == gamma_enum(d, Grid(1)).preds
+        assert fibre.gammas[i].preds == gamma_enum(d).preds
         assert fibre.keys[i] == _predset_keys(fibre.gammas[i])
     for i, k in enumerate(fibre.classes):
         assert fibre.firsts[k] <= i
@@ -317,13 +317,11 @@ def test_galois_suite_enumerates_each_graph_once(monkeypatch):
 
 # -- the invariant the grouping relies on -------------------------------------------
 
-def _assert_lifting_is_a_function_of_gamma(functor_expr, graphs, grid, terms):
-    lifting = functor.compile_lifting(graphs[0].quantale, functor_expr,
-                                      build_lambda(functor_expr), terms)
+def _assert_lifting_is_a_function_of_gamma(lifting, gamma, graphs):
     by_gamma = {}
     repeated = 0
     for d in graphs:
-        preds = gamma_enum(d, grid)
+        preds = gamma(d)
         lifted = lifting(d, preds).dist
         key = _predset_keys(preds)
         if key in by_gamma:
@@ -338,22 +336,25 @@ def _assert_lifting_is_a_function_of_gamma(functor_expr, graphs, grid, terms):
 def test_boolean_lifting_depends_only_on_gamma(shape):
     f = SHAPES[shape]
     terms = _f_terms_over(f, list(XY.elements), [False, True])
-    _assert_lifting_is_a_function_of_gamma(f, all_bool_graphs(XY), Grid(1), terms)
+    lifting = functor.compile_lifting(f, build_lambda(f), terms)
+    _assert_lifting_is_a_function_of_gamma(lifting, gamma_enum, all_bool_graphs(XY))
 
     xyz = carrier(["x", "y", "z"])
     rng = random.Random(11)
     graphs = rng.sample(all_bool_graphs(xyz), 96)
     terms = _f_terms_over(f, list(xyz.elements), [False, True])
-    _assert_lifting_is_a_function_of_gamma(f, graphs, Grid(1), terms)
+    lifting = functor.compile_lifting(f, build_lambda(f), terms)
+    _assert_lifting_is_a_function_of_gamma(lifting, gamma_enum, graphs)
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 def test_grid_lifting_depends_only_on_grid_gamma(shape):
-    # On unit-oplus, gamma_enum(d, Grid(2)) is the grid under-approximation.
+    # On unit-oplus, the grid oracle over Grid(2) is the grid under-approximation.
     f = SHAPES[shape]
     vals = grid_values(UNIT_OPLUS, Grid(2))
     rng = random.Random(5)
     graphs = [VGraph(UNIT_OPLUS, XY, [[rng.choice(vals) for _ in XY] for _ in XY])
               for _ in range(60)]
     terms = _f_terms_over(f, list(XY.elements), [Fraction(0), Fraction(1, 2)])
-    _assert_lifting_is_a_function_of_gamma(f, graphs, Grid(2), terms)
+    lifting = grid_lifting(UNIT_OPLUS, f, build_lambda(f), terms)
+    _assert_lifting_is_a_function_of_gamma(lifting, lambda d: grid_gamma(d, Grid(2)), graphs)

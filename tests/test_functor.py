@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 
 from conftest import graph_leq, machine_term
+from grid_oracle import grid_gamma, grid_lifting
 from quantadist.canon import canon_key
 from quantadist.functor import (ConstF, ConstLeaf, CoprodF,
                                 IdEval, IdF, IdLeaf, Inl, Inr, MonadEval, ProdF,
@@ -121,7 +122,7 @@ def test_coproduct_eval_sets_associative_via_distances():
 def test_generic_identity_equals_closure_boolean():
     terms = [IdLeaf("x"), IdLeaf("y")]
     for d in all_bool_graphs(XY):
-        out = compile_lifting(BOOLEAN, IdF(), [IdEval()], terms)(d, gamma_enum(d, Grid(1)))
+        out = compile_lifting(IdF(), [IdEval()], terms)(d, gamma_enum(d))
         closed = metric_closure(d)
         for i, x in enumerate(XY.elements):
             for j, y in enumerate(XY.elements):
@@ -129,30 +130,29 @@ def test_generic_identity_equals_closure_boolean():
 
 
 def test_generic_empty_eval_set_gives_top():
-    d = graph_from_entries(UNIT_OPLUS, XY, {("x", "y"): F(1, 2)}, default=F(0))
-    out = compile_lifting(UNIT_OPLUS, MACHINE, [], [machine_term(F(0), "x")])(
-        d, gamma_enum(d, Grid(2)))
-    assert out.dist[0][0] == UNIT_OPLUS.top
+    d = graph_from_entries(BOOLEAN, XY, {("x", "y"): True}, default=False)
+    out = compile_lifting(MACHINE, [], [machine_term(False, "x")])(d, gamma_enum(d))
+    assert out.dist[0][0] == BOOLEAN.top
 
 
 def test_generic_rejects_expansive_predicates():
-    d = graph_from_entries(UNIT_OPLUS, XY, {("x", "y"): F(1, 4)}, default=F(0))
-    bad = PredSet(UNIT_OPLUS, XY, [{"x": F(0), "y": F(1)}])
-    with pytest.raises(ValueError, match="non-expansive"):
-        compile_lifting(UNIT_OPLUS, IdF(), [IdEval()], [IdLeaf("x")])(d, bad)
+    d = graph_from_entries(BOOLEAN, XY, {("x", "y"): True}, default=False)
+    bad = PredSet(XY, [{"x": True, "y": False}])
+    with pytest.raises(ValueError, match=r"non-expansive at pair \('x', 'y'\)"):
+        compile_lifting(IdF(), [IdEval()], [IdLeaf("x")])(d, bad)
 
 
 def test_generic_checks_predicates_enumerated_from_another_graph():
     # Every predicate is non-expansive for the all-bottom graph; only the
     # constant ones are for the all-top graph.
-    loose = graph_from_entries(UNIT_OPLUS, XY, {}, default=F(1))
-    tight = graph_from_entries(UNIT_OPLUS, XY, {}, default=F(0))
-    preds = gamma_enum(loose, Grid(1))
+    loose = graph_from_entries(BOOLEAN, XY, {}, default=False)
+    tight = graph_from_entries(BOOLEAN, XY, {}, default=True)
+    preds = gamma_enum(loose)
     assert preds.source is loose and len(preds) == 4
-    lifting = compile_lifting(UNIT_OPLUS, IdF(), [IdEval()], [IdLeaf("x")])
+    lifting = compile_lifting(IdF(), [IdEval()], [IdLeaf("x")])
     with pytest.raises(ValueError, match="non-expansive"):
         lifting(tight, preds)
-    same = VGraph(UNIT_OPLUS, XY, [row[:] for row in loose.dist])
+    same = VGraph(BOOLEAN, XY, [row[:] for row in loose.dist])
     assert lifting(same, preds).dist == lifting(loose, preds).dist
 
 
@@ -160,30 +160,31 @@ def test_compiled_lifting_runs_on_many_graphs():
     # One compiled lifting, run on every graph in turn, gives each
     # graph's lifting; nothing of one run carries over to the next.
     terms = [machine_term(b, g) for b in (False, True) for g in ("x", "y")]
-    lifting = compile_lifting(BOOLEAN, MACHINE, build_lambda(MACHINE), terms)
+    lifting = compile_lifting(MACHINE, build_lambda(MACHINE), terms)
     graphs = all_bool_graphs(XY)
     for d in graphs + graphs[::-1]:
-        preds = gamma_enum(d, Grid(1))
-        fresh = compile_lifting(BOOLEAN, MACHINE, build_lambda(MACHINE), terms)
+        preds = gamma_enum(d)
+        fresh = compile_lifting(MACHINE, build_lambda(MACHINE), terms)
         assert lifting(d, preds).dist == fresh(d, preds).dist
 
 
 def test_compiled_lifting_refuses_a_graph_over_another_quantale():
-    lifting = compile_lifting(BOOLEAN, IdF(), [IdEval()], [IdLeaf("x")])
+    lifting = compile_lifting(IdF(), [IdEval()], [IdLeaf("x")])
     d = graph_from_entries(UNIT_OPLUS, XY, {}, default=F(0))
-    with pytest.raises(CarrierMismatchError, match="boolean"):
-        lifting(d, gamma_enum(d, Grid(1)))
+    with pytest.raises(CarrierMismatchError, match="boolean run on a unit-oplus graph"):
+        lifting(d, PredSet(XY, [{"x": F(0), "y": F(0)}]))
 
 
 def test_generic_grid_bounds_closed_form_machine():
+    # The closed form against the grid oracle, which tightens to it.
     d = graph_from_entries(UNIT_OPLUS, XY, {("x", "y"): F(1, 4), ("y", "x"): F(1, 2)},
                            default=F(0))
     terms = [machine_term(r, s) for r in (F(0), F(1, 2)) for s in ("x", "y")]
     closed = lift_closed(MACHINE, d, terms)
-    lifting = compile_lifting(UNIT_OPLUS, MACHINE, build_lambda(MACHINE), terms)
+    lifting = grid_lifting(UNIT_OPLUS, MACHINE, build_lambda(MACHINE), terms)
     prev_gap = None
     for k in (2, 4, 8):
-        approx = lifting(d, gamma_enum(d, Grid(k)))
+        approx = lifting(d, grid_gamma(d, Grid(k)))
         gap = F(0)
         n = len(terms)
         for i in range(n):
@@ -252,12 +253,12 @@ def test_compositionality_boolean_exhaustive(outer_shape, inner_kind):
     check = compositionality_check(outer, build_lambda(outer), inner,
                                    build_lambda(inner), g_terms, fg_terms)
     for d in all_bool_graphs(XY):
-        report = check(d, gamma_enum(d, Grid(1)))
+        report = check(d, gamma_enum(d))
         assert report["composed_below_combined"]
         assert report["equal"], (d.dist, report["lhs"].dist, report["rhs"].dist)
     real = graph_from_entries(UNIT_OPLUS, XY, {}, default=F(0))
     with pytest.raises(CarrierMismatchError, match="boolean"):
-        check(real, gamma_enum(real, Grid(1)))
+        check(real, PredSet(XY, [{"x": F(0), "y": F(0)}]))
 
 
 def test_lambda_set_commutes_with_coclosure_boolean():
@@ -275,9 +276,9 @@ def test_lambda_set_commutes_with_coclosure_boolean():
         chosen = [preds[i] for i in range(len(preds)) if bits[i]]
         if not chosen:
             continue
-        pset = PredSet(BOOLEAN, XY, chosen)
+        pset = PredSet(XY, chosen)
         closed_graph = alpha(pset)
-        gamma_of_alpha = gamma_enum(closed_graph, Grid(1))
+        gamma_of_alpha = gamma_enum(closed_graph)
         # alpha_F of the pushed predicate set, on the explicit term carrier.
         lifted_graph = None
         n = len(terms)

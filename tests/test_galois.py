@@ -5,11 +5,12 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import geo
+from grid_oracle import generic_residual_meet, grid_alpha, grid_gamma
 from quantadist.galois import (BudgetError, Grid, PredSet, alpha, extension_largest,
                                extension_smallest, gamma_enum, grid_values,
                                residual_meet)
-from quantadist.quantale import BOOLEAN, EXT_PLUS, UNIT_OPLUS
-from quantadist.suites import extension_suite, galois_suite
+from quantadist.quantale import BOOLEAN, EXT_PLUS, UNIT_OPLUS, QuantaleError
+from quantadist.suites import all_bool_graphs
 from quantadist.vgraph import (carrier, graph_equal, graph_from_entries,
                                is_vcat, metric_closure)
 
@@ -19,36 +20,30 @@ XY = carrier(["x", "y"])
 
 def test_alpha_characteristic_predicate():
     pred = {"x": True, "y": False}
-    d = alpha(PredSet(BOOLEAN, XY, [pred]))
+    d = alpha(PredSet(XY, [pred]))
     assert d.at("x", "y") is False
     assert d.at("y", "x") is True
     assert d.at("x", "x") is True and d.at("y", "y") is True
 
 
 def test_alpha_empty_is_top():
-    d = alpha(PredSet(UNIT_OPLUS, XY, []))
+    d = alpha(PredSet(XY, []))
+    assert d.quantale is BOOLEAN
+    assert all(v is True for _x, _y, v in d.pairs())
+    # The grid oracle's alpha, over unit-oplus.
+    d = grid_alpha(UNIT_OPLUS, PredSet(XY, []))
     assert all(v == F(0) for _x, _y, v in d.pairs())
 
 
 def test_alpha_single_real_predicate():
-    d = alpha(PredSet(UNIT_OPLUS, XY, [{"x": F(0), "y": F(2, 5)}]))
+    # ``alpha`` is boolean; the grid oracle's alpha reads real-valued predicates.
+    d = grid_alpha(UNIT_OPLUS, PredSet(XY, [{"x": F(0), "y": F(2, 5)}]))
     assert d.at("x", "y") == F(2, 5)
     assert d.at("y", "x") == F(0)
 
 
-def generic_residual_meet(q, n, vectors):
-    """Oracle: the per-entry fold, one residuate and one meet2 per entry
-    and vector."""
-    dist = [[q.top] * n for _ in range(n)]
-    for s in vectors:
-        for i in range(n):
-            for j in range(n):
-                dist[i][j] = q.meet2(dist[i][j], q.residuate(s[i], s[j]))
-    return dist
-
-
 def assert_boolean_fold_agrees(n, vectors):
-    got = residual_meet(BOOLEAN, n, (list(s) for s in vectors))
+    got = residual_meet(n, (list(s) for s in vectors))
     assert got == generic_residual_meet(BOOLEAN, n, vectors)
     assert len(got) == n
     assert all(len(row) == n and all(type(v) is bool for v in row) for row in got)
@@ -65,7 +60,7 @@ def test_boolean_residual_meet_matches_the_generic_fold(n):
 
 def test_boolean_residual_meet_edge_vectors():
     for n in range(7):
-        assert residual_meet(BOOLEAN, n, []) == [[True] * n for _ in range(n)]
+        assert residual_meet(n, []) == [[True] * n for _ in range(n)]
         assert_boolean_fold_agrees(n, [[False] * n])
         assert_boolean_fold_agrees(n, [[True] * n, [True] * n])
         assert_boolean_fold_agrees(n, [[i == k for i in range(n)] for k in range(n)])
@@ -74,7 +69,7 @@ def test_boolean_residual_meet_edge_vectors():
 def test_gamma_boolean_discrete():
     d = graph_from_entries(BOOLEAN, XY, {("x", "x"): True, ("y", "y"): True},
                            default=False)
-    preds = gamma_enum(d, Grid(1))
+    preds = gamma_enum(d)
     assert len(preds) == 4
 
 
@@ -83,22 +78,44 @@ def test_gamma_boolean_total_order_monotone():
     d = graph_from_entries(BOOLEAN, XY,
                            {("x", "x"): True, ("y", "y"): True, ("x", "y"): True},
                            default=False)
-    preds = gamma_enum(d, Grid(1))
+    preds = gamma_enum(d)
     found = {(p["x"], p["y"]) for p in preds.preds}
     assert found == {(False, False), (False, True), (True, True)}
 
 
 def test_gamma_unit_discrete_all_maps():
+    # The grid oracle's gamma over unit-oplus.
     d = graph_from_entries(UNIT_OPLUS, XY, {("x", "y"): F(1), ("y", "x"): F(1)},
                            default=F(0))
-    preds = gamma_enum(d, Grid(2))
+    preds = grid_gamma(d, Grid(2))
     assert len(preds) == 9  # every grid map is non-expansive under the discrete metric
 
 
 def test_gamma_budget_refusal():
-    d = graph_from_entries(UNIT_OPLUS, XY, {}, default=F(0))
-    with pytest.raises(BudgetError):
-        gamma_enum(d, Grid(100), budget=100)
+    d = graph_from_entries(BOOLEAN, carrier(["x", "y", "z"]), {}, default=True)
+    with pytest.raises(BudgetError, match="8 candidates"):
+        gamma_enum(d, budget=4)
+    assert len(gamma_enum(d, budget=8)) == 2  # the constant predicates
+
+
+@pytest.mark.parametrize("size", [2, 3])
+def test_gamma_enum_matches_the_generic_enumerator(size):
+    # The entry test against one leq and residuate per entry: the same
+    # predicates in the same order, on every boolean graph.
+    c = carrier([f"e{i}" for i in range(size)])
+    counts = set()
+    for d in all_bool_graphs(c):
+        preds = gamma_enum(d)
+        assert preds.preds == grid_gamma(d, Grid(1)).preds, d.dist
+        assert preds.source is d
+        counts.add(len(preds))
+    assert min(counts) == 2 and max(counts) == 2 ** size
+
+
+def test_gamma_enum_refuses_a_unit_oplus_graph():
+    d = graph_from_entries(UNIT_OPLUS, XY, {("x", "y"): F(1, 2)}, default=F(0))
+    with pytest.raises(QuantaleError, match="boolean"):
+        gamma_enum(d)
 
 
 def test_extension_full_carrier_identity():
@@ -165,7 +182,7 @@ def test_unit_coclosure_converges_to_closure():
     closed = metric_closure(d)
     prev = None
     for k in (2, 4, 8):
-        approx = alpha(gamma_enum(d, Grid(k)))
+        approx = grid_alpha(UNIT_OPLUS, grid_gamma(d, Grid(k)))
         # Approximations sit above the closure in the quantale order
         # (numerically below) and tighten as k grows.
         assert all(approx.at(x, y) <= closed.at(x, y) for x in c for y in c)
@@ -173,16 +190,14 @@ def test_unit_coclosure_converges_to_closure():
             assert all(prev.at(x, y) <= approx.at(x, y) for x in c for y in c)
         prev = approx
     # Entries are quarter-grid rationals, so k=4 and k=8 are exact.
-    assert graph_equal(alpha(gamma_enum(d, Grid(4))), closed)
-    assert graph_equal(alpha(gamma_enum(d, Grid(8))), closed)
+    assert graph_equal(grid_alpha(UNIT_OPLUS, grid_gamma(d, Grid(4))), closed)
+    assert graph_equal(grid_alpha(UNIT_OPLUS, grid_gamma(d, Grid(8))), closed)
 
 
 def test_boolean_unique_extensions_collapse():
     # Whenever exactly one completion of a partial predicate is
     # non-expansive, both canonical extensions return it.
     from itertools import product as iproduct
-    from quantadist.suites import all_bool_graphs
-    from quantadist.vgraph import is_vcat
 
     c = carrier(["x", "y", "z"])
     for d in all_bool_graphs(c):
@@ -205,16 +220,4 @@ def test_boolean_unique_extensions_collapse():
                 if len(valid) == 1:
                     assert extension_largest(d, sub, f) == valid[0]
                     assert extension_smallest(d, sub, f) == valid[0]
-
-
-def test_galois_suite_small():
-    results = galois_suite()
-    bad = [r.line() for r in results if not r.passed]
-    assert not bad, bad
-
-
-def test_extension_suite_runs_clean():
-    results = extension_suite()
-    bad = [r.line() for r in results if not r.passed]
-    assert not bad, bad
 

@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 
 from conftest import geo
+from grid_oracle import grid_gamma, grid_lifting
 from quantadist.functor import MonadEval, compile_lifting
 from quantadist.galois import Grid, gamma_enum
 from quantadist.monadlift import (POWERSET, SUBDIST, dirac, finsubset,
@@ -98,9 +99,9 @@ def test_hausdorff_agrees_with_boolean_generic():
     c = carrier(["x", "y"])
     subsets = [finsubset(s) for s in ([], ["x"], ["y"], ["x", "y"])]
     from quantadist.suites import all_bool_graphs
-    lifting = compile_lifting(BOOLEAN, None, [MonadEval(POWERSET)], subsets)
+    lifting = compile_lifting(None, [MonadEval(POWERSET)], subsets)
     for d in all_bool_graphs(c):
-        oracle = lifting(d, gamma_enum(d, Grid(1)))
+        oracle = lifting(d, gamma_enum(d))
         for i, u in enumerate(subsets):
             for j, v in enumerate(subsets):
                 assert hausdorff_directed(d, u, v) == oracle.dist[i][j], (d.dist, u, v)
@@ -112,10 +113,10 @@ def test_hausdorff_grid_oracle_unit():
                            default=F(0))
     subsets = [finsubset(s) for s in (["x"], ["y"], ["x", "y"])]
     exact = {(u, v): hausdorff_directed(d, u, v) for u in subsets for v in subsets}
-    lifting = compile_lifting(UNIT_OPLUS, None, [MonadEval(POWERSET)], subsets)
+    lifting = grid_lifting(UNIT_OPLUS, None, [MonadEval(POWERSET)], subsets)
     prev_gap = None
     for k in (2, 4, 8):
-        oracle = lifting(d, gamma_enum(d, Grid(k)))
+        oracle = lifting(d, grid_gamma(d, Grid(k)))
         gaps = []
         for i, u in enumerate(subsets):
             for j, v in enumerate(subsets):
@@ -209,10 +210,10 @@ def test_lp_grid_oracle_unit():
     q = dirac("y")
     exact = kantorovich_lp(d, p, q)
     assert exact == F(1, 4)
-    lifting = compile_lifting(UNIT_OPLUS, None, [MonadEval(SUBDIST)], [p, q])
+    lifting = grid_lifting(UNIT_OPLUS, None, [MonadEval(SUBDIST)], [p, q])
     prev = None
     for k in (2, 4, 8):
-        oracle = lifting(d, gamma_enum(d, Grid(k)))
+        oracle = lifting(d, grid_gamma(d, Grid(k)))
         approx = oracle.dist[0][1]
         assert approx <= exact
         if prev is not None:

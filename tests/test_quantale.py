@@ -21,7 +21,7 @@ from quantadist.monadlift import finsubset
 from quantadist.quantale import (BOOLEAN, EXT_PLUS, INF, UNIT_OPLUS, QuantaleError,
                                  get_quantale)
 from quantadist.repro import REPRODUCTIONS
-from quantadist.suites import polyfunctor_suite, quantale_suite, residuation_lemma_suite
+from quantadist.suites import polyfunctor_suite, residuation_lemma_suite
 from quantadist.vgraph import VGraph, carrier, graph_from_entries
 
 OPS = ("leq", "tensor", "residuate", "join2", "meet2")
@@ -91,12 +91,6 @@ def test_get_quantale():
     assert get_quantale("ext-plus") is EXT_PLUS
     with pytest.raises(QuantaleError):
         get_quantale("lukasiewicz")
-
-
-def test_law_suite_small_grids():
-    results = quantale_suite(grid=8)
-    failures = [r for r in results if not r.passed]
-    assert not failures, [r.line() for r in failures]
 
 
 @pytest.mark.parametrize("q", [UNIT_OPLUS, EXT_PLUS], ids=lambda q: q.ident)

@@ -1,6 +1,7 @@
 """Every top-level function and class in ``src/quantadist`` is reached
 from a command, every parameter default there is overridden by some
-call, and no module there imports a name it never uses.
+call, no module there imports a name it never uses, and no function
+there assigns a local it never reads.
 
 A name is reached when a chain of loaded names leads to it from a root:
 ``cli.main`` (the console script), the module-level code of any module
@@ -194,3 +195,77 @@ def test_no_unused_imports(path):
         for local in [(a.asname or a.name).split(".")[0] for a in node.names]
         if local not in used)
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+#: Nodes that open a scope of their own.
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def _own_nodes(scope):
+    """The nodes of a function outside the functions, lambdas and classes
+    nested in it."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _unused_locals(tree):
+    """(line, function, name) for each name a function binds (an
+    assignment, loop or ``with`` target, comprehension variable or
+    ``except ... as``) that no code in it, nested functions included,
+    reads.  Names starting with ``_`` and names declared ``global`` or
+    ``nonlocal`` are left out."""
+    out = []
+    for scope in ast.walk(tree):
+        if not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        bound, declared = {}, set()
+        for node in _own_nodes(scope):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                bound.setdefault(node.id, node.lineno)
+            elif isinstance(node, ast.ExceptHandler) and node.name:
+                bound.setdefault(node.name, node.lineno)
+            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                declared.update(node.names)
+        read = {node.id for node in ast.walk(scope)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        out.extend((line, getattr(scope, "name", "<lambda>"), name)
+                   for name, line in bound.items()
+                   if name not in read and name not in declared and not name.startswith("_"))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_locals(path):
+    unused = [f"{name} in {function} (line {line})"
+              for line, function, name in _unused_locals(ast.parse(path.read_text(encoding="utf-8")))]
+    assert not unused, (f"{path.name} assigns locals it never reads: {unused}; "
+                        "delete them, or prefix a name that must be bound with _")
+
+
+def test_unused_local_guard_sees_each_binding_form():
+    code = """
+def f(items):
+    total = 0
+    for key, value in items:
+        total += value
+    with open(total) as handle:
+        pass
+    try:
+        pass
+    except ValueError as exc:
+        pass
+    squares = [k for k, v in items]
+    _skipped = 1
+    shared = 2
+
+    def inner():
+        nonlocal shared
+        shared = 3
+    return inner, shared
+"""
+    assert [name for _line, _function, name in _unused_locals(ast.parse(code))] == \
+        ["key", "handle", "exc", "squares", "v"]

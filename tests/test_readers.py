@@ -6,7 +6,10 @@ evaluate the mapped term with the recursive walk ``walk_eval`` below,
 and fold the residuated score differences into the meet.
 ``compile_lifting`` instead compiles each (evaluation map, term) pair
 once into a reader and must give the same matrix on every generated
-input.
+boolean input.  It computes over the booleans only; on the real-valued
+quantales the readers (``functor._reader``) are compared through the
+test-side grid lifting, ``grid_oracle.grid_lifting``, which folds their
+scores.
 """
 
 import random
@@ -14,6 +17,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from grid_oracle import grid_gamma, grid_lifting
 from quantadist.canon import canon_key
 from quantadist.functor import (ID, ConstEval, ConstF, ConstLeaf, CoprodEval, CoprodF,
                                 IdEval, IdF, IdLeaf, Inl, Inr, MonadEval, ProdF,
@@ -25,7 +29,7 @@ from quantadist.monadlift import POWERSET, SUBDIST, finsubset, subdist
 from quantadist.quantale import BOOLEAN, EXT_PLUS, UNIT_OPLUS
 from quantadist.vgraph import VGraph, carrier
 
-#: Value grids small enough for gamma_enum on a three-point carrier.
+#: Value grids small enough to enumerate gamma on a three-point carrier.
 GRIDS = {BOOLEAN: Grid(1), UNIT_OPLUS: Grid(2), EXT_PLUS: Grid(1, cap=2)}
 XYZ = carrier(["x", "y", "z"])
 
@@ -142,11 +146,18 @@ def case(seed, quantales=tuple(GRIDS)):
     rng = random.Random(seed)
     q = rng.choice(quantales)
     d = random_graph(rng, q)
-    return rng, q, d, gamma_enum(d, GRIDS[q])
+    return rng, q, d, gamma_enum(d) if q is BOOLEAN else grid_gamma(d, GRIDS[q])
+
+
+def lifting_for(q, functor, evals, terms):
+    """The compiled boolean lifting, or the grid lifting on the reals."""
+    if q is BOOLEAN:
+        return compile_lifting(functor, evals, terms)
+    return grid_lifting(q, functor, evals, terms)
 
 
 def assert_same(functor, evals, d, preds, terms, apply_pred):
-    got = compile_lifting(d.quantale, functor, evals, terms)(d, preds)
+    got = lifting_for(d.quantale, functor, evals, terms)(d, preds)
     assert got.carrier.elements == tuple(canon_key(t) for t in terms)
     want = oracle(evals, d, preds, terms, apply_pred)
     assert got.dist == want
@@ -245,7 +256,7 @@ def test_generated_inputs_are_not_trivial():
         functor = random_functor(rng, q, 2)
         leaf = lambda: rng.choice(XYZ.elements)
         terms = distinct((random_term(rng, q, functor, leaf) for _ in range(30)), 6)
-        got = compile_lifting(q, functor, build_lambda(functor), terms)(d, preds)
+        got = lifting_for(q, functor, build_lambda(functor), terms)(d, preds)
         below_top += any(v != q.top for row in got.dist for v in row)
     assert below_top >= 10
 
