@@ -58,10 +58,8 @@ def combined_pow_dist(d: VGraph, left: FinSubset, right: FinSubset):
 
     For each member of the right-hand set an LP maximizes its expected
     score against the best left-hand member (the inner max turns into
-    min-constraints); the overall value is the best case, truncated at
-    zero.
+    min-constraints); the overall value is the best case, at least zero.
     """
-    q = d.quantale
     variables, bounds, base = price_polytope(d)
     best = Fraction(0)
     for nu in right.members:
@@ -76,13 +74,13 @@ def combined_pow_dist(d: VGraph, left: FinSubset, right: FinSubset):
         lp = LPProblem(variables + ["t"], {"t": Fraction(1)}, constraints,
                        {**bounds, "t": (None, None)})
         best = max(best, simplex_solve(lp).optimum)
-    return q.validate(min(best, Fraction(1))) if best > 0 else q.validate(Fraction(0))
+    return best
 
 
 def combined_dist_pow(d: VGraph, left: SubDist, right: SubDist):
     """The expectation-of-sups lifting at a pair of distributions over
-    sets, by enumerating which member of each subset attains its sup."""
-    q = d.quantale
+    sets, by enumerating which member of each subset attains its sup;
+    the value is the best case, at least zero."""
     variables, bounds, base = price_polytope(d)
     sets = list(dict.fromkeys(list(left.support()) + list(right.support())))
     best = Fraction(0)
@@ -102,9 +100,7 @@ def combined_dist_pow(d: VGraph, left: SubDist, right: SubDist):
                 objective[f"f_{top}"] = objective.get(f"f_{top}", Fraction(0)) + coeff
         lp = LPProblem(variables, objective, constraints, bounds)
         best = max(best, simplex_solve(lp).optimum)
-    return q.validate(best if best > 0 else Fraction(0))
-
-
+    return best
 
 
 def _inner_values(inner: Monad):

@@ -16,10 +16,10 @@ from operator import itemgetter
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .canon import canon_key
-from .galois import Pred, PredSet, gamma_enum, nonexpansive_into_value, residual_meet
+from .galois import Pred, PredSet, gamma_enum, residual_meet
 from .monadlift import Monad
 from .quantale import BOOLEAN, Quantale
-from .vgraph import Carrier, CarrierMismatchError, VGraph, metric_closure
+from .vgraph import Carrier, VGraph, metric_closure
 
 
 class ShapeError(ValueError):
@@ -265,11 +265,13 @@ def distance_program(q: Quantale, functor: FunctorExpr) -> DistanceProgram:
     Constants take the residuated values; products take the
     componentwise meet (a part at top leaves the meet as it is);
     coproducts compare same-side terms recursively, give top on
-    left-versus-right and bottom on right-versus-left.  A term that does
-    not match its node's shape raises ``ShapeError`` when the program
-    reaches it.  The program binds the quantale's operations when it is
-    built, so build it where it is used (``DetCoalgebra.distance`` holds
-    one per determinization).
+    left-versus-right and bottom on right-versus-left.  The program
+    trusts its terms to match ``functor`` and checks no shape: the
+    model loader and the determinization build terms to the functor's
+    shape, and ``lift_closed`` checks its terms once before it runs the
+    program on every pair.  The program binds the quantale's operations
+    when it is built, so build it where it is used
+    (``DetCoalgebra.distance`` holds one per determinization).
     """
     if isinstance(functor, ConstF):
         return _const_program(q)
@@ -286,27 +288,19 @@ def _const_program(q: Quantale) -> DistanceProgram:
     residuate = q.residuate
 
     def const(s, t, leaf):
-        if isinstance(s, ConstLeaf) and isinstance(t, ConstLeaf):
-            return residuate(s.atom, t.atom)
-        raise ShapeError("constant distance on non-constant terms")
+        return residuate(s.atom, t.atom)
     return const
 
 
 def _id_program(s, t, leaf):
-    if isinstance(s, IdLeaf) and isinstance(t, IdLeaf):
-        return leaf(s.payload, t.payload)
-    raise ShapeError("identity distance on non-identity terms")
+    return leaf(s.payload, t.payload)
 
 
 def _prod_program(q: Quantale, functor: ProdF) -> DistanceProgram:
     parts = tuple(distance_program(q, part) for part in functor.parts)
-    n = len(parts)
     meet2, top = q.meet2, q.top
 
     def prod(s, t, leaf):
-        if not (isinstance(s, Tup) and isinstance(t, Tup)
-                and len(s.items) == n == len(t.items)):
-            raise ShapeError(f"product distance on terms that are not {n}-tuples")
         value = top
         for part, a, b in zip(parts, s.items, t.items):
             v = part(a, b, leaf)
@@ -323,16 +317,8 @@ def _coprod_program(q: Quantale, functor: CoprodF) -> DistanceProgram:
 
     def coprod(s, t, leaf):
         if isinstance(s, Inl):
-            if isinstance(t, Inl):
-                return left(s.item, t.item, leaf)
-            if isinstance(t, Inr):
-                return top
-        elif isinstance(s, Inr):
-            if isinstance(t, Inr):
-                return right(s.item, t.item, leaf)
-            if isinstance(t, Inl):
-                return bottom
-        raise ShapeError("coproduct distance on non-injection terms")
+            return left(s.item, t.item, leaf) if isinstance(t, Inl) else top
+        return right(s.item, t.item, leaf) if isinstance(t, Inr) else bottom
     return coprod
 
 
@@ -461,9 +447,10 @@ def score_program(evals: Sequence[EvalMap], terms: Sequence[object]) -> ScorePro
     return scores
 
 
-#: A compiled Kantorovich lifting: ``lifting(d, preds)`` is the lifted
-#: graph on the compiled terms.
-Lifting = Callable[[VGraph, PredSet], VGraph]
+#: A compiled Kantorovich lifting: ``lifting(preds)`` is the lifted graph
+#: on the compiled terms, given the predicate set ``gamma_enum(d)`` of a
+#: boolean graph d.
+Lifting = Callable[[PredSet], VGraph]
 
 
 def compile_lifting(functor: Optional[FunctorExpr], evals: Sequence[EvalMap],
@@ -472,18 +459,15 @@ def compile_lifting(functor: Optional[FunctorExpr], evals: Sequence[EvalMap],
     ``terms``: the meet over evaluation maps and supplied predicates of
     the residuated evaluation differences.
 
-    Compiling checks the terms against ``functor`` (unless it is None),
-    builds the term carrier and compiles the score vectors
-    (``score_program``); none of that depends on the graph.  Running the
-    lifting on a boolean graph and a predicate set ``(d, preds)`` does
-    only the predicate-dependent work; a graph over another quantale is
-    refused.  With the full predicate class, ``gamma_enum(d)``, this is
-    the lifting exactly.  Every predicate must be non-expansive for
-    ``d`` (rejected with a witness pair otherwise); a set that
-    ``gamma_enum`` enumerated from ``d`` itself (``preds.source is d``)
-    holds only such predicates and is not checked again.  The result's
-    entries are booleans by construction, so they are not validated
-    again.
+    Compiling checks the terms against ``functor`` once (unless it is
+    None), builds the term carrier and compiles the score vectors
+    (``score_program``); none of that depends on the graph.  The
+    lifting of a boolean graph d is ``lifting(gamma_enum(d))``: it reads
+    d only through its predicate set, which ``gamma_enum`` enumerates
+    from a boolean graph only and fills with non-expansive predicates,
+    so the run checks neither again.  With that full predicate class
+    the formula is the lifting exactly.  The result's entries are
+    booleans by construction.
     """
     if functor is not None:
         for t in terms:
@@ -492,23 +476,14 @@ def compile_lifting(functor: Optional[FunctorExpr], evals: Sequence[EvalMap],
     scores = score_program(evals, terms)
     n = len(terms)
 
-    def lifting(d: VGraph, preds: PredSet) -> VGraph:
-        if d.quantale is not BOOLEAN:
-            raise CarrierMismatchError(
-                f"lifting compiled over boolean run on a {d.quantale.ident} graph")
-        if preds.source is not d:
-            for f in preds.preds:
-                witness = nonexpansive_into_value(d, f)
-                if witness is not None:
-                    raise ValueError(f"predicate not non-expansive at pair {witness}")
-        return VGraph(BOOLEAN, out_carrier, residual_meet(n, scores(preds.preds)),
-                      validated=True)
+    def lifting(preds: PredSet) -> VGraph:
+        return VGraph(BOOLEAN, out_carrier, residual_meet(n, scores(preds.preds)))
     return lifting
 
 
-#: A compiled compositionality check: ``check(d, preds)`` is the report
-#: on a boolean graph ``d``, given ``preds`` = ``gamma_enum(d)``.
-CompositionalityCheck = Callable[[VGraph, PredSet], dict]
+#: A compiled compositionality check: ``check(preds)`` is the report on a
+#: boolean graph d, given ``preds`` = ``gamma_enum(d)``.
+CompositionalityCheck = Callable[[PredSet], dict]
 
 
 def compositionality_check(outer: FunctorExpr, lam_outer: Sequence[EvalMap],
@@ -523,19 +498,18 @@ def compositionality_check(outer: FunctorExpr, lam_outer: Sequence[EvalMap],
     that holds unconditionally: the composed lifting is below the
     combined one in the quantale order.
 
-    Its three liftings are compiled once: the inner one
-    on ``inner_terms``, the outer one on the composed terms with each
-    inner term replaced by its key (the inner graph's carrier), and the
-    combined ``star`` one on ``composed_terms``.  The returned check runs
-    them on a boolean graph d and its predicate set ``preds``, which
-    must be ``gamma_enum(d)``; only the outer lifting
-    enumerates predicates, those of the inner graph.  A graph over
-    another quantale is refused by the compiled liftings.  Every value
-    compared is a function of ``preds``: both liftings of d read d only
-    through it, and the outer lifting reads the inner graph, itself a
-    lifting of d.  So graphs with the same predicate set get the same
-    report, which lets the exhaustive boolean suites run the check on
-    one graph per set (``suites.BooleanFibre``).
+    Its three liftings are compiled once: the inner one on
+    ``inner_terms``, the outer one on the composed terms with each inner
+    term replaced by its key (the inner graph's carrier), and the
+    combined ``star`` one on ``composed_terms``.  The returned check
+    runs them on the predicate set ``preds`` = ``gamma_enum(d)`` of a
+    boolean graph d; only the outer lifting enumerates predicates, those
+    of the inner graph.  Every value compared is a function of
+    ``preds``: both liftings of d read d only through it, and the outer
+    lifting reads the inner graph, itself a lifting of d.  So graphs with
+    the same predicate set get the same report, which lets the
+    exhaustive boolean suites run the check once per set
+    (``suites.BooleanFibre``).
     """
     inner_lifting = compile_lifting(inner, lam_inner, inner_terms)
     outer_lifting = compile_lifting(
@@ -544,10 +518,9 @@ def compositionality_check(outer: FunctorExpr, lam_outer: Sequence[EvalMap],
     n = len(composed_terms)
     leq = BOOLEAN.leq
 
-    def check(d: VGraph, preds: PredSet) -> dict:
-        inner_graph = inner_lifting(d, preds)
-        lhs = outer_lifting(inner_graph, gamma_enum(inner_graph))
-        rhs = combined_lifting(d, preds)
+    def check(preds: PredSet) -> dict:
+        lhs = outer_lifting(gamma_enum(inner_lifting(preds)))
+        rhs = combined_lifting(preds)
         equal = lhs.dist == rhs.dist
         composed_below_combined = all(
             leq(lhs.dist[i][j], rhs.dist[i][j]) for i in range(n) for j in range(n))

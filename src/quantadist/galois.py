@@ -19,10 +19,10 @@ numeric order on the real-valued quantales.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence
 
 from .quantale import BOOLEAN, INF, Quantale, QuantaleError
 from .vgraph import Carrier, VGraph, is_vcat, metric_closure
@@ -37,19 +37,13 @@ class BudgetError(RuntimeError):
 
 @dataclass
 class PredSet:
-    """Total predicates on a carrier.  ``source`` is the graph that
-    ``gamma_enum`` enumerated the set from, every predicate non-expansive
-    for it; None for a set built any other way."""
+    """Total predicates on a carrier: every predicate maps each carrier
+    element to a value.  A trusted record; the sets the lifting reads are
+    enumerated by ``gamma_enum``, total and non-expansive by
+    construction."""
 
     carrier: Carrier
     preds: List[Pred]
-    source: Optional[VGraph] = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        for p in self.preds:
-            for x in self.carrier:
-                if x not in p:
-                    raise ValueError(f"predicate not total: missing {x!r}")
 
     def __len__(self):
         return len(self.preds)
@@ -120,14 +114,13 @@ def alpha(preds: PredSet) -> VGraph:
     return VGraph(BOOLEAN, c, residual_meet(len(c), vectors))
 
 
-def nonexpansive_into_value(d: VGraph, p: Pred) -> Optional[Tuple[str, str]]:
-    """Return a violating pair if the boolean predicate ``p`` fails
-    d <= d_V o (p x p) on the boolean graph ``d``, else None: a pair
-    with d(x, y), p(x) and not p(y)."""
+def nonexpansive_into_value(d: VGraph, p: Pred) -> bool:
+    """Whether the boolean predicate ``p`` satisfies d <= d_V o (p x p)
+    on the boolean graph ``d``: no pair with d(x, y), p(x) and not p(y)."""
     for x, y, v in d.pairs():
         if v and p[x] and not p[y]:
-            return (x, y)
-    return None
+            return False
+    return True
 
 
 def gamma_enum(d: VGraph, budget: int = 10 ** 6) -> PredSet:
@@ -151,9 +144,9 @@ def gamma_enum(d: VGraph, budget: int = 10 ** 6) -> PredSet:
     preds: List[Pred] = []
     for combo in product((False, True), repeat=n):
         p = dict(zip(els, combo))
-        if nonexpansive_into_value(d, p) is None:
+        if nonexpansive_into_value(d, p):
             preds.append(p)
-    return PredSet(d.carrier, preds, source=d)
+    return PredSet(d.carrier, preds)
 
 
 def reindex_preds(preds: PredSet, f) -> PredSet:

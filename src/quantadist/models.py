@@ -283,7 +283,9 @@ def model_from_json(doc: dict):
                  for name, weights in named.items()}
         value_of = literal_reader(q)
         dist = [[value_of(v) for v in row] for row in rows]
-        return DistanceInstance(VGraph(q, elements, dist, validated=True), dists)
+        if len(dist) != len(elements) or any(len(row) != len(elements) for row in dist):
+            raise ModelFormatError("distance matrix does not match the carrier size")
+        return DistanceInstance(VGraph(q, elements, dist), dists)
     if kind != "coalgebra":
         raise ModelFormatError(f"unknown model kind {kind!r}")
     try:
@@ -382,9 +384,7 @@ def certificate_from_json(doc: dict, model: CoalgebraModel) -> Certificate:
             witnesses.setdefault(pair, []).append(parts)
     except KeyError as exc:
         raise ModelFormatError(f"missing certificate field {exc}") from None
-    candidate = SparseDist(q)
-    candidate.entries = entries  # value_from_json has validated every value
-    return Certificate(monad, candidate, witnesses)
+    return Certificate(monad, SparseDist(q, entries), witnesses)
 
 
 def certificate_to_json(cert: Certificate, model: CoalgebraModel) -> dict:

@@ -313,25 +313,17 @@ def _check_transport(d: VGraph, p: SubDist, q_dist: SubDist):
         )
 
 
-def _price_cap(q: Quantale, m: List[List[Optional[int]]], scale: int) -> int:
-    """The range of a price in the units of the integer closure ``m``
-    (see ``scaled_closure``): 1 on the unit interval, the largest finite
-    closure entry otherwise."""
-    if q.ident == "unit-oplus":
-        return scale
-    return max((v for row in m for v in row if v is not None), default=0)
-
-
 def price_polytope(d: VGraph):
     """The feasible prices of the transportation dual over ``d``: one
-    price ``f_x`` per point, boxed by the range cap (1 on the unit
-    interval, the largest finite closure entry otherwise) and
-    non-expansive against the metric closure of ``d``.  Returns the
-    variables, their bounds and the non-expansiveness constraints (an
-    infinite closure entry gives none: it is vacuous against the box).
+    price ``f_x`` per point, non-negative, at most 1 on unit-oplus (the
+    range of its values) and unbounded above on ext-plus, and
+    non-expansive against the metric closure dc of ``d``: f_y - f_x <=
+    dc(x, y) for every finite entry, and no constraint for an infinite
+    one.  Returns the variables, their bounds and the
+    non-expansiveness constraints.
     """
     m, scale = scaled_closure(d)
-    cap = Fraction(_price_cap(d.quantale, m, scale), scale)
+    cap = Fraction(1) if d.quantale.ident == "unit-oplus" else None
     variables = [f"f_{x}" for x in d.carrier.elements]
     constraints = [LinearConstraint({fy: Fraction(1), fx: Fraction(-1)},
                                     "<=", Fraction(v, scale))
@@ -344,7 +336,11 @@ def pricing_lp(d: VGraph, p: SubDist, q_dist: SubDist) -> LPProblem:
     """The dual transportation LP for a pair of (sub)distributions: over
     the ``price_polytope`` of ``d``, maximize the price difference of
     the two masses.  ``kantorovich_lp`` solves the primal of this LP;
-    the tests use this one with ``simplex_solve`` as its oracle.
+    the tests use this one with ``simplex_solve`` as its oracle.  At
+    equal mass the objective is translation-invariant, so the box of
+    unit-oplus never binds and the optimum is the transport cost.  On
+    ext-plus the LP is unbounded exactly when every plan ships over an
+    infinite closure entry, where the cost is inf.
     """
     _check_transport(d, p, q_dist)
     variables, bounds, constraints = price_polytope(d)
@@ -359,16 +355,12 @@ def pricing_lp(d: VGraph, p: SubDist, q_dist: SubDist) -> LPProblem:
 def kantorovich_lp(d: VGraph, p: SubDist, q_dist: SubDist):
     """Exact optimal transport cost of moving ``p`` onto ``q_dist``.
 
-    Moving a unit of mass from x to y costs c(x, y) = min(dc(x, y),
-    cap): dc is the metric closure of ``d`` and cap the price range of
-    ``pricing_lp`` (1 on unit-oplus, the largest finite closure entry
-    on ext-plus).  No finite closure entry exceeds cap, so c is dc with
-    a pair at distance inf priced at cap.  It still vanishes on the
-    diagonal and obeys the triangle inequality c(y, z) <= c(y, x) +
-    c(x, z): dc is inf at (y, z) only if it is inf at (y, x) or (x, z),
-    and then the right side is at least cap.  At equal mass the box of
-    the dual never binds, so by LP duality this is exactly the optimum
-    of ``pricing_lp``.
+    Moving a unit of mass from x to y costs dc(x, y), the metric closure
+    of ``d``.  dc vanishes on the diagonal and obeys the triangle
+    inequality dc(y, z) <= dc(y, x) + dc(x, z), with inf on ext-plus
+    for a pair no path joins.  The cost is inf when every plan ships
+    some mass over such a pair; by LP duality it is the optimum of
+    ``pricing_lp`` (unbounded when inf).
 
     Only the excess moves: the problem solved ships the net mass
     (p - q_dist)+ onto (q_dist - p)+, and the mass both share at a point
@@ -376,16 +368,18 @@ def kantorovich_lp(d: VGraph, p: SubDist, q_dist: SubDist):
     that moves the least mass off the diagonal.  If it shipped mass from
     y into x and from x on to z (x other than y and z), routing some of
     it from y to z directly and keeping as much at x would never cost
-    more, because c(y, z) <= c(y, x) + c(x, z), and would move less mass
-    off the diagonal.  So no point both sends and receives, and the
-    plan keeps min(p(x), q_dist(x)) in place at every x and ships
-    exactly the excess.  ``p == q_dist`` gives an empty problem, of
-    cost 0.
+    more, by the triangle inequality, and would move less mass off the
+    diagonal.  So no point both sends and receives, and the plan keeps
+    min(p(x), q_dist(x)) in place at every x and ships exactly the
+    excess.  ``p == q_dist`` gives an empty problem, of cost 0.
 
     The costs are read off the integer closure of ``scaled_closure``,
-    inf as cap, and the masses are scaled to integers too, so the flow
-    computation runs on plain ints; the answer is one ``Fraction`` over
-    both scales.
+    and the masses are scaled to integers too, so the flow computation
+    runs on plain ints; the answer is one ``Fraction`` over both scales.
+    An infinite entry is priced above every plan that avoids such
+    entries: the largest finite cost times the units shipped, plus one.
+    So the optimum ships over one only when every plan must, and then
+    the answer is inf.
     """
     index = d.carrier.index
     supply = [(index(x), w) for x, w in p.items()]
@@ -402,11 +396,14 @@ def kantorovich_lp(d: VGraph, p: SubDist, q_dist: SubDist):
         return Fraction(0)
     sinks = [j for j, v in net.items() if v < 0]
     m, scale = scaled_closure(d)
-    cap = _price_cap(d.quantale, m, scale)
-    cost = [[cap if m[i][j] is None else m[i][j] for j in sinks] for i in sources]
-    total = _min_cost_transport([net[i] for i in sources],
-                                [-net[j] for j in sinks], cost)
-    return d.quantale.validate(Fraction(total, mass_scale * scale))
+    units = [net[i] for i in sources]
+    finite = [m[i][j] for i in sources for j in sinks if m[i][j] is not None]
+    over = max(finite, default=0) * sum(units) + 1
+    cost = [[over if m[i][j] is None else m[i][j] for j in sinks] for i in sources]
+    total = _min_cost_transport(units, [-net[j] for j in sinks], cost)
+    if total >= over:
+        return INF
+    return Fraction(total, mass_scale * scale)
 
 
 def _min_cost_transport(supply: List[int], demand: List[int],

@@ -19,11 +19,13 @@ Values are trusted inside the system.  ``leq``, ``join2``, ``meet2``,
 ``tensor`` and ``residuate`` assume canonical values of their quantale
 (a ``bool``, a ``Fraction`` in range, or the ``INF`` singleton, tested
 by identity) and check nothing; an operation on anything else gives an
-undefined result.  Values are validated once, where they enter:
-``value_from_json`` (model, certificate and graph files),
-``SparseDist``, ``VGraph`` (unless built from values validated
-already) and ``graph_from_entries`` call ``validate``, and
-``galois.grid_values`` builds canonical values only.
+undefined result.  Values are checked once, where they enter: only
+``value_from_json`` (model, certificate and graph files) and
+``vgraph.graph_from_entries`` (values written in code) call
+``validate``, and ``galois.grid_values`` builds canonical values only.
+The records that hold values (``VGraph``, ``SparseDist``) and the
+values computed from them, closures and liftings, are not checked
+again; ``value_to_json`` writes a value as it is.
 """
 
 from __future__ import annotations
@@ -168,7 +170,7 @@ class BooleanQuantale(Quantale):
         return a and b
 
     def value_to_json(self, v):
-        return self.validate(v)
+        return v
 
     def value_from_json(self, j):
         if not isinstance(j, bool):
@@ -187,10 +189,7 @@ class _ReversedNumericQuantale(Quantale):
     unit = ZERO
 
     def value_to_json(self, v):
-        v = self.validate(v)
-        if v is INF:
-            return "inf"
-        return str(v)
+        return "inf" if v is INF else str(v)
 
     def value_from_json(self, j):
         if isinstance(j, bool):

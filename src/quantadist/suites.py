@@ -170,11 +170,11 @@ class BooleanFibre:
 
     The Kantorovich lifting of d is alpha applied to the evaluations of
     the predicates in gamma(d), so it reads d only through gamma(d): a
-    compiled lifting (``functor.compile_lifting``) run on d and gamma(d)
-    uses d only to tell that the set was enumerated from it.  A boolean
-    law check that compares liftings of d is then a function of
-    gamma(d), and running it once per class, on the class's first graph
-    and its predicate set, gives each graph's answer exactly.  Classes
+    compiled lifting (``functor.compile_lifting``) runs on gamma(d)
+    alone.  A boolean law check that compares liftings of d is then a
+    function of gamma(d), and running it once per class, on the class's
+    first graph and its predicate set, gives each graph's answer
+    exactly.  Classes
     are numbered in the order of their first graphs, so the first
     failing class starts at the first failing graph of the enumeration.
     """
@@ -370,7 +370,7 @@ def polyfunctor_suite() -> List[CheckResult]:
                                            build_lambda(inner), g_terms, fg_terms)
 
             def fails(d, gamma):
-                report = check(d, gamma)
+                report = check(gamma)
                 if report["equal"] and report["composed_below_combined"]:
                     return None
                 return f"d={d.dist}"

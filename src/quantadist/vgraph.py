@@ -9,7 +9,7 @@ graph by shortest-path style saturation.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -65,29 +65,22 @@ def carrier(elements: Iterable[str]) -> Carrier:
 
 @dataclass
 class VGraph:
-    """A square matrix of quantale values over a carrier.  The entries
-    are validated unless ``validated`` says they are canonical values of
-    the quantale already (read by ``value_from_json``, or computed by
-    quantale operations); the shape is always checked."""
+    """A square matrix of quantale values over a carrier.  A trusted
+    record: it checks nothing itself.  Its entries are canonical values
+    of the quantale, read by ``value_from_json`` (the ``vgraph`` branch
+    of ``models.model_from_json``, which also checks the matrix size),
+    checked by ``graph_from_entries``, or computed by quantale
+    operations."""
 
     quantale: Quantale
     carrier: Carrier
     dist: List[List[object]]
-    validated: InitVar[bool] = False
-
-    def __post_init__(self, validated):
-        n = len(self.carrier)
-        if len(self.dist) != n or any(len(row) != n for row in self.dist):
-            raise ValueError("distance matrix does not match the carrier size")
-        if not validated:
-            self.dist = [[self.quantale.validate(v) for v in row] for row in self.dist]
 
     def at(self, x: str, y: str):
         return self.dist[self.carrier.index(x)][self.carrier.index(y)]
 
     def copy(self) -> "VGraph":
-        return VGraph(self.quantale, self.carrier, [row[:] for row in self.dist],
-                      validated=True)
+        return VGraph(self.quantale, self.carrier, [row[:] for row in self.dist])
 
     def pairs(self):
         els = self.carrier.elements
@@ -108,13 +101,14 @@ def all_bottom(q: Quantale, c: Carrier) -> VGraph:
 def graph_from_entries(q: Quantale, c: Carrier, entries: Dict[Tuple[str, str], object],
                        default=None) -> VGraph:
     """Build a graph from an entry map; missing entries use ``default``
-    (the quantale top if not given)."""
+    (the quantale top if not given).  Values written in code enter here,
+    so each one, the default included, goes through ``q.validate``."""
     default = q.top if default is None else q.validate(default)
     n = len(c)
     dist = [[default] * n for _ in range(n)]
     for (x, y), v in entries.items():
         dist[c.index(x)][c.index(y)] = q.validate(v)
-    return VGraph(q, c, dist, validated=True)
+    return VGraph(q, c, dist)
 
 
 def _require_same(d1: VGraph, d2: VGraph):
@@ -131,19 +125,13 @@ def graph_equal(d1: VGraph, d2: VGraph) -> bool:
 
 @dataclass
 class FiniteMap:
-    """A total map between carriers."""
+    """A total map between carriers: ``assignment`` sends every element
+    of ``domain`` into ``codomain`` (a trusted record, built by the law
+    suites' ``all_maps``)."""
 
     domain: Carrier
     codomain: Carrier
     assignment: Dict[str, str]
-
-    def __post_init__(self):
-        missing = [x for x in self.domain if x not in self.assignment]
-        if missing:
-            raise ValueError(f"map not total, missing {missing}")
-        bad = [y for y in self.assignment.values() if y not in self.codomain]
-        if bad:
-            raise ValueError(f"map image not inside the codomain: {bad}")
 
     def __call__(self, x: str) -> str:
         return self.assignment[x]
@@ -229,8 +217,8 @@ def metric_closure(d: VGraph) -> VGraph:
     through k.  One pass reaches the fixpoint because all three
     quantales are integral: the unit is top, so going round a cycle
     never improves a path and the best path through {0..k} is a simple
-    one.  The entries were validated when ``d`` was built, so they are
-    combined here as plain values.  The booleans use and/or.  On the
+    one.  The entries are canonical values (see ``VGraph``), so they
+    are combined here as plain values.  The booleans use and/or.  On the
     real-valued quantales the pass runs in ``scaled_closure`` on plain
     ints: every finite entry times the least common multiple of the
     denominators, ``INF`` as ``None``.  Multiplying by a positive integer
@@ -238,15 +226,13 @@ def metric_closure(d: VGraph) -> VGraph:
     exactly the scaled closure, and each entry is read back as one
     ``Fraction``.  A composite replaces an entry only when it is
     numerically below it, hence below 1 on unit-oplus, so the truncation
-    of the sum never applies.  The result holds canonical values and is
-    not validated again.
+    of the sum never applies.  The result holds canonical values.
     """
     q = d.quantale
     if q.ident != "boolean":
         m, scale = scaled_closure(d)
         return VGraph(q, d.carrier,
-                      [[INF if v is None else Fraction(v, scale) for v in row] for row in m],
-                      validated=True)
+                      [[INF if v is None else Fraction(v, scale) for v in row] for row in m])
     n = len(d.carrier)
     out = d.copy()
     m = out.dist

@@ -56,9 +56,10 @@ def grid_alpha(q, preds):
 
 
 def grid_lifting(q, functor, evals, terms):
-    """The generic formula over ``q`` on ``terms``: ``lifting(d, preds)``
+    """The generic formula over ``q`` on ``terms``: ``lifting(preds)``
     folds, for every evaluation map and predicate, the terms' scores read
-    by ``functor._reader``.  The terms are checked against ``functor``
+    by ``functor._reader``; ``preds`` is ``grid_gamma(d, grid)`` for a
+    graph d over ``q``.  The terms are checked against ``functor``
     unless it is None."""
     if functor is not None:
         for t in terms:
@@ -66,8 +67,7 @@ def grid_lifting(q, functor, evals, terms):
     keys = _term_carrier(terms)
     readers = [[_reader(q, ev, t, itemgetter) for t in terms] for ev in evals]
 
-    def lifting(d, preds):
-        assert d.quantale is q, (d.quantale.ident, q.ident)
+    def lifting(preds):
         vectors = [[read(f) for read in row] for row in readers for f in preds.preds]
         return VGraph(q, keys, generic_residual_meet(q, len(terms), vectors))
     return lifting

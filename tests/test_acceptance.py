@@ -131,7 +131,7 @@ def test_criterion_6_oracle_consistency():
     subsets = [finsubset(s) for s in ([], ["x"], ["y"], ["x", "y"])]
     oracle_lifting = compile_lifting(None, [MonadEval(POWERSET)], subsets)
     for d in all_bool_graphs(c):
-        oracle = oracle_lifting(d, gamma_enum(d))
+        oracle = oracle_lifting(gamma_enum(d))
         for i, u in enumerate(subsets):
             for j, v in enumerate(subsets):
                 assert hausdorff_directed(d, u, v) == oracle.dist[i][j]
@@ -153,8 +153,8 @@ def test_criterion_6_oracle_consistency():
     prev_h = prev_w = None
     for k in (2, 4, 8):
         preds = grid_gamma(d, Grid(k))
-        grid_h = hausdorff(d, preds)
-        grid_w = wasserstein(d, preds)
+        grid_h = hausdorff(preds)
+        grid_w = wasserstein(preds)
         gap_h = sum(exact_h[(i, j)] - grid_h.dist[i][j]
                     for i in range(3) for j in range(3))
         gap_w = sum(exact_w[(i, j)] - grid_w.dist[i][j]

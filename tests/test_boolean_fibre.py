@@ -61,7 +61,7 @@ def oracle_compositionality_rows():
             ok = True
             witness = ""
             for d in all_bool_graphs(XY):
-                report = check(d, gamma_enum(d))
+                report = check(gamma_enum(d))
                 if not (report["equal"] and report["composed_below_combined"]):
                     ok = False
                     witness = f"d={d.dist}"
@@ -87,7 +87,7 @@ def oracle_zeta_nonexpansive_boolean(law):
     tf_lifting = functor.compile_lifting(None, tf_evals, tf_terms)
     for d in all_bool_graphs(XY):
         preds = gamma_enum(d)
-        d_tf = tf_lifting(d, preds)
+        d_tf = tf_lifting(preds)
         d_ft = residual_meet(n, score_program(ft_evals, ft_terms)(preds.preds))
         for i in range(n):
             for j in range(n):
@@ -201,8 +201,8 @@ def _flip_on(size):
     def mutant(*args):
         lifting = compile_lifting(*args)
 
-        def flipped(d, preds):
-            out = lifting(d, preds)
+        def flipped(preds):
+            out = lifting(preds)
             if len(preds) != size:
                 return out
             dist = [row[:] for row in out.dist]
@@ -297,13 +297,11 @@ def test_polyfunctor_suite_compiles_each_lifting_once(monkeypatch):
 
 def test_polyfunctor_suite_checks_each_predicate_once(monkeypatch):
     # gamma_enum admits only non-expansive predicates, so the lifting
-    # does not check again a set enumerated from its own graph, and each
-    # class's gamma(d) is enumerated once, by the fibre: the 224 checks
-    # left are those of the fibre's and the inner graphs' enumerations
-    # (160 more were re-checks, and 64 more re-enumerated gamma(d)).
+    # never checks them again, and each class's gamma(d) is enumerated
+    # once, by the fibre: the 224 checks are those of the fibre's and the
+    # inner graphs' enumerations (160 more were re-checks, and 64 more
+    # re-enumerated gamma(d)).
     calls = _count_calls(monkeypatch, galois, "nonexpansive_into_value")
-    monkeypatch.setattr(functor, "nonexpansive_into_value",
-                        galois.nonexpansive_into_value)
     assert all(r.passed for r in polyfunctor_suite())
     assert len(calls) == 224
 
@@ -322,7 +320,7 @@ def _assert_lifting_is_a_function_of_gamma(lifting, gamma, graphs):
     repeated = 0
     for d in graphs:
         preds = gamma(d)
-        lifted = lifting(d, preds).dist
+        lifted = lifting(preds).dist
         key = _predset_keys(preds)
         if key in by_gamma:
             repeated += 1

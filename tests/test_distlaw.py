@@ -97,11 +97,6 @@ def test_zeta_unit_image():
     assert lhs == rhs
 
 
-def test_law_rejects_unknown_monad():
-    with pytest.raises(ValueError, match="unknown monad"):
-        DistLaw(exception_functor(["a"]), "list", UNIT_OPLUS)
-
-
 # -- determinization ----------------------------------------------------------------
 
 def test_determinize_exception_successors():

@@ -1,5 +1,4 @@
 import random
-from collections import Counter
 from fractions import Fraction as F
 from itertools import product
 
@@ -19,7 +18,7 @@ from quantadist.galois import Grid, PredSet, alpha, gamma_enum, grid_values
 from quantadist.monadlift import POWERSET, SUBDIST, dirac, finsubset, subdist
 from quantadist.quantale import BOOLEAN, EXT_PLUS, UNIT_OPLUS
 from quantadist.suites import all_bool_graphs, all_bool_preds
-from quantadist.vgraph import (CarrierMismatchError, VGraph, carrier,
+from quantadist.vgraph import (VGraph, carrier,
                                graph_from_entries, is_vcat, metric_closure)
 
 
@@ -122,7 +121,7 @@ def test_coproduct_eval_sets_associative_via_distances():
 def test_generic_identity_equals_closure_boolean():
     terms = [IdLeaf("x"), IdLeaf("y")]
     for d in all_bool_graphs(XY):
-        out = compile_lifting(IdF(), [IdEval()], terms)(d, gamma_enum(d))
+        out = compile_lifting(IdF(), [IdEval()], terms)(gamma_enum(d))
         closed = metric_closure(d)
         for i, x in enumerate(XY.elements):
             for j, y in enumerate(XY.elements):
@@ -131,29 +130,8 @@ def test_generic_identity_equals_closure_boolean():
 
 def test_generic_empty_eval_set_gives_top():
     d = graph_from_entries(BOOLEAN, XY, {("x", "y"): True}, default=False)
-    out = compile_lifting(MACHINE, [], [machine_term(False, "x")])(d, gamma_enum(d))
+    out = compile_lifting(MACHINE, [], [machine_term(False, "x")])(gamma_enum(d))
     assert out.dist[0][0] == BOOLEAN.top
-
-
-def test_generic_rejects_expansive_predicates():
-    d = graph_from_entries(BOOLEAN, XY, {("x", "y"): True}, default=False)
-    bad = PredSet(XY, [{"x": True, "y": False}])
-    with pytest.raises(ValueError, match=r"non-expansive at pair \('x', 'y'\)"):
-        compile_lifting(IdF(), [IdEval()], [IdLeaf("x")])(d, bad)
-
-
-def test_generic_checks_predicates_enumerated_from_another_graph():
-    # Every predicate is non-expansive for the all-bottom graph; only the
-    # constant ones are for the all-top graph.
-    loose = graph_from_entries(BOOLEAN, XY, {}, default=False)
-    tight = graph_from_entries(BOOLEAN, XY, {}, default=True)
-    preds = gamma_enum(loose)
-    assert preds.source is loose and len(preds) == 4
-    lifting = compile_lifting(IdF(), [IdEval()], [IdLeaf("x")])
-    with pytest.raises(ValueError, match="non-expansive"):
-        lifting(tight, preds)
-    same = VGraph(BOOLEAN, XY, [row[:] for row in loose.dist])
-    assert lifting(same, preds).dist == lifting(loose, preds).dist
 
 
 def test_compiled_lifting_runs_on_many_graphs():
@@ -165,14 +143,7 @@ def test_compiled_lifting_runs_on_many_graphs():
     for d in graphs + graphs[::-1]:
         preds = gamma_enum(d)
         fresh = compile_lifting(MACHINE, build_lambda(MACHINE), terms)
-        assert lifting(d, preds).dist == fresh(d, preds).dist
-
-
-def test_compiled_lifting_refuses_a_graph_over_another_quantale():
-    lifting = compile_lifting(IdF(), [IdEval()], [IdLeaf("x")])
-    d = graph_from_entries(UNIT_OPLUS, XY, {}, default=F(0))
-    with pytest.raises(CarrierMismatchError, match="boolean run on a unit-oplus graph"):
-        lifting(d, PredSet(XY, [{"x": F(0), "y": F(0)}]))
+        assert lifting(preds).dist == fresh(preds).dist
 
 
 def test_generic_grid_bounds_closed_form_machine():
@@ -184,7 +155,7 @@ def test_generic_grid_bounds_closed_form_machine():
     lifting = grid_lifting(UNIT_OPLUS, MACHINE, build_lambda(MACHINE), terms)
     prev_gap = None
     for k in (2, 4, 8):
-        approx = lifting(d, grid_gamma(d, Grid(k)))
+        approx = lifting(grid_gamma(d, Grid(k)))
         gap = F(0)
         n = len(terms)
         for i in range(n):
@@ -253,12 +224,9 @@ def test_compositionality_boolean_exhaustive(outer_shape, inner_kind):
     check = compositionality_check(outer, build_lambda(outer), inner,
                                    build_lambda(inner), g_terms, fg_terms)
     for d in all_bool_graphs(XY):
-        report = check(d, gamma_enum(d))
+        report = check(gamma_enum(d))
         assert report["composed_below_combined"]
         assert report["equal"], (d.dist, report["lhs"].dist, report["rhs"].dist)
-    real = graph_from_entries(UNIT_OPLUS, XY, {}, default=F(0))
-    with pytest.raises(CarrierMismatchError, match="boolean"):
-        check(real, PredSet(XY, [{"x": F(0), "y": F(0)}]))
 
 
 def test_lambda_set_commutes_with_coclosure_boolean():
@@ -364,27 +332,18 @@ def test_lifted_distance_is_a_meet_of_local_and_leaf_values(q, grid):
 #
 # ``distance_program`` compiles a functor once into one function per
 # node.  The oracle is the recursive body it replaced, which dispatched
-# on the functor syntax at every node of every pair.  One change: a
-# product refuses terms that are not tuples of its arity with
-# ``ShapeError``, where the recursive body raised ``AttributeError`` or
-# ``IndexError`` (or ignored surplus items).
+# on the functor syntax at every node of every pair.  Both run on terms
+# built to the functor's shape; neither checks it.
 
 
 def oracle_polynomial_distance(q, functor, leaf_dist, s, t):
-    """The structural lifted distance, recursing through the functor."""
+    """The structural lifted distance, recursing through the functor, on
+    terms of its shape."""
     if isinstance(functor, ConstF):
-        if not (isinstance(s, ConstLeaf) and isinstance(t, ConstLeaf)):
-            raise ShapeError("constant distance on non-constant terms")
         return q.residuate(s.atom, t.atom)
     if isinstance(functor, IdF):
-        if not (isinstance(s, IdLeaf) and isinstance(t, IdLeaf)):
-            raise ShapeError("identity distance on non-identity terms")
         return leaf_dist(s.payload, t.payload)
     if isinstance(functor, ProdF):
-        n = len(functor.parts)
-        if not (isinstance(s, Tup) and isinstance(t, Tup)
-                and len(s.items) == n == len(t.items)):
-            raise ShapeError(f"product distance on terms that are not {n}-tuples")
         return q.meet(
             oracle_polynomial_distance(q, part, leaf_dist, s.items[i], t.items[i])
             for i, part in enumerate(functor.parts)
@@ -394,36 +353,8 @@ def oracle_polynomial_distance(q, functor, leaf_dist, s, t):
             return oracle_polynomial_distance(q, functor.left, leaf_dist, s.item, t.item)
         if isinstance(s, Inr) and isinstance(t, Inr):
             return oracle_polynomial_distance(q, functor.right, leaf_dist, s.item, t.item)
-        if isinstance(s, Inl) and isinstance(t, Inr):
-            return q.top
-        if isinstance(s, Inr) and isinstance(t, Inl):
-            return q.bottom
-        raise ShapeError("coproduct distance on non-injection terms")
+        return q.top if isinstance(s, Inl) else q.bottom
     raise TypeError(f"not a functor expression: {functor!r}")
-
-
-def mutate(rng, term, values):
-    """The term with one subterm replaced by a small random term, most
-    often of another shape."""
-    if isinstance(term, Tup) and term.items and rng.random() < 0.7:
-        items = list(term.items)
-        i = rng.randrange(len(items))
-        items[i] = mutate(rng, items[i], values)
-        return Tup(tuple(items))
-    if isinstance(term, (Inl, Inr)) and rng.random() < 0.7:
-        return type(term)(mutate(rng, term.item, values))
-    return rng.choice([
-        ConstLeaf(rng.choice(values)), IdLeaf(rng.choice(PAYLOADS)),
-        Tup(tuple(IdLeaf(x) for x in rng.sample(PAYLOADS, rng.randint(0, 3)))),
-        Inl(IdLeaf(rng.choice(PAYLOADS))), Inr(ConstLeaf(rng.choice(values)))])
-
-
-def outcome(run, *args):
-    """What a distance returns, or the type and message of what it raises."""
-    try:
-        return "value", run(*args)
-    except ShapeError as exc:
-        return type(exc).__name__, str(exc)
 
 
 @pytest.mark.parametrize("q, grid", [(BOOLEAN, Grid(1)), (UNIT_OPLUS, Grid(4)),
@@ -432,7 +363,6 @@ def outcome(run, *args):
 def test_distance_program_matches_the_recursive_oracle(q, grid):
     rng = random.Random(f"program-{q.ident}")
     values = grid_values(q, grid)
-    seen = Counter()
     for _ in range(300):
         functor = random_functor(rng, values)
         program = distance_program(q, functor)
@@ -440,11 +370,5 @@ def test_distance_program_matches_the_recursive_oracle(q, grid):
         leaf = lambda x, y: d[(x, y)]
         for _ in range(6):
             s, t = random_term(rng, functor, values), random_term(rng, functor, values)
-            if rng.random() < 0.4:
-                s, t = (mutate(rng, s, values), t) if rng.random() < 0.5 \
-                    else (s, mutate(rng, t, values))
-            got = outcome(program, s, t, leaf)
-            assert got == outcome(oracle_polynomial_distance, q, functor, leaf, s, t), \
-                (functor, s, t)
-            seen[got[0]] += 1
-    assert seen["value"] >= 1000 and seen["ShapeError"] >= 100, seen
+            assert program(s, t, leaf) == \
+                oracle_polynomial_distance(q, functor, leaf, s, t), (functor, s, t)

@@ -101,7 +101,7 @@ def test_hausdorff_agrees_with_boolean_generic():
     from quantadist.suites import all_bool_graphs
     lifting = compile_lifting(None, [MonadEval(POWERSET)], subsets)
     for d in all_bool_graphs(c):
-        oracle = lifting(d, gamma_enum(d))
+        oracle = lifting(gamma_enum(d))
         for i, u in enumerate(subsets):
             for j, v in enumerate(subsets):
                 assert hausdorff_directed(d, u, v) == oracle.dist[i][j], (d.dist, u, v)
@@ -116,7 +116,7 @@ def test_hausdorff_grid_oracle_unit():
     lifting = grid_lifting(UNIT_OPLUS, None, [MonadEval(POWERSET)], subsets)
     prev_gap = None
     for k in (2, 4, 8):
-        oracle = lifting(d, grid_gamma(d, Grid(k)))
+        oracle = lifting(grid_gamma(d, Grid(k)))
         gaps = []
         for i, u in enumerate(subsets):
             for j, v in enumerate(subsets):
@@ -213,7 +213,7 @@ def test_lp_grid_oracle_unit():
     lifting = grid_lifting(UNIT_OPLUS, None, [MonadEval(SUBDIST)], [p, q])
     prev = None
     for k in (2, 4, 8):
-        oracle = lifting(d, grid_gamma(d, Grid(k)))
+        oracle = lifting(grid_gamma(d, Grid(k)))
         approx = oracle.dist[0][1]
         assert approx <= exact
         if prev is not None:

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import quantadist
-from quantadist.behaviour import SparseDist, certify, pair_gfp
+from quantadist.behaviour import certify, pair_gfp
 from quantadist.cli import main
 from quantadist.distlaw import case_study_laws, law_suite
 from quantadist.galois import Grid, grid_values
@@ -22,7 +22,7 @@ from quantadist.quantale import (BOOLEAN, EXT_PLUS, INF, UNIT_OPLUS, QuantaleErr
                                  get_quantale)
 from quantadist.repro import REPRODUCTIONS
 from quantadist.suites import polyfunctor_suite, residuation_lemma_suite
-from quantadist.vgraph import VGraph, carrier, graph_from_entries
+from quantadist.vgraph import carrier, graph_from_entries
 
 OPS = ("leq", "tensor", "residuate", "join2", "meet2")
 VALUE_OPS = ("tensor", "residuate", "join2", "meet2")
@@ -60,8 +60,6 @@ def test_mixed_operands_rejected():
     # they enter (see test_boundaries_reject_bad_values).
     with pytest.raises(QuantaleError):
         BOOLEAN.value_from_json("1/2")
-    with pytest.raises(QuantaleError):
-        SparseDist(UNIT_OPLUS, {("p", "q"): True})
     with pytest.raises(QuantaleError):
         UNIT_OPLUS.validate(F(3, 2))
     with pytest.raises(QuantaleError):
@@ -232,10 +230,6 @@ BAD_JSON = [True, -1, "3/2", "inf", 0.5]
 @pytest.mark.parametrize("bad", BAD_VALUES, ids=repr)
 def test_boundaries_reject_bad_values(bad):
     c = carrier(["a", "b"])
-    with pytest.raises(QuantaleError):
-        SparseDist(UNIT_OPLUS, {("a", "b"): bad})
-    with pytest.raises(QuantaleError):
-        VGraph(UNIT_OPLUS, c, [[F(0), bad], [F(0), F(0)]])
     with pytest.raises(QuantaleError):
         graph_from_entries(UNIT_OPLUS, c, {("a", "b"): bad})
 

@@ -1,7 +1,8 @@
 """Every top-level function and class in ``src/quantadist`` is reached
 from a command, every parameter default there is overridden by some
-call, no module there imports a name it never uses, and no function
-there assigns a local it never reads.
+call, no module there imports a name it never uses, no function there
+assigns a local it never reads, and quantale values are validated only
+where they enter.
 
 A name is reached when a chain of loaded names leads to it from a root:
 ``cli.main`` (the console script), the module-level code of any module
@@ -269,3 +270,39 @@ def f(items):
 """
     assert [name for _line, _function, name in _unused_locals(ast.parse(code))] == \
         ["key", "handle", "exc", "squares", "v"]
+
+
+#: The functions that may validate a quantale value: the reader of values
+#: from model, certificate and graph documents, and the function that
+#: builds graphs from values written in code.  Everything else trusts
+#: its values.
+VALIDATE_BOUNDARY = {("quantale", "value_from_json"), ("vgraph", "graph_from_entries")}
+
+
+def _validate_references(paths):
+    """(module, qualified function, line) for each ``.validate`` reference
+    (a call, or a bound method kept to call later) in ``paths``, with the
+    classes and functions that enclose it."""
+    out = []
+
+    def walk(module, node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, DEFS):
+                walk(module, child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == "validate":
+                out.append((module, ".".join(scope), child.lineno))
+            walk(module, child, scope)
+
+    for path in paths:
+        walk(path.stem, ast.parse(path.read_text(encoding="utf-8")), ())
+    return out
+
+
+def test_values_are_validated_only_where_they_enter():
+    outside = [f"{module}.{function} (line {line})"
+               for module, function, line in _validate_references(MODULES)
+               if (module, function.rpartition(".")[2]) not in VALIDATE_BOUNDARY]
+    assert not outside, (f"{outside} validate values inside the package: values "
+                         "are checked where they enter, by value_from_json or "
+                         "graph_from_entries, and trusted after that")

@@ -157,7 +157,7 @@ def lifting_for(q, functor, evals, terms):
 
 
 def assert_same(functor, evals, d, preds, terms, apply_pred):
-    got = lifting_for(d.quantale, functor, evals, terms)(d, preds)
+    got = lifting_for(d.quantale, functor, evals, terms)(preds)
     assert got.carrier.elements == tuple(canon_key(t) for t in terms)
     want = oracle(evals, d, preds, terms, apply_pred)
     assert got.dist == want
@@ -256,7 +256,7 @@ def test_generated_inputs_are_not_trivial():
         functor = random_functor(rng, q, 2)
         leaf = lambda: rng.choice(XYZ.elements)
         terms = distinct((random_term(rng, q, functor, leaf) for _ in range(30)), 6)
-        got = lifting_for(q, functor, build_lambda(functor), terms)(d, preds)
+        got = lifting_for(q, functor, build_lambda(functor), terms)(preds)
         below_top += any(v != q.top for row in got.dist for v in row)
     assert below_top >= 10
 

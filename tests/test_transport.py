@@ -11,16 +11,19 @@ it replaced and with the one-pass loop over ``Fraction`` values that
 its closed form over the ``Fraction`` closure.
 """
 
+import json
 import random
 from fractions import Fraction as F
 from math import lcm
 
 import pytest
 
+from quantadist.cli import main
+from quantadist.models import model_from_json
 from quantadist.monadlift import (_min_cost_transport, dirac, finsubset,
                                   hausdorff_directed, kantorovich_lp, pricing_lp, subdist)
 from quantadist.quantale import BOOLEAN, EXT_PLUS, INF, UNIT_OPLUS, QuantaleError, is_inf
-from quantadist.simplex import simplex_solve
+from quantadist.simplex import UnboundedError, simplex_solve
 from quantadist.suites import all_bool_graphs
 from quantadist.vgraph import (CarrierMismatchError, VGraph, carrier, graph_equal,
                                is_vcat, metric_closure, scaled_closure)
@@ -30,9 +33,12 @@ from quantadist.vgraph import (CarrierMismatchError, VGraph, carrier, graph_equa
 
 def lp_oracle(d, p, q):
     """The optimum of the dual pricing LP, as ``kantorovich_lp`` used to
-    compute it."""
-    opt = simplex_solve(pricing_lp(d, p, q)).optimum
-    return d.quantale.validate(opt if opt > 0 else F(0))
+    compute it; inf where the LP is unbounded."""
+    try:
+        opt = simplex_solve(pricing_lp(d, p, q)).optimum
+    except UnboundedError:
+        return INF
+    return max(opt, F(0))
 
 
 def two_pass_closure(d):
@@ -93,25 +99,24 @@ def hausdorff_oracle(dc, left, right):
 
 def fraction_transport(d, p, q):
     """Optimal transport on all of support(p) x support(q), the shared
-    mass included, with the capped costs read off the ``Fraction``
-    closure and rescaled to integers entry by entry: the problem
-    ``kantorovich_lp`` solved before it shipped only the excess and
-    read the integer closure."""
+    mass included, with the costs read off the ``Fraction`` closure and
+    rescaled to integers entry by entry: the problem ``kantorovich_lp``
+    solved before it shipped only the excess and read the integer
+    closure.  An infinite cost is priced above every plan that avoids
+    one, and a plan that still ships over one costs inf."""
     dc = fraction_closure(d)
-    if d.quantale is UNIT_OPLUS:
-        cap = F(1)
-    else:
-        cap = max((v for _x, _y, v in dc.pairs() if not is_inf(v)), default=F(0))
-    cost = [[cap if is_inf(dc.at(x, y)) else min(dc.at(x, y), cap) for y in q.support()]
-            for x in p.support()]
+    cost = [[dc.at(x, y) for y in q.support()] for x in p.support()]
+    finite = [c for row in cost for c in row if not is_inf(c)]
     supply = [w for _x, w in p.items()]
     demand = [w for _y, w in q.items()]
     mass_scale = lcm(*(w.denominator for w in supply + demand))
-    cost_scale = lcm(*(c.denominator for row in cost for c in row))
-    total = _min_cost_transport([int(w * mass_scale) for w in supply],
-                                [int(w * mass_scale) for w in demand],
-                                [[int(c * cost_scale) for c in row] for row in cost])
-    return d.quantale.validate(F(total, mass_scale * cost_scale))
+    cost_scale = lcm(*(c.denominator for c in finite))
+    units = [int(w * mass_scale) for w in supply]
+    over = int(max(finite, default=F(0)) * cost_scale) * sum(units) + 1
+    total = _min_cost_transport(units, [int(w * mass_scale) for w in demand],
+                                [[over if is_inf(c) else int(c * cost_scale) for c in row]
+                                 for row in cost])
+    return INF if total >= over else F(total, mass_scale * cost_scale)
 
 
 # -- generators -------------------------------------------------------------------
@@ -205,17 +210,47 @@ def test_lp_matches_pricing_lp_small_supports():
 
 
 def test_lp_dirac_pairs_read_the_capped_closure():
+    # Each Dirac pair reads the closure entry: inf where no path joins the
+    # two points, and the pricing LP is unbounded there.
     rng = random.Random(505)
+    unreachable = 0
     for connected in (True, False):
         for _ in range(4):
             d = ext_graph(rng, 4, connected)
             dc = metric_closure(d)
-            cap = max(v for _x, _y, v in dc.pairs() if not is_inf(v))
             for x in d.carrier:
                 for y in d.carrier:
                     value = kantorovich_lp(d, dirac(x), dirac(y))
-                    assert value == (cap if is_inf(dc.at(x, y)) else dc.at(x, y))
+                    assert value == dc.at(x, y)
                     assert value == lp_oracle(d, dirac(x), dirac(y))
+                    unreachable += is_inf(value)
+    assert unreachable > 0
+
+
+LP_GRAPHS = [
+    # d(A, E) = 5, d(D, B) = 5, d(D, E) = 0, every other pair of distinct
+    # points at inf: the one coupling of finite cost ships A to E and D
+    # to B, at 5; pricing inf at the largest finite entry made it 5/2.
+    ({"elements": ["A", "B", "D", "E"],
+      "dist": [["0", "inf", "inf", "5"], ["inf", "0", "inf", "inf"],
+               ["inf", "5", "0", "0"], ["inf", "inf", "inf", "0"]]},
+     "A:1/2,D:1/2|B:1/2,E:1/2", "5"),
+    # Two points at inf both ways: no finite coupling.
+    ({"elements": ["A", "B"], "dist": [["0", "inf"], ["inf", "0"]]}, "A:1|B:1", "inf"),
+]
+
+
+@pytest.mark.parametrize("graph,pair,expected", LP_GRAPHS, ids=["one-finite-plan", "none"])
+def test_lp_reads_an_unreachable_pair_as_inf(graph, pair, expected, tmp_path, capsys):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(dict(graph, kind="vgraph", quantale="ext-plus")),
+                    encoding="utf-8")
+    assert main(["distance", "--model", str(path), "--pair", pair, "--method", "lp"]) == 0
+    assert capsys.readouterr().out == f"{expected}  [exact]\n"
+    d = model_from_json(json.loads(path.read_text(encoding="utf-8"))).graph
+    p, q = (subdist([(x, F(w)) for x, w in (part.split(":") for part in side.split(","))])
+            for side in pair.split("|"))
+    assert kantorovich_lp(d, p, q) == fraction_transport(d, p, q) == lp_oracle(d, p, q)
 
 
 # -- the excess problem against the unreduced oracles --------------------------------

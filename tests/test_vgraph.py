@@ -1,3 +1,4 @@
+import json
 import random
 import re
 from fractions import Fraction as F
@@ -6,7 +7,8 @@ from itertools import product
 import pytest
 
 from conftest import geo, graph_leq
-from quantadist.models import load_fixture, model_from_json
+from quantadist import cli
+from quantadist.models import ModelFormatError, load_fixture, model_from_json
 from quantadist.quantale import BOOLEAN, EXT_PLUS, INF, UNIT_OPLUS, QuantaleError
 from quantadist.vgraph import (Carrier, CarrierMismatchError, FiniteMap, VGraph,
                                all_bottom, carrier, direct_image, graph_equal,
@@ -257,10 +259,16 @@ def test_graph_from_entries_validates_each_value_once(monkeypatch):
         graph_from_entries(EXT_PLUS, c, {("x", "q"): 2})
 
 
-def test_vgraph_validates_unless_told_otherwise():
-    c = carrier(["x"])
-    assert type(VGraph(EXT_PLUS, c, [[3]]).at("x", "x")) is F
-    with pytest.raises(QuantaleError, match="out of"):
-        VGraph(UNIT_OPLUS, c, [[F(3, 2)]])
-    with pytest.raises(ValueError, match="does not match the carrier size"):
-        VGraph(UNIT_OPLUS, c, [[F(0), F(0)]], validated=True)
+@pytest.mark.parametrize("rows", [[["0", "3", "5"], ["3", "0", "4"]],
+                                  [["0", "3", "5"], ["3", "0"], ["5", "4", "0"]]],
+                         ids=["missing-row", "short-row"])
+def test_vgraph_document_refuses_a_ragged_matrix(rows, tmp_path, capsys):
+    doc = load_fixture("transport.json")
+    doc["dist"] = rows
+    with pytest.raises(ModelFormatError, match="does not match the carrier size"):
+        model_from_json(doc)
+    path = tmp_path / "ragged.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["distance", "--model", str(path), "--pair", "P|Q",
+                     "--method", "lp"]) == 2
+    assert "distance matrix does not match the carrier size" in capsys.readouterr().err
