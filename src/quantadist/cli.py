@@ -18,14 +18,13 @@ import time
 from fractions import Fraction
 from typing import List, Optional
 
-from .behaviour import (CoalgebraModel, ModelError, certify, pair_gfp,
-                        trace_lower_bound)
+from .behaviour import CoalgebraModel, certify, pair_gfp, trace_lower_bound
 from .canon import canon_key
 from .distlaw import (ALWAYS_LEFT, DistLaw, StateBudgetError, case_study_laws,
                       law_suite)
 from .galois import BudgetError
-from .models import (DistanceInstance, ModelFormatError, certificate_from_json,
-                     check_members, load_json_file, model_from_json)
+from .models import (DistanceInstance, certificate_from_json, check_members,
+                     load_json_file, model_from_json)
 from .monadlift import (POWERSET, SUBDIST, FinSubset, SubDist, finsubset,
                         hausdorff_directed, kantorovich_lp, subdist)
 from .quantale import QuantaleError
@@ -291,8 +290,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (BudgetError, StateBudgetError) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (_CliError, ModelFormatError, ModelError, QuantaleError, ValueError,
-            ZeroDivisionError, OSError) as exc:
+    except (_CliError, QuantaleError, ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     print(f"elapsed: {time.monotonic() - started:.2f}s", file=sys.stderr)

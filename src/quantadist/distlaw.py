@@ -606,7 +606,7 @@ def _zeta_nonexpansive_boolean(law: DistLaw) -> CheckResult:
     tf_evals = [StarEval(ev_t, ev) for ev in lam_f]
     ft_evals = [StarEval(ev, ev_t) for ev in lam_f]
     n = len(tf_terms)
-    tf_lifting = compile_lifting(None, tf_evals, tf_terms)
+    tf_lifting = compile_lifting(tf_evals, tf_terms)
     # The images may collide, so the other side is a matrix by position
     # rather than a graph keyed by term.
     ft_scores = score_program(ft_evals, ft_terms)

@@ -23,7 +23,7 @@ from .vgraph import Carrier, VGraph, metric_closure
 
 
 class ShapeError(ValueError):
-    """A term does not match the functor it is used with."""
+    """A value is not a term (``map_payloads``, ``iter_payloads``)."""
 
 
 # -- functor expressions ------------------------------------------------------
@@ -43,14 +43,16 @@ class IdF:
 
 @dataclass(frozen=True)
 class ProdF:
+    """A product of ``parts``; ``labels``, when given, names each part
+    (``pow_functor`` gives one label per part).  An empty product, which
+    ``models.functor_from_json`` can read, is refused."""
+
     parts: Tuple["FunctorExpr", ...]
     labels: Optional[Tuple[str, ...]] = None
 
     def __post_init__(self):
         if not self.parts:
             raise ValueError("empty product")
-        if self.labels is not None and len(self.labels) != len(self.parts):
-            raise ValueError("label count does not match the component count")
 
 
 @dataclass(frozen=True)
@@ -119,32 +121,6 @@ class Inr:
 
     def canon(self) -> str:
         return f"r({canon_key(self.item)})"
-
-
-def shape_check(functor: FunctorExpr, term) -> None:
-    if isinstance(functor, ConstF):
-        if not isinstance(term, ConstLeaf):
-            raise ShapeError(f"expected a constant leaf, got {term!r}")
-        return
-    if isinstance(functor, IdF):
-        if not isinstance(term, IdLeaf):
-            raise ShapeError(f"expected an identity leaf, got {term!r}")
-        return
-    if isinstance(functor, ProdF):
-        if not isinstance(term, Tup) or len(term.items) != len(functor.parts):
-            raise ShapeError(f"expected a {len(functor.parts)}-tuple, got {term!r}")
-        for part, item in zip(functor.parts, term.items):
-            shape_check(part, item)
-        return
-    if isinstance(functor, CoprodF):
-        if isinstance(term, Inl):
-            shape_check(functor.left, term.item)
-        elif isinstance(term, Inr):
-            shape_check(functor.right, term.item)
-        else:
-            raise ShapeError(f"expected an injection, got {term!r}")
-        return
-    raise ShapeError(f"not a functor expression: {functor!r}")
 
 
 def map_payloads(term, fn: Callable[[object], object]):
@@ -268,10 +244,10 @@ def distance_program(q: Quantale, functor: FunctorExpr) -> DistanceProgram:
     left-versus-right and bottom on right-versus-left.  The program
     trusts its terms to match ``functor`` and checks no shape: the
     model loader and the determinization build terms to the functor's
-    shape, and ``lift_closed`` checks its terms once before it runs the
-    program on every pair.  The program binds the quantale's operations
-    when it is built, so build it where it is used
-    (``DetCoalgebra.distance`` holds one per determinization).
+    shape, and so do the law suites that call ``lift_closed``.  The
+    program binds the quantale's operations when it is built, so build
+    it where it is used (``DetCoalgebra.distance`` holds one per
+    determinization).
     """
     if isinstance(functor, ConstF):
         return _const_program(q)
@@ -330,20 +306,18 @@ def polynomial_distance(q: Quantale, functor: FunctorExpr, leaf_dist, s, t):
 
 
 def _term_carrier(terms: Sequence[object]) -> Carrier:
-    keys = [canon_key(t) for t in terms]
-    if len(set(keys)) != len(keys):
-        raise ValueError("duplicate terms in the term carrier")
-    return Carrier(tuple(keys))
+    """The terms named by their canonical keys; ``Carrier`` refuses a
+    repeated term."""
+    return Carrier(tuple(canon_key(t) for t in terms))
 
 
 def lift_closed(functor: FunctorExpr, d: VGraph, terms: Sequence[object]) -> VGraph:
     """Closed-form lifted distance on an explicit finite term carrier.
 
     Identity leaves are compared with the metric closure of ``d``
-    (payloads must be elements of d's carrier).
+    (payloads must be elements of d's carrier).  The terms must match
+    ``functor``; like ``distance_program``, this checks no shape.
     """
-    for t in terms:
-        shape_check(functor, t)
     q = d.quantale
     dc = metric_closure(d)
     leaf = lambda x, y: dc.at(x, y)
@@ -376,29 +350,23 @@ def _constant(value) -> Reader:
 
 def _reader(q: Quantale, ev, term, at_leaf: Callable[[object], Reader]) -> Reader:
     """Compile ``ev`` on ``term``; ``at_leaf`` compiles the payload of
-    each identity leaf or monad member that ``ev`` reads."""
+    each identity leaf or monad member that ``ev`` reads.  The term must
+    have the shape of the functor whose maps ``ev`` is built from
+    (``build_lambda``, ``star``); no shape is checked."""
     if isinstance(ev, ConstEval):
-        if not isinstance(term, ConstLeaf):
-            raise ShapeError(f"constant evaluation on {term!r}")
         return _constant(term.atom)
     if isinstance(ev, IdEval):
-        if not isinstance(term, IdLeaf):
-            raise ShapeError(f"identity evaluation on {term!r}")
         return at_leaf(term.payload)
     if isinstance(ev, ProjEval):
-        if not isinstance(term, Tup):
-            raise ShapeError(f"projection on {term!r}")
         return _reader(q, ev.inner, term.items[ev.index], at_leaf)
     if isinstance(ev, CoprodEval):
         if isinstance(term, Inl):
             if ev.side == "left":
                 return _reader(q, ev.inner, term.item, at_leaf)
             return _constant(q.bottom)
-        if isinstance(term, Inr):
-            if ev.side == "right":
-                return _reader(q, ev.inner, term.item, at_leaf)
-            return _constant(q.top)
-        raise ShapeError(f"coproduct evaluation on {term!r}")
+        if ev.side == "right":
+            return _reader(q, ev.inner, term.item, at_leaf)
+        return _constant(q.top)
     if isinstance(ev, MonadEval):
         monad = ev.monad
         parts = [(at_leaf(m), w) for m, w in monad.weighted(term)]
@@ -453,15 +421,15 @@ def score_program(evals: Sequence[EvalMap], terms: Sequence[object]) -> ScorePro
 Lifting = Callable[[PredSet], VGraph]
 
 
-def compile_lifting(functor: Optional[FunctorExpr], evals: Sequence[EvalMap],
-                    terms: Sequence[object]) -> Lifting:
+def compile_lifting(evals: Sequence[EvalMap], terms: Sequence[object]) -> Lifting:
     """Compile the generic Kantorovich formula over the booleans on
     ``terms``: the meet over evaluation maps and supplied predicates of
     the residuated evaluation differences.
 
-    Compiling checks the terms against ``functor`` once (unless it is
-    None), builds the term carrier and compiles the score vectors
-    (``score_program``); none of that depends on the graph.  The
+    Compiling builds the term carrier and compiles the score vectors
+    (``score_program``); none of that depends on the graph.  The terms
+    must have the shape the maps in ``evals`` read (see ``_reader``):
+    the law suites and ``distlaw`` build both from one functor.  The
     lifting of a boolean graph d is ``lifting(gamma_enum(d))``: it reads
     d only through its predicate set, which ``gamma_enum`` enumerates
     from a boolean graph only and fills with non-expansive predicates,
@@ -469,9 +437,6 @@ def compile_lifting(functor: Optional[FunctorExpr], evals: Sequence[EvalMap],
     the formula is the lifting exactly.  The result's entries are
     booleans by construction.
     """
-    if functor is not None:
-        for t in terms:
-            shape_check(functor, t)
     out_carrier = _term_carrier(terms)
     scores = score_program(evals, terms)
     n = len(terms)
@@ -486,8 +451,7 @@ def compile_lifting(functor: Optional[FunctorExpr], evals: Sequence[EvalMap],
 CompositionalityCheck = Callable[[PredSet], dict]
 
 
-def compositionality_check(outer: FunctorExpr, lam_outer: Sequence[EvalMap],
-                           inner: FunctorExpr, lam_inner: Sequence[EvalMap],
+def compositionality_check(lam_outer: Sequence[EvalMap], lam_inner: Sequence[EvalMap],
                            inner_terms: Sequence[object],
                            composed_terms: Sequence[object]) -> CompositionalityCheck:
     """Compile the boolean-exact comparison of the two-step lifting with
@@ -498,7 +462,11 @@ def compositionality_check(outer: FunctorExpr, lam_outer: Sequence[EvalMap],
     that holds unconditionally: the composed lifting is below the
     combined one in the quantale order.
 
-    Its three liftings are compiled once: the inner one on
+    ``lam_outer`` and ``lam_inner`` are the generated maps
+    (``build_lambda``) of an outer and an inner functor, ``inner_terms``
+    terms of the inner functor and ``composed_terms`` terms of the outer
+    functor over inner terms; as in ``compile_lifting``, no shape is
+    checked.  Its three liftings are compiled once: the inner one on
     ``inner_terms``, the outer one on the composed terms with each inner
     term replaced by its key (the inner graph's carrier), and the
     combined ``star`` one on ``composed_terms``.  The returned check
@@ -511,10 +479,10 @@ def compositionality_check(outer: FunctorExpr, lam_outer: Sequence[EvalMap],
     exhaustive boolean suites run the check once per set
     (``suites.BooleanFibre``).
     """
-    inner_lifting = compile_lifting(inner, lam_inner, inner_terms)
+    inner_lifting = compile_lifting(lam_inner, inner_terms)
     outer_lifting = compile_lifting(
-        outer, lam_outer, [map_payloads(t, canon_key) for t in composed_terms])
-    combined_lifting = compile_lifting(outer, star(lam_outer, lam_inner), composed_terms)
+        lam_outer, [map_payloads(t, canon_key) for t in composed_terms])
+    combined_lifting = compile_lifting(star(lam_outer, lam_inner), composed_terms)
     n = len(composed_terms)
     leq = BOOLEAN.leq
 

@@ -18,14 +18,13 @@ numeric order on the real-valued quantales.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Dict, Iterable, List, Sequence
 
 from .quantale import BOOLEAN, INF, Quantale, QuantaleError
-from .vgraph import Carrier, VGraph, is_vcat, metric_closure
+from .vgraph import Carrier, VGraph
 
 #: Predicates are total dicts element -> value.
 Pred = Dict[str, object]
@@ -150,41 +149,21 @@ def gamma_enum(d: VGraph, budget: int = 10 ** 6) -> PredSet:
 
 
 def reindex_preds(preds: PredSet, f) -> PredSet:
-    """Precompose every predicate with a finite map (predicate reindexing)."""
-    if f.codomain != preds.carrier:
-        raise ValueError("predicate reindexing: carrier mismatch")
+    """Precompose every predicate with a finite map (predicate
+    reindexing); ``f``'s codomain must be the predicates' carrier."""
     out = [{x: p[f(x)] for x in f.domain} for p in preds.preds]
     return PredSet(f.domain, out)
-
-
-def _closed_input(d: VGraph) -> VGraph:
-    if is_vcat(d):
-        return d
-    warnings.warn(
-        "extension applied to a V-graph; using its metric closure",
-        stacklevel=3,
-    )
-    return metric_closure(d)
-
-
-def _check_partial_nonexpansive(q: Quantale, d: VGraph, sub: Sequence[str], f: Pred):
-    for x in sub:
-        for y in sub:
-            if not q.leq(d.at(x, y), q.residuate(f[x], f[y])):
-                raise ValueError(
-                    f"predicate is not non-expansive on the sub-carrier at ({x!r}, {y!r})"
-                )
 
 
 def extension_largest(d: VGraph, sub: Sequence[str], f: Pred) -> Pred:
     """The greatest (in the quantale order) non-expansive extension of ``f``.
 
     On the real-valued quantales this is the numerically smallest
-    extension.
+    extension.  Two preconditions, not checked: ``d`` is a V-category
+    (a metric closure, say), and ``f`` is non-expansive on ``sub``
+    (a restriction of a globally non-expansive map, say).
     """
-    d = _closed_input(d)
     q = d.quantale
-    _check_partial_nonexpansive(q, d, sub, f)
     return {
         x: q.meet(q.residuate(d.at(x, y), f[y]) for y in sub)
         for x in d.carrier
@@ -192,10 +171,9 @@ def extension_largest(d: VGraph, sub: Sequence[str], f: Pred) -> Pred:
 
 
 def extension_smallest(d: VGraph, sub: Sequence[str], f: Pred) -> Pred:
-    """The least non-expansive extension (numerically largest on the reals)."""
-    d = _closed_input(d)
+    """The least non-expansive extension (numerically largest on the
+    reals), under the preconditions of ``extension_largest``."""
     q = d.quantale
-    _check_partial_nonexpansive(q, d, sub, f)
     return {
         x: q.join(q.tensor(f[y], d.at(y, x)) for y in sub)
         for x in d.carrier

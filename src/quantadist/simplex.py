@@ -26,15 +26,11 @@ class InfeasibleError(RuntimeError):
 
 @dataclass
 class LinearConstraint:
+    """``coeffs . x rel rhs``; a trusted record (see ``LPProblem``)."""
+
     coeffs: Dict[str, Fraction]
     rel: str  # one of "<=", ">=", "=="
     rhs: Fraction
-
-    def __post_init__(self):
-        if self.rel not in ("<=", ">=", "=="):
-            raise ValueError(f"bad relation {self.rel!r}")
-        self.coeffs = {k: Fraction(v) for k, v in self.coeffs.items()}
-        self.rhs = Fraction(self.rhs)
 
 
 @dataclass
@@ -43,6 +39,12 @@ class LPProblem:
 
     Variable bounds: the lower bound may be 0 (default) or None for a
     free variable; an optional finite upper bound is allowed.
+
+    A trusted record, like ``LinearConstraint``: its builders
+    (``monadlift.price_polytope`` and ``pricing_lp``, the ``counterex``
+    LPs) declare every variable they use, give each relation as one of
+    the three above and each lower bound as 0 or None, and
+    ``simplex_solve`` checks none of that.
     """
 
     variables: List[str]
@@ -50,23 +52,6 @@ class LPProblem:
     constraints: List[LinearConstraint] = field(default_factory=list)
     bounds: Dict[str, Tuple[Optional[Fraction], Optional[Fraction]]] = field(default_factory=dict)
     maximize: bool = True
-
-    def __post_init__(self):
-        if len(set(self.variables)) != len(self.variables):
-            raise ValueError("duplicate variable names")
-        known = set(self.variables)
-        for v in self.objective:
-            if v not in known:
-                raise ValueError(f"objective references unknown variable {v!r}")
-        for con in self.constraints:
-            for v in con.coeffs:
-                if v not in known:
-                    raise ValueError(f"constraint references unknown variable {v!r}")
-        for v, (lo, _hi) in self.bounds.items():
-            if v not in known:
-                raise ValueError(f"bound on unknown variable {v!r}")
-            if lo is not None and lo != 0:
-                raise ValueError("only lower bounds of 0 (or None for free) are supported")
 
 
 @dataclass

@@ -18,7 +18,7 @@ from .quantale import INF, Quantale
 
 
 class CarrierMismatchError(ValueError):
-    """Operands live over different carriers (or the wrong quantale)."""
+    """A name is not an element of the carrier it is looked up in."""
 
 
 @dataclass(frozen=True)
@@ -111,23 +111,13 @@ def graph_from_entries(q: Quantale, c: Carrier, entries: Dict[Tuple[str, str], o
     return VGraph(q, c, dist)
 
 
-def _require_same(d1: VGraph, d2: VGraph):
-    if d1.quantale is not d2.quantale:
-        raise CarrierMismatchError("graphs over different quantales")
-    if d1.carrier != d2.carrier:
-        raise CarrierMismatchError("graphs over different carriers")
-
-
-def graph_equal(d1: VGraph, d2: VGraph) -> bool:
-    _require_same(d1, d2)
-    return d1.dist == d2.dist
-
-
 @dataclass
 class FiniteMap:
     """A total map between carriers: ``assignment`` sends every element
     of ``domain`` into ``codomain`` (a trusted record, built by the law
-    suites' ``all_maps``)."""
+    suites' ``all_maps``).  ``reindex``, ``direct_image`` and
+    ``galois.reindex_preds`` trust it to fit the graph or predicate set
+    they apply it to."""
 
     domain: Carrier
     codomain: Carrier
@@ -138,9 +128,8 @@ class FiniteMap:
 
 
 def reindex(f: FiniteMap, d_cod: VGraph) -> VGraph:
-    """Pull a graph on the codomain back along f (d o (f x f))."""
-    if f.codomain != d_cod.carrier:
-        raise CarrierMismatchError("reindex: codomain does not match the graph carrier")
+    """Pull a graph on the codomain back along f (d o (f x f)).  ``f``'s
+    codomain must be the graph's carrier; it is not checked."""
     q = d_cod.quantale
     dom = f.domain
     dist = [[d_cod.at(f(x), f(y)) for y in dom] for x in dom]
@@ -151,9 +140,8 @@ def direct_image(f: FiniteMap, d_dom: VGraph) -> VGraph:
     """Push a graph forward along f: the join over preimage pairs.
 
     Pairs with an empty preimage get the empty join, i.e. bottom.
+    ``f``'s domain must be the graph's carrier; it is not checked.
     """
-    if f.domain != d_dom.carrier:
-        raise CarrierMismatchError("direct_image: domain does not match the graph carrier")
     q = d_dom.quantale
     cod = f.codomain
     out = all_bottom(q, cod)

@@ -5,10 +5,11 @@ import pytest
 from quantadist.behaviour import CoalgebraModel
 from quantadist.distlaw import mask_value, point_mask
 from quantadist.functor import (ConstF, ConstLeaf, CoprodF, IdF, IdLeaf, Inl, Inr,
-                                ProdF, Tup, exception_functor, machine_functor)
+                                ProdF, ShapeError, Tup, exception_functor,
+                                machine_functor)
 from quantadist.monadlift import POWERSET, SUBDIST, dirac, subdist
 from quantadist.quantale import EXT_PLUS, UNIT_OPLUS
-from quantadist.vgraph import carrier, graph_from_entries
+from quantadist.vgraph import CarrierMismatchError, carrier, graph_from_entries
 
 
 def machine_term(out, dist):
@@ -108,6 +109,45 @@ def model_to_json(model: CoalgebraModel) -> dict:
             for s, t in model.transitions.items()
         },
     }
+
+
+def shape_check(functor, term) -> None:
+    """Raise ``ShapeError`` unless ``term`` has the shape of ``functor``:
+    the check the model loader makes as it builds each term, and the one
+    the grid oracle makes on its terms."""
+    if isinstance(functor, ConstF):
+        if not isinstance(term, ConstLeaf):
+            raise ShapeError(f"expected a constant leaf, got {term!r}")
+        return
+    if isinstance(functor, IdF):
+        if not isinstance(term, IdLeaf):
+            raise ShapeError(f"expected an identity leaf, got {term!r}")
+        return
+    if isinstance(functor, ProdF):
+        if not isinstance(term, Tup) or len(term.items) != len(functor.parts):
+            raise ShapeError(f"expected a {len(functor.parts)}-tuple, got {term!r}")
+        for part, item in zip(functor.parts, term.items):
+            shape_check(part, item)
+        return
+    if isinstance(functor, CoprodF):
+        if isinstance(term, Inl):
+            shape_check(functor.left, term.item)
+        elif isinstance(term, Inr):
+            shape_check(functor.right, term.item)
+        else:
+            raise ShapeError(f"expected an injection, got {term!r}")
+        return
+    raise ShapeError(f"not a functor expression: {functor!r}")
+
+
+def graph_equal(d1, d2) -> bool:
+    """Equality of two graphs over one quantale and carrier; graphs over
+    different ones raise ``CarrierMismatchError``."""
+    if d1.quantale is not d2.quantale:
+        raise CarrierMismatchError("graphs over different quantales")
+    if d1.carrier != d2.carrier:
+        raise CarrierMismatchError("graphs over different carriers")
+    return d1.dist == d2.dist
 
 
 def graph_leq(d1, d2) -> bool:

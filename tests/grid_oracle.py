@@ -16,7 +16,8 @@ forms against it.  Everything here is generic over the quantale: one
 from itertools import product
 from operator import itemgetter
 
-from quantadist.functor import _reader, _term_carrier, shape_check
+from conftest import shape_check
+from quantadist.functor import _reader, _term_carrier
 from quantadist.galois import PredSet, grid_values
 from quantadist.vgraph import VGraph
 

@@ -129,7 +129,7 @@ def test_criterion_6_oracle_consistency():
     # oracle exactly.
     c = carrier(["x", "y"])
     subsets = [finsubset(s) for s in ([], ["x"], ["y"], ["x", "y"])]
-    oracle_lifting = compile_lifting(None, [MonadEval(POWERSET)], subsets)
+    oracle_lifting = compile_lifting([MonadEval(POWERSET)], subsets)
     for d in all_bool_graphs(c):
         oracle = oracle_lifting(gamma_enum(d))
         for i, u in enumerate(subsets):

@@ -290,11 +290,6 @@ def test_certify_not_monotone_under_single_entry_weakening(exceptions3):
     assert verdict.failures[0][:2] == (S("x0", "y0"), S("z0"))
 
 
-def test_certify_needs_matching_monad(probchain):
-    with pytest.raises(ModelError, match="monad"):
-        certify(exception_certificate(), probchain)
-
-
 def test_model_rejects_mismatched_labels():
     model = CoalgebraModel(UNIT_OPLUS, exception_functor(["a", "b"]), POWERSET,
                            carrier(["s"]), carrier(["a"]),

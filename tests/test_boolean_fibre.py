@@ -56,8 +56,7 @@ def oracle_compositionality_rows():
                     [Inr(Tup((IdLeaf(g),))) for g in g_terms]
             # Read through the module so that a patched lifting reaches here too.
             check = functor.compositionality_check(
-                outer, build_lambda(outer), inner, build_lambda(inner), g_terms,
-                fg_terms)
+                build_lambda(outer), build_lambda(inner), g_terms, fg_terms)
             ok = True
             witness = ""
             for d in all_bool_graphs(XY):
@@ -84,7 +83,7 @@ def oracle_zeta_nonexpansive_boolean(law):
     ft_evals = [StarEval(ev, ev_t) for ev in lam_f]
     n = len(tf_terms)
     # Read through the module so that a patched lifting reaches here too.
-    tf_lifting = functor.compile_lifting(None, tf_evals, tf_terms)
+    tf_lifting = functor.compile_lifting(tf_evals, tf_terms)
     for d in all_bool_graphs(XY):
         preds = gamma_enum(d)
         d_tf = tf_lifting(preds)
@@ -334,14 +333,14 @@ def _assert_lifting_is_a_function_of_gamma(lifting, gamma, graphs):
 def test_boolean_lifting_depends_only_on_gamma(shape):
     f = SHAPES[shape]
     terms = _f_terms_over(f, list(XY.elements), [False, True])
-    lifting = functor.compile_lifting(f, build_lambda(f), terms)
+    lifting = functor.compile_lifting(build_lambda(f), terms)
     _assert_lifting_is_a_function_of_gamma(lifting, gamma_enum, all_bool_graphs(XY))
 
     xyz = carrier(["x", "y", "z"])
     rng = random.Random(11)
     graphs = rng.sample(all_bool_graphs(xyz), 96)
     terms = _f_terms_over(f, list(xyz.elements), [False, True])
-    lifting = functor.compile_lifting(f, build_lambda(f), terms)
+    lifting = functor.compile_lifting(build_lambda(f), terms)
     _assert_lifting_is_a_function_of_gamma(lifting, gamma_enum, graphs)
 
 

@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from conftest import graph_leq, machine_term
+from conftest import graph_leq, machine_term, shape_check
 from grid_oracle import grid_gamma, grid_lifting
 from quantadist.canon import canon_key
 from quantadist.functor import (ConstF, ConstLeaf, CoprodF,
@@ -13,7 +13,7 @@ from quantadist.functor import (ConstF, ConstLeaf, CoprodF,
                                 compile_lifting, compositionality_check,
                                 distance_program, eval_map, exception_functor,
                                 lift_closed, machine_functor,
-                                map_payloads, polynomial_distance, shape_check, star)
+                                map_payloads, polynomial_distance, star)
 from quantadist.galois import Grid, PredSet, alpha, gamma_enum, grid_values
 from quantadist.monadlift import POWERSET, SUBDIST, dirac, finsubset, subdist
 from quantadist.quantale import BOOLEAN, EXT_PLUS, UNIT_OPLUS
@@ -121,7 +121,7 @@ def test_coproduct_eval_sets_associative_via_distances():
 def test_generic_identity_equals_closure_boolean():
     terms = [IdLeaf("x"), IdLeaf("y")]
     for d in all_bool_graphs(XY):
-        out = compile_lifting(IdF(), [IdEval()], terms)(gamma_enum(d))
+        out = compile_lifting([IdEval()], terms)(gamma_enum(d))
         closed = metric_closure(d)
         for i, x in enumerate(XY.elements):
             for j, y in enumerate(XY.elements):
@@ -130,7 +130,7 @@ def test_generic_identity_equals_closure_boolean():
 
 def test_generic_empty_eval_set_gives_top():
     d = graph_from_entries(BOOLEAN, XY, {("x", "y"): True}, default=False)
-    out = compile_lifting(MACHINE, [], [machine_term(False, "x")])(gamma_enum(d))
+    out = compile_lifting([], [machine_term(False, "x")])(gamma_enum(d))
     assert out.dist[0][0] == BOOLEAN.top
 
 
@@ -138,11 +138,11 @@ def test_compiled_lifting_runs_on_many_graphs():
     # One compiled lifting, run on every graph in turn, gives each
     # graph's lifting; nothing of one run carries over to the next.
     terms = [machine_term(b, g) for b in (False, True) for g in ("x", "y")]
-    lifting = compile_lifting(MACHINE, build_lambda(MACHINE), terms)
+    lifting = compile_lifting(build_lambda(MACHINE), terms)
     graphs = all_bool_graphs(XY)
     for d in graphs + graphs[::-1]:
         preds = gamma_enum(d)
-        fresh = compile_lifting(MACHINE, build_lambda(MACHINE), terms)
+        fresh = compile_lifting(build_lambda(MACHINE), terms)
         assert lifting(preds).dist == fresh(preds).dist
 
 
@@ -221,8 +221,8 @@ def test_compositionality_boolean_exhaustive(outer_shape, inner_kind):
     inner = IdF() if inner_kind == "id" else CoprodF(ConstF(), IdF())
     g_terms = boolean_terms_for(inner)
     fg_terms = composed_terms_for(outer_shape, g_terms)
-    check = compositionality_check(outer, build_lambda(outer), inner,
-                                   build_lambda(inner), g_terms, fg_terms)
+    check = compositionality_check(build_lambda(outer), build_lambda(inner),
+                                   g_terms, fg_terms)
     for d in all_bool_graphs(XY):
         report = check(gamma_enum(d))
         assert report["composed_below_combined"]

@@ -1,17 +1,16 @@
 import random
-import warnings
 from fractions import Fraction as F
 
 import pytest
 
-from conftest import geo
+from conftest import geo, graph_equal
 from grid_oracle import generic_residual_meet, grid_alpha, grid_gamma
 from quantadist.galois import (BudgetError, Grid, PredSet, alpha, extension_largest,
                                extension_smallest, gamma_enum, grid_values,
                                residual_meet)
 from quantadist.quantale import BOOLEAN, EXT_PLUS, UNIT_OPLUS, QuantaleError
 from quantadist.suites import all_bool_graphs
-from quantadist.vgraph import (carrier, graph_equal, graph_from_entries,
+from quantadist.vgraph import (carrier, graph_from_entries,
                                is_vcat, metric_closure)
 
 
@@ -153,24 +152,6 @@ def test_extension_constant_unit_predicate():
     big = extension_largest(d, ["A", "B"], f)
     for x in d.carrier:
         assert EXT_PLUS.leq(EXT_PLUS.unit, big[x]) or big[x] == F(0)
-
-
-def test_extension_requires_nonexpansive_input():
-    d = geo()
-    with pytest.raises(ValueError, match="non-expansive"):
-        extension_largest(d, ["A", "B"], {"A": F(0), "B": F(100)})
-
-
-def test_extension_closes_vgraph_input_with_warning():
-    c = carrier(["A", "B", "C"])
-    raw = graph_from_entries(EXT_PLUS, c,
-                             {("A", "B"): F(3), ("B", "C"): F(4), ("A", "C"): F(8)},
-                             default=F(0))
-    assert not is_vcat(raw)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        extension_largest(raw, ["A"], {"A": F(0)})
-    assert any("closure" in str(w.message) for w in caught)
 
 
 def test_unit_coclosure_converges_to_closure():

@@ -28,13 +28,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_exceptions, model_to_json
+from conftest import build_exceptions, model_to_json, shape_check
 from test_cli_fuzz import MUTATIONS
 from test_determinize import LAWS, random_model, state_transitions
 from quantadist.behaviour import CoalgebraModel, certify
 from quantadist.distlaw import PRIORITY_LEFT
 from quantadist.functor import (ConstF, ConstLeaf, CoprodF, IdF, IdLeaf, Inl, Inr,
-                                ProdF, Tup, iter_payloads, shape_check)
+                                ProdF, Tup, iter_payloads)
 from quantadist.models import (ModelFormatError, _names, _point_names,
                                certificate_from_json, check_members,
                                functor_from_json, load_fixture, model_from_json,

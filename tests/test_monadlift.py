@@ -99,7 +99,7 @@ def test_hausdorff_agrees_with_boolean_generic():
     c = carrier(["x", "y"])
     subsets = [finsubset(s) for s in ([], ["x"], ["y"], ["x", "y"])]
     from quantadist.suites import all_bool_graphs
-    lifting = compile_lifting(None, [MonadEval(POWERSET)], subsets)
+    lifting = compile_lifting([MonadEval(POWERSET)], subsets)
     for d in all_bool_graphs(c):
         oracle = lifting(gamma_enum(d))
         for i, u in enumerate(subsets):

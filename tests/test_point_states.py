@@ -209,7 +209,7 @@ def reference_certify(cert, model):
                 q, law.functor, bound,
                 general_successor(law, transitions, p_state),
                 general_successor(law, transitions, q_state))
-        except (ValueError, KeyError) as exc:  # a broken witness, a ModelError
+        except (ValueError, KeyError) as exc:  # a broken witness
             failures.append((p_state, q_state, str(exc)))
             continue
         if not q.leq(stated, bound_value):

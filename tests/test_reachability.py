@@ -2,7 +2,8 @@
 from a command, every parameter default there is overridden by some
 call, no module there imports a name it never uses, no function there
 assigns a local it never reads, and quantale values are validated only
-where they enter.
+where they enter, and only the dataclasses that check outside input
+define ``__post_init__``.
 
 A name is reached when a chain of loaded names leads to it from a root:
 ``cli.main`` (the console script), the module-level code of any module
@@ -306,3 +307,46 @@ def test_values_are_validated_only_where_they_enter():
     assert not outside, (f"{outside} validate values inside the package: values "
                          "are checked where they enter, by value_from_json or "
                          "graph_from_entries, and trusted after that")
+
+
+#: The dataclasses that may define ``__post_init__``, with the reason.
+#: Every other dataclass is a trusted record: its builders in the package
+#: make it right, so it checks nothing.
+POST_INIT_ALLOWED = {
+    ("vgraph", "Carrier"):
+        "builds its position table and refuses duplicate names read from documents",
+    ("functor", "ProdF"): "refuses an empty product read by functor_from_json",
+    ("galois", "Grid"): "refuses --grid below 1",
+    ("distlaw", "DistLaw"): "refuses a subdist-over-boolean law read from a model",
+    ("distlaw", "DetCoalgebra"): "compiles the distance program",
+}
+
+
+def _is_dataclass(node):
+    """Whether a class is decorated ``@dataclass`` or ``@dataclass(...)``."""
+    decorators = [getattr(d, "func", d) for d in node.decorator_list]
+    return any(getattr(d, "id", None) == "dataclass" for d in decorators)
+
+
+def _post_init_dataclasses(paths):
+    """(module, class) for each top-level dataclass in ``paths`` that
+    defines ``__post_init__``."""
+    out = set()
+    for path in paths:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node) and any(
+                    isinstance(item, ast.FunctionDef) and item.name == "__post_init__"
+                    for item in node.body):
+                out.add((path.stem, node.name))
+    return out
+
+
+def test_only_allowed_dataclasses_check_themselves():
+    extra = sorted(f"{m}.{c}" for m, c in _post_init_dataclasses(MODULES)
+                   - POST_INIT_ALLOWED.keys())
+    assert not extra, (f"{extra} check themselves in __post_init__: check the input "
+                       "where it enters the package and trust the record after that")
+
+
+def test_post_init_allowlist_is_current():
+    assert POST_INIT_ALLOWED.keys() <= _post_init_dataclasses(MODULES)

@@ -152,7 +152,7 @@ def case(seed, quantales=tuple(GRIDS)):
 def lifting_for(q, functor, evals, terms):
     """The compiled boolean lifting, or the grid lifting on the reals."""
     if q is BOOLEAN:
-        return compile_lifting(functor, evals, terms)
+        return compile_lifting(evals, terms)
     return grid_lifting(q, functor, evals, terms)
 
 

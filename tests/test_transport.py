@@ -18,6 +18,7 @@ from math import lcm
 
 import pytest
 
+from conftest import graph_equal
 from quantadist.cli import main
 from quantadist.models import model_from_json
 from quantadist.monadlift import (_min_cost_transport, dirac, finsubset,
@@ -25,8 +26,8 @@ from quantadist.monadlift import (_min_cost_transport, dirac, finsubset,
 from quantadist.quantale import BOOLEAN, EXT_PLUS, INF, UNIT_OPLUS, QuantaleError, is_inf
 from quantadist.simplex import UnboundedError, simplex_solve
 from quantadist.suites import all_bool_graphs
-from quantadist.vgraph import (CarrierMismatchError, VGraph, carrier, graph_equal,
-                               is_vcat, metric_closure, scaled_closure)
+from quantadist.vgraph import (CarrierMismatchError, VGraph, carrier, is_vcat,
+                               metric_closure, scaled_closure)
 
 
 # -- oracles ----------------------------------------------------------------------

@@ -6,13 +6,13 @@ from itertools import product
 
 import pytest
 
-from conftest import geo, graph_leq
+from conftest import geo, graph_equal, graph_leq
 from quantadist import cli
 from quantadist.models import ModelFormatError, load_fixture, model_from_json
 from quantadist.quantale import BOOLEAN, EXT_PLUS, INF, UNIT_OPLUS, QuantaleError
 from quantadist.vgraph import (Carrier, CarrierMismatchError, FiniteMap, VGraph,
-                               all_bottom, carrier, direct_image, graph_equal,
-                               graph_from_entries, is_vcat, metric_closure, reindex)
+                               carrier, direct_image, graph_from_entries, is_vcat,
+                               metric_closure, reindex)
 from quantadist.suites import all_bool_graphs
 
 
@@ -47,11 +47,6 @@ def test_graph_leq_matches_entrywise_reversed_numeric():
         d2 = VGraph(UNIT_OPLUS, c, [[rng.choice(grid) for _ in range(3)] for _ in range(3)])
         expected = all(d1.dist[i][j] >= d2.dist[i][j] for i in range(3) for j in range(3))
         assert graph_leq(d1, d2) == expected
-
-
-def test_graph_equal_carrier_mismatch():
-    with pytest.raises(CarrierMismatchError):
-        graph_equal(geo(), all_bottom(EXT_PLUS, carrier(["A", "B"])))
 
 
 def test_reindex():
