@@ -336,9 +336,10 @@ def certify(cert: Certificate, model: CoalgebraModel) -> Verdict:
     name monad values (``DetCoalgebra.value``).
 
     The certificate is trusted to be one ``certificate_from_json`` read
-    against ``model``: it has the model's monad and its pairs are states
-    of the model's determinization, so nothing but a witness's marginals
-    is checked, and only a ``WitnessError`` is caught.
+    against ``model``: it has the model's monad, its pairs are states of
+    the model's determinization, and it has witnesses only where
+    ``DistLaw.witnesses_sound`` holds, so nothing but a witness's
+    marginals is checked, and only a ``WitnessError`` is caught.
     """
     q = model.quantale
     det = model.det()

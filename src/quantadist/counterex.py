@@ -70,7 +70,7 @@ def combined_pow_dist(d: VGraph, left: FinSubset, right: FinSubset):
                 delta = mu.weight(x) - nu.weight(x)
                 if delta != 0:
                     coeffs[f"f_{x}"] = coeffs.get(f"f_{x}", Fraction(0)) + delta
-            constraints.append(LinearConstraint(coeffs, "<=", Fraction(0)))
+            constraints.append(LinearConstraint(coeffs, Fraction(0)))
         lp = LPProblem(variables + ["t"], {"t": Fraction(1)}, constraints,
                        {**bounds, "t": (None, None)})
         best = max(best, simplex_solve(lp).optimum)
@@ -93,8 +93,7 @@ def combined_dist_pow(d: VGraph, left: SubDist, right: SubDist):
             for z in s.members:
                 if z != top:
                     constraints.append(LinearConstraint(
-                        {f"f_{z}": Fraction(1), f"f_{top}": Fraction(-1)},
-                        "<=", Fraction(0)))
+                        {f"f_{z}": Fraction(1), f"f_{top}": Fraction(-1)}, Fraction(0)))
             coeff = right.weight(s) - left.weight(s)
             if coeff != 0:
                 objective[f"f_{top}"] = objective.get(f"f_{top}", Fraction(0)) + coeff

@@ -51,6 +51,16 @@ class DistLaw:
     The one check, which ``models.model_from_json`` relies on to refuse
     such a model, is that subdistributions over the booleans have no
     constant: the expectation of booleans is undefined.
+
+    ``witnesses_sound`` says whether a certificate's witnesses may bound
+    a pair: a witness bounds it by the evaluation map of the candidate
+    on its parts, which is sound only where the lifted distance is
+    convex along the monad.  That fails for subdistributions over
+    unit-oplus with a coproduct anywhere in the functor: a coproduct
+    compares right against left at bottom, 1 on unit-oplus, and a part
+    of weight w < 1 scales that bottom down to w (on ext-plus w * inf
+    stays inf).  ``models.certificate_from_json`` refuses witnesses on
+    such a law; plain entries are ordinary coinduction and stay sound.
     """
 
     functor: object
@@ -60,23 +70,27 @@ class DistLaw:
 
     def __post_init__(self):
         if self.monad is SUBDIST and self.quantale is BOOLEAN \
-                and any(_const_nodes(self.functor)):
+                and any(isinstance(n, ConstF) for n in _nodes(self.functor)):
             raise ValueError("subdistributions over the boolean quantale admit no "
                              "value constants: expectation is not defined over "
                              "the boolean quantale")
 
+    @property
+    def witnesses_sound(self) -> bool:
+        return not (self.monad is SUBDIST and self.quantale is UNIT_OPLUS
+                    and any(isinstance(n, CoprodF) for n in _nodes(self.functor)))
 
-def _const_nodes(functor):
-    """Yield every constant node of the functor."""
-    if isinstance(functor, ConstF):
-        yield functor
-    elif isinstance(functor, ProdF):
+
+def _nodes(functor):
+    """Yield every node of the functor."""
+    yield functor
+    if isinstance(functor, ProdF):
         for part in functor.parts:
-            yield from _const_nodes(part)
+            yield from _nodes(part)
     elif isinstance(functor, CoprodF):
-        yield from _const_nodes(functor.left)
-        yield from _const_nodes(functor.right)
-    elif not isinstance(functor, IdF):
+        yield from _nodes(functor.left)
+        yield from _nodes(functor.right)
+    elif not isinstance(functor, (ConstF, IdF)):
         raise TypeError(f"not a functor expression: {functor!r}")
 
 
@@ -185,8 +199,9 @@ class DetCoalgebra:
     unit axiom λ∘η_F = Fη together with μ∘η_T = id makes η a coalgebra
     morphism from the model into its determinization, so ``successor``
     reads c(x) off ``transitions`` instead of running the exchange law
-    and the multiplication.  The mutant prioritizer breaks the unit
-    axiom and keeps the general path.  Transition terms must be
+    and the multiplication.  So the law must be an exact one, as
+    ``CoalgebraModel.law`` builds it: the mutant prioritizer breaks the
+    unit axiom, and only ``law_suite`` reads it.  Transition terms must be
     canonical and built to the functor's shape (monad values as built by
     their constructors, constants canonical quantale values), as they
     are when read from a model file.
@@ -196,8 +211,8 @@ class DetCoalgebra:
     once, when a state with it as a member is first read, into the
     functor's nodes: its coproduct sides, the mask at each identity leaf
     and its constants.  A state then walks the functor once: a coproduct
-    keeps the members on its left summand when there are any (always,
-    for the mutant), an identity leaf ORs the members' leaf masks, and a
+    keeps the members on its left summand when there are any, an
+    identity leaf ORs the members' leaf masks, and a
     constant is the meet of the members' constants.
 
     States are determinized lazily, on their first read; reading a new
@@ -238,9 +253,8 @@ class DetCoalgebra:
         if len(self.memo) >= self.max_states:
             raise StateBudgetError(
                 f"determinization exceeded the budget of {self.max_states} states")
-        unit_law = self.law.g_variant != ALWAYS_LEFT
         if self.law.monad is POWERSET:
-            if unit_law and state and not state & (state - 1):  # one member
+            if state and not state & (state - 1):  # one member
                 out = self.transitions[self.states.elements[state.bit_length() - 1]]
             else:
                 new = state & ~self._compiled
@@ -251,7 +265,7 @@ class DetCoalgebra:
                 out = self._root.step(state)
         else:
             members = state.weights
-            if unit_law and len(members) == 1 and members[0][1] == 1:
+            if len(members) == 1 and members[0][1] == 1:
                 out = self.transitions[members[0][0]]  # the unit law
             else:
                 # The exchange law followed by the multiplication at each
@@ -275,8 +289,7 @@ def _mask_node(law: DistLaw, functor):
     if isinstance(functor, ProdF):
         return _ProdNode(tuple(_mask_node(law, part) for part in functor.parts))
     if isinstance(functor, CoprodF):
-        return _CoprodNode(_mask_node(law, functor.left), _mask_node(law, functor.right),
-                           law.g_variant == ALWAYS_LEFT)
+        return _CoprodNode(_mask_node(law, functor.left), _mask_node(law, functor.right))
     raise TypeError(f"not a functor expression: {functor!r}")
 
 
@@ -330,10 +343,9 @@ class _CoprodNode:
     """A coproduct: ``left`` holds the compiled point states whose term
     takes the left summand here."""
 
-    def __init__(self, left_node, right_node, always_left: bool):
+    def __init__(self, left_node, right_node):
         self.left_node = left_node
         self.right_node = right_node
-        self.always_left = always_left
         self.left = 0
 
     def compile(self, bit, term):
@@ -345,7 +357,7 @@ class _CoprodNode:
 
     def step(self, mask):
         kept = mask & self.left
-        if kept or self.always_left:
+        if kept:
             return Inl(self.left_node.step(kept))
         return Inr(self.right_node.step(mask))
 

@@ -369,7 +369,12 @@ def certificate_from_json(doc: dict, model: CoalgebraModel) -> Certificate:
                     f"{q.value_to_json(entries[pair])} and {q.value_to_json(value)}")
             entries[pair] = value
         witnesses = {}
-        for row in _rows(doc.get("witnesses", []), "certificate witnesses"):
+        witness_rows = _rows(doc.get("witnesses", []), "certificate witnesses")
+        if witness_rows and not model.law().witnesses_sound:
+            raise ModelFormatError(
+                "witnesses are unsound on subdistributions over unit-oplus with "
+                "a coproduct in the functor; give plain entries only")
+        for row in witness_rows:
             pair = pair_of(row)
             parts = tuple((pair_of(part), monad.part_weight(part))
                           for part in _rows(row["parts"], "witness parts"))

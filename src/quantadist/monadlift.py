@@ -326,7 +326,7 @@ def price_polytope(d: VGraph):
     cap = Fraction(1) if d.quantale.ident == "unit-oplus" else None
     variables = [f"f_{x}" for x in d.carrier.elements]
     constraints = [LinearConstraint({fy: Fraction(1), fx: Fraction(-1)},
-                                    "<=", Fraction(v, scale))
+                                    Fraction(v, scale))
                    for fx, row in zip(variables, m)
                    for fy, v in zip(variables, row) if fx != fy and v is not None]
     return variables, {v: (Fraction(0), cap) for v in variables}, constraints
@@ -349,7 +349,7 @@ def pricing_lp(d: VGraph, p: SubDist, q_dist: SubDist) -> LPProblem:
         coeff = q_dist.weight(x) - p.weight(x)
         if coeff != 0:
             objective[f"f_{x}"] = coeff
-    return LPProblem(variables, objective, constraints, bounds, maximize=True)
+    return LPProblem(variables, objective, constraints, bounds)
 
 
 def kantorovich_lp(d: VGraph, p: SubDist, q_dist: SubDist):

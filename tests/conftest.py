@@ -140,6 +140,15 @@ def shape_check(functor, term) -> None:
     raise ShapeError(f"not a functor expression: {functor!r}")
 
 
+def origin_feasible(lp) -> bool:
+    """The precondition of ``simplex_solve`` on an ``LPProblem``: each
+    lower bound is 0 or free and every rhs and upper bound is
+    non-negative, so the origin is a feasible start."""
+    return (all(c.rhs >= 0 for c in lp.constraints)
+            and all(lo in (0, None) and (hi is None or hi >= 0)
+                    for lo, hi in lp.bounds.values()))
+
+
 def graph_equal(d1, d2) -> bool:
     """Equality of two graphs over one quantale and carrier; graphs over
     different ones raise ``CarrierMismatchError``."""

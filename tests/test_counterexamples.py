@@ -3,6 +3,8 @@ from itertools import product
 
 import pytest
 
+import quantadist.counterex as counterex
+from conftest import origin_feasible
 from quantadist.canon import canon_key
 from quantadist.counterex import (CASES, combined_dist_pow, combined_pow_dist,
                                   discrete_two_points, inner_graph)
@@ -23,6 +25,21 @@ EXPECTED = {
 def test_counterexample_values(key):
     report = CASES[key]()
     assert (report.composed, report.combined) == EXPECTED[key]
+
+
+def test_counterexample_lps_meet_the_solver_precondition(monkeypatch):
+    solved = []
+
+    def recording(lp):
+        solved.append(lp)
+        return solve(lp)
+
+    solve = counterex.simplex_solve
+    monkeypatch.setattr(counterex, "simplex_solve", recording)
+    for key, case in CASES.items():
+        report = case()
+        assert (report.composed, report.combined) == EXPECTED[key]
+    assert len(solved) >= 2 and all(origin_feasible(lp) for lp in solved)
 
 
 def test_composed_always_dominates():

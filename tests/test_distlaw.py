@@ -9,7 +9,8 @@ from quantadist.canon import canon_key
 from quantadist.distlaw import (ALWAYS_LEFT, PRIORITY_LEFT, DetCoalgebra, DistLaw,
                                 StateBudgetError, apply_g, apply_zeta,
                                 case_study_laws, law_suite)
-from quantadist.functor import (ConstLeaf, IdLeaf, Inl, Inr, MonadEval, StarEval, Tup,
+from quantadist.functor import (ID, ConstF, ConstLeaf, CoprodF, IdLeaf, Inl, Inr,
+                                MonadEval, ProdF, StarEval, Tup,
                                 build_lambda, eval_map,
                                 exception_functor, machine_functor, map_payloads)
 from quantadist.galois import Grid, grid_values
@@ -128,6 +129,16 @@ def test_determinize_budget_refusal():
     det = DetCoalgebra(EXC_LAW, model.transitions, model.states, max_states=3)
     with pytest.raises(StateBudgetError, match="budget"):
         reachable_states(det, [det.state(finsubset(["x0", "y0"]))])
+
+
+def test_witnesses_unsound_only_on_subdist_over_unit_oplus_with_a_coproduct():
+    nested = ProdF((ConstF(), CoprodF(ConstF(), ID)))
+    for functor, coprod in [(machine_functor(["a"]), False),
+                            (exception_functor(["a", "b"]), True), (nested, True)]:
+        for monad in (POWERSET, SUBDIST):
+            for q in (UNIT_OPLUS, EXT_PLUS):
+                unsound = coprod and monad is SUBDIST and q is UNIT_OPLUS
+                assert DistLaw(functor, monad, q).witnesses_sound is not unsound
 
 
 # -- law suites -----------------------------------------------------------------------

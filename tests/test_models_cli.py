@@ -139,6 +139,60 @@ def test_cli_certify_accept_and_reject(tmp_path):
     assert "rejected at ({x0,y0}, {z0})" in out
 
 
+def _coprod_model(quantale):
+    """s and t step on ``a`` to halves of x, u and y, v; x, u and v loop,
+    and y stops in the left summand.  The distance at (s, t) is top."""
+    def step(dist):
+        return {"inr": {"pow": {"a": {"id": {"dist": dist}}}}}
+
+    return {"kind": "coalgebra", "quantale": quantale, "monad": "subdist",
+            "functor": {"coprod": [{"const": "value"},
+                                   {"pow": {"labels": ["a"], "body": "id"}}]},
+            "labels": ["a"], "states": ["s", "t", "x", "u", "y", "v"],
+            "transitions": {"s": step({"x": "1/2", "u": "1/2"}),
+                            "t": step({"y": "1/2", "v": "1/2"}),
+                            "x": step({"x": "1"}), "u": step({"u": "1"}),
+                            "v": step({"v": "1"}), "y": {"inl": {"const": "0"}}}}
+
+
+def _coprod_certificate(top, witnesses=True):
+    """1/2 at (s, t), from a witness that weighs (x, y) at top by 1/2."""
+    def point(name):
+        return {"dist": {name: "1"}}
+
+    def entry(l, r, value):
+        return {"lhs": point(l), "rhs": point(r), "value": value}
+
+    parts = [{"lhs": point("x"), "rhs": point("y"), "weight": "1/2"},
+             {"lhs": point("u"), "rhs": point("v"), "weight": "1/2"}]
+    return {"entries": [entry("s", "t", "1/2"), entry("x", "y", top), entry("u", "v", "0")],
+            "witnesses": [{"lhs": {"dist": {"x": "1/2", "u": "1/2"}},
+                           "rhs": {"dist": {"y": "1/2", "v": "1/2"}},
+                           "parts": parts}] if witnesses else []}
+
+
+@pytest.mark.parametrize("quantale,top,witnesses,code,message", [
+    # On unit-oplus the witness scales the coproduct's bottom, 1, down
+    # to 1/2: the loader refuses it rather than accept a false 1/2.
+    ("unit-oplus", "1", True, 2, "witnesses are unsound on subdistributions"),
+    # Plain entries are ordinary coinduction: checked, and rejected.
+    ("unit-oplus", "1", False, 1, "rejected at (s:1, t:1)"),
+    # On ext-plus 1/2 * inf stays inf, and the checker rejects.
+    ("ext-plus", "inf", True, 1, "rejected at (s:1, t:1)"),
+], ids=["unit-oplus", "unit-oplus-entries-only", "ext-plus"])
+def test_cli_certify_coproduct_subdist_witnesses(tmp_path, quantale, top, witnesses,
+                                                 code, message):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(_coprod_model(quantale)))
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(_coprod_certificate(top, witnesses)))
+    got, out, err = run_cli("certify", "--model", str(model), "--cert", str(cert))
+    assert got == code and message in out + err
+    got, out, _err = run_cli("distance", "--model", str(model), "--pair", "s:1|t:1",
+                             "--method", "kleene")
+    assert got == 0 and out.splitlines()[0] == f"{top}  [exact]"
+
+
 def test_cli_laws_quantale_and_mutant():
     code, out, _err = run_cli("laws", "--scope", "quantale", "--grid", "4")
     assert code == 0

@@ -22,7 +22,7 @@ import quantadist.distlaw as distlaw
 from conftest import build_exceptions, build_probchain
 from quantadist.behaviour import Verdict, certify, pair_gfp
 from quantadist.canon import canon_key
-from quantadist.distlaw import ALWAYS_LEFT, DistLaw, _zeta, case_study_laws
+from quantadist.distlaw import DistLaw, _zeta, case_study_laws
 from quantadist.functor import (ID, ConstF, ConstLeaf, CoprodF, Inl, Inr, ProdF,
                                 Tup, iter_payloads, map_payloads, pow_functor)
 from quantadist.models import (certificate_from_json, fixture_certificate,
@@ -111,9 +111,7 @@ def test_point_state_successor_matches_general_path(name, law):
 @pytest.mark.parametrize("name,law", LAWS[:3], ids=[name for name, _law in LAWS[:3]])
 def test_point_state_shortcut_skips_the_exchange_law(name, law, monkeypatch):
     """Point states never reach the exchange law: their successor is the
-    transition term itself.  The mutant prioritizer, which breaks the unit
-    axiom, always does (on subdistributions through ``_zeta``; powerset
-    states walk the functor on masks)."""
+    transition term itself."""
     calls = []
     original = distlaw._zeta
 
@@ -123,35 +121,10 @@ def test_point_state_shortcut_skips_the_exchange_law(name, law, monkeypatch):
 
     monkeypatch.setattr(distlaw, "_zeta", counting)
     rng = random.Random(f"skip:{name}")
-    det, transitions = random_det(rng, law, n_states=5, n_terms=4)
-    points = point_states(det)
-    for x, state in zip(det.states, points):
+    det, _transitions = random_det(rng, law, n_states=5, n_terms=4)
+    for x, state in zip(det.states, point_states(det)):
         assert det.successor(state) is det.transitions[x]
     assert calls == []
-    mutant = DistLaw(law.functor, law.monad, law.quantale, g_variant=ALWAYS_LEFT)
-    det = distlaw.DetCoalgebra(mutant, det.transitions, det.states)
-    for x, state in zip(det.states, points):
-        step = det.successor(state)
-        assert step is not det.transitions[x]
-        assert map_payloads(step, det.value) == \
-            general_successor(mutant, transitions, det.value(state))
-    expected = len(points) if law.monad is SUBDIST else 0
-    assert len([f for f in calls if f is law.functor]) == expected
-
-
-def test_mutant_point_state_differs_from_transition():
-    """Under the mutant a point state on the right summand steps to the
-    empty left summand, not to its transition term."""
-    law = case_study_laws()["exception-powerset"]
-    mutant = DistLaw(law.functor, law.monad, law.quantale, g_variant=ALWAYS_LEFT)
-    model = build_exceptions(2)
-    det = distlaw.DetCoalgebra(mutant, model.transitions, model.states)
-    x0 = det.state(finsubset(["x0"]))
-    step = det.successor(x0)
-    assert step != model.transitions["x0"]
-    assert step == Inl(ConstLeaf(UNIT_OPLUS.top))
-    assert map_payloads(step, det.value) == general_successor(
-        mutant, value_transitions(det), finsubset(["x0"]))
 
 
 def test_point_state_shortcut_keeps_budget():

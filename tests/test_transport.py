@@ -18,7 +18,7 @@ from math import lcm
 
 import pytest
 
-from conftest import graph_equal
+from conftest import graph_equal, origin_feasible
 from quantadist.cli import main
 from quantadist.models import model_from_json
 from quantadist.monadlift import (_min_cost_transport, dirac, finsubset,
@@ -34,9 +34,12 @@ from quantadist.vgraph import (CarrierMismatchError, VGraph, carrier, is_vcat,
 
 def lp_oracle(d, p, q):
     """The optimum of the dual pricing LP, as ``kantorovich_lp`` used to
-    compute it; inf where the LP is unbounded."""
+    compute it; inf where the LP is unbounded.  Every LP it solves meets
+    ``simplex_solve``'s precondition."""
+    lp = pricing_lp(d, p, q)
+    assert origin_feasible(lp), lp
     try:
-        opt = simplex_solve(pricing_lp(d, p, q)).optimum
+        opt = simplex_solve(lp).optimum
     except UnboundedError:
         return INF
     return max(opt, F(0))
