@@ -76,7 +76,10 @@ def beh_value(det: DetCoalgebra, dfun: Callable[[object, object], object],
     leaves supplied by the caller (already-saturated bounds plug in
     directly; no closure is re-applied here): the determinization's
     compiled lifted distance (``DetCoalgebra.distance``) on the two
-    successors."""
+    successor terms.  This is the term path on every monad; ``pair_gfp``
+    and ``certify`` run ``DetCoalgebra.step_distance``, which gives the
+    same value, and ``kleene_gfp`` through this function is the
+    reference they are tested against."""
     return det.distance(det.successor(p), det.successor(q), dfun)
 
 
@@ -184,10 +187,15 @@ def pair_gfp(det: DetCoalgebra, p, q, max_iters: int = 1000) -> PairResult:
     evaluated once, queueing unseen leaf pairs as the next layer; an
     empty layer means the pair graph is exhausted and the value is the
     fixpoint.  Only the states of evaluated pairs are determinized.
+
+    Each pair is evaluated by ``DetCoalgebra.step_distance``: on
+    powerset the mask program over the compiled nodes, which builds no
+    successor term, or the unit law when both states are point states;
+    on subdistributions the lifted distance on the two successor terms.
     """
     qt = det.law.quantale
     top, meet2 = qt.top, qt.meet2
-    distance, successor = det.distance, det.successor
+    step = det.step_distance
     value = top
     seen = {(p, q)}
     layer = [(p, q)]
@@ -204,7 +212,7 @@ def pair_gfp(det: DetCoalgebra, p, q, max_iters: int = 1000) -> PairResult:
 
         for a, b in layer:
             states.update((a, b))
-            local = distance(successor(a), successor(b), record)
+            local = step(a, b, record)
             if local is not top:
                 value = meet2(value, local)
         layer = following
@@ -319,18 +327,20 @@ def certify(cert: Certificate, model: CoalgebraModel) -> Verdict:
     behavioural distance at every pair.
 
     For each support pair, the one-step behaviour value is computed
-    by the determinization's compiled lifted distance
-    (``DetCoalgebra.distance``, the program ``beh_value`` runs) with
-    identity leaves bounded by ``witness_bound`` at the successor
+    by ``DetCoalgebra.step_distance`` (the value ``beh_value`` gives)
+    with identity leaves bounded by ``witness_bound`` at the successor
     pairs; the pair passes when the candidate entry is below that value
     in the quantale order (numerically at least it).  Off-support pairs
     carry the trivial bottom claim and need no check.
 
     Each successor pair is bounded once per call, and a witness that
-    fails its marginals fails every support pair that reads it.  The
-    successors of point states, the usual support of a sparse
-    certificate, are the model's own transitions: succ(η x) = c(x) by
-    the unit law of the exchange law (see ``DetCoalgebra``).  The
+    fails its marginals fails every support pair that reads it.  A
+    pair of point states, the usual support of a sparse certificate,
+    is compared on the model's own transitions: succ(η x) = c(x) by the
+    unit law of the exchange law (see ``DetCoalgebra``), and nothing is
+    compiled for it.  A powerset pair with a side of several members (or
+    none) runs the mask program, which builds no successor term; a
+    subdistribution pair compares its two successor terms.  The
     certificate's pairs are determinized states, as
     ``models.certificate_from_json`` reads them; the verdict's failures
     name monad values (``DetCoalgebra.value``).
@@ -359,13 +369,12 @@ def certify(cert: Certificate, model: CoalgebraModel) -> Verdict:
             raise bound.with_traceback(None)
         return bound
 
-    distance, successor = det.distance, det.successor
     support = cert.candidate.support()
     for pair in support:
         p_state, q_state = pair
         stated = cert.candidate.value_at(pair)
         try:
-            bound = distance(successor(p_state), successor(q_state), leaf)
+            bound = det.step_distance(p_state, q_state, leaf)
         except WitnessError as exc:
             why = exc.describe(det.value)
         else:

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations, islice, product
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set
 
 from .canon import canon_key
 from .functor import (ConstF, ConstLeaf, CoprodF, DistanceProgram, IdF, IdLeaf, Inl,
@@ -210,19 +210,35 @@ class DetCoalgebra:
     multiplication, on masks.  Each point state's transition is compiled
     once, when a state with it as a member is first read, into the
     functor's nodes: its coproduct sides, the mask at each identity leaf
-    and its constants.  A state then walks the functor once: a coproduct
-    keeps the members on its left summand when there are any, an
-    identity leaf ORs the members' leaf masks, and a
-    constant is the meet of the members' constants.
-
-    States are determinized lazily, on their first read; reading a new
-    state once ``max_states`` are memoized raises StateBudgetError
-    rather than truncating.
+    and its constants.  Each node keeps one rule on a state's mask: a
+    coproduct keeps the members on its left summand when there are any
+    (``kept``), an identity leaf ORs the members' leaf masks (``union``),
+    and a constant is the meet of the members' constants (``value``, top
+    on the empty mask).  ``successor`` walks the functor once through
+    these rules and builds the successor term.
 
     ``distance`` is the law's functor compiled once into its lifted
     distance (``functor.distance_program``): ``distance(s, t, leaf)``
     compares two successors with ``leaf`` at their identity leaves.
-    The behaviour function, ``pair_gfp`` and ``certify`` all run it.
+    ``step_distance(s, t, leaf)`` is ``distance(successor(s),
+    successor(t), leaf)``, with ``leaf`` called on the same pairs in the
+    same order; ``pair_gfp`` and ``certify`` run it.  It takes one of
+    three paths.  A pair of two powerset point states takes the unit
+    law: ``distance`` on the two transition terms, compiling nothing.
+    Any other powerset pair (a side empty or with several members)
+    compiles its new members and runs the mask program: the lifted
+    distance compiled once over the node tree, which reads the nodes'
+    rules on the two masks and builds no successor term (the lifting of
+    a composite functor is the composite of its nodes' liftings).  On
+    subdistributions it is the term path, ``distance`` on the two
+    successors.  The behaviour function (``beh_value``, ``kleene_gfp``)
+    keeps the term path, the reference the mask program is tested
+    against.
+
+    States are determinized lazily, on their first read by
+    ``successor`` or ``step_distance``; reading a new state once
+    ``max_states`` distinct states have been read raises
+    StateBudgetError rather than truncating.
     """
 
     law: DistLaw
@@ -231,13 +247,16 @@ class DetCoalgebra:
     memo: Dict[object, object] = field(default_factory=dict, init=False)
     max_states: int = 100_000
     distance: DistanceProgram = field(init=False, repr=False, compare=False)
+    _read: Set[object] = field(default_factory=set, init=False, repr=False)
     _root: object = field(default=None, init=False, repr=False)
+    _pair: Optional[MaskProgram] = field(default=None, init=False, repr=False)
     _compiled: int = field(default=0, init=False, repr=False)
 
     def __post_init__(self):
         self.distance = distance_program(self.law.quantale, self.law.functor)
         if self.law.monad is POWERSET:
             self._root = _mask_node(self.law, self.law.functor)
+            self._pair = _mask_program(self.law.quantale, self._root)
 
     def state(self, t):
         """The state of a monad value over the point states."""
@@ -247,21 +266,31 @@ class DetCoalgebra:
         """The monad value a state stands for."""
         return mask_value(state, self.states) if self.law.monad is POWERSET else state
 
+    def _admit(self, state):
+        """Count a state against ``max_states`` on its first read."""
+        if state not in self._read:
+            if len(self._read) >= self.max_states:
+                raise StateBudgetError(
+                    f"determinization exceeded the budget of {self.max_states} states")
+            self._read.add(state)
+
+    def _compile(self, mask):
+        """Compile the point states of ``mask`` not compiled yet."""
+        new = mask & ~self._compiled
+        for low in _bits(new):
+            x = self.states.elements[low.bit_length() - 1]
+            self._root.compile(low, self.transitions[x])
+        self._compiled |= new
+
     def successor(self, state):
         if state in self.memo:
             return self.memo[state]
-        if len(self.memo) >= self.max_states:
-            raise StateBudgetError(
-                f"determinization exceeded the budget of {self.max_states} states")
+        self._admit(state)
         if self.law.monad is POWERSET:
             if state and not state & (state - 1):  # one member
                 out = self.transitions[self.states.elements[state.bit_length() - 1]]
             else:
-                new = state & ~self._compiled
-                for low in _bits(new):
-                    x = self.states.elements[low.bit_length() - 1]
-                    self._root.compile(low, self.transitions[x])
-                self._compiled |= new
+                self._compile(state)
                 out = self._root.step(state)
         else:
             members = state.weights
@@ -278,6 +307,31 @@ class DetCoalgebra:
     def successor_states(self, state):
         return list(iter_payloads(self.successor(state)))
 
+    def step_distance(self, s, t, leaf):
+        """``distance(successor(s), successor(t), leaf)``, with ``leaf``
+        read on the same pairs in the same order: on powerset the mask
+        program, unless both are point states (see the class)."""
+        pair = self._pair
+        if pair is None:
+            return self.distance(self.successor(s), self.successor(t), leaf)
+        read = self._read
+        if s not in read or t not in read:
+            self._admit(s)
+            self._admit(t)
+        if s and t and not s & (s - 1) and not t & (t - 1):
+            # Two point states: the unit law.
+            elements, transitions = self.states.elements, self.transitions
+            return self.distance(transitions[elements[s.bit_length() - 1]],
+                                 transitions[elements[t.bit_length() - 1]], leaf)
+        if (s | t) & ~self._compiled:
+            self._compile(s | t)
+        return pair(s, t, leaf)
+
+
+#: The lifted distance on two powerset states' masks: ``(s, t, leaf)``
+#: to a quantale value, run over a ``_mask_node`` tree.
+MaskProgram = Callable[[int, int, Callable[[int, int], object]], object]
+
 
 def _mask_node(law: DistLaw, functor):
     """The functor's node tree for the powerset successor on masks, with
@@ -293,38 +347,93 @@ def _mask_node(law: DistLaw, functor):
     raise TypeError(f"not a functor expression: {functor!r}")
 
 
+def _mask_program(q: Quantale, node) -> MaskProgram:
+    """The lifted distance (``functor.distance_program``) over a node
+    tree, on two states' masks: a coproduct compares the kept left
+    members when both sides keep some, gives top on left-versus-right
+    and bottom on right-versus-left; a product meets its parts (a part
+    at top leaves the meet as it is); an identity leaf reads ``leaf`` on
+    the two unions, a constant residuates the two values.  The nodes
+    are read at each call, so points compiled later are seen."""
+    if isinstance(node, _ConstNode):
+        residuate, value = q.residuate, node.value
+        return lambda s, t, leaf: residuate(value(s), value(t))
+    if isinstance(node, _LeafNode):
+        union = node.union
+        return lambda s, t, leaf: leaf(union(s), union(t))
+    if isinstance(node, _ProdNode):
+        parts = tuple(_mask_program(q, part) for part in node.parts)
+        meet2, top = q.meet2, q.top
+
+        def prod(s, t, leaf):
+            value = top
+            for part in parts:
+                v = part(s, t, leaf)
+                if v is not top:
+                    value = v if value is top else meet2(value, v)
+            return value
+        return prod
+    left, right = _mask_program(q, node.left_node), _mask_program(q, node.right_node)
+    kept, top, bottom = node.kept, q.top, q.bottom
+
+    def coprod(s, t, leaf):
+        ks, kt = kept(s), kept(t)
+        if ks:
+            return left(ks, kt, leaf) if kt else top
+        return bottom if kt else right(s, t, leaf)
+    return coprod
+
+
 class _ConstNode:
-    """A constant: the value of each compiled point state, by its bit."""
+    """A constant: the value of each compiled point state, by its bit,
+    and the meet of a mask's members' values, memoized by mask."""
 
     def __init__(self, quantale: Quantale):
         self.quantale = quantale
         self.of: Dict[int, object] = {}
+        self.values: Dict[int, object] = {}
 
     def compile(self, bit, term):
         self.of[bit] = term.atom
 
+    def value(self, mask):
+        out = self.values.get(mask)
+        if out is None:
+            out = self.values[mask] = self.quantale.meet(
+                [self.of[low] for low in _bits(mask)])
+        return out
+
     def step(self, mask):
-        return ConstLeaf(self.quantale.meet([self.of[low] for low in _bits(mask)]))
+        return ConstLeaf(self.value(mask))
 
 
 class _LeafNode:
     """An identity leaf: the leaf mask of each compiled point state, by
-    its bit."""
+    its bit, and the union of a mask's members' leaf masks, memoized by
+    mask."""
 
     def __init__(self):
         self.of: Dict[int, int] = {}
+        self.unions: Dict[int, int] = {}
 
     def compile(self, bit, term):
         self.of[bit] = term.payload
 
+    def union(self, mask):
+        out = self.unions.get(mask)
+        if out is None:
+            of = self.of
+            out = 0
+            rest = mask
+            while rest:
+                low = rest & -rest
+                out |= of[low]
+                rest ^= low
+            self.unions[mask] = out
+        return out
+
     def step(self, mask):
-        of = self.of
-        out = 0
-        while mask:
-            low = mask & -mask
-            out |= of[low]
-            mask ^= low
-        return IdLeaf(out)
+        return IdLeaf(self.union(mask))
 
 
 class _ProdNode:
@@ -355,8 +464,13 @@ class _CoprodNode:
         else:
             self.right_node.compile(bit, term.item)
 
+    def kept(self, mask):
+        """The members the priority rule keeps on the left summand: none
+        (0) sends the whole mask to the right summand."""
+        return mask & self.left
+
     def step(self, mask):
-        kept = mask & self.left
+        kept = self.kept(mask)
         if kept:
             return Inl(self.left_node.step(kept))
         return Inr(self.right_node.step(mask))

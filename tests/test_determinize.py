@@ -157,26 +157,29 @@ def random_tvalue(rng, monad, items, max_size=3):
     return subdist(weights)
 
 
-def random_term(rng, functor, payload, consts):
+def random_term(rng, functor, payload, consts, p_left=0.4):
+    """A term of ``functor`` that takes each coproduct's left summand
+    with probability ``p_left``."""
     if isinstance(functor, ConstF):
         return ConstLeaf(rng.choice(consts))
     if isinstance(functor, IdF):
         return IdLeaf(payload())
     if isinstance(functor, ProdF):
-        return Tup(tuple(random_term(rng, p, payload, consts) for p in functor.parts))
-    if rng.random() < 0.4:
-        return Inl(random_term(rng, functor.left, payload, consts))
-    return Inr(random_term(rng, functor.right, payload, consts))
+        return Tup(tuple(random_term(rng, p, payload, consts, p_left)
+                         for p in functor.parts))
+    if rng.random() < p_left:
+        return Inl(random_term(rng, functor.left, payload, consts, p_left))
+    return Inr(random_term(rng, functor.right, payload, consts, p_left))
 
 
-def random_model(rng, law, n_states=6, n_terms=3):
+def random_model(rng, law, n_states=6, n_terms=3, p_left=0.4):
     """Transitions drawn from a pool of ``n_terms`` terms, so several
     states share a transition term and their weights merge.  Leaves hold
     monad values (``state_transitions`` reads them as states)."""
     states = [f"s{i}" for i in range(n_states)]
     consts = const_pool(law)
     pool = [random_term(rng, law.functor,
-                        lambda: random_tvalue(rng, law.monad, states), consts)
+                        lambda: random_tvalue(rng, law.monad, states), consts, p_left)
             for _ in range(n_terms)]
     return states, {s: rng.choice(pool) for s in states}
 

@@ -397,17 +397,22 @@ def _write_model(tmp_path, doc):
 
 
 def test_cli_state_budget_counts_each_determinized_state(tmp_path):
-    """The query reaches 2 058 determinized states at n = 10: a budget of
-    exactly that answers, one less refuses."""
-    argv = ["distance", "--model", _write_model(tmp_path, model_to_json(build_exceptions(10))),
-            "--pair", "{x0,y0}|{z0}", "--method", "kleene"]
-    code, out, _err = run_cli(*argv, "--max-states", "2058")
-    assert code == 0
-    assert out.splitlines() == [
-        "1/4  [exact]", "carrier: 2058 determinized states, 2047 pairs, 11 iterations"]
-    code, out, err = run_cli(*argv, "--max-states", "2057")
-    assert (code, out) == (3, "")
-    assert err == "refused: determinization exceeded the budget of 2057 states\n"
+    """Each query reaches its number of determinized states at n = 10: a
+    budget of exactly that answers, one less refuses.  The first pair of
+    ``{x0}|{z0}`` is two point states, which take the unit law; the rest
+    have a multi-member side and run the mask program, and the budget
+    counts both."""
+    model = _write_model(tmp_path, model_to_json(build_exceptions(10)))
+    for pair, value, states in [("{x0,y0}|{z0}", "1/4", 2058), ("{x0}|{z0}", "1", 1035)]:
+        argv = ["distance", "--model", model, "--pair", pair, "--method", "kleene"]
+        code, out, _err = run_cli(*argv, "--max-states", str(states))
+        assert code == 0
+        assert out.splitlines() == [
+            f"{value}  [exact]",
+            f"carrier: {states} determinized states, 2047 pairs, 11 iterations"]
+        code, out, err = run_cli(*argv, "--max-states", str(states - 1))
+        assert (code, out) == (3, "")
+        assert err == f"refused: determinization exceeded the budget of {states - 1} states\n"
 
 
 def test_cli_non_list_constant_functor_exit_code(tmp_path):
