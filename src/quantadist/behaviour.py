@@ -76,10 +76,12 @@ def beh_value(det: DetCoalgebra, dfun: Callable[[object, object], object],
     leaves supplied by the caller (already-saturated bounds plug in
     directly; no closure is re-applied here): the determinization's
     compiled lifted distance (``DetCoalgebra.distance``) on the two
-    successor terms.  This is the term path on every monad; ``pair_gfp``
-    and ``certify`` run ``DetCoalgebra.step_distance``, which gives the
-    same value, and ``kleene_gfp`` through this function is the
-    reference they are tested against."""
+    successor terms.  This is the term path on every monad, with one
+    successor rule for both (the unit law at a point state, else the
+    exchange law over the members' transitions); ``pair_gfp`` and
+    ``certify`` run ``DetCoalgebra.step_distance``, which gives the same
+    value, and ``kleene_gfp`` through this function is the reference
+    they are tested against."""
     return det.distance(det.successor(p), det.successor(q), dfun)
 
 

@@ -15,7 +15,6 @@ import functools
 import json
 import sys
 import time
-from fractions import Fraction
 from typing import List, Optional
 
 from .behaviour import CoalgebraModel, certify, pair_gfp, trace_lower_bound
@@ -26,7 +25,7 @@ from .galois import BudgetError
 from .models import (DistanceInstance, certificate_from_json, check_members,
                      load_json_file, model_from_json)
 from .monadlift import (POWERSET, SUBDIST, FinSubset, SubDist, finsubset,
-                        hausdorff_directed, kantorovich_lp, subdist)
+                        hausdorff_directed, kantorovich_lp, subdist, weight_from_json)
 from .quantale import QuantaleError
 from .repro import REPRODUCTIONS
 from .suites import galois_suite, extension_suite, polyfunctor_suite, quantale_suite
@@ -76,14 +75,14 @@ def _parse_dist_literal(text: str):
         if ":" not in chunk:
             raise _CliError(f"expected 'state:weight' entries, got {chunk!r}")
         name, w = chunk.rsplit(":", 1)
-        weights.append((name.strip(), Fraction(w.strip())))
+        weights.append((name.strip(), weight_from_json(w.strip())))
     return subdist(weights)
 
 
 def _parse_pair(text: str, instance):
-    if "|" not in text:
+    if text.count("|") != 1:  # no name holds a '|' (``models._reserved``)
         raise _CliError("a pair looks like 'lhs|rhs'")
-    left, right = text.split("|", 1)
+    left, right = text.split("|")
     pair = _parse_tvalue(left, instance), _parse_tvalue(right, instance)
     for t in pair:
         if isinstance(instance, CoalgebraModel):

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations, islice, product
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .canon import canon_key
 from .functor import (ConstF, ConstLeaf, CoprodF, DistanceProgram, IdF, IdLeaf, Inl,
@@ -179,6 +179,15 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _union(pairs) -> int:
+    """The powerset multiplication on states: the union of the members'
+    masks."""
+    out = 0
+    for mask, _w in pairs:
+        out |= mask
+    return out
+
+
 @dataclass
 class DetCoalgebra:
     """Memoized determinized transition structure over monad states.
@@ -193,29 +202,22 @@ class DetCoalgebra:
     and back, where states enter or leave the program: command line
     pairs, reports and failure messages.
 
-    A point state, the unit η(x) of a base state x (a one-member set, or
-    a subdistribution with one member of weight 1), steps to the
-    model's own transition term: succ(η x) = c(x).  The exchange law's
-    unit axiom λ∘η_F = Fη together with μ∘η_T = id makes η a coalgebra
-    morphism from the model into its determinization, so ``successor``
-    reads c(x) off ``transitions`` instead of running the exchange law
-    and the multiplication.  So the law must be an exact one, as
+    ``successor`` has one rule on both monads.  A point state, the unit
+    η(x) of a base state x (a one-member set, or a subdistribution with
+    one member of weight 1), steps to the model's own transition term:
+    succ(η x) = c(x).  The exchange law's unit axiom λ∘η_F = Fη together
+    with μ∘η_T = id makes η a coalgebra morphism from the model into its
+    determinization, so ``successor`` reads c(x) off ``transitions``
+    instead of running the exchange law and the multiplication.  Any
+    other state runs the exchange law (``_zeta``) over its members'
+    transitions, with the multiplication on states at each identity
+    leaf: the union of the leaf masks on powerset, ``SUBDIST.flatten``
+    on subdistributions.  So the law must be an exact one, as
     ``CoalgebraModel.law`` builds it: the mutant prioritizer breaks the
     unit axiom, and only ``law_suite`` reads it.  Transition terms must be
     canonical and built to the functor's shape (monad values as built by
     their constructors, constants canonical quantale values), as they
     are when read from a model file.
-
-    On powerset the general path is the exchange law followed by the
-    multiplication, on masks.  Each point state's transition is compiled
-    once, when a state with it as a member is first read, into the
-    functor's nodes: its coproduct sides, the mask at each identity leaf
-    and its constants.  Each node keeps one rule on a state's mask: a
-    coproduct keeps the members on its left summand when there are any
-    (``kept``), an identity leaf ORs the members' leaf masks (``union``),
-    and a constant is the meet of the members' constants (``value``, top
-    on the empty mask).  ``successor`` walks the functor once through
-    these rules and builds the successor term.
 
     ``distance`` is the law's functor compiled once into its lifted
     distance (``functor.distance_program``): ``distance(s, t, leaf)``
@@ -226,14 +228,14 @@ class DetCoalgebra:
     three paths.  A pair of two powerset point states takes the unit
     law: ``distance`` on the two transition terms, compiling nothing.
     Any other powerset pair (a side empty or with several members)
-    compiles its new members and runs the mask program: the lifted
-    distance compiled once over the node tree, which reads the nodes'
-    rules on the two masks and builds no successor term (the lifting of
-    a composite functor is the composite of its nodes' liftings).  On
-    subdistributions it is the term path, ``distance`` on the two
-    successors.  The behaviour function (``beh_value``, ``kleene_gfp``)
-    keeps the term path, the reference the mask program is tested
-    against.
+    compiles its new members and runs the mask program
+    (``_mask_program``), which builds no successor term: the lifted
+    distance built once over the functor on the two states' masks (the
+    lifting of a composite functor is the composite of its nodes'
+    liftings).  On subdistributions it is the term path, ``distance`` on
+    the two successors.  The behaviour function (``beh_value``,
+    ``kleene_gfp``) keeps the term path, the reference the mask program
+    is tested against.
 
     States are determinized lazily, on their first read by
     ``successor`` or ``step_distance``; reading a new state once
@@ -247,16 +249,20 @@ class DetCoalgebra:
     memo: Dict[object, object] = field(default_factory=dict, init=False)
     max_states: int = 100_000
     distance: DistanceProgram = field(init=False, repr=False, compare=False)
+    _mult: Callable[[list], object] = field(init=False, repr=False, compare=False)
     _read: Set[object] = field(default_factory=set, init=False, repr=False)
-    _root: object = field(default=None, init=False, repr=False)
+    _compile_point: Optional[MaskCompile] = field(default=None, init=False, repr=False)
     _pair: Optional[MaskProgram] = field(default=None, init=False, repr=False)
     _compiled: int = field(default=0, init=False, repr=False)
 
     def __post_init__(self):
         self.distance = distance_program(self.law.quantale, self.law.functor)
         if self.law.monad is POWERSET:
-            self._root = _mask_node(self.law, self.law.functor)
-            self._pair = _mask_program(self.law.quantale, self._root)
+            self._mult = _union
+            self._compile_point, self._pair = _mask_program(self.law.quantale,
+                                                            self.law.functor)
+        else:
+            self._mult = SUBDIST.flatten
 
     def state(self, t):
         """The state of a monad value over the point states."""
@@ -265,6 +271,14 @@ class DetCoalgebra:
     def value(self, state):
         """The monad value a state stands for."""
         return mask_value(state, self.states) if self.law.monad is POWERSET else state
+
+    def _members(self, state):
+        """A state's members in the ``Monad.weighted`` form over the
+        point states' names: weight None on powerset."""
+        if self.law.monad is POWERSET:
+            elements = self.states.elements
+            return [(elements[low.bit_length() - 1], None) for low in _bits(state)]
+        return state.weights
 
     def _admit(self, state):
         """Count a state against ``max_states`` on its first read."""
@@ -279,28 +293,21 @@ class DetCoalgebra:
         new = mask & ~self._compiled
         for low in _bits(new):
             x = self.states.elements[low.bit_length() - 1]
-            self._root.compile(low, self.transitions[x])
+            self._compile_point(low, self.transitions[x])
         self._compiled |= new
 
     def successor(self, state):
         if state in self.memo:
             return self.memo[state]
         self._admit(state)
-        if self.law.monad is POWERSET:
-            if state and not state & (state - 1):  # one member
-                out = self.transitions[self.states.elements[state.bit_length() - 1]]
-            else:
-                self._compile(state)
-                out = self._root.step(state)
+        members = self._members(state)
+        if len(members) == 1 and members[0][1] in (None, 1):
+            out = self.transitions[members[0][0]]  # the unit law
         else:
-            members = state.weights
-            if len(members) == 1 and members[0][1] == 1:
-                out = self.transitions[members[0][0]]  # the unit law
-            else:
-                # The exchange law followed by the multiplication at each
-                # identity leaf, fused: each successor is canonicalized once.
-                lifted = [(self.transitions[x], w) for x, w in members]
-                out = _zeta(self.law, self.law.functor, lifted, SUBDIST.flatten)
+            # The exchange law followed by the multiplication at each
+            # identity leaf, fused: each leaf is multiplied once.
+            lifted = [(self.transitions[x], w) for x, w in members]
+            out = _zeta(self.law, self.law.functor, lifted, self._mult)
         self.memo[state] = out
         return out
 
@@ -309,8 +316,9 @@ class DetCoalgebra:
 
     def step_distance(self, s, t, leaf):
         """``distance(successor(s), successor(t), leaf)``, with ``leaf``
-        read on the same pairs in the same order: on powerset the mask
-        program, unless both are point states (see the class)."""
+        read on the same pairs in the same order: on powerset the unit
+        law on two point states, else the mask program (see the
+        class)."""
         pair = self._pair
         if pair is None:
             return self.distance(self.successor(s), self.successor(t), leaf)
@@ -328,42 +336,70 @@ class DetCoalgebra:
         return pair(s, t, leaf)
 
 
+#: Compiles one powerset point state into a node: ``(bit, term)``, with
+#: ``term`` the part of the point's transition term at that node.
+MaskCompile = Callable[[int, object], None]
 #: The lifted distance on two powerset states' masks: ``(s, t, leaf)``
-#: to a quantale value, run over a ``_mask_node`` tree.
+#: to a quantale value.
 MaskProgram = Callable[[int, int, Callable[[int, int], object]], object]
 
 
-def _mask_node(law: DistLaw, functor):
-    """The functor's node tree for the powerset successor on masks, with
-    no point state compiled yet."""
+def _mask_program(q: Quantale, functor) -> Tuple[MaskCompile, MaskProgram]:
+    """The lifted distance (``functor.distance_program``) on two powerset
+    states' masks, built once over the functor with no point state
+    compiled, and the step that compiles a point state into it.
+
+    Each node keeps one rule on a state's mask, read off its compiled
+    point states: a coproduct keeps the members on its left summand when
+    there are any, an identity leaf is the union of the members' leaf
+    masks, and a constant the meet of their constants (top on the empty
+    mask); unions and meets are memoized per mask.  The program compares
+    two masks node by node: a coproduct compares the kept left members
+    when both sides keep some, gives top on left-versus-right and bottom
+    on right-versus-left; a product meets its parts (a part at top leaves
+    the meet as it is); an identity leaf reads ``leaf`` on the two
+    unions, a constant residuates the two meets.  The compiled tables are
+    read at each call, so points compiled later are seen."""
     if isinstance(functor, ConstF):
-        return _ConstNode(law.quantale)
+        atoms: Dict[int, object] = {}
+        meets: Dict[int, object] = {}
+        meet, residuate = q.meet, q.residuate
+
+        def compile_const(bit, term):
+            atoms[bit] = term.atom
+
+        def value(mask):
+            out = meets.get(mask)
+            if out is None:
+                out = meets[mask] = meet([atoms[low] for low in _bits(mask)])
+            return out
+        return compile_const, lambda s, t, leaf: residuate(value(s), value(t))
     if isinstance(functor, IdF):
-        return _LeafNode()
+        leaves: Dict[int, int] = {}
+        unions: Dict[int, int] = {}
+
+        def compile_leaf(bit, term):
+            leaves[bit] = term.payload
+
+        def union(mask):
+            out = unions.get(mask)
+            if out is None:
+                out = 0
+                rest = mask
+                while rest:
+                    low = rest & -rest
+                    out |= leaves[low]
+                    rest ^= low
+                unions[mask] = out
+            return out
+        return compile_leaf, lambda s, t, leaf: leaf(union(s), union(t))
     if isinstance(functor, ProdF):
-        return _ProdNode(tuple(_mask_node(law, part) for part in functor.parts))
-    if isinstance(functor, CoprodF):
-        return _CoprodNode(_mask_node(law, functor.left), _mask_node(law, functor.right))
-    raise TypeError(f"not a functor expression: {functor!r}")
-
-
-def _mask_program(q: Quantale, node) -> MaskProgram:
-    """The lifted distance (``functor.distance_program``) over a node
-    tree, on two states' masks: a coproduct compares the kept left
-    members when both sides keep some, gives top on left-versus-right
-    and bottom on right-versus-left; a product meets its parts (a part
-    at top leaves the meet as it is); an identity leaf reads ``leaf`` on
-    the two unions, a constant residuates the two values.  The nodes
-    are read at each call, so points compiled later are seen."""
-    if isinstance(node, _ConstNode):
-        residuate, value = q.residuate, node.value
-        return lambda s, t, leaf: residuate(value(s), value(t))
-    if isinstance(node, _LeafNode):
-        union = node.union
-        return lambda s, t, leaf: leaf(union(s), union(t))
-    if isinstance(node, _ProdNode):
-        parts = tuple(_mask_program(q, part) for part in node.parts)
+        compiles, parts = zip(*(_mask_program(q, part) for part in functor.parts))
         meet2, top = q.meet2, q.top
+
+        def compile_prod(bit, term):
+            for compile_part, item in zip(compiles, term.items):
+                compile_part(bit, item)
 
         def prod(s, t, leaf):
             value = top
@@ -372,108 +408,28 @@ def _mask_program(q: Quantale, node) -> MaskProgram:
                 if v is not top:
                     value = v if value is top else meet2(value, v)
             return value
-        return prod
-    left, right = _mask_program(q, node.left_node), _mask_program(q, node.right_node)
-    kept, top, bottom = node.kept, q.top, q.bottom
+        return compile_prod, prod
+    if isinstance(functor, CoprodF):
+        compile_left, left = _mask_program(q, functor.left)
+        compile_right, right = _mask_program(q, functor.right)
+        top, bottom = q.top, q.bottom
+        on_left = 0  # the compiled point states whose term takes the left summand
 
-    def coprod(s, t, leaf):
-        ks, kt = kept(s), kept(t)
-        if ks:
-            return left(ks, kt, leaf) if kt else top
-        return bottom if kt else right(s, t, leaf)
-    return coprod
+        def compile_coprod(bit, term):
+            nonlocal on_left
+            if isinstance(term, Inl):
+                on_left |= bit
+                compile_left(bit, term.item)
+            else:
+                compile_right(bit, term.item)
 
-
-class _ConstNode:
-    """A constant: the value of each compiled point state, by its bit,
-    and the meet of a mask's members' values, memoized by mask."""
-
-    def __init__(self, quantale: Quantale):
-        self.quantale = quantale
-        self.of: Dict[int, object] = {}
-        self.values: Dict[int, object] = {}
-
-    def compile(self, bit, term):
-        self.of[bit] = term.atom
-
-    def value(self, mask):
-        out = self.values.get(mask)
-        if out is None:
-            out = self.values[mask] = self.quantale.meet(
-                [self.of[low] for low in _bits(mask)])
-        return out
-
-    def step(self, mask):
-        return ConstLeaf(self.value(mask))
-
-
-class _LeafNode:
-    """An identity leaf: the leaf mask of each compiled point state, by
-    its bit, and the union of a mask's members' leaf masks, memoized by
-    mask."""
-
-    def __init__(self):
-        self.of: Dict[int, int] = {}
-        self.unions: Dict[int, int] = {}
-
-    def compile(self, bit, term):
-        self.of[bit] = term.payload
-
-    def union(self, mask):
-        out = self.unions.get(mask)
-        if out is None:
-            of = self.of
-            out = 0
-            rest = mask
-            while rest:
-                low = rest & -rest
-                out |= of[low]
-                rest ^= low
-            self.unions[mask] = out
-        return out
-
-    def step(self, mask):
-        return IdLeaf(self.union(mask))
-
-
-class _ProdNode:
-    def __init__(self, parts):
-        self.parts = parts
-
-    def compile(self, bit, term):
-        for part, item in zip(self.parts, term.items):
-            part.compile(bit, item)
-
-    def step(self, mask):
-        return Tup(tuple(part.step(mask) for part in self.parts))
-
-
-class _CoprodNode:
-    """A coproduct: ``left`` holds the compiled point states whose term
-    takes the left summand here."""
-
-    def __init__(self, left_node, right_node):
-        self.left_node = left_node
-        self.right_node = right_node
-        self.left = 0
-
-    def compile(self, bit, term):
-        if isinstance(term, Inl):
-            self.left |= bit
-            self.left_node.compile(bit, term.item)
-        else:
-            self.right_node.compile(bit, term.item)
-
-    def kept(self, mask):
-        """The members the priority rule keeps on the left summand: none
-        (0) sends the whole mask to the right summand."""
-        return mask & self.left
-
-    def step(self, mask):
-        kept = self.kept(mask)
-        if kept:
-            return Inl(self.left_node.step(kept))
-        return Inr(self.right_node.step(mask))
+        def coprod(s, t, leaf):
+            ks, kt = s & on_left, t & on_left
+            if ks:
+                return left(ks, kt, leaf) if kt else top
+            return bottom if kt else right(s, t, leaf)
+        return compile_coprod, coprod
+    raise TypeError(f"not a functor expression: {functor!r}")
 
 
 # -- law suites -----------------------------------------------------------------

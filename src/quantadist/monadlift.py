@@ -124,7 +124,10 @@ def dirac(x) -> SubDist:
 def weight_from_json(w) -> Fraction:
     if isinstance(w, bool) or not isinstance(w, (str, int)):
         raise ValueError(f"a weight must be a rational string, got {w!r}")
-    return Fraction(w)
+    try:
+        return Fraction(w)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in weight {w!r}") from None
 
 
 # -- the monads ----------------------------------------------------------------

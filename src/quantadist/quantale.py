@@ -197,7 +197,10 @@ class _ReversedNumericQuantale(Quantale):
         if j == "inf":
             return self.validate(INF)
         if isinstance(j, str):
-            return self.validate(Fraction(j))
+            try:
+                return self.validate(Fraction(j))
+            except ZeroDivisionError:
+                raise QuantaleError(f"zero denominator in value {j!r}") from None
         if isinstance(j, int):
             return self.validate(Fraction(j))
         raise QuantaleError(f"expected rational string, got {j!r}")

@@ -11,9 +11,14 @@ with the multiplication.  Its multiplication, evaluation map and
 prioritizer are written out here, so it shares no code with the
 weighted path beyond the canonical constructors.
 
-``DetCoalgebra.successor`` on powerset masks is checked against
-``finsubset_successor`` through ``DetCoalgebra.value``; on
-subdistributions it is that successor.
+``DetCoalgebra.successor`` has one rule on both monads: the unit law at
+a point state, else ``_zeta`` over the members' transitions with the
+multiplication on states at each identity leaf (the union of masks on
+powerset).  It is checked through ``DetCoalgebra.value`` against
+``finsubset_successor`` and against the level-by-level oracle, which
+shares no code with ``_zeta``, on seeds that include the empty powerset
+state and a law with a constant outside any coproduct, where the empty
+state's constant is the meet of no members: top.
 """
 
 import random
@@ -137,6 +142,12 @@ LAWS = all_laws()
 # read by ``apply_zeta`` and the law suites.
 EXACT_LAWS = [(name, law) for name, law in LAWS if law.g_variant == PRIORITY_LEFT]
 
+#: A constant outside any coproduct: the empty state reaches it, where
+#: the meet of no members' constants is top.
+CONST_BESIDE_POW = DistLaw(ProdF((ConstF(), pow_functor(["a"], ID))), POWERSET, EXT_PLUS)
+
+SUCCESSOR_LAWS = EXACT_LAWS + [("const-beside-pow", CONST_BESIDE_POW)]
+
 
 def const_pool(law):
     pool = [F(0), F(1, 4), F(1, 2), F(1)]
@@ -213,18 +224,21 @@ def assert_memo_matches_finsubset_successor(det, transitions):
 
 # -- tests --------------------------------------------------------------------------
 
-@pytest.mark.parametrize("name,law", EXACT_LAWS, ids=[name for name, _law in EXACT_LAWS])
+@pytest.mark.parametrize("name,law", SUCCESSOR_LAWS,
+                         ids=[name for name, _law in SUCCESSOR_LAWS])
 def test_successor_matches_oracle(name, law):
     rng = random.Random(f"successor:{name}")
     for _ in range(25):
         det, transitions = random_det(rng, law)
         seeds = [det.state(random_tvalue(rng, law.monad, list(det.states), max_size=6))
                  for _ in range(4)]
+        if law.monad is POWERSET:
+            seeds.append(0)  # the empty state: top at every constant it reaches
         explore(det, seeds, depth=3)
         assert_memo_matches_finsubset_successor(det, transitions)
-        for state in det.memo:
+        for state, step in det.memo.items():
             value = det.value(state)
-            assert finsubset_successor(law, transitions, value) == \
+            assert map_payloads(step, det.value) == \
                 oracle_successor(law, transitions, value), value
 
 

@@ -1,15 +1,17 @@
-"""The powerset pair program of ``DetCoalgebra.step_distance`` against
+"""The powerset mask program of ``DetCoalgebra.step_distance`` against
 the term path it stands for: ``distance(successor(s), successor(t),
 leaf)``.
 
 On powerset, ``step_distance`` runs the lifted distance on the two
-states' masks over the determinization's compiled nodes (coproduct
-kept members, leaf unions, constant meets) and builds no successor
-term; a pair of point states takes the unit law instead.  Both must give
-the term path's value and call ``leaf`` on the same pairs in the same
-order, on every pair over the empty state, the point states, a few
-multi-member states (a functor of constants alone reaches none) and the
-states they all reach.
+states' masks, built by one recursive builder over the functor
+(``distlaw._mask_program``: coproduct kept members, leaf unions,
+constant meets), and builds no successor term; a pair of point states
+takes the unit law instead.  ``successor`` shares no code with it: it
+runs the exchange law ``_zeta`` over the members' transitions.  Both
+must give the term path's value and call ``leaf`` on the same pairs in
+the same order, on every pair over the empty state, the point states, a
+few multi-member states (a functor of constants alone reaches none) and
+the states they all reach.
 """
 
 import random
@@ -19,15 +21,11 @@ import pytest
 
 from quantadist.behaviour import reachable_states
 from quantadist.distlaw import DetCoalgebra, DistLaw, StateBudgetError
-from quantadist.functor import ID, ConstF, ProdF, pow_functor
+from quantadist.functor import ConstF
 from quantadist.monadlift import POWERSET
-from quantadist.quantale import EXT_PLUS, INF, UNIT_OPLUS
-from test_determinize import random_det
+from quantadist.quantale import INF, UNIT_OPLUS
+from test_determinize import CONST_BESIDE_POW, random_det
 from test_point_states import LAWS, point_states
-
-#: A constant outside any coproduct: the empty state reaches it, where
-#: the meet of no members' constants is top.
-CONST_BESIDE_POW = DistLaw(ProdF((ConstF(), pow_functor(["a"], ID))), POWERSET, EXT_PLUS)
 
 POWERSET_LAWS = [(name, law) for name, law in LAWS if law.monad is POWERSET] + [
     ("const-beside-pow", CONST_BESIDE_POW)]

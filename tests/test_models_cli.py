@@ -319,7 +319,12 @@ def test_cli_zero_denominator_weight(tmp_path):
     code, _out, err = run_cli("distance", "--model", str(broken),
                               "--pair", "y:1|x:1", "--method", "trace")
     assert code == 2
-    assert "error" in err
+    assert err == "error: zero denominator in weight '1/0'\n"
+    # The same weight on the command line.
+    code, out, err = run_cli("distance", "--model", fixture_path("probchain.json"),
+                             "--pair", "y:1/0|x:1", "--method", "trace")
+    assert (code, out) == (2, "")
+    assert err == "error: zero denominator in weight '1/0'\n"
 
 
 def test_cli_distance_json_deterministic():
@@ -461,6 +466,7 @@ def _set_path(doc, path, value):
      "exchange law needs quantale-valued constants"),
     (["transitions", "x0", "inr", "pow", "zz"], {"id": {"set": ["nope"]}},
      "unknown labels ['zz']"),
+    (["transitions", "x0"], {"inl": {"const": "2/0"}}, "zero denominator in value '2/0'"),
 ])
 def test_cli_malformed_model_exit_code(tmp_path, path, value, message):
     doc = load_fixture("exceptions.json")
@@ -490,6 +496,7 @@ def test_cli_unknown_monad_exit_code(tmp_path):
     (["witnesses"], [5], "certificate witnesses must be a list of objects"),
     (["witnesses", 0, "parts"], 5, "witness parts must be a list of objects"),
     (["witnesses", 0, "parts"], [5], "witness parts must be a list of objects"),
+    (["entries", 0, "value"], "1/0", "zero denominator in value '1/0'"),
 ])
 def test_cli_malformed_certificate_exit_code(tmp_path, path, value, message):
     doc = load_fixture("exceptions_cert.json")
@@ -585,6 +592,19 @@ def test_cli_pair_with_unknown_state(model, pair, method):
                               "--pair", pair, "--method", method)
     assert code == 2
     assert err == "error: 'nosuch' is not a state\n"
+
+
+@pytest.mark.parametrize("model,pair,method", [
+    ("exceptions.json", "{x0}|{z0}|{y0}", "kleene"),
+    ("transport.json", "P|Q|R", "lp"),
+])
+def test_cli_pair_with_a_second_bar(model, pair, method):
+    """No name holds a '|', so a second one is a malformed pair, not a
+    name or weight to look up."""
+    code, out, err = run_cli("distance", "--model", fixture_path(model),
+                             "--pair", pair, "--method", method)
+    assert (code, out) == (2, "")
+    assert err == "error: a pair looks like 'lhs|rhs'\n"
 
 
 @pytest.mark.parametrize("pair,method", [
