@@ -289,7 +289,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (BudgetError, StateBudgetError) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (_CliError, QuantaleError, ValueError, ZeroDivisionError, OSError) as exc:
+    except (_CliError, QuantaleError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     print(f"elapsed: {time.monotonic() - started:.2f}s", file=sys.stderr)

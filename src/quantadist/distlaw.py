@@ -59,8 +59,10 @@ class DistLaw:
     unit-oplus with a coproduct anywhere in the functor: a coproduct
     compares right against left at bottom, 1 on unit-oplus, and a part
     of weight w < 1 scales that bottom down to w (on ext-plus w * inf
-    stays inf).  ``models.certificate_from_json`` refuses witnesses on
-    such a law; plain entries are ordinary coinduction and stay sound.
+    stays inf).  On subdistributions over the booleans the bound is not
+    defined at all: it is an expectation.  ``models.certificate_from_json``
+    refuses witnesses on such a law; plain entries are ordinary
+    coinduction and stay sound.
     """
 
     functor: object
@@ -77,8 +79,10 @@ class DistLaw:
 
     @property
     def witnesses_sound(self) -> bool:
-        return not (self.monad is SUBDIST and self.quantale is UNIT_OPLUS
-                    and any(isinstance(n, CoprodF) for n in _nodes(self.functor)))
+        return not (self.monad is SUBDIST and (
+            self.quantale is BOOLEAN
+            or (self.quantale is UNIT_OPLUS
+                and any(isinstance(n, CoprodF) for n in _nodes(self.functor)))))
 
 
 def _nodes(functor):
@@ -211,8 +215,10 @@ class DetCoalgebra:
     instead of running the exchange law and the multiplication.  Any
     other state runs the exchange law (``_zeta``) over its members'
     transitions, with the multiplication on states at each identity
-    leaf: the union of the leaf masks on powerset, ``SUBDIST.flatten``
-    on subdistributions.  So the law must be an exact one, as
+    leaf (``mult``, on a ``Monad.weighted`` list of states): the union of
+    the leaf masks on powerset, ``SUBDIST.flatten`` on subdistributions.
+    ``models.certificate_from_json`` flattens a witness's parts with the
+    same ``mult``.  So the law must be an exact one, as
     ``CoalgebraModel.law`` builds it: the mutant prioritizer breaks the
     unit axiom, and only ``law_suite`` reads it.  Transition terms must be
     canonical and built to the functor's shape (monad values as built by
@@ -249,7 +255,7 @@ class DetCoalgebra:
     memo: Dict[object, object] = field(default_factory=dict, init=False)
     max_states: int = 100_000
     distance: DistanceProgram = field(init=False, repr=False, compare=False)
-    _mult: Callable[[list], object] = field(init=False, repr=False, compare=False)
+    mult: Callable[[list], object] = field(init=False, repr=False, compare=False)
     _read: Set[object] = field(default_factory=set, init=False, repr=False)
     _compile_point: Optional[MaskCompile] = field(default=None, init=False, repr=False)
     _pair: Optional[MaskProgram] = field(default=None, init=False, repr=False)
@@ -258,11 +264,11 @@ class DetCoalgebra:
     def __post_init__(self):
         self.distance = distance_program(self.law.quantale, self.law.functor)
         if self.law.monad is POWERSET:
-            self._mult = _union
+            self.mult = _union
             self._compile_point, self._pair = _mask_program(self.law.quantale,
                                                             self.law.functor)
         else:
-            self._mult = SUBDIST.flatten
+            self.mult = SUBDIST.flatten
 
     def state(self, t):
         """The state of a monad value over the point states."""
@@ -307,7 +313,7 @@ class DetCoalgebra:
             # The exchange law followed by the multiplication at each
             # identity leaf, fused: each leaf is multiplied once.
             lifted = [(self.transitions[x], w) for x, w in members]
-            out = _zeta(self.law, self.law.functor, lifted, self._mult)
+            out = _zeta(self.law, self.law.functor, lifted, self.mult)
         self.memo[state] = out
         return out
 

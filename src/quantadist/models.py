@@ -31,7 +31,7 @@ from .functor import (ConstF, ConstLeaf, CoprodF, IdF, IdLeaf, Inl, Inr, ProdF,
                       Tup, pow_functor)
 from .monadlift import (POWERSET, SUBDIST, Monad, SubDist, get_monad,
                         set_members_from_json)
-from .quantale import Quantale, get_quantale
+from .quantale import BOOLEAN, Quantale, get_quantale
 from .vgraph import Carrier, VGraph, carrier
 
 
@@ -346,13 +346,25 @@ def _rows(value, what: str):
 
 def certificate_from_json(doc: dict, model: CoalgebraModel) -> Certificate:
     """Read a certificate over the model's determinized states, each read
-    by the model's ``state_reader``."""
+    by the model's ``state_reader``.
+
+    A witness is checked here, where it enters, and nowhere else: the
+    model's law must admit witnesses (``DistLaw.witnesses_sound``), its
+    weights must be non-negative with sum at most 1, and its parts must
+    flatten to its pair on each side, by the determinization's own
+    multiplication on states (``DetCoalgebra.mult``).  A witness that
+    fails is malformed even where no support pair reads it."""
     if not isinstance(doc, dict):
         raise ModelFormatError("certificate document must be a JSON object")
     q = model.quantale
     monad = model.monad
+    det = model.det()
     read_state = state_reader(monad, model.states)
     value_of = literal_reader(q)
+
+    def named(pair):
+        left, right = map(det.value, pair)
+        return f"({canon_key(left)}, {canon_key(right)})"
 
     def pair_of(row):
         return read_state(row["lhs"]), read_state(row["rhs"])
@@ -363,17 +375,17 @@ def certificate_from_json(doc: dict, model: CoalgebraModel) -> Certificate:
             pair = pair_of(row)
             value = value_of(row["value"])
             if entries.get(pair, value) != value:
-                left, right = map(model.det().value, pair)
                 raise ModelFormatError(
-                    f"conflicting entries for ({canon_key(left)}, {canon_key(right)}): "
+                    f"conflicting entries for {named(pair)}: "
                     f"{q.value_to_json(entries[pair])} and {q.value_to_json(value)}")
             entries[pair] = value
         witnesses = {}
         witness_rows = _rows(doc.get("witnesses", []), "certificate witnesses")
-        if witness_rows and not model.law().witnesses_sound:
-            raise ModelFormatError(
-                "witnesses are unsound on subdistributions over unit-oplus with "
-                "a coproduct in the functor; give plain entries only")
+        if witness_rows and not det.law.witnesses_sound:
+            condition = ("the boolean quantale, where the expectation is not defined"
+                         if q is BOOLEAN else "unit-oplus with a coproduct in the functor")
+            raise ModelFormatError(f"witnesses are unsound on subdistributions over "
+                                   f"{condition}; give plain entries only")
         for row in witness_rows:
             pair = pair_of(row)
             parts = tuple((pair_of(part), monad.part_weight(part))
@@ -386,6 +398,13 @@ def certificate_from_json(doc: dict, model: CoalgebraModel) -> Certificate:
                 raise ModelFormatError(
                     f"witness weights {', '.join(map(str, weights))} are not "
                     f"non-negative with sum at most 1")
+            for i, side in enumerate(("left", "right")):
+                flat = det.mult([(part[i], w) for part, w in parts])
+                if flat != pair[i]:
+                    raise ModelFormatError(
+                        f"witness for {named(pair)}: its parts' {side} states flatten "
+                        f"to {canon_key(det.value(flat))}, not "
+                        f"{canon_key(det.value(pair[i]))}")
             witnesses.setdefault(pair, []).append(parts)
     except KeyError as exc:
         raise ModelFormatError(f"missing certificate field {exc}") from None

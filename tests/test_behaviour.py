@@ -4,12 +4,12 @@ from itertools import chain, combinations
 import pytest
 
 from quantadist.behaviour import (Certificate, CoalgebraModel, ModelError,
-                                  SparseDist, WitnessError, beh_apply, beh_value,
+                                  SparseDist, beh_apply, beh_value,
                                   certify, kleene_gfp,
                                   reachable_states, trace_lower_bound, witness_bound)
 from conftest import build_exceptions, model_to_json
 from quantadist.canon import canon_key
-from quantadist.distlaw import mask_value, point_mask
+from quantadist.distlaw import point_mask
 from quantadist.functor import (ConstLeaf, IdLeaf, Inl, Inr, Tup,
                                 exception_functor)
 from quantadist.galois import BudgetError
@@ -230,23 +230,6 @@ def test_witness_bound_unit_only():
     cert = Certificate(POWERSET, cand, {})
     assert witness_bound(cert, (A("a"), A("b")), q) == F(1, 3)
     assert witness_bound(cert, (A("b"), A("a")), q) == q.bottom
-
-
-def test_witness_marginal_mismatch_rejected():
-    cand = SparseDist(q, {(A("a", "b"), A("c")): F(1, 2)})
-    bad_witness = (((A("a"), A("c")), None),)  # union misses b
-    cert = Certificate(POWERSET, cand,
-                       {(A("a", "b"), A("c")): [bad_witness]})
-    with pytest.raises(WitnessError, match="marginal") as caught:
-        witness_bound(cert, (A("a", "b"), A("c")), q)
-    assert caught.value.describe(lambda mask: mask_value(mask, ABC)) == \
-        "left marginal {a} differs from {a,b}"
-    # The right marginal is checked too.
-    cert.witnesses[(A("a", "b"), A("c"))] = [(((A("a", "b"), A("b")), None),)]
-    with pytest.raises(WitnessError) as caught:
-        witness_bound(cert, (A("a", "b"), A("c")), q)
-    assert caught.value.describe(lambda mask: mask_value(mask, ABC)) == \
-        "right marginal {b} differs from {c}"
 
 
 def test_certify_exception_case_study(exceptions3):

@@ -16,7 +16,7 @@ from quantadist.functor import (ID, ConstF, ConstLeaf, CoprodF, IdLeaf, Inl, Inr
 from quantadist.galois import Grid, grid_values
 from quantadist.monadlift import (POWERSET, SUBDIST, dirac, finsubset, kantorovich_lp,
                                   subdist)
-from quantadist.quantale import EXT_PLUS, INF, UNIT_OPLUS
+from quantadist.quantale import BOOLEAN, EXT_PLUS, INF, UNIT_OPLUS
 from quantadist.suites import CheckResult
 from quantadist.vgraph import Carrier, VGraph
 
@@ -139,6 +139,15 @@ def test_witnesses_unsound_only_on_subdist_over_unit_oplus_with_a_coproduct():
             for q in (UNIT_OPLUS, EXT_PLUS):
                 unsound = coprod and monad is SUBDIST and q is UNIT_OPLUS
                 assert DistLaw(functor, monad, q).witnesses_sound is not unsound
+
+
+def test_witnesses_undefined_on_subdist_over_boolean():
+    """A subdistribution witness bounds a pair by an expectation, which
+    the booleans do not have: no boolean subdist law admits witnesses,
+    with or without a coproduct, and the same powerset laws do."""
+    for functor in (ID, ProdF((ID,), ("a",)), CoprodF(ID, ID)):
+        assert not DistLaw(functor, SUBDIST, BOOLEAN).witnesses_sound
+        assert DistLaw(functor, POWERSET, BOOLEAN).witnesses_sound
 
 
 # -- law suites -----------------------------------------------------------------------

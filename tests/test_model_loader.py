@@ -44,7 +44,7 @@ from quantadist.quantale import BOOLEAN, QuantaleError, get_quantale
 from quantadist.vgraph import Carrier, carrier
 
 #: What a loader raises on a malformed document.
-REFUSED = (ValueError, ZeroDivisionError, QuantaleError)
+REFUSED = (ValueError, QuantaleError)
 
 
 # -- the recursive reader --------------------------------------------------------------

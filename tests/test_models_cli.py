@@ -497,6 +497,9 @@ def test_cli_unknown_monad_exit_code(tmp_path):
     (["witnesses", 0, "parts"], 5, "witness parts must be a list of objects"),
     (["witnesses", 0, "parts"], [5], "witness parts must be a list of objects"),
     (["entries", 0, "value"], "1/0", "zero denominator in value '1/0'"),
+    (["witnesses", 0, "parts", 1, "lhs"], {"set": ["y1"]},
+     "witness for ({x0,x1,y0}, {z0,z1}): its parts' left states flatten to "
+     "{x0,y0,y1}, not {x0,x1,y0}"),
 ])
 def test_cli_malformed_certificate_exit_code(tmp_path, path, value, message):
     doc = load_fixture("exceptions_cert.json")
@@ -666,6 +669,97 @@ def test_cli_certificate_witness_weights_form_a_subdistribution(tmp_path, parts)
     code, out, err = run_cli(*argv)
     assert (code, out) == (2, "")
     assert "are not non-negative with sum at most 1" in err
+
+
+def test_witness_marginal_mismatch_is_malformed():
+    """A witness whose parts do not flatten to its pair is refused where
+    it is read, on either side and on either monad, naming the pair."""
+    cases = [
+        ("exceptions", ["witnesses", 0, "parts", 1, "lhs"], {"set": ["y1"]},
+         "witness for ({x0,x1,y0}, {z0,z1}): its parts' left states flatten to "
+         "{x0,y0,y1}, not {x0,x1,y0}"),
+        ("exceptions", ["witnesses", 0, "parts", 1, "rhs"], {"set": ["z2"]},
+         "witness for ({x0,x1,y0}, {z0,z1}): its parts' right states flatten to "
+         "{z0,z2}, not {z0,z1}"),
+        ("probchain", ["witnesses", 0, "parts", 1, "lhs"], {"dist": {"x": "1"}},
+         "witness for (x:1/2+x':1/2, y:1): its parts' left states flatten to "
+         "x:1, not x:1/2+x':1/2"),
+        ("probchain", ["witnesses", 1, "parts", 1, "rhs"], {"dist": {"x": "1"}},
+         "witness for (y:1, x:1/2+x':1/2): its parts' right states flatten to "
+         "x:1, not x:1/2+x':1/2"),
+    ]
+    for name, path, value, message in cases:
+        model = fixture_model(f"{name}.json")
+        doc = load_fixture(f"{name}_cert.json")
+        certificate_from_json(doc, model)
+        _set_path(doc, path, value)
+        with pytest.raises(ModelFormatError) as caught:
+            certificate_from_json(doc, model)
+        assert str(caught.value) == message
+
+
+def test_broken_witness_is_malformed_even_where_no_pair_reads_it(tmp_path):
+    """A broken witness is malformed (exit 2) whether or not a support
+    pair reads it: both support pairs (p, r) and (r, p) read the pair
+    ({c}, {c}), and none reads ({d}, {c})."""
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({
+        "quantale": "unit-oplus", "monad": "powerset",
+        "functor": {"coprod": [{"const": "value"},
+                               {"pow": {"labels": ["a"], "body": "id"}}]},
+        "states": ["p", "r", "c", "d"], "labels": ["a"],
+        "transitions": {"p": {"inr": {"pow": {"a": {"id": {"set": ["c"]}}}}},
+                        "r": {"inr": {"pow": {"a": {"id": {"set": ["c"]}}}}},
+                        "c": {"inl": {"const": "1/2"}},
+                        "d": {"inl": {"const": "1/2"}}}}))
+    s = lambda *members: {"set": list(members)}
+    doc = {"entries": [{"lhs": s("p"), "rhs": s("r"), "value": "0"},
+                       {"lhs": s("r"), "rhs": s("p"), "value": "0"},
+                       {"lhs": s("c"), "rhs": s("c"), "value": "0"}]}
+    cert = tmp_path / "cert.json"
+    argv = ["certify", "--model", str(model), "--cert", str(cert)]
+    cert.write_text(json.dumps(doc))
+    code, out, _err = run_cli(*argv)
+    assert (code, out) == (0, "accepted (3 support pairs verified)\n")
+    for left in ("c", "d"):
+        broken = dict(doc, witnesses=[{"lhs": s(left), "rhs": s("c"),
+                                       "parts": [{"lhs": s(left), "rhs": s("d")}]}])
+        cert.write_text(json.dumps(broken))
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (2, "")
+        assert err == (f"error: witness for ({{{left}}}, {{c}}): its parts' right "
+                       f"states flatten to {{d}}, not {{c}}\n")
+
+
+def test_cli_certify_boolean_subdist_witnesses(tmp_path):
+    """On subdistributions over the booleans a witness's bound, an
+    expectation, is not defined: the loader refuses the witnesses, and a
+    certificate of plain entries is checked."""
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({
+        "quantale": "boolean", "monad": "subdist",
+        "functor": {"pow": {"labels": ["a"], "body": "id"}},
+        "states": ["x", "y"], "labels": ["a"],
+        "transitions": {"x": {"pow": {"a": {"id": {"dist": {"x": "1"}}}}},
+                        "y": {"pow": {"a": {"id": {"dist": {"y": "1/2"}}}}}}}))
+    point = lambda name: {"dist": {name: "1"}}
+    doc = {"entries": [{"lhs": point("x"), "rhs": point("y"), "value": True}],
+           "witnesses": [{"lhs": point("x"), "rhs": {"dist": {"y": "1/2"}},
+                          "parts": [{"lhs": point("x"), "rhs": point("y"), "weight": "1/2"},
+                                    {"lhs": point("x"), "rhs": {"dist": {}},
+                                     "weight": "1/2"}]}]}
+    cert = tmp_path / "cert.json"
+    argv = ["certify", "--model", str(model), "--cert", str(cert)]
+    cert.write_text(json.dumps(doc))
+    code, out, err = run_cli(*argv)
+    assert (code, out) == (2, "")
+    assert err == ("error: witnesses are unsound on subdistributions over the boolean "
+                   "quantale, where the expectation is not defined; give plain "
+                   "entries only\n")
+    del doc["witnesses"]
+    cert.write_text(json.dumps(doc))
+    code, out, _err = run_cli(*argv)
+    assert code == 1 and out.startswith("rejected at (x:1, y:1)")
 
 
 @pytest.mark.parametrize("flag", ["--max-words", "--max-iters", "--max-states"])

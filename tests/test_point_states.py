@@ -25,8 +25,7 @@ from quantadist.canon import canon_key
 from quantadist.distlaw import DistLaw, _zeta, case_study_laws
 from quantadist.functor import (ID, ConstF, ConstLeaf, CoprodF, Inl, Inr, ProdF,
                                 Tup, iter_payloads, map_payloads, pow_functor)
-from quantadist.models import (certificate_from_json, fixture_certificate,
-                               fixture_model, model_from_json)
+from quantadist.models import certificate_from_json, fixture_certificate, fixture_model
 from quantadist.monadlift import POWERSET, SUBDIST, finsubset, subdist
 from quantadist.quantale import EXT_PLUS, INF, UNIT_OPLUS
 from test_determinize import random_det, value_transitions
@@ -265,32 +264,6 @@ def test_every_single_entry_lowering_is_judged_like_the_reference(name, model, c
             cert.candidate.entries[pair] = value
         lowered += 1
     assert lowered == len(cert.candidate.entries)
-
-
-def test_broken_witness_fails_every_support_pair_that_reads_it():
-    """Two support pairs step to the same successor pair, whose witness
-    fails its marginals: both fail, with the same reason."""
-    model = model_from_json({
-        "quantale": "unit-oplus", "monad": "powerset",
-        "functor": {"coprod": [{"const": "value"},
-                               {"pow": {"labels": ["a"], "body": "id"}}]},
-        "states": ["p", "r", "c", "d"], "labels": ["a"],
-        "transitions": {"p": {"inr": {"pow": {"a": {"id": {"set": ["c"]}}}}},
-                        "r": {"inr": {"pow": {"a": {"id": {"set": ["c"]}}}}},
-                        "c": {"inl": {"const": "1/2"}},
-                        "d": {"inl": {"const": "1/2"}}}})
-    s = lambda *members: {"set": list(members)}
-    cert = certificate_from_json({
-        "entries": [{"lhs": s("p"), "rhs": s("r"), "value": "0"},
-                    {"lhs": s("r"), "rhs": s("p"), "value": "0"}],
-        "witnesses": [{"lhs": s("c"), "rhs": s("c"),
-                       "parts": [{"lhs": s("c"), "rhs": s("d")}]}]}, model)
-    verdict = certify(cert, model)
-    assert verdict == reference_certify(cert, model)
-    assert [(canon_key(l), canon_key(r)) for l, r, _why in verdict.failures] == \
-        [("{p}", "{r}"), ("{r}", "{p}")]
-    reasons = {why for _l, _r, why in verdict.failures}
-    assert len(reasons) == 1 and "right marginal" in reasons.pop()
 
 
 def test_certify_bounds_each_successor_pair_once(monkeypatch):
