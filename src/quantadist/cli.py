@@ -160,7 +160,8 @@ def _cmd_distance(args) -> int:
                       max_words=args.max_words)
     else:
         raise _CliError(f"unknown method {args.method!r}")
-    lines.insert(0, f"{report['value']}  [{report['soundness']}]")
+    # lower(): a boolean prints as in the file format, true or false.
+    lines.insert(0, f"{str(report['value']).lower()}  [{report['soundness']}]")
     _emit(report, args.json, lines)
     return EXIT_OK
 

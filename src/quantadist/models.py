@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from importlib import resources
 from typing import Callable, Dict
 
@@ -31,7 +30,7 @@ from .functor import (ConstF, ConstLeaf, CoprodF, IdF, IdLeaf, Inl, Inr, ProdF,
                       Tup, pow_functor)
 from .monadlift import (POWERSET, SUBDIST, Monad, SubDist, get_monad,
                         set_members_from_json)
-from .quantale import BOOLEAN, Quantale, get_quantale
+from .quantale import BOOLEAN, RATIONAL_LITERAL, Quantale, get_quantale
 from .vgraph import Carrier, VGraph, carrier
 
 
@@ -230,15 +229,8 @@ _RESERVED_CHAR = re.compile(r"[{},:|\s]")
 
 
 def _reserved(name: str) -> bool:
-    if name in RESERVED_NAMES or _RESERVED_CHAR.search(name):
-        return True
-    if name[0] not in "+-.0123456789":  # how every rational literal starts
-        return False
-    try:
-        Fraction(name)
-    except (ValueError, ZeroDivisionError):
-        return False
-    return True
+    return name in RESERVED_NAMES or _RESERVED_CHAR.search(name) is not None \
+        or name[0] in "+-.0123456789" and RATIONAL_LITERAL.fullmatch(name) is not None
 
 
 def _names(value, what: str):
@@ -439,6 +431,9 @@ def load_json_file(path: str) -> dict:
         raise ModelFormatError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}") from None
+    except RecursionError:
+        raise ModelFormatError(
+            f"{path}: the document nests deeper than the JSON reader allows") from None
 
 
 def fixture_text(name: str) -> str:

@@ -19,9 +19,9 @@ from math import lcm
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .canon import canon_key
-from .quantale import INF, Quantale, QuantaleError
+from .quantale import INF, Quantale, QuantaleError, refuse_exponent
 from .simplex import LinearConstraint, LPProblem
-from .vgraph import VGraph, metric_closure, scaled_closure
+from .vgraph import VGraph, scaled_closure
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,7 @@ def weight_from_json(w) -> Fraction:
     if isinstance(w, bool) or not isinstance(w, (str, int)):
         raise ValueError(f"a weight must be a rational string, got {w!r}")
     try:
-        return Fraction(w)
+        return Fraction(refuse_exponent(w))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in weight {w!r}") from None
 
@@ -276,19 +276,13 @@ def hausdorff_directed(d: VGraph, left: FinSubset, right: FinSubset):
 
     meet over members of the right of the join over members of the
     left of the closure distance; on the real-valued quantales this is
-    sup_{v in right} inf_{u in left} dc(u, v).  Conventions: an empty
-    right gives top, an empty left (nonempty right) gives bottom.  On
-    the real-valued quantales it reads the |left| x |right| entries it
-    needs off the integer closure of ``scaled_closure`` and builds one
-    ``Fraction``, for the answer.
+    sup_{v in right} inf_{u in left} dc(u, v).  It reads the |left| x
+    |right| entries it needs off ``scaled_closure`` (the booleans as
+    {0, inf}).  In the quantale's constants: an empty right or a worst
+    entry of 0 gives top; an empty left, or a right member no left
+    member reaches (inf on ext-plus, false on the booleans), gives bottom.
     """
     q = d.quantale
-    if q.ident == "boolean":
-        dc = metric_closure(d)
-        return q.meet(
-            q.join(dc.at(u, v) for u in left.members)
-            for v in right.members
-        )
     if not right.members:
         return q.top
     if not left.members:
@@ -301,9 +295,9 @@ def hausdorff_directed(d: VGraph, left: FinSubset, right: FinSubset):
     for j in cols:
         finite = [m[i][j] for i in rows if m[i][j] is not None]
         if not finite:
-            return INF
+            return q.bottom
         worst = max(worst, min(finite))
-    return Fraction(worst, scale)
+    return q.top if worst == 0 else Fraction(worst, scale)
 
 
 def _check_transport(d: VGraph, p: SubDist, q_dist: SubDist):

@@ -30,6 +30,7 @@ again; ``value_to_json`` writes a value as it is.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -69,6 +70,25 @@ def is_inf(v) -> bool:
 #: The rational constants of the real-valued quantales.
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+#: The string grammar of ``Fraction``: a sign, ``p/q``, an integer or a
+#: decimal, the last two with an exponent (group ``exp``), spaces around.
+RATIONAL_LITERAL = re.compile(r"""\s*[-+]?(?=\d|\.\d)(\d*|\d+(_\d+)*)
+    (/\d+(_\d+)*|(\.(\d*|\d+(_\d+)*))?(?P<exp>[eE][-+]?\d+(_\d+)*)?)\s*""",
+                              re.VERBOSE)
+
+
+def refuse_exponent(literal):
+    """``literal``, a string or an int, unless it is a rational literal in
+    exponent notation, for which ``Fraction`` builds the power of ten
+    first (minutes for ``1e-99999999``)."""
+    match = isinstance(literal, str) and ("e" in literal or "E" in literal) \
+        and RATIONAL_LITERAL.fullmatch(literal)
+    if match and match["exp"]:
+        raise ValueError(f"exponent notation in the rational literal {literal!r}: "
+                         f"write p/q, an integer or a decimal")
+    return literal
 
 
 def as_fraction(v) -> Fraction:
@@ -196,13 +216,11 @@ class _ReversedNumericQuantale(Quantale):
             raise QuantaleError(f"expected rational string, got boolean {j!r}")
         if j == "inf":
             return self.validate(INF)
-        if isinstance(j, str):
+        if isinstance(j, (str, int)):
             try:
-                return self.validate(Fraction(j))
+                return self.validate(Fraction(refuse_exponent(j)))
             except ZeroDivisionError:
                 raise QuantaleError(f"zero denominator in value {j!r}") from None
-        if isinstance(j, int):
-            return self.validate(Fraction(j))
         raise QuantaleError(f"expected rational string, got {j!r}")
 
 

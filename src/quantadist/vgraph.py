@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .quantale import INF, Quantale
+from .quantale import BOOLEAN, INF, Quantale
 
 
 class CarrierMismatchError(ValueError):
@@ -170,17 +170,22 @@ def is_vcat(d: VGraph) -> bool:
 
 
 def scaled_closure(d: VGraph) -> Tuple[List[List[Optional[int]]], int]:
-    """The metric closure of a graph over a real-valued quantale, on
-    plain ints: returns ``(m, scale)`` where entry (i, j) of the least
-    V-category above ``d`` is ``m[i][j] / scale``, with ``None`` for
-    ``INF``.  ``scale`` is the least common multiple of the denominators
-    of the finite entries; ``metric_closure`` says why the pass below is
+    """The metric closure of a graph on plain ints: returns ``(m,
+    scale)`` where entry (i, j) of the least V-category above ``d`` is
+    ``m[i][j] / scale``, with ``None`` for ``INF``.  A real-valued graph
+    is scaled by the least common multiple of its finite denominators; a
+    boolean one is the sub-quantale {0, inf} of ext-plus (true as 0,
+    false as ``None``, scale 1).  ``metric_closure`` says why the pass is
     exact.  With the diagonal at 0, row k does not change in round k, so
     its finite entries are read once per round.
     """
-    scale = lcm(*(v.denominator for row in d.dist for v in row if v is not INF))
-    m = [[None if v is INF else v.numerator * (scale // v.denominator) for v in row]
-         for row in d.dist]
+    if d.quantale is BOOLEAN:
+        scale = 1
+        m = [[0 if v else None for v in row] for row in d.dist]
+    else:
+        scale = lcm(*(v.denominator for row in d.dist for v in row if v is not INF))
+        m = [[None if v is INF else v.numerator * (scale // v.denominator) for v in row]
+             for row in d.dist]
     for i, row in enumerate(m):
         row[i] = 0
     for k, row_k in enumerate(m):
@@ -205,32 +210,17 @@ def metric_closure(d: VGraph) -> VGraph:
     through k.  One pass reaches the fixpoint because all three
     quantales are integral: the unit is top, so going round a cycle
     never improves a path and the best path through {0..k} is a simple
-    one.  The entries are canonical values (see ``VGraph``), so they
-    are combined here as plain values.  The booleans use and/or.  On the
-    real-valued quantales the pass runs in ``scaled_closure`` on plain
-    ints: every finite entry times the least common multiple of the
-    denominators, ``INF`` as ``None``.  Multiplying by a positive integer
-    commutes with addition and minimum, so the scaled pass computes
-    exactly the scaled closure, and each entry is read back as one
-    ``Fraction``.  A composite replaces an entry only when it is
-    numerically below it, hence below 1 on unit-oplus, so the truncation
-    of the sum never applies.  The result holds canonical values.
+    one.  The pass runs in ``scaled_closure`` on plain ints, which is
+    exact: scaling by a positive integer commutes with addition and
+    minimum, and on the booleans, {0, inf}, "and" is + and "or" the
+    minimum.  An entry reads back as a ``Fraction`` (``INF`` for
+    ``None``), or as true where it is finite.  A composite replaces an
+    entry only when it is numerically below it, hence below 1 on
+    unit-oplus, so the truncation of the sum never applies.
     """
-    q = d.quantale
-    if q.ident != "boolean":
-        m, scale = scaled_closure(d)
-        return VGraph(q, d.carrier,
-                      [[INF if v is None else Fraction(v, scale) for v in row] for row in m])
-    n = len(d.carrier)
-    out = d.copy()
-    m = out.dist
-    for i in range(n):
-        m[i][i] = q.join2(m[i][i], q.unit)
-    for k in range(n):
-        row_k = m[k]
-        for row in m:
-            if row[k]:
-                for j in range(n):
-                    if row_k[j]:
-                        row[j] = True
-    return out
+    m, scale = scaled_closure(d)
+    if d.quantale is BOOLEAN:
+        dist = [[v is not None for v in row] for row in m]
+    else:
+        dist = [[INF if v is None else Fraction(v, scale) for v in row] for row in m]
+    return VGraph(d.quantale, d.carrier, dist)

@@ -1,5 +1,6 @@
 import json
 import re
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -933,3 +934,89 @@ def test_cli_boolean_subdist_model_exit_code(tmp_path, argv):
     code, out, err = run_cli(argv[0], "--model", model, *argv[1:])
     assert (code, out) == (2, "")
     assert "subdistributions over the boolean quantale admit no value constants" in err
+
+
+# -- boolean graph documents -------------------------------------------------------
+
+def _boolean_chain_doc():
+    """Three points in a chain a -> b -> c over the booleans: a reaches c
+    only through the closure, and nothing reaches back."""
+    return {"kind": "vgraph", "quantale": "boolean", "elements": ["a", "b", "c"],
+            "dist": [[True, True, False], [False, True, True], [False, False, True]]}
+
+
+@pytest.mark.parametrize("pair,value", [("{a}|{c}", True), ("{c}|{a,b}", False)])
+def test_cli_hausdorff_on_a_boolean_graph(tmp_path, pair, value):
+    model = _write_model(tmp_path, _boolean_chain_doc())
+    code, out, _err = run_cli("distance", "--model", model, "--pair", pair,
+                              "--method", "hausdorff")
+    assert (code, out) == (0, f"{json.dumps(value)}  [exact]\n")
+    code, out, _err = run_cli("distance", "--model", model, "--pair", pair,
+                              "--method", "hausdorff", "--json")
+    assert code == 0 and json.loads(out)["value"] is value
+
+
+def test_cli_lp_on_a_boolean_graph_is_refused(tmp_path):
+    model = _write_model(tmp_path, _boolean_chain_doc())
+    code, out, err = run_cli("distance", "--model", model, "--pair", "a:1|c:1",
+                             "--method", "lp")
+    assert (code, out) == (2, "")
+    assert "transportation needs a real-valued quantale" in err
+
+
+# -- documents and literals the readers refuse before the work starts ------------------
+
+def test_cli_refuses_a_document_nested_deeper_than_the_json_reader(tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    for argv in (["distance", "--model", str(deep), "--pair", "{x}|{x}",
+                  "--method", "kleene"],
+                 ["certify", "--model", fixture_path("exceptions.json"),
+                  "--cert", str(deep)]):
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (2, "")
+        assert f"{deep}: the document nests deeper than the JSON reader allows" in err
+
+
+def _exponent_inputs(tmp_path):
+    """An exponent literal as a command-line weight, a document weight, a
+    certificate value and a state name: (argv, what the error names)."""
+    literal = "1e-9"
+    model = load_fixture("probchain.json")
+    model["transitions"]["y"]["tuple"][1]["pow"]["a"]["id"]["dist"]["y"] = literal
+    weighted = tmp_path / "weighted.json"
+    weighted.write_text(json.dumps(model))
+    cert = load_fixture("probchain_cert.json")
+    cert["entries"][0]["value"] = literal
+    valued = tmp_path / "valued.json"
+    valued.write_text(json.dumps(cert))
+    named = load_fixture("probchain.json")
+    named["states"].append(literal)
+    named_path = tmp_path / "named.json"
+    named_path.write_text(json.dumps(named))
+    exponent = f"exponent notation in the rational literal {literal!r}"
+    probchain = fixture_path("probchain.json")
+    return [
+        (["distance", "--model", probchain, "--pair", f"y:{literal}|x:1",
+          "--method", "kleene"], exponent),
+        (["distance", "--model", str(weighted), "--pair", "y:1|x:1",
+          "--method", "kleene"], exponent),
+        (["certify", "--model", probchain, "--cert", str(valued)], exponent),
+        (["distance", "--model", str(named_path), "--pair", "y:1|x:1",
+          "--method", "kleene"], f"reserved name {literal!r}"),
+    ]
+
+
+@pytest.mark.parametrize("case", range(4), ids=["cli-weight", "document-weight",
+                                                "certificate-value", "state-name"])
+def test_cli_refuses_exponent_literals_at_once(tmp_path, case):
+    """``Fraction`` builds 10**N for an exponent literal: ``1e-9999999``
+    took seconds to read and ``1e-99999999`` minutes.  The readers refuse
+    the form itself, whatever the exponent, so a short one shows it;
+    where such a weight was accepted, Kleene iteration on the tiny value
+    ran into Python's digit limit or took minutes at ``1e-999``."""
+    argv, message = _exponent_inputs(tmp_path)[case]
+    started = time.monotonic()
+    code, out, err = run_cli(*argv)
+    assert time.monotonic() - started < 1
+    assert (code, out) == (2, "") and message in err, err

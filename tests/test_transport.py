@@ -8,7 +8,8 @@ integer-scaled instances, ``networkx.network_simplex``.  The one-pass
 ``metric_closure`` is compared with the re-checking Floyd-Warshall loop
 it replaced and with the one-pass loop over ``Fraction`` values that
 ``scaled_closure`` replaced, both kept here; ``hausdorff_directed`` with
-its closed form over the ``Fraction`` closure.
+its closed form over the ``Fraction`` closure.  On a boolean graph both
+also equal the ext-plus answer on its image in {0, inf}, read back.
 """
 
 import json
@@ -99,6 +100,12 @@ def hausdorff_oracle(dc, left, right):
     operations, over a closure ``dc`` computed by an oracle loop."""
     q = dc.quantale
     return q.meet(q.join(dc.at(u, v) for u in left.members) for v in right.members)
+
+
+def ext_plus_image(d):
+    """A boolean graph in the sub-quantale {0, inf} of ext-plus: true as
+    0, false as inf."""
+    return VGraph(EXT_PLUS, d.carrier, [[F(0) if v else INF for v in row] for row in d.dist])
 
 
 def fraction_transport(d, p, q):
@@ -368,6 +375,9 @@ def test_one_pass_closure_matches_two_pass(quantale):
         before = [row[:] for row in d.dist]
         closed = metric_closure(d)
         assert graph_equal(closed, two_pass_closure(d)), d.dist
+        if quantale is BOOLEAN:
+            assert closed.dist == [[v is not INF for v in row]
+                                   for row in metric_closure(ext_plus_image(d)).dist]
         assert is_vcat(closed)
         assert d.dist == before
 
@@ -470,6 +480,9 @@ def test_hausdorff_matches_the_fraction_expression():
                 expected = hausdorff_oracle(dc, left, right)
                 assert value == expected and type(value) is type(expected), \
                     (d.dist, left, right)
+                if d.quantale is BOOLEAN:
+                    assert value == (hausdorff_directed(ext_plus_image(d), left, right)
+                                     is not INF)
                 empty_left += not left.members and bool(right.members)
                 empty_right += not right.members
     assert empty_left > 0 and empty_right > 0
