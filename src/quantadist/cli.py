@@ -15,6 +15,7 @@ import functools
 import json
 import sys
 import time
+from fractions import Fraction
 from typing import List, Optional
 
 from .behaviour import CoalgebraModel, certify, pair_gfp, trace_lower_bound
@@ -53,8 +54,8 @@ def _parse_tvalue(text: str, instance):
     if isinstance(instance, DistanceInstance):
         if text.startswith("{"):
             return _parse_set_literal(text)
-        if text in instance.distributions:
-            return instance.distributions[text]
+        if text in instance.named:
+            return instance.distribution(text)
         return _parse_dist_literal(text)
     if instance.monad is POWERSET:
         return _parse_set_literal(text)
@@ -105,6 +106,27 @@ def _count(text: str) -> int:
     return value
 
 
+#: A reported value prints in at most this many decimal digits, in its
+#: numerator and in its denominator: CPython's default limit on
+#: converting an int to a string, fixed here whatever the running
+#: interpreter's limit is.
+MAX_DIGITS = 4300
+_TOO_LONG = 10 ** MAX_DIGITS
+
+
+def _printable(value, budget: str):
+    """``value``, unless a ``Fraction`` with a numerator or denominator
+    longer than ``MAX_DIGITS`` digits, measured without printing it:
+    refused naming ``budget``, the option that bounds the iteration."""
+    if isinstance(value, Fraction):
+        for name, part in (("numerator", value.numerator),
+                           ("denominator", value.denominator)):
+            if part.bit_length() >= _TOO_LONG.bit_length() and abs(part) >= _TOO_LONG:
+                raise BudgetError(f"the value's {name} has more than {MAX_DIGITS} "
+                                  f"digits; a smaller {budget} gives a shorter bound")
+    return value
+
+
 def _emit(report: dict, as_json: bool, lines: List[str]):
     if as_json:
         print(json.dumps(report, sort_keys=True, indent=2))
@@ -139,7 +161,7 @@ def _cmd_distance(args) -> int:
         result = pair_gfp(det, det.state(pair[0]), det.state(pair[1]),
                           max_iters=args.max_iters)
         q = instance.quantale
-        report.update(value=q.value_to_json(result.value),
+        report.update(value=q.value_to_json(_printable(result.value, "--max-iters")),
                       soundness="exact" if result.converged
                       else "lower bound (numeric)",
                       iterations=result.iterations,
@@ -155,7 +177,7 @@ def _cmd_distance(args) -> int:
         value = trace_lower_bound(instance, state(pair[0]), state(pair[1]),
                                   args.max_words, max_states=args.max_states)
         q = instance.quantale
-        report.update(value=q.value_to_json(value),
+        report.update(value=q.value_to_json(_printable(value, "--max-words")),
                       soundness="lower bound (numeric)",
                       max_words=args.max_words)
     else:

@@ -21,15 +21,15 @@ import json
 import re
 from dataclasses import dataclass
 from importlib import resources
-from typing import Callable, Dict
+from typing import Callable, Dict, Tuple
 
 from .behaviour import Certificate, CoalgebraModel, SparseDist
 from .canon import canon_key
 from .distlaw import DistLaw
 from .functor import (ConstF, ConstLeaf, CoprodF, IdF, IdLeaf, Inl, Inr, ProdF,
                       Tup, pow_functor)
-from .monadlift import (POWERSET, SUBDIST, Monad, SubDist, get_monad,
-                        set_members_from_json)
+from .monadlift import (POWERSET, Monad, Row, SubDist, dist_rows, get_monad,
+                        set_members_from_json, subdist_of_rows)
 from .quantale import BOOLEAN, RATIONAL_LITERAL, Quantale, get_quantale
 from .vgraph import Carrier, VGraph, carrier
 
@@ -197,10 +197,16 @@ def _labelled_handler(labels, parts):
 
 @dataclass
 class DistanceInstance:
-    """A bare distance matrix plus optional named distributions."""
+    """A bare distance matrix plus optional named distributions.  Each
+    distribution is checked where the document is read and kept as its
+    rows (``monadlift.dist_rows``); ``distribution`` builds the
+    ``SubDist`` of one, when a pair names it."""
 
     graph: VGraph
-    distributions: Dict[str, SubDist]
+    named: Dict[str, Tuple[Row, ...]]
+
+    def distribution(self, name: str) -> SubDist:
+        return subdist_of_rows(self.named[name])
 
 
 def literal_reader(q: Quantale) -> Callable[[object], object]:
@@ -270,9 +276,12 @@ def model_from_json(doc: dict):
         # A pair on the command line names a distribution where it could
         # write a literal, so the names follow the rule of point names.
         _point_names(list(named), "distributions")
-        dists = {name: check_members(SUBDIST, SUBDIST.from_json({"dist": weights}),
-                                     elements, "an element")
-                 for name, weights in named.items()}
+        dists = {}
+        for name, weights in named.items():
+            dists[name] = dist_rows({"dist": weights})
+            for x, _n, _d in dists[name]:
+                if x not in elements:
+                    raise ModelFormatError(f"{x!r} is not an element")
         value_of = literal_reader(q)
         dist = [[value_of(v) for v in row] for row in rows]
         if len(dist) != len(elements) or any(len(row) != len(elements) for row in dist):

@@ -19,7 +19,7 @@ from math import lcm
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .canon import canon_key
-from .quantale import INF, Quantale, QuantaleError, refuse_exponent
+from .quantale import INF, Quantale, QuantaleError, parse_rational
 from .simplex import LinearConstraint, LPProblem
 from .vgraph import VGraph, scaled_closure
 
@@ -121,13 +121,57 @@ def dirac(x) -> SubDist:
     return SubDist(((x, Fraction(1)),))
 
 
-def weight_from_json(w) -> Fraction:
+def _weight_parts(w) -> Tuple[int, int]:
+    """The numerator and denominator of the weight literal ``w`` (see
+    ``parse_rational``)."""
     if isinstance(w, bool) or not isinstance(w, (str, int)):
         raise ValueError(f"a weight must be a rational string, got {w!r}")
     try:
-        return Fraction(refuse_exponent(w))
+        return parse_rational(w)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in weight {w!r}") from None
+
+
+def weight_from_json(w) -> Fraction:
+    return Fraction(*_weight_parts(w))
+
+
+#: A checked weight of a distribution literal: (member, numerator,
+#: denominator), the weight positive and not necessarily in lowest terms.
+Row = Tuple[str, int, int]
+
+
+def dist_rows(doc) -> Tuple[Row, ...]:
+    """The rows of the distribution literal ``doc`` (``{"dist": {member:
+    weight}}``), sorted by member, checked as ``subdist`` checks weights
+    but in integers, with no ``Fraction`` built: every weight is a
+    rational literal, none is negative, zero weights are dropped and the
+    mass is at most 1.  ``subdist_of_rows`` builds the value."""
+    weights = doc.get("dist") if isinstance(doc, dict) else None
+    if not isinstance(weights, dict):
+        raise ValueError(f"expected a dist literal with a weight object, got {doc!r}")
+    rows = []
+    negative = None
+    num, den = 0, 1                    # the mass so far
+    for x, w in weights.items():
+        n, d = _weight_parts(w)
+        if n > 0:
+            rows.append((x, n, d))
+            num, den = (num + n, den) if d == den else (num * d + n * den, den * d)
+        elif n < 0 and negative is None:
+            negative = x, n, d
+    if negative is not None:
+        x, n, d = negative
+        raise ValueError(f"negative weight {Fraction(n, d)} for {x!r}")
+    if num > den:
+        raise ValueError(f"subdistribution mass {Fraction(num, den)} exceeds 1")
+    rows.sort()
+    return tuple(rows)
+
+
+def subdist_of_rows(rows: Iterable[Row]) -> SubDist:
+    """The subdistribution of rows checked by ``dist_rows``."""
+    return SubDist(tuple([(x, Fraction(n, d)) for x, n, d in rows]))
 
 
 # -- the monads ----------------------------------------------------------------
@@ -249,9 +293,9 @@ class _SubDist(Monad):
                          for x, w in t.items()}}
 
     def from_json(self, doc):
-        if not isinstance(doc, dict) or not isinstance(doc.get("dist"), dict):
-            raise ValueError(f"expected a dist literal with a weight object, got {doc!r}")
-        return subdist({x: weight_from_json(w) for x, w in doc["dist"].items()})
+        """The value of a distribution literal, built from the rows
+        ``dist_rows`` checks."""
+        return subdist_of_rows(dist_rows(doc))
 
     def part_weight(self, doc):
         return weight_from_json(doc["weight"])

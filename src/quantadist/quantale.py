@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Tuple
 
 
 class QuantaleError(TypeError):
@@ -79,16 +79,31 @@ RATIONAL_LITERAL = re.compile(r"""\s*[-+]?(?=\d|\.\d)(\d*|\d+(_\d+)*)
                               re.VERBOSE)
 
 
-def refuse_exponent(literal):
-    """``literal``, a string or an int, unless it is a rational literal in
-    exponent notation, for which ``Fraction`` builds the power of ten
-    first (minutes for ``1e-99999999``)."""
-    match = isinstance(literal, str) and ("e" in literal or "E" in literal) \
-        and RATIONAL_LITERAL.fullmatch(literal)
-    if match and match["exp"]:
-        raise ValueError(f"exponent notation in the rational literal {literal!r}: "
-                         f"write p/q, an integer or a decimal")
-    return literal
+def parse_rational(literal) -> Tuple[int, int]:
+    """The numerator and denominator of a rational literal, a string or an
+    int, in ``Fraction``'s grammar without exponent notation (for which
+    ``Fraction`` builds the power of ten first: minutes for
+    ``1e-99999999``).  Plain ``p`` and ``p/q`` in decimal digits are split
+    and read by ``int``, with no ``Fraction`` built and the fraction not
+    reduced; ``str.isdecimal`` accepts exactly the digits ``Fraction``'s
+    ``\\d`` does.  Every other form (signs, decimals, underscores,
+    surrounding spaces, ints) goes through ``Fraction``.  A zero
+    denominator raises ``ZeroDivisionError``, a malformed literal
+    ``ValueError``."""
+    if isinstance(literal, str):
+        num, bar, den = literal.partition("/")
+        if num.isdecimal() and (den.isdecimal() or not bar):
+            d = int(den) if bar else 1
+            if d == 0:
+                raise ZeroDivisionError(f"Fraction({num}, 0)")
+            return int(num), d
+        if "e" in literal or "E" in literal:
+            match = RATIONAL_LITERAL.fullmatch(literal)
+            if match and match["exp"]:
+                raise ValueError(f"exponent notation in the rational literal "
+                                 f"{literal!r}: write p/q, an integer or a decimal")
+    f = Fraction(literal)
+    return f.numerator, f.denominator
 
 
 def as_fraction(v) -> Fraction:
@@ -218,7 +233,7 @@ class _ReversedNumericQuantale(Quantale):
             return self.validate(INF)
         if isinstance(j, (str, int)):
             try:
-                return self.validate(Fraction(refuse_exponent(j)))
+                return self.validate(Fraction(*parse_rational(j)))
             except ZeroDivisionError:
                 raise QuantaleError(f"zero denominator in value {j!r}") from None
         raise QuantaleError(f"expected rational string, got {j!r}")

@@ -46,10 +46,10 @@ class ReproResult:
 def repro_transport() -> ReproResult:
     out = ReproResult("transport")
     instance = fixture_model("transport.json")
-    graph, dists = instance.graph, instance.distributions
-    value = kantorovich_lp(graph, dists["P"], dists["Q"])
+    graph, p, q = instance.graph, instance.distribution("P"), instance.distribution("Q")
+    value = kantorovich_lp(graph, p, q)
     out.add("transport distance", value, Fraction(21, 10))
-    lp = pricing_lp(graph, dists["P"], dists["Q"])
+    lp = pricing_lp(graph, p, q)
     stated = {"f_A": Fraction(0), "f_B": Fraction(3), "f_C": Fraction(5)}
     feasible = all(
         sum(c * stated[v] for v, c in con.coeffs.items()) <= con.rhs

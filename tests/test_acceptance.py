@@ -39,7 +39,7 @@ def test_criterion_1_transport_lp():
     started = time.monotonic()
     instance = fixture_model("transport.json")
     graph = instance.graph
-    p, q = instance.distributions["P"], instance.distributions["Q"]
+    p, q = instance.distribution("P"), instance.distribution("Q")
     assert kantorovich_lp(graph, p, q) == F(21, 10)
     lp = pricing_lp(graph, p, q)
     stated = {"f_A": F(0), "f_B": F(3), "f_C": F(5)}

@@ -9,7 +9,8 @@ exit code is 0 (accepted), 1 (rejected) or 2 (malformed), and no
 exception escapes ``cli.main``.  A ``distance`` example mutates the set
 or distribution literals of a query on a coalgebra fixture (``kleene``
 and ``trace`` under small budgets), or the ``transport.json`` document
-(``lp`` and ``hausdorff``); its exit code is 0 (answered), 2
+with a third distribution that no query names (``lp`` and
+``hausdorff``); its exit code is 0 (answered), 2
 (malformed) or 3 (refused).  The search is derandomized and bounded, so
 a run is reproducible and takes a few seconds.
 """
@@ -189,6 +190,9 @@ def test_distance_cli_never_escapes_on_literals(tmp_path, data):
 @given(data=st.data())
 def test_distance_cli_never_escapes_on_transport(tmp_path, data):
     doc = json.loads(fixture_text("transport.json"))
+    # No query names R: its mutations reach a distribution that is
+    # checked where the document is read but never built.
+    doc["distributions"]["R"] = {"A": "1/3", "C": "1/2"}
     for _ in range(data.draw(st.integers(0, 3))):
         data.draw(st.sampled_from(MUTATIONS))(doc, data)
     model = tmp_path / "transport.json"

@@ -53,7 +53,7 @@ def test_fixture_models_validate():
     assert exc.monad is POWERSET and len(exc.states) == 12
     transport = model_from_json(load_fixture("transport.json"))
     assert isinstance(transport, DistanceInstance)
-    assert set(transport.distributions) == {"P", "Q"}
+    assert set(transport.named) == {"P", "Q"}
 
 
 def test_model_errors():
@@ -540,8 +540,21 @@ def test_cli_certificate_weight_must_be_rational(tmp_path):
     (["distributions", "A:1"], {"B": "1"}, "reserved name 'A:1' in distributions"),
     (["distributions", ""], {"B": "1"}, "reserved name '' in distributions"),
     (["distributions", "x|y"], {"B": "1"}, "reserved name 'x|y' in distributions"),
+    # A distribution no pair names is checked all the same.
+    (["distributions", "R"], {"A": "1", "B": "1/2"},
+     "error: subdistribution mass 3/2 exceeds 1\n"),
+    (["distributions", "R"], {"A": "-1/2"}, "error: negative weight -1/2 for 'A'\n"),
+    (["distributions", "R"], {"D": "1"}, "error: 'D' is not an element\n"),
+    (["distributions", "R"], {"A": "1/0"}, "error: zero denominator in weight '1/0'\n"),
+    (["distributions", "R"], {"A": "1e3"},
+     "error: exponent notation in the rational literal '1e3': write p/q, an integer "
+     "or a decimal\n"),
+    (["distributions", "R"], ["A"],
+     "error: expected a dist literal with a weight object, got {'dist': ['A']}\n"),
 ])
 def test_cli_malformed_vgraph_model_exit_code(tmp_path, path, value, message):
+    """Each fault exits 2 with its message; a fault in a distribution
+    that the pair does not name too."""
     doc = load_fixture("transport.json")
     if value is None:
         del doc[path[0]]
@@ -1020,3 +1033,50 @@ def test_cli_refuses_exponent_literals_at_once(tmp_path, case):
     code, out, err = run_cli(*argv)
     assert time.monotonic() - started < 1
     assert (code, out) == (2, "") and message in err, err
+
+
+def _decimal_self_loop(tmp_path):
+    """probchain.json with y's self-loop weight 0.999999999: the 1000th
+    Kleene iterate at (y, x) has more than 4300 digits."""
+    doc = load_fixture("probchain.json")
+    doc["transitions"]["y"]["tuple"][1]["pow"]["a"]["id"]["dist"]["y"] = "0.999999999"
+    return _write_model(tmp_path, doc)
+
+
+def test_cli_refuses_a_value_too_long_to_print(tmp_path):
+    """A Kleene value longer than 4300 digits is a budget refusal naming
+    --max-iters, measured without printing it, so whatever the
+    interpreter's own limit on printing ints; a smaller budget answers."""
+    import sys
+
+    model = _decimal_self_loop(tmp_path)
+    argv = ("distance", "--model", model, "--pair", "y:1|x:1", "--method", "kleene")
+    if hasattr(sys, "set_int_max_str_digits"):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)  # no limit
+        try:
+            assert run_cli(*argv) == (3, "", "refused: the value's numerator has more "
+                                      "than 4300 digits; a smaller --max-iters gives "
+                                      "a shorter bound\n")
+        finally:
+            sys.set_int_max_str_digits(limit)
+    code, out, err = run_cli(*argv)
+    assert (code, out) == (3, "") and "--max-iters" in err
+    code, out, _err = run_cli(*argv, "--max-iters", "50")
+    assert code == 0 and out.endswith("50 iterations (not stabilized)\n")
+
+
+@pytest.mark.parametrize("value,printable", [
+    (F(10 ** 4300 - 1), True), (F(10 ** 4300), False),
+    (F(1, 10 ** 4300 - 1), True), (F(1, 10 ** 4300), False), (F(-10 ** 4300), False),
+    (F(2 ** 14284), True), (F(2 ** 14285), False), (F(1, 3), True), (True, True),
+])
+def test_printable_bound_is_4300_digits(value, printable):
+    from quantadist.cli import _printable
+    from quantadist.galois import BudgetError
+
+    if printable:
+        assert _printable(value, "--max-iters") is value
+    else:
+        with pytest.raises(BudgetError, match="--max-iters"):
+            _printable(value, "--max-iters")

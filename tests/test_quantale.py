@@ -3,6 +3,7 @@ import copy
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -10,6 +11,8 @@ from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quantadist
 from quantadist.behaviour import certify, pair_gfp
@@ -17,9 +20,9 @@ from quantadist.cli import main
 from quantadist.distlaw import case_study_laws, law_suite
 from quantadist.galois import Grid, grid_values
 from quantadist.models import fixture_certificate, fixture_model, load_fixture
-from quantadist.monadlift import finsubset
+from quantadist.monadlift import finsubset, weight_from_json
 from quantadist.quantale import (BOOLEAN, EXT_PLUS, INF, UNIT_OPLUS, QuantaleError,
-                                 get_quantale)
+                                 get_quantale, parse_rational)
 from quantadist.repro import REPRODUCTIONS
 from quantadist.suites import polyfunctor_suite, residuation_lemma_suite
 from quantadist.vgraph import carrier, graph_from_entries
@@ -238,6 +241,63 @@ def test_boundaries_reject_bad_values(bad):
 def test_value_from_json_rejects_bad_values(bad):
     with pytest.raises(QuantaleError):
         UNIT_OPLUS.value_from_json(bad)
+
+
+def _fraction_or_error(parse, literal):
+    """``parse(literal)`` as a ``Fraction``, or the class of what it raised."""
+    try:
+        result = parse(literal)
+    except Exception as exc:  # the differential test compares classes
+        return type(exc)
+    return F(*result) if isinstance(result, tuple) else result
+
+
+LITERALS = ["0/5", "007/010", "1/0", "+1/2", " 1/2", "1_000/3", "\u0663/\u0664", "\u00b2",
+            "0.5", "", "/", "1/", "/2", "1/2/3", "-0", "12", 0, 7, -3, True, [1]]
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(st.one_of(st.text(alphabet="0123456789/._+- \u0660\u0661\u0663\u0669",
+                         max_size=10),
+                 st.sampled_from(LITERALS), st.integers()))
+def test_parse_rational_agrees_with_fraction(literal):
+    """The one rational-literal parser reads what ``Fraction`` reads, to
+    the same value, and fails where it fails, with the same exception
+    class: on digits of any script, signs, decimals, underscores, spaces,
+    ints and the JSON forms."""
+    assert _fraction_or_error(parse_rational, literal) == \
+        _fraction_or_error(F, literal)
+
+
+@pytest.mark.parametrize("literal", ["1e3", "1E-3", "2.5e-1", " 1e9 ", "1_0e1_0"])
+def test_parse_rational_refuses_exponent_notation(literal):
+    assert isinstance(F(literal), F)
+    with pytest.raises(ValueError, match="exponent notation in the rational literal "
+                       + re.escape(repr(literal))):
+        parse_rational(literal)
+
+
+@pytest.mark.parametrize("literal,value_error,weight_error", [
+    ("1/0", "zero denominator in value '1/0'", "zero denominator in weight '1/0'"),
+    (" 1/00 ", "zero denominator in value ' 1/00 '", "zero denominator in weight ' 1/00 '"),
+    ("abc", "Invalid literal for Fraction: 'abc'", "Invalid literal for Fraction: 'abc'"),
+    ("/2", "Invalid literal for Fraction: '/2'", "Invalid literal for Fraction: '/2'"),
+    ("\u00b2", "Invalid literal for Fraction: '\u00b2'", "Invalid literal for Fraction: '\u00b2'"),
+    ("1e3", "exponent notation in the rational literal '1e3': write p/q, an integer "
+     "or a decimal", "exponent notation in the rational literal '1e3': write p/q, an "
+     "integer or a decimal"),
+    (True, "expected rational string, got boolean True",
+     "a weight must be a rational string, got True"),
+    ([1], "expected rational string, got [1]", "a weight must be a rational string, got [1]"),
+], ids=["zero-denominator", "spaced-zero-denominator", "letters", "no-numerator",
+        "superscript", "exponent", "boolean", "list"])
+def test_literal_messages(literal, value_error, weight_error):
+    for read, message in ((EXT_PLUS.value_from_json, value_error),
+                          (weight_from_json, weight_error)):
+        with pytest.raises((ValueError, QuantaleError)) as caught:
+            read(literal)
+        assert str(caught.value) == message
+    assert EXT_PLUS.value_from_json("\u0663/\u0664") == weight_from_json("3/4") == F(3, 4)
 
 
 def _fixture_path(name):

@@ -9,7 +9,8 @@ import pytest
 from conftest import geo, graph_equal, graph_leq
 from quantadist import cli
 from quantadist.models import ModelFormatError, load_fixture, model_from_json
-from quantadist.quantale import BOOLEAN, EXT_PLUS, INF, UNIT_OPLUS, QuantaleError
+from quantadist.quantale import (BOOLEAN, EXT_PLUS, INF, UNIT_OPLUS, QuantaleError,
+                                 parse_rational)
 from quantadist.vgraph import (Carrier, CarrierMismatchError, FiniteMap, VGraph,
                                carrier, direct_image, graph_from_entries, is_vcat,
                                metric_closure, reindex)
@@ -198,25 +199,36 @@ def test_vgraph_document_validates_each_entry_once(monkeypatch):
 
 
 def test_vgraph_document_converts_each_weight_once(monkeypatch):
-    """A distribution weight becomes a ``Fraction`` once, in
-    ``weight_from_json``; ``subdist`` keeps it and still converts the ints
-    and strings other callers pass."""
+    """Loading a graph document parses each distribution weight once, in
+    integers, and builds no ``Fraction`` for it; a named distribution is
+    built on demand from the parsed rows and equals ``subdist`` of its
+    weights.  ``subdist`` still converts the ints and strings other
+    callers pass."""
     import quantadist.monadlift as monadlift
 
-    calls = []
+    calls, parsed = [], []
 
     class Counted(F):
         def __new__(cls, *args):
             calls.append(args)
             return super().__new__(cls, *args)
 
+    def counted_parse(literal):
+        parsed.append(literal)
+        return parse_rational(literal)
+
     monkeypatch.setattr(monadlift, "Fraction", Counted)
+    monkeypatch.setattr(monadlift, "parse_rational", counted_parse)
     doc = load_fixture("transport.json")
-    dists = model_from_json(doc).distributions
-    weights = [(w,) for named in doc["distributions"].values() for w in named.values()]
-    assert [args for args in calls if args != (0,)] == weights
-    assert len(calls) == len(weights) + len(dists)  # and one zero per mass sum
-    assert dists["P"] == monadlift.subdist({"A": F(7, 10), "B": F(1, 10), "C": F(1, 5)})
+    instance = model_from_json(doc)
+    weights = [w for named in doc["distributions"].values() for w in named.values()]
+    assert parsed == weights
+    assert calls == []
+    del parsed[:]
+    p = instance.distribution("P")
+    assert parsed == [] and calls == [(7, 10), (1, 10), (1, 5)]
+    assert p == monadlift.subdist({"A": F(7, 10), "B": F(1, 10), "C": F(1, 5)})
+    assert instance.distribution("Q") == monadlift.subdist(doc["distributions"]["Q"])
     del calls[:]
     whole, half = monadlift.subdist({"x": 1}), monadlift.subdist([("y", "1/2")])
     assert [args for args in calls if args != (0,)] == [(1,), ("1/2",)]
