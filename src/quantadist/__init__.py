@@ -21,8 +21,8 @@ from .monadlift import (POWERSET, SUBDIST, FinSubset, Monad, SubDist, dirac,
                         subdist)
 from .simplex import LPProblem, LinearConstraint, simplex_solve
 from .distlaw import DistLaw, apply_g, apply_zeta, law_suite
-from .behaviour import (Certificate, CoalgebraModel, SparseDist, beh_apply,
-                        certify, kleene_gfp, trace_lower_bound, witness_bound)
+from .behaviour import (Certificate, CoalgebraModel, beh_apply, certify, kleene_gfp,
+                        trace_lower_bound, witness_bound)
 from .models import certificate_from_json, model_from_json
 
 __version__ = "0.1.0"

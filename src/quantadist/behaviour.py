@@ -17,17 +17,18 @@ iterates over every pair of a successor-closed carrier; it is the
 reference the local solver is tested against.
 
 Upper bounds in the numeric order come from certificates: sparse
-candidate distances whose support pairs are post-fixpoints up to the
-algebraic structure of the monad.  The checker bounds the up-to
-function through explicit decomposition witnesses (unions for the
-powerset monad, convex combinations for subdistributions) and never
-computes it exactly.
+distances on the states of one determinization whose support pairs are
+post-fixpoints up to the algebraic structure of the monad.  The checker
+bounds the up-to function through explicit decomposition witnesses
+(unions for the powerset monad, convex combinations for
+subdistributions) and never computes it exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Sequence, Set, Tuple
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .canon import canon_key
 from .distlaw import DetCoalgebra, DistLaw
@@ -164,6 +165,27 @@ def reachable_states(det: DetCoalgebra, seeds: Sequence[object]) -> List[object]
     return out
 
 
+#: A reported value prints in at most this many decimal digits, in its
+#: numerator and in its denominator: CPython's default limit on
+#: converting an int to a string, fixed here whatever the running
+#: interpreter's limit is.
+MAX_DIGITS = 4300
+_TOO_LONG = 10 ** MAX_DIGITS
+_TOO_LONG_BITS = _TOO_LONG.bit_length()
+
+
+def overlong_part(value) -> Optional[str]:
+    """``"numerator"`` or ``"denominator"``, the first part of a
+    ``Fraction`` value with more than ``MAX_DIGITS`` decimal digits,
+    measured without printing it; None when the value prints."""
+    if isinstance(value, Fraction):
+        for name, part in (("numerator", value.numerator),
+                           ("denominator", value.denominator)):
+            if part.bit_length() >= _TOO_LONG_BITS and abs(part) >= _TOO_LONG:
+                return name
+    return None
+
+
 @dataclass
 class PairResult:
     """The behaviour-function iterate at one query pair: ``value`` is
@@ -194,6 +216,12 @@ def pair_gfp(det: DetCoalgebra, p, q, max_iters: int = 1000) -> PairResult:
     powerset the mask program over the compiled nodes, which builds no
     successor term, or the unit law when both states are point states;
     on subdistributions the lifted distance on the two successor terms.
+
+    The run also ends, unconverged, after the first layer that leaves the
+    value too long to print (``overlong_part``), so a value that outgrows
+    the limit costs the layers up to that one, not ``max_iters``.  The
+    command line refuses such a run even where a later layer would have
+    given a shorter value.
     """
     qt = det.law.quantale
     top, meet2 = qt.top, qt.meet2
@@ -219,6 +247,8 @@ def pair_gfp(det: DetCoalgebra, p, q, max_iters: int = 1000) -> PairResult:
                 value = meet2(value, local)
         layer = following
         iterations += 1
+        if overlong_part(value) is not None:
+            break
     return PairResult(value, not layer, iterations, len(states), len(seen) - len(layer))
 
 
@@ -229,28 +259,11 @@ def trace_lower_bound(model: CoalgebraModel, p, q, max_words: int, *,
     iterate, which on machine- and exception-shaped models reads every
     word of length strictly below ``max_words``.  Monotone (numerically
     non-decreasing) in ``max_words``.  Determinizing more than
-    ``max_states`` states raises ``StateBudgetError``."""
+    ``max_states`` states raises ``galois.BudgetError``."""
     return pair_gfp(model.det(max_states), p, q, max_iters=max_words).value
 
 
-# -- candidates, witnesses, certificates --------------------------------------------
-
-@dataclass
-class SparseDist:
-    """Sparse candidate distance on determinized states; off-support
-    pairs default to bottom (the trivial claim).  A trusted record: its
-    values are canonical values of the quantale, as
-    ``models.certificate_from_json`` reads them."""
-
-    quantale: Quantale
-    entries: Dict[Tuple[object, object], object]
-
-    def value_at(self, pair):
-        return self.entries.get(pair, self.quantale.bottom)
-
-    def support(self):
-        return list(self.entries)
-
+# -- witnesses, certificates -----------------------------------------------------------
 
 #: A decomposition witness is a monad value over pairs in ``Monad.weighted``
 #: form: a tuple of ((left, right), weight) parts, weight None for powerset.
@@ -259,30 +272,44 @@ Witness = tuple
 
 @dataclass
 class Certificate:
-    monad: Monad
-    candidate: SparseDist
-    witnesses: Dict[Tuple[object, object], List[Witness]] = field(default_factory=dict)
+    """A sparse distance claimed on the states of ``det``, the
+    determinization it was read against: ``entries`` maps a pair of
+    states to the value claimed there (a pair off the support claims
+    bottom, the trivial claim), and ``witnesses`` lists each pair's
+    decomposition witnesses.  A trusted record: its values are canonical
+    values of the quantale and its witnesses are checked, as
+    ``models.certificate_from_json`` reads them."""
+
+    det: DetCoalgebra
+    entries: Dict[Tuple[object, object], object]
+    witnesses: Dict[Tuple[object, object], List[Witness]]
 
 
-def witness_bound(cert: Certificate, pair, q: Quantale):
+def witness_bound(cert: Certificate, pair):
     """The best (quantale-largest, numerically smallest) available bound
-    on the up-to function at a pair: the candidate entry itself (the
-    unit witness) together with the value of every listed decomposition,
-    the evaluation map applied to the candidate on its parts.  Nothing is
-    checked: ``models.certificate_from_json`` has checked that each
-    witness's parts flatten to its pair."""
-    value_at = cert.candidate.value_at
-    bounds = [value_at(pair)]
+    on the up-to function at a pair: the entry itself (the unit witness)
+    together with the value of every listed decomposition, the evaluation
+    map of the determinization's monad applied to the entries on its
+    parts.  Nothing is checked: ``models.certificate_from_json`` has
+    checked that each witness's parts flatten to its pair."""
+    law = cert.det.law
+    q = law.quantale
+    bottom = q.bottom
+    entry = cert.entries.get
+    bounds = [entry(pair, bottom)]
     for parts in cert.witnesses.get(pair, []):
-        bounds.append(cert.monad.ev_weighted([(value_at(p), w) for p, w in parts], q))
+        bounds.append(law.monad.ev_weighted([(entry(p, bottom), w) for p, w in parts], q))
     return q.join(bounds)  # numeric min
 
 
 @dataclass
 class Verdict:
-    accepted: bool
-    failures: List[Tuple[object, object, str]] = field(default_factory=list)
-    checked: int = 0
+    failures: List[Tuple[object, object, str]]
+    checked: int
+
+    @property
+    def accepted(self) -> bool:
+        return not self.failures
 
     def reason(self) -> str:
         if self.accepted:
@@ -291,17 +318,17 @@ class Verdict:
         return (f"rejected at ({canon_key(pair_l)}, {canon_key(pair_r)}): {why}")
 
 
-def certify(cert: Certificate, model: CoalgebraModel) -> Verdict:
-    """Check that the candidate is a post-fixpoint up to the monad
-    structure, which certifies it as a numeric upper bound on the
-    behavioural distance at every pair.
+def certify(cert: Certificate) -> Verdict:
+    """Check that the certificate's entries are a post-fixpoint up to the
+    monad structure, which certifies each as a numeric upper bound on
+    the behavioural distance of ``cert.det`` at its pair.
 
     For each support pair, the one-step behaviour value is computed
     by ``DetCoalgebra.step_distance`` (the value ``beh_value`` gives)
     with identity leaves bounded by ``witness_bound`` at the successor
-    pairs; the pair passes when the candidate entry is below that value
-    in the quantale order (numerically at least it).  Off-support pairs
-    carry the trivial bottom claim and need no check.
+    pairs; the pair passes when its entry is below that value in the
+    quantale order (numerically at least it).  Off-support pairs carry
+    the trivial bottom claim and need no check.
 
     Each successor pair is bounded once per call.  A pair of point
     states, the usual support of a sparse certificate, is compared on
@@ -309,19 +336,19 @@ def certify(cert: Certificate, model: CoalgebraModel) -> Verdict:
     exchange law (see ``DetCoalgebra``), and nothing is compiled for it.
     A powerset pair with a side of several members (or none) runs the
     mask program, which builds no successor term; a subdistribution pair
-    compares its two successor terms.  The certificate's pairs are
-    determinized states, as ``models.certificate_from_json`` reads them;
-    the verdict's failures name monad values (``DetCoalgebra.value``).
+    compares its two successor terms.  The verdict's failures name monad
+    values (``DetCoalgebra.value``).
 
-    The certificate is trusted to be one ``certificate_from_json`` read
-    against ``model``: it has the model's monad, its pairs are states of
-    the model's determinization, it has witnesses only where
-    ``DistLaw.witnesses_sound`` holds, and each witness's parts flatten
-    to its pair.  So the check is the one step alone, and nothing is
-    caught.
+    The check runs on the determinization the certificate holds, so its
+    monad and states are the ones the certificate was read against.
+    What stays trusted is what ``models.certificate_from_json`` checks of
+    the witnesses: there are witnesses only where
+    ``DistLaw.witnesses_sound`` holds, and each witness's weights are a
+    subdistribution whose parts flatten to its pair.  So the check is
+    the one step alone, and nothing is caught.
     """
-    q = model.quantale
-    det = model.det()
+    det = cert.det
+    q = det.law.quantale
     failures: List[Tuple[object, object, str]] = []
     bounds: Dict[Tuple[object, object], object] = {}
 
@@ -329,16 +356,13 @@ def certify(cert: Certificate, model: CoalgebraModel) -> Verdict:
         pair = (x, y)
         bound = bounds.get(pair)
         if bound is None:
-            bound = bounds[pair] = witness_bound(cert, pair, q)
+            bound = bounds[pair] = witness_bound(cert, pair)
         return bound
 
-    support = cert.candidate.support()
-    for pair in support:
-        p_state, q_state = pair
-        stated = cert.candidate.value_at(pair)
+    for (p_state, q_state), stated in cert.entries.items():
         bound = det.step_distance(p_state, q_state, leaf)
         if not q.leq(stated, bound):
             failures.append((det.value(p_state), det.value(q_state),
                              f"one-step bound {canon_key(bound)} exceeds the stated "
                              f"{canon_key(stated)} numerically"))
-    return Verdict(not failures, failures, len(support))
+    return Verdict(failures, len(cert.entries))

@@ -15,13 +15,12 @@ import functools
 import json
 import sys
 import time
-from fractions import Fraction
 from typing import List, Optional
 
-from .behaviour import CoalgebraModel, certify, pair_gfp, trace_lower_bound
+from .behaviour import (MAX_DIGITS, CoalgebraModel, certify, overlong_part, pair_gfp,
+                        trace_lower_bound)
 from .canon import canon_key
-from .distlaw import (ALWAYS_LEFT, DistLaw, StateBudgetError, case_study_laws,
-                      law_suite)
+from .distlaw import ALWAYS_LEFT, DistLaw, case_study_laws, law_suite
 from .galois import BudgetError
 from .models import (DistanceInstance, certificate_from_json, check_members,
                      load_json_file, model_from_json)
@@ -106,24 +105,13 @@ def _count(text: str) -> int:
     return value
 
 
-#: A reported value prints in at most this many decimal digits, in its
-#: numerator and in its denominator: CPython's default limit on
-#: converting an int to a string, fixed here whatever the running
-#: interpreter's limit is.
-MAX_DIGITS = 4300
-_TOO_LONG = 10 ** MAX_DIGITS
-
-
 def _printable(value, budget: str):
-    """``value``, unless a ``Fraction`` with a numerator or denominator
-    longer than ``MAX_DIGITS`` digits, measured without printing it:
+    """``value``, unless too long to print (``behaviour.overlong_part``):
     refused naming ``budget``, the option that bounds the iteration."""
-    if isinstance(value, Fraction):
-        for name, part in (("numerator", value.numerator),
-                           ("denominator", value.denominator)):
-            if part.bit_length() >= _TOO_LONG.bit_length() and abs(part) >= _TOO_LONG:
-                raise BudgetError(f"the value's {name} has more than {MAX_DIGITS} "
-                                  f"digits; a smaller {budget} gives a shorter bound")
+    name = overlong_part(value)
+    if name is not None:
+        raise BudgetError(f"the value's {name} has more than {MAX_DIGITS} "
+                          f"digits; a smaller {budget} gives a shorter bound")
     return value
 
 
@@ -192,8 +180,7 @@ def _cmd_certify(args) -> int:
     instance = model_from_json(load_json_file(args.model))
     if not isinstance(instance, CoalgebraModel):
         raise _CliError("certification needs a coalgebra model")
-    cert = certificate_from_json(load_json_file(args.cert), instance)
-    verdict = certify(cert, instance)
+    verdict = certify(certificate_from_json(load_json_file(args.cert), instance))
     report = {
         "command": "certify", "model": args.model, "certificate": args.cert,
         "accepted": verdict.accepted, "support_pairs": verdict.checked,
@@ -207,6 +194,8 @@ def _cmd_certify(args) -> int:
 
 def _cmd_laws(args) -> int:
     if args.scope == "quantale":
+        if args.grid < 1:
+            raise _CliError("grid resolution must be >= 1")
         results = quantale_suite(grid=args.grid)
     elif args.scope == "galois":
         results = galois_suite() + extension_suite()
@@ -309,7 +298,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     started = time.monotonic()
     try:
         code = args.func(args)
-    except (BudgetError, StateBudgetError) as exc:
+    except BudgetError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (_CliError, QuantaleError, ValueError, OSError) as exc:

@@ -25,16 +25,12 @@ from .functor import (ConstF, ConstLeaf, CoprodF, DistanceProgram, IdF, IdLeaf, 
                       compile_lifting, distance_program, eval_map, iter_payloads,
                       exception_functor, machine_functor, map_payloads,
                       score_program)
-from .galois import Grid, grid_values, residual_meet
+from .galois import BudgetError, Grid, grid_values, residual_meet
 from .monadlift import (POWERSET, SUBDIST, FinSubset, Monad, SubDist, finsubset,
                         kantorovich_lp, subdist)
 from .quantale import BOOLEAN, EXT_PLUS, UNIT_OPLUS, Quantale
 from .suites import CheckResult, boolean_fibre
 from .vgraph import Carrier, CarrierMismatchError, VGraph
-
-
-class StateBudgetError(RuntimeError):
-    """Determinization would explore more states than allowed."""
 
 
 PRIORITY_LEFT = "priority-left"
@@ -48,13 +44,12 @@ class DistLaw:
     Constant nodes are quantale-valued; their algebra is the monad
     evaluation map (numeric sup for powerset, expectation for
     subdistributions), which is an algebra homomorphism into itself.
-    The one check, which ``models.model_from_json`` relies on to refuse
-    such a model, is that subdistributions over the booleans have no
-    constant: the expectation of booleans is undefined.
+    A trusted record: ``models.model_from_json`` refuses a model whose
+    law has constants with no algebra (``constants_defined``).
 
     ``witnesses_sound`` says whether a certificate's witnesses may bound
-    a pair: a witness bounds it by the evaluation map of the candidate
-    on its parts, which is sound only where the lifted distance is
+    a pair: a witness bounds it by the evaluation map of the entries on
+    its parts, which is sound only where the lifted distance is
     convex along the monad.  That fails for subdistributions over
     unit-oplus with a coproduct anywhere in the functor: a coproduct
     compares right against left at bottom, 1 on unit-oplus, and a part
@@ -70,19 +65,20 @@ class DistLaw:
     quantale: Quantale
     g_variant: str = PRIORITY_LEFT
 
-    def __post_init__(self):
-        if self.monad is SUBDIST and self.quantale is BOOLEAN \
-                and any(isinstance(n, ConstF) for n in _nodes(self.functor)):
-            raise ValueError("subdistributions over the boolean quantale admit no "
-                             "value constants: expectation is not defined over "
-                             "the boolean quantale")
-
     @property
     def witnesses_sound(self) -> bool:
         return not (self.monad is SUBDIST and (
             self.quantale is BOOLEAN
             or (self.quantale is UNIT_OPLUS
                 and any(isinstance(n, CoprodF) for n in _nodes(self.functor)))))
+
+
+def constants_defined(functor, monad: Monad, quantale: Quantale) -> bool:
+    """Whether the law of ``monad`` over ``functor`` has an algebra on its
+    constants: not for subdistributions over the booleans with a constant
+    node, where the expectation of booleans is undefined."""
+    return not (monad is SUBDIST and quantale is BOOLEAN
+                and any(isinstance(n, ConstF) for n in _nodes(functor)))
 
 
 def _nodes(functor):
@@ -117,7 +113,7 @@ def apply_g(monad: Monad, t, in_left: Callable[[object], bool],
     is inhabited (always, for the mutant variant), 'right' otherwise.
     """
     side, kept = _prioritize(monad.weighted(t), lambda pair: in_left(pair[0]), variant)
-    return side, monad.restrict(kept)
+    return side, monad.pack(kept)
 
 
 def apply_zeta(law: DistLaw, t):
@@ -246,7 +242,7 @@ class DetCoalgebra:
     States are determinized lazily, on their first read by
     ``successor`` or ``step_distance``; reading a new state once
     ``max_states`` distinct states have been read raises
-    StateBudgetError rather than truncating.
+    ``galois.BudgetError`` rather than truncating.
     """
 
     law: DistLaw
@@ -290,7 +286,7 @@ class DetCoalgebra:
         """Count a state against ``max_states`` on its first read."""
         if state not in self._read:
             if len(self._read) >= self.max_states:
-                raise StateBudgetError(
+                raise BudgetError(
                     f"determinization exceeded the budget of {self.max_states} states")
             self._read.add(state)
 

@@ -43,16 +43,12 @@ class IdF:
 
 @dataclass(frozen=True)
 class ProdF:
-    """A product of ``parts``; ``labels``, when given, names each part
-    (``pow_functor`` gives one label per part).  An empty product, which
-    ``models.functor_from_json`` can read, is refused."""
+    """A product of ``parts``, at least one; ``labels``, when given, names
+    each part (``pow_functor`` gives one label per part).
+    ``models.functor_from_json`` refuses an empty product."""
 
     parts: Tuple["FunctorExpr", ...]
     labels: Optional[Tuple[str, ...]] = None
-
-    def __post_init__(self):
-        if not self.parts:
-            raise ValueError("empty product")
 
 
 @dataclass(frozen=True)

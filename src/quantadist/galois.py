@@ -54,15 +54,12 @@ class Grid:
 
     For unit-oplus the grid is {0, 1/k, ..., 1}; for ext-plus it is
     {0, 1/k, ..., cap} plus infinity; for boolean it is the whole
-    quantale regardless of the resolution.
+    quantale regardless of the resolution, which is at least 1 (the
+    command line refuses a smaller ``--grid``).
     """
 
     resolution: int
     cap: int = 4
-
-    def __post_init__(self):
-        if self.resolution < 1:
-            raise ValueError("grid resolution must be >= 1")
 
 
 def grid_values(q: Quantale, grid: Grid) -> List[object]:

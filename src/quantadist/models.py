@@ -23,9 +23,9 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Callable, Dict, Tuple
 
-from .behaviour import Certificate, CoalgebraModel, SparseDist
+from .behaviour import Certificate, CoalgebraModel
 from .canon import canon_key
-from .distlaw import DistLaw
+from .distlaw import constants_defined
 from .functor import (ConstF, ConstLeaf, CoprodF, IdF, IdLeaf, Inl, Inr, ProdF,
                       Tup, pow_functor)
 from .monadlift import (POWERSET, Monad, Row, SubDist, dist_rows, get_monad,
@@ -59,11 +59,15 @@ def functor_from_json(doc):
     if key == "prod":
         if not isinstance(body, list):
             raise ModelFormatError(f"a product has a list of parts, got {body!r}")
+        if not body:
+            raise ModelFormatError("empty product")
         return ProdF(tuple(functor_from_json(p) for p in body))
     if key == "pow":
         if not isinstance(body, dict) or not _is_name_list(body.get("labels")):
             raise ModelFormatError(
                 f"a power has a label list and a body, got {body!r}")
+        if not body["labels"]:
+            raise ModelFormatError("empty product")
         return pow_functor(body["labels"], functor_from_json(body["body"]))
     if key == "coprod":
         if not isinstance(body, list) or len(body) != 2:
@@ -296,10 +300,10 @@ def model_from_json(doc: dict):
         except ValueError as exc:
             raise ModelFormatError(str(exc)) from None
         functor = functor_from_json(doc["functor"])
-        try:
-            DistLaw(functor, monad, q)
-        except ValueError as exc:
-            raise ModelFormatError(str(exc)) from None
+        if not constants_defined(functor, monad, q):
+            raise ModelFormatError("subdistributions over the boolean quantale admit no "
+                                   "value constants: expectation is not defined over "
+                                   "the boolean quantale")
         states = _point_names(doc["states"], "states")
         labels = _names(doc.get("labels", []), "labels")
         if not isinstance(doc["transitions"], dict):
@@ -346,8 +350,9 @@ def _rows(value, what: str):
 
 
 def certificate_from_json(doc: dict, model: CoalgebraModel) -> Certificate:
-    """Read a certificate over the model's determinized states, each read
-    by the model's ``state_reader``.
+    """Read a certificate against the model: its pairs are states of one
+    determinization of the model, built here and held by the certificate,
+    each read by the model's ``state_reader``.
 
     A witness is checked here, where it enters, and nowhere else: the
     model's law must admit witnesses (``DistLaw.witnesses_sound``), its
@@ -409,16 +414,18 @@ def certificate_from_json(doc: dict, model: CoalgebraModel) -> Certificate:
             witnesses.setdefault(pair, []).append(parts)
     except KeyError as exc:
         raise ModelFormatError(f"missing certificate field {exc}") from None
-    return Certificate(monad, SparseDist(q, entries), witnesses)
+    return Certificate(det, entries, witnesses)
 
 
-def certificate_to_json(cert: Certificate, model: CoalgebraModel) -> dict:
-    """The document ``certificate_from_json`` reads back as ``cert``."""
-    q = model.quantale
-    value = model.det().value
-    to_json = lambda state: cert.monad.to_json(value(state))
+def certificate_to_json(cert: Certificate) -> dict:
+    """The document ``certificate_from_json`` reads back as ``cert``
+    against the model of ``cert.det``."""
+    det = cert.det
+    q = det.law.quantale
+    monad_to_json = det.law.monad.to_json
+    to_json = lambda state: monad_to_json(det.value(state))
     entries = [{"lhs": to_json(l), "rhs": to_json(r), "value": q.value_to_json(v)}
-               for (l, r), v in cert.candidate.entries.items()]
+               for (l, r), v in cert.entries.items()]
     witnesses = []
     for (l, r), wits in cert.witnesses.items():
         for w in wits:

@@ -193,9 +193,8 @@ class Monad:
     * ``unit(x)`` and ``map(fn, t)``;
     * on weighted member lists: ``weighted(t)`` (the list of a canonical
       value), ``pack(pairs)`` (the canonical value of a list),
-      ``restrict(pairs)`` (the value of a sublist of ``weighted(t)``,
-      canonical already), ``flatten(pairs)`` (the multiplication) and
-      ``ev_weighted(pairs, q)`` (the evaluation map);
+      ``flatten(pairs)`` (the multiplication) and ``ev_weighted(pairs,
+      q)`` (the evaluation map);
     * ``to_json(t)`` / ``from_json(doc)`` for its values;
     * ``part_weight(doc)``, the weight of a certificate witness part read
       from its JSON part object (a witness is a monad value over pairs in
@@ -233,9 +232,6 @@ class _Powerset(Monad):
     def pack(self, pairs):
         return finsubset(m for m, _w in pairs)
 
-    def restrict(self, pairs):
-        return FinSubset(tuple(m for m, _w in pairs))
-
     def flatten(self, pairs):
         return finsubset(x for inner, _w in pairs for x in inner.members)
 
@@ -271,9 +267,6 @@ class _SubDist(Monad):
 
     def pack(self, pairs):
         return subdist(pairs)
-
-    def restrict(self, pairs):
-        return SubDist(tuple(pairs))
 
     def flatten(self, pairs):
         return subdist((x, w * v) for inner, w in pairs for x, v in inner.weights)

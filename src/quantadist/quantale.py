@@ -23,8 +23,8 @@ undefined result.  Values are checked once, where they enter: only
 ``value_from_json`` (model, certificate and graph files) and
 ``vgraph.graph_from_entries`` (values written in code) call
 ``validate``, and ``galois.grid_values`` builds canonical values only.
-The records that hold values (``VGraph``, ``SparseDist``) and the
-values computed from them, closures and liftings, are not checked
+The records that hold values (``VGraph``, a certificate's entries) and
+the values computed from them, closures and liftings, are not checked
 again; ``value_to_json`` writes a value as it is.
 """
 

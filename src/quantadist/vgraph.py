@@ -79,9 +79,6 @@ class VGraph:
     def at(self, x: str, y: str):
         return self.dist[self.carrier.index(x)][self.carrier.index(y)]
 
-    def copy(self) -> "VGraph":
-        return VGraph(self.quantale, self.carrier, [row[:] for row in self.dist])
-
     def pairs(self):
         els = self.carrier.elements
         for i, x in enumerate(els):

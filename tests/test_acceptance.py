@@ -10,8 +10,8 @@ import time
 from fractions import Fraction as F
 
 
-from quantadist.behaviour import (Certificate, SparseDist, certify, kleene_gfp,
-                                  reachable_states, trace_lower_bound, witness_bound)
+from quantadist.behaviour import (Certificate, certify, kleene_gfp, reachable_states,
+                                  trace_lower_bound, witness_bound)
 from quantadist.functor import MonadEval, compile_lifting
 from quantadist.galois import Grid, gamma_enum, grid_values
 from quantadist.models import fixture_certificate, fixture_model
@@ -54,12 +54,12 @@ def test_criterion_2_probabilistic_running_example():
     started = time.monotonic()
     model = fixture_model("probchain.json")
     cert = fixture_certificate("probchain_cert.json", model)
-    verdict = certify(cert, model)
+    verdict = certify(cert)
     assert verdict.accepted
     dy, dx = dirac("y"), dirac("x")
     # The certificate bounds both orientations of the Dirac pair by 1/2.
-    assert cert.candidate.value_at((dx, dy)) == F(1, 2)
-    assert cert.candidate.value_at((dy, dx)) == F(1, 2)
+    assert cert.entries[(dx, dy)] == F(1, 2)
+    assert cert.entries[(dy, dx)] == F(1, 2)
     lower = trace_lower_bound(model, dy, dx, 10)
     assert lower == F(2 ** 10 - 1, 2 ** 10) - F(1, 2) == F(511, 1024)
     assert F(1, 2) - lower == F(1, 1024)  # two-sided bracket within 1/1024
@@ -77,9 +77,9 @@ def test_criterion_3_exception_case_study():
     assert result.converged
     assert result.at(seeds[0], seeds[1]) == F(1, 4)
     cert = fixture_certificate("exceptions_cert.json", model)
-    values = sorted(set(cert.candidate.entries.values()))
+    values = sorted(set(cert.entries.values()))
     assert values == [F(1, 6), F(1, 4)]  # entries 1/4 and 1/6, default 1
-    assert certify(cert, model).accepted
+    assert certify(cert).accepted
     assert trace_lower_bound(model, seeds[0], seeds[1], n + 2) == F(1, 4)
     _report("3 (exception study at 1/4)", started, 30.0)
 
@@ -168,23 +168,22 @@ def test_criterion_6_oracle_consistency():
     # Witness bounds never undercut the exact up-to oracle.
     model = tiny_powerset_model()
     S = lambda *xs: finsubset(list(xs))
-    cand = SparseDist(UNIT_OPLUS, {
+    cand = {
         (S("p"), S("r")): F(1, 3),
         (S("p", "r"), S("r")): F(1, 8),
         (S("r"), S("r")): F(0),
-    })
-    state = model.det().state
+    }
+    det = model.det()
+    state = det.state
     M = lambda *xs: state(xs)
     wits = {
         (M("p", "r"), M("r")): [(((M("p"), M("r")), None), ((M("r"), M("r")), None))],
     }
-    cert = Certificate(POWERSET, SparseDist(UNIT_OPLUS, {
-        (state(a), state(b)): v for (a, b), v in cand.entries.items()}), wits)
+    cert = Certificate(det, {(state(a), state(b)): v for (a, b), v in cand.items()}, wits)
     states = [S(), S("p"), S("r"), S("p", "r")]
     for left in states:
         for right in states:
             pair = (left, right)
             exact = u_exact(model, cand, pair)
-            assert witness_bound(cert, (state(left), state(right)), UNIT_OPLUS) >= exact, \
-                pair
+            assert witness_bound(cert, (state(left), state(right))) >= exact, pair
     _report("6 (oracle consistency)", started, 60.0)

@@ -4,10 +4,9 @@ from itertools import chain, combinations
 import pytest
 
 from quantadist.behaviour import (Certificate, CoalgebraModel, ModelError,
-                                  SparseDist, beh_apply, beh_value,
-                                  certify, kleene_gfp,
+                                  beh_apply, beh_value, certify, kleene_gfp,
                                   reachable_states, trace_lower_bound, witness_bound)
-from conftest import build_exceptions, model_to_json
+from conftest import build_exceptions, build_probchain, model_to_json
 from quantadist.canon import canon_key
 from quantadist.distlaw import point_mask
 from quantadist.functor import (ConstLeaf, IdLeaf, Inl, Inr, Tup,
@@ -41,19 +40,19 @@ def exception_certificate(n=3):
         (M("x0", "y0", "y1"), M("z0", "z1")):
             [(((M("x0", "y0"), M("z0")), None), ((M("y1"), M("z1")), None))],
     }
-    return Certificate(POWERSET, SparseDist(q, entries), wits)
+    return Certificate(build_exceptions(3).det(), entries, wits)
 
 
 def probchain_certificate():
     dx, dxp, dy = dirac("x"), dirac("x'"), dirac("y")
     half = subdist({"x": F(1, 2), "x'": F(1, 2)})
-    cand = SparseDist(q, {(dx, dy): F(1, 2), (dxp, dy): F(1, 2),
-                          (dy, dx): F(1, 2), (dy, dxp): F(1, 2)})
+    entries = {(dx, dy): F(1, 2), (dxp, dy): F(1, 2),
+               (dy, dx): F(1, 2), (dy, dxp): F(1, 2)}
     wits = {
         (half, dy): [(((dx, dy), F(1, 2)), ((dxp, dy), F(1, 2)))],
         (dy, half): [(((dy, dx), F(1, 2)), ((dy, dxp), F(1, 2)))],
     }
-    return Certificate(SUBDIST, cand, wits)
+    return Certificate(build_probchain().det(), entries, wits)
 
 
 # -- the behaviour function -------------------------------------------------------
@@ -203,18 +202,17 @@ def test_trace_bound_on_a_shape_without_word_semantics():
 
 # -- witnesses and certificates ------------------------------------------------------------
 
-def test_witness_bound_powerset_example(exceptions3):
+def test_witness_bound_powerset_example():
     cert = exception_certificate()
-    extended = dict(cert.witnesses)
     pair = (M("x0", "x1", "y0"), M("z0", "z1"))
-    value = witness_bound(cert, pair, q)
+    value = witness_bound(cert, pair)
     assert value == F(1, 4)  # max(1/4, 1/4) beats the default 1
 
 
 def test_witness_bound_subdist_example():
     cert = probchain_certificate()
     half = subdist({"x": F(1, 2), "x'": F(1, 2)})
-    assert witness_bound(cert, (half, dirac("y")), q) == F(1, 2)
+    assert witness_bound(cert, (half, dirac("y"))) == F(1, 2)
 
 
 ABC = carrier(["a", "b", "c"])
@@ -226,49 +224,49 @@ def A(*names):
 
 
 def test_witness_bound_unit_only():
-    cand = SparseDist(q, {(A("a"), A("b")): F(1, 3)})
-    cert = Certificate(POWERSET, cand, {})
-    assert witness_bound(cert, (A("a"), A("b")), q) == F(1, 3)
-    assert witness_bound(cert, (A("b"), A("a")), q) == q.bottom
+    model = CoalgebraModel(q, exception_functor(["a"]), POWERSET, ABC, carrier(["a"]),
+                           {x: Inl(ConstLeaf(F(0))) for x in ABC})
+    cert = Certificate(model.det(), {(A("a"), A("b")): F(1, 3)}, {})
+    assert witness_bound(cert, (A("a"), A("b"))) == F(1, 3)
+    assert witness_bound(cert, (A("b"), A("a"))) == q.bottom
 
 
-def test_certify_exception_case_study(exceptions3):
-    verdict = certify(exception_certificate(), exceptions3)
+def test_certify_exception_case_study():
+    verdict = certify(exception_certificate())
     assert verdict.accepted and verdict.checked == 7
 
 
-def test_certify_probchain_case_study(probchain):
-    verdict = certify(probchain_certificate(), probchain)
+def test_certify_probchain_case_study():
+    verdict = certify(probchain_certificate())
     assert verdict.accepted and verdict.checked == 4
 
 
-def test_certify_rejects_lowered_entry(exceptions3):
+def test_certify_rejects_lowered_entry():
     cert = exception_certificate()
-    cert.candidate.entries[(M("x0", "y0"), M("z0"))] = F(1, 5)
-    verdict = certify(cert, exceptions3)
+    cert.entries[(M("x0", "y0"), M("z0"))] = F(1, 5)
+    verdict = certify(cert)
     assert not verdict.accepted
     bad_pair = verdict.failures[0][:2]
     assert bad_pair == (S("x0", "y0"), S("z0"))
     assert "1/4" in verdict.failures[0][2]
 
 
-def test_certify_monotone_under_uniform_weakening(exceptions3):
+def test_certify_monotone_under_uniform_weakening():
     # Raising every entry by the same amount weakens all claims at
     # least as fast as it raises the one-step bounds.
     cert = exception_certificate()
-    for pair in list(cert.candidate.entries):
-        cert.candidate.entries[pair] = min(
-            F(1), cert.candidate.entries[pair] + F(1, 8))
-    assert certify(cert, exceptions3).accepted
+    for pair in list(cert.entries):
+        cert.entries[pair] = min(F(1), cert.entries[pair] + F(1, 8))
+    assert certify(cert).accepted
 
 
-def test_certify_not_monotone_under_single_entry_weakening(exceptions3):
+def test_certify_not_monotone_under_single_entry_weakening():
     # Raising a single entry that other support pairs lean on can
     # genuinely break their checks: the up-to bound is monotone in the
-    # candidate, so the main pair stops being covered.
+    # entries, so the main pair stops being covered.
     cert = exception_certificate()
-    cert.candidate.entries[(M("y1"), M("z1"))] = F(1, 2)
-    verdict = certify(cert, exceptions3)
+    cert.entries[(M("y1"), M("z1"))] = F(1, 2)
+    verdict = certify(cert)
     assert not verdict.accepted
     assert verdict.failures[0][:2] == (S("x0", "y0"), S("z0"))
 
@@ -370,7 +368,8 @@ def _subsets_with_union(universe, target):
 def u_exact(model, cand, pair, budget=10 ** 6):
     """Exact up-to value by enumerating every decomposition of the pair:
     the join (numeric min) over all monad values with the right
-    flattened marginals of the lifted candidate distance.
+    flattened marginals of the lifted candidate distance ``cand``, a dict
+    from pairs of monad values to values, bottom off its keys.
 
     Only the powerset monad is enumerable; subdistribution decompositions
     form a continuum and are refused.
@@ -394,7 +393,7 @@ def u_exact(model, cand, pair, budget=10 ** 6):
     keys = Carrier(tuple(canon_key(s) for s in all_subsets))
     n = len(all_subsets)
     index = {canon_key(s): i for i, s in enumerate(all_subsets)}
-    dist = [[cand.value_at((all_subsets[i], all_subsets[j])) for j in range(n)]
+    dist = [[cand.get((all_subsets[i], all_subsets[j]), q.bottom) for j in range(n)]
             for i in range(n)]
     closed = metric_closure(VGraph(q, keys, dist))
 
@@ -423,20 +422,20 @@ def test_u_exact_extensive_and_below_witness_bounds():
     model = tiny_powerset_model()
     pairs = [(a, b) for a in [S("p"), S("r"), S("p", "r")]
              for b in [S("p"), S("r"), S("p", "r")]]
-    cand = SparseDist(q, {pair: F(1, 4) for pair in pairs})
-    state = model.det().state
-    cert = Certificate(POWERSET, SparseDist(q, {(state(a), state(b)): v
-                                                for (a, b), v in cand.entries.items()}), {})
+    cand = {pair: F(1, 4) for pair in pairs}
+    det = model.det()
+    cert = Certificate(det, {(det.state(a), det.state(b)): v
+                             for (a, b), v in cand.items()}, {})
     for a, b in pairs:
         exact = u_exact(model, cand, (a, b))
-        assert exact <= cand.value_at((a, b))                      # extensive (numeric)
-        assert witness_bound(cert, (state(a), state(b)), q) >= exact  # over-approximate
+        assert exact <= cand[(a, b)]                                     # extensive (numeric)
+        assert witness_bound(cert, (det.state(a), det.state(b))) >= exact  # over-approximate
 
 
 def test_u_exact_matches_hand_enumeration():
     model = tiny_powerset_model()
-    cand = SparseDist(q, {(S("p"), S("r")): F(1, 3),
-                          (S("p", "r"), S("r")): F(1, 8)})
+    cand = {(S("p"), S("r")): F(1, 3),
+            (S("p", "r"), S("r")): F(1, 8)}
     # Decompositions of ({p}, {r}): the left side only splits as
     # collections of subsets of {p} covering it, i.e. {p} itself or
     # {p} plus the empty set; similarly on the right.
@@ -459,8 +458,8 @@ def test_u_exact_boolean_toy_matches_hand_enumeration():
         "r": Inr(Tup((IdLeaf(point_mask(["r"], states)),))),
     }
     model = CoalgebraModel(BOOLEAN, func, POWERSET, states, carrier(["a"]), trans)
-    cand = SparseDist(BOOLEAN, {(S("p"), S("r")): True,
-                                (S("p", "r"), S("r")): True})
+    cand = {(S("p"), S("r")): True,
+            (S("p", "r"), S("r")): True}
     # By hand: every decomposition of ({p},{r}) is covered by the direct
     # pair (join of top-valued lifts stays top); the reverse pair only
     # admits bottom-valued decompositions.
@@ -471,7 +470,7 @@ def test_u_exact_boolean_toy_matches_hand_enumeration():
 
 
 def test_u_exact_budget_refusals(probchain, exceptions3):
-    cand = SparseDist(q, {})
+    cand = {}
     with pytest.raises(BudgetError, match="powerset"):
         u_exact(probchain, cand, (dirac("x"), dirac("y")))
     with pytest.raises(BudgetError, match="budget"):
@@ -484,11 +483,11 @@ def test_soundness_sandwich(exceptions3, probchain):
     seeds = [M("x0", "y0"), M("z0")]
     states = reachable_states(det, seeds)
     fixpoint = kleene_gfp(det, states).at(seeds[0], seeds[1])
-    cert_value = exception_certificate().candidate.value_at((seeds[0], seeds[1]))
+    cert_value = exception_certificate().entries[(seeds[0], seeds[1])]
     for L in range(1, 6):
         assert trace_lower_bound(exceptions3, seeds[0], seeds[1], L) <= fixpoint
     assert fixpoint <= cert_value
     dy, dx = dirac("y"), dirac("x")
-    cand = probchain_certificate().candidate.value_at((dy, dx))
+    cand = probchain_certificate().entries[(dy, dx)]
     for L in range(1, 11):
         assert trace_lower_bound(probchain, dy, dx, L) <= cand

@@ -29,8 +29,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from quantadist.behaviour import (Certificate, CoalgebraModel, SparseDist, certify,
-                                  pair_gfp)
+from quantadist.behaviour import Certificate, certify, pair_gfp
 from quantadist.distlaw import DetCoalgebra, DistLaw
 from quantadist.functor import exception_functor
 from quantadist.monadlift import POWERSET, SUBDIST, dirac, subdist
@@ -48,13 +47,6 @@ GRIDS = {
     "unit-oplus": [F(k, 8) for k in range(9)],
     "ext-plus": [F(0), F(1, 4), F(1, 2), F(3, 4), F(1), F(3, 2), F(2), F(3), INF],
 }
-
-
-def model_of(det):
-    """The model a determinization was built from."""
-    law = det.law
-    return CoalgebraModel(law.quantale, law.functor, law.monad, det.states, carrier(()),
-                          det.transitions)
 
 
 def leaf_pairs(det, pair):
@@ -76,13 +68,13 @@ def pair_graph(det, query):
     return seen
 
 
-def assert_sound(cert, model, distance):
+def assert_sound(cert, distance):
     """``certify``'s verdict, after checking that an accepted certificate
     claims no entry numerically below ``distance`` at its pair."""
-    q = model.quantale
-    verdict = certify(cert, model)
+    q = cert.det.law.quantale
+    verdict = certify(cert)
     if verdict.accepted:
-        for pair, value in cert.candidate.entries.items():
+        for pair, value in cert.entries.items():
             assert q.leq(value, distance[pair]), (pair, value, distance[pair])
     return verdict
 
@@ -117,7 +109,6 @@ def test_powerset_union_certificates_are_sound(name, law):
     for _ in range(150):
         n = rng.randint(3, 6)
         det, _transitions = random_det(rng, law, n_states=n, n_terms=n, p_left=0.3)
-        model = model_of(det)
         points = point_states(det)
         queries = [(a, b) for a in points for b in points] + [
             tuple(sum(rng.sample(points, rng.randint(1, 3))) for _side in range(2))
@@ -135,8 +126,8 @@ def test_powerset_union_certificates_are_sound(name, law):
             parts = union_witness(pair, entries)
             if parts:
                 witnesses[pair] = [parts]
-        cert = Certificate(POWERSET, SparseDist(q, entries), witnesses)
-        if not assert_sound(cert, model, distance).accepted:
+        cert = Certificate(det, entries, witnesses)
+        if not assert_sound(cert, distance).accepted:
             continue
         accepted += 1
         witnessed += bool(witnesses)
@@ -149,7 +140,7 @@ def test_powerset_union_certificates_are_sound(name, law):
         if claims:
             pair = rng.choice(far or claims)
             entries[pair] = lowered(entries[pair])
-            assert not assert_sound(cert, model, distance).accepted, pair
+            assert not assert_sound(cert, distance).accepted, pair
     assert accepted >= 100 and deep >= 25 and witnessed >= 10, (accepted, deep, witnessed)
 
 
@@ -206,11 +197,9 @@ def least_grid_certificate(det, grid):
             if leaf_pair not in witnesses:
                 witnesses[leaf_pair] = couplings(*leaf_pair)
     step = dict.fromkeys(support, 0)
-    model = model_of(det)
-    cert = Certificate(SUBDIST, SparseDist(det.law.quantale, {}), witnesses)
     while True:
-        cert.candidate.entries = {pair: grid[k] for pair, k in step.items()}
-        verdict = certify(cert, model)
+        cert = Certificate(det, {pair: grid[k] for pair, k in step.items()}, witnesses)
+        verdict = certify(cert)
         if verdict.accepted:
             return cert, step
         for left, right, _why in verdict.failures:
@@ -229,7 +218,7 @@ def subdist_search(law, seed, models, depth):
         det = random_distribution_det(rng, law, rng.randint(2, 4))
         cert, step = least_grid_certificate(det, grid)
         unsound = []
-        for pair, value in cert.candidate.entries.items():
+        for pair, value in cert.entries.items():
             bound = pair_gfp(det, *pair, max_iters=depth).value
             if not q.leq(value, bound):
                 unsound.append((pair, value, bound))
@@ -245,9 +234,9 @@ def test_subdist_coupling_certificates_are_sound(name, law):
         raised = [pair for pair in step if step[pair]]
         claims += sum(0 < k < len(grid) - 1 for k in step.values())
         for pair in raised:
-            cert.candidate.entries[pair] = grid[step[pair] - 1]
-            assert not certify(cert, model_of(det)).accepted, pair
-            cert.candidate.entries[pair] = grid[step[pair]]
+            cert.entries[pair] = grid[step[pair] - 1]
+            assert not certify(cert).accepted, pair
+            cert.entries[pair] = grid[step[pair]]
     assert claims >= 5, claims
 
 

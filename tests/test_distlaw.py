@@ -7,13 +7,13 @@ from quantadist import distlaw
 from quantadist.behaviour import reachable_states
 from quantadist.canon import canon_key
 from quantadist.distlaw import (ALWAYS_LEFT, PRIORITY_LEFT, DetCoalgebra, DistLaw,
-                                StateBudgetError, apply_g, apply_zeta,
+                                apply_g, apply_zeta,
                                 case_study_laws, law_suite)
 from quantadist.functor import (ID, ConstF, ConstLeaf, CoprodF, IdLeaf, Inl, Inr,
                                 MonadEval, ProdF, StarEval, Tup,
                                 build_lambda, eval_map,
                                 exception_functor, machine_functor, map_payloads)
-from quantadist.galois import Grid, grid_values
+from quantadist.galois import BudgetError, Grid, grid_values
 from quantadist.monadlift import (POWERSET, SUBDIST, dirac, finsubset, kantorovich_lp,
                                   subdist)
 from quantadist.quantale import BOOLEAN, EXT_PLUS, INF, UNIT_OPLUS
@@ -127,7 +127,7 @@ def test_determinize_probabilistic_chain():
 def test_determinize_budget_refusal():
     model = build_exceptions(3)
     det = DetCoalgebra(EXC_LAW, model.transitions, model.states, max_states=3)
-    with pytest.raises(StateBudgetError, match="budget"):
+    with pytest.raises(BudgetError, match="budget"):
         reachable_states(det, [det.state(finsubset(["x0", "y0"]))])
 
 

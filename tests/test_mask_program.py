@@ -20,7 +20,8 @@ from fractions import Fraction as F
 import pytest
 
 from quantadist.behaviour import reachable_states
-from quantadist.distlaw import DetCoalgebra, DistLaw, StateBudgetError
+from quantadist.distlaw import DetCoalgebra, DistLaw
+from quantadist.galois import BudgetError
 from quantadist.functor import ConstF
 from quantadist.monadlift import POWERSET
 from quantadist.quantale import INF, UNIT_OPLUS
@@ -111,7 +112,7 @@ def test_budget_counts_states_across_both_paths():
     det.successor(x | y)                   # read already
     det.step_distance(x | y, y, leaf)      # read already
     det.successor(z)                       # the fourth state
-    with pytest.raises(StateBudgetError):
+    with pytest.raises(BudgetError):
         det.step_distance(x | z, x, leaf)
-    with pytest.raises(StateBudgetError):
+    with pytest.raises(BudgetError):
         det.successor(y | z)

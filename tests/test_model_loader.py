@@ -380,5 +380,5 @@ def test_loading_reads_set_members_through_the_bit_table(monkeypatch):
     cert = certificate_from_json(exception_certificate(8), loaded)
     assert calls == []
     assert loaded.transitions == model.transitions
-    verdict = certify(cert, loaded)
+    verdict = certify(cert)
     assert verdict.accepted and verdict.checked == 17

@@ -39,10 +39,10 @@ def test_term_json_roundtrip(probchain):
 
 def test_certificate_json_roundtrip(exceptions3):
     cert = fixture_certificate("exceptions_cert.json", exceptions3)
-    doc = certificate_to_json(cert, exceptions3)
+    doc = certificate_to_json(cert)
     assert doc == load_fixture("exceptions_cert.json")
     back = certificate_from_json(doc, exceptions3)
-    assert back.candidate.entries == cert.candidate.entries
+    assert back.entries == cert.entries
     assert back.witnesses == cert.witnesses
 
 
@@ -902,7 +902,7 @@ def test_certificate_repeated_entries_and_witnesses_still_load(tmp_path):
     doc["witnesses"].append(doc["witnesses"][0])
     model = fixture_model("exceptions.json")
     cert = certificate_from_json(doc, model)
-    assert len(cert.candidate.entries) == len(doc["entries"]) - 1
+    assert len(cert.entries) == len(doc["entries"]) - 1
     assert max(len(w) for w in cert.witnesses.values()) == 2
     path = tmp_path / "cert.json"
     path.write_text(json.dumps(doc))
@@ -921,17 +921,16 @@ def _boolean_subdist_doc():
 
 
 def test_boolean_subdist_law_with_value_constants_is_refused():
-    from quantadist.distlaw import DistLaw
+    from quantadist.distlaw import constants_defined
     from quantadist.functor import ID, machine_functor, pow_functor
     from quantadist.quantale import BOOLEAN
 
-    with pytest.raises(ValueError, match="boolean quantale"):
-        DistLaw(machine_functor(["a"]), SUBDIST, BOOLEAN)
     with pytest.raises(ModelFormatError, match="boolean quantale"):
         model_from_json(_boolean_subdist_doc())
+    assert not constants_defined(machine_functor(["a"]), SUBDIST, BOOLEAN)
     # Without value constants there is nothing to take the expectation of.
-    DistLaw(pow_functor(["a"], ID), SUBDIST, BOOLEAN)
-    DistLaw(machine_functor(["a"]), POWERSET, BOOLEAN)
+    assert constants_defined(pow_functor(["a"], ID), SUBDIST, BOOLEAN)
+    assert constants_defined(machine_functor(["a"]), POWERSET, BOOLEAN)
 
 
 @pytest.mark.parametrize("argv", [
@@ -1080,3 +1079,39 @@ def test_printable_bound_is_4300_digits(value, printable):
     else:
         with pytest.raises(BudgetError, match="--max-iters"):
             _printable(value, "--max-iters")
+
+
+@pytest.mark.parametrize("method,budget", [(["kleene"], "--max-iters"),
+                                           (["trace", "--max-words", "1000"], "--max-words")],
+                         ids=["kleene", "trace"])
+def test_cli_refuses_a_value_too_long_to_print_after_the_layer_that_outgrows_it(
+        tmp_path, method, budget):
+    """With 200 nines in y's self-loop weight the value at (y, x) has
+    more than 4300 digits after a few dozen layers: the run ends there
+    and is refused naming its budget, rather than after all 1000."""
+    doc = load_fixture("probchain.json")
+    doc["transitions"]["y"]["tuple"][1]["pow"]["a"]["id"]["dist"]["y"] = "0." + "9" * 200
+    model = _write_model(tmp_path, doc)
+    started = time.monotonic()
+    code, out, err = run_cli("distance", "--model", model, "--pair", "y:1|x:1",
+                             "--method", *method)
+    assert time.monotonic() - started < 2
+    assert (code, out) == (3, "")
+    assert err.startswith("refused: the value's numerator has more than 4300 digits; "
+                          f"a smaller {budget} gives a shorter bound\n"), err
+
+
+@pytest.mark.parametrize("functor", [{"prod": []}, {"pow": {"labels": [], "body": "id"}}],
+                         ids=["prod", "pow"])
+def test_cli_refuses_an_empty_product(tmp_path, functor):
+    doc = load_fixture("exceptions.json")
+    doc["functor"] = functor
+    code, out, err = run_cli("distance", "--model", _write_model(tmp_path, doc),
+                             "--pair", "{x0}|{z0}", "--method", "kleene")
+    assert (code, out) == (2, "") and "error: empty product" in err, err
+
+
+@pytest.mark.parametrize("grid", ["0", "-3"])
+def test_cli_refuses_a_grid_below_one(grid):
+    code, out, err = run_cli("laws", "--scope", "quantale", "--grid", grid)
+    assert (code, out) == (2, "") and "error: grid resolution must be >= 1" in err, err

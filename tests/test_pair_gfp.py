@@ -19,10 +19,11 @@ from conftest import build_exceptions, build_probchain
 from quantadist import behaviour
 from quantadist.behaviour import (CoalgebraModel, kleene_gfp, pair_gfp, reachable_states,
                                   trace_lower_bound)
-from quantadist.distlaw import StateBudgetError, point_mask
+from quantadist.distlaw import point_mask
 from quantadist.functor import (ConstF, ConstLeaf, CoprodF, IdF, IdLeaf, Inl, Inr, ProdF,
                                 Tup, exception_functor, machine_functor)
-from quantadist.models import fixture_model
+from quantadist.galois import BudgetError
+from quantadist.models import fixture_model, load_fixture, model_from_json
 from quantadist.monadlift import POWERSET, SUBDIST, dirac, finsubset, subdist
 from quantadist.quantale import UNIT_OPLUS
 from quantadist.vgraph import carrier
@@ -186,9 +187,9 @@ def test_probchain_fixture(monkeypatch):
     absorbing = [dirac("y"), dirac("x'")]
     assert_agrees(monkeypatch, det, [(a, b) for a in absorbing for b in absorbing])
     # From 1*x the determinized system is infinite: both solvers refuse.
-    with pytest.raises(StateBudgetError):
+    with pytest.raises(BudgetError):
         reachable_states(build_probchain().det(max_states=40), [dirac("y"), dirac("x")])
-    with pytest.raises(StateBudgetError):
+    with pytest.raises(BudgetError):
         pair_gfp(build_probchain().det(max_states=40), dirac("y"), dirac("x"))
 
 
@@ -329,3 +330,18 @@ def test_trace_matches_words_on_random_models(monkeypatch, seed):
     seeds = [finsubset([x]) for x in names] + [finsubset(names[:2]), finsubset([])]
     assert_trace_agrees(monkeypatch, exceptions, sample_pairs(rng, seeds, 6),
                         2 * len(names) + 2)
+
+
+def test_pair_gfp_ends_after_the_first_layer_too_long_to_print():
+    """probchain.json with y's self-loop weight 0.99...9 (200 nines): the
+    value at (y, x) outgrows ``MAX_DIGITS`` within a few dozen layers,
+    and the run ends there, unconverged, not after ``max_iters``."""
+    doc = load_fixture("probchain.json")
+    doc["transitions"]["y"]["tuple"][1]["pow"]["a"]["id"]["dist"]["y"] = "0." + "9" * 200
+    model = model_from_json(doc)
+    result = pair_gfp(model.det(), dirac("y"), dirac("x"), max_iters=1000)
+    assert not result.converged and result.iterations < 100
+    assert behaviour.overlong_part(result.value) is not None
+    shorter = pair_gfp(model.det(), dirac("y"), dirac("x"), max_iters=result.iterations - 1)
+    assert shorter.iterations == result.iterations - 1
+    assert behaviour.overlong_part(shorter.value) is None

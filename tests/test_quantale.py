@@ -208,7 +208,7 @@ def test_operations_only_see_canonical_values(strict_operations):
     for model_name in ("exceptions", "probchain"):
         model = fixture_model(f"{model_name}.json")
         cert = fixture_certificate(f"{model_name}_cert.json", model)
-        assert certify(cert, model).accepted, model_name
+        assert certify(cert).accepted, model_name
     model = fixture_model("exceptions.json")
     det = model.det()
     result = pair_gfp(det, det.state(finsubset(["x0", "y0"])), det.state(finsubset(["z0"])))

@@ -1,9 +1,10 @@
 """Every top-level function and class in ``src/quantadist`` is reached
-from a command, every parameter default there is overridden by some
-call, no module there imports a name it never uses, no function there
-assigns a local it never reads, and quantale values are validated only
-where they enter, and only the dataclasses that check outside input
-define ``__post_init__``.
+from a command, every method of a class there is read by name, every
+parameter default there is overridden by some call, no module there
+imports a name it never uses, no function there assigns a local it
+never reads, and quantale values are validated only where they enter,
+and only the dataclasses that check outside input define
+``__post_init__``.
 
 A name is reached when a chain of loaded names leads to it from a root:
 ``cli.main`` (the console script), the module-level code of any module
@@ -60,14 +61,19 @@ class _Loads(ast.NodeVisitor):
     visit_ImportFrom = visit_Import
 
 
-def _traced_roots():
+def _traced():
+    """(module, attribute) for each entry of the tracer's ``TIMED`` and
+    ``COUNTED`` tables: a function, or ``Class.method``."""
     tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text(encoding="utf-8"))
     tables = [ast.literal_eval(node.value) for node in tree.body
               if isinstance(node, ast.Assign) and len(node.targets) == 1
               and getattr(node.targets[0], "id", None) in ("TIMED", "COUNTED")]
     assert len(tables) == 2, "perfbench/tracing.py has no TIMED or COUNTED table"
-    return {(module.split(".")[1], attr.split(".")[0])
-            for table in tables for module, attr, _metric in table}
+    return {(module.split(".")[1], attr) for table in tables for module, attr, _metric in table}
+
+
+def _traced_roots():
+    return {(module, attr.split(".")[0]) for module, attr in _traced()}
 
 
 def _reachability():
@@ -117,6 +123,50 @@ def test_every_top_level_name_is_reached_from_a_command():
 def test_exemptions_are_defined_and_unreached():
     defined, reached = _reachability()
     assert EXEMPT.keys() <= defined - reached
+
+
+#: Methods that no attribute read in ``src`` names, kept on purpose, with the reason.
+METHOD_EXEMPT = {
+    "canon": "canon.canon_key reads it with getattr, by a name in a string",
+}
+
+
+def _unread_methods():
+    """``module.Class.method`` for each method of a top-level class in
+    ``src`` (dunder methods left out) whose name no attribute read in
+    ``src`` loads outside the method's own definition, and which the
+    tracer's tables do not name."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+    reads = {}  # attribute name -> the ids of the nodes that load it
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.attr, set()).add(id(node))
+    traced = _traced()
+    out = set()
+    for m, tree in trees.items():
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            for node in cls.body:
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                        or node.name.startswith("__") and node.name.endswith("__") \
+                        or (m, f"{cls.name}.{node.name}") in traced:
+                    continue
+                own = {id(n) for n in ast.walk(node)}
+                if not reads.get(node.name, set()) - own:
+                    out.add(f"{m}.{cls.name}.{node.name}")
+    return out
+
+
+def test_every_method_is_read_by_name():
+    unread = sorted(name for name in _unread_methods()
+                    if name.rpartition(".")[2] not in METHOD_EXEMPT)
+    assert not unread, (f"nothing in src reads {unread}: delete them, or move them "
+                        "to tests/ if only tests call them")
+
+
+def test_method_exemptions_are_unread():
+    exempt = {name.rpartition(".")[2] for name in _unread_methods()}
+    assert METHOD_EXEMPT.keys() <= exempt
 
 
 #: Defaulted parameters no call in ``src`` passes, kept on purpose, with the reason.
@@ -315,9 +365,6 @@ def test_values_are_validated_only_where_they_enter():
 POST_INIT_ALLOWED = {
     ("vgraph", "Carrier"):
         "builds its position table and refuses duplicate names read from documents",
-    ("functor", "ProdF"): "refuses an empty product read by functor_from_json",
-    ("galois", "Grid"): "refuses --grid below 1",
-    ("distlaw", "DistLaw"): "refuses a subdist-over-boolean law read from a model",
     ("distlaw", "DetCoalgebra"): "compiles the distance program",
 }
 

@@ -51,7 +51,7 @@ def two_pass_closure(d):
     nothing changes (the closure loop before the single pass)."""
     q = d.quantale
     n = len(d.carrier)
-    out = d.copy()
+    out = VGraph(q, d.carrier, [row[:] for row in d.dist])
     m = out.dist
     for i in range(n):
         m[i][i] = q.join2(m[i][i], q.unit)
@@ -74,7 +74,7 @@ def fraction_closure(d):
     before the pass moved to scaled integers."""
     q = d.quantale
     n = len(d.carrier)
-    out = d.copy()
+    out = VGraph(q, d.carrier, [row[:] for row in d.dist])
     m = out.dist
     for i in range(n):
         m[i][i] = q.join2(m[i][i], q.unit)

@@ -194,7 +194,7 @@ def test_vgraph_document_validates_each_entry_once(monkeypatch):
     assert all(type(v) is F for _x, _y, v in graph.pairs())
     assert graph.at("A", "C") == F(5)
     del calls[:]
-    assert graph_equal(graph.copy(), graph) and graph_equal(metric_closure(graph), graph)
+    assert graph_equal(metric_closure(graph), graph)
     assert calls == []
 
 
