@@ -290,8 +290,10 @@ def witness_bound(cert: Certificate, pair):
     on the up-to function at a pair: the entry itself (the unit witness)
     together with the value of every listed decomposition, the evaluation
     map of the determinization's monad applied to the entries on its
-    parts.  Nothing is checked: ``models.certificate_from_json`` has
-    checked that each witness's parts flatten to its pair."""
+    parts.  A part reads its entry alone (bottom off the support), never
+    another witness's bound.  ``certify`` evaluates this once per
+    witnessed pair.  Nothing is checked: ``models.certificate_from_json``
+    has checked that each witness's parts flatten to its pair."""
     law = cert.det.law
     q = law.quantale
     bottom = q.bottom
@@ -330,14 +332,16 @@ def certify(cert: Certificate) -> Verdict:
     quantale order (numerically at least it).  Off-support pairs carry
     the trivial bottom claim and need no check.
 
-    Each successor pair is bounded once per call.  A pair of point
-    states, the usual support of a sparse certificate, is compared on
-    the model's own transitions: succ(η x) = c(x) by the unit law of the
-    exchange law (see ``DetCoalgebra``), and nothing is compiled for it.
-    A powerset pair with a side of several members (or none) runs the
-    mask program, which builds no successor term; a subdistribution pair
-    compares its two successor terms.  The verdict's failures name monad
-    values (``DetCoalgebra.value``).
+    The bounds are one table, built once per call: the entries, with
+    each witnessed pair's slot replaced by its ``witness_bound``, so a
+    successor bound is one read of it (bottom off the table).  A pair
+    of point states, the usual support of a sparse certificate, is
+    compared on the model's own transitions: succ(η x) = c(x) by the
+    unit law of the exchange law (see ``DetCoalgebra``), and nothing is
+    compiled for it.  A powerset pair with a side of several members
+    (or none) runs the mask program, which builds no successor term; a
+    subdistribution pair compares its two successor terms.  The
+    verdict's failures name monad values (``DetCoalgebra.value``).
 
     The check runs on the determinization the certificate holds, so its
     monad and states are the ones the certificate was read against.
@@ -349,15 +353,15 @@ def certify(cert: Certificate) -> Verdict:
     """
     det = cert.det
     q = det.law.quantale
+    bottom = q.bottom
     failures: List[Tuple[object, object, str]] = []
-    bounds: Dict[Tuple[object, object], object] = {}
+    bounds = dict(cert.entries)
+    for pair in cert.witnesses:
+        bounds[pair] = witness_bound(cert, pair)
+    read = bounds.get
 
     def leaf(x, y):
-        pair = (x, y)
-        bound = bounds.get(pair)
-        if bound is None:
-            bound = bounds[pair] = witness_bound(cert, pair)
-        return bound
+        return read((x, y), bottom)
 
     for (p_state, q_state), stated in cert.entries.items():
         bound = det.step_distance(p_state, q_state, leaf)

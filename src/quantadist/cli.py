@@ -192,11 +192,20 @@ def _cmd_certify(args) -> int:
     return EXIT_OK if verdict.accepted else EXIT_MISMATCH
 
 
+#: The ``laws`` options that one scope reads: (attribute, option, scope).
+_SCOPED_LAW_OPTIONS = (("grid", "--grid", "quantale"), ("seed", "--seed", "distlaw"),
+                       ("mutant_g", "--mutant-g", "distlaw"))
+
+
 def _cmd_laws(args) -> int:
+    for attr, option, scope in _SCOPED_LAW_OPTIONS:
+        if getattr(args, attr) is not None and args.scope != scope:
+            raise _CliError(f"{option} applies to --scope {scope} only")
     if args.scope == "quantale":
-        if args.grid < 1:
+        grid = 8 if args.grid is None else args.grid
+        if grid < 1:
             raise _CliError("grid resolution must be >= 1")
-        results = quantale_suite(grid=args.grid)
+        results = quantale_suite(grid=grid)
     elif args.scope == "galois":
         results = galois_suite() + extension_suite()
     elif args.scope == "polyfunctor":
@@ -207,7 +216,7 @@ def _cmd_laws(args) -> int:
             if args.mutant_g:
                 law = DistLaw(law.functor, law.monad, law.quantale,
                               g_variant=ALWAYS_LEFT)
-            results.extend(law_suite(law, seed=args.seed))
+            results.extend(law_suite(law, seed=0 if args.seed is None else args.seed))
     else:
         raise _CliError(f"unknown law scope {args.scope!r}")
     report = {
@@ -269,9 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
     laws = sub.add_parser("laws", help="run a property suite")
     laws.add_argument("--scope", required=True,
                       choices=["quantale", "galois", "polyfunctor", "distlaw"])
-    laws.add_argument("--grid", type=int, default=8)
-    laws.add_argument("--seed", type=int, default=0)
-    laws.add_argument("--mutant-g", action="store_true",
+    laws.add_argument("--grid", type=int, help="quantale: grid resolution (default 8)")
+    laws.add_argument("--seed", type=int, help="distlaw: random seed (default 0)")
+    laws.add_argument("--mutant-g", action="store_true", default=None,
                       help="distlaw: inject the no-priority mutant prioritizer")
     laws.add_argument("--json", action="store_true")
     laws.set_defaults(func=_cmd_laws)

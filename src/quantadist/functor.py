@@ -78,8 +78,14 @@ def exception_functor(labels: Sequence[str]) -> CoprodF:
 
 
 # -- terms --------------------------------------------------------------------
+#
+# Terms are values: equality and hash go by class and fields, and nothing
+# assigns to a field after construction (``tests/test_reachability.py``
+# guards this).  They are slotted rather than frozen, because a frozen
+# dataclass sets each field through ``object.__setattr__`` and costs
+# about twice as much to build, and model loading builds one per node.
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class ConstLeaf:
     atom: object  # a quantale value
 
@@ -87,7 +93,7 @@ class ConstLeaf:
         return f"c({canon_key(self.atom)})"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class IdLeaf:
     payload: object  # carrier element, quantale value, or T-value
 
@@ -95,7 +101,7 @@ class IdLeaf:
         return f"i({canon_key(self.payload)})"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Tup:
     items: Tuple[object, ...]
 
@@ -103,7 +109,7 @@ class Tup:
         return "(" + ",".join(canon_key(t) for t in self.items) + ")"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Inl:
     item: object
 
@@ -111,7 +117,7 @@ class Inl:
         return f"l({canon_key(self.item)})"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Inr:
     item: object
 

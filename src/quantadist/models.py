@@ -359,7 +359,11 @@ def certificate_from_json(doc: dict, model: CoalgebraModel) -> Certificate:
     weights must be non-negative with sum at most 1, and its parts must
     flatten to its pair on each side, by the determinization's own
     multiplication on states (``DetCoalgebra.mult``).  A witness that
-    fails is malformed even where no support pair reads it."""
+    fails is malformed even where no support pair reads it.
+
+    An entry row costs one dict operation: a pair given twice must
+    restate its first value, and ``literal_reader`` reads a repeated
+    literal back as the same object, so a repeat compares no values."""
     if not isinstance(doc, dict):
         raise ModelFormatError("certificate document must be a JSON object")
     q = model.quantale
@@ -380,11 +384,11 @@ def certificate_from_json(doc: dict, model: CoalgebraModel) -> Certificate:
         for row in _rows(doc["entries"], "certificate entries"):
             pair = pair_of(row)
             value = value_of(row["value"])
-            if entries.get(pair, value) != value:
+            old = entries.setdefault(pair, value)
+            if old is not value and old != value:
                 raise ModelFormatError(
                     f"conflicting entries for {named(pair)}: "
-                    f"{q.value_to_json(entries[pair])} and {q.value_to_json(value)}")
-            entries[pair] = value
+                    f"{q.value_to_json(old)} and {q.value_to_json(value)}")
         witnesses = {}
         witness_rows = _rows(doc.get("witnesses", []), "certificate witnesses")
         if witness_rows and not det.law.witnesses_sound:

@@ -55,6 +55,23 @@ def test_shape_errors():
         shape_check(IdF(), ConstLeaf(F(0)))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: ConstLeaf(F(1, 2)), lambda: IdLeaf(1), lambda: Tup((IdLeaf(1), ConstLeaf(F(0)))),
+    lambda: Inl(IdLeaf(1)), lambda: Inr(ConstLeaf(F(1)))],
+    ids=["ConstLeaf", "IdLeaf", "Tup", "Inl", "Inr"])
+def test_terms_are_slotted_value_types(make):
+    term, same = make(), make()
+    assert not hasattr(term, "__dict__")
+    assert term is not same and term == same and hash(term) == hash(same)
+    assert {term: "value"}[same] == "value"
+
+
+def test_terms_of_different_classes_differ():
+    t = IdLeaf(1)
+    assert Inl(t) != Inr(t) and IdLeaf(1) != ConstLeaf(1)
+    assert len({Inl(t), Inr(t), IdLeaf(1), ConstLeaf(1)}) == 4
+
+
 # -- closed-form lifted distance -------------------------------------------------
 
 def test_lift_closed_coproduct_cross_cases():

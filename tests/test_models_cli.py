@@ -1115,3 +1115,16 @@ def test_cli_refuses_an_empty_product(tmp_path, functor):
 def test_cli_refuses_a_grid_below_one(grid):
     code, out, err = run_cli("laws", "--scope", "quantale", "--grid", grid)
     assert (code, out) == (2, "") and "error: grid resolution must be >= 1" in err, err
+
+
+@pytest.mark.parametrize("argv,option,scope", [
+    (["--scope", "galois", "--grid", "0"], "--grid", "quantale"),
+    (["--scope", "quantale", "--mutant-g", "--seed", "5"], "--seed", "distlaw"),
+    (["--scope", "polyfunctor", "--seed", "3"], "--seed", "distlaw"),
+    (["--scope", "galois", "--mutant-g"], "--mutant-g", "distlaw"),
+], ids=["grid-on-galois", "seed-and-mutant-on-quantale", "seed-on-polyfunctor",
+        "mutant-on-galois"])
+def test_cli_laws_refuses_an_option_its_scope_does_not_read(argv, option, scope):
+    code, out, err = run_cli("laws", *argv)
+    assert (code, out) == (2, "") and \
+        f"error: {option} applies to --scope {scope} only" in err, err

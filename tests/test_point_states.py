@@ -285,6 +285,26 @@ def test_certify_bounds_each_successor_pair_once(monkeypatch):
     assert reads and len(reads) == len(set(reads))
 
 
+def test_certify_evaluates_each_witnessed_pair_once(monkeypatch):
+    """Successor bounds are read from one table: ``witness_bound`` runs
+    for the witnessed pairs only, each once, not for every successor."""
+    import quantadist.behaviour as behaviour
+
+    model = build_exceptions(5)
+    cert = certificate_from_json(
+        exception_certificate_doc(5, (F(1, 4), F(1, 3), F(1, 2))), model)
+    reads = []
+    original = behaviour.witness_bound
+
+    def counting(cert, pair):
+        reads.append(pair)
+        return original(cert, pair)
+
+    monkeypatch.setattr(behaviour, "witness_bound", counting)
+    assert certify(cert).accepted
+    assert len(reads) == len(set(reads)) and set(reads) == set(cert.witnesses)
+
+
 def test_pair_gfp_and_certify_read_no_canonical_keys(monkeypatch):
     """Once the query and the certificate are read as states, neither the
     pair solver nor the checker computes a canonical key."""

@@ -2,9 +2,9 @@
 from a command, every method of a class there is read by name, every
 parameter default there is overridden by some call, no module there
 imports a name it never uses, no function there assigns a local it
-never reads, and quantale values are validated only where they enter,
-and only the dataclasses that check outside input define
-``__post_init__``.
+never reads, quantale values are validated only where they enter,
+only the dataclasses that check outside input define
+``__post_init__``, and nothing assigns to a field of a term.
 
 A name is reached when a chain of loaded names leads to it from a root:
 ``cli.main`` (the console script), the module-level code of any module
@@ -397,3 +397,57 @@ def test_only_allowed_dataclasses_check_themselves():
 
 def test_post_init_allowlist_is_current():
     assert POST_INIT_ALLOWED.keys() <= _post_init_dataclasses(MODULES)
+
+
+#: The fields of the term classes (``functor.ConstLeaf``, ``IdLeaf``,
+#: ``Tup``, ``Inl``, ``Inr``).  Terms are slotted, not frozen, and hash
+#: by their fields, so nothing may assign to one after construction.
+TERM_FIELDS = {"atom", "payload", "items", "item"}
+
+
+def _term_field_assignments(tree):
+    """(line, field) for each assignment to an attribute named in
+    ``TERM_FIELDS``: a plain, augmented, unpacking, loop or ``with``
+    target, a ``del``, or a ``setattr`` or ``object.__setattr__`` call
+    that names the field in a string."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del)) \
+                and node.attr in TERM_FIELDS:
+            out.append((node.lineno, node.attr))
+        elif isinstance(node, ast.Call) and len(node.args) >= 2 \
+                and (getattr(node.func, "id", None) == "setattr"
+                     or getattr(node.func, "attr", None) == "__setattr__") \
+                and isinstance(node.args[1], ast.Constant) and node.args[1].value in TERM_FIELDS:
+            out.append((node.lineno, node.args[1].value))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_term_field_is_assigned(path):
+    found = [f"{field} (line {line})"
+             for line, field in _term_field_assignments(ast.parse(path.read_text(encoding="utf-8")))]
+    assert not found, (f"{path.name} assigns term fields {found}: terms are values "
+                       "that hash by their fields; build a new term instead")
+
+
+def test_term_field_guard_sees_each_binding_form():
+    code = """
+def f(t, rows):
+    t.item = 1
+    t.items += (2,)
+    first, t.payload = rows
+    for t.atom in rows:
+        pass
+    with open(rows) as t.item:
+        pass
+    del t.payload
+    setattr(t, "items", ())
+    object.__setattr__(t, "atom", 0)
+    t.other = t.item
+    setattr(t, "other", t.items)
+    return first
+"""
+    assert _term_field_assignments(ast.parse(code)) == [
+        (3, "item"), (4, "items"), (5, "payload"), (6, "atom"), (8, "item"),
+        (10, "payload"), (11, "items"), (12, "atom")]
