@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import sys
 import time
@@ -305,6 +306,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     started = time.monotonic()
+    # A command makes no reference cycles (tests/test_collector.py), so the
+    # cyclic collector would only rescan its short-lived documents, terms
+    # and rows; it is paused for the command and left as the caller had it.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         code = args.func(args)
     except BudgetError as exc:
@@ -313,6 +319,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (_CliError, QuantaleError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if collecting:
+            gc.enable()
     print(f"elapsed: {time.monotonic() - started:.2f}s", file=sys.stderr)
     return code
 

@@ -7,9 +7,9 @@ identity leaves and in its certificates, are read straight into states
 of the determinization, bitmasks over the point states (see
 ``DetCoalgebra``), through the state carrier's name-to-bit table
 (``Carrier.bits``).  Transition terms are read by a reader compiled
-once per model from its functor (``term_reader``), so a document is
-read with one table lookup per node and no dispatch on the functor
-syntax.  A model file is either a coalgebra
+once per model from its functor (``term_reader``): each functor
+node looks up the keys it accepts, with no dispatch on the term key or
+on the functor syntax.  A model file is either a coalgebra
 (functor, monad, states, labels, per-state transition terms) or a bare
 distance matrix with optional named distributions (used by the
 transportation example).
@@ -122,79 +122,112 @@ def term_reader(functor, monad: Monad, q: Quantale,
     ``states``, and the value is read as a state (``state_reader``).  A
     labelled tuple names exactly its product's labels.
 
-    Each functor node gets a table from term key to handler, so a term
-    document is read with one lookup per node.  The readers of a model's
-    terms share one state reader and so one name-to-bit table."""
+    Each functor node gets its own reader, which tests that the document
+    is a one-key object and looks up each key the node accepts (``const``;
+    ``id``; ``tuple``, and ``pow`` on a labelled product; ``inl`` and
+    ``inr``), so a term document is read with no dispatch on the key.
+    Every other document is refused by one function, with the message
+    naming what is wrong.  The readers of a model's terms share one state
+    reader and so one name-to-bit table."""
     return _node_reader(functor, q, state_reader(monad, states))
 
 
+#: The term node each key names, for the message refusing it where the
+#: functor has another node.
+_MISPLACED = {"const": "constant leaf", "id": "identity leaf",
+              "pow": "labelled tuple", "inl": "injection", "inr": "injection"}
+
+#: Stands for a key the document does not have; a null body is a body.
+_ABSENT = object()
+
+
 def _node_reader(functor, q: Quantale, read_state) -> Callable[[object], object]:
-    def misplaced(what):
-        def refuse(body, doc):
-            raise ModelFormatError(f"{what} where {functor!r} was expected")
-        return refuse
-
-    def tuple_mismatch(body, doc):
-        raise ModelFormatError(f"tuple arity mismatch at {doc!r}")
-
-    handlers = {"const": misplaced("constant leaf"), "id": misplaced("identity leaf"),
-                "tuple": tuple_mismatch, "pow": misplaced("labelled tuple"),
-                "inl": misplaced("injection"), "inr": misplaced("injection")}
+    """The reader of terms of one functor node: one test that the document
+    is a one-key object and one lookup per key the node accepts.  Any
+    other document is refused with ``_refusal``."""
     if isinstance(functor, ConstF):
         value_from_json = q.value_from_json
-        handlers["const"] = lambda body, doc: ConstLeaf(value_from_json(body))
+
+        def read(doc):
+            if isinstance(doc, dict) and len(doc) == 1:
+                body = doc.get("const", _ABSENT)
+                if body is not _ABSENT:
+                    return ConstLeaf(value_from_json(body))
+            raise _refusal(functor, doc)
     elif isinstance(functor, IdF):
-        handlers["id"] = lambda body, doc: IdLeaf(read_state(body))
+        def read(doc):
+            if isinstance(doc, dict) and len(doc) == 1:
+                body = doc.get("id", _ABSENT)
+                if body is not _ABSENT:
+                    return IdLeaf(read_state(body))
+            raise _refusal(functor, doc)
     elif isinstance(functor, ProdF):
         parts = [_node_reader(part, q, read_state) for part in functor.parts]
-        handlers["tuple"] = _tuple_handler(parts)
-        if functor.labels is not None:
-            handlers["pow"] = _labelled_handler(functor.labels, parts)
+        n = len(parts)
+        if functor.labels is None:
+            def read(doc):
+                if isinstance(doc, dict) and len(doc) == 1:
+                    body = doc.get("tuple")
+                    if isinstance(body, list) and len(body) == n:
+                        return Tup(tuple([read_part(item)
+                                          for read_part, item in zip(parts, body)]))
+                raise _refusal(functor, doc)
+        else:
+            labelled = tuple(zip(functor.labels, parts))
+            known = frozenset(functor.labels)
+            k = len(known)
+
+            def read(doc):
+                if isinstance(doc, dict) and len(doc) == 1:
+                    body = doc.get("pow")
+                    if isinstance(body, dict) and len(body) == k \
+                            and known.issuperset(body):
+                        return Tup(tuple([read_part(body[lab])
+                                          for lab, read_part in labelled]))
+                    body = doc.get("tuple")
+                    if isinstance(body, list) and len(body) == n:
+                        return Tup(tuple([read_part(item)
+                                          for read_part, item in zip(parts, body)]))
+                raise _refusal(functor, doc)
     elif isinstance(functor, CoprodF):
         left = _node_reader(functor.left, q, read_state)
         right = _node_reader(functor.right, q, read_state)
-        handlers["inl"] = lambda body, doc: Inl(left(body))
-        handlers["inr"] = lambda body, doc: Inr(right(body))
+
+        def read(doc):
+            if isinstance(doc, dict) and len(doc) == 1:
+                body = doc.get("inl", _ABSENT)
+                if body is not _ABSENT:
+                    return Inl(left(body))
+                body = doc.get("inr", _ABSENT)
+                if body is not _ABSENT:
+                    return Inr(right(body))
+            raise _refusal(functor, doc)
     else:
         raise TypeError(f"not a functor expression: {functor!r}")
-    handler_of = handlers.get
-
-    def read(doc):
-        if not isinstance(doc, dict) or len(doc) != 1:
-            raise ModelFormatError(f"bad term document: {doc!r}")
-        (key, body), = doc.items()
-        handler = handler_of(key)
-        if handler is None:
-            raise ModelFormatError(f"unknown term node {key!r}")
-        return handler(body, doc)
     return read
 
 
-def _tuple_handler(parts):
-    n = len(parts)
-
-    def read_tuple(body, doc):
-        if not isinstance(body, list) or len(body) != n:
-            raise ModelFormatError(f"tuple arity mismatch at {doc!r}")
-        return Tup(tuple([read(item) for read, item in zip(parts, body)]))
-    return read_tuple
-
-
-def _labelled_handler(labels, parts):
-    labelled = tuple(zip(labels, parts))
-    known = frozenset(labels)
-
-    def read_labelled(body, doc):
+def _refusal(functor, doc) -> ModelFormatError:
+    """The error refusing a term document that the reader of ``functor``
+    does not accept."""
+    if not isinstance(doc, dict) or len(doc) != 1:
+        return ModelFormatError(f"bad term document: {doc!r}")
+    (key, body), = doc.items()
+    if key == "tuple":
+        return ModelFormatError(f"tuple arity mismatch at {doc!r}")
+    if key == "pow" and isinstance(functor, ProdF) and functor.labels is not None:
         if not isinstance(body, dict):
-            raise ModelFormatError(f"a labelled tuple is an object, got {body!r}")
-        if len(body) != len(known) or not known.issuperset(body):
-            missing = [lab for lab in labels if lab not in body]
-            if missing:
-                raise ModelFormatError(f"missing labels {missing} in {doc!r}")
-            unknown = [lab for lab in body if lab not in known]
-            raise ModelFormatError(f"unknown labels {unknown} in {doc!r}")
-        return Tup(tuple([read(body[lab]) for lab, read in labelled]))
-    return read_labelled
+            return ModelFormatError(f"a labelled tuple is an object, got {body!r}")
+        labels = functor.labels
+        missing = [lab for lab in labels if lab not in body]
+        if missing:
+            return ModelFormatError(f"missing labels {missing} in {doc!r}")
+        unknown = [lab for lab in body if lab not in labels]
+        return ModelFormatError(f"unknown labels {unknown} in {doc!r}")
+    what = _MISPLACED.get(key)
+    if what is None:
+        return ModelFormatError(f"unknown term node {key!r}")
+    return ModelFormatError(f"{what} where {functor!r} was expected")
 
 
 # -- models ---------------------------------------------------------------------------

@@ -11,9 +11,10 @@ by exactly the states).  The loader must accept exactly the documents
 the oracle accepts.  Both refuse a document with named-atom constants:
 a constant node is ``{"const": "value"}`` only.
 
-``models.term_reader`` compiles a functor into per-node tables from term
-key to handler.  ``oracle_term_from_json`` is the recursive reader it
-replaced, which dispatched on the functor syntax at every node and
+``models.term_reader`` compiles a functor into one reader per node,
+which looks up only the keys that node accepts and leaves every other
+document to one refusal function.  ``oracle_term_from_json`` is the
+recursive reader it replaced, which dispatched on the functor syntax at every node and
 looked each set member up with ``Carrier.index``; the compiled reader
 must return the same terms and refuse the same documents with the same
 message.  Both refuse a labelled tuple with a label its product does

@@ -267,24 +267,6 @@ def test_every_single_entry_lowering_is_judged_like_the_reference(name, model, c
     assert lowered == len(cert.entries)
 
 
-def test_certify_bounds_each_successor_pair_once(monkeypatch):
-    import quantadist.behaviour as behaviour
-
-    model = build_exceptions(5)
-    cert = certificate_from_json(
-        exception_certificate_doc(5, (F(1, 4), F(1, 3), F(1, 2))), model)
-    reads = []
-    original = behaviour.witness_bound
-
-    def counting(cert, pair):
-        reads.append(pair)
-        return original(cert, pair)
-
-    monkeypatch.setattr(behaviour, "witness_bound", counting)
-    assert certify(cert).accepted
-    assert reads and len(reads) == len(set(reads))
-
-
 def test_certify_evaluates_each_witnessed_pair_once(monkeypatch):
     """Successor bounds are read from one table: ``witness_bound`` runs
     for the witnessed pairs only, each once, not for every successor."""
