@@ -164,31 +164,24 @@ def _node_reader(functor, q: Quantale, read_state) -> Callable[[object], object]
     elif isinstance(functor, ProdF):
         parts = [_node_reader(part, q, read_state) for part in functor.parts]
         n = len(parts)
-        if functor.labels is None:
-            def read(doc):
-                if isinstance(doc, dict) and len(doc) == 1:
-                    body = doc.get("tuple")
-                    if isinstance(body, list) and len(body) == n:
-                        return Tup(tuple([read_part(item)
-                                          for read_part, item in zip(parts, body)]))
-                raise _refusal(functor, doc)
-        else:
-            labelled = tuple(zip(functor.labels, parts))
-            known = frozenset(functor.labels)
-            k = len(known)
+        labels = functor.labels
+        labelled = None if labels is None else tuple(zip(labels, parts))
+        known = frozenset(labels or ())
+        k = len(known)
 
-            def read(doc):
-                if isinstance(doc, dict) and len(doc) == 1:
+        def read(doc):
+            if isinstance(doc, dict) and len(doc) == 1:
+                if labelled is not None:
                     body = doc.get("pow")
                     if isinstance(body, dict) and len(body) == k \
                             and known.issuperset(body):
                         return Tup(tuple([read_part(body[lab])
                                           for lab, read_part in labelled]))
-                    body = doc.get("tuple")
-                    if isinstance(body, list) and len(body) == n:
-                        return Tup(tuple([read_part(item)
-                                          for read_part, item in zip(parts, body)]))
-                raise _refusal(functor, doc)
+                body = doc.get("tuple")
+                if isinstance(body, list) and len(body) == n:
+                    return Tup(tuple([read_part(item)
+                                      for read_part, item in zip(parts, body)]))
+            raise _refusal(functor, doc)
     elif isinstance(functor, CoprodF):
         left = _node_reader(functor.left, q, read_state)
         right = _node_reader(functor.right, q, read_state)
