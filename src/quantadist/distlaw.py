@@ -459,34 +459,52 @@ def _small_subsets(items, max_size, keep: Optional[int] = None):
     return [finsubset(c) for c in islice(combos, keep)]
 
 
-def _sample_subdist(rng: random.Random, items) -> SubDist:
-    """A subdistribution on at most two of ``items``, weights in quarters."""
+def _draw_quarters(rng: random.Random, n: int):
+    """The draw of a subdistribution on at most two of ``n`` items,
+    weights in quarters: (item index, quarters) pairs, the indices
+    distinct and the quarters adding up to at most 4.  ``rng.sample``
+    picks by position, so the indices are those sampling the items
+    themselves would pick."""
     size = rng.randint(0, 2)
-    chosen = rng.sample(list(items), min(size, len(items)))
     remaining = 4
-    weights = []
-    for x in chosen:
+    draw = []
+    for i in rng.sample(range(n), min(size, n)):
         w = rng.randint(0, remaining)
         remaining -= w
-        weights.append((x, Fraction(w, 4)))
-    return subdist(weights)
+        draw.append((i, w))
+    return draw
 
 
-def _tvalues(law: DistLaw, rng: random.Random, items, count: int,
+def _subdist_of_draw(items, draw) -> SubDist:
+    return subdist([(items[i], Fraction(w, 4)) for i, w in draw])
+
+
+def _sample_subdist(rng: random.Random, items) -> SubDist:
+    """A subdistribution on at most two of ``items``, weights in quarters."""
+    return _subdist_of_draw(items, _draw_quarters(rng, len(items)))
+
+
+def _tvalues(law: DistLaw, rng: random.Random, items: Sequence, count: int,
              keep: Optional[int] = None):
     """The T-values a check runs on, at most ``keep`` of them: every
     subset of at most two items for powerset, the distinct values among
     ``count`` samples for subdistributions (all ``count`` are drawn
-    whatever is kept, so later draws do not depend on ``keep``)."""
+    whatever is kept, so later draws do not depend on ``keep``).
+
+    The items are distinct values, so two draws give the same
+    subdistribution exactly when they put the same positive weights on
+    the same indices: each draw is keyed by those, and a value is built
+    only for a new key."""
     if law.monad is POWERSET:  # enumerable; subdistributions are sampled
         return _small_subsets(items, 2, keep)
     out = []
     seen = set()
     for _ in range(count):
-        t = _sample_subdist(rng, items)
-        if t not in seen:
-            seen.add(t)
-            out.append(t)
+        draw = _draw_quarters(rng, len(items))
+        key = tuple(sorted((i, w) for i, w in draw if w))
+        if key not in seen:
+            seen.add(key)
+            out.append(_subdist_of_draw(items, draw))
     return out[:keep]
 
 

@@ -80,33 +80,40 @@ class SubDist:
 
 
 def subdist(weights) -> SubDist:
-    """Build a subdistribution from a mapping or (element, weight) pairs.
+    """Build a subdistribution from a mapping or (element, weight) pairs,
+    checked: the constructor for values that enter from outside (CLI
+    literals, sampled suite inputs).
 
-    Zero weights are dropped; repeated elements are merged; the total
-    mass must not exceed 1.  Weights that are not ``Fraction``s yet (ints,
-    rational strings) are converted.
+    Weights that are not ``Fraction``s yet (ints, rational strings) are
+    converted; none may be negative, and the total mass must not exceed 1.
+    Zero weights are dropped and repeated elements merged (``_merge``).
     """
-    if isinstance(weights, dict):
-        pairs = weights.items()
-    else:
-        pairs = weights
-    acc: Dict[str, Tuple[object, Fraction]] = {}
-    for x, w in pairs:
+    pairs = []
+    for x, w in (weights.items() if isinstance(weights, dict) else weights):
         if not isinstance(w, Fraction):
             w = Fraction(w)
         if w < 0:
             raise ValueError(f"negative weight {w} for {x!r}")
-        if w == 0:
-            continue
-        key = canon_key(x)
-        if key in acc:
-            acc[key] = (acc[key][0], acc[key][1] + w)
-        else:
-            acc[key] = (x, w)
-    total = sum((w for _x, w in acc.values()), Fraction(0))
+        pairs.append((x, w))
+    total = sum((w for _x, w in pairs), Fraction(0))
     if total > 1:
         raise ValueError(f"subdistribution mass {total} exceeds 1")
-    return SubDist(tuple(acc[k] for k in sorted(acc)))
+    return _merge(pairs)
+
+
+def _merge(pairs) -> SubDist:
+    """The subdistribution of (element, weight) pairs whose weights are
+    already known to be non-negative ``Fraction``s of mass at most 1:
+    zero weights are dropped (a certificate witness may give a part
+    weight 0) and the weights of repeated elements added up."""
+    acc: Dict[str, Tuple[object, Fraction]] = {}
+    for x, w in pairs:
+        if not w:
+            continue
+        key = canon_key(x)
+        old = acc.get(key)
+        acc[key] = (x, w) if old is None else (old[0], old[1] + w)
+    return SubDist(tuple([acc[k] for k in sorted(acc)]))
 
 
 def set_members_from_json(doc) -> List[str]:
@@ -181,7 +188,10 @@ def subdist_of_rows(rows: Iterable[Row]) -> SubDist:
 # are merged only when ``pack`` or ``flatten`` builds a canonical value,
 # which is exact because union and the meet are idempotent and the
 # expectation and the merge of a subdistribution are linear in unmerged
-# weights.
+# weights.  A subdistribution's weights are checked once, where its value
+# enters (``subdist`` for CLI literals and sampled values, ``dist_rows``
+# for documents, ``certificate_from_json`` for witnesses), so ``map``,
+# ``pack`` and ``flatten`` merge with ``_merge`` and check nothing.
 
 
 class Monad:
@@ -260,26 +270,33 @@ class _SubDist(Monad):
         return dirac(x)
 
     def map(self, fn, t):
-        return subdist((fn(x), w) for x, w in t.items())
+        return _merge([(fn(x), w) for x, w in t.weights])
 
     def weighted(self, t):
         return t.weights
 
     def pack(self, pairs):
-        return subdist(pairs)
+        return _merge(pairs)
 
     def flatten(self, pairs):
-        return subdist((x, w * v) for inner, w in pairs for x, v in inner.weights)
+        return _merge([(x, w * v) for inner, w in pairs for x, v in inner.weights])
 
     def ev_weighted(self, pairs, q):
+        # One integer numerator and denominator, normalized once at the
+        # end, rather than a Fraction (and its gcd) per term.
         if q.ident == "boolean":
             raise QuantaleError("expectation is not defined over the boolean quantale")
-        total = Fraction(0)
+        num, den = 0, 1
         for v, w in pairs:
             if v is INF:
                 return INF
-            total += w * v
-        return total
+            n = w.numerator * v.numerator
+            d = w.denominator * v.denominator
+            if d == den:
+                num += n
+            else:
+                num, den = num * d + n * den, den * d
+        return Fraction(num, den)
 
     def to_json(self, t):
         return {"dist": {x if isinstance(x, str) else canon_key(x): str(w)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -280,7 +281,7 @@ def oracle_zeta_nonexpansive_machine_lp(law, rng):
     grid = [F(i, 4) for i in range(5)]
     for _ in range(6):
         d = VGraph(q, c, [[rng.choice(grid) for _ in c.elements] for _ in c.elements])
-        dists = [t for t in (distlaw._sample_subdist(rng, f_terms) for _ in range(24))
+        dists = [t for t in (oracle_sample_subdist(rng, f_terms) for _ in range(24))
                  if t.mass() == 1][:6]
         for mu in dists:
             for nu in dists:
@@ -461,3 +462,73 @@ def test_exchange_identity_applies_zeta_once_per_input(monkeypatch):
             # calls for 79 inputs on exception-powerset before).
             assert len(build_lambda(law.functor)) > 1
             assert seen["calls"] == seen["inputs"], name
+
+
+# -- sampled T-values against the build-then-dedupe loop ------------------------------
+#
+# The suite draws each subdistribution as (index, quarters) pairs and
+# builds a value only for a draw it has not kept yet.  The oracle builds
+# every sampled value from the items themselves and dedupes the values.
+
+def oracle_sample_subdist(rng, items):
+    size = rng.randint(0, 2)
+    chosen = rng.sample(list(items), min(size, len(items)))
+    remaining = 4
+    weights = []
+    for x in chosen:
+        w = rng.randint(0, remaining)
+        remaining -= w
+        weights.append((x, F(w, 4)))
+    return subdist(weights)
+
+
+def oracle_tvalues(law, rng, items, count, keep=None):
+    if law.monad is POWERSET:
+        return distlaw._small_subsets(items, 2, keep)
+    out = []
+    seen = set()
+    for _ in range(count):
+        t = oracle_sample_subdist(rng, items)
+        if t not in seen:
+            seen.add(t)
+            out.append(t)
+    return out[:keep]
+
+
+@pytest.mark.parametrize("name", sorted(case_study_laws()))
+def test_tvalues_match_the_build_then_dedupe_oracle(monkeypatch, name):
+    """On every item list the suite samples from, at each benchmark seed,
+    ``_tvalues`` and ``_sample_subdist`` return what the oracles return,
+    in the same order, and leave the generator where they leave it."""
+    law = case_study_laws()[name]
+    tvalues, sample_subdist = distlaw._tvalues, distlaw._sample_subdist
+    calls = []                # (state before, state after, value, oracle)
+    sizes = []                # (drawn, kept) per _tvalues call
+
+    def recorded_tvalues(law, rng, items, count, keep=None):
+        before = rng.getstate()
+        got = tvalues(law, rng, items, count, keep)
+        calls.append((before, rng.getstate(), got,
+                      lambda rng: oracle_tvalues(law, rng, items, count, keep)))
+        sizes.append((count, len(got)))
+        return got
+
+    def recorded_sample_subdist(rng, items):
+        before = rng.getstate()
+        got = sample_subdist(rng, items)
+        calls.append((before, rng.getstate(), got,
+                      lambda rng: oracle_sample_subdist(rng, items)))
+        return got
+
+    monkeypatch.setattr(distlaw, "_tvalues", recorded_tvalues)
+    monkeypatch.setattr(distlaw, "_sample_subdist", recorded_sample_subdist)
+    for seed in (7919 * k for k in range(4)):
+        assert all(r.passed for r in law_suite(law, seed)), seed
+    for before, after, got, oracle in calls:
+        rng = random.Random()
+        rng.setstate(before)
+        assert oracle(rng) == got
+        assert rng.getstate() == after
+    # The subdistribution suites sample duplicates, which the key drops.
+    if law.monad is SUBDIST:
+        assert sum(k for _d, k in sizes) < sum(d for d, _k in sizes)

@@ -685,6 +685,19 @@ def test_cli_certificate_witness_weights_form_a_subdistribution(tmp_path, parts)
     assert "are not non-negative with sum at most 1" in err
 
 
+def test_cli_certificate_witness_part_of_weight_zero_is_accepted(tmp_path):
+    """A witness part of weight 0 adds nothing to either marginal: the
+    multiplication drops it, so the witness still flattens to its pair."""
+    doc = load_fixture("probchain_cert.json")
+    doc["witnesses"][0]["parts"].append(
+        {"lhs": {"dist": {"y": "1"}}, "rhs": {"dist": {"x": "1"}}, "weight": "0"})
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(doc))
+    code, out, _err = run_cli("certify", "--model", fixture_path("probchain.json"),
+                              "--cert", str(cert))
+    assert (code, out.splitlines()[0]) == (0, "accepted (4 support pairs verified)")
+
+
 def test_witness_marginal_mismatch_is_malformed():
     """A witness whose parts do not flatten to its pair is refused where
     it is read, on either side and on either monad, naming the pair."""

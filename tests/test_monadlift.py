@@ -11,7 +11,7 @@ from quantadist.galois import Grid, gamma_enum
 from quantadist.monadlift import (POWERSET, SUBDIST, dirac, finsubset,
                                   hausdorff_directed, kantorovich_lp, pricing_lp,
                                   subdist)
-from quantadist.quantale import BOOLEAN, EXT_PLUS, INF, UNIT_OPLUS
+from quantadist.quantale import BOOLEAN, EXT_PLUS, INF, UNIT_OPLUS, QuantaleError
 from quantadist.simplex import simplex_solve
 from quantadist.vgraph import VGraph, carrier, graph_from_entries, is_vcat, metric_closure
 
@@ -71,6 +71,39 @@ def test_ev_monad_examples():
     assert SUBDIST.ev(dirac(F(3, 4)), UNIT_OPLUS) == F(3, 4)
     assert SUBDIST.ev(subdist({INF: F(1, 2), F(0): F(1, 2)}), EXT_PLUS) is INF
     assert POWERSET.ev(finsubset([True, False]), BOOLEAN) is False
+
+
+def _expectation_oracle(pairs):
+    if any(v is INF for v, _w in pairs):
+        return INF
+    return sum((w * v for v, w in pairs), F(0))
+
+
+@pytest.mark.parametrize("q", [UNIT_OPLUS, EXT_PLUS], ids=lambda q: q.ident)
+def test_ev_weighted_matches_a_fraction_sum(q):
+    """The expectation, summed in integers, is the Fraction sum of the
+    weighted values: INF wins, int values count as they are, the empty
+    list gives 0, and the result is a Fraction."""
+    rng = random.Random(35)
+
+    def value():
+        if q is EXT_PLUS and rng.random() < 0.1:
+            return INF
+        if rng.random() < 0.3:
+            return rng.randint(0, 1 if q is UNIT_OPLUS else 5)
+        den = rng.randint(1, 12)
+        return F(rng.randint(0, den if q is UNIT_OPLUS else 3 * den), den)
+
+    lists = [[]] + [[(value(), F(rng.randint(1, 5), rng.choice((1, 2, 3, 4, 6, 8, 30))))
+                     for _ in range(rng.randint(1, 6))] for _ in range(400)]
+    assert any(v is INF for pairs in lists for v, _w in pairs) == (q is EXT_PLUS)
+    assert any(type(v) is int for pairs in lists for v, _w in pairs)
+    for pairs in lists:
+        got = SUBDIST.ev_weighted(pairs, q)
+        want = _expectation_oracle(pairs)
+        assert got == want and type(got) is type(want), pairs
+    with pytest.raises(QuantaleError):
+        SUBDIST.ev_weighted([(True, F(1))], BOOLEAN)
 
 
 # -- directed Hausdorff ---------------------------------------------------------

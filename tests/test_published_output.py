@@ -42,7 +42,7 @@ def _commands():
     out.extend(certify)
     out.extend(["laws", "--scope", scope]
                for scope in ("polyfunctor", "galois", "quantale"))
-    for seed in ("0", "7919"):
+    for seed in ("0", "7919", "15838", "23757"):
         out.append(["laws", "--scope", "distlaw", "--seed", seed])
         out.append(["laws", "--scope", "distlaw", "--seed", seed, "--mutant-g"])
     return [argv + ["--json"] for argv in out] + certify
