@@ -6,6 +6,13 @@ directed Hausdorff), certificate checking, the law suites, and the
 bundled reproductions.  Exit codes: 0 success/accepted, 1
 rejected/mismatch/law failure, 2 usage or parse error, 3 budget
 refusal.  JSON reports are deterministic (sorted keys, no timing).
+
+``main`` hands the arguments after a command name to that command's own
+parser, so argparse reads them once; only an argument vector that names
+no command goes to the top-level parser.  ``--json`` reports are written
+by ``_json_text``, the bytes of ``json.dumps(report, sort_keys=True,
+indent=2)`` without the reference cycle that the standard library's
+indented encoder leaves on every call.
 """
 
 from __future__ import annotations
@@ -13,10 +20,10 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
-import json
 import sys
 import time
-from typing import List, Optional
+from json.encoder import encode_basestring_ascii as _quote
+from typing import Dict, List, Optional, Tuple
 
 from .behaviour import (MAX_DIGITS, CoalgebraModel, certify, overlong_part, pair_gfp,
                         trace_lower_bound)
@@ -116,9 +123,41 @@ def _printable(value, budget: str):
     return value
 
 
+def _json_text(value, indent: str = "\n") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)`` for a value built of
+    dicts with str keys, lists, str, int, bool and None; any other type
+    raises ``TypeError``.  ``indent`` is the line break and indentation
+    that close ``value``'s own brackets.  It makes no reference cycle,
+    where the standard library's encoder falls back to pure-Python
+    closures that refer to each other whenever ``indent`` is set."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f"{_quote(key)}: {_json_text(value[key], inner)}" for key in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        items = [_json_text(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _emit(report: dict, as_json: bool, lines: List[str]):
+    """Print ``report`` as JSON (``_json_text``), or else ``lines``."""
     if as_json:
-        print(json.dumps(report, sort_keys=True, indent=2))
+        print(_json_text(report))
     else:
         for line in lines:
             print(line)
@@ -246,7 +285,8 @@ def _cmd_repro(args) -> int:
     return EXIT_OK if result.matches else EXIT_MISMATCH
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and each command's own parser by its name."""
     parser = argparse.ArgumentParser(
         prog="quantadist",
         description="Exact quantale-valued behavioural distances and "
@@ -290,19 +330,25 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("example", choices=sorted(REPRODUCTIONS))
     rep.add_argument("--json", action="store_true")
     rep.set_defaults(func=_cmd_repro)
-    return parser
+    return parser, sub.choices
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser of this process, built on the first call of ``main``
-    (parsing keeps no state in it)."""
+def _parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]]:
+    """The parsers of this process, built on the first call of ``main``
+    (parsing keeps no state in them)."""
     return build_parser()
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    top, commands = _parser()
+    # A command's own parser reads the rest of the line, as the top-level
+    # parser would hand it on; only a line that names no command (empty,
+    # -h, an unknown name, --) is parsed from the top.
+    own = commands.get(argv[0]) if argv else None
     try:
-        args = _parser().parse_args(argv)
+        args = top.parse_args(argv) if own is None else own.parse_args(argv[1:])
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     started = time.monotonic()

@@ -47,7 +47,8 @@ def finsubset(members: Iterable[object]) -> FinSubset:
     seen = {}
     for m in members:
         seen[canon_key(m)] = m
-    return FinSubset(tuple(seen[k] for k in sorted(seen)))
+    # From a list: a generator would build a 10-slot tuple and shrink it.
+    return FinSubset(tuple([seen[k] for k in sorted(seen)]))
 
 
 @dataclass(frozen=True)
@@ -436,7 +437,7 @@ def kantorovich_lp(d: VGraph, p: SubDist, q_dist: SubDist):
     supply = [(index(x), w) for x, w in p.items()]
     demand = [(index(y), w) for y, w in q_dist.items()]
     _check_transport(d, p, q_dist)
-    mass_scale = lcm(*(w.denominator for _i, w in supply + demand))
+    mass_scale = lcm(*[w.denominator for _i, w in supply + demand])  # a list, as in finsubset
     net: Dict[int, int] = {}
     for i, w in supply:
         net[i] = w.numerator * (mass_scale // w.denominator)

@@ -263,8 +263,8 @@ class UnitIntervalQuantale(_ReversedNumericQuantale):
         return s if s <= 1 else ONE
 
     def residuate(self, a, b):
-        d = b - a
-        return d if d > 0 else ZERO
+        # Truncated subtraction: ZERO itself where b <= a, no Fraction built.
+        return b - a if a < b else ZERO
 
 
 class ExtendedRealsQuantale(_ReversedNumericQuantale):
@@ -308,8 +308,7 @@ class ExtendedRealsQuantale(_ReversedNumericQuantale):
             return ZERO
         if b is INF:
             return INF
-        d = b - a
-        return d if d > 0 else ZERO
+        return b - a if a < b else ZERO
 
 
 BOOLEAN = BooleanQuantale()

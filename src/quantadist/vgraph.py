@@ -180,7 +180,8 @@ def scaled_closure(d: VGraph) -> Tuple[List[List[Optional[int]]], int]:
         scale = 1
         m = [[0 if v else None for v in row] for row in d.dist]
     else:
-        scale = lcm(*(v.denominator for row in d.dist for v in row if v is not INF))
+        # A list, not a generator, which would build a tuple and shrink it.
+        scale = lcm(*[v.denominator for row in d.dist for v in row if v is not INF])
         m = [[None if v is INF else v.numerator * (scale // v.denominator) for v in row]
              for row in d.dist]
     for i, row in enumerate(m):

@@ -3,6 +3,7 @@ import copy
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -21,7 +22,7 @@ from quantadist.distlaw import case_study_laws, law_suite
 from quantadist.galois import Grid, grid_values
 from quantadist.models import fixture_certificate, fixture_model, load_fixture
 from quantadist.monadlift import finsubset, weight_from_json
-from quantadist.quantale import (BOOLEAN, EXT_PLUS, INF, UNIT_OPLUS, QuantaleError,
+from quantadist.quantale import (BOOLEAN, EXT_PLUS, INF, UNIT_OPLUS, ZERO, QuantaleError,
                                  get_quantale, parse_rational)
 from quantadist.repro import REPRODUCTIONS
 from quantadist.suites import polyfunctor_suite, residuation_lemma_suite
@@ -151,15 +152,43 @@ def _same(x, y):
     return x is y or (type(x) is type(y) and x == y)
 
 
+def _random_pairs(q, count=600, seed=37):
+    """Random canonical operand pairs of a real-valued quantale: small and
+    large denominators, ``INF`` on ext-plus, and one pair in five equal
+    (the same object, or another ``Fraction`` of the same value)."""
+    rng = random.Random(seed)
+
+    def value():
+        if q is EXT_PLUS and rng.random() < 0.1:
+            return INF
+        den = rng.choice((1, 2, 3, 7, 10**6 + 3, 2**61 - 1))
+        return F(rng.randint(0, den * (1 if q is UNIT_OPLUS else rng.choice((1, 9, 10**9)))),
+                 den)
+
+    pairs = []
+    for _ in range(count):
+        a = value()
+        if rng.random() < 0.2:
+            pairs.append((a, a if a is INF or rng.random() < 0.5
+                          else F(a.numerator, a.denominator)))
+        else:
+            pairs.append((a, value()))
+    return pairs
+
+
 @pytest.mark.parametrize("q", list(GRIDS), ids=lambda q: q.ident)
 def test_trusted_operations_match_validating_oracle(q):
     vals = GRIDS[q]
-    for a, b in product(vals, repeat=2):
+    pairs = list(product(vals, repeat=2)) + ([] if q is BOOLEAN else _random_pairs(q))
+    for a, b in pairs:
         for op in OPS:
             got = getattr(q, op)(a, b)
             assert _same(got, _oracle(q, op, a, b)), (op, a, b)
             if op != "leq":
                 assert _same(q.validate(got), got), (op, a, b)
+        if q is not BOOLEAN and (a is INF or (b is not INF and a >= b)):
+            # residuate(a, b) = max(b - a, 0) is the shared ZERO where a >= b.
+            assert q.residuate(a, b) is ZERO, (a, b)
     for a, b, c in product(vals, repeat=3):
         for inner in VALUE_OPS:
             ab = getattr(q, inner)(a, b)

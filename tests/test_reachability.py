@@ -28,7 +28,7 @@ DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 #: Unreached names kept on purpose, with the reason.
 EXEMPT = {
     ("models", "certificate_to_json"):
-        "the certificate writer that `prove` (ROADMAP item 2) will emit through",
+        "the certificate writer that `prove` (ROADMAP item 1) will emit through",
 }
 
 
