@@ -7,9 +7,12 @@ bundled reproductions.  Exit codes: 0 success/accepted, 1
 rejected/mismatch/law failure, 2 usage or parse error, 3 budget
 refusal.  JSON reports are deterministic (sorted keys, no timing).
 
-``main`` hands the arguments after a command name to that command's own
-parser, so argparse reads them once; only an argument vector that names
-no command goes to the top-level parser.  ``--json`` reports are written
+``main`` reads a well-formed line after a command name in one pass
+(``_read``), into the namespace that command's argparse parser would
+build from the same ``add_argument`` actions.  argparse prints help and
+errors only: any other line after a command name goes to that
+command's own parser, and only an argument vector that names no command
+goes to the top-level parser.  ``--json`` reports are written
 by ``_json_text``, the bytes of ``json.dumps(report, sort_keys=True,
 indent=2)`` without the reference cycle that the standard library's
 indented encoder leaves on every call.
@@ -285,72 +288,140 @@ def _cmd_repro(args) -> int:
     return EXIT_OK if result.matches else EXIT_MISMATCH
 
 
-def build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]]:
-    """The top-level parser, and each command's own parser by its name."""
+def build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser],
+                            Dict[str, List[argparse.Action]]]:
+    """The top-level parser, each command's own parser by its name, and
+    the actions that command's ``add_argument`` calls returned."""
     parser = argparse.ArgumentParser(
         prog="quantadist",
         description="Exact quantale-valued behavioural distances and "
                     "up-to certificate checking.")
     sub = parser.add_subparsers(dest="command", required=True)
+    actions = {}
 
     dist = sub.add_parser("distance", help="compute a distance or bound")
-    dist.add_argument("--model", required=True)
-    dist.add_argument("--pair", required=True,
-                      help="'lhs|rhs'; sets as {x0,y0}, distributions as "
-                           "x:1/2,y:1/2, or names from the model file")
-    dist.add_argument("--method", required=True,
-                      choices=["kleene", "trace", "lp", "hausdorff"])
-    dist.add_argument("--max-words", type=_count, default=10,
-                      help="trace: the bound after this many Kleene iterates, "
-                           "which reads words of length strictly below it")
-    dist.add_argument("--max-iters", type=_count, default=1000)
-    dist.add_argument("--max-states", type=_count, default=10_000,
-                      help="kleene and trace: refuse (exit 3) beyond this "
-                           "many determinized states")
-    dist.add_argument("--json", action="store_true")
+    actions["distance"] = [
+        dist.add_argument("--model", required=True),
+        dist.add_argument("--pair", required=True,
+                          help="'lhs|rhs'; sets as {x0,y0}, distributions as "
+                               "x:1/2,y:1/2, or names from the model file"),
+        dist.add_argument("--method", required=True,
+                          choices=["kleene", "trace", "lp", "hausdorff"]),
+        dist.add_argument("--max-words", type=_count, default=10,
+                          help="trace: the bound after this many Kleene iterates, "
+                               "which reads words of length strictly below it"),
+        dist.add_argument("--max-iters", type=_count, default=1000),
+        dist.add_argument("--max-states", type=_count, default=10_000,
+                          help="kleene and trace: refuse (exit 3) beyond this "
+                               "many determinized states"),
+        dist.add_argument("--json", action="store_true")]
     dist.set_defaults(func=_cmd_distance)
 
     cert = sub.add_parser("certify", help="check an up-to certificate")
-    cert.add_argument("--model", required=True)
-    cert.add_argument("--cert", required=True)
-    cert.add_argument("--json", action="store_true")
+    actions["certify"] = [
+        cert.add_argument("--model", required=True),
+        cert.add_argument("--cert", required=True),
+        cert.add_argument("--json", action="store_true")]
     cert.set_defaults(func=_cmd_certify)
 
     laws = sub.add_parser("laws", help="run a property suite")
-    laws.add_argument("--scope", required=True,
-                      choices=["quantale", "galois", "polyfunctor", "distlaw"])
-    laws.add_argument("--grid", type=int, help="quantale: grid resolution (default 8)")
-    laws.add_argument("--seed", type=int, help="distlaw: random seed (default 0)")
-    laws.add_argument("--mutant-g", action="store_true", default=None,
-                      help="distlaw: inject the no-priority mutant prioritizer")
-    laws.add_argument("--json", action="store_true")
+    actions["laws"] = [
+        laws.add_argument("--scope", required=True,
+                          choices=["quantale", "galois", "polyfunctor", "distlaw"]),
+        laws.add_argument("--grid", type=int, help="quantale: grid resolution (default 8)"),
+        laws.add_argument("--seed", type=int, help="distlaw: random seed (default 0)"),
+        laws.add_argument("--mutant-g", action="store_true", default=None,
+                          help="distlaw: inject the no-priority mutant prioritizer"),
+        laws.add_argument("--json", action="store_true")]
     laws.set_defaults(func=_cmd_laws)
 
     rep = sub.add_parser("repro", help="recompute a bundled example")
-    rep.add_argument("example", choices=sorted(REPRODUCTIONS))
-    rep.add_argument("--json", action="store_true")
+    actions["repro"] = [
+        rep.add_argument("example", choices=sorted(REPRODUCTIONS)),
+        rep.add_argument("--json", action="store_true")]
     rep.set_defaults(func=_cmd_repro)
-    return parser, sub.choices
+    return parser, sub.choices, actions
 
 
 @functools.cache
-def _parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]]:
-    """The parsers of this process, built on the first call of ``main``
-    (parsing keeps no state in them)."""
-    return build_parser()
+def _parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser],
+                       Dict[str, tuple]]:
+    """The parsers of this process and each command's ``_read`` table,
+    built on the first call of ``main`` (parsing keeps no state in
+    them).  A table holds the command's options by exact name, its
+    positionals in order, the actions it requires, and the namespace of
+    a line that gives none of them (each action's default, and
+    ``func``)."""
+    top, commands, actions = build_parser()
+    tables = {}
+    for name, own in commands.items():
+        acts = actions[name]
+        # No default is a string, which argparse would convert by ``type``.
+        defaults = {a.dest: a.default for a in acts}
+        defaults["func"] = own.get_default("func")
+        tables[name] = ({option: a for a in acts for option in a.option_strings},
+                        [a for a in acts if not a.option_strings],
+                        [a for a in acts if a.required], defaults)
+    return top, commands, tables
+
+
+def _read(table: tuple, args: List[str]) -> Optional[argparse.Namespace]:
+    """The namespace a command's own parser builds from ``args`` when the
+    line is well formed: exact option names, each given once, a value
+    after each option that is not a flag, and the command's positionals,
+    where no value starts with '-' and each converts by its ``type`` into
+    its ``choices``.  Any other line (help, an abbreviation,
+    ``--opt=value``, ``--``, a missing or stray argument, a bad value)
+    gives None, for argparse to read and report."""
+    options, positionals, required, defaults = table
+    values = dict(defaults)
+    seen = set()
+    waiting = iter(positionals)
+    tokens = iter(args)
+    for token in tokens:
+        if token.startswith("-"):
+            action = options.get(token)
+            if action is None or action in seen:
+                return None
+            seen.add(action)
+            if action.nargs == 0:
+                values[action.dest] = action.const
+                continue
+            token = next(tokens, "-")  # a missing value is refused as '-'
+            if token.startswith("-"):
+                return None
+        else:
+            action = next(waiting, None)
+            if action is None:
+                return None
+            seen.add(action)
+        try:
+            value = token if action.type is None else action.type(token)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    if not seen.issuperset(required):
+        return None
+    return argparse.Namespace(**values)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    top, commands = _parser()
-    # A command's own parser reads the rest of the line, as the top-level
-    # parser would hand it on; only a line that names no command (empty,
-    # -h, an unknown name, --) is parsed from the top.
-    own = commands.get(argv[0]) if argv else None
-    try:
-        args = top.parse_args(argv) if own is None else own.parse_args(argv[1:])
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    top, commands, tables = _parser()
+    # ``_read`` reads a well-formed line after a command name.  Any other
+    # line goes to that command's own parser, as the top-level parser
+    # would hand it on, or, if it names no command (empty, -h, an unknown
+    # name, --), to the top-level parser: argparse prints help and errors.
+    name = argv[0] if argv else None
+    args = _read(tables[name], argv[1:]) if name in tables else None
+    if args is None:
+        own = commands.get(name)
+        try:
+            args = top.parse_args(argv) if own is None else own.parse_args(argv[1:])
+        except SystemExit as exc:
+            return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     started = time.monotonic()
     # A command makes no reference cycles (tests/test_collector.py), so the
     # cyclic collector would only rescan its short-lived documents, terms

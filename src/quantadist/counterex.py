@@ -49,7 +49,7 @@ def _lift(d: VGraph, left, right):
 
 def inner_graph(d: VGraph, values: Sequence) -> VGraph:
     """The lifting of ``d`` on monad values, over their canonical keys."""
-    keys = Carrier(tuple(canon_key(v) for v in values))
+    keys = Carrier(tuple([canon_key(v) for v in values]))  # a list, as in finsubset
     return VGraph(d.quantale, keys, [[_lift(d, s, t) for t in values] for s in values])
 
 

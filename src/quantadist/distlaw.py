@@ -629,7 +629,7 @@ def _sampled_combos(rng, vals, width, count):
     seen = set()
     out = []
     for _ in range(count):
-        combo = tuple(rng.choice(vals) for _ in range(width))
+        combo = tuple([rng.choice(vals) for _ in range(width)])  # a list, as in finsubset
         if combo not in seen:
             seen.add(combo)
             out.append(combo)
@@ -650,10 +650,10 @@ def _exchange_identity(law: DistLaw, rng: random.Random) -> CheckResult:
     images = [apply_zeta(law, t) for t in inputs]
 
     def via_zeta_vector(ev):
-        return tuple(canon_key(eval_map(q, StarEval(ev, ev_t), z)) for z in images)
+        return tuple([canon_key(eval_map(q, StarEval(ev, ev_t), z)) for z in images])
 
     def direct_vector(ev):
-        return tuple(canon_key(eval_map(q, StarEval(ev_t, ev), t)) for t in inputs)
+        return tuple([canon_key(eval_map(q, StarEval(ev_t, ev), t)) for t in inputs])
 
     lhs = sorted(via_zeta_vector(ev) for ev in lam_f)
     rhs = sorted(direct_vector(ev) for ev in lam_f)

@@ -310,7 +310,7 @@ def polynomial_distance(q: Quantale, functor: FunctorExpr, leaf_dist, s, t):
 def _term_carrier(terms: Sequence[object]) -> Carrier:
     """The terms named by their canonical keys; ``Carrier`` refuses a
     repeated term."""
-    return Carrier(tuple(canon_key(t) for t in terms))
+    return Carrier(tuple([canon_key(t) for t in terms]))  # a list, as in finsubset
 
 
 def lift_closed(functor: FunctorExpr, d: VGraph, terms: Sequence[object]) -> VGraph:

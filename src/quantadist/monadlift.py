@@ -428,6 +428,10 @@ def kantorovich_lp(d: VGraph, p: SubDist, q_dist: SubDist):
     The costs are read off the integer closure of ``scaled_closure``,
     and the masses are scaled to integers too, so the flow computation
     runs on plain ints; the answer is one ``Fraction`` over both scales.
+    The masses are equal exactly when the scaled net masses sum to 0, so
+    that integer sum is the mass check; ``_check_transport`` (the
+    quantale, then the masses, as in ``pricing_lp``) runs only to word a
+    refusal, after the carrier check of reading the supports.
     An infinite entry is priced above every plan that avoids such
     entries: the largest finite cost times the units shipped, plus one.
     So the optimum ships over one only when every plan must, and then
@@ -436,13 +440,14 @@ def kantorovich_lp(d: VGraph, p: SubDist, q_dist: SubDist):
     index = d.carrier.index
     supply = [(index(x), w) for x, w in p.items()]
     demand = [(index(y), w) for y, w in q_dist.items()]
-    _check_transport(d, p, q_dist)
     mass_scale = lcm(*[w.denominator for _i, w in supply + demand])  # a list, as in finsubset
     net: Dict[int, int] = {}
     for i, w in supply:
         net[i] = w.numerator * (mass_scale // w.denominator)
     for j, w in demand:
         net[j] = net.get(j, 0) - w.numerator * (mass_scale // w.denominator)
+    if sum(net.values()) or d.quantale.ident == "boolean":
+        _check_transport(d, p, q_dist)  # words the refusal, as pricing_lp's
     sources = [i for i, v in net.items() if v > 0]
     if not sources:
         return Fraction(0)

@@ -244,8 +244,11 @@ class UnitIntervalQuantale(_ReversedNumericQuantale):
     bottom = ONE
 
     def validate(self, v):
+        """``v`` as a ``Fraction``, if it lies in [0, 1]: checked on its
+        numerator and (positive) denominator, with no ``Fraction``
+        comparison."""
         f = as_fraction(v)
-        if not (0 <= f <= 1):
+        if f.numerator < 0 or f.numerator > f.denominator:
             raise QuantaleError(f"unit-oplus value out of [0,1]: {f}")
         return f
 
@@ -272,10 +275,12 @@ class ExtendedRealsQuantale(_ReversedNumericQuantale):
     bottom = INF
 
     def validate(self, v):
+        """``v`` as ``INF`` or a ``Fraction``, if not negative: checked on
+        its numerator, with no ``Fraction`` comparison."""
         if v is INF:
             return INF
         f = as_fraction(v)
-        if f < 0:
+        if f.numerator < 0:
             raise QuantaleError(f"ext-plus value is negative: {f}")
         return f
 

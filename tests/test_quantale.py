@@ -72,6 +72,24 @@ def test_mixed_operands_rejected():
         EXT_PLUS.validate(F(-1))
 
 
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.integers(-10**30, 10**30) | st.sampled_from([-1, 0, 1, 2]),
+       st.integers(1, 10**30) | st.sampled_from([1, 2, 3]), st.booleans())
+def test_real_validate_checks_range_as_fraction_comparison_does(num, den, plain):
+    """``validate`` checks the range on the numerator and denominator; the
+    oracle compares the ``Fraction`` itself, and an int is read as one."""
+    v = num if plain else F(num, den)
+    f = F(v)
+    for q, inside, message in ((UNIT_OPLUS, 0 <= f <= 1, f"unit-oplus value out of [0,1]: {f}"),
+                               (EXT_PLUS, f >= 0, f"ext-plus value is negative: {f}")):
+        if inside:
+            got = q.validate(v)
+            assert type(got) is F and got == f
+        else:
+            with pytest.raises(QuantaleError, match=re.escape(message) + "$"):
+                q.validate(v)
+
+
 def test_order_is_reversed_on_reals():
     assert UNIT_OPLUS.leq(F(1), F(0))
     assert not UNIT_OPLUS.leq(F(0), F(1))

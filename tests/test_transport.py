@@ -14,6 +14,7 @@ also equal the ext-plus answer on its image in {0, inf}, read back.
 
 import json
 import random
+import re
 from fractions import Fraction as F
 from math import lcm
 
@@ -333,6 +334,13 @@ def test_lp_checks_in_order():
         kantorovich_lp(d, dirac("x"), half)
     with pytest.raises(ValueError, match="mass mismatch"):
         kantorovich_lp(VGraph(UNIT_OPLUS, c, [[F(0)] * 2] * 2), dirac("x"), half)
+    # The masses are compared exactly: a mismatch of 1/10^30 is one.
+    tiny = F(1, 10**30)
+    almost = subdist({"x": F(1, 3), "y": F(2, 3) - tiny})
+    with pytest.raises(ValueError, match=re.escape(f"mass mismatch: 1 vs {1 - tiny}")):
+        kantorovich_lp(VGraph(EXT_PLUS, c, [[F(0)] * 2] * 2), dirac("y"), almost)
+    assert kantorovich_lp(VGraph(EXT_PLUS, c, [[F(0), F(1)], [F(1), F(0)]]), dirac("y"),
+                          subdist({"x": F(1, 3) + tiny, "y": F(2, 3) - tiny})) == F(1, 3) + tiny
 
 
 # -- kantorovich_lp against networkx ---------------------------------------------

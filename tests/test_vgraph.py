@@ -236,16 +236,37 @@ def test_vgraph_document_converts_each_weight_once(monkeypatch):
     assert type(whole.weights[0][1]) is Counted and type(half.weights[0][1]) is Counted
 
 
-@pytest.mark.parametrize("entry,message", [
-    ("-3", "ext-plus value is negative: -3"),
-    ([3], "expected rational string, got [3]"),
-    (True, "expected rational string, got boolean True"),
+@pytest.mark.parametrize("quantale,entry,message", [
+    pytest.param("ext-plus", "-3", "ext-plus value is negative: -3",
+                 id="-3-ext-plus value is negative: -3"),
+    pytest.param("ext-plus", [3], "expected rational string, got [3]",
+                 id="entry1-expected rational string, got [3]"),
+    pytest.param("ext-plus", True, "expected rational string, got boolean True",
+                 id="True-expected rational string, got boolean True"),
+    ("ext-plus", "-1/10000000000000000000000000000001",
+     "ext-plus value is negative: -1/10000000000000000000000000000001"),
+    ("ext-plus", "0/7", None),
+    ("unit-oplus", "3/2", "unit-oplus value out of [0,1]: 3/2"),
+    ("unit-oplus", "-1/2", "unit-oplus value out of [0,1]: -1/2"),
+    ("unit-oplus", "10000000000000000000000000000001/10000000000000000000000000000000",
+     "unit-oplus value out of [0,1]: 10000000000000000000000000000001/"
+     "10000000000000000000000000000000"),
+    ("unit-oplus", "1", None),
+    ("unit-oplus", "4/4", None),
 ])
-def test_vgraph_document_entry_errors(entry, message):
+def test_vgraph_document_entry_errors(quantale, entry, message):
+    """An entry out of the quantale's range is refused with the range in
+    the message, and one at its edge is read; the other entries of the
+    fixture lie in both ranges once divided by 10."""
     doc = load_fixture("transport.json")
+    doc["quantale"] = quantale
+    doc["dist"] = [[f"{v}/10" for v in row] for row in doc["dist"]]
     doc["dist"][2][0] = entry
-    with pytest.raises(QuantaleError, match=re.escape(message)):
-        model_from_json(doc)
+    if message is None:
+        assert model_from_json(doc).graph.at("C", "A") == F(entry)
+    else:
+        with pytest.raises(QuantaleError, match=re.escape(message)):
+            model_from_json(doc)
 
 
 def test_graph_from_entries_validates_each_value_once(monkeypatch):
